@@ -5,8 +5,11 @@ stationary (gradient above the target), an approximate second-order stationary
 point (small gradient, minimum Hessian eigenvalue above ``-sqrt(L2 eps)``), or
 a strict-saddle candidate (small gradient, eigenvalue below the cut). Small
 problems with a dense Hessian use an exact symmetric eigendecomposition;
-otherwise a shifted power iteration works matrix-free through Hessian-vector
-products.
+otherwise implicitly restarted Lanczos (ARPACK through
+``scipy.sparse.linalg.eigsh``) works matrix-free on the shifted operator
+``L1 I - H`` through Hessian-vector products. Its ``max_iters`` is a budget of
+Hessian-vector products and its ``seed`` keys the Lanczos start vector, so a
+certificate replays bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from scaopt.numerics import RngStream, as_vector
 from scaopt.problems import Objective
@@ -25,22 +29,29 @@ __all__ = [
     "EigenSolveError",
     "SpectralShiftError",
     "min_eigenvalue",
+    "resolve_method",
     "classify",
     "certify_run",
     "DENSE_DIM_LIMIT",
 ]
 
 DENSE_DIM_LIMIT = 200
-_RESTART_SEED = 0x5CA1AB1E
+_START_SEED = 0x5CA1AB1E
 
 
 class EigenSolveError(RuntimeError):
-    """Power iteration exhausted its budget without certifying convergence."""
+    """The matrix-free eigensolver could not certify its estimate.
 
-    def __init__(self, message: str, lambda_min: float, residual: float):
+    Carries the best estimate found: ``lambda_min``, its ``residual`` and,
+    when one was computed, its unit ``eigenvector``.
+    """
+
+    def __init__(self, message: str, lambda_min: float, residual: float,
+                 eigenvector: np.ndarray | None = None):
         super().__init__(message)
         self.lambda_min = lambda_min
         self.residual = residual
+        self.eigenvector = eigenvector
 
 
 class SpectralShiftError(RuntimeError):
@@ -66,8 +77,28 @@ class Certificate:
     method: Optional[str]  # dense | matrix_free
 
 
-def _use_dense(obj: Objective) -> bool:
-    return obj.dense_hessian is not None and obj.dim <= DENSE_DIM_LIMIT
+def resolve_method(obj: Objective, method: str = "auto") -> str:
+    """The eigensolver ``min_eigenvalue`` runs for ``method``: ``dense`` or ``matrix_free``."""
+    if method not in ("auto", "dense", "matrix_free"):
+        raise ValueError(f"unknown method '{method}'")
+    if method == "auto":
+        use_dense = obj.dense_hessian is not None and obj.dim <= DENSE_DIM_LIMIT
+        return "dense" if use_dense else "matrix_free"
+    if method == "dense" and obj.dense_hessian is None:
+        raise ValueError("dense method requested but no dense Hessian available")
+    return method
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+def _check_shift(rho: float, lip_grad: float) -> None:
+    if rho < -1e-9 * max(1.0, lip_grad):
+        raise SpectralShiftError(
+            f"shifted operator has negative top eigenvalue ({rho:.3e}); the "
+            f"declared gradient-Lipschitz constant {lip_grad:.6g} is understated"
+        )
 
 
 def min_eigenvalue(
@@ -77,20 +108,24 @@ def min_eigenvalue(
     max_iters: int = 20_000,
     *,
     method: str = "auto",
-    restarts: int = 5,
-    seed: int = _RESTART_SEED,
+    seed: int = _START_SEED,
 ):
     """Estimate the minimum Hessian eigenvalue at ``x``.
 
     Returns ``(lambda_min, eigenvector, residual)`` with
     ``residual = ||H v - lambda v||``. The dense path (available Hessian and
-    dim <= 200) diagonalizes exactly. The matrix-free path runs power iteration
-    on the shifted operator ``L1 I - H``, which is PSD whenever the declared
-    gradient-Lipschitz constant is honest, so its top eigenvalue is
-    ``L1 - lambda_min``. Iteration stops once the Rayleigh quotient stagnates
-    within ``tol`` (default ``1e-8 L1``) and the residual certifies the
-    estimate; a few random restarts guard against stagnation near eigenvalue
-    clusters, and the smallest eigenvalue found wins.
+    dim <= 200) diagonalizes exactly. The matrix-free path runs implicitly
+    restarted Lanczos (ARPACK, via ``scipy.sparse.linalg.eigsh``) for the
+    largest-magnitude eigenvalue ``rho`` of the shifted operator ``L1 I - H``.
+    That operator is PSD whenever the declared gradient-Lipschitz constant is
+    honest, so ``rho = L1 - lambda_min``; a negative ``rho`` raises
+    :class:`SpectralShiftError`. The start vector is drawn from
+    ``RngStream(seed)``, so a call replays bit for bit. ``max_iters`` bounds
+    the Hessian-vector products, including the one that measures the
+    residual of the Ritz pair; the estimate must certify with a residual
+    within ``100 tol`` (``tol`` defaults to ``1e-8 L1``). Running out of
+    budget or missing the bar raises :class:`EigenSolveError` carrying the
+    best estimate: on exhaustion, the smallest Rayleigh quotient seen.
     """
     x = as_vector(x, obj.dim)
     lip_grad = obj.constants.grad_lipschitz
@@ -98,13 +133,8 @@ def min_eigenvalue(
         tol = 1e-8 * lip_grad
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method not in ("auto", "dense", "matrix_free"):
-        raise ValueError(f"unknown method '{method}'")
-    use_dense = _use_dense(obj) if method == "auto" else method == "dense"
-    if use_dense and obj.dense_hessian is None:
-        raise ValueError("dense method requested but no dense Hessian available")
 
-    if use_dense:
+    if resolve_method(obj, method) == "dense":
         hess = obj.dense_hessian(x)
         eigvals, eigvecs = np.linalg.eigh(hess)
         lam = float(eigvals[0])
@@ -112,49 +142,56 @@ def min_eigenvalue(
         residual = float(np.linalg.norm(hess @ vec - lam * vec))
         return lam, vec, residual
 
-    best_lam = math.inf
-    best_vec = None
-    best_res = math.inf
-    for k in range(restarts):
-        stream = RngStream(seed).substream(k)
-        v = stream.standard_normal(obj.dim)
-        v /= np.linalg.norm(v)
-        rho_prev = None
-        stagnant = 0
-        rho = 0.0
-        res = math.inf
-        for _ in range(max_iters):
-            shifted = lip_grad * v - obj.hvp(x, v)
-            rho = float(v @ shifted)
-            res = float(np.linalg.norm(shifted - rho * v))
-            if rho_prev is not None and abs(rho - rho_prev) <= tol:
-                stagnant += 1
-            else:
-                stagnant = 0
-            rho_prev = rho
-            # stop well under the 100*tol acceptance bar so estimates certify cleanly
-            if stagnant >= 5 and res <= 10.0 * tol:
-                break
-            norm_shifted = float(np.linalg.norm(shifted))
-            if norm_shifted == 0.0:
-                break  # v is an exact eigenvector of the shift
-            v = shifted / norm_shifted
-        if rho < -1e-9 * max(1.0, lip_grad):
-            raise SpectralShiftError(
-                f"shifted operator has negative top eigenvalue ({rho:.3e}); the "
-                f"declared gradient-Lipschitz constant {lip_grad:.6g} is understated"
+    calls = 0
+    best = (math.inf, None, math.inf)  # smallest Rayleigh quotient: (lambda, vector, residual)
+
+    def hvp(v):
+        nonlocal calls, best
+        if calls >= max_iters:
+            raise _BudgetExhausted
+        calls += 1
+        hv = obj.hvp(x, v)
+        quotient = float(v @ hv) / float(v @ v)
+        if quotient < best[0]:
+            scale = 1.0 / float(np.linalg.norm(v))
+            residual = scale * float(np.linalg.norm(hv - quotient * v))
+            best = (quotient, scale * v, residual)
+        return hv
+
+    try:
+        if obj.dim == 1:  # ARPACK needs k < n; a 1x1 Hessian is its own eigenpair
+            vec = np.ones(1)
+            hv = hvp(vec)
+            _check_shift(lip_grad - float(hv[0]), lip_grad)
+        else:
+            shifted = LinearOperator(
+                (obj.dim, obj.dim), matvec=lambda v: lip_grad * v - hvp(v), dtype=np.float64
             )
-        lam = lip_grad - rho
-        if lam < best_lam:
-            best_lam, best_vec, best_res = lam, v.copy(), res
-    if best_res > 100.0 * tol:
+            v0 = RngStream(seed).standard_normal(obj.dim)
+            rhos, vecs = eigsh(shifted, k=1, which="LM", v0=v0, tol=tol / (2.0 * lip_grad),
+                               maxiter=max(max_iters, 1))
+            _check_shift(float(rhos[0]), lip_grad)
+            vec = vecs[:, 0]
+            hv = hvp(vec)
+        lam = float(vec @ hv)  # the Ritz value, recomputed on H to keep its relative accuracy
+        residual = float(np.linalg.norm(hv - lam * vec))
+    except (_BudgetExhausted, ArpackNoConvergence):
+        lam, vec, residual = best
         raise EigenSolveError(
-            f"power iteration exhausted {max_iters} iterations with residual "
-            f"{best_res:.3e} > {100.0 * tol:.3e}",
-            lambda_min=best_lam,
-            residual=best_res,
+            f"Lanczos exhausted {calls} of {max_iters} Hessian-vector products; best "
+            f"estimate has residual {residual:.3e}",
+            lambda_min=lam,
+            residual=residual,
+            eigenvector=vec,
+        ) from None
+    if residual > 100.0 * tol:
+        raise EigenSolveError(
+            f"Lanczos estimate has residual {residual:.3e} > {100.0 * tol:.3e}",
+            lambda_min=lam,
+            residual=residual,
+            eigenvector=vec,
         )
-    return best_lam, best_vec, best_res
+    return lam, vec, residual
 
 
 def classify(obj: Objective, x, eps: float, *, eigen_kwargs: dict | None = None) -> Certificate:
@@ -179,7 +216,9 @@ def classify(obj: Objective, x, eps: float, *, eigen_kwargs: dict | None = None)
             classification="not_fosp",
             method=None,
         )
-    lam, _, residual = min_eigenvalue(obj, x, **(eigen_kwargs or {}))
+    kwargs = dict(eigen_kwargs or {})
+    kwargs["method"] = resolve_method(obj, kwargs.get("method", "auto"))
+    lam, _, residual = min_eigenvalue(obj, x, **kwargs)
     return Certificate(
         grad_norm=grad_norm,
         lambda_min=lam,
@@ -187,7 +226,7 @@ def classify(obj: Objective, x, eps: float, *, eigen_kwargs: dict | None = None)
         eps=eps,
         gamma=gamma,
         classification="eps_sosp" if lam >= -gamma else "eps_fosp_strict_saddle",
-        method="dense" if _use_dense(obj) else "matrix_free",
+        method=kwargs["method"],
     )
 
 

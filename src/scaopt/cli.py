@@ -578,6 +578,9 @@ def _cmd_sweep(args) -> int:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
+    except (RuntimeError, ValueError) as exc:
+        print(f"sweep failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     print(path)
     print(
         f"escape rate {aggregate['successes']}/{aggregate['seeds']}"

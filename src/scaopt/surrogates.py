@@ -49,8 +49,9 @@ class SurrogateSpec:
     """Configuration of the surrogate family and its inner solver.
 
     ``inner_tol=None`` resolves per anchor to ``1e-10 * max(1, ||grad||)``.
-    ``dense_solve`` gives the curvature-aware model a closed-form minimizer via
-    a dense linear solve instead of the iterative inner loop.
+    ``dense_solve`` gives the curvature-aware model its closed-form minimizer,
+    read off the eigendecomposition that builds the model, instead of the
+    iterative inner loop.
     """
 
     kind: str = "proximal_linear"
@@ -159,8 +160,8 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
         return g_y + model_h @ (x - y)
 
     closed_form = None
-    if spec.dense_solve:
-        closed_form = y - np.linalg.solve(model_h, g_y)
+    if spec.dense_solve:  # the model Hessian's eigenpairs are eigh's, so invert them directly
+        closed_form = y - eigvecs @ ((eigvecs.T @ g_y) / (clipped + modulus))
     return SurrogateAt(
         anchor=y,
         value=value,

@@ -11,6 +11,7 @@ from scaopt.certify import (
     certify_run,
     classify,
     min_eigenvalue,
+    resolve_method,
 )
 from scaopt.numerics import RngStream
 from scaopt.problems import get_problem, make_quadratic, make_saddle_quartic
@@ -60,6 +61,52 @@ class TestMinEigenvalue:
             min_eigenvalue(obj, np.zeros(40), method="matrix_free", max_iters=2)
         assert math.isfinite(excinfo.value.lambda_min)
         assert excinfo.value.residual > 0
+
+    def test_one_dimensional_matrix_free(self):
+        obj = make_quadratic(np.array([[-3.0]])).objective
+        lam, vec, residual = min_eigenvalue(obj, np.zeros(1), method="matrix_free")
+        assert lam == -3.0
+        assert np.array_equal(vec, [1.0])
+        assert residual == 0.0
+
+    def test_one_dimensional_understated_lipschitz_is_diagnosed(self):
+        obj = make_quadratic(np.array([[2.0]])).objective
+        weak = dataclasses.replace(
+            obj,
+            constants=dataclasses.replace(obj.constants, grad_lipschitz=1.0),
+        )
+        with pytest.raises(SpectralShiftError):
+            min_eigenvalue(weak, np.zeros(1), method="matrix_free")
+
+    def test_hvp_budget_is_respected(self):
+        gen = np.random.default_rng(3)
+        a = gen.standard_normal((40, 40))
+        obj = make_quadratic(0.5 * (a + a.T)).objective
+        calls = []
+        counted = dataclasses.replace(obj, hvp=lambda x, v: calls.append(1) or obj.hvp(x, v))
+        with pytest.raises(EigenSolveError) as excinfo:
+            min_eigenvalue(counted, np.zeros(40), method="matrix_free", max_iters=7)
+        assert len(calls) == 7
+        vec = excinfo.value.eigenvector
+        assert abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-12
+        assert abs(float(vec @ obj.hvp(None, vec)) - excinfo.value.lambda_min) <= 1e-12
+
+    def test_matrix_factorization_above_dense_limit(self):
+        # the Lanczos path certifies where the former power iteration ran out of budget
+        prob = get_problem("matrix_factorization:d=30,r=8")
+        obj, x = prob.objective, prob.canonical_start
+        assert resolve_method(obj) == "matrix_free"
+        lam, _, residual = min_eigenvalue(obj, x, method="auto")
+        lam_dense, _, _ = min_eigenvalue(obj, x, method="dense")
+        assert abs(lam - lam_dense) <= 1e-6
+        assert residual <= 100.0 * 1e-8 * obj.constants.grad_lipschitz
+
+    def test_matrix_free_replays_bitwise(self):
+        prob = get_problem("rosenbrock:d=256")
+        first = min_eigenvalue(prob.objective, prob.canonical_start)
+        second = min_eigenvalue(prob.objective, prob.canonical_start)
+        assert first[0] == second[0]
+        assert np.array_equal(first[1], second[1])
 
     def test_dense_requested_without_hessian(self):
         obj = make_quadratic(np.eye(2)).objective
@@ -113,6 +160,19 @@ class TestClassify:
                 else:
                     assert cert.lambda_min < -cert.gamma
         assert "not_fosp" in seen
+
+    def test_method_reports_the_forced_solver(self):
+        obj = make_saddle_quartic(4).objective
+        forced = classify(obj, np.zeros(4), eps=0.01, eigen_kwargs={"method": "matrix_free"})
+        assert forced.method == "matrix_free"
+        assert abs(forced.lambda_min + 1.0) <= 1e-9
+        assert classify(obj, np.zeros(4), eps=0.01).method == "dense"
+
+    def test_method_reports_auto_above_dense_limit(self):
+        prob = get_problem("matrix_factorization:d=30,r=8")
+        cert = classify(prob.objective, prob.canonical_start, eps=1e3)
+        assert cert.lambda_min is not None
+        assert cert.method == "matrix_free"
 
     def test_bad_eps(self):
         obj = make_saddle_quartic(3).objective

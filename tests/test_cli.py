@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from scaopt import certify
 from scaopt.cli import (
     ConfigError,
     ExperimentConfig,
@@ -214,3 +215,16 @@ class TestMainEntry:
         )
         assert code == 2
         assert "0 < eps" in capsys.readouterr().err
+
+    def test_sweep_failure_is_one_line_nonzero_exit(self, tmp_path, capsys, monkeypatch):
+        def failing_eigensolve(*args, **kwargs):
+            raise certify.EigenSolveError("budget exhausted", lambda_min=-1.0, residual=1.0)
+
+        monkeypatch.setattr(certify, "min_eigenvalue", failing_eigensolve)
+        code = main(
+            ["sweep", "--problem", "saddle_quartic:d=2", "--algo", "psca", "--eps", "1e-2",
+             "--seeds", "2", "--max-iters", "10000", "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "sweep failed: EigenSolveError: budget exhausted\n"
