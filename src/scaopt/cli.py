@@ -274,33 +274,32 @@ def _surrogate_spec(cfg: ExperimentConfig) -> SurrogateSpec:
     )
 
 
-def _effective_delta_u(cfg: ExperimentConfig, obj: problems.Objective, x0) -> float:
-    if cfg.delta_u is not None:
-        return cfg.delta_u
-    return float(obj.value(x0)) - obj.f_star
+def _execute(cfg: ExperimentConfig, obj: problems.Objective, spec: SurrogateSpec,
+             x0: np.ndarray, stop_grad_norm: float | None = None):
+    """Run ``cfg.algo`` from ``x0``; returns (result, params-or-None).
 
-
-def _execute(cfg: ExperimentConfig, prob: problems.ProblemInstance, x0: np.ndarray):
-    """Dispatch one run; returns (result, params-or-None)."""
-    obj = prob.objective
-    spec = _surrogate_spec(cfg)
+    sca/gd stop at ``grad_norm <= cfg.eps``; psca/pgd derive their parameters
+    from the config and stop at ``stop_grad_norm`` when it is given.
+    """
     eta = cfg.eta if cfg.eta is not None else min(1.0, cfg.c / obj.constants.grad_lipschitz)
     keep = cfg.record_eigen_every
-    if cfg.algo in ("psca", "pgd"):
-        params = drivers.derive_params(
-            cfg.eps, cfg.delta, cfg.c, cfg.s,
-            _effective_delta_u(cfg, obj, x0),
-            obj, cfg.max_iters, cfg.window_variant,
-        )
-        rng = RngStream(cfg.seed)
-        if cfg.algo == "psca":
-            return drivers.run_psca(obj, spec, params, x0, rng, keep_iterates_every=keep), params
-        return drivers.run_pgd(obj, params, x0, rng, keep_iterates_every=keep), params
     if cfg.algo == "sca":
         return drivers.run_sca(obj, spec, eta, cfg.eps, cfg.max_iters, x0,
                                keep_iterates_every=keep), None
-    return drivers.run_gd(obj, eta, cfg.eps, cfg.max_iters, x0,
-                          keep_iterates_every=keep), None
+    if cfg.algo == "gd":
+        return drivers.run_gd(obj, eta, cfg.eps, cfg.max_iters, x0,
+                              keep_iterates_every=keep), None
+    delta_u = cfg.delta_u if cfg.delta_u is not None else float(obj.value(x0)) - obj.f_star
+    params = drivers.derive_params(cfg.eps, cfg.delta, cfg.c, cfg.s, delta_u, obj,
+                                   cfg.max_iters, cfg.window_variant)
+    rng = RngStream(cfg.seed)
+    if cfg.algo == "psca":
+        result = drivers.run_psca(obj, spec, params, x0, rng, keep_iterates_every=keep,
+                                  stop_grad_norm=stop_grad_norm)
+    else:
+        result = drivers.run_pgd(obj, params, x0, rng, keep_iterates_every=keep,
+                                 stop_grad_norm=stop_grad_norm)
+    return result, params
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -323,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig):
 
     started = time.perf_counter()
     try:
-        result, params = _execute(cfg, prob, x0)
+        result, params = _execute(cfg, obj, _surrogate_spec(cfg), x0)
     except Exception as exc:
         partial = {
             "config": _as_jsonable(dataclasses.asdict(cfg)),
@@ -496,26 +495,14 @@ def scaling_study(
     obj = prob.objective
     spec = surrogate or SurrogateSpec()
     eps_min = eps_arr[-1]
-    step = eta if eta is not None else min(1.0, c / obj.constants.grad_lipschitz)
 
     passages: list[list[Optional[int]]] = [[] for _ in eps_arr]
     for k in range(seeds):
-        seed = base_seed + k
-        x0 = prob.canonical_start.copy()
-        if jitter > 0:
-            x0 = x0 + sample_uniform_ball(obj.dim, jitter, RngStream(seed).substream(_JITTER_OFFSET))
-        if algo == "sca":
-            result = drivers.run_sca(obj, spec, step, eps_min, max_iters, x0)
-        elif algo == "gd":
-            result = drivers.run_gd(obj, step, eps_min, max_iters, x0)
-        else:
-            du = delta_u if delta_u is not None else float(obj.value(x0)) - obj.f_star
-            params = drivers.derive_params(eps_min, delta, c, s, du, obj, max_iters)
-            rng = RngStream(seed)
-            if algo == "psca":
-                result = drivers.run_psca(obj, spec, params, x0, rng, stop_grad_norm=eps_min)
-            else:
-                result = drivers.run_pgd(obj, params, x0, rng, stop_grad_norm=eps_min)
+        run = ExperimentConfig(
+            problem=prob.name, algo=algo, eps=eps_min, delta=delta, c=c, s=s,
+            delta_u=delta_u, eta=eta, seed=base_seed + k, max_iters=max_iters, jitter=jitter,
+        )
+        result, _ = _execute(run, obj, spec, _resolve_start(run, prob), stop_grad_norm=eps_min)
         for j, eps in enumerate(eps_arr):
             hit = next((rec.t for rec in result.records if rec.grad_norm <= eps), None)
             passages[j].append(hit)

@@ -1,14 +1,22 @@
 """Outer solvers: surrogate descent, its perturbed saddle-escaping variant, and baselines.
 
-The plain driver moves a fraction ``eta`` toward the surrogate minimizer each
-iteration and stops at a first-order stationary point. The perturbed variant
-additionally injects a uniform-ball perturbation whenever the gradient is small
-and enough iterations have passed since the last injection; if the objective
-fails to drop by the required threshold within the post-perturbation window,
-the pre-perturbation point is returned as the second-order stationary
-candidate. Every run records an inexact-gradient view of its steps (the error
-vector that rewrites the update as a gradient step) plus per-iteration descent,
-optimality, and error-bound monitors.
+All four drivers run one outer loop, configured by a step rule and a
+perturbation policy. Each iteration moves a fraction ``eta`` from ``x`` toward
+a point ``x_hat``:
+
+* step rule: ``x_hat`` minimizes the surrogate built at ``x`` (SCA, P-SCA), or
+  is the gradient step ``x - grad`` (GD, PGD);
+* perturbation policy: none (SCA, GD), or the perturbed protocol (P-SCA, PGD),
+  which injects a uniform-ball perturbation whenever the gradient is small and
+  enough iterations have passed since the last injection, and returns the
+  pre-perturbation point as the second-order stationary candidate if the
+  objective fails to drop by the required threshold within the window.
+
+SCA and GD stop at the first iterate whose gradient norm is at most ``g_th``;
+P-SCA and PGD stop at that threshold only when one is given. Every run records
+an inexact-gradient view of its steps (the error vector that rewrites the
+update as a gradient step) plus per-iteration descent, optimality, direction
+and error-bound monitors.
 """
 
 from __future__ import annotations
@@ -360,16 +368,47 @@ def descent_slack(spec: SurrogateSpec, rec: IterateRecord, eta: float) -> float:
     return 1e-9 * (1.0 + abs(rec.f)) + eta * tol * rec.step_norm
 
 
-def _advance(obj, spec, surr, x, eta):
-    """One update from a prebuilt surrogate; raises if the step leaves the region."""
-    x_hat, inner = minimize_surrogate(surr, spec)
+def _region_exit_message(obj: Objective, x) -> str:
+    return (
+        f"iterate left the valid region (norm {np.linalg.norm(x, obj.region_norm):.6g}"
+        f" > radius {obj.region_radius:.6g})"
+    )
+
+
+def _evaluate(obj, spec, x, t, gradient_rule):
+    """``(surrogate at x or None for the gradient rule, f, grad, ||grad||)``."""
+    if gradient_rule:
+        surr, f, g = None, float(obj.value(x)), obj.gradient(x)
+    else:
+        surr = build_surrogate(obj, x, spec)
+        f, g = surr.anchor_value, surr.anchor_grad
+    gn = float(np.linalg.norm(g))
+    if not (math.isfinite(f) and math.isfinite(gn)):
+        raise NonFiniteError(f"non-finite objective or gradient at iteration {t}")
+    return surr, f, g, gn
+
+
+def _step(obj, spec, surr, x, f, g, gn, eta, t, perturbed=False, counts=None):
+    """The update ``x + eta (x_hat - x)`` and the trajectory row of the step.
+
+    ``x_hat`` minimizes ``surr``, or is ``x - g`` when ``surr`` is None (the
+    gradient rule: step norm ``||g||``, no inner iterations). Raises
+    :class:`RegionExitError` when the update leaves the valid region. With
+    ``counts``, tallies the step's optimality, direction and error-bound monitors.
+    """
+    if surr is None:
+        x_hat, step_norm, inner, tol = x - g, gn, 0, resolved_inner_tol(spec, gn)
+    else:
+        x_hat, report = minimize_surrogate(surr, spec)
+        step_norm = float(np.linalg.norm(x_hat - x))
+        inner, tol = report.iterations, surr.inner_tol
     x_next = x + eta * (x_hat - x)
     if not obj.in_region(x_next):
-        raise RegionExitError(
-            f"iterate left the valid region (norm {np.linalg.norm(x_next, obj.region_norm):.6g}"
-            f" > radius {obj.region_radius:.6g})"
-        )
-    return x_hat, inner, x_next
+        raise RegionExitError(_region_exit_message(obj, x_next))
+    err_norm = float(np.linalg.norm(gradient_error(x, x_hat, g)))
+    if counts is not None:
+        _step_monitors(counts, tol, x, x_hat, g, gn, step_norm, err_norm, obj, spec.strong_convexity)
+    return x_next, IterateRecord(t, f, gn, step_norm, err_norm, perturbed, inner)
 
 
 def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
@@ -382,18 +421,8 @@ def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     x_t = as_vector(x_t, obj.dim)
     surr = build_surrogate(obj, x_t, spec)
-    x_hat, inner, x_next = _advance(obj, spec, surr, x_t, eta)
-    err = gradient_error(x_t, x_hat, surr.anchor_grad)
-    rec = IterateRecord(
-        t=t,
-        f=surr.anchor_value,
-        grad_norm=float(np.linalg.norm(surr.anchor_grad)),
-        step_norm=float(np.linalg.norm(x_hat - x_t)),
-        err_norm=float(np.linalg.norm(err)),
-        perturbed=False,
-        inner_iters=inner.iterations,
-    )
-    return x_next, rec
+    g = surr.anchor_grad
+    return _step(obj, spec, surr, x_t, surr.anchor_value, g, float(np.linalg.norm(g)), eta, t)
 
 
 def maybe_perturb(
@@ -436,9 +465,10 @@ def check_termination(
     return None
 
 
-def _finalize_monitors(records, counts, spec, eta, strong_convexity, grad_lipschitz):
+def _finalize_monitors(records, counts, spec, eta, grad_lipschitz):
     """Descent checks between consecutive rows (skipping perturbation jumps)."""
-    if eta >= 2.0 * strong_convexity / grad_lipschitz:
+    modulus = spec.strong_convexity
+    if eta >= 2.0 * modulus / grad_lipschitz:
         return
     for prev, nxt in zip(records[:-1], records[1:]):
         if nxt.perturbed:
@@ -449,15 +479,14 @@ def _finalize_monitors(records, counts, spec, eta, strong_convexity, grad_lipsch
             nxt.f,
             prev.step_norm,
             eta,
-            strong_convexity,
+            modulus,
             grad_lipschitz,
             descent_slack(spec, prev, eta),
         )
 
 
-def _step_monitors(counts, surr, x, x_hat, g, gn, step_norm, err_norm, obj, modulus):
+def _step_monitors(counts, tol, x, x_hat, g, gn, step_norm, err_norm, obj, modulus):
     """Optimality, direction-bound, and error-bound monitors for one step."""
-    tol = surr.inner_tol
     gap = float((x - x_hat) @ g)
     counts.optimality_checked += 1
     counts.optimality_passed += gap >= modulus * step_norm**2 - (tol * step_norm + 1e-9)
@@ -470,13 +499,113 @@ def _step_monitors(counts, surr, x, x_hat, g, gn, step_norm, err_norm, obj, modu
         counts.error_bound_passed += err_norm <= bound
 
 
-def _ensure_finite(f, gn, t):
-    if not (math.isfinite(f) and math.isfinite(gn)):
-        raise NonFiniteError(f"non-finite objective or gradient at iteration {t}")
-
-
-def _terminal(records, t, f, gn, perturbed=False):
+def _stop(records, events, t, f, gn, perturbed, tag):
+    """Append the terminal row at ``t``, add ``tag`` to its event, return the termination."""
+    events[t] = f"{events[t]};{tag}" if t in events else tag
     records.append(IterateRecord(t, f, gn, 0.0, 0.0, perturbed, 0))
+    return tag.partition(";")[0]
+
+
+# The unit-modulus proximal model, whose exact minimizer is the gradient step:
+# it fixes the modulus and tolerance of GD's and PGD's monitors.
+_GRADIENT_MODEL = SurrogateSpec(kind="proximal_linear", strong_convexity=1.0, inner_tol=1e-300)
+
+
+def _run(
+    obj: Objective,
+    spec: SurrogateSpec,
+    eta: float,
+    max_iters: int,
+    x0,
+    *,
+    gradient_rule: bool = False,
+    params: PscaParams | None = None,
+    rng: RngStream | None = None,
+    stop_grad_norm: float | None = None,
+    keep_iterates_every: int | None = None,
+) -> RunResult:
+    """The outer loop shared by every driver.
+
+    Each iteration evaluates the iterate, applies the perturbation policy
+    (``params`` and ``rng``; none when ``params`` is None), keeps the iterate
+    every ``keep_iterates_every`` steps, runs the termination tests (window
+    test, then ``grad_norm <= stop_grad_norm``) and takes one step of the
+    step rule (see :func:`_step`).
+    """
+    modulus = spec.strong_convexity
+    lip_grad = obj.constants.grad_lipschitz
+    if eta >= 2.0 * modulus / lip_grad:
+        warnings.warn("eta >= 2C/L1: the descent factor is nonpositive and the descent "
+                      "monitor is disabled", stacklevel=3)
+    x = as_vector(x0, obj.dim)
+    if not obj.in_region(x):
+        raise ValueError("x0 lies outside the objective's valid region")
+    state = PerturbationState(t_noise=0 if params is None else -params.t_th - 1)
+    records: list[IterateRecord] = []
+    events: dict[int, str] = {}
+    counts = MonitorCounts()
+    iterates: list[tuple[int, np.ndarray]] | None = [] if keep_iterates_every else None
+    perturbation_count = 0
+    termination = "max_iters"
+    x_out: np.ndarray | None = None
+
+    for t in range(max_iters):
+        surr, f, g, gn = _evaluate(obj, spec, x, t, gradient_rule)
+        perturbed = False
+        if params is not None:
+            x, state, perturbed = maybe_perturb(params, state, x, f, gn, t, rng)
+        if perturbed:
+            perturbation_count += 1
+            events[t] = f"perturbed;f_before={state.f_tilde:.17g}"
+            if not obj.in_region(x):
+                # the terminal row describes the injected point, like any other row
+                f = float(obj.value(x))
+                gn = float(np.linalg.norm(obj.gradient(x)))
+                tag = f"left_valid_region;{_region_exit_message(obj, x)}"
+                termination = _stop(records, events, t, f, gn, True, tag)
+                break
+            surr, f, g, gn = _evaluate(obj, spec, x, t, gradient_rule)
+        if iterates is not None and t % keep_iterates_every == 0:
+            iterates.append((t, x.copy()))
+
+        tag = None
+        if params is not None and (x_out := check_termination(params, state, x, f, t)) is not None:
+            tag = "returned_xtilde"
+        elif stop_grad_norm is not None and gn <= stop_grad_norm:
+            tag = "gradient_below_threshold"
+        else:
+            try:
+                x_next, rec = _step(obj, spec, surr, x, f, g, gn, eta, t, perturbed, counts)
+            except RegionExitError as exc:
+                tag = f"left_valid_region;{exc}"
+        if tag is not None:
+            termination = _stop(records, events, t, f, gn, perturbed, tag)
+            break
+        records.append(rec)
+        x = x_next
+    else:
+        f = float(obj.value(x))
+        gn = float(np.linalg.norm(obj.gradient(x)))
+        records.append(IterateRecord(max_iters, f, gn, 0.0, 0.0, False, 0))
+
+    if x_out is None:
+        x_out = x
+        f_out = float(obj.value(x_out))
+    else:
+        f_out = float(state.f_tilde)
+    _finalize_monitors(records, counts, spec, eta, lip_grad)
+    return RunResult(
+        records=records,
+        termination=termination,
+        x_out=x_out,
+        f_out=f_out,
+        perturbation_count=perturbation_count,
+        seed=0 if rng is None else rng.seed,
+        events=events,
+        perturbation_state=state,
+        monitors=counts,
+        iterates=iterates,
+    )
 
 
 def run_sca(
@@ -497,58 +626,8 @@ def run_sca(
     """
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    x = as_vector(x0, obj.dim)
-    if not obj.in_region(x):
-        raise ValueError("x0 lies outside the objective's valid region")
-    modulus = spec.strong_convexity
-    lip_grad = obj.constants.grad_lipschitz
-    records: list[IterateRecord] = []
-    events: dict[int, str] = {}
-    counts = MonitorCounts()
-    iterates: list[tuple[int, np.ndarray]] | None = (
-        [] if keep_iterates_every else None
-    )
-    termination = "max_iters"
-    for t in range(max_iters):
-        surr = build_surrogate(obj, x, spec)
-        f, g = surr.anchor_value, surr.anchor_grad
-        gn = float(np.linalg.norm(g))
-        _ensure_finite(f, gn, t)
-        if iterates is not None and t % keep_iterates_every == 0:
-            iterates.append((t, x.copy()))
-        if gn <= g_th:
-            termination = "gradient_below_threshold"
-            events[t] = "gradient_below_threshold"
-            _terminal(records, t, f, gn)
-            break
-        try:
-            x_hat, inner, x_next = _advance(obj, spec, surr, x, eta)
-        except RegionExitError as exc:
-            termination = "left_valid_region"
-            events[t] = f"left_valid_region;{exc}"
-            _terminal(records, t, f, gn)
-            break
-        step_norm = float(np.linalg.norm(x_hat - x))
-        err_norm = float(np.linalg.norm(gradient_error(x, x_hat, g)))
-        _step_monitors(counts, surr, x, x_hat, g, gn, step_norm, err_norm, obj, modulus)
-        records.append(IterateRecord(t, f, gn, step_norm, err_norm, False, inner.iterations))
-        x = x_next
-    else:
-        f = float(obj.value(x))
-        gn = float(np.linalg.norm(obj.gradient(x)))
-        _terminal(records, max_iters, f, gn)
-    _finalize_monitors(records, counts, spec, eta, modulus, lip_grad)
-    return RunResult(
-        records=records,
-        termination=termination,
-        x_out=x,
-        f_out=float(obj.value(x)),
-        perturbation_count=0,
-        seed=0,
-        events=events,
-        monitors=counts,
-        iterates=iterates,
-    )
+    return _run(obj, spec, eta, max_iters, x0, stop_grad_norm=g_th,
+                keep_iterates_every=keep_iterates_every)
 
 
 def run_psca(
@@ -570,101 +649,8 @@ def run_psca(
     instrumentation cutoff (first-passage studies); it is off by default and
     does not alter the protocol otherwise.
     """
-    modulus = spec.strong_convexity
-    lip_grad = obj.constants.grad_lipschitz
-    if params.eta >= 2.0 * modulus / lip_grad:
-        warnings.warn(
-            "eta >= 2C/L1: the descent factor is nonpositive and the descent "
-            "monitor is disabled",
-            stacklevel=2,
-        )
-    x = as_vector(x0, obj.dim)
-    if not obj.in_region(x):
-        raise ValueError("x0 lies outside the objective's valid region")
-    state = PerturbationState(t_noise=-params.t_th - 1)
-    records: list[IterateRecord] = []
-    events: dict[int, str] = {}
-    counts = MonitorCounts()
-    iterates: list[tuple[int, np.ndarray]] | None = (
-        [] if keep_iterates_every else None
-    )
-    perturbation_count = 0
-    termination = "max_iters"
-    x_out: np.ndarray | None = None
-
-    for t in range(params.max_iters):
-        surr = build_surrogate(obj, x, spec)
-        f, g = surr.anchor_value, surr.anchor_grad
-        gn = float(np.linalg.norm(g))
-        _ensure_finite(f, gn, t)
-
-        x, state, perturbed = maybe_perturb(params, state, x, f, gn, t, rng)
-        if perturbed:
-            perturbation_count += 1
-            events[t] = f"perturbed;f_before={state.f_tilde:.17g}"
-            if not obj.in_region(x):
-                f = float(obj.value(x))
-                gn = float(np.linalg.norm(obj.gradient(x)))
-                termination = "left_valid_region"
-                events[t] += ";left_valid_region"
-                _terminal(records, t, f, gn, perturbed=True)
-                break
-            surr = build_surrogate(obj, x, spec)
-            f, g = surr.anchor_value, surr.anchor_grad
-            gn = float(np.linalg.norm(g))
-
-        returned = check_termination(params, state, x, f, t)
-        if returned is not None:
-            termination = "returned_xtilde"
-            x_out = returned
-            events[t] = (events[t] + ";" if t in events else "") + "returned_xtilde"
-            _terminal(records, t, f, gn, perturbed=perturbed)
-            break
-        if stop_grad_norm is not None and gn <= stop_grad_norm:
-            termination = "gradient_below_threshold"
-            events[t] = (events[t] + ";" if t in events else "") + "gradient_below_threshold"
-            _terminal(records, t, f, gn, perturbed=perturbed)
-            break
-        if iterates is not None and t % keep_iterates_every == 0:
-            iterates.append((t, x.copy()))
-
-        try:
-            x_hat, inner, x_next = _advance(obj, spec, surr, x, params.eta)
-        except RegionExitError as exc:
-            termination = "left_valid_region"
-            events[t] = (events[t] + ";" if t in events else "") + f"left_valid_region;{exc}"
-            _terminal(records, t, f, gn, perturbed=perturbed)
-            break
-        step_norm = float(np.linalg.norm(x_hat - x))
-        err_norm = float(np.linalg.norm(gradient_error(x, x_hat, g)))
-        _step_monitors(counts, surr, x, x_hat, g, gn, step_norm, err_norm, obj, modulus)
-        records.append(
-            IterateRecord(t, f, gn, step_norm, err_norm, perturbed, inner.iterations)
-        )
-        x = x_next
-    else:
-        f = float(obj.value(x))
-        gn = float(np.linalg.norm(obj.gradient(x)))
-        _terminal(records, params.max_iters, f, gn)
-
-    if x_out is None:
-        x_out = x
-        f_out = float(obj.value(x_out))
-    else:
-        f_out = float(state.f_tilde)
-    _finalize_monitors(records, counts, spec, params.eta, modulus, lip_grad)
-    return RunResult(
-        records=records,
-        termination=termination,
-        x_out=x_out,
-        f_out=f_out,
-        perturbation_count=perturbation_count,
-        seed=rng.seed,
-        events=events,
-        perturbation_state=state,
-        monitors=counts,
-        iterates=iterates,
-    )
+    return _run(obj, spec, params.eta, params.max_iters, x0, params=params, rng=rng,
+                stop_grad_norm=stop_grad_norm, keep_iterates_every=keep_iterates_every)
 
 
 def run_gd(
@@ -677,62 +663,10 @@ def run_gd(
     keep_iterates_every: int | None = None,
 ) -> RunResult:
     """Plain gradient descent baseline with the same stopping rule as :func:`run_sca`."""
-    spec = SurrogateSpec(kind="proximal_linear", strong_convexity=1.0, inner_tol=1e-300)
-    return _run_gradient_family(
-        obj, spec, eta, g_th, max_iters, x0, keep_iterates_every=keep_iterates_every
-    )
-
-
-def _run_gradient_family(obj, spec, eta, g_th, max_iters, x0, *, keep_iterates_every):
-    """Gradient descent written as the surrogate update with ``x_hat = x - grad``."""
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    x = as_vector(x0, obj.dim)
-    if not obj.in_region(x):
-        raise ValueError("x0 lies outside the objective's valid region")
-    records: list[IterateRecord] = []
-    events: dict[int, str] = {}
-    counts = MonitorCounts()
-    iterates = [] if keep_iterates_every else None
-    termination = "max_iters"
-    for t in range(max_iters):
-        f = float(obj.value(x))
-        g = obj.gradient(x)
-        gn = float(np.linalg.norm(g))
-        _ensure_finite(f, gn, t)
-        if iterates is not None and t % keep_iterates_every == 0:
-            iterates.append((t, x.copy()))
-        if gn <= g_th:
-            termination = "gradient_below_threshold"
-            events[t] = "gradient_below_threshold"
-            _terminal(records, t, f, gn)
-            break
-        x_hat = x - g
-        x_next = x + eta * (x_hat - x)
-        if not obj.in_region(x_next):
-            termination = "left_valid_region"
-            events[t] = "left_valid_region"
-            _terminal(records, t, f, gn)
-            break
-        err_norm = float(np.linalg.norm(gradient_error(x, x_hat, g)))
-        records.append(IterateRecord(t, f, gn, gn, err_norm, False, 0))
-        x = x_next
-    else:
-        f = float(obj.value(x))
-        gn = float(np.linalg.norm(obj.gradient(x)))
-        _terminal(records, max_iters, f, gn)
-    _finalize_monitors(records, counts, spec, eta, 1.0, obj.constants.grad_lipschitz)
-    return RunResult(
-        records=records,
-        termination=termination,
-        x_out=x,
-        f_out=float(obj.value(x)),
-        perturbation_count=0,
-        seed=0,
-        events=events,
-        monitors=counts,
-        iterates=iterates,
-    )
+    return _run(obj, _GRADIENT_MODEL, eta, max_iters, x0, gradient_rule=True,
+                stop_grad_norm=g_th, keep_iterates_every=keep_iterates_every)
 
 
 def run_pgd(
@@ -751,83 +685,6 @@ def run_pgd(
     with unit modulus), which makes the two coincide step for step in that
     configuration.
     """
-    spec = SurrogateSpec(kind="proximal_linear", strong_convexity=1.0, inner_tol=1e-300)
-    x = as_vector(x0, obj.dim)
-    if not obj.in_region(x):
-        raise ValueError("x0 lies outside the objective's valid region")
-    state = PerturbationState(t_noise=-params.t_th - 1)
-    records: list[IterateRecord] = []
-    events: dict[int, str] = {}
-    counts = MonitorCounts()
-    iterates = [] if keep_iterates_every else None
-    perturbation_count = 0
-    termination = "max_iters"
-    x_out: np.ndarray | None = None
-
-    for t in range(params.max_iters):
-        f = float(obj.value(x))
-        g = obj.gradient(x)
-        gn = float(np.linalg.norm(g))
-        _ensure_finite(f, gn, t)
-
-        x, state, perturbed = maybe_perturb(params, state, x, f, gn, t, rng)
-        if perturbed:
-            perturbation_count += 1
-            events[t] = f"perturbed;f_before={state.f_tilde:.17g}"
-            if not obj.in_region(x):
-                termination = "left_valid_region"
-                events[t] += ";left_valid_region"
-                _terminal(records, t, f, gn, perturbed=True)
-                break
-            f = float(obj.value(x))
-            g = obj.gradient(x)
-            gn = float(np.linalg.norm(g))
-
-        returned = check_termination(params, state, x, f, t)
-        if returned is not None:
-            termination = "returned_xtilde"
-            x_out = returned
-            events[t] = (events[t] + ";" if t in events else "") + "returned_xtilde"
-            _terminal(records, t, f, gn, perturbed=perturbed)
-            break
-        if stop_grad_norm is not None and gn <= stop_grad_norm:
-            termination = "gradient_below_threshold"
-            events[t] = (events[t] + ";" if t in events else "") + "gradient_below_threshold"
-            _terminal(records, t, f, gn, perturbed=perturbed)
-            break
-        if iterates is not None and t % keep_iterates_every == 0:
-            iterates.append((t, x.copy()))
-
-        x_hat = x - g
-        x_next = x + params.eta * (x_hat - x)
-        if not obj.in_region(x_next):
-            termination = "left_valid_region"
-            events[t] = (events[t] + ";" if t in events else "") + "left_valid_region"
-            _terminal(records, t, f, gn, perturbed=perturbed)
-            break
-        err_norm = float(np.linalg.norm(gradient_error(x, x_hat, g)))
-        records.append(IterateRecord(t, f, gn, gn, err_norm, perturbed, 0))
-        x = x_next
-    else:
-        f = float(obj.value(x))
-        gn = float(np.linalg.norm(obj.gradient(x)))
-        _terminal(records, params.max_iters, f, gn)
-
-    if x_out is None:
-        x_out = x
-        f_out = float(obj.value(x_out))
-    else:
-        f_out = float(state.f_tilde)
-    _finalize_monitors(records, counts, spec, params.eta, 1.0, obj.constants.grad_lipschitz)
-    return RunResult(
-        records=records,
-        termination=termination,
-        x_out=x_out,
-        f_out=f_out,
-        perturbation_count=perturbation_count,
-        seed=rng.seed,
-        events=events,
-        perturbation_state=state,
-        monitors=counts,
-        iterates=iterates,
-    )
+    return _run(obj, _GRADIENT_MODEL, params.eta, params.max_iters, x0, gradient_rule=True,
+                params=params, rng=rng, stop_grad_norm=stop_grad_norm,
+                keep_iterates_every=keep_iterates_every)

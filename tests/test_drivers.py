@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scaopt.drivers as drv
-from scaopt.numerics import RngStream
+from scaopt.numerics import RngStream, sample_uniform_ball
 from scaopt.problems import get_problem, make_quadratic, make_saddle_quartic
 from scaopt.surrogates import SurrogateSpec
 
@@ -374,3 +374,82 @@ class TestBaselines:
             res = drv.run_pgd(obj, params, quartic10.canonical_start, RngStream(seed))
             escaped += res.termination == "returned_xtilde" and res.f_out <= -0.2
         assert escaped >= 9
+
+
+def _jittered_start(prob, seed=0):
+    return prob.canonical_start + sample_uniform_ball(prob.objective.dim, 0.1, RngStream(seed))
+
+
+class TestSharedLoop:
+    """Behaviour every driver takes from the one outer loop."""
+
+    def test_perturbation_exit_row_describes_the_injected_point(self, quartic10):
+        obj = dataclasses.replace(quartic10.objective, region_radius=1e-9)
+        params = drv.derive_params(0.01, 0.1, 1.0, 0.5, 1.0, obj, 100)
+        spec = SurrogateSpec(strong_convexity=1.0, inner_tol=1e-300)
+        pgd = drv.run_pgd(obj, params, np.zeros(10), RngStream(3))
+        psca = drv.run_psca(obj, spec, params, np.zeros(10), RngStream(3))
+        for res in (pgd, psca):
+            assert res.termination == "left_valid_region"
+            assert res.records[-1].perturbed and res.records[-1].f > 0.0
+            assert res.final_f == res.f_out
+        assert pgd.records[-1] == psca.records[-1]
+
+    @pytest.mark.parametrize("name", ["saddle_quartic:d=10", "rosenbrock:d=10"])
+    def test_gradient_baselines_tally_every_monitor(self, name):
+        prob = get_problem(name)
+        obj = prob.objective
+        x0 = _jittered_start(prob)
+        params = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 0.25, obj, 1500)
+        runs = (
+            drv.run_gd(obj, 1.0 / obj.constants.grad_lipschitz, 1e-2, 1500, x0),
+            drv.run_pgd(obj, params, x0, RngStream(0)),
+        )
+        for res in runs:
+            assert res.termination != "left_valid_region"
+            m = res.monitors
+            assert m.optimality_checked == m.direction_checked == res.iterations > 0
+            assert m.error_bound_checked > 0
+            assert m.all_passed()
+
+    @pytest.mark.parametrize("algo", ["sca", "psca", "gd", "pgd"])
+    def test_region_exit_event_carries_its_message(self, algo):
+        prob = get_problem("quadratic_indefinite:d=3")
+        obj, x0 = prob.objective, prob.canonical_start
+        params = drv.derive_params(0.1, 0.1, 1.0, 0.5, 1.0, obj, 500)
+        res = {
+            "sca": lambda: drv.run_sca(obj, SurrogateSpec(), 1.0, 1e-2, 500, x0),
+            "psca": lambda: drv.run_psca(obj, SurrogateSpec(), params, x0, RngStream(0)),
+            "gd": lambda: drv.run_gd(obj, 1.0, 1e-2, 500, x0),
+            "pgd": lambda: drv.run_pgd(obj, params, x0, RngStream(0)),
+        }[algo]()
+        assert res.termination == "left_valid_region"
+        assert res.events[res.records[-1].t].startswith(
+            "left_valid_region;iterate left the valid region (norm "
+        )
+
+    @pytest.mark.parametrize("algo", ["sca", "gd", "pgd"])
+    def test_descent_monitor_disabled_warns(self, algo):
+        prob = get_problem("saddle_quartic:d=4")  # L1 = 11, so eta = 0.5 >= 2C/L1
+        obj, x0 = prob.objective, prob.canonical_start
+        params = dataclasses.replace(drv.derive_params(0.01, 0.1, 1.0, 0.5, 0.25, obj, 5), eta=0.5)
+        with pytest.warns(UserWarning, match="descent monitor"):
+            if algo == "sca":
+                drv.run_sca(obj, SurrogateSpec(), 0.5, 1e-12, 5, x0)
+            elif algo == "gd":
+                drv.run_gd(obj, 0.5, 1e-12, 5, x0)
+            else:
+                drv.run_pgd(obj, params, x0, RngStream(0))
+
+    def test_kept_iterates_include_the_terminal_iterate(self):
+        prob = get_problem("quadratic:d=10")
+        obj = prob.objective
+        delta_u = obj.value(prob.canonical_start) - obj.f_star
+        params = drv.derive_params(0.1, 0.1, 1.0, 0.5, delta_u, obj, 5000)
+        every = params.t_th + 1  # the window test fires at t = t_th + 1
+        res = drv.run_psca(obj, SurrogateSpec(), params, prob.canonical_start, RngStream(0),
+                           keep_iterates_every=every)
+        assert res.termination == "returned_xtilde"
+        assert res.records[-1].t % every == 0
+        assert res.iterates[-1][0] == res.records[-1].t
+        assert [t for t, _ in res.iterates] == [0, every]

@@ -38,10 +38,14 @@ CASES["quartic-psca-seed0-eigen100"] = dict(
 )
 
 GOLDEN = {
-    "indefinite-gd-seed0": "cd1cab2de230af80f796443711605f6eba1dd4e84a45c9f94a4919f343adf060",
-    "indefinite-gd-seed1": "cd1cab2de230af80f796443711605f6eba1dd4e84a45c9f94a4919f343adf060",
-    "indefinite-pgd-seed0": "cd1cab2de230af80f796443711605f6eba1dd4e84a45c9f94a4919f343adf060",
-    "indefinite-pgd-seed1": "cd1cab2de230af80f796443711605f6eba1dd4e84a45c9f94a4919f343adf060",
+    # uniform region-exit tag: the event now carries its message, as for sca and psca
+    "indefinite-gd-seed0": "622160ed1ab9dad96363b0c6fddc7a385b1831d825e8bfcb1992d30e836d0db6",
+    # uniform region-exit tag: the event now carries its message, as for sca and psca
+    "indefinite-gd-seed1": "622160ed1ab9dad96363b0c6fddc7a385b1831d825e8bfcb1992d30e836d0db6",
+    # uniform region-exit tag: the event now carries its message, as for sca and psca
+    "indefinite-pgd-seed0": "622160ed1ab9dad96363b0c6fddc7a385b1831d825e8bfcb1992d30e836d0db6",
+    # uniform region-exit tag: the event now carries its message, as for sca and psca
+    "indefinite-pgd-seed1": "622160ed1ab9dad96363b0c6fddc7a385b1831d825e8bfcb1992d30e836d0db6",
     "indefinite-psca-seed0": "622160ed1ab9dad96363b0c6fddc7a385b1831d825e8bfcb1992d30e836d0db6",
     "indefinite-psca-seed1": "622160ed1ab9dad96363b0c6fddc7a385b1831d825e8bfcb1992d30e836d0db6",
     "indefinite-sca-seed0": "622160ed1ab9dad96363b0c6fddc7a385b1831d825e8bfcb1992d30e836d0db6",
