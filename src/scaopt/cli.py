@@ -73,8 +73,6 @@ class ExperimentConfig:
     surrogate: str = "proximal_linear"
     strong_convexity: float = 1.0
     inner_tol: Optional[float] = None
-    inner_max_iters: int = 10_000
-    dense_solve: bool = False
     seed: int = 0
     seeds: Optional[int] = None
     max_iters: int = 50_000
@@ -88,12 +86,16 @@ class ExperimentConfig:
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Collect every violated precondition, naming the failing inequality."""
-    errs: list[str] = []
-    prob = None
     try:
-        prob = problems.get_problem(cfg.problem)
+        obj = problems.get_problem(cfg.problem).objective
     except ValueError as exc:
-        errs.append(str(exc))
+        return [str(exc)] + _violations(cfg, None)
+    return _violations(cfg, obj)
+
+
+def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[str]:
+    """Every precondition ``cfg`` violates when run on ``obj`` (None: no objective resolved)."""
+    errs: list[str] = []
     if cfg.algo not in ALGOS:
         errs.append(f"unknown algo '{cfg.algo}'; known: {', '.join(ALGOS)}")
     if not 0 < cfg.delta < 1:
@@ -110,8 +112,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errs.append(f"strong_convexity must be positive (got {cfg.strong_convexity})")
     if cfg.inner_tol is not None and cfg.inner_tol <= 0:
         errs.append(f"inner_tol must be positive (got {cfg.inner_tol})")
-    if cfg.inner_max_iters < 1:
-        errs.append("inner_max_iters must be a positive integer")
     if cfg.max_iters < 1:
         errs.append("max_iters must be a positive integer")
     if cfg.seeds is not None and cfg.seeds < 1:
@@ -122,32 +122,30 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         errs.append(f"window_variant must be 'proof' or 'algorithm' (got '{cfg.window_variant}')")
     if cfg.jitter < 0:
         errs.append(f"jitter must be nonnegative (got {cfg.jitter})")
-    if prob is None and cfg.eps <= 0:
-        errs.append(f"eps must satisfy 0 < eps <= L1^2/L2 (got {cfg.eps})")
-    if prob is not None:
-        obj = prob.objective
-        lip_grad = obj.constants.grad_lipschitz
-        lip_hess = obj.constants.hessian_lipschitz
-        eps_max = math.inf if lip_hess == 0 else lip_grad**2 / lip_hess
-        if not 0 < cfg.eps <= eps_max:
+    if obj is None:
+        if cfg.eps <= 0:
+            errs.append(f"eps must satisfy 0 < eps <= L1^2/L2 (got {cfg.eps})")
+        return errs
+    lip_grad = obj.constants.grad_lipschitz
+    lip_hess = obj.constants.hessian_lipschitz
+    eps_max = math.inf if lip_hess == 0 else lip_grad**2 / lip_hess
+    if not 0 < cfg.eps <= eps_max:
+        errs.append(f"eps must satisfy 0 < eps <= L1^2/L2 = {eps_max:.6g} (got {cfg.eps})")
+    if cfg.algo in ("psca", "pgd"):
+        if lip_hess <= 0:
             errs.append(
-                f"eps must satisfy 0 < eps <= L1^2/L2 = {eps_max:.6g} (got {cfg.eps})"
+                "perturbed algorithms need a positive Hessian-Lipschitz "
+                "declaration (this problem declares 0)"
             )
-        if cfg.algo in ("psca", "pgd"):
-            if lip_hess <= 0:
-                errs.append(
-                    "perturbed algorithms need a positive Hessian-Lipschitz "
-                    "declaration (this problem declares 0)"
-                )
-            if cfg.delta_u is None and obj.f_star is None:
-                errs.append(
-                    "delta_u is required: the problem declares no optimum value "
-                    "and the harness refuses to guess it (pass --delta-u)"
-                )
-        if cfg.x0 is not None and len(cfg.x0) != obj.dim:
-            errs.append(f"x0 has length {len(cfg.x0)}, problem dimension is {obj.dim}")
-        if cfg.surrogate == "quadratic_split" and obj.dense_hessian is None:
-            errs.append("quadratic_split needs a problem with a dense Hessian")
+        if cfg.delta_u is None and obj.f_star is None:
+            errs.append(
+                "delta_u is required: the problem declares no optimum value "
+                "and the harness refuses to guess it (pass --delta-u)"
+            )
+    if cfg.x0 is not None and len(cfg.x0) != obj.dim:
+        errs.append(f"x0 has length {len(cfg.x0)}, problem dimension is {obj.dim}")
+    if cfg.surrogate == "quadratic_split" and obj.dense_hessian is None:
+        errs.append("quadratic_split needs a problem with a dense Hessian")
     return errs
 
 
@@ -163,9 +161,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--surrogate", default="proximal_linear")
     p.add_argument("--strong-convexity", type=float, default=1.0, dest="strong_convexity")
-    p.add_argument("--inner-tol", type=float, default=None, dest="inner_tol")
-    p.add_argument("--inner-max-iters", type=int, default=10_000, dest="inner_max_iters")
-    p.add_argument("--dense-solve", action="store_true", dest="dense_solve")
+    p.add_argument("--inner-tol", type=float, default=None, dest="inner_tol",
+                   help="monitor and descent-check slack (default 1e-10 max(1, ||grad||))")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=50_000, dest="max_iters")
     p.add_argument("--out-dir", default=None, dest="out_dir")
@@ -177,10 +174,16 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label", default=None, help="basename for the output files")
 
 
+def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise ConfigError([f"{flag} must be comma-separated numbers (got '{text}')"]) from None
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    x0 = None
-    if args.x0:
-        x0 = tuple(float(tok) for tok in args.x0.split(","))
+    """The config the run flags describe; raises ConfigError on an unparsable ``--x0``."""
+    x0 = _parse_floats(args.x0, "--x0") if args.x0 else None
     return ExperimentConfig(
         problem=args.problem,
         algo=args.algo,
@@ -193,8 +196,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         surrogate=args.surrogate,
         strong_convexity=args.strong_convexity,
         inner_tol=args.inner_tol,
-        inner_max_iters=args.inner_max_iters,
-        dense_solve=args.dense_solve,
         seed=args.seed,
         seeds=getattr(args, "seeds", None),
         max_iters=args.max_iters,
@@ -266,11 +267,7 @@ def _resolve_start(cfg: ExperimentConfig, prob: problems.ProblemInstance) -> np.
 
 def _surrogate_spec(cfg: ExperimentConfig) -> SurrogateSpec:
     return SurrogateSpec(
-        kind=cfg.surrogate,
-        strong_convexity=cfg.strong_convexity,
-        inner_tol=cfg.inner_tol,
-        inner_max_iters=cfg.inner_max_iters,
-        dense_solve=cfg.dense_solve,
+        kind=cfg.surrogate, strong_convexity=cfg.strong_convexity, inner_tol=cfg.inner_tol
     )
 
 
@@ -459,6 +456,11 @@ class ScalingResult:
     intercept: float
 
 
+# scaling_study's start jitter and budget; the scaling subcommand defaults to them too
+_SCALING_JITTER = 0.1
+_SCALING_MAX_ITERS = 400_000
+
+
 def scaling_study(
     problem,
     algo: str,
@@ -466,8 +468,8 @@ def scaling_study(
     seeds: int,
     *,
     base_seed: int = 0,
-    jitter: float = 0.1,
-    max_iters: int = 400_000,
+    jitter: float = _SCALING_JITTER,
+    max_iters: int = _SCALING_MAX_ITERS,
     surrogate: SurrogateSpec | None = None,
     c: float = 1.0,
     delta: float = 0.1,
@@ -482,26 +484,30 @@ def scaling_study(
     not depend on the target, and the perturbed drivers' own thresholds sit far
     below the smallest measured target). A target any seed failed to reach is
     excluded from the fit and reported. ``slope_half_width`` is the 95%
-    confidence half-width of the fitted slope.
+    confidence half-width of the fitted slope. A per-seed configuration that
+    violates a precondition on the studied objective raises
+    :class:`ConfigError` with every violation.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 3:
         raise ValueError("eps_list must contain at least 3 values")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algo '{algo}'")
     prob = problems.get_problem(problem) if isinstance(problem, str) else problem
     obj = prob.objective
     spec = surrogate or SurrogateSpec()
     eps_min = eps_arr[-1]
+    base = ExperimentConfig(
+        problem=prob.name, algo=algo, eps=eps_min, delta=delta, c=c, s=s, delta_u=delta_u,
+        eta=eta, seed=base_seed, seeds=seeds, max_iters=max_iters, jitter=jitter,
+    )
+    errs = _violations(base, obj)
+    if errs:
+        raise ConfigError(errs)
 
     passages: list[list[Optional[int]]] = [[] for _ in eps_arr]
     for k in range(seeds):
-        run = ExperimentConfig(
-            problem=prob.name, algo=algo, eps=eps_min, delta=delta, c=c, s=s,
-            delta_u=delta_u, eta=eta, seed=base_seed + k, max_iters=max_iters, jitter=jitter,
-        )
+        run = dataclasses.replace(base, seed=base_seed + k)
         result, _ = _execute(run, obj, spec, _resolve_start(run, prob), stop_grad_norm=eps_min)
         for j, eps in enumerate(eps_arr):
             hit = next((rec.t for rec in result.records if rec.grad_norm <= eps), None)
@@ -542,9 +548,8 @@ def scaling_study(
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
     try:
-        csv_path, report_path = run_experiment(cfg)
+        csv_path, report_path = run_experiment(_config_from_args(args))
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
@@ -558,9 +563,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
     try:
-        path, aggregate = sweep_experiment(cfg)
+        path, aggregate = sweep_experiment(_config_from_args(args))
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
@@ -577,20 +581,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    eps_list = [float(tok) for tok in args.eps_list.split(",")]
-    spec = SurrogateSpec(
-        kind=args.surrogate,
-        strong_convexity=args.strong_convexity,
-        inner_tol=args.inner_tol,
-        inner_max_iters=args.inner_max_iters,
-        dense_solve=args.dense_solve,
-    )
     try:
+        cfg = _config_from_args(args)
         res = scaling_study(
-            args.problem, args.algo, eps_list, args.seeds,
-            base_seed=args.seed, jitter=args.jitter, max_iters=args.max_iters,
-            surrogate=spec, c=args.c, delta=args.delta, s=args.s,
-            delta_u=args.delta_u, eta=args.eta,
+            cfg.problem, cfg.algo, _parse_floats(args.eps_list, "--eps-list"), cfg.seeds,
+            base_seed=cfg.seed, jitter=cfg.jitter, max_iters=cfg.max_iters,
+            surrogate=_surrogate_spec(cfg), c=cfg.c, delta=cfg.delta, s=cfg.s,
+            delta_u=cfg.delta_u, eta=cfg.eta,
         )
     except (ValueError, RuntimeError) as exc:
         print(f"scaling error: {exc}", file=sys.stderr)
@@ -610,8 +607,12 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    prob = problems.get_problem(args.problem)
-    report = problems.validate_contracts(prob, RngStream(args.seed), args.samples)
+    try:
+        prob = problems.get_problem(args.problem)
+        report = problems.validate_contracts(prob, RngStream(args.seed), args.samples)
+    except ValueError as exc:
+        print(f"validate error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(_as_jsonable(dataclasses.asdict(report)), indent=2, sort_keys=True))
     return 0 if report.ok else 1
 
@@ -637,7 +638,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_scale.add_argument("--eps-list", required=True, dest="eps_list",
                          help="comma-separated, strictly decreasing")
     p_scale.add_argument("--seeds", type=int, default=10)
-    p_scale.set_defaults(func=_cmd_scaling)
+    p_scale.set_defaults(func=_cmd_scaling, jitter=_SCALING_JITTER, max_iters=_SCALING_MAX_ITERS)
 
     p_val = sub.add_parser("validate", help="sampled check of declared smoothness constants")
     p_val.add_argument("--problem", required=True)

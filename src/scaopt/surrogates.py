@@ -2,9 +2,11 @@
 
 A surrogate anchored at ``y`` is strongly convex with a uniform modulus and its
 gradient matches the objective's gradient at the anchor. Two families are
-provided: a proximal-linear model (with a closed-form minimizer, reducing to a
-gradient step when the modulus is 1) and a curvature-aware model built from the
-positive part of the dense Hessian.
+built in, and both are minimized in closed form: a proximal-linear model
+(reducing to a gradient step when the modulus is 1) and a curvature-aware
+model built from the positive part of the dense Hessian, whose minimizer is
+read off the Hessian's eigendecomposition. A ``custom`` model without a
+closed-form minimizer is minimized inexactly by an iterative inner solver.
 """
 
 from __future__ import annotations
@@ -48,17 +50,16 @@ class InnerSolveError(RuntimeError):
 class SurrogateSpec:
     """Configuration of the surrogate family and its inner solver.
 
-    ``inner_tol=None`` resolves per anchor to ``1e-10 * max(1, ||grad||)``.
-    ``dense_solve`` gives the curvature-aware model its closed-form minimizer,
-    read off the eigendecomposition that builds the model, instead of the
-    iterative inner loop.
+    ``inner_tol=None`` resolves per anchor to ``1e-10 * max(1, ||grad||)``; it
+    is the inner solver's stopping tolerance and the slack of the per-step
+    monitors. ``inner_max_iters`` bounds the iterative inner solver, which runs
+    only for a ``custom`` model that has no closed-form minimizer.
     """
 
     kind: str = "proximal_linear"
     strong_convexity: float = 1.0
     inner_tol: float | None = None
     inner_max_iters: int = 10_000
-    dense_solve: bool = False
     builder: Callable | None = None
 
     def __post_init__(self):
@@ -142,47 +143,46 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
             closed_form_minimizer=y - g_y / modulus,
         )
 
-    # quadratic_split: keep the PSD part of the local Hessian, add modulus * I
+    # quadratic_split: keep the PSD part of the local Hessian, add modulus * I.
+    # The model Hessian is V diag(curv) V^T on eigh's eigenpairs (V, lambda).
     if obj.dense_hessian is None:
         raise UnsupportedSurrogateError(
             "quadratic_split needs an objective with a dense Hessian"
         )
-    hess = obj.dense_hessian(y)
-    eigvals, eigvecs = np.linalg.eigh(hess)
-    clipped = np.maximum(eigvals, 0.0)
-    model_h = (eigvecs * (clipped + modulus)) @ eigvecs.T
+    eigvals, eigvecs = np.linalg.eigh(obj.dense_hessian(y))
+    curv = np.maximum(eigvals, 0.0) + modulus
 
     def value(x):
         d = x - y
-        return f_y + float(g_y @ d) + 0.5 * float(d @ (model_h @ d))
+        z = eigvecs.T @ d
+        return f_y + float(g_y @ d) + 0.5 * float(curv @ (z * z))
 
     def gradient(x):
-        return g_y + model_h @ (x - y)
+        return g_y + eigvecs @ (curv * (eigvecs.T @ (x - y)))
 
-    closed_form = None
-    if spec.dense_solve:  # the model Hessian's eigenpairs are eigh's, so invert them directly
-        closed_form = y - eigvecs @ ((eigvecs.T @ g_y) / (clipped + modulus))
     return SurrogateAt(
         anchor=y,
         value=value,
         gradient=gradient,
         strong_convexity=modulus,
-        smoothness=float(clipped[-1]) + modulus,
+        smoothness=float(curv[-1]),
         inner_tol=tol,
         anchor_value=f_y,
         anchor_grad=g_y,
-        closed_form_minimizer=closed_form,
+        closed_form_minimizer=y - eigvecs @ ((eigvecs.T @ g_y) / curv),
     )
 
 
 def minimize_surrogate(surr: SurrogateAt, spec: SurrogateSpec):
     """Minimize a surrogate, returning ``(x_hat, InnerReport)``.
 
-    A closed-form minimizer is returned with zero inner iterations. Otherwise
-    gradient descent with step ``1/smoothness`` runs until the model gradient
-    norm falls below the resolved tolerance; strong convexity guarantees the
-    loop terminates, and exhausting ``inner_max_iters`` first raises
-    :class:`InnerSolveError` carrying the final residual.
+    The model decides the solver. A closed-form minimizer (both built-in kinds
+    have one) is returned with zero inner iterations. A model without one (a
+    ``custom`` builder's) is minimized by gradient descent with step
+    ``1/smoothness`` until the model gradient norm falls below the resolved
+    tolerance; strong convexity guarantees the loop terminates, and exhausting
+    ``inner_max_iters`` first raises :class:`InnerSolveError` carrying the
+    final residual.
     """
     if surr.closed_form_minimizer is not None:
         x_hat = surr.closed_form_minimizer

@@ -121,6 +121,18 @@ class TestRunExperiment:
         assert len(lines) >= 2
 
 
+    def test_quadratic_split_high_dimension_jittered_start(self, tmp_path):
+        # a model condition number near 1,800 once exhausted an iterative inner solve here
+        cfg = ExperimentConfig(
+            problem="rosenbrock:d=256", algo="psca", surrogate="quadratic_split", jitter=0.1,
+            seed=1, max_iters=1, out_dir=str(tmp_path),
+        )
+        csv_path, report_path = run_experiment(cfg)
+        assert json.loads(report_path.read_text())["result"]["termination"] == "max_iters"
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [r.split(",")[6] for r in rows] == ["0", "0"]
+
+
 class TestSweep:
     def test_aggregate_counts_and_ci(self, tmp_path):
         cfg = ExperimentConfig(
@@ -189,6 +201,28 @@ class TestScalingStudy:
         assert math.isnan(res.median_iters[-1])
 
 
+    def test_config_violations_raise_with_every_violation(self):
+        with pytest.raises(ConfigError) as excinfo:
+            scaling_study("quadratic_indefinite:d=3", "psca", [1e-1, 3e-2, 1e-2], seeds=1, c=2.0)
+        violations = excinfo.value.violations
+        assert len(violations) == 2
+        assert any("delta_u is required" in v for v in violations)
+        assert any("0 < c <= 1" in v for v in violations)
+
+    def test_validates_against_the_studied_objective(self):
+        # a name outside the registry: the study checks the instance it runs, not a rebuild
+        inst = make_quadratic(np.diag([0.2, 1.0]))
+        inst = dataclasses.replace(inst, name="diag_quadratic", canonical_start=np.array([3.0, 0.0]))
+        res = scaling_study(inst, "gd", [0.3, 0.1, 0.03], seeds=1, jitter=0.0, eta=0.5)
+        assert not res.excluded
+        with pytest.raises(ConfigError) as excinfo:
+            scaling_study(inst, "psca", [0.3, 0.1, 0.03], seeds=1, delta_u=1.0)
+        assert excinfo.value.violations == (
+            "perturbed algorithms need a positive Hessian-Lipschitz declaration "
+            "(this problem declares 0)",
+        )
+
+
 class TestMainEntry:
     def test_run_and_validate_commands(self, tmp_path, capsys):
         code = main(
@@ -228,3 +262,44 @@ class TestMainEntry:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "sweep failed: EigenSolveError: budget exhausted\n"
+
+    def test_scaling_defaults_are_the_study_defaults(self, tmp_path, capsys):
+        eps_list = [1e-1, 3e-2, 1e-2]
+        code = main(
+            ["scaling", "--problem", "saddle_quartic:d=2", "--algo", "psca",
+             "--eps-list", ",".join(map(str, eps_list)), "--seeds", "3", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        path = capsys.readouterr().out.splitlines()[-1]
+        per_seed = json.loads(open(path).read())["per_seed"]
+        expected = scaling_study("saddle_quartic:d=2", "psca", eps_list, 3).per_seed
+        assert per_seed == [list(hits) for hits in expected]
+
+    def test_scaling_config_error_is_one_line(self, tmp_path, capsys):
+        code = main(
+            ["scaling", "--problem", "quadratic_indefinite:d=3", "--algo", "psca",
+             "--eps-list", "1e-1,3e-2,1e-2", "--seeds", "1", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scaling error: delta_u is required")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", "--problem", "nope"], "validate error: unknown problem 'nope'"),
+            (["validate", "--problem", "quadratic:d=4", "--samples", "5"],
+             "validate error: samples must be >= 100, got 5"),
+            (["run", "--x0", "1,a"], "config error: --x0 must be comma-separated numbers (got '1,a')"),
+            (["sweep", "--seeds", "2", "--x0", "1,a"],
+             "config error: --x0 must be comma-separated numbers (got '1,a')"),
+        ],
+        ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0"],
+    )
+    def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1

@@ -74,7 +74,9 @@ GOLDEN = {
     "quartic_jitter-pgd-seed1": "32e30923ceeee6787d969592dd3134e4b7f6e164b8824a530963c65199d5f4d0",
     "quartic_jitter-psca-seed0": "6c2f9512e9593114ccd01d0d8cc35a540c7b5eb07f81b279d68951ded6656f93",
     "quartic_jitter-psca-seed1": "f5d85b6a5b5bbb4b1cf0c5975f41824a55af2d74bac63f3fceeb97fc31708703",
-    "quartic_jitter-quadratic_split-psca-seed0": "e5288058d34f71f1217dfe3f4b126e7871aff57928623a3d80c7b4e9abf26086",
+    # quadratic_split is minimized in closed form (inner_iters 0, exact minimizer);
+    # equal to the former dense_solve=True hash of this case
+    "quartic_jitter-quadratic_split-psca-seed0": "e23c2f2ee2b98a4972b2022213f25812d3855b5599076f4005b612940ecdf739",
     "quartic_jitter-sca-seed0": "4cc2ca9c075bc5d5e32396038e5adaedd92a7b9c1e08246313385f49e5f2bf33",
     "quartic_jitter-sca-seed1": "ce0760a26a859340b8cab37499269946272bac8a9f92e135a1a25f79098043d7",
     "rosenbrock_jitter-gd-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,6 +21,20 @@ from conftest import sample_in_region
 
 def half_norm_sq():
     return make_quadratic(np.eye(2)).objective
+
+
+def iterative_split(strong_convexity, **kw):
+    """The quadratic_split model as a custom model without its closed form.
+
+    Both built-in kinds are minimized in closed form, so this is how the
+    iterative inner solver is exercised on a model with a known minimizer.
+    """
+    base = SurrogateSpec(kind="quadratic_split", strong_convexity=strong_convexity)
+
+    def builder(obj, y, spec):
+        return dataclasses.replace(build_surrogate(obj, y, base), closed_form_minimizer=None)
+
+    return SurrogateSpec(kind="custom", strong_convexity=strong_convexity, builder=builder, **kw)
 
 
 class TestSpecValidation:
@@ -98,8 +114,8 @@ class TestQuadraticSplit:
     def test_iterative_matches_dense_solve(self):
         obj = make_quadratic(np.diag([1.0, -1.0])).objective
         y = np.array([1.0, 1.0])
-        iterative = SurrogateSpec(kind="quadratic_split", strong_convexity=0.1)
-        dense = SurrogateSpec(kind="quadratic_split", strong_convexity=0.1, dense_solve=True)
+        iterative = iterative_split(0.1)
+        dense = SurrogateSpec(kind="quadratic_split", strong_convexity=0.1)
         x_iter, rep = minimize_surrogate(build_surrogate(obj, y, iterative), iterative)
         x_dense, rep_dense = minimize_surrogate(build_surrogate(obj, y, dense), dense)
         assert rep_dense.iterations == 0
@@ -108,7 +124,7 @@ class TestQuadraticSplit:
 
     def test_inner_tolerance_met_on_return(self):
         obj = make_quadratic(np.diag([1.0, -1.0])).objective
-        spec = SurrogateSpec(kind="quadratic_split", strong_convexity=0.1)
+        spec = iterative_split(0.1)
         surr = build_surrogate(obj, np.array([1.0, 1.0]), spec)
         x_hat, report = minimize_surrogate(surr, spec)
         assert float(np.linalg.norm(surr.gradient(x_hat))) <= surr.inner_tol
@@ -139,7 +155,7 @@ class TestQuadraticSplit:
 
     def test_inner_budget_exhaustion(self):
         obj = make_quadratic(np.diag([1.0, -1.0])).objective
-        spec = SurrogateSpec(kind="quadratic_split", strong_convexity=0.1, inner_max_iters=1)
+        spec = iterative_split(0.1, inner_max_iters=1)
         surr = build_surrogate(obj, np.array([1.0, 1.0]), spec)
         with pytest.raises(InnerSolveError) as excinfo:
             minimize_surrogate(surr, spec)
