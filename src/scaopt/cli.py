@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -62,6 +63,8 @@ def _default_out_dir() -> str:
 
 @dataclass
 class ExperimentConfig:
+    """The settings of a run; the only place their defaults are written."""
+
     problem: str = "saddle_quartic:d=10"
     algo: str = "psca"
     eps: float = 1e-2
@@ -150,28 +153,27 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", default="saddle_quartic:d=10",
-                   help="registry spec, e.g. saddle_quartic:d=10")
-    p.add_argument("--algo", default="psca", help="sca | psca | gd | pgd")
-    p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--delta-u", type=float, default=None, dest="delta_u")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--surrogate", default="proximal_linear")
-    p.add_argument("--strong-convexity", type=float, default=1.0, dest="strong_convexity")
-    p.add_argument("--inner-tol", type=float, default=None, dest="inner_tol",
+    """The run flags; their defaults are ExperimentConfig's, so none is stated here."""
+    p.add_argument("--problem", help="registry spec, e.g. saddle_quartic:d=10")
+    p.add_argument("--algo", help="sca | psca | gd | pgd")
+    p.add_argument("--eps", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--c", type=float)
+    p.add_argument("--s", type=float)
+    p.add_argument("--delta-u", type=float)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--surrogate")
+    p.add_argument("--strong-convexity", type=float)
+    p.add_argument("--inner-tol", type=float,
                    help="monitor and descent-check slack (default 1e-10 max(1, ||grad||))")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=50_000, dest="max_iters")
-    p.add_argument("--out-dir", default=None, dest="out_dir")
-    p.add_argument("--record-eigen-every", type=int, default=None, dest="record_eigen_every")
-    p.add_argument("--window-variant", default="proof", dest="window_variant")
-    p.add_argument("--x0", default=None, help="comma-separated start, overrides the canonical one")
-    p.add_argument("--jitter", type=float, default=0.0,
-                   help="uniform-ball jitter radius applied to the start")
-    p.add_argument("--label", default=None, help="basename for the output files")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--out-dir")
+    p.add_argument("--record-eigen-every", type=int)
+    p.add_argument("--window-variant")
+    p.add_argument("--x0", help="comma-separated start, overrides the canonical one")
+    p.add_argument("--jitter", type=float, help="uniform-ball jitter radius applied to the start")
+    p.add_argument("--label", help="basename for the output files")
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
@@ -182,37 +184,22 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The config the run flags describe; raises ConfigError on an unparsable ``--x0``."""
-    x0 = _parse_floats(args.x0, "--x0") if args.x0 else None
-    return ExperimentConfig(
-        problem=args.problem,
-        algo=args.algo,
-        eps=args.eps,
-        delta=args.delta,
-        c=args.c,
-        s=args.s,
-        delta_u=args.delta_u,
-        eta=args.eta,
-        surrogate=args.surrogate,
-        strong_convexity=args.strong_convexity,
-        inner_tol=args.inner_tol,
-        seed=args.seed,
-        seeds=getattr(args, "seeds", None),
-        max_iters=args.max_iters,
-        out_dir=args.out_dir if args.out_dir is not None else _default_out_dir(),
-        record_eigen_every=args.record_eigen_every,
-        window_variant=args.window_variant,
-        x0=x0,
-        jitter=args.jitter,
-        label=args.label,
-    )
+    """The config the given run flags describe (absent flags keep the field defaults).
+
+    Raises ConfigError on an unparsable ``--x0``."""
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(ExperimentConfig) if hasattr(args, f.name)}
+    if "x0" in given:
+        given["x0"] = _parse_floats(given["x0"], "--x0")
+    return ExperimentConfig(**given)
 
 
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Parse run flags into a validated config; raises ConfigError with all violations."""
-    p = argparse.ArgumentParser(prog="scaopt run", add_help=False)
+    p = argparse.ArgumentParser(prog="scaopt run", add_help=False,
+                                argument_default=argparse.SUPPRESS)
     _add_run_flags(p)
-    p.add_argument("--seeds", type=int, default=None)
+    p.add_argument("--seeds", type=int)
     cfg = _config_from_args(p.parse_args(list(argv)))
     errs = validate_config(cfg)
     if errs:
@@ -265,19 +252,15 @@ def _resolve_start(cfg: ExperimentConfig, prob: problems.ProblemInstance) -> np.
     return x0
 
 
-def _surrogate_spec(cfg: ExperimentConfig) -> SurrogateSpec:
-    return SurrogateSpec(
-        kind=cfg.surrogate, strong_convexity=cfg.strong_convexity, inner_tol=cfg.inner_tol
-    )
-
-
-def _execute(cfg: ExperimentConfig, obj: problems.Objective, spec: SurrogateSpec,
-             x0: np.ndarray, stop_grad_norm: float | None = None):
+def _execute(cfg: ExperimentConfig, obj: problems.Objective, x0: np.ndarray,
+             stop_grad_norm: float | None = None):
     """Run ``cfg.algo`` from ``x0``; returns (result, params-or-None).
 
     sca/gd stop at ``grad_norm <= cfg.eps``; psca/pgd derive their parameters
     from the config and stop at ``stop_grad_norm`` when it is given.
     """
+    spec = SurrogateSpec(kind=cfg.surrogate, strong_convexity=cfg.strong_convexity,
+                         inner_tol=cfg.inner_tol)
     eta = cfg.eta if cfg.eta is not None else min(1.0, cfg.c / obj.constants.grad_lipschitz)
     keep = cfg.record_eigen_every
     if cfg.algo == "sca":
@@ -319,7 +302,7 @@ def run_experiment(cfg: ExperimentConfig):
 
     started = time.perf_counter()
     try:
-        result, params = _execute(cfg, obj, _surrogate_spec(cfg), x0)
+        result, params = _execute(cfg, obj, x0)
     except Exception as exc:
         partial = {
             "config": _as_jsonable(dataclasses.asdict(cfg)),
@@ -391,7 +374,8 @@ def sweep_experiment(cfg: ExperimentConfig):
 
     A run counts as an escape success when its certificate classification is
     ``eps_sosp``. Writes the per-seed files plus one aggregate JSON containing
-    the success rate with an exact binomial confidence interval.
+    the success rate with an exact binomial confidence interval and the number
+    of runs per termination.
     """
     if not cfg.seeds or cfg.seeds < 1:
         raise ConfigError(["sweep requires --seeds >= 1"])
@@ -428,6 +412,7 @@ def sweep_experiment(cfg: ExperimentConfig):
         "successes": successes,
         "success_rate": successes / cfg.seeds,
         "binomial_ci_95": [lo, hi],
+        "terminations": dict(Counter(run["termination"] for run in per_seed)),
         "runs": per_seed,
     }
     out_dir = Path(cfg.out_dir)
@@ -456,28 +441,29 @@ class ScalingResult:
     intercept: float
 
 
-# scaling_study's start jitter and budget; the scaling subcommand defaults to them too
-_SCALING_JITTER = 0.1
-_SCALING_MAX_ITERS = 400_000
+# the scaling study's own start jitter and budget; the scaling subcommand shares them
+_SCALING_DEFAULTS = {"jitter": 0.1, "max_iters": 400_000}
+# run settings a scaling study has no use for, with the reason
+_NOT_SCALING_SETTINGS = {"eps": "its targets are the eps list",
+                         "record_eigen_every": "it keeps no iterates"}
 
 
-def scaling_study(
-    problem,
-    algo: str,
-    eps_list: Sequence[float],
-    seeds: int,
-    *,
-    base_seed: int = 0,
-    jitter: float = _SCALING_JITTER,
-    max_iters: int = _SCALING_MAX_ITERS,
-    surrogate: SurrogateSpec | None = None,
-    c: float = 1.0,
-    delta: float = 0.1,
-    s: float = 0.5,
-    delta_u: float | None = None,
-    eta: float | None = None,
-) -> ScalingResult:
+def _reject_non_scaling(names) -> None:
+    errs = [f"{name} does not apply to a scaling study: {why}"
+            for name, why in _NOT_SCALING_SETTINGS.items() if name in names]
+    if errs:
+        raise ConfigError(errs)
+
+
+def scaling_study(problem, algo: str, eps_list: Sequence[float], seeds: int, *,
+                  base_seed: int = 0, **settings) -> ScalingResult:
     """Median iterations to reach each gradient target, with a log-log slope fit.
+
+    ``problem`` is a registry spec or a ProblemInstance; the runs use seeds
+    ``base_seed, base_seed+1, ...``. ``settings`` are ExperimentConfig fields
+    (``c``, ``eta``, ``surrogate``, ``x0``, ``window_variant``, ...) with the
+    config's defaults, except ``jitter=0.1`` and ``max_iters=400_000``; ``eps``
+    and ``record_eigen_every`` do not apply and raise :class:`ConfigError`.
 
     One run per seed is driven to the strictest target; first-passage times for
     every target are read off its trajectory (valid because the step size does
@@ -488,27 +474,31 @@ def scaling_study(
     violates a precondition on the studied objective raises
     :class:`ConfigError` with every violation.
     """
+    _reject_non_scaling(settings)
+    prob = problems.get_problem(problem) if isinstance(problem, str) else problem
+    cfg = ExperimentConfig(problem=prob.name, algo=algo, seed=base_seed, seeds=seeds,
+                           **{**_SCALING_DEFAULTS, **settings})
+    return _scaling(cfg, prob, eps_list)
+
+
+def _scaling(cfg: ExperimentConfig, prob: problems.ProblemInstance,
+             eps_list: Sequence[float]) -> ScalingResult:
+    """The study of ``cfg.seeds`` runs of ``cfg`` on ``prob`` from seed ``cfg.seed`` on."""
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 3:
         raise ValueError("eps_list must contain at least 3 values")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    prob = problems.get_problem(problem) if isinstance(problem, str) else problem
+    cfg = dataclasses.replace(cfg, eps=eps_arr[-1])
     obj = prob.objective
-    spec = surrogate or SurrogateSpec()
-    eps_min = eps_arr[-1]
-    base = ExperimentConfig(
-        problem=prob.name, algo=algo, eps=eps_min, delta=delta, c=c, s=s, delta_u=delta_u,
-        eta=eta, seed=base_seed, seeds=seeds, max_iters=max_iters, jitter=jitter,
-    )
-    errs = _violations(base, obj)
+    errs = _violations(cfg, obj)
     if errs:
         raise ConfigError(errs)
 
     passages: list[list[Optional[int]]] = [[] for _ in eps_arr]
-    for k in range(seeds):
-        run = dataclasses.replace(base, seed=base_seed + k)
-        result, _ = _execute(run, obj, spec, _resolve_start(run, prob), stop_grad_norm=eps_min)
+    for k in range(cfg.seeds):
+        run = dataclasses.replace(cfg, seed=cfg.seed + k)
+        result, _ = _execute(run, obj, _resolve_start(run, prob), stop_grad_norm=cfg.eps)
         for j, eps in enumerate(eps_arr):
             hit = next((rec.t for rec in result.records if rec.grad_norm <= eps), None)
             passages[j].append(hit)
@@ -577,18 +567,17 @@ def _cmd_sweep(args) -> int:
         f"escape rate {aggregate['successes']}/{aggregate['seeds']}"
         f" ci95=[{aggregate['binomial_ci_95'][0]:.3f}, {aggregate['binomial_ci_95'][1]:.3f}]"
     )
+    counts = sorted(aggregate["terminations"].items())
+    print("terminations " + " ".join(f"{name}={n}" for name, n in counts))
     return 0
 
 
 def _cmd_scaling(args) -> int:
     try:
+        _reject_non_scaling(vars(args))
         cfg = _config_from_args(args)
-        res = scaling_study(
-            cfg.problem, cfg.algo, _parse_floats(args.eps_list, "--eps-list"), cfg.seeds,
-            base_seed=cfg.seed, jitter=cfg.jitter, max_iters=cfg.max_iters,
-            surrogate=_surrogate_spec(cfg), c=cfg.c, delta=cfg.delta, s=cfg.s,
-            delta_u=cfg.delta_u, eta=cfg.eta,
-        )
+        eps_list = _parse_floats(args.eps_list, "--eps-list")
+        res = _scaling(cfg, problems.get_problem(cfg.problem), eps_list)
     except (ValueError, RuntimeError) as exc:
         print(f"scaling error: {exc}", file=sys.stderr)
         return 2
@@ -596,9 +585,10 @@ def _cmd_scaling(args) -> int:
         note = " (excluded)" if eps in res.excluded else ""
         print(f"eps={eps:.3g} median_iters={med:.1f}{note}")
     print(f"slope={res.slope:.3f} +- {res.slope_half_width:.3f}")
-    out_dir = Path(args.out_dir if args.out_dir is not None else _default_out_dir())
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / _slug(f"scaling_{args.problem}_{args.algo}.json")
+    base = cfg.label or _slug(f"scaling_{cfg.problem}_{cfg.algo}")
+    path = out_dir / f"{base}.json"
     with open(path, "w", newline="\n") as fh:
         json.dump(_as_jsonable(dataclasses.asdict(res)), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -617,36 +607,41 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scaopt",
         description="Surrogate-descent experiment harness with saddle escape and certification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="one seeded run -> trajectory CSV + report JSON")
+    p_run = sub.add_parser("run", help="one seeded run -> trajectory CSV + report JSON",
+                           argument_default=argparse.SUPPRESS)
     _add_run_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="seeded sweep -> per-run files + aggregate")
+    p_sweep = sub.add_parser("sweep", help="seeded sweep -> per-run files + aggregate",
+                             argument_default=argparse.SUPPRESS)
     _add_run_flags(p_sweep)
     p_sweep.add_argument("--seeds", type=int, required=True)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_scale = sub.add_parser("scaling", help="iterations-to-target power-law study")
+    p_scale = sub.add_parser("scaling", help="iterations-to-target power-law study",
+                             argument_default=argparse.SUPPRESS)
     _add_run_flags(p_scale)
-    p_scale.add_argument("--eps-list", required=True, dest="eps_list",
-                         help="comma-separated, strictly decreasing")
-    p_scale.add_argument("--seeds", type=int, default=10)
-    p_scale.set_defaults(func=_cmd_scaling, jitter=_SCALING_JITTER, max_iters=_SCALING_MAX_ITERS)
+    p_scale.add_argument("--eps-list", required=True, help="comma-separated, strictly decreasing")
+    p_scale.add_argument("--seeds", type=int)
+    p_scale.set_defaults(func=_cmd_scaling, seeds=10, **_SCALING_DEFAULTS)
 
     p_val = sub.add_parser("validate", help="sampled check of declared smoothness constants")
     p_val.add_argument("--problem", required=True)
     p_val.add_argument("--samples", type=int, default=1000)
     p_val.add_argument("--seed", type=int, default=0)
     p_val.set_defaults(func=_cmd_validate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

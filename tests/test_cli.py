@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from scaopt.cli import (
     scaling_study,
     sweep_experiment,
     validate_config,
+    _parser,
 )
 from scaopt.problems import make_quadratic
 
@@ -38,6 +41,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as excinfo:
             parse_config("--problem quadratic_indefinite:d=2 --algo psca".split())
         assert any("delta_u" in v for v in excinfo.value.violations)
+
+    def test_no_flags_give_the_config_defaults(self):
+        assert parse_config([]) == ExperimentConfig()
 
     def test_all_violations_reported(self):
         cfg = ExperimentConfig(problem="nope", algo="wat", eps=-1.0, delta=3.0, c=2.0)
@@ -150,6 +156,14 @@ class TestSweep:
         lo, hi = agg["binomial_ci_95"]
         assert 0.0 <= lo <= agg["success_rate"] <= hi <= 1.0
         assert len(agg["runs"]) == 5
+
+    def test_terminations_count_every_seed(self, tmp_path):
+        cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", eps=1e-2, seeds=3,
+                               max_iters=10_000, out_dir=str(tmp_path))
+        path, agg = sweep_experiment(cfg)
+        assert sum(agg["terminations"].values()) == agg["seeds"]
+        assert agg["terminations"] == {"returned_xtilde": 3}
+        assert json.loads(path.read_text())["terminations"] == agg["terminations"]
 
     def test_requires_seeds(self, tmp_path):
         cfg = ExperimentConfig(problem="saddle_quartic:d=2", out_dir=str(tmp_path))
@@ -275,6 +289,29 @@ class TestMainEntry:
         expected = scaling_study("saddle_quartic:d=2", "psca", eps_list, 3).per_seed
         assert per_seed == [list(hits) for hits in expected]
 
+    @pytest.mark.parametrize(
+        "flags, settings",
+        [
+            (["--algo", "gd", "--jitter", "0", "--x0", "0.5,0.5"],
+             dict(algo="gd", jitter=0.0, x0=(0.5, 0.5))),
+            (["--algo", "psca", "--window-variant", "algorithm"],
+             dict(algo="psca", window_variant="algorithm")),
+        ],
+        ids=["x0", "window-variant"],
+    )
+    def test_scaling_honours_the_run_flags(self, flags, settings, tmp_path, capsys):
+        eps_list = [1e-1, 3e-2, 1e-2]
+        code = main(
+            ["scaling", "--problem", "saddle_quartic:d=2", "--eps-list", "1e-1,3e-2,1e-2",
+             "--seeds", "2", "--out-dir", str(tmp_path), "--label", "study"] + flags
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == str(tmp_path / "study.json")
+        per_seed = json.loads((tmp_path / "study.json").read_text())["per_seed"]
+        algo = settings.pop("algo")
+        expected = scaling_study("saddle_quartic:d=2", algo, eps_list, 2, **settings).per_seed
+        assert per_seed == [list(hits) for hits in expected]
+
     def test_scaling_config_error_is_one_line(self, tmp_path, capsys):
         code = main(
             ["scaling", "--problem", "quadratic_indefinite:d=3", "--algo", "psca",
@@ -294,8 +331,13 @@ class TestMainEntry:
             (["run", "--x0", "1,a"], "config error: --x0 must be comma-separated numbers (got '1,a')"),
             (["sweep", "--seeds", "2", "--x0", "1,a"],
              "config error: --x0 must be comma-separated numbers (got '1,a')"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--eps", "0.9"],
+             "scaling error: eps does not apply to a scaling study"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--record-eigen-every", "10"],
+             "scaling error: record_eigen_every does not apply to a scaling study"),
         ],
-        ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0"],
+        ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0",
+             "scaling-eps", "scaling-record-eigen-every"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))
@@ -303,3 +345,11 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert err.count("\n") == 1
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [line for line in readme.read_text().splitlines() if line.startswith("scaopt ")]
+    assert len(commands) >= 6
+    for line in commands:
+        _parser().parse_args(shlex.split(line, comments=True)[1:])

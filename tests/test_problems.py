@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scaopt import problems
 from scaopt.numerics import RngStream
 from scaopt.problems import (
     Smoothness,
@@ -179,6 +180,25 @@ class TestRegistry:
         inst = get_problem("quadratic:d=4")
         p, f = inst.known_minima[0]
         assert abs(inst.objective.value(p) - f) <= 1e-12
+
+
+class TestKnownPoints:
+    def test_claimed_minimum_with_negative_curvature_rejected(self):
+        obj = make_quadratic(np.diag([1.0, -1.0])).objective
+        with pytest.raises(ValueError, match="claimed minimum has lambda_min"):
+            problems._verify_known_points(obj, [], [(np.zeros(2), 0.0)])
+
+    def test_claimed_saddle_without_negative_curvature_rejected(self):
+        obj = make_quadratic(np.diag([1.0, 2.0])).objective
+        with pytest.raises(ValueError, match="claimed saddle has lambda_min"):
+            problems._verify_known_points(obj, [np.zeros(2)], [])
+
+    def test_minimum_tolerance_scales_with_the_spectral_norm(self):
+        # lambda_min -1e-3 is float noise next to a spectral norm of 1e6, not next to 1e3
+        origin = [(np.zeros(2), 0.0)]
+        problems._verify_known_points(make_quadratic(np.diag([1e6, -1e-3])).objective, [], origin)
+        with pytest.raises(ValueError, match="claimed minimum has lambda_min"):
+            problems._verify_known_points(make_quadratic(np.diag([1e3, -1e-3])).objective, [], origin)
 
 
 class TestValidateContracts:
