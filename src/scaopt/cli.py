@@ -113,6 +113,10 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
         errs.append(f"unknown surrogate '{cfg.surrogate}'")
     if cfg.strong_convexity <= 0:
         errs.append(f"strong_convexity must be positive (got {cfg.strong_convexity})")
+    gradient_model = (cfg.surrogate, cfg.strong_convexity) == ("proximal_linear", 1.0)
+    if cfg.algo in ("gd", "pgd") and not gradient_model:
+        errs.append(f"surrogate '{cfg.surrogate}' with strong_convexity {cfg.strong_convexity} "
+                    "does not apply to gd/pgd: their step is the unit-modulus proximal model")
     if cfg.inner_tol is not None and cfg.inner_tol <= 0:
         errs.append(f"inner_tol must be positive (got {cfg.inner_tol})")
     if cfg.max_iters < 1:
@@ -165,7 +169,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--surrogate")
     p.add_argument("--strong-convexity", type=float)
     p.add_argument("--inner-tol", type=float,
-                   help="monitor and descent-check slack (default 1e-10 max(1, ||grad||))")
+                   help="monitor slack of the per-step and descent checks "
+                        "(default 1e-10 max(1, ||grad||))")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--out-dir")

@@ -132,7 +132,8 @@ class IterateRecord:
     ``f``/``grad_norm`` describe the iterate the step starts from (after any
     perturbation injected this iteration); ``step_norm``/``err_norm``/
     ``inner_iters`` describe the step taken from it. Terminal rows carry zero
-    step fields.
+    step fields. ``inner_iters`` is always 0, since every model is minimized in
+    closed form; it stays for the trajectory format.
     """
 
     t: int
@@ -363,7 +364,7 @@ def descent_check(
 
 
 def descent_slack(spec: SurrogateSpec, rec: IterateRecord, eta: float) -> float:
-    """Tolerance for the descent test: float headroom plus inner-solve slack."""
+    """Tolerance for the descent test: float headroom plus the monitor slack."""
     tol = resolved_inner_tol(spec, rec.grad_norm)
     return 1e-9 * (1.0 + abs(rec.f)) + eta * tol * rec.step_norm
 
@@ -379,10 +380,10 @@ def _evaluate(obj, spec, x, t, gradient_rule):
     """``(surrogate at x or None for the gradient rule, f, grad, ||grad||)``."""
     if gradient_rule:
         surr, f, g = None, float(obj.value(x)), obj.gradient(x)
+        gn = float(np.linalg.norm(g))
     else:
         surr = build_surrogate(obj, x, spec)
-        f, g = surr.anchor_value, surr.anchor_grad
-    gn = float(np.linalg.norm(g))
+        f, g, gn = surr.anchor_value, surr.anchor_grad, surr.grad_norm
     if not (math.isfinite(f) and math.isfinite(gn)):
         raise NonFiniteError(f"non-finite objective or gradient at iteration {t}")
     return surr, f, g, gn
@@ -391,24 +392,25 @@ def _evaluate(obj, spec, x, t, gradient_rule):
 def _step(obj, spec, surr, x, f, g, gn, eta, t, perturbed=False, counts=None):
     """The update ``x + eta (x_hat - x)`` and the trajectory row of the step.
 
-    ``x_hat`` minimizes ``surr``, or is ``x - g`` when ``surr`` is None (the
-    gradient rule: step norm ``||g||``, no inner iterations). Raises
-    :class:`RegionExitError` when the update leaves the valid region. With
-    ``counts``, tallies the step's optimality, direction and error-bound monitors.
+    ``x_hat`` and its step norm are the minimizer of ``surr`` and the norm the
+    model reports, or ``x - g`` and ``||g||`` when ``surr`` is None (the
+    gradient rule). Raises :class:`RegionExitError` when the update leaves the
+    valid region. With ``counts``, tallies the step's optimality, direction and
+    error-bound monitors.
     """
     if surr is None:
-        x_hat, step_norm, inner, tol = x - g, gn, 0, resolved_inner_tol(spec, gn)
+        x_hat, step_norm = x - g, gn
     else:
-        x_hat, report = minimize_surrogate(surr, spec)
-        step_norm = float(np.linalg.norm(x_hat - x))
-        inner, tol = report.iterations, surr.inner_tol
+        x_hat, _ = minimize_surrogate(surr)
+        step_norm = surr.step_norm
     x_next = x + eta * (x_hat - x)
     if not obj.in_region(x_next):
         raise RegionExitError(_region_exit_message(obj, x_next))
     err_norm = float(np.linalg.norm(gradient_error(x, x_hat, g)))
     if counts is not None:
-        _step_monitors(counts, tol, x, x_hat, g, gn, step_norm, err_norm, obj, spec.strong_convexity)
-    return x_next, IterateRecord(t, f, gn, step_norm, err_norm, perturbed, inner)
+        _step_monitors(counts, resolved_inner_tol(spec, gn), x, x_hat, g, gn, step_norm,
+                       err_norm, obj, spec.strong_convexity)
+    return x_next, IterateRecord(t, f, gn, step_norm, err_norm, perturbed, 0)
 
 
 def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
@@ -421,8 +423,8 @@ def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     x_t = as_vector(x_t, obj.dim)
     surr = build_surrogate(obj, x_t, spec)
-    g = surr.anchor_grad
-    return _step(obj, spec, surr, x_t, surr.anchor_value, g, float(np.linalg.norm(g)), eta, t)
+    return _step(obj, spec, surr, x_t, surr.anchor_value, surr.anchor_grad, surr.grad_norm,
+                 eta, t)
 
 
 def maybe_perturb(

@@ -335,9 +335,19 @@ class TestMainEntry:
              "scaling error: eps does not apply to a scaling study"),
             (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--record-eigen-every", "10"],
              "scaling error: record_eigen_every does not apply to a scaling study"),
+            (["run", "--algo", "pgd", "--strong-convexity", "4", "--surrogate", "quadratic_split"],
+             "config error: surrogate 'quadratic_split' with strong_convexity 4.0 does not apply "
+             "to gd/pgd: their step is the unit-modulus proximal model"),
+            (["sweep", "--seeds", "2", "--algo", "gd", "--surrogate", "quadratic_split"],
+             "config error: surrogate 'quadratic_split' with strong_convexity 1.0 does not apply "
+             "to gd/pgd"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--algo", "gd", "--strong-convexity", "2"],
+             "scaling error: surrogate 'proximal_linear' with strong_convexity 2.0 does not apply "
+             "to gd/pgd"),
         ],
         ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0",
-             "scaling-eps", "scaling-record-eigen-every"],
+             "scaling-eps", "scaling-record-eigen-every", "run-pgd-surrogate", "sweep-gd-surrogate",
+             "scaling-gd-strong-convexity"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))

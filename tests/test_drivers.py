@@ -186,7 +186,7 @@ class TestGradientError:
             from scaopt.surrogates import build_surrogate, minimize_surrogate
 
             surr = build_surrogate(obj, x, spec)
-            x_hat, _ = minimize_surrogate(surr, spec)
+            x_hat, _ = minimize_surrogate(surr)
             e = drv.gradient_error(x, x_hat, surr.anchor_grad)
             reconstructed = x - eta * (surr.anchor_grad + e)
             assert np.linalg.norm(reconstructed - x_next) <= 1e-12
@@ -312,9 +312,12 @@ class TestRunPsca:
             obj, params, quartic10.canonical_start, RngStream(21), keep_iterates_every=1
         )
         assert a.iterations == b.iterations >= 1000
+        assert a.records == b.records
+        assert len(a.iterates) == len(b.iterates)
         for (ta, xa), (tb, xb) in zip(a.iterates, b.iterates):
             assert ta == tb
-            assert float(np.max(np.abs(xa - xb))) <= 1e-10
+            assert np.array_equal(xa, xb)
+        assert np.array_equal(a.x_out, b.x_out)
 
     def test_deterministic_replay(self, quartic10):
         obj = quartic10.objective
@@ -359,6 +362,20 @@ class TestBaselines:
         sca = drv.run_sca(obj, SurrogateSpec(), 0.5, 1e-6, 100, x0)
         assert gd.iterations == sca.iterations == 20
         assert np.allclose(gd.x_out, sca.x_out, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["saddle_quartic:d=10", "rosenbrock:d=10"])
+    def test_sca_unit_modulus_equals_gd(self, name):
+        prob = get_problem(name)
+        obj = prob.objective
+        x0 = _jittered_start(prob, seed=1)
+        eta = 1.0 / obj.constants.grad_lipschitz
+        gd = drv.run_gd(obj, eta, 1e-3, 600, x0, keep_iterates_every=1)
+        sca = drv.run_sca(obj, SurrogateSpec(), eta, 1e-3, 600, x0, keep_iterates_every=1)
+        assert gd.iterations > 50
+        assert sca.termination == gd.termination
+        assert sca.records == gd.records
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(sca.iterates, gd.iterates))
+        assert np.array_equal(sca.x_out, gd.x_out)
 
     def test_gd_stalls_at_exact_saddle(self):
         prob = get_problem("saddle_quartic:d=4")

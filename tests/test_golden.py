@@ -54,39 +54,54 @@ GOLDEN = {
     "mf-gd-seed1": "45c81b6e51c43e91d45ef3d3663a72d49940c7c60874e8a013319f517c0885e6",
     "mf-pgd-seed0": "91f7d1b9c1ddabc272eff5b6076f4cd43b9011e7fcb2a43f9f64dae1eb7c5dcb",
     "mf-pgd-seed1": "5d1d909ca7f3cfde92d289a3c795b8ee28203d625dab4a61bedd61c8b800292a",
-    "mf-psca-seed0": "e01f046b1bc02f6d3c7d39e1a983d77dbfd3a083c633b17d10ad85d46e9b4d9e",
-    "mf-psca-seed1": "804119a4c5aa0c166a933a626b7e06ae9b4fd6f57e55678d49d4ec06b0cda59c",
-    "mf-sca-seed0": "d5dc704c8df99d07b3904d9886eb8c7d94d50f6303780a27e9b64b605a665a7f",
-    "mf-sca-seed1": "d5dc704c8df99d07b3904d9886eb8c7d94d50f6303780a27e9b64b605a665a7f",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "mf-psca-seed0": "91f7d1b9c1ddabc272eff5b6076f4cd43b9011e7fcb2a43f9f64dae1eb7c5dcb",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "mf-psca-seed1": "5d1d909ca7f3cfde92d289a3c795b8ee28203d625dab4a61bedd61c8b800292a",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "mf-sca-seed0": "45c81b6e51c43e91d45ef3d3663a72d49940c7c60874e8a013319f517c0885e6",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "mf-sca-seed1": "45c81b6e51c43e91d45ef3d3663a72d49940c7c60874e8a013319f517c0885e6",
     "quartic-gd-seed0": "d2074a822a9f1d4e8417c72fcdc8502bbf13acf96e37d85f798059a6054628e8",
     "quartic-gd-seed1": "d2074a822a9f1d4e8417c72fcdc8502bbf13acf96e37d85f798059a6054628e8",
     "quartic-pgd-seed0": "abca739835c17594e06c86308d02ceef50b31c4b028fcad81ec123721097b581",
     "quartic-pgd-seed1": "4e08af561d687fe3ef770d11bf890d421e9deed0d0e97e8d07612c6a2e77b7c2",
-    "quartic-psca-seed0": "61720d78a17f65008fb3b899a4a0f7f133dc51894b84ee28bfdc24564647158a",
-    "quartic-psca-seed0-eigen100": "61720d78a17f65008fb3b899a4a0f7f133dc51894b84ee28bfdc24564647158a",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "quartic-psca-seed0": "abca739835c17594e06c86308d02ceef50b31c4b028fcad81ec123721097b581",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "quartic-psca-seed0-eigen100": "abca739835c17594e06c86308d02ceef50b31c4b028fcad81ec123721097b581",
     "quartic-psca-seed0-eigen100.eigen": "567c33a1b16cc76e1ed38c67356374e41d8595b8be0b06ec62d0888ecc755520",
-    "quartic-psca-seed1": "ef3269fb65091055a505f07491c4a1571348aa1bd1fa0180d2829a566ea7a4c6",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "quartic-psca-seed1": "4e08af561d687fe3ef770d11bf890d421e9deed0d0e97e8d07612c6a2e77b7c2",
     "quartic-sca-seed0": "d2074a822a9f1d4e8417c72fcdc8502bbf13acf96e37d85f798059a6054628e8",
     "quartic-sca-seed1": "d2074a822a9f1d4e8417c72fcdc8502bbf13acf96e37d85f798059a6054628e8",
     "quartic_jitter-gd-seed0": "0eaf4b4002f37318a123c3c3ae569d53649b868d712817b856ed77343e9f5f61",
     "quartic_jitter-gd-seed1": "e73d6312761ce7a0e4cafa232c21bb3b7b036e93a0b5ff429390cabf93fa24aa",
     "quartic_jitter-pgd-seed0": "345e63ce16e8aa33c9d2553efa587a301a9eab976edbefa03d2af32697295ec1",
     "quartic_jitter-pgd-seed1": "32e30923ceeee6787d969592dd3134e4b7f6e164b8824a530963c65199d5f4d0",
-    "quartic_jitter-psca-seed0": "6c2f9512e9593114ccd01d0d8cc35a540c7b5eb07f81b279d68951ded6656f93",
-    "quartic_jitter-psca-seed1": "f5d85b6a5b5bbb4b1cf0c5975f41824a55af2d74bac63f3fceeb97fc31708703",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "quartic_jitter-psca-seed0": "345e63ce16e8aa33c9d2553efa587a301a9eab976edbefa03d2af32697295ec1",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "quartic_jitter-psca-seed1": "32e30923ceeee6787d969592dd3134e4b7f6e164b8824a530963c65199d5f4d0",
     # quadratic_split is minimized in closed form (inner_iters 0, exact minimizer);
     # equal to the former dense_solve=True hash of this case
     "quartic_jitter-quadratic_split-psca-seed0": "e23c2f2ee2b98a4972b2022213f25812d3855b5599076f4005b612940ecdf739",
-    "quartic_jitter-sca-seed0": "4cc2ca9c075bc5d5e32396038e5adaedd92a7b9c1e08246313385f49e5f2bf33",
-    "quartic_jitter-sca-seed1": "ce0760a26a859340b8cab37499269946272bac8a9f92e135a1a25f79098043d7",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "quartic_jitter-sca-seed0": "0eaf4b4002f37318a123c3c3ae569d53649b868d712817b856ed77343e9f5f61",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "quartic_jitter-sca-seed1": "e73d6312761ce7a0e4cafa232c21bb3b7b036e93a0b5ff429390cabf93fa24aa",
     "rosenbrock_jitter-gd-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
     "rosenbrock_jitter-gd-seed1": "16e377eae25de7e78498512a19f542617fce98d0d52cfc73bde334e3a4f36688",
     "rosenbrock_jitter-pgd-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
     "rosenbrock_jitter-pgd-seed1": "da30b201d0496975f9f0eaf458da07dbc3f729bacf595279c498c47a25456305",
-    "rosenbrock_jitter-psca-seed0": "d8f5d122948f6b096b9de6444733a782e517e32eba290b8c585129654c1bc35f",
-    "rosenbrock_jitter-psca-seed1": "18fb6b85063374361d92bd5c81f38cc2be6531720526672309c1f637829393df",
-    "rosenbrock_jitter-sca-seed0": "d8f5d122948f6b096b9de6444733a782e517e32eba290b8c585129654c1bc35f",
-    "rosenbrock_jitter-sca-seed1": "a59a84ab4b7326982fd86edde72be43b5a3ad1fde5de4f30d5e8ed611e8d3e09",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "rosenbrock_jitter-psca-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "rosenbrock_jitter-psca-seed1": "da30b201d0496975f9f0eaf458da07dbc3f729bacf595279c498c47a25456305",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "rosenbrock_jitter-sca-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    "rosenbrock_jitter-sca-seed1": "16e377eae25de7e78498512a19f542617fce98d0d52cfc73bde334e3a4f36688",
 }
 
 
@@ -104,3 +119,12 @@ def test_trajectory_hash(case, tmp_path):
         assert _sha256(eigen) == GOLDEN[case + ".eigen"]
     else:
         assert not eigen.exists()
+
+
+def test_surrogate_runs_equal_their_gradient_twins():
+    """The unit-modulus proximal model is the gradient step: sca is gd and psca is pgd."""
+    for name in PROBLEMS:
+        for seed in (0, 1):
+            assert GOLDEN[f"{name}-sca-seed{seed}"] == GOLDEN[f"{name}-gd-seed{seed}"]
+            assert GOLDEN[f"{name}-psca-seed{seed}"] == GOLDEN[f"{name}-pgd-seed{seed}"]
+    assert GOLDEN["quartic-psca-seed0-eigen100"] == GOLDEN["quartic-psca-seed0"]
