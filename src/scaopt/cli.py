@@ -119,6 +119,8 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
                     "does not apply to gd/pgd: their step is the unit-modulus proximal model")
     if cfg.inner_tol is not None and cfg.inner_tol <= 0:
         errs.append(f"inner_tol must be positive (got {cfg.inner_tol})")
+    if cfg.algo in ("gd", "pgd") and cfg.inner_tol is not None:
+        errs.append("inner_tol does not apply to gd/pgd: their monitors use a fixed slack")
     if cfg.max_iters < 1:
         errs.append("max_iters must be a positive integer")
     if cfg.seeds is not None and cfg.seeds < 1:
@@ -220,15 +222,19 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+# One trajectory row; "%.17g" writes the same text as format(float(v), ".17g").
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%d,%s\n"
+
+
 def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
+    events = result.events
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for rec in result.records:
-            fh.write(
-                f"{rec.t},{_fmt(rec.f)},{_fmt(rec.grad_norm)},{_fmt(rec.step_norm)},"
-                f"{_fmt(rec.err_norm)},{int(rec.perturbed)},{rec.inner_iters},"
-                f"{result.events.get(rec.t, '')}\n"
-            )
+        fh.writelines(
+            _CSV_ROW % (rec.t, rec.f, rec.grad_norm, rec.step_norm, rec.err_norm,
+                        rec.perturbed, rec.inner_iters, events.get(rec.t, ""))
+            for rec in result.records
+        )
 
 
 def _slug(text: str) -> str:

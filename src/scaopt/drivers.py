@@ -33,6 +33,7 @@ from scaopt.problems import Objective
 from scaopt.surrogates import (
     SurrogateSpec,
     build_surrogate,
+    checked_gradient,
     minimize_surrogate,
     resolved_inner_tol,
 )
@@ -379,14 +380,21 @@ def _region_exit_message(obj: Objective, x) -> str:
 def _evaluate(obj, spec, x, t, gradient_rule):
     """``(surrogate at x or None for the gradient rule, f, grad, ||grad||)``."""
     if gradient_rule:
-        surr, f, g = None, float(obj.value(x)), obj.gradient(x)
-        gn = float(np.linalg.norm(g))
+        surr, f, g = None, float(obj.value(x)), checked_gradient(obj, x)
+        gn = math.sqrt(g @ g)
     else:
         surr = build_surrogate(obj, x, spec)
         f, g, gn = surr.anchor_value, surr.anchor_grad, surr.grad_norm
     if not (math.isfinite(f) and math.isfinite(gn)):
         raise NonFiniteError(f"non-finite objective or gradient at iteration {t}")
     return surr, f, g, gn
+
+
+def _value_and_grad_norm(obj, x):
+    """``(f(x), ||grad f(x)||)`` for a terminal row."""
+    f = float(obj.value(x))
+    g = checked_gradient(obj, x)
+    return f, math.sqrt(g @ g)
 
 
 def _step(obj, spec, surr, x, f, g, gn, eta, t, perturbed=False, counts=None):
@@ -397,18 +405,26 @@ def _step(obj, spec, surr, x, f, g, gn, eta, t, perturbed=False, counts=None):
     gradient rule). Raises :class:`RegionExitError` when the update leaves the
     valid region. With ``counts``, tallies the step's optimality, direction and
     error-bound monitors.
+
+    The difference ``d = x - x_hat`` is formed once: the update is computed as
+    ``x - eta d``, the error vector of :func:`gradient_error` as ``d - g`` and
+    the optimality gap as ``d'g``. ``x - eta d`` has the same bits as
+    ``x + eta (x_hat - x)`` except that a ``-0.0`` coordinate of ``x`` with a
+    zero step there stays ``-0.0``.
     """
     if surr is None:
         x_hat, step_norm = x - g, gn
     else:
         x_hat, _ = minimize_surrogate(surr)
         step_norm = surr.step_norm
-    x_next = x + eta * (x_hat - x)
+    d = x - x_hat
+    x_next = x - eta * d
     if not obj.in_region(x_next):
         raise RegionExitError(_region_exit_message(obj, x_next))
-    err_norm = float(np.linalg.norm(gradient_error(x, x_hat, g)))
+    err = d - g
+    err_norm = math.sqrt(err @ err)
     if counts is not None:
-        _step_monitors(counts, resolved_inner_tol(spec, gn), x, x_hat, g, gn, step_norm,
+        _step_monitors(counts, resolved_inner_tol(spec, gn), float(d @ g), gn, step_norm,
                        err_norm, obj, spec.strong_convexity)
     return x_next, IterateRecord(t, f, gn, step_norm, err_norm, perturbed, 0)
 
@@ -468,28 +484,30 @@ def check_termination(
 
 
 def _finalize_monitors(records, counts, spec, eta, grad_lipschitz):
-    """Descent checks between consecutive rows (skipping perturbation jumps)."""
+    """Descent checks between consecutive rows (skipping perturbation jumps).
+
+    Each check is :func:`descent_check` with :func:`descent_slack`, with the
+    factor ``eta'`` computed once for the run.
+    """
     modulus = spec.strong_convexity
     if eta >= 2.0 * modulus / grad_lipschitz:
         return
-    for prev, nxt in zip(records[:-1], records[1:]):
+    eta_prime = eta * modulus - eta**2 * grad_lipschitz / 2.0
+    checked = passed = 0
+    for prev, nxt in zip(records, records[1:]):
         if nxt.perturbed:
             continue  # nxt.f includes the injected jump, not a pure step
-        counts.descent_checked += 1
-        counts.descent_passed += descent_check(
-            prev.f,
-            nxt.f,
-            prev.step_norm,
-            eta,
-            modulus,
-            grad_lipschitz,
-            descent_slack(spec, prev, eta),
-        )
+        checked += 1
+        passed += nxt.f <= prev.f - eta_prime * prev.step_norm**2 + descent_slack(spec, prev, eta)
+    counts.descent_checked += checked
+    counts.descent_passed += passed
 
 
-def _step_monitors(counts, tol, x, x_hat, g, gn, step_norm, err_norm, obj, modulus):
-    """Optimality, direction-bound, and error-bound monitors for one step."""
-    gap = float((x - x_hat) @ g)
+def _step_monitors(counts, tol, gap, gn, step_norm, err_norm, obj, modulus):
+    """Optimality, direction-bound, and error-bound monitors for one step.
+
+    ``gap`` is the optimality gap ``(x - x_hat)'g``.
+    """
     counts.optimality_checked += 1
     counts.optimality_passed += gap >= modulus * step_norm**2 - (tol * step_norm + 1e-9)
     counts.direction_checked += 1
@@ -561,8 +579,7 @@ def _run(
             events[t] = f"perturbed;f_before={state.f_tilde:.17g}"
             if not obj.in_region(x):
                 # the terminal row describes the injected point, like any other row
-                f = float(obj.value(x))
-                gn = float(np.linalg.norm(obj.gradient(x)))
+                f, gn = _value_and_grad_norm(obj, x)
                 tag = f"left_valid_region;{_region_exit_message(obj, x)}"
                 termination = _stop(records, events, t, f, gn, True, tag)
                 break
@@ -586,8 +603,7 @@ def _run(
         records.append(rec)
         x = x_next
     else:
-        f = float(obj.value(x))
-        gn = float(np.linalg.norm(obj.gradient(x)))
+        f, gn = _value_and_grad_norm(obj, x)
         records.append(IterateRecord(max_iters, f, gn, 0.0, 0.0, False, 0))
 
     if x_out is None:

@@ -36,7 +36,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteError("vector contains NaN/Inf entries")
     return v
 

@@ -13,6 +13,7 @@ supplies all of these fields itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +28,7 @@ __all__ = [
     "InnerReport",
     "UnsupportedSurrogateError",
     "resolved_inner_tol",
+    "checked_gradient",
     "build_surrogate",
     "minimize_surrogate",
 ]
@@ -91,6 +93,14 @@ def resolved_inner_tol(spec: SurrogateSpec, grad_norm: float) -> float:
     return 1e-10 * max(1.0, grad_norm)
 
 
+def checked_gradient(obj: Objective, x: np.ndarray) -> np.ndarray:
+    """The gradient at ``x`` as float64, checked to have the shape of ``x``."""
+    g = np.asarray(obj.gradient(x), dtype=np.float64)
+    if g.shape != x.shape:
+        raise ValueError(f"gradient has shape {g.shape}, expected {x.shape}")
+    return g
+
+
 def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
     """Construct the configured surrogate anchored at ``y``."""
     y = as_vector(y, obj.dim)
@@ -99,11 +109,16 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
     if spec.kind == "custom":
         if spec.builder is None:
             raise UnsupportedSurrogateError("custom surrogate requires a builder")
-        return spec.builder(obj, y, spec)
+        surr = spec.builder(obj, y, spec)
+        for name in ("anchor_grad", "minimizer"):
+            shape = np.shape(getattr(surr, name))
+            if shape != y.shape:
+                raise ValueError(f"custom surrogate {name} has shape {shape}, expected {y.shape}")
+        return surr
 
     f_y = float(obj.value(y))
-    g_y = np.asarray(obj.gradient(y), dtype=np.float64)
-    gn = float(np.linalg.norm(g_y))
+    g_y = checked_gradient(obj, y)
+    gn = math.sqrt(g_y @ g_y)
     modulus = spec.strong_convexity
 
     if spec.kind == "proximal_linear":
@@ -119,7 +134,11 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
     eigvals, eigvecs = np.linalg.eigh(obj.dense_hessian(y))
     curv = np.maximum(eigvals, 0.0) + modulus
     x_hat = y - eigvecs @ ((eigvecs.T @ g_y) / curv)
-    return SurrogateAt(y, f_y, g_y, gn, x_hat, float(np.linalg.norm(x_hat - y)))
+    step = x_hat - y
+    return SurrogateAt(y, f_y, g_y, gn, x_hat, math.sqrt(step @ step))
+
+
+_EXACT = InnerReport(iterations=0)
 
 
 def minimize_surrogate(surr: SurrogateAt):
@@ -129,4 +148,4 @@ def minimize_surrogate(surr: SurrogateAt):
     benchmark tracer (``perfbench/tracer.py``) patches
     ``drivers.minimize_surrogate`` and reads ``.iterations`` off its report.
     """
-    return surr.minimizer, InnerReport(iterations=0)
+    return surr.minimizer, _EXACT

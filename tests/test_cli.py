@@ -344,10 +344,17 @@ class TestMainEntry:
             (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--algo", "gd", "--strong-convexity", "2"],
              "scaling error: surrogate 'proximal_linear' with strong_convexity 2.0 does not apply "
              "to gd/pgd"),
+            (["run", "--algo", "gd", "--inner-tol", "1e-8"],
+             "config error: inner_tol does not apply to gd/pgd: their monitors use a fixed slack"),
+            (["sweep", "--seeds", "2", "--algo", "pgd", "--inner-tol", "1e-8"],
+             "config error: inner_tol does not apply to gd/pgd"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--algo", "gd", "--inner-tol", "1e-8"],
+             "scaling error: inner_tol does not apply to gd/pgd"),
         ],
         ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0",
              "scaling-eps", "scaling-record-eigen-every", "run-pgd-surrogate", "sweep-gd-surrogate",
-             "scaling-gd-strong-convexity"],
+             "scaling-gd-strong-convexity", "run-gd-inner-tol", "sweep-pgd-inner-tol",
+             "scaling-gd-inner-tol"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))
@@ -363,3 +370,33 @@ def test_readme_commands_parse():
     assert len(commands) >= 6
     for line in commands:
         _parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_trajectory_row_format_matches_per_field_format(tmp_path):
+    """The one-format row writer writes what formatting each field on its own wrote."""
+    from scaopt.cli import CSV_HEADER, write_trajectory_csv
+    from scaopt.drivers import IterateRecord, RunResult
+
+    def per_field(rec, events):
+        def fmt(v):
+            return format(float(v), ".17g")
+
+        return (f"{rec.t},{fmt(rec.f)},{fmt(rec.grad_norm)},{fmt(rec.step_norm)},"
+                f"{fmt(rec.err_norm)},{int(rec.perturbed)},{rec.inner_iters},"
+                f"{events.get(rec.t, '')}\n")
+
+    records = [
+        IterateRecord(0, math.inf, -math.inf, math.nan, -0.0, True, 0),
+        IterateRecord(1, 5e-324, -5e-324, 0.1, 1.0 / 3.0, False, 0),
+        IterateRecord(2, -0.25, 1e300, 2.2250738585072014e-308, 0.0, False, 0),
+        IterateRecord(3, float(np.float64(-1.0) / 3.0), 12345678901234567.0, 1e-17, 7.0, True, 0),
+    ]
+    events = {0: "perturbed;f_before=0.5", 3: "returned_xtilde"}
+    result = RunResult(records=records, termination="returned_xtilde", x_out=np.zeros(1),
+                       f_out=0.0, perturbation_count=2, seed=0, events=events)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, result)
+    expected = CSV_HEADER + "\n" + "".join(per_field(rec, events) for rec in records)
+    assert path.read_bytes() == expected.encode()
+    assert "0,inf,-inf,nan,-0,1,0,perturbed" in expected
+    assert ",4.9406564584124654e-324,-4.9406564584124654e-324," in expected

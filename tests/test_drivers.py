@@ -192,6 +192,56 @@ class TestGradientError:
             assert np.linalg.norm(reconstructed - x_next) <= 1e-12
 
 
+class TestGradientShape:
+    """A gradient oracle of the wrong shape is refused where the gradient is read."""
+
+    @staticmethod
+    def column_gradient_objective(dim=3):
+        def gradient(x):
+            return x.reshape(-1, 1)  # (d, 1) instead of (d,)
+
+        return dataclasses.replace(
+            make_quadratic(np.eye(dim)).objective, gradient=gradient
+        )
+
+    @pytest.mark.parametrize("algo", ["sca", "gd"])
+    def test_column_gradient_is_refused(self, algo):
+        obj = self.column_gradient_objective()
+        with pytest.raises(ValueError, match=r"^gradient has shape \(3, 1\), expected \(3,\)$"):
+            if algo == "sca":
+                drv.run_sca(obj, SurrogateSpec(), 0.5, 1e-8, 10, np.ones(3))
+            else:
+                drv.run_gd(obj, 0.5, 1e-8, 10, np.ones(3))
+
+
+class TestNoNormOnTheHotPath:
+    """The loop takes its 2-norms as ``sqrt(v @ v)``, never through ``np.linalg.norm``."""
+
+    @pytest.mark.parametrize("algo", ["sca", "gd"])
+    def test_no_linalg_norm_calls(self, algo, monkeypatch):
+        prob = get_problem("saddle_quartic:d=10")
+        obj = prob.objective
+        x0 = prob.canonical_start + sample_uniform_ball(obj.dim, 0.1, RngStream(11))
+        eta = 1.0 / obj.constants.grad_lipschitz
+        calls = []
+        real_norm = np.linalg.norm
+
+        def counting_norm(*args, **kwargs):
+            calls.append(1)
+            return real_norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        if algo == "sca":
+            res = drv.run_sca(obj, SurrogateSpec(), eta, 1e-300, 200, x0)
+        else:
+            res = drv.run_gd(obj, eta, 1e-300, 200, x0)
+        monkeypatch.undo()
+        assert res.termination == "max_iters"
+        assert res.iterations == 200
+        assert res.perturbation_count == 0
+        assert calls == []
+
+
 class TestDescentCheck:
     def test_tight_case_eta_half(self):
         # 0.5||x||^2 from (1,0), step to prox point: equality at eta' = 0.375

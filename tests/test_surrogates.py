@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -167,6 +169,16 @@ class TestCustomKind:
         spec = SurrogateSpec(kind="custom", builder=builder)
         surr = build_surrogate(obj, np.array([1.0, 0.0]), spec)
         assert np.allclose(surr.minimizer, [0.5, 0.0])
+
+    @pytest.mark.parametrize("field", ["anchor_grad", "minimizer"])
+    def test_builder_output_of_wrong_shape_is_refused(self, field):
+        def builder(o, y, spec):
+            surr = build_surrogate(o, y, SurrogateSpec())
+            return dataclasses.replace(surr, **{field: getattr(surr, field)[:, None]})
+
+        spec = SurrogateSpec(kind="custom", builder=builder)
+        with pytest.raises(ValueError, match=rf"custom surrogate {field} has shape \(2, 1\)"):
+            build_surrogate(half_norm_sq(), np.array([1.0, 0.0]), spec)
 
 
 def test_anchor_outside_region_rejected():
