@@ -2,7 +2,9 @@
 
 Every run writes a trajectory CSV with the fixed column order
 ``t,f,grad_norm,step_norm,err_norm,perturbed,inner_iters,event`` (floats at 17
-significant digits, so a rerun with the same config and seed is byte-identical)
+significant digits, so a rerun with the same config and seed is byte-identical;
+``inner_iters`` is always 0, since every surrogate is minimized in closed form,
+and stays for the file format)
 and a JSON report echoing the config, termination, certificate, diagnostic
 scales, and monitor tallies. Sweeps aggregate per-seed certificates into an
 escape rate with an exact binomial confidence interval, and the scaling study
@@ -72,10 +74,9 @@ class ExperimentConfig:
     c: float = 1.0
     s: float = 0.5
     delta_u: Optional[float] = None
-    eta: Optional[float] = None  # sca/gd step; None derives c / L1
+    eta: Optional[float] = None  # sca/gd only; None derives min(1, c / L1)
     surrogate: str = "proximal_linear"
     strong_convexity: float = 1.0
-    inner_tol: Optional[float] = None
     seed: int = 0
     seeds: Optional[int] = None
     max_iters: int = 50_000
@@ -109,6 +110,8 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
         errs.append(f"s must satisfy 0 < s < 1 (got {cfg.s})")
     if cfg.eta is not None and not 0 < cfg.eta <= 1:
         errs.append(f"eta must satisfy 0 < eta <= 1 (got {cfg.eta})")
+    if cfg.algo in ("psca", "pgd") and cfg.eta is not None:
+        errs.append("eta does not apply to psca/pgd: their step c/L1 is derived from c")
     if cfg.surrogate not in ("proximal_linear", "quadratic_split"):
         errs.append(f"unknown surrogate '{cfg.surrogate}'")
     if cfg.strong_convexity <= 0:
@@ -117,10 +120,6 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
     if cfg.algo in ("gd", "pgd") and not gradient_model:
         errs.append(f"surrogate '{cfg.surrogate}' with strong_convexity {cfg.strong_convexity} "
                     "does not apply to gd/pgd: their step is the unit-modulus proximal model")
-    if cfg.inner_tol is not None and cfg.inner_tol <= 0:
-        errs.append(f"inner_tol must be positive (got {cfg.inner_tol})")
-    if cfg.algo in ("gd", "pgd") and cfg.inner_tol is not None:
-        errs.append("inner_tol does not apply to gd/pgd: their monitors use a fixed slack")
     if cfg.max_iters < 1:
         errs.append("max_iters must be a positive integer")
     if cfg.seeds is not None and cfg.seeds < 1:
@@ -167,12 +166,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float)
     p.add_argument("--s", type=float)
     p.add_argument("--delta-u", type=float)
-    p.add_argument("--eta", type=float)
+    p.add_argument("--eta", type=float, help="sca/gd step (default min(1, c/L1))")
     p.add_argument("--surrogate")
     p.add_argument("--strong-convexity", type=float)
-    p.add_argument("--inner-tol", type=float,
-                   help="monitor slack of the per-step and descent checks "
-                        "(default 1e-10 max(1, ||grad||))")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--out-dir")
@@ -223,7 +219,8 @@ def _fmt(v: float) -> str:
 
 
 # One trajectory row; "%.17g" writes the same text as format(float(v), ".17g").
-_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%d,%s\n"
+# The inner_iters column is a constant 0, kept for the file format.
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,0,%s\n"
 
 
 def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
@@ -232,7 +229,7 @@ def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
         fh.write(CSV_HEADER + "\n")
         fh.writelines(
             _CSV_ROW % (rec.t, rec.f, rec.grad_norm, rec.step_norm, rec.err_norm,
-                        rec.perturbed, rec.inner_iters, events.get(rec.t, ""))
+                        rec.perturbed, events.get(rec.t, ""))
             for rec in result.records
         )
 
@@ -270,8 +267,7 @@ def _execute(cfg: ExperimentConfig, obj: problems.Objective, x0: np.ndarray,
     sca/gd stop at ``grad_norm <= cfg.eps``; psca/pgd derive their parameters
     from the config and stop at ``stop_grad_norm`` when it is given.
     """
-    spec = SurrogateSpec(kind=cfg.surrogate, strong_convexity=cfg.strong_convexity,
-                         inner_tol=cfg.inner_tol)
+    spec = SurrogateSpec(kind=cfg.surrogate, strong_convexity=cfg.strong_convexity)
     eta = cfg.eta if cfg.eta is not None else min(1.0, cfg.c / obj.constants.grad_lipschitz)
     keep = cfg.record_eigen_every
     if cfg.algo == "sca":

@@ -35,7 +35,6 @@ from scaopt.surrogates import (
     build_surrogate,
     checked_gradient,
     minimize_surrogate,
-    resolved_inner_tol,
 )
 
 __all__ = [
@@ -51,6 +50,7 @@ __all__ = [
     "derive_scales",
     "gradient_error",
     "descent_check",
+    "monitor_slack",
     "descent_slack",
     "sca_step",
     "maybe_perturb",
@@ -131,10 +131,8 @@ class IterateRecord:
     """One trajectory row.
 
     ``f``/``grad_norm`` describe the iterate the step starts from (after any
-    perturbation injected this iteration); ``step_norm``/``err_norm``/
-    ``inner_iters`` describe the step taken from it. Terminal rows carry zero
-    step fields. ``inner_iters`` is always 0, since every model is minimized in
-    closed form; it stays for the trajectory format.
+    perturbation injected this iteration); ``step_norm``/``err_norm`` describe
+    the step taken from it. Terminal rows carry zero step fields.
     """
 
     t: int
@@ -143,7 +141,6 @@ class IterateRecord:
     step_norm: float
     err_norm: float
     perturbed: bool
-    inner_iters: int
 
 
 @dataclass
@@ -172,9 +169,10 @@ class MonitorCounts:
 class RunResult:
     """Full trajectory of a run plus its termination and returned point.
 
-    ``records`` has one row per visited iterate (steps + 1 rows). When the
-    perturbed driver returns the pre-perturbation anchor, ``x_out``/``f_out``
-    are that anchor, which generally differs from the last trajectory row.
+    ``records`` has one row per visited iterate (steps + 1 rows). ``x_out`` is
+    the last row's iterate and ``f_out`` its ``f``, except when the perturbed
+    driver returns the pre-perturbation anchor: then they are that anchor and
+    its value, which generally differ from the last trajectory row.
     ``events`` maps row index to a semicolon-separated tag string (perturbation
     rows carry the pre-perturbation objective value so the window decrement is
     auditable from the trajectory alone).
@@ -364,10 +362,14 @@ def descent_check(
     return f_next <= f_t - eta_prime * step_norm**2 + slack
 
 
-def descent_slack(spec: SurrogateSpec, rec: IterateRecord, eta: float) -> float:
+def monitor_slack(grad_norm: float) -> float:
+    """Slack ``1e-10 max(1, ||grad||)`` of every monitor at an iterate with this gradient norm."""
+    return 1e-10 * max(1.0, grad_norm)
+
+
+def descent_slack(rec: IterateRecord, eta: float) -> float:
     """Tolerance for the descent test: float headroom plus the monitor slack."""
-    tol = resolved_inner_tol(spec, rec.grad_norm)
-    return 1e-9 * (1.0 + abs(rec.f)) + eta * tol * rec.step_norm
+    return 1e-9 * (1.0 + abs(rec.f)) + eta * monitor_slack(rec.grad_norm) * rec.step_norm
 
 
 def _region_exit_message(obj: Objective, x) -> str:
@@ -424,9 +426,9 @@ def _step(obj, spec, surr, x, f, g, gn, eta, t, perturbed=False, counts=None):
     err = d - g
     err_norm = math.sqrt(err @ err)
     if counts is not None:
-        _step_monitors(counts, resolved_inner_tol(spec, gn), float(d @ g), gn, step_norm,
-                       err_norm, obj, spec.strong_convexity)
-    return x_next, IterateRecord(t, f, gn, step_norm, err_norm, perturbed, 0)
+        _step_monitors(counts, monitor_slack(gn), float(d @ g), gn, step_norm, err_norm, obj,
+                       spec.strong_convexity)
+    return x_next, IterateRecord(t, f, gn, step_norm, err_norm, perturbed)
 
 
 def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
@@ -498,7 +500,7 @@ def _finalize_monitors(records, counts, spec, eta, grad_lipschitz):
         if nxt.perturbed:
             continue  # nxt.f includes the injected jump, not a pure step
         checked += 1
-        passed += nxt.f <= prev.f - eta_prime * prev.step_norm**2 + descent_slack(spec, prev, eta)
+        passed += nxt.f <= prev.f - eta_prime * prev.step_norm**2 + descent_slack(prev, eta)
     counts.descent_checked += checked
     counts.descent_passed += passed
 
@@ -522,13 +524,13 @@ def _step_monitors(counts, tol, gap, gn, step_norm, err_norm, obj, modulus):
 def _stop(records, events, t, f, gn, perturbed, tag):
     """Append the terminal row at ``t``, add ``tag`` to its event, return the termination."""
     events[t] = f"{events[t]};{tag}" if t in events else tag
-    records.append(IterateRecord(t, f, gn, 0.0, 0.0, perturbed, 0))
+    records.append(IterateRecord(t, f, gn, 0.0, 0.0, perturbed))
     return tag.partition(";")[0]
 
 
 # The unit-modulus proximal model, whose exact minimizer is the gradient step:
-# it fixes the modulus and tolerance of GD's and PGD's monitors.
-_GRADIENT_MODEL = SurrogateSpec(kind="proximal_linear", strong_convexity=1.0, inner_tol=1e-300)
+# it fixes the modulus of GD's and PGD's monitors.
+_GRADIENT_MODEL = SurrogateSpec()
 
 
 def _run(
@@ -604,11 +606,10 @@ def _run(
         x = x_next
     else:
         f, gn = _value_and_grad_norm(obj, x)
-        records.append(IterateRecord(max_iters, f, gn, 0.0, 0.0, False, 0))
+        records.append(IterateRecord(max_iters, f, gn, 0.0, 0.0, False))
 
     if x_out is None:
-        x_out = x
-        f_out = float(obj.value(x_out))
+        x_out, f_out = x, records[-1].f
     else:
         f_out = float(state.f_tilde)
     _finalize_monitors(records, counts, spec, eta, lip_grad)

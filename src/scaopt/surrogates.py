@@ -27,7 +27,6 @@ __all__ = [
     "SurrogateAt",
     "InnerReport",
     "UnsupportedSurrogateError",
-    "resolved_inner_tol",
     "checked_gradient",
     "build_surrogate",
     "minimize_surrogate",
@@ -44,14 +43,12 @@ class UnsupportedSurrogateError(ValueError):
 class SurrogateSpec:
     """Configuration of the surrogate family.
 
-    ``inner_tol=None`` resolves per anchor to ``1e-10 * max(1, ||grad||)``; it
-    is the slack of the per-step monitors and of the descent check.
-    ``builder(obj, y, spec)`` builds a ``custom`` model.
+    ``strong_convexity`` is the model's modulus ``C``; ``builder(obj, y, spec)``
+    builds a ``custom`` model.
     """
 
     kind: str = "proximal_linear"
     strong_convexity: float = 1.0
-    inner_tol: float | None = None
     builder: Callable | None = None
 
     def __post_init__(self):
@@ -59,8 +56,6 @@ class SurrogateSpec:
             raise ValueError(f"unknown surrogate kind '{self.kind}'; known: {KINDS}")
         if self.strong_convexity <= 0:
             raise ValueError("strong_convexity must be positive")
-        if self.inner_tol is not None and self.inner_tol <= 0:
-            raise ValueError("inner_tol must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -84,13 +79,6 @@ class SurrogateAt:
 @dataclass(frozen=True)
 class InnerReport:
     iterations: int
-
-
-def resolved_inner_tol(spec: SurrogateSpec, grad_norm: float) -> float:
-    """Effective monitor slack for an anchor with the given gradient norm."""
-    if spec.inner_tol is not None:
-        return spec.inner_tol
-    return 1e-10 * max(1.0, grad_norm)
 
 
 def checked_gradient(obj: Objective, x: np.ndarray) -> np.ndarray:

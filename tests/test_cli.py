@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -344,17 +345,16 @@ class TestMainEntry:
             (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--algo", "gd", "--strong-convexity", "2"],
              "scaling error: surrogate 'proximal_linear' with strong_convexity 2.0 does not apply "
              "to gd/pgd"),
-            (["run", "--algo", "gd", "--inner-tol", "1e-8"],
-             "config error: inner_tol does not apply to gd/pgd: their monitors use a fixed slack"),
-            (["sweep", "--seeds", "2", "--algo", "pgd", "--inner-tol", "1e-8"],
-             "config error: inner_tol does not apply to gd/pgd"),
-            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--algo", "gd", "--inner-tol", "1e-8"],
-             "scaling error: inner_tol does not apply to gd/pgd"),
+            (["run", "--algo", "psca", "--eta", "0.5"],
+             "config error: eta does not apply to psca/pgd: their step c/L1 is derived from c"),
+            (["sweep", "--seeds", "2", "--algo", "pgd", "--eta", "0.5"],
+             "config error: eta does not apply to psca/pgd"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--algo", "psca", "--eta", "0.5"],
+             "scaling error: eta does not apply to psca/pgd"),
         ],
         ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0",
              "scaling-eps", "scaling-record-eigen-every", "run-pgd-surrogate", "sweep-gd-surrogate",
-             "scaling-gd-strong-convexity", "run-gd-inner-tol", "sweep-pgd-inner-tol",
-             "scaling-gd-inner-tol"],
+             "scaling-gd-strong-convexity", "run-psca-eta", "sweep-pgd-eta", "scaling-psca-eta"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))
@@ -362,6 +362,19 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert err.count("\n") == 1
+
+
+def test_run_flags_are_the_config_fields():
+    """Each run flag sets a config field and each field but ``seeds`` has a run flag.
+
+    ``_config_from_args`` keeps only the flags named after a field, so a flag
+    without one would be parsed and then dropped without a word.
+    """
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"seeds"}
+    commands = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("run", "sweep", "scaling"):
+        dests = {a.dest for a in commands.choices[name]._actions} - {"help", "seeds", "eps_list"}
+        assert dests == fields, name
 
 
 def test_readme_commands_parse():
@@ -382,14 +395,14 @@ def test_trajectory_row_format_matches_per_field_format(tmp_path):
             return format(float(v), ".17g")
 
         return (f"{rec.t},{fmt(rec.f)},{fmt(rec.grad_norm)},{fmt(rec.step_norm)},"
-                f"{fmt(rec.err_norm)},{int(rec.perturbed)},{rec.inner_iters},"
+                f"{fmt(rec.err_norm)},{int(rec.perturbed)},0,"
                 f"{events.get(rec.t, '')}\n")
 
     records = [
-        IterateRecord(0, math.inf, -math.inf, math.nan, -0.0, True, 0),
-        IterateRecord(1, 5e-324, -5e-324, 0.1, 1.0 / 3.0, False, 0),
-        IterateRecord(2, -0.25, 1e300, 2.2250738585072014e-308, 0.0, False, 0),
-        IterateRecord(3, float(np.float64(-1.0) / 3.0), 12345678901234567.0, 1e-17, 7.0, True, 0),
+        IterateRecord(0, math.inf, -math.inf, math.nan, -0.0, True),
+        IterateRecord(1, 5e-324, -5e-324, 0.1, 1.0 / 3.0, False),
+        IterateRecord(2, -0.25, 1e300, 2.2250738585072014e-308, 0.0, False),
+        IterateRecord(3, float(np.float64(-1.0) / 3.0), 12345678901234567.0, 1e-17, 7.0, True),
     ]
     events = {0: "perturbed;f_before=0.5", 3: "returned_xtilde"}
     result = RunResult(records=records, termination="returned_xtilde", x_out=np.zeros(1),

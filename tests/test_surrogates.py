@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scaopt.drivers import monitor_slack
 from scaopt.numerics import RngStream
 from scaopt.problems import make_quadratic, make_saddle_quartic
 from scaopt.surrogates import (
@@ -12,7 +13,6 @@ from scaopt.surrogates import (
     UnsupportedSurrogateError,
     build_surrogate,
     minimize_surrogate,
-    resolved_inner_tol,
 )
 
 from conftest import sample_in_region
@@ -56,9 +56,8 @@ class TestSpecValidation:
             SurrogateSpec(strong_convexity=0.0)
 
     def test_tol_resolution(self):
-        assert resolved_inner_tol(SurrogateSpec(inner_tol=1e-7), 100.0) == 1e-7
-        assert resolved_inner_tol(SurrogateSpec(), 0.5) == 1e-10
-        assert resolved_inner_tol(SurrogateSpec(), 40.0) == 1e-10 * 40.0
+        assert monitor_slack(0.5) == 1e-10
+        assert monitor_slack(40.0) == 1e-10 * 40.0
 
 
 class TestProximalLinear:
@@ -144,7 +143,7 @@ class TestQuadraticSplit:
         w, q = np.linalg.eigh(hess)
         model_h = (q * (np.maximum(w, 0.0) + modulus)) @ q.T
         x_exact = y - np.linalg.solve(model_h, obj.gradient(y))
-        assert np.linalg.norm(x_hat - x_exact) <= resolved_inner_tol(spec, surr.grad_norm) / modulus
+        assert np.linalg.norm(x_hat - x_exact) <= monitor_slack(surr.grad_norm) / modulus
 
     def test_requires_dense_hessian(self):
         import dataclasses
