@@ -8,7 +8,7 @@ problems with a dense Hessian use an exact symmetric eigendecomposition;
 otherwise implicitly restarted Lanczos (ARPACK through
 ``scipy.sparse.linalg.eigsh``) works matrix-free on the shifted operator
 ``L1 I - H`` through Hessian-vector products. Its ``max_iters`` is a budget of
-Hessian-vector products and its ``seed`` keys the Lanczos start vector, so a
+Hessian-vector products and its Lanczos start vector is fixed, so a
 certificate replays bit for bit.
 """
 
@@ -108,7 +108,6 @@ def min_eigenvalue(
     max_iters: int = 20_000,
     *,
     method: str = "auto",
-    seed: int = _START_SEED,
 ):
     """Estimate the minimum Hessian eigenvalue at ``x``.
 
@@ -119,13 +118,13 @@ def min_eigenvalue(
     largest-magnitude eigenvalue ``rho`` of the shifted operator ``L1 I - H``.
     That operator is PSD whenever the declared gradient-Lipschitz constant is
     honest, so ``rho = L1 - lambda_min``; a negative ``rho`` raises
-    :class:`SpectralShiftError`. The start vector is drawn from
-    ``RngStream(seed)``, so a call replays bit for bit. ``max_iters`` bounds
-    the Hessian-vector products, including the one that measures the
-    residual of the Ritz pair; the estimate must certify with a residual
-    within ``100 tol`` (``tol`` defaults to ``1e-8 L1``). Running out of
-    budget or missing the bar raises :class:`EigenSolveError` carrying the
-    best estimate: on exhaustion, the smallest Rayleigh quotient seen.
+    :class:`SpectralShiftError`. The start vector is a fixed draw, so a call
+    replays bit for bit. ``max_iters`` bounds the Hessian-vector products,
+    including the one that measures the residual of the Ritz pair; the
+    estimate must certify with a residual within ``100 tol`` (``tol``
+    defaults to ``1e-8 L1``). Running out of budget or missing the bar raises
+    :class:`EigenSolveError` carrying the best estimate: on exhaustion, the
+    smallest Rayleigh quotient seen.
     """
     x = as_vector(x, obj.dim)
     lip_grad = obj.constants.grad_lipschitz
@@ -167,7 +166,7 @@ def min_eigenvalue(
             shifted = LinearOperator(
                 (obj.dim, obj.dim), matvec=lambda v: lip_grad * v - hvp(v), dtype=np.float64
             )
-            v0 = RngStream(seed).standard_normal(obj.dim)
+            v0 = RngStream(_START_SEED).standard_normal(obj.dim)
             rhos, vecs = eigsh(shifted, k=1, which="LM", v0=v0, tol=tol / (2.0 * lip_grad),
                                maxiter=max(max_iters, 1))
             _check_shift(float(rhos[0]), lip_grad)
@@ -194,12 +193,14 @@ def min_eigenvalue(
     return lam, vec, residual
 
 
-def classify(obj: Objective, x, eps: float, *, eigen_kwargs: dict | None = None) -> Certificate:
+def classify(obj: Objective, x, eps: float) -> Certificate:
     """Classify a point against the stationarity taxonomy at accuracy ``eps``.
 
     Skips eigenvalue estimation entirely when the gradient norm already exceeds
-    ``eps``. Classification is a pure function of the gradient norm, the
-    eigenvalue estimate, ``eps``, and the declared Hessian-Lipschitz constant.
+    ``eps``; otherwise ``method`` names the eigensolver :func:`min_eigenvalue`
+    picks by default. Classification is a pure function of the gradient norm,
+    the eigenvalue estimate, ``eps``, and the declared Hessian-Lipschitz
+    constant.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -216,9 +217,7 @@ def classify(obj: Objective, x, eps: float, *, eigen_kwargs: dict | None = None)
             classification="not_fosp",
             method=None,
         )
-    kwargs = dict(eigen_kwargs or {})
-    kwargs["method"] = resolve_method(obj, kwargs.get("method", "auto"))
-    lam, _, residual = min_eigenvalue(obj, x, **kwargs)
+    lam, _, residual = min_eigenvalue(obj, x)
     return Certificate(
         grad_norm=grad_norm,
         lambda_min=lam,
@@ -226,7 +225,7 @@ def classify(obj: Objective, x, eps: float, *, eigen_kwargs: dict | None = None)
         eps=eps,
         gamma=gamma,
         classification="eps_sosp" if lam >= -gamma else "eps_fosp_strict_saddle",
-        method=kwargs["method"],
+        method=resolve_method(obj),
     )
 
 

@@ -114,7 +114,7 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
         errs.append("eta does not apply to psca/pgd: their step c/L1 is derived from c")
     if cfg.surrogate not in ("proximal_linear", "quadratic_split"):
         errs.append(f"unknown surrogate '{cfg.surrogate}'")
-    if cfg.strong_convexity <= 0:
+    if not cfg.strong_convexity > 0:
         errs.append(f"strong_convexity must be positive (got {cfg.strong_convexity})")
     gradient_model = (cfg.surrogate, cfg.strong_convexity) == ("proximal_linear", 1.0)
     if cfg.algo in ("gd", "pgd") and not gradient_model:
@@ -128,10 +128,12 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
         errs.append("record_eigen_every must be a positive integer")
     if cfg.window_variant not in ("proof", "algorithm"):
         errs.append(f"window_variant must be 'proof' or 'algorithm' (got '{cfg.window_variant}')")
-    if cfg.jitter < 0:
+    if not cfg.jitter >= 0:
         errs.append(f"jitter must be nonnegative (got {cfg.jitter})")
+    if cfg.delta_u is not None and not cfg.delta_u > 0:
+        errs.append(f"delta_u must be positive (got {cfg.delta_u})")
     if obj is None:
-        if cfg.eps <= 0:
+        if not cfg.eps > 0:
             errs.append(f"eps must satisfy 0 < eps <= L1^2/L2 (got {cfg.eps})")
         return errs
     lip_grad = obj.constants.grad_lipschitz
@@ -150,8 +152,14 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
                 "delta_u is required: the problem declares no optimum value "
                 "and the harness refuses to guess it (pass --delta-u)"
             )
-    if cfg.x0 is not None and len(cfg.x0) != obj.dim:
-        errs.append(f"x0 has length {len(cfg.x0)}, problem dimension is {obj.dim}")
+    if cfg.x0 is not None:
+        x0 = np.array(cfg.x0, dtype=float)
+        if x0.size != obj.dim:
+            errs.append(f"x0 has length {x0.size}, problem dimension is {obj.dim}")
+        elif not np.isfinite(x0).all():
+            errs.append("x0 must be finite")
+        elif not obj.in_region(x0):
+            errs.append("x0 lies outside the objective's valid region")
     if cfg.surrogate == "quadratic_split" and obj.dense_hessian is None:
         errs.append("quadratic_split needs a problem with a dense Hessian")
     return errs
@@ -198,12 +206,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
-    """Parse run flags into a validated config; raises ConfigError with all violations."""
-    p = argparse.ArgumentParser(prog="scaopt run", add_help=False,
-                                argument_default=argparse.SUPPRESS)
-    _add_run_flags(p)
-    p.add_argument("--seeds", type=int)
-    cfg = _config_from_args(p.parse_args(list(argv)))
+    """Parse ``scaopt run`` flags into a validated config; raises ConfigError with all violations."""
+    cfg = _config_from_args(_parser().parse_args(["run", *argv]))
     errs = validate_config(cfg)
     if errs:
         raise ConfigError(errs)
@@ -212,10 +216,6 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # file emission
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 # One trajectory row; "%.17g" writes the same text as format(float(v), ".17g").
@@ -236,6 +236,13 @@ def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", text)
+
+
+def _write_json(path: Path, data) -> None:
+    """Write ``data`` as indented JSON with sorted keys and one trailing newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def _as_jsonable(value):
@@ -316,9 +323,7 @@ def run_experiment(cfg: ExperimentConfig):
             "problem": prob.name,
             "error": f"{type(exc).__name__}: {exc}",
         }
-        with open(out_dir / f"{base}.json", "w", newline="\n") as fh:
-            json.dump(partial, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        _write_json(out_dir / f"{base}.json", partial)
         raise
     wall_ms = 1000.0 * (time.perf_counter() - started)
 
@@ -338,7 +343,7 @@ def run_experiment(cfg: ExperimentConfig):
             fh.write("t,lambda_min\n")
             for t, x in result.iterates:
                 lam, _, _ = certify.min_eigenvalue(obj, x)
-                fh.write(f"{t},{_fmt(lam)}\n")
+                fh.write("%d,%.17g\n" % (t, lam))
 
     report = {
         "config": _as_jsonable(dataclasses.asdict(cfg)),
@@ -360,17 +365,18 @@ def run_experiment(cfg: ExperimentConfig):
         "scales": _as_jsonable(dataclasses.asdict(scales)) if scales else None,
     }
     report_path = out_dir / f"{base}.json"
-    with open(report_path, "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_json(report_path, report)
     return csv_path, report_path
 
 
-def binomial_ci(successes: int, trials: int, confidence: float = 0.95):
-    """Exact (Clopper-Pearson) two-sided confidence interval for a rate."""
+_CONFIDENCE = 0.95  # of every escape-rate interval (the aggregate's binomial_ci_95)
+
+
+def binomial_ci(successes: int, trials: int):
+    """Exact (Clopper-Pearson) two-sided 95% confidence interval for a rate."""
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError("need 0 <= successes <= trials, trials >= 1")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - _CONFIDENCE
     lo = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
     return lo, hi
@@ -382,13 +388,12 @@ def sweep_experiment(cfg: ExperimentConfig):
     A run counts as an escape success when its certificate classification is
     ``eps_sosp``. Writes the per-seed files plus one aggregate JSON containing
     the success rate with an exact binomial confidence interval and the number
-    of runs per termination.
+    of runs per termination. Each seed's run validates its config before it
+    writes a file, so an invalid config stops the sweep at its first seed with
+    nothing written.
     """
     if not cfg.seeds or cfg.seeds < 1:
         raise ConfigError(["sweep requires --seeds >= 1"])
-    errs = validate_config(cfg)
-    if errs:
-        raise ConfigError(errs)
     per_seed = []
     successes = 0
     for k in range(cfg.seeds):
@@ -425,9 +430,7 @@ def sweep_experiment(cfg: ExperimentConfig):
     out_dir = Path(cfg.out_dir)
     base = cfg.label or _slug(f"{cfg.problem}_{cfg.algo}")
     path = out_dir / f"{base}_aggregate.json"
-    with open(path, "w", newline="\n") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_json(path, aggregate)
     return path, aggregate
 
 
@@ -596,9 +599,7 @@ def _cmd_scaling(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.label or _slug(f"scaling_{cfg.problem}_{cfg.algo}")
     path = out_dir / f"{base}.json"
-    with open(path, "w", newline="\n") as fh:
-        json.dump(_as_jsonable(dataclasses.asdict(res)), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, _as_jsonable(dataclasses.asdict(res)))
     print(path)
     return 0
 

@@ -61,14 +61,6 @@ __all__ = [
     "run_pgd",
 ]
 
-TERMINATIONS = (
-    "returned_xtilde",
-    "gradient_below_threshold",
-    "max_iters",
-    "left_valid_region",
-)
-
-
 class HypothesisViolationError(ValueError):
     """A configuration violates a hypothesis the guarantees depend on."""
 
@@ -107,11 +99,11 @@ class PscaParams:
             raise ValueError("c must lie in (0, 1]")
         if not 0 < self.s < 1:
             raise ValueError("s must lie in (0, 1)")
-        if self.eps <= 0 or self.delta_u <= 0:
+        if not (self.eps > 0 and self.delta_u > 0):
             raise ValueError("eps and delta_u must be positive")
-        if self.chi < 12.0 - 1e-9:
+        if not self.chi >= 12.0 - 1e-9:
             raise ValueError(f"chi must be >= 12, got {self.chi}")
-        if min(self.eta, self.r, self.g_th, self.f_th) <= 0:
+        if not all(v > 0 for v in (self.eta, self.r, self.g_th, self.f_th)):
             raise ValueError("eta, r, g_th, f_th must be positive")
         if self.t_th < 1 or self.max_iters < 1:
             raise ValueError("t_th and max_iters must be positive integers")
@@ -253,7 +245,7 @@ def derive_params(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    if delta_u <= 0:
+    if not delta_u > 0:
         raise ValueError(f"delta_u must be positive, got {delta_u}")
     if window_variant not in ("proof", "algorithm"):
         raise ValueError(f"unknown window_variant '{window_variant}'")

@@ -59,9 +59,10 @@ class Smoothness:
 class Objective:
     """A smooth function with value/gradient/Hessian-vector access.
 
-    ``region_radius`` and ``region_norm`` (an ``np.linalg.norm`` order, 2 or inf)
-    delimit the ball on which the declared constants hold. ``dense_hessian`` is
-    optional; certification falls back to matrix-free estimation without it.
+    ``region_radius`` and ``region_norm`` (the ``np.linalg.norm`` order 2 or
+    inf; no other order is accepted) delimit the ball on which the declared
+    constants hold. ``dense_hessian`` is optional; certification falls back to
+    matrix-free estimation without it.
     """
 
     dim: int
@@ -79,11 +80,13 @@ class Objective:
             raise ValueError("dim must be a positive integer")
         if self.region_radius <= 0:
             raise ValueError("region_radius must be positive")
+        if self.region_norm not in (2, math.inf):
+            raise ValueError(f"region_norm must be 2 or inf, got {self.region_norm}")
 
     def in_region(self, x: np.ndarray) -> bool:
         """Whether the 1-D float64 vector ``x`` lies in the region (False if it holds NaN).
 
-        Orders 2 and inf are written as the expressions ``np.linalg.norm``
+        The two orders are written as the expressions ``np.linalg.norm``
         evaluates for such a vector, ``sqrt(x.x)`` and ``max |x_i|``: the same
         bits without its dispatch cost.
         """
@@ -91,10 +94,8 @@ class Objective:
             return True
         if self.region_norm == 2:
             norm = math.sqrt(x @ x)
-        elif self.region_norm == math.inf:
-            norm = float(np.abs(x).max())
         else:
-            norm = float(np.linalg.norm(x, self.region_norm))
+            norm = float(np.abs(x).max())
         return norm <= self.region_radius
 
 
@@ -460,8 +461,8 @@ def registry_names() -> tuple[str, ...]:
 def get_problem(spec: str) -> ProblemInstance:
     """Resolve a problem spec string like ``"saddle_quartic:d=10"``.
 
-    Parameters after the colon are comma-separated ``key=value`` pairs; integer
-    values are parsed as ints.
+    Parameters after the colon are comma-separated ``key=value`` pairs with
+    integer values.
     """
     name, _, rest = spec.partition(":")
     if name not in REGISTRY:
@@ -470,12 +471,12 @@ def get_problem(spec: str) -> ProblemInstance:
     if rest:
         for item in rest.split(","):
             key, sep, val = item.partition("=")
-            if not sep or not key:
-                raise ValueError(f"bad problem parameter '{item}' in '{spec}'")
             try:
+                if not sep or not key:
+                    raise ValueError
                 kwargs[key] = int(val)
             except ValueError:
-                kwargs[key] = float(val)
+                raise ValueError(f"bad problem parameter '{item}' in '{spec}'") from None
     try:
         return REGISTRY[name](**kwargs)
     except TypeError as exc:

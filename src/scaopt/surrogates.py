@@ -2,13 +2,14 @@
 
 A surrogate anchored at ``y`` is strongly convex with a uniform modulus and its
 gradient matches the objective's gradient at the anchor. The outer loop uses a
-model only through its anchor value and gradient, its minimizer and the norm
-of the step to it, so that is what a :class:`SurrogateAt` carries. Two
-families are built in, both minimized in closed form: a proximal-linear model
-(minimizer ``y - g/C``, the gradient step when the modulus is 1) and a
-curvature-aware model built from the positive part of the dense Hessian, whose
-minimizer is read off the Hessian's eigendecomposition. A ``custom`` builder
-supplies all of these fields itself.
+model only through its anchor value, gradient and gradient norm, its minimizer
+and the norm of the step to it, so that is what a :class:`SurrogateAt`
+carries; the anchor itself stays with the caller. Two families are built in,
+both minimized in closed form: a proximal-linear model (minimizer ``y - g/C``,
+the gradient step when the modulus is 1) and a curvature-aware model built
+from the positive part of the dense Hessian, whose minimizer is read off the
+Hessian's eigendecomposition. A ``custom`` builder supplies all of these
+fields itself.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class SurrogateSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown surrogate kind '{self.kind}'; known: {KINDS}")
-        if self.strong_convexity <= 0:
+        if not self.strong_convexity > 0:
             raise ValueError("strong_convexity must be positive")
 
 
@@ -65,10 +66,10 @@ class SurrogateAt:
     ``anchor_value``/``anchor_grad`` are the objective's value and gradient at
     the anchor (the model's gradient equals ``anchor_grad`` there, exactly) and
     ``grad_norm`` is ``||anchor_grad||``. ``minimizer`` is the model's exact
-    minimizer and ``step_norm`` its distance ``||minimizer - anchor||``.
+    minimizer and ``step_norm`` its distance ``||minimizer - anchor||``. The
+    anchor itself is not kept: the caller built the model there.
     """
 
-    anchor: np.ndarray
     anchor_value: float
     anchor_grad: np.ndarray
     grad_norm: float
@@ -111,7 +112,7 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
 
     if spec.kind == "proximal_linear":
         # f(y) + g'(x - y) + (C/2)||x - y||^2
-        return SurrogateAt(y, f_y, g_y, gn, y - g_y / modulus, gn / modulus)
+        return SurrogateAt(f_y, g_y, gn, y - g_y / modulus, gn / modulus)
 
     # quadratic_split: keep the PSD part of the local Hessian, add modulus * I.
     # The model Hessian is V diag(curv) V^T on eigh's eigenpairs (V, lambda).
@@ -123,7 +124,7 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
     curv = np.maximum(eigvals, 0.0) + modulus
     x_hat = y - eigvecs @ ((eigvecs.T @ g_y) / curv)
     step = x_hat - y
-    return SurrogateAt(y, f_y, g_y, gn, x_hat, math.sqrt(step @ step))
+    return SurrogateAt(f_y, g_y, gn, x_hat, math.sqrt(step @ step))
 
 
 _EXACT = InnerReport(iterations=0)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scaopt import certify
+from scaopt import certify, cli
 from scaopt.cli import (
     ConfigError,
     ExperimentConfig,
@@ -45,6 +45,23 @@ class TestParseConfig:
 
     def test_no_flags_give_the_config_defaults(self):
         assert parse_config([]) == ExperimentConfig()
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(strong_convexity=math.nan), "strong_convexity must be positive (got nan)"),
+            (dict(jitter=math.nan), "jitter must be nonnegative (got nan)"),
+            (dict(delta_u=math.nan), "delta_u must be positive (got nan)"),
+            (dict(delta_u=0.0), "delta_u must be positive (got 0.0)"),
+            (dict(x0=(math.nan, 0.0)), "x0 must be finite"),
+            (dict(x0=(0.0, 2.5)), "x0 lies outside the objective's valid region"),
+        ],
+        ids=["strong-convexity-nan", "jitter-nan", "delta-u-nan", "delta-u-zero", "x0-nan",
+             "x0-outside"],
+    )
+    def test_range_rules_reject_nan_and_bad_starts(self, settings, message):
+        cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="sca", **settings)
+        assert validate_config(cfg) == [message]
 
     def test_all_violations_reported(self):
         cfg = ExperimentConfig(problem="nope", algo="wat", eps=-1.0, delta=3.0, c=2.0)
@@ -165,6 +182,19 @@ class TestSweep:
         assert sum(agg["terminations"].values()) == agg["seeds"]
         assert agg["terminations"] == {"returned_xtilde": 3}
         assert json.loads(path.read_text())["terminations"] == agg["terminations"]
+
+    def test_validates_once_per_seed(self, tmp_path, monkeypatch):
+        configs = []
+
+        def counted(cfg):
+            configs.append(cfg.seed)
+            return validate_config(cfg)
+
+        monkeypatch.setattr(cli, "validate_config", counted)
+        cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", seed=4, seeds=3,
+                               max_iters=20, out_dir=str(tmp_path))
+        sweep_experiment(cfg)
+        assert configs == [4, 5, 6]
 
     def test_requires_seeds(self, tmp_path):
         cfg = ExperimentConfig(problem="saddle_quartic:d=2", out_dir=str(tmp_path))
@@ -351,10 +381,41 @@ class TestMainEntry:
              "config error: eta does not apply to psca/pgd"),
             (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--algo", "psca", "--eta", "0.5"],
              "scaling error: eta does not apply to psca/pgd"),
+            (["run", "--problem", "saddle_quartic:d=2", "--algo", "psca", "--delta-u", "-1"],
+             "config error: delta_u must be positive (got -1.0)"),
+            (["sweep", "--seeds", "2", "--problem", "saddle_quartic:d=2", "--delta-u", "-1"],
+             "config error: delta_u must be positive (got -1.0)"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "saddle_quartic:d=2",
+              "--delta-u", "-1"],
+             "scaling error: delta_u must be positive (got -1.0)"),
+            (["run", "--problem", "rosenbrock:d=4", "--algo", "sca", "--strong-convexity", "nan",
+              "--jitter", "0.1"],
+             "config error: strong_convexity must be positive (got nan)"),
+            (["run", "--problem", "rosenbrock:d=4", "--algo", "sca", "--jitter", "nan"],
+             "config error: jitter must be nonnegative (got nan)"),
+            (["run", "--problem", "saddle_quartic:d=2", "--delta-u", "nan"],
+             "config error: delta_u must be positive (got nan)"),
+            (["run", "--problem", "saddle_quartic:d=2", "--x0", "5,5"],
+             "config error: x0 lies outside the objective's valid region"),
+            (["sweep", "--seeds", "2", "--problem", "saddle_quartic:d=2", "--x0", "5,5"],
+             "config error: x0 lies outside the objective's valid region"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "saddle_quartic:d=2",
+              "--x0", "5,5"],
+             "scaling error: x0 lies outside the objective's valid region"),
+            (["run", "--problem", "saddle_quartic:d=2", "--x0", "nan,0"],
+             "config error: x0 must be finite"),
+            (["sweep", "--seeds", "2", "--problem", "saddle_quartic:d=2", "--x0", "nan,0"],
+             "config error: x0 must be finite"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "saddle_quartic:d=2",
+              "--x0", "nan,0"],
+             "scaling error: x0 must be finite"),
         ],
         ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0",
              "scaling-eps", "scaling-record-eigen-every", "run-pgd-surrogate", "sweep-gd-surrogate",
-             "scaling-gd-strong-convexity", "run-psca-eta", "sweep-pgd-eta", "scaling-psca-eta"],
+             "scaling-gd-strong-convexity", "run-psca-eta", "sweep-pgd-eta", "scaling-psca-eta",
+             "run-delta-u", "sweep-delta-u", "scaling-delta-u", "run-strong-convexity-nan",
+             "run-jitter-nan", "run-delta-u-nan", "run-x0-outside", "sweep-x0-outside",
+             "scaling-x0-outside", "run-x0-nan", "sweep-x0-nan", "scaling-x0-nan"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))
@@ -362,6 +423,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_files_end_in_one_newline_and_load_back(self, tmp_path, capsys):
+        common = ["--problem", "saddle_quartic:d=2", "--algo", "psca", "--out-dir", str(tmp_path)]
+        assert main(["run", *common, "--max-iters", "50", "--label", "one"]) == 0
+        assert main(["sweep", *common, "--max-iters", "50", "--seeds", "2", "--label", "many"]) == 0
+        assert main(["scaling", *common, "--eps-list", "1e-1,3e-2,1e-2", "--seeds", "2",
+                     "--label", "study"]) == 0
+        for name in ("one.json", "many_aggregate.json", "study.json"):
+            text = (tmp_path / name).read_text()
+            assert text.endswith("}\n") and not text.endswith("\n\n"), name
+            assert isinstance(json.loads(text), dict), name
 
 
 def test_run_flags_are_the_config_fields():

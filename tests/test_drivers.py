@@ -65,6 +65,17 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             drv.derive_params(0.01, 0.1, 1.5, 0.5, 1.0, quartic10.objective)
 
+    @pytest.mark.parametrize("delta_u", [0.0, -1.0, math.nan])
+    def test_delta_u_must_be_positive(self, quartic10, delta_u):
+        with pytest.raises(ValueError, match="delta_u must be positive"):
+            drv.derive_params(0.01, 0.1, 1.0, 0.5, delta_u, quartic10.objective)
+
+    @pytest.mark.parametrize("name", ["eps", "delta_u", "chi", "eta", "r", "g_th", "f_th"])
+    def test_params_reject_nan(self, quartic10, name):
+        params = drv.derive_params(0.01, 0.1, 1.0, 0.5, 1.0, quartic10.objective)
+        with pytest.raises(ValueError):
+            dataclasses.replace(params, **{name: math.nan})
+
     def test_zero_hessian_lipschitz_rejected(self):
         obj = make_quadratic(np.eye(2)).objective
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from scaopt import problems
 from scaopt.numerics import RngStream
 from scaopt.problems import (
+    Objective,
     Smoothness,
     get_problem,
     make_matrix_factorization,
@@ -175,11 +176,35 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_problem("rosenbrock:q=3")
 
+    @pytest.mark.parametrize("item", ["d=abc", "d=2.5", "d", "=3"])
+    def test_parameters_are_integers(self, item):
+        spec = f"saddle_quartic:{item}"
+        with pytest.raises(ValueError) as excinfo:
+            get_problem(spec)
+        assert str(excinfo.value) == f"bad problem parameter '{item}' in '{spec}'"
+
     def test_instances_stay_consistent(self):
         # known points were verified at build time; spot-check one invariant here
         inst = get_problem("quadratic:d=4")
         p, f = inst.known_minima[0]
         assert abs(inst.objective.value(p) - f) <= 1e-12
+
+
+class TestRegion:
+    @staticmethod
+    def objective(order):
+        return Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.zeros(2),
+                         hvp=lambda x, v: np.zeros(2), constants=Smoothness(1.0, 1.0),
+                         region_radius=1.0, region_norm=order)
+
+    @pytest.mark.parametrize("order", [1, 3, -np.inf, 0.5])
+    def test_orders_other_than_2_and_inf_are_rejected(self, order):
+        with pytest.raises(ValueError, match="region_norm must be 2 or inf"):
+            self.objective(order)
+
+    @pytest.mark.parametrize("order", [2, 2.0, np.inf])
+    def test_orders_2_and_inf_are_accepted(self, order):
+        assert self.objective(order).in_region(np.array([0.8, 0.8])) == (order == np.inf)
 
 
 class TestKnownPoints:

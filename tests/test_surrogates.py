@@ -52,8 +52,9 @@ class TestSpecValidation:
             SurrogateSpec(kind="cubic")
 
     def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            SurrogateSpec(strong_convexity=0.0)
+        for modulus in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="strong_convexity must be positive"):
+                SurrogateSpec(strong_convexity=modulus)
 
     def test_tol_resolution(self):
         assert monitor_slack(0.5) == 1e-10
