@@ -116,6 +116,8 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
         errs.append(f"unknown surrogate '{cfg.surrogate}'")
     if not cfg.strong_convexity > 0:
         errs.append(f"strong_convexity must be positive (got {cfg.strong_convexity})")
+    elif math.isinf(cfg.strong_convexity):
+        errs.append(f"strong_convexity must be finite (got {cfg.strong_convexity})")
     gradient_model = (cfg.surrogate, cfg.strong_convexity) == ("proximal_linear", 1.0)
     if cfg.algo in ("gd", "pgd") and not gradient_model:
         errs.append(f"surrogate '{cfg.surrogate}' with strong_convexity {cfg.strong_convexity} "
@@ -130,8 +132,13 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
         errs.append(f"window_variant must be 'proof' or 'algorithm' (got '{cfg.window_variant}')")
     if not cfg.jitter >= 0:
         errs.append(f"jitter must be nonnegative (got {cfg.jitter})")
-    if cfg.delta_u is not None and not cfg.delta_u > 0:
-        errs.append(f"delta_u must be positive (got {cfg.delta_u})")
+    elif math.isinf(cfg.jitter):
+        errs.append(f"jitter must be finite (got {cfg.jitter})")
+    if cfg.delta_u is not None:
+        if not cfg.delta_u > 0:
+            errs.append(f"delta_u must be positive (got {cfg.delta_u})")
+        elif math.isinf(cfg.delta_u):
+            errs.append(f"delta_u must be finite (got {cfg.delta_u})")
     if obj is None:
         if not cfg.eps > 0:
             errs.append(f"eps must satisfy 0 < eps <= L1^2/L2 (got {cfg.eps})")

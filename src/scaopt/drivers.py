@@ -245,8 +245,8 @@ def derive_params(
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    if not delta_u > 0:
-        raise ValueError(f"delta_u must be positive, got {delta_u}")
+    if not 0 < delta_u < math.inf:
+        raise ValueError(f"delta_u must be positive and finite, got {delta_u}")
     if window_variant not in ("proof", "algorithm"):
         raise ValueError(f"unknown window_variant '{window_variant}'")
     eps_max = lip_grad**2 / lip_hess

@@ -9,6 +9,7 @@ instance is handed out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -47,11 +48,11 @@ class Smoothness:
     value_lipschitz: float | None = None
 
     def __post_init__(self):
-        if self.grad_lipschitz <= 0:
+        if not self.grad_lipschitz > 0:
             raise ValueError("grad_lipschitz must be positive")
-        if self.hessian_lipschitz < 0:
+        if not self.hessian_lipschitz >= 0:
             raise ValueError("hessian_lipschitz must be nonnegative")
-        if self.value_lipschitz is not None and self.value_lipschitz <= 0:
+        if self.value_lipschitz is not None and not self.value_lipschitz > 0:
             raise ValueError("value_lipschitz must be positive when declared")
 
 
@@ -78,7 +79,7 @@ class Objective:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.region_radius <= 0:
+        if not self.region_radius > 0:
             raise ValueError("region_radius must be positive")
         if self.region_norm not in (2, math.inf):
             raise ValueError(f"region_norm must be 2 or inf, got {self.region_norm}")
@@ -389,8 +390,17 @@ def make_rosenbrock(dim: int) -> ProblemInstance:
         return out
 
     def dense_hessian(x):
+        # the bits of np.diag(diag) + np.diag(off, 1) + np.diag(off, -1); that sum
+        # adds +0.0 to every entry, which turns a -0.0 in off into +0.0 (diag
+        # holds no -0.0: each entry is a sum ending in a nonzero term)
         diag, off = _diag_offdiag(x)
-        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        off = off + 0.0
+        h = np.zeros((dim, dim))
+        flat = h.reshape(-1)
+        flat[:: dim + 1] = diag
+        flat[1 :: dim + 1] = off
+        flat[dim :: dim + 1] = off
+        return h
 
     obj = Objective(
         dim=dim,
@@ -458,11 +468,15 @@ def registry_names() -> tuple[str, ...]:
     return tuple(sorted(REGISTRY))
 
 
+@functools.lru_cache(maxsize=16)
 def get_problem(spec: str) -> ProblemInstance:
     """Resolve a problem spec string like ``"saddle_quartic:d=10"``.
 
     Parameters after the colon are comma-separated ``key=value`` pairs with
-    integer values.
+    integer values. The last 16 specs resolved are kept: asking for one again
+    returns the same instance, whose ``canonical_start`` and known points are
+    read-only, so no caller can change what the next one gets. A bad spec
+    raises on every call.
     """
     name, _, rest = spec.partition(":")
     if name not in REGISTRY:
@@ -478,9 +492,13 @@ def get_problem(spec: str) -> ProblemInstance:
             except ValueError:
                 raise ValueError(f"bad problem parameter '{item}' in '{spec}'") from None
     try:
-        return REGISTRY[name](**kwargs)
+        inst = REGISTRY[name](**kwargs)
     except TypeError as exc:
         raise ValueError(f"bad parameters for problem '{name}': {exc}") from exc
+    points = (inst.canonical_start, *inst.known_saddles, *(p for p, _ in inst.known_minima))
+    for p in points:
+        p.flags.writeable = False
+    return inst
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ carries; the anchor itself stays with the caller. Two families are built in,
 both minimized in closed form: a proximal-linear model (minimizer ``y - g/C``,
 the gradient step when the modulus is 1) and a curvature-aware model built
 from the positive part of the dense Hessian, whose minimizer is read off the
-Hessian's eigendecomposition. A ``custom`` builder supplies all of these
+Hessian's eigendecomposition. That decomposition follows the Hessian's band
+structure: elementwise for a diagonal Hessian (the quartic's), the
+tridiagonal eigensolver for a tridiagonal one (chained Rosenbrock's), dense
+``np.linalg.eigh`` otherwise. A ``custom`` builder supplies all of these
 fields itself.
 """
 
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from scaopt.numerics import as_vector
 from scaopt.problems import Objective
@@ -115,16 +119,53 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
         return SurrogateAt(f_y, g_y, gn, y - g_y / modulus, gn / modulus)
 
     # quadratic_split: keep the PSD part of the local Hessian, add modulus * I.
-    # The model Hessian is V diag(curv) V^T on eigh's eigenpairs (V, lambda).
     if obj.dense_hessian is None:
         raise UnsupportedSurrogateError(
             "quadratic_split needs an objective with a dense Hessian"
         )
-    eigvals, eigvecs = np.linalg.eigh(obj.dense_hessian(y))
-    curv = np.maximum(eigvals, 0.0) + modulus
-    x_hat = y - eigvecs @ ((eigvecs.T @ g_y) / curv)
+    h = np.asarray(obj.dense_hessian(y), dtype=np.float64)
+    if h.shape != (y.size, y.size):
+        raise ValueError(f"dense Hessian has shape {h.shape}, expected {(y.size, y.size)}")
+    x_hat = y - _split_model_solve(h, g_y, modulus)
     step = x_hat - y
     return SurrogateAt(f_y, g_y, gn, x_hat, math.sqrt(step @ step))
+
+
+def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarray:
+    """``(H_+ + C I)^{-1} g``, with ``H`` the symmetric matrix of ``h``'s lower triangle.
+
+    ``H_+`` is ``H`` with its negative eigenvalues set to 0. On eigenpairs
+    ``(V, lambda)`` of ``H`` the solve is ``V ((V' g) / (max(lambda, 0) + C))``.
+    ``np.linalg.eigh`` reads only the lower triangle, so the band is read off
+    it too, and the decomposition takes the cheapest path that band allows:
+
+    * diagonal: ``eigh`` returns a signed permutation for ``V``, so the solve
+      is elementwise, ``g / (max(h_ii, 0) + C)``, and has the bits of the
+      ``eigh`` formula; ``+ 0.0`` turns a ``-0.0`` entry into the ``+0.0`` that
+      the formula's matrix products, summed from ``+0.0``, give;
+    * tridiagonal: ``scipy.linalg.eigh_tridiagonal`` on the two bands;
+    * anything else, or a band holding NaN or inf: dense ``np.linalg.eigh``.
+    """
+    diag, sub = h.diagonal(), h.diagonal(-1)
+    if _below_subdiagonal(h) or not (np.isfinite(diag).all() and np.isfinite(sub).all()):
+        eigvals, eigvecs = np.linalg.eigh(h)
+    elif not sub.any():
+        return g / (np.maximum(diag, 0.0) + modulus) + 0.0
+    else:
+        eigvals, eigvecs = eigh_tridiagonal(diag, sub)
+    return eigvecs @ ((eigvecs.T @ g) / (np.maximum(eigvals, 0.0) + modulus))
+
+
+def _below_subdiagonal(h: np.ndarray) -> bool:
+    """Whether the lower triangle of the square ``h`` has a nonzero entry below its subdiagonal.
+
+    One count of nonzero bit patterns over the whole matrix, without a copy,
+    clears a banded matrix; only a matrix with some entry off its three
+    central diagonals (above or below them) pays for the exact test.
+    """
+    bits = h.view(np.uint64)
+    band = sum(np.count_nonzero(bits.diagonal(k)) for k in (-1, 0, 1))
+    return np.count_nonzero(bits) > band and bool(np.tril(h, -2).any())
 
 
 _EXACT = InnerReport(iterations=0)

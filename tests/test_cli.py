@@ -53,11 +53,14 @@ class TestParseConfig:
             (dict(jitter=math.nan), "jitter must be nonnegative (got nan)"),
             (dict(delta_u=math.nan), "delta_u must be positive (got nan)"),
             (dict(delta_u=0.0), "delta_u must be positive (got 0.0)"),
+            (dict(strong_convexity=math.inf), "strong_convexity must be finite (got inf)"),
+            (dict(jitter=math.inf), "jitter must be finite (got inf)"),
+            (dict(delta_u=math.inf), "delta_u must be finite (got inf)"),
             (dict(x0=(math.nan, 0.0)), "x0 must be finite"),
             (dict(x0=(0.0, 2.5)), "x0 lies outside the objective's valid region"),
         ],
-        ids=["strong-convexity-nan", "jitter-nan", "delta-u-nan", "delta-u-zero", "x0-nan",
-             "x0-outside"],
+        ids=["strong-convexity-nan", "jitter-nan", "delta-u-nan", "delta-u-zero",
+             "strong-convexity-inf", "jitter-inf", "delta-u-inf", "x0-nan", "x0-outside"],
     )
     def test_range_rules_reject_nan_and_bad_starts(self, settings, message):
         cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="sca", **settings)
@@ -395,6 +398,17 @@ class TestMainEntry:
              "config error: jitter must be nonnegative (got nan)"),
             (["run", "--problem", "saddle_quartic:d=2", "--delta-u", "nan"],
              "config error: delta_u must be positive (got nan)"),
+            (["run", "--problem", "saddle_quartic:d=2", "--delta-u", "inf"],
+             "config error: delta_u must be finite (got inf)"),
+            (["sweep", "--seeds", "2", "--problem", "saddle_quartic:d=2", "--delta-u", "inf"],
+             "config error: delta_u must be finite (got inf)"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "saddle_quartic:d=2",
+              "--delta-u", "inf"],
+             "scaling error: delta_u must be finite (got inf)"),
+            (["run", "--problem", "rosenbrock:d=4", "--algo", "sca", "--jitter", "inf"],
+             "config error: jitter must be finite (got inf)"),
+            (["run", "--problem", "rosenbrock:d=4", "--algo", "sca", "--strong-convexity", "inf"],
+             "config error: strong_convexity must be finite (got inf)"),
             (["run", "--problem", "saddle_quartic:d=2", "--x0", "5,5"],
              "config error: x0 lies outside the objective's valid region"),
             (["sweep", "--seeds", "2", "--problem", "saddle_quartic:d=2", "--x0", "5,5"],
@@ -414,7 +428,8 @@ class TestMainEntry:
              "scaling-eps", "scaling-record-eigen-every", "run-pgd-surrogate", "sweep-gd-surrogate",
              "scaling-gd-strong-convexity", "run-psca-eta", "sweep-pgd-eta", "scaling-psca-eta",
              "run-delta-u", "sweep-delta-u", "scaling-delta-u", "run-strong-convexity-nan",
-             "run-jitter-nan", "run-delta-u-nan", "run-x0-outside", "sweep-x0-outside",
+             "run-jitter-nan", "run-delta-u-nan", "run-delta-u-inf", "sweep-delta-u-inf",
+             "scaling-delta-u-inf", "run-jitter-inf", "run-strong-convexity-inf", "run-x0-outside", "sweep-x0-outside",
              "scaling-x0-outside", "run-x0-nan", "sweep-x0-nan", "scaling-x0-nan"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):

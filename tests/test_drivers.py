@@ -65,9 +65,9 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             drv.derive_params(0.01, 0.1, 1.5, 0.5, 1.0, quartic10.objective)
 
-    @pytest.mark.parametrize("delta_u", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("delta_u", [0.0, -1.0, math.nan, math.inf])
     def test_delta_u_must_be_positive(self, quartic10, delta_u):
-        with pytest.raises(ValueError, match="delta_u must be positive"):
+        with pytest.raises(ValueError, match="delta_u must be positive and finite"):
             drv.derive_params(0.01, 0.1, 1.0, 0.5, delta_u, quartic10.objective)
 
     @pytest.mark.parametrize("name", ["eps", "delta_u", "chi", "eta", "r", "g_th", "f_th"])

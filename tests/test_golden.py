@@ -4,9 +4,10 @@ Each case runs ``run_experiment`` with a small iteration budget and compares
 the SHA-256 of the trajectory CSV (and, where recorded, of the eigen sidecar)
 with the value recorded for it. The matrix covers every algorithm on an exact
 saddle, jittered starts, a run that exhausts its budget, a region exit, a
-problem without a dense-Hessian shortcut, the curvature-aware surrogate and
-the eigen sidecar. A hash may change only with a deliberate change of the
-file format or of a trajectory, named in a comment next to the new value.
+problem without a dense-Hessian shortcut, the curvature-aware surrogate on a
+diagonal and on a tridiagonal Hessian, and the eigen sidecar. A hash may change
+only with a deliberate change of the file format or of a trajectory, named in a
+comment next to the new value.
 """
 
 import hashlib
@@ -31,6 +32,10 @@ CASES = {
 }
 CASES["quartic_jitter-quadratic_split-psca-seed0"] = dict(
     problem="saddle_quartic:d=10", algo="psca", surrogate="quadratic_split", max_iters=300,
+    jitter=0.1,
+)
+CASES["rosenbrock_jitter-quadratic_split-psca-seed0"] = dict(
+    problem="rosenbrock:d=10", algo="psca", surrogate="quadratic_split", max_iters=300,
     jitter=0.1,
 )
 CASES["quartic-psca-seed0-eigen100"] = dict(
@@ -98,6 +103,10 @@ GOLDEN = {
     "rosenbrock_jitter-psca-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
     "rosenbrock_jitter-psca-seed1": "da30b201d0496975f9f0eaf458da07dbc3f729bacf595279c498c47a25456305",
+    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
+    # the tridiagonal Hessian's eigenpairs come from scipy's eigh_tridiagonal; dense eigh
+    # wrote 78e099bf...: f and grad_norm equal, step_norm within 3.1e-15 relative
+    "rosenbrock_jitter-quadratic_split-psca-seed0": "104041ed2eab8dc3f85df429525743864e53a677486c30d46a091e1dea07560a",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
     "rosenbrock_jitter-sca-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scaopt import problems
 from scaopt.numerics import RngStream
@@ -153,6 +157,26 @@ class TestRosenbrock:
         v = stream.standard_normal(obj.dim)
         assert np.allclose(obj.hvp(x, v), obj.dense_hessian(x) @ v, atol=1e-9)
 
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40),
+           st.lists(st.sampled_from([0.0, -0.0]), max_size=40))
+    def test_dense_hessian_has_the_bits_of_the_diag_sum(self, coords, zeros):
+        """The in-place fill equals the sum of three ``np.diag`` matrices byte for byte.
+
+        ``zeros`` overwrites the leading coordinates with signed zeros, so the
+        off band holds both ``+0.0`` and ``-0.0`` before the sum's ``+ 0.0``.
+        """
+        x = np.array(coords)
+        x[: len(zeros)] = zeros[: x.size]
+        obj = make_rosenbrock(x.size).objective
+        with np.errstate(over="ignore", invalid="ignore"):
+            off = -400.0 * x[:-1]
+            diag = np.full_like(x, 200.0)
+            diag[0] = 0.0
+            diag[:-1] += 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
+            expected = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            got = obj.dense_hessian(x)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestRegistry:
     def test_names(self):
@@ -183,6 +207,26 @@ class TestRegistry:
             get_problem(spec)
         assert str(excinfo.value) == f"bad problem parameter '{item}' in '{spec}'"
 
+    def test_a_spec_is_built_once(self):
+        assert get_problem("matrix_factorization:d=5,r=2") is get_problem(
+            "matrix_factorization:d=5,r=2"
+        )
+
+    @pytest.mark.parametrize("spec", ["saddle_quartic:d=3", "quadratic:d=2", "rosenbrock:d=3"])
+    def test_shared_points_are_read_only(self, spec):
+        inst = get_problem(spec)
+        points = [inst.canonical_start, *inst.known_saddles, *(p for p, _ in inst.known_minima)]
+        for p in points:
+            with pytest.raises(ValueError, match="read-only"):
+                p[0] = 5.0
+        assert get_problem(spec).canonical_start.tolist() == inst.canonical_start.tolist()
+
+    @pytest.mark.parametrize("spec", ["banana", "rosenbrock:q=3", "saddle_quartic:d=1"])
+    def test_a_bad_spec_raises_every_time(self, spec):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                get_problem(spec)
+
     def test_instances_stay_consistent(self):
         # known points were verified at build time; spot-check one invariant here
         inst = get_problem("quadratic:d=4")
@@ -205,6 +249,20 @@ class TestRegion:
     @pytest.mark.parametrize("order", [2, 2.0, np.inf])
     def test_orders_2_and_inf_are_accepted(self, order):
         assert self.objective(order).in_region(np.array([0.8, 0.8])) == (order == np.inf)
+
+
+class TestDeclaredConstants:
+    @pytest.mark.parametrize("constants", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
+                                           (1.0, 1.0, math.nan)])
+    def test_nan_constants_are_rejected(self, constants):
+        with pytest.raises(ValueError, match="must be"):
+            Smoothness(*constants)
+
+    def test_nan_region_radius_is_rejected(self):
+        with pytest.raises(ValueError, match="region_radius must be positive"):
+            Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.zeros(2),
+                      hvp=lambda x, v: np.zeros(2), constants=Smoothness(1.0, 1.0),
+                      region_radius=math.nan)
 
 
 class TestKnownPoints:

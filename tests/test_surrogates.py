@@ -1,13 +1,22 @@
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from scaopt.drivers import monitor_slack
 from scaopt.numerics import RngStream
-from scaopt.problems import make_quadratic, make_saddle_quartic
+from scaopt.problems import (
+    Objective,
+    Smoothness,
+    get_problem,
+    make_quadratic,
+    make_rosenbrock,
+    make_saddle_quartic,
+)
 from scaopt.surrogates import (
     SurrogateSpec,
     UnsupportedSurrogateError,
@@ -152,6 +161,134 @@ class TestQuadraticSplit:
         obj = dataclasses.replace(half_norm_sq(), dense_hessian=None)
         with pytest.raises(UnsupportedSurrogateError):
             build_surrogate(obj, np.zeros(2), SurrogateSpec(kind="quadratic_split"))
+
+
+def eigh_formula(obj, y, modulus):
+    """The ``quadratic_split`` minimizer and step norm as dense ``eigh`` gives them."""
+    g = obj.gradient(y)
+    w, v = np.linalg.eigh(obj.dense_hessian(y))
+    x_hat = y - v @ ((v.T @ g) / (np.maximum(w, 0.0) + modulus))
+    step = x_hat - y
+    return x_hat, math.sqrt(step @ step)
+
+
+def split_model(obj, y, modulus, dense_allowed=True):
+    """``build_surrogate``'s ``quadratic_split`` model; fails on a dense ``eigh`` unless allowed."""
+    spec = SurrogateSpec(kind="quadratic_split", strong_convexity=modulus)
+    if dense_allowed:
+        return build_surrogate(obj, y, spec)
+    with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("dense eigh called")):
+        return build_surrogate(obj, y, spec)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def fixed_hessian(h, g):
+    """An objective whose gradient is ``g`` and whose dense Hessian oracle returns ``h`` as is."""
+    return Objective(dim=g.size, value=lambda x: 0.0, gradient=lambda x: g.copy(),
+                     hvp=lambda x, v: h @ v, constants=Smoothness(1.0, 1.0),
+                     dense_hessian=lambda x: h.copy())
+
+
+MODULI = st.floats(0.01, 100.0)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def signed_zeros_or(floats):
+    """``floats`` with ``+0.0`` and ``-0.0`` drawn often: the diagonal path must keep their bits."""
+    return st.one_of(st.sampled_from([0.0, -0.0]), floats)
+
+
+class TestBandedHessians:
+    """``quadratic_split`` takes the diagonal, tridiagonal or dense path its Hessian's band allows."""
+
+    @given(st.lists(signed_zeros_or(st.floats(-2.0, 2.0)), min_size=2, max_size=100), MODULI)
+    def test_diagonal_quartic_has_the_eigh_bits(self, coords, modulus):
+        y = np.array(coords)
+        obj = make_saddle_quartic(y.size).objective
+        x_hat, step_norm = eigh_formula(obj, y, modulus)
+        surr = split_model(obj, y, modulus, dense_allowed=False)
+        assert bits(surr.minimizer) == bits(x_hat)
+        assert bits(surr.step_norm) == bits(step_norm)
+
+    @given(st.lists(st.tuples(signed_zeros_or(st.floats(-10.0, 10.0)),
+                              signed_zeros_or(st.floats(-1e3, 1e3))), min_size=2, max_size=50),
+           MODULI)
+    def test_diagonal_indefinite_quadratic_has_the_eigh_bits(self, pairs, modulus):
+        h, y = (np.array(v) for v in zip(*pairs))
+        assume(h.any())
+        obj = make_quadratic(np.diag(h)).objective
+        x_hat, step_norm = eigh_formula(obj, y, modulus)
+        surr = split_model(obj, y, modulus, dense_allowed=False)
+        assert bits(surr.minimizer) == bits(x_hat)
+        assert bits(surr.step_norm) == bits(step_norm)
+
+    @given(st.integers(2, 300), SEEDS, MODULI)
+    def test_tridiagonal_rosenbrock_agrees_with_eigh(self, dim, seed, modulus):
+        obj = make_rosenbrock(dim).objective
+        y = sample_in_region(obj, RngStream(seed))
+        x_hat, step_norm = eigh_formula(obj, y, modulus)
+        surr = split_model(obj, y, modulus, dense_allowed=False)
+        assert np.linalg.norm(surr.minimizer - x_hat) <= 1e-12 * step_norm
+        assert abs(surr.step_norm - step_norm) <= 1e-12 * step_norm
+
+    @given(SEEDS, MODULI)
+    def test_matrix_factorization_keeps_the_eigh_bits(self, seed, modulus):
+        obj = get_problem("matrix_factorization:d=6,r=2").objective
+        y = sample_in_region(obj, RngStream(seed))
+        x_hat, step_norm = eigh_formula(obj, y, modulus)
+        surr = split_model(obj, y, modulus)
+        assert bits(surr.minimizer) == bits(x_hat)
+        assert bits(surr.step_norm) == bits(step_norm)
+
+    @given(st.integers(3, 40), SEEDS, MODULI, st.booleans())
+    def test_dense_quadratic_keeps_the_eigh_bits(self, dim, seed, modulus, one_entry_off_band):
+        """A full matrix, or a tridiagonal one with a single entry further below the diagonal."""
+        gen = np.random.default_rng(seed)
+        a = gen.standard_normal((dim, dim))
+        h = a + a.T
+        if one_entry_off_band:
+            i = int(gen.integers(2, dim))
+            j = int(gen.integers(0, i - 1))
+            h = np.triu(np.tril(h, 1), -1)
+            h[i, j] = h[j, i] = 1.0
+        obj = make_quadratic(h).objective
+        y = gen.standard_normal(dim)
+        x_hat, step_norm = eigh_formula(obj, y, modulus)
+        surr = split_model(obj, y, modulus)
+        assert bits(surr.minimizer) == bits(x_hat)
+        assert bits(surr.step_norm) == bits(step_norm)
+
+    @given(st.integers(2, 40), SEEDS, MODULI, st.booleans())
+    def test_entries_above_the_diagonal_are_ignored(self, dim, seed, modulus, tridiagonal):
+        """Like ``eigh``, the band is read from the lower triangle: a full upper one changes nothing."""
+        gen = np.random.default_rng(seed)
+        h = np.triu(gen.standard_normal((dim, dim)), 1)
+        h += np.diag(gen.standard_normal(dim))
+        if tridiagonal:
+            h += np.diag(gen.standard_normal(dim - 1), -1)
+        obj = fixed_hessian(h, gen.standard_normal(dim))
+        y = gen.standard_normal(dim)
+        x_hat, step_norm = eigh_formula(obj, y, modulus)
+        surr = split_model(obj, y, modulus, dense_allowed=False)
+        if tridiagonal:
+            assert np.linalg.norm(surr.minimizer - x_hat) <= 1e-12 * step_norm
+        else:
+            assert bits(surr.minimizer) == bits(x_hat)
+            assert bits(surr.step_norm) == bits(step_norm)
+
+    def test_a_non_finite_band_takes_the_dense_path(self):
+        h = np.diag([1.0, np.nan, 2.0]) + np.diag([0.5, 0.5], -1)
+        obj = fixed_hessian(h, np.ones(3))
+        with pytest.raises(AssertionError, match="dense eigh called"):
+            split_model(obj, np.zeros(3), 1.0, dense_allowed=False)
+
+    def test_hessian_of_the_wrong_shape_is_refused(self):
+        obj = fixed_hessian(np.eye(3), np.ones(2))
+        with pytest.raises(ValueError, match=r"dense Hessian has shape \(3, 3\), expected \(2, 2\)"):
+            split_model(obj, np.zeros(2), 1.0)
 
 
 class TestCustomKind:
