@@ -185,6 +185,21 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
+def assert_matches_eigh(obj, y, modulus, *, dense_allowed=True, rel_tol=None):
+    """The model's minimizer and step norm against :func:`eigh_formula`.
+
+    Bit for bit, or within ``rel_tol`` times the step norm when it is given.
+    """
+    x_hat, step_norm = eigh_formula(obj, y, modulus)
+    surr = split_model(obj, y, modulus, dense_allowed)
+    if rel_tol is None:
+        assert bits(surr.minimizer) == bits(x_hat)
+        assert bits(surr.step_norm) == bits(step_norm)
+    else:
+        assert np.linalg.norm(surr.minimizer - x_hat) <= rel_tol * step_norm
+        assert abs(surr.step_norm - step_norm) <= rel_tol * step_norm
+
+
 def fixed_hessian(h, g):
     """An objective whose gradient is ``g`` and whose dense Hessian oracle returns ``h`` as is."""
     return Objective(dim=g.size, value=lambda x: 0.0, gradient=lambda x: g.copy(),
@@ -207,11 +222,7 @@ class TestBandedHessians:
     @given(st.lists(signed_zeros_or(st.floats(-2.0, 2.0)), min_size=2, max_size=100), MODULI)
     def test_diagonal_quartic_has_the_eigh_bits(self, coords, modulus):
         y = np.array(coords)
-        obj = make_saddle_quartic(y.size).objective
-        x_hat, step_norm = eigh_formula(obj, y, modulus)
-        surr = split_model(obj, y, modulus, dense_allowed=False)
-        assert bits(surr.minimizer) == bits(x_hat)
-        assert bits(surr.step_norm) == bits(step_norm)
+        assert_matches_eigh(make_saddle_quartic(y.size).objective, y, modulus, dense_allowed=False)
 
     @given(st.lists(st.tuples(signed_zeros_or(st.floats(-10.0, 10.0)),
                               signed_zeros_or(st.floats(-1e3, 1e3))), min_size=2, max_size=50),
@@ -219,29 +230,18 @@ class TestBandedHessians:
     def test_diagonal_indefinite_quadratic_has_the_eigh_bits(self, pairs, modulus):
         h, y = (np.array(v) for v in zip(*pairs))
         assume(h.any())
-        obj = make_quadratic(np.diag(h)).objective
-        x_hat, step_norm = eigh_formula(obj, y, modulus)
-        surr = split_model(obj, y, modulus, dense_allowed=False)
-        assert bits(surr.minimizer) == bits(x_hat)
-        assert bits(surr.step_norm) == bits(step_norm)
+        assert_matches_eigh(make_quadratic(np.diag(h)).objective, y, modulus, dense_allowed=False)
 
     @given(st.integers(2, 300), SEEDS, MODULI)
     def test_tridiagonal_rosenbrock_agrees_with_eigh(self, dim, seed, modulus):
         obj = make_rosenbrock(dim).objective
         y = sample_in_region(obj, RngStream(seed))
-        x_hat, step_norm = eigh_formula(obj, y, modulus)
-        surr = split_model(obj, y, modulus, dense_allowed=False)
-        assert np.linalg.norm(surr.minimizer - x_hat) <= 1e-12 * step_norm
-        assert abs(surr.step_norm - step_norm) <= 1e-12 * step_norm
+        assert_matches_eigh(obj, y, modulus, dense_allowed=False, rel_tol=1e-12)
 
     @given(SEEDS, MODULI)
     def test_matrix_factorization_keeps_the_eigh_bits(self, seed, modulus):
         obj = get_problem("matrix_factorization:d=6,r=2").objective
-        y = sample_in_region(obj, RngStream(seed))
-        x_hat, step_norm = eigh_formula(obj, y, modulus)
-        surr = split_model(obj, y, modulus)
-        assert bits(surr.minimizer) == bits(x_hat)
-        assert bits(surr.step_norm) == bits(step_norm)
+        assert_matches_eigh(obj, sample_in_region(obj, RngStream(seed)), modulus)
 
     @given(st.integers(3, 40), SEEDS, MODULI, st.booleans())
     def test_dense_quadratic_keeps_the_eigh_bits(self, dim, seed, modulus, one_entry_off_band):
@@ -254,12 +254,7 @@ class TestBandedHessians:
             j = int(gen.integers(0, i - 1))
             h = np.triu(np.tril(h, 1), -1)
             h[i, j] = h[j, i] = 1.0
-        obj = make_quadratic(h).objective
-        y = gen.standard_normal(dim)
-        x_hat, step_norm = eigh_formula(obj, y, modulus)
-        surr = split_model(obj, y, modulus)
-        assert bits(surr.minimizer) == bits(x_hat)
-        assert bits(surr.step_norm) == bits(step_norm)
+        assert_matches_eigh(make_quadratic(h).objective, gen.standard_normal(dim), modulus)
 
     @given(st.integers(2, 40), SEEDS, MODULI, st.booleans())
     def test_entries_above_the_diagonal_are_ignored(self, dim, seed, modulus, tridiagonal):
@@ -270,14 +265,8 @@ class TestBandedHessians:
         if tridiagonal:
             h += np.diag(gen.standard_normal(dim - 1), -1)
         obj = fixed_hessian(h, gen.standard_normal(dim))
-        y = gen.standard_normal(dim)
-        x_hat, step_norm = eigh_formula(obj, y, modulus)
-        surr = split_model(obj, y, modulus, dense_allowed=False)
-        if tridiagonal:
-            assert np.linalg.norm(surr.minimizer - x_hat) <= 1e-12 * step_norm
-        else:
-            assert bits(surr.minimizer) == bits(x_hat)
-            assert bits(surr.step_norm) == bits(step_norm)
+        assert_matches_eigh(obj, gen.standard_normal(dim), modulus, dense_allowed=False,
+                            rel_tol=1e-12 if tridiagonal else None)
 
     def test_a_non_finite_band_takes_the_dense_path(self):
         h = np.diag([1.0, np.nan, 2.0]) + np.diag([0.5, 0.5], -1)
