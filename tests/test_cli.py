@@ -429,8 +429,9 @@ class TestMainEntry:
              "scaling-gd-strong-convexity", "run-psca-eta", "sweep-pgd-eta", "scaling-psca-eta",
              "run-delta-u", "sweep-delta-u", "scaling-delta-u", "run-strong-convexity-nan",
              "run-jitter-nan", "run-delta-u-nan", "run-delta-u-inf", "sweep-delta-u-inf",
-             "scaling-delta-u-inf", "run-jitter-inf", "run-strong-convexity-inf", "run-x0-outside", "sweep-x0-outside",
-             "scaling-x0-outside", "run-x0-nan", "sweep-x0-nan", "scaling-x0-nan"],
+             "scaling-delta-u-inf", "run-jitter-inf", "run-strong-convexity-inf", "run-x0-outside",
+             "sweep-x0-outside", "scaling-x0-outside", "run-x0-nan", "sweep-x0-nan",
+             "scaling-x0-nan"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))

@@ -217,7 +217,10 @@ def signed_zeros_or(floats):
 
 
 class TestBandedHessians:
-    """``quadratic_split`` takes the diagonal, tridiagonal or dense path its Hessian's band allows."""
+    """``quadratic_split`` takes the diagonal, tridiagonal or dense path its Hessian's band allows.
+
+    A path that must not be dense runs with ``np.linalg.eigh`` patched to fail.
+    """
 
     @given(st.lists(signed_zeros_or(st.floats(-2.0, 2.0)), min_size=2, max_size=100), MODULI)
     def test_diagonal_quartic_has_the_eigh_bits(self, coords, modulus):
@@ -258,7 +261,7 @@ class TestBandedHessians:
 
     @given(st.integers(2, 40), SEEDS, MODULI, st.booleans())
     def test_entries_above_the_diagonal_are_ignored(self, dim, seed, modulus, tridiagonal):
-        """Like ``eigh``, the band is read from the lower triangle: a full upper one changes nothing."""
+        """Like ``eigh``, the band is read from the lower triangle; the upper one is ignored."""
         gen = np.random.default_rng(seed)
         h = np.triu(gen.standard_normal((dim, dim)), 1)
         h += np.diag(gen.standard_normal(dim))
@@ -276,7 +279,8 @@ class TestBandedHessians:
 
     def test_hessian_of_the_wrong_shape_is_refused(self):
         obj = fixed_hessian(np.eye(3), np.ones(2))
-        with pytest.raises(ValueError, match=r"dense Hessian has shape \(3, 3\), expected \(2, 2\)"):
+        shapes = r"dense Hessian has shape \(3, 3\), expected \(2, 2\)"
+        with pytest.raises(ValueError, match=shapes):
             split_model(obj, np.zeros(2), 1.0)
 
 
