@@ -8,11 +8,10 @@ carries; the anchor itself stays with the caller. Two families are built in,
 both minimized in closed form: a proximal-linear model (minimizer ``y - g/C``,
 the gradient step when the modulus is 1) and a curvature-aware model built
 from the positive part of the dense Hessian, whose minimizer is read off the
-Hessian's eigendecomposition. That decomposition follows the Hessian's band
-structure: elementwise for a diagonal Hessian (the quartic's), the
-tridiagonal eigensolver for a tridiagonal one (chained Rosenbrock's), dense
-``np.linalg.eigh`` otherwise. A ``custom`` builder supplies all of these
-fields itself.
+Hessian's eigendecomposition: the tridiagonal eigensolver when the Hessian is
+tridiagonal (chained Rosenbrock's, or the quartic's diagonal one), dense
+``np.linalg.eigh`` otherwise. A ``custom`` builder supplies all of these fields
+itself.
 """
 
 from __future__ import annotations
@@ -137,35 +136,16 @@ def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarr
     ``H_+`` is ``H`` with its negative eigenvalues set to 0. On eigenpairs
     ``(V, lambda)`` of ``H`` the solve is ``V ((V' g) / (max(lambda, 0) + C))``.
     ``np.linalg.eigh`` reads only the lower triangle, so the band is read off
-    it too, and the decomposition takes the cheapest path that band allows:
-
-    * diagonal: ``eigh`` returns a signed permutation for ``V``, so the solve
-      is elementwise, ``g / (max(h_ii, 0) + C)``, and has the bits of the
-      ``eigh`` formula; ``+ 0.0`` turns a ``-0.0`` entry into the ``+0.0`` that
-      the formula's matrix products, summed from ``+0.0``, give;
-    * tridiagonal: ``scipy.linalg.eigh_tridiagonal`` on the two bands;
-    * anything else, or a band holding NaN or inf: dense ``np.linalg.eigh``.
+    it too: a tridiagonal ``H`` (a diagonal one included) goes through
+    ``scipy.linalg.eigh_tridiagonal`` on its two bands; anything else, or a
+    band holding NaN or inf, through dense ``np.linalg.eigh``.
     """
     diag, sub = h.diagonal(), h.diagonal(-1)
-    if _below_subdiagonal(h) or not (np.isfinite(diag).all() and np.isfinite(sub).all()):
+    if np.tril(h, -2).any() or not (np.isfinite(diag).all() and np.isfinite(sub).all()):
         eigvals, eigvecs = np.linalg.eigh(h)
-    elif not sub.any():
-        return g / (np.maximum(diag, 0.0) + modulus) + 0.0
     else:
         eigvals, eigvecs = eigh_tridiagonal(diag, sub)
     return eigvecs @ ((eigvecs.T @ g) / (np.maximum(eigvals, 0.0) + modulus))
-
-
-def _below_subdiagonal(h: np.ndarray) -> bool:
-    """Whether the lower triangle of the square ``h`` has a nonzero entry below its subdiagonal.
-
-    One count of nonzero bit patterns over the whole matrix, without a copy,
-    clears a banded matrix; only a matrix with some entry off its three
-    central diagonals (above or below them) pays for the exact test.
-    """
-    bits = h.view(np.uint64)
-    band = sum(np.count_nonzero(bits.diagonal(k)) for k in (-1, 0, 1))
-    return np.count_nonzero(bits) > band and bool(np.tril(h, -2).any())
 
 
 _EXACT = InnerReport(iterations=0)

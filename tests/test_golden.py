@@ -103,7 +103,6 @@ GOLDEN = {
     "rosenbrock_jitter-psca-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
     "rosenbrock_jitter-psca-seed1": "da30b201d0496975f9f0eaf458da07dbc3f729bacf595279c498c47a25456305",
-    # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
     # the tridiagonal Hessian's eigenpairs come from scipy's eigh_tridiagonal; dense eigh
     # wrote 78e099bf...: f and grad_norm equal, step_norm within 3.1e-15 relative
     "rosenbrock_jitter-quadratic_split-psca-seed0": "104041ed2eab8dc3f85df429525743864e53a677486c30d46a091e1dea07560a",

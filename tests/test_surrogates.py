@@ -212,14 +212,17 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 def signed_zeros_or(floats):
-    """``floats`` with ``+0.0`` and ``-0.0`` drawn often: the diagonal path must keep their bits."""
+    """``floats`` with ``+0.0`` and ``-0.0`` drawn often: a diagonal Hessian must keep their bits."""
     return st.one_of(st.sampled_from([0.0, -0.0]), floats)
 
 
 class TestBandedHessians:
-    """``quadratic_split`` takes the diagonal, tridiagonal or dense path its Hessian's band allows.
+    """``quadratic_split`` takes the tridiagonal path when its Hessian's band allows, else dense.
 
-    A path that must not be dense runs with ``np.linalg.eigh`` patched to fail.
+    A run that must not be dense runs with ``np.linalg.eigh`` patched to fail. A
+    diagonal Hessian is tridiagonal with a zero subdiagonal; there the
+    tridiagonal solver returns exact signed unit eigenvectors, so the minimizer
+    keeps the bits of dense ``eigh`` (and the quartic golden hashes hold).
     """
 
     @given(st.lists(signed_zeros_or(st.floats(-2.0, 2.0)), min_size=2, max_size=100), MODULI)
