@@ -274,33 +274,43 @@ def _resolve_start(cfg: ExperimentConfig, prob: problems.ProblemInstance) -> np.
     return x0
 
 
-def _execute(cfg: ExperimentConfig, obj: problems.Objective, x0: np.ndarray,
-             stop_grad_norm: float | None = None):
-    """Run ``cfg.algo`` from ``x0``; returns (result, params-or-None).
+def _perturbed_params(cfg: ExperimentConfig, obj: problems.Objective,
+                      x0: np.ndarray) -> drivers.PscaParams | None:
+    """The psca/pgd parameters derived from ``cfg`` for a run from ``x0`` (None for sca/gd).
 
-    sca/gd stop at ``grad_norm <= cfg.eps``; psca/pgd derive their parameters
-    from the config and stop at ``stop_grad_norm`` when it is given.
+    Raises ConfigError when they cannot be derived.
+    """
+    if cfg.algo in ("sca", "gd"):
+        return None
+    delta_u = cfg.delta_u if cfg.delta_u is not None else float(obj.value(x0)) - obj.f_star
+    try:
+        return drivers.derive_params(cfg.eps, cfg.delta, cfg.c, cfg.s, delta_u, obj,
+                                     cfg.max_iters, cfg.window_variant)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
+
+
+def _execute(cfg: ExperimentConfig, obj: problems.Objective, x0: np.ndarray,
+             params: drivers.PscaParams | None, stop_grad_norm: float | None = None):
+    """Run ``cfg.algo`` from ``x0``; returns the driver's result.
+
+    sca/gd stop at ``grad_norm <= cfg.eps``; psca/pgd run on ``params`` (from
+    :func:`_perturbed_params`) and stop at ``stop_grad_norm`` when it is given.
     """
     spec = SurrogateSpec(kind=cfg.surrogate, strong_convexity=cfg.strong_convexity)
     eta = cfg.eta if cfg.eta is not None else min(1.0, cfg.c / obj.constants.grad_lipschitz)
     keep = cfg.record_eigen_every
     if cfg.algo == "sca":
         return drivers.run_sca(obj, spec, eta, cfg.eps, cfg.max_iters, x0,
-                               keep_iterates_every=keep), None
+                               keep_iterates_every=keep)
     if cfg.algo == "gd":
-        return drivers.run_gd(obj, eta, cfg.eps, cfg.max_iters, x0,
-                              keep_iterates_every=keep), None
-    delta_u = cfg.delta_u if cfg.delta_u is not None else float(obj.value(x0)) - obj.f_star
-    params = drivers.derive_params(cfg.eps, cfg.delta, cfg.c, cfg.s, delta_u, obj,
-                                   cfg.max_iters, cfg.window_variant)
+        return drivers.run_gd(obj, eta, cfg.eps, cfg.max_iters, x0, keep_iterates_every=keep)
     rng = RngStream(cfg.seed)
     if cfg.algo == "psca":
-        result = drivers.run_psca(obj, spec, params, x0, rng, keep_iterates_every=keep,
-                                  stop_grad_norm=stop_grad_norm)
-    else:
-        result = drivers.run_pgd(obj, params, x0, rng, keep_iterates_every=keep,
-                                 stop_grad_norm=stop_grad_norm)
-    return result, params
+        return drivers.run_psca(obj, spec, params, x0, rng, keep_iterates_every=keep,
+                                stop_grad_norm=stop_grad_norm)
+    return drivers.run_pgd(obj, params, x0, rng, keep_iterates_every=keep,
+                           stop_grad_norm=stop_grad_norm)
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -316,6 +326,7 @@ def run_experiment(cfg: ExperimentConfig):
     prob = problems.get_problem(cfg.problem)
     obj = prob.objective
     x0 = _resolve_start(cfg, prob)
+    params = _perturbed_params(cfg, obj, x0)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,7 +334,7 @@ def run_experiment(cfg: ExperimentConfig):
 
     started = time.perf_counter()
     try:
-        result, params = _execute(cfg, obj, x0)
+        result = _execute(cfg, obj, x0, params)
     except Exception as exc:
         partial = {
             "config": _as_jsonable(dataclasses.asdict(cfg)),
@@ -515,7 +526,8 @@ def _scaling(cfg: ExperimentConfig, prob: problems.ProblemInstance,
     passages: list[list[Optional[int]]] = [[] for _ in eps_arr]
     for k in range(cfg.seeds):
         run = dataclasses.replace(cfg, seed=cfg.seed + k)
-        result, _ = _execute(run, obj, _resolve_start(run, prob), stop_grad_norm=cfg.eps)
+        x0 = _resolve_start(run, prob)
+        result = _execute(run, obj, x0, _perturbed_params(run, obj, x0), stop_grad_norm=cfg.eps)
         for j, eps in enumerate(eps_arr):
             hit = next((rec.t for rec in result.records if rec.grad_norm <= eps), None)
             passages[j].append(hit)

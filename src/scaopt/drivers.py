@@ -229,9 +229,11 @@ def derive_params(
     """Derive the perturbed driver's configuration from the user inputs.
 
     All quantities follow the step-1 formulas exactly; violated preconditions
-    raise instead of clamping. ``window_variant="proof"`` (default) sets the
-    window length to ``ceil((chi/c^2) L1 / sqrt(L2 eps))``; ``"algorithm"``
-    multiplies in the extra ``(1 - s)`` factor of the alternative statement.
+    raise instead of clamping, and so do inputs so extreme that ``chi``,
+    ``f_th`` or the window is not a finite positive float.
+    ``window_variant="proof"`` (default) sets the window length to
+    ``ceil((chi/c^2) L1 / sqrt(L2 eps))``; ``"algorithm"`` multiplies in the
+    extra ``(1 - s)`` factor of the alternative statement.
     """
     lip_grad = obj.constants.grad_lipschitz
     lip_hess = obj.constants.hessian_lipschitz
@@ -255,14 +257,23 @@ def derive_params(
             f"eps must satisfy 0 < eps <= L1^2/L2 = {eps_max:.6g}, got {eps}"
         )
 
-    chi = 3.0 * max(math.log(obj.dim * lip_grad * delta_u / (c * eps**2 * delta)), 4.0)
-    eta = c / lip_grad
-    g_th = eps * math.sqrt(c) / chi**2
-    r = eps * math.sqrt(c) / (lip_grad * chi**2)
-    f_th = (c / chi**3) * math.sqrt(eps**3 / lip_hess)
-    window = (chi / c**2) * lip_grad / math.sqrt(lip_hess * eps)
-    if window_variant == "algorithm":
-        window *= 1.0 - s
+    try:
+        chi = 3.0 * max(math.log(obj.dim * lip_grad * delta_u / (c * eps**2 * delta)), 4.0)
+        eta = c / lip_grad
+        g_th = eps * math.sqrt(c) / chi**2
+        r = eps * math.sqrt(c) / (lip_grad * chi**2)
+        f_th = (c / chi**3) * math.sqrt(eps**3 / lip_hess)
+        window = (chi / c**2) * lip_grad / math.sqrt(lip_hess * eps)
+        if window_variant == "algorithm":
+            window *= 1.0 - s
+        in_range = all(0 < v < math.inf for v in (chi, f_th, window))
+    except (ArithmeticError, ValueError):  # a divisor or the log's argument underflowed to 0
+        in_range = False
+    if not in_range:
+        raise ValueError(
+            f"eps={eps:g}, c={c:g} and delta_u={delta_u:g} put the derived thresholds out of "
+            "floating-point range: chi, f_th and the window must be finite and positive"
+        )
     t_th = max(1, math.ceil(window))
     return PscaParams(
         eps=eps,

@@ -7,11 +7,13 @@ and the norm of the step to it, so that is what a :class:`SurrogateAt`
 carries; the anchor itself stays with the caller. Two families are built in,
 both minimized in closed form: a proximal-linear model (minimizer ``y - g/C``,
 the gradient step when the modulus is 1) and a curvature-aware model built
-from the positive part of the dense Hessian, whose minimizer is read off the
-Hessian's eigendecomposition: the tridiagonal eigensolver when the Hessian is
-tridiagonal (chained Rosenbrock's, or the quartic's diagonal one), dense
-``np.linalg.eigh`` otherwise. A ``custom`` builder supplies all of these fields
-itself.
+from the positive part of the dense Hessian. That model's minimizer is found
+factor first: a tridiagonal Hessian with a nonzero subdiagonal (chained
+Rosenbrock's) that a banded Cholesky factorization shows positive definite is
+its own positive part, so the step is one banded solve; an indefinite,
+singular or diagonal one (the quartic's) goes through the tridiagonal
+eigensolver, and any other Hessian through dense ``np.linalg.eigh``. A
+``custom`` builder supplies all of these fields itself.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, cholesky_banded, eigh_tridiagonal, solveh_banded
 
 from scaopt.numerics import as_vector
 from scaopt.problems import Objective
@@ -136,14 +138,33 @@ def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarr
     ``H_+`` is ``H`` with its negative eigenvalues set to 0. On eigenpairs
     ``(V, lambda)`` of ``H`` the solve is ``V ((V' g) / (max(lambda, 0) + C))``.
     ``np.linalg.eigh`` reads only the lower triangle, so the band is read off
-    it too: a tridiagonal ``H`` (a diagonal one included) goes through
-    ``scipy.linalg.eigh_tridiagonal`` on its two bands; anything else, or a
-    band holding NaN or inf, through dense ``np.linalg.eigh``.
+    it too, and the cheapest exact route is taken:
+
+    - a tridiagonal ``H`` with a nonzero subdiagonal is first factored by
+      ``scipy.linalg.cholesky_banded``; when that succeeds ``H`` is positive
+      definite, ``H_+ = H``, and the solve is ``solveh_banded(H + C I, g)``
+      on the two bands, O(d);
+    - when the factorization fails (``H`` is indefinite or singular), or the
+      subdiagonal is zero (a diagonal ``H``, whose eigenvectors are exact
+      signed unit vectors, so the minimizer keeps the bits of dense ``eigh``),
+      the eigenpairs come from ``scipy.linalg.eigh_tridiagonal``;
+    - anything else, or a band holding NaN or inf, goes through dense
+      ``np.linalg.eigh``.
     """
     diag, sub = h.diagonal(), h.diagonal(-1)
     if np.tril(h, -2).any() or not (np.isfinite(diag).all() and np.isfinite(sub).all()):
         eigvals, eigvecs = np.linalg.eigh(h)
     else:
+        if sub.any():
+            band = np.zeros((2, diag.size))
+            band[0] = diag
+            band[1, :-1] = sub
+            try:
+                cholesky_banded(band, lower=True, check_finite=False)
+                band[0] += modulus
+                return solveh_banded(band, g, lower=True, check_finite=False)
+            except LinAlgError:
+                pass
         eigvals, eigvecs = eigh_tridiagonal(diag, sub)
     return eigvecs @ ((eigvecs.T @ g) / (np.maximum(eigvals, 0.0) + modulus))
 

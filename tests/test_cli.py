@@ -423,6 +423,19 @@ class TestMainEntry:
             (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "saddle_quartic:d=2",
               "--x0", "nan,0"],
              "scaling error: x0 must be finite"),
+            (["run", "--problem", "saddle_quartic:d=2", "--eps", "1e-170"],
+             "config error: eps=1e-170, c=1 and delta_u=0.25 put the derived thresholds out of "
+             "floating-point range: chi, f_th and the window must be finite and positive"),
+            (["run", "--problem", "saddle_quartic:d=2", "--delta-u", "1e308"],
+             "config error: eps=0.01, c=1 and delta_u=1e+308 put the derived thresholds out of "
+             "floating-point range"),
+            (["sweep", "--seeds", "2", "--problem", "saddle_quartic:d=2", "--delta-u", "1e308"],
+             "config error: eps=0.01, c=1 and delta_u=1e+308 put the derived thresholds out of "
+             "floating-point range"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "saddle_quartic:d=2",
+              "--delta-u", "1e308"],
+             "scaling error: eps=0.01, c=1 and delta_u=1e+308 put the derived thresholds out of "
+             "floating-point range"),
         ],
         ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0",
              "scaling-eps", "scaling-record-eigen-every", "run-pgd-surrogate", "sweep-gd-surrogate",
@@ -431,7 +444,8 @@ class TestMainEntry:
              "run-jitter-nan", "run-delta-u-nan", "run-delta-u-inf", "sweep-delta-u-inf",
              "scaling-delta-u-inf", "run-jitter-inf", "run-strong-convexity-inf", "run-x0-outside",
              "sweep-x0-outside", "scaling-x0-outside", "run-x0-nan", "sweep-x0-nan",
-             "scaling-x0-nan"],
+             "scaling-x0-nan", "run-eps-underflow", "run-delta-u-overflow",
+             "sweep-delta-u-overflow", "scaling-delta-u-overflow"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))

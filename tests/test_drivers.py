@@ -70,6 +70,14 @@ class TestDeriveParams:
         with pytest.raises(ValueError, match="delta_u must be positive and finite"):
             drv.derive_params(0.01, 0.1, 1.0, 0.5, delta_u, quartic10.objective)
 
+    @pytest.mark.parametrize("eps, c, delta_u", [(1e-170, 1.0, 1.0), (1e-120, 1.0, 1.0),
+                                                 (0.01, 1e-170, 1.0), (0.01, 1.0, 1e308)],
+                             ids=["eps-squared-underflows", "f_th-underflows",
+                                  "c-squared-underflows", "chi-overflows"])
+    def test_thresholds_out_of_float_range_rejected(self, quartic10, eps, c, delta_u):
+        with pytest.raises(ValueError, match="put the derived thresholds out of floating-point"):
+            drv.derive_params(eps, 0.1, c, 0.5, delta_u, quartic10.objective)
+
     @pytest.mark.parametrize("name", ["eps", "delta_u", "chi", "eta", "r", "g_th", "f_th"])
     def test_params_reject_nan(self, quartic10, name):
         params = drv.derive_params(0.01, 0.1, 1.0, 0.5, 1.0, quartic10.objective)

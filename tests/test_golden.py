@@ -5,7 +5,8 @@ the SHA-256 of the trajectory CSV (and, where recorded, of the eigen sidecar)
 with the value recorded for it. The matrix covers every algorithm on an exact
 saddle, jittered starts, a run that exhausts its budget, a region exit, a
 problem without a dense-Hessian shortcut, the curvature-aware surrogate on a
-diagonal and on a tridiagonal Hessian, and the eigen sidecar. A hash may change
+diagonal Hessian and on tridiagonal ones that are indefinite (eigensolver path)
+and positive definite (Cholesky path) at every anchor, and the eigen sidecar. A hash may change
 only with a deliberate change of the file format or of a trajectory, named in a
 comment next to the new value.
 """
@@ -37,6 +38,9 @@ CASES["quartic_jitter-quadratic_split-psca-seed0"] = dict(
 CASES["rosenbrock_jitter-quadratic_split-psca-seed0"] = dict(
     problem="rosenbrock:d=10", algo="psca", surrogate="quadratic_split", max_iters=300,
     jitter=0.1,
+)
+CASES["rosenbrock-quadratic_split-psca-seed0"] = dict(
+    problem="rosenbrock:d=10", algo="psca", surrogate="quadratic_split", max_iters=300,
 )
 CASES["quartic-psca-seed0-eigen100"] = dict(
     problem="saddle_quartic:d=10", algo="psca", max_iters=3000, record_eigen_every=100,
@@ -95,6 +99,9 @@ GOLDEN = {
     "quartic_jitter-sca-seed0": "0eaf4b4002f37318a123c3c3ae569d53649b868d712817b856ed77343e9f5f61",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
     "quartic_jitter-sca-seed1": "e73d6312761ce7a0e4cafa232c21bb3b7b036e93a0b5ff429390cabf93fa24aa",
+    # the Hessian is positive definite at every anchor, so each step is a banded Cholesky
+    # solve; the eigensolver path wrote f99ea496...: every coordinate within 2.3e-16 relative
+    "rosenbrock-quadratic_split-psca-seed0": "deea60a8794752e826abaa7034ff8ebf12a0e779a55cbb1fd6acddd33328ca20",
     "rosenbrock_jitter-gd-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
     "rosenbrock_jitter-gd-seed1": "16e377eae25de7e78498512a19f542617fce98d0d52cfc73bde334e3a4f36688",
     "rosenbrock_jitter-pgd-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from unittest import mock
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+from scaopt import surrogates
 from scaopt.drivers import monitor_slack
 from scaopt.numerics import RngStream
 from scaopt.problems import (
@@ -172,12 +175,19 @@ def eigh_formula(obj, y, modulus):
     return x_hat, math.sqrt(step @ step)
 
 
-def split_model(obj, y, modulus, dense_allowed=True):
-    """``build_surrogate``'s ``quadratic_split`` model; fails on a dense ``eigh`` unless allowed."""
+def split_model(obj, y, modulus, dense_allowed=True, forbidden=()):
+    """``build_surrogate``'s ``quadratic_split`` model; fails on a dense ``eigh`` unless allowed.
+
+    It also fails on a call of any solver of ``scaopt.surrogates`` named in ``forbidden``.
+    """
     spec = SurrogateSpec(kind="quadratic_split", strong_convexity=modulus)
-    if dense_allowed:
-        return build_surrogate(obj, y, spec)
-    with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("dense eigh called")):
+    with contextlib.ExitStack() as patches:
+        if not dense_allowed:
+            patches.enter_context(mock.patch.object(
+                np.linalg, "eigh", side_effect=AssertionError("dense eigh called")))
+        for name in forbidden:
+            patches.enter_context(mock.patch.object(
+                surrogates, name, side_effect=AssertionError(f"{name} called")))
         return build_surrogate(obj, y, spec)
 
 
@@ -185,13 +195,13 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
-def assert_matches_eigh(obj, y, modulus, *, dense_allowed=True, rel_tol=None):
+def assert_matches_eigh(obj, y, modulus, *, dense_allowed=True, rel_tol=None, forbidden=()):
     """The model's minimizer and step norm against :func:`eigh_formula`.
 
     Bit for bit, or within ``rel_tol`` times the step norm when it is given.
     """
     x_hat, step_norm = eigh_formula(obj, y, modulus)
-    surr = split_model(obj, y, modulus, dense_allowed)
+    surr = split_model(obj, y, modulus, dense_allowed, forbidden)
     if rel_tol is None:
         assert bits(surr.minimizer) == bits(x_hat)
         assert bits(surr.step_norm) == bits(step_norm)
@@ -222,7 +232,10 @@ class TestBandedHessians:
     A run that must not be dense runs with ``np.linalg.eigh`` patched to fail. A
     diagonal Hessian is tridiagonal with a zero subdiagonal; there the
     tridiagonal solver returns exact signed unit eigenvectors, so the minimizer
-    keeps the bits of dense ``eigh`` (and the quartic golden hashes hold).
+    keeps the bits of dense ``eigh`` (and the quartic golden hashes hold). A
+    tridiagonal Hessian with a nonzero subdiagonal is factored first: when the
+    banded Cholesky factorization succeeds, the step is one banded solve and
+    no eigensolver runs; when it fails, the tridiagonal eigensolver runs instead.
     """
 
     @given(st.lists(signed_zeros_or(st.floats(-2.0, 2.0)), min_size=2, max_size=100), MODULI)
@@ -285,6 +298,63 @@ class TestBandedHessians:
         shapes = r"dense Hessian has shape \(3, 3\), expected \(2, 2\)"
         with pytest.raises(ValueError, match=shapes):
             split_model(obj, np.zeros(2), 1.0)
+
+    @given(st.integers(2, 300), SEEDS, MODULI)
+    def test_positive_definite_band_needs_no_eigensolver(self, dim, seed, modulus):
+        """A strictly diagonally dominant band with a positive diagonal is positive definite."""
+        gen = np.random.default_rng(seed)
+        sub = gen.uniform(-1.0, 1.0, dim - 1)
+        assume(sub.any())
+        reach = np.abs(np.concatenate(([0.0], sub))) + np.abs(np.concatenate((sub, [0.0])))
+        h = np.diag(reach + gen.uniform(0.01, 10.0, dim)) + np.diag(sub, -1) + np.diag(sub, 1)
+        assert_matches_eigh(fixed_hessian(h, gen.standard_normal(dim)), gen.standard_normal(dim),
+                            modulus, dense_allowed=False, rel_tol=1e-12,
+                            forbidden=("eigh_tridiagonal",))
+
+    @given(st.integers(2, 300), MODULI)
+    def test_rosenbrock_canonical_start_needs_no_eigensolver(self, dim, modulus):
+        prob = make_rosenbrock(dim)
+        assert_matches_eigh(prob.objective, prob.canonical_start, modulus, dense_allowed=False,
+                            rel_tol=1e-12, forbidden=("eigh_tridiagonal",))
+
+    @given(st.integers(2, 300), SEEDS, MODULI)
+    def test_indefinite_band_keeps_the_eigensolver_bits(self, dim, seed, modulus):
+        """A negative diagonal entry makes the band indefinite: the Cholesky attempt fails.
+
+        The minimizer then has the bits of the ``eigh_tridiagonal`` formula, and no
+        banded solve runs.
+        """
+        gen = np.random.default_rng(seed)
+        diag, sub = gen.uniform(-1.0, 10.0, dim), gen.uniform(-3.0, 3.0, dim - 1)
+        assume(sub.any())
+        diag[gen.integers(dim)] = -gen.uniform(0.01, 10.0)
+        h = np.diag(diag) + np.diag(sub, -1) + np.diag(sub, 1)
+        g, y = gen.standard_normal(dim), gen.standard_normal(dim)
+        w, v = eigh_tridiagonal(diag, sub)
+        x_hat = y - v @ ((v.T @ g) / (np.maximum(w, 0.0) + modulus))
+        surr = split_model(fixed_hessian(h, g), y, modulus, dense_allowed=False,
+                           forbidden=("solveh_banded",))
+        assert bits(surr.minimizer) == bits(x_hat)
+        step = x_hat - y
+        assert bits(surr.step_norm) == bits(math.sqrt(step @ step))
+
+    @given(st.lists(st.tuples(st.integers(1, 10), st.sampled_from([-1, 1])), min_size=1,
+                    max_size=100),
+           SEEDS, MODULI)
+    def test_singular_semidefinite_band_agrees_with_eigh(self, edges, seed, modulus):
+        """A weighted path-graph Laplacian, edge signs drawn: PSD with lambda_min exactly 0.
+
+        Its entries are small integers, so the matrix is exactly singular. The
+        Cholesky attempt may succeed or fail in rounding; either path agrees with
+        the eigen formula.
+        """
+        weight, sign = (np.array(v, dtype=np.float64) for v in zip(*edges))
+        diag = np.concatenate((weight, [0.0])) + np.concatenate(([0.0], weight))
+        h = np.diag(diag) + np.diag(sign * weight, -1) + np.diag(sign * weight, 1)
+        gen = np.random.default_rng(seed)
+        assert_matches_eigh(fixed_hessian(h, gen.standard_normal(diag.size)),
+                            gen.standard_normal(diag.size), modulus, dense_allowed=False,
+                            rel_tol=1e-12)
 
 
 class TestCustomKind:

@@ -1,0 +1,57 @@
+"""The benchmark tracer still finds every scaopt attribute it wraps.
+
+``perfbench/tracer.py`` replaces public functions of scaopt from outside the
+package, by module attribute. A rename in ``src/`` would break the benchmark
+without failing a test; this module makes it fail here. It imports the tracer
+from its file, runs one short ``quadratic_split`` run inside
+``Tracer().installed()``, and checks that every wrapped attribute exists, is
+restored afterwards, and that the traced run writes the bytes of an untraced one.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from scaopt import certify, cli, drivers, problems
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# every module attribute Tracer.installed() replaces
+PATCHED = {
+    cli: ("sweep_experiment", "run_experiment", "scaling_study", "validate_config",
+          "write_trajectory_csv", "sample_uniform_ball"),
+    problems: ("get_problem",),
+    drivers: ("build_surrogate", "minimize_surrogate", "sample_uniform_ball",
+              "run_sca", "run_psca", "run_gd", "run_pgd"),
+    certify: ("min_eigenvalue", "certify_run"),
+}
+
+RUN = dict(problem="rosenbrock:d=12", algo="psca", surrogate="quadratic_split", max_iters=5,
+           record_eigen_every=2, label="run")
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_writes_the_untraced_bytes(tmp_path):
+    tracer = load_tracer().Tracer()
+    originals = {(mod, name): getattr(mod, name) for mod, names in PATCHED.items() for name in names}
+    plain_csv, _ = cli.run_experiment(cli.ExperimentConfig(out_dir=str(tmp_path / "plain"), **RUN))
+
+    with tracer.installed():
+        for (mod, name), fn in originals.items():
+            assert getattr(mod, name) is not fn, f"{mod.__name__}.{name} is not traced"
+        traced_csv, _ = cli.run_experiment(
+            cli.ExperimentConfig(out_dir=str(tmp_path / "traced"), **RUN))
+
+    for (mod, name), fn in originals.items():
+        assert getattr(mod, name) is fn, f"{mod.__name__}.{name} was not restored"
+    assert traced_csv.read_bytes() == plain_csv.read_bytes()
+    plain_eigen, traced_eigen = (csv.with_suffix(".eigen.csv") for csv in (plain_csv, traced_csv))
+    assert traced_eigen.read_bytes() == plain_eigen.read_bytes()
+    assert {"cli.run_experiment", "cli.validate_config", "cli.write_trajectory_csv",
+            "problems.get_problem", "problems.dense_hessian", "drivers.run", "surrogates.build",
+            "surrogates.minimize", "certify.min_eigenvalue", "certify.certify_run"} <= tracer.fired()
