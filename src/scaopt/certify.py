@@ -130,8 +130,8 @@ def min_eigenvalue(
     lip_grad = obj.constants.grad_lipschitz
     if tol is None:
         tol = 1e-8 * lip_grad
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
     if resolve_method(obj, method) == "dense":
         hess = obj.dense_hessian(x)

@@ -296,21 +296,16 @@ def _execute(cfg: ExperimentConfig, obj: problems.Objective, x0: np.ndarray,
 
     sca/gd stop at ``grad_norm <= cfg.eps``; psca/pgd run on ``params`` (from
     :func:`_perturbed_params`) and stop at ``stop_grad_norm`` when it is given.
+    gd and pgd run as sca and psca on the unit-modulus proximal model.
     """
     spec = SurrogateSpec(kind=cfg.surrogate, strong_convexity=cfg.strong_convexity)
-    eta = cfg.eta if cfg.eta is not None else min(1.0, cfg.c / obj.constants.grad_lipschitz)
     keep = cfg.record_eigen_every
-    if cfg.algo == "sca":
+    if params is None:
+        eta = cfg.eta if cfg.eta is not None else min(1.0, cfg.c / obj.constants.grad_lipschitz)
         return drivers.run_sca(obj, spec, eta, cfg.eps, cfg.max_iters, x0,
                                keep_iterates_every=keep)
-    if cfg.algo == "gd":
-        return drivers.run_gd(obj, eta, cfg.eps, cfg.max_iters, x0, keep_iterates_every=keep)
-    rng = RngStream(cfg.seed)
-    if cfg.algo == "psca":
-        return drivers.run_psca(obj, spec, params, x0, rng, keep_iterates_every=keep,
-                                stop_grad_norm=stop_grad_norm)
-    return drivers.run_pgd(obj, params, x0, rng, keep_iterates_every=keep,
-                           stop_grad_norm=stop_grad_norm)
+    return drivers.run_psca(obj, spec, params, x0, RngStream(cfg.seed), keep_iterates_every=keep,
+                            stop_grad_norm=stop_grad_norm)
 
 
 def run_experiment(cfg: ExperimentConfig):

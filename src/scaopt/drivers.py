@@ -4,8 +4,9 @@ All four drivers run one outer loop, configured by a step rule and a
 perturbation policy. Each iteration moves a fraction ``eta`` from ``x`` toward
 a point ``x_hat``:
 
-* step rule: ``x_hat`` minimizes the surrogate built at ``x`` (SCA, P-SCA), or
-  is the gradient step ``x - grad`` (GD, PGD);
+* step rule: ``x_hat`` minimizes the surrogate built at ``x``. GD and PGD are
+  SCA and P-SCA with the proximal model at unit modulus, whose minimizer is
+  the gradient step ``x - grad``;
 * perturbation policy: none (SCA, GD), or the perturbed protocol (P-SCA, PGD),
   which injects a uniform-ball perturbation whenever the gradient is small and
   enough iterations have passed since the last injection, and returns the
@@ -17,6 +18,9 @@ P-SCA and PGD stop at that threshold only when one is given. Every run records
 an inexact-gradient view of its steps (the error vector that rewrites the
 update as a gradient step) plus per-iteration descent, optimality, direction
 and error-bound monitors.
+
+Each anchor is checked once, where it is made (``x0`` on entry, every later
+point by :meth:`Objective.in_region`), so the loop builds its models unchecked.
 """
 
 from __future__ import annotations
@@ -28,14 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from scaopt.numerics import NonFiniteError, RngStream, as_vector, sample_uniform_ball
+from scaopt.numerics import NonFiniteError, RngStream, sample_uniform_ball
 from scaopt.problems import Objective
-from scaopt.surrogates import (
-    SurrogateSpec,
-    build_surrogate,
-    checked_gradient,
-    minimize_surrogate,
-)
+from scaopt.surrogates import SurrogateSpec, checked_anchor, checked_gradient, minimize_surrogate
+# Unchecked, under the name the tracer patches; renamed after ROADMAP item 1's benchmark stage.
+from scaopt.surrogates import _build as build_surrogate
 
 __all__ = [
     "HypothesisViolationError",
@@ -382,17 +383,12 @@ def _region_exit_message(obj: Objective, x) -> str:
     )
 
 
-def _evaluate(obj, spec, x, t, gradient_rule):
-    """``(surrogate at x or None for the gradient rule, f, grad, ||grad||)``."""
-    if gradient_rule:
-        surr, f, g = None, float(obj.value(x)), checked_gradient(obj, x)
-        gn = math.sqrt(g @ g)
-    else:
-        surr = build_surrogate(obj, x, spec)
-        f, g, gn = surr.anchor_value, surr.anchor_grad, surr.grad_norm
-    if not (math.isfinite(f) and math.isfinite(gn)):
+def _evaluate(obj, spec, x, t):
+    """The surrogate at the checked anchor ``x``; raises on a non-finite value or gradient."""
+    surr = build_surrogate(obj, x, spec)
+    if not (math.isfinite(surr.anchor_value) and math.isfinite(surr.grad_norm)):
         raise NonFiniteError(f"non-finite objective or gradient at iteration {t}")
-    return surr, f, g, gn
+    return surr
 
 
 def _value_and_grad_norm(obj, x):
@@ -402,14 +398,14 @@ def _value_and_grad_norm(obj, x):
     return f, math.sqrt(g @ g)
 
 
-def _step(obj, spec, surr, x, f, g, gn, eta, t, perturbed=False, counts=None):
+def _step(obj, spec, surr, x, eta, t, perturbed=False, counts=None):
     """The update ``x + eta (x_hat - x)`` and the trajectory row of the step.
 
-    ``x_hat`` and its step norm are the minimizer of ``surr`` and the norm the
-    model reports, or ``x - g`` and ``||g||`` when ``surr`` is None (the
-    gradient rule). Raises :class:`RegionExitError` when the update leaves the
-    valid region. With ``counts``, tallies the step's optimality, direction and
-    error-bound monitors.
+    ``x_hat`` is the minimizer of ``surr``, the model built at ``x`` (``x - g``
+    for GD and PGD), and the row takes the model's value and norms. Raises
+    :class:`RegionExitError` when the update leaves the valid region, so every
+    point returned is a checked anchor. With ``counts``, tallies the step's
+    optimality, direction and error-bound monitors.
 
     The difference ``d = x - x_hat`` is formed once: the update is computed as
     ``x - eta d``, the error vector of :func:`gradient_error` as ``d - g`` and
@@ -417,11 +413,8 @@ def _step(obj, spec, surr, x, f, g, gn, eta, t, perturbed=False, counts=None):
     ``x + eta (x_hat - x)`` except that a ``-0.0`` coordinate of ``x`` with a
     zero step there stays ``-0.0``.
     """
-    if surr is None:
-        x_hat, step_norm = x - g, gn
-    else:
-        x_hat, _ = minimize_surrogate(surr)
-        step_norm = surr.step_norm
+    x_hat, _ = minimize_surrogate(surr)
+    g, gn, step_norm = surr.anchor_grad, surr.grad_norm, surr.step_norm
     d = x - x_hat
     x_next = x - eta * d
     if not obj.in_region(x_next):
@@ -431,7 +424,7 @@ def _step(obj, spec, surr, x, f, g, gn, eta, t, perturbed=False, counts=None):
     if counts is not None:
         _step_monitors(counts, monitor_slack(gn), float(d @ g), gn, step_norm, err_norm, obj,
                        spec.strong_convexity)
-    return x_next, IterateRecord(t, f, gn, step_norm, err_norm, perturbed)
+    return x_next, IterateRecord(t, surr.anchor_value, gn, step_norm, err_norm, perturbed)
 
 
 def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
@@ -442,10 +435,8 @@ def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
     """
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    x_t = as_vector(x_t, obj.dim)
-    surr = build_surrogate(obj, x_t, spec)
-    return _step(obj, spec, surr, x_t, surr.anchor_value, surr.anchor_grad, surr.grad_norm,
-                 eta, t)
+    x_t = checked_anchor(obj, x_t)
+    return _step(obj, spec, build_surrogate(obj, x_t, spec), x_t, eta, t)
 
 
 def maybe_perturb(
@@ -531,8 +522,8 @@ def _stop(records, events, t, f, gn, perturbed, tag):
     return tag.partition(";")[0]
 
 
-# The unit-modulus proximal model, whose exact minimizer is the gradient step:
-# it fixes the modulus of GD's and PGD's monitors.
+# GD's and PGD's model: the proximal model at unit modulus, whose exact
+# minimizer is the gradient step.
 _GRADIENT_MODEL = SurrogateSpec()
 
 
@@ -543,7 +534,6 @@ def _run(
     max_iters: int,
     x0,
     *,
-    gradient_rule: bool = False,
     params: PscaParams | None = None,
     rng: RngStream | None = None,
     stop_grad_norm: float | None = None,
@@ -562,9 +552,7 @@ def _run(
     if eta >= 2.0 * modulus / lip_grad:
         warnings.warn("eta >= 2C/L1: the descent factor is nonpositive and the descent "
                       "monitor is disabled", stacklevel=3)
-    x = as_vector(x0, obj.dim)
-    if not obj.in_region(x):
-        raise ValueError("x0 lies outside the objective's valid region")
+    x = checked_anchor(obj, x0, "x0")
     state = PerturbationState(t_noise=0 if params is None else -params.t_th - 1)
     records: list[IterateRecord] = []
     events: dict[int, str] = {}
@@ -575,10 +563,11 @@ def _run(
     x_out: np.ndarray | None = None
 
     for t in range(max_iters):
-        surr, f, g, gn = _evaluate(obj, spec, x, t, gradient_rule)
+        surr = _evaluate(obj, spec, x, t)
         perturbed = False
         if params is not None:
-            x, state, perturbed = maybe_perturb(params, state, x, f, gn, t, rng)
+            x, state, perturbed = maybe_perturb(params, state, x, surr.anchor_value,
+                                                surr.grad_norm, t, rng)
         if perturbed:
             perturbation_count += 1
             events[t] = f"perturbed;f_before={state.f_tilde:.17g}"
@@ -588,7 +577,8 @@ def _run(
                 tag = f"left_valid_region;{_region_exit_message(obj, x)}"
                 termination = _stop(records, events, t, f, gn, True, tag)
                 break
-            surr, f, g, gn = _evaluate(obj, spec, x, t, gradient_rule)
+            surr = _evaluate(obj, spec, x, t)
+        f, gn = surr.anchor_value, surr.grad_norm
         if iterates is not None and t % keep_iterates_every == 0:
             iterates.append((t, x.copy()))
 
@@ -599,7 +589,7 @@ def _run(
             tag = "gradient_below_threshold"
         else:
             try:
-                x_next, rec = _step(obj, spec, surr, x, f, g, gn, eta, t, perturbed, counts)
+                x_next, rec = _step(obj, spec, surr, x, eta, t, perturbed, counts)
             except RegionExitError as exc:
                 tag = f"left_valid_region;{exc}"
         if tag is not None:
@@ -687,8 +677,8 @@ def run_gd(
     """Plain gradient descent baseline with the same stopping rule as :func:`run_sca`."""
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return _run(obj, _GRADIENT_MODEL, eta, max_iters, x0, gradient_rule=True,
-                stop_grad_norm=g_th, keep_iterates_every=keep_iterates_every)
+    return _run(obj, _GRADIENT_MODEL, eta, max_iters, x0, stop_grad_norm=g_th,
+                keep_iterates_every=keep_iterates_every)
 
 
 def run_pgd(
@@ -702,11 +692,10 @@ def run_pgd(
 ) -> RunResult:
     """Perturbed gradient descent baseline.
 
-    Identical perturbation and window-termination logic to :func:`run_psca`
-    with the surrogate minimizer replaced by ``x - grad`` (the proximal model
-    with unit modulus), which makes the two coincide step for step in that
-    configuration.
+    :func:`run_psca` with the proximal model at unit modulus, whose minimizer
+    is the gradient step ``x - grad``: the same perturbation and
+    window-termination logic and the same loop, so the two coincide step for
+    step in that configuration.
     """
-    return _run(obj, _GRADIENT_MODEL, params.eta, params.max_iters, x0, gradient_rule=True,
-                params=params, rng=rng, stop_grad_norm=stop_grad_norm,
-                keep_iterates_every=keep_iterates_every)
+    return _run(obj, _GRADIENT_MODEL, params.eta, params.max_iters, x0, params=params, rng=rng,
+                stop_grad_norm=stop_grad_norm, keep_iterates_every=keep_iterates_every)

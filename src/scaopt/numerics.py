@@ -80,8 +80,8 @@ def sample_uniform_ball(dim: int, radius: float, rng: RngStream) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim}")
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    if not 0 <= radius < np.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     direction = rng.standard_normal(dim)
     shrink = rng.uniform() ** (1.0 / dim)
     scale = float(np.linalg.norm(direction))

@@ -85,14 +85,14 @@ class Objective:
             raise ValueError(f"region_norm must be 2 or inf, got {self.region_norm}")
 
     def in_region(self, x: np.ndarray) -> bool:
-        """Whether the 1-D float64 vector ``x`` lies in the region (False if it holds NaN).
+        """Whether the 1-D float64 vector ``x`` lies in the region (False if it holds NaN or inf).
 
         The two orders are written as the expressions ``np.linalg.norm``
         evaluates for such a vector, ``sqrt(x.x)`` and ``max |x_i|``: the same
         bits without its dispatch cost.
         """
         if math.isinf(self.region_radius):
-            return True
+            return bool(np.isfinite(x).all())
         if self.region_norm == 2:
             norm = math.sqrt(x @ x)
         else:

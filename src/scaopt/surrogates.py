@@ -5,15 +5,17 @@ gradient matches the objective's gradient at the anchor. The outer loop uses a
 model only through its anchor value, gradient and gradient norm, its minimizer
 and the norm of the step to it, so that is what a :class:`SurrogateAt`
 carries; the anchor itself stays with the caller. Two families are built in,
-both minimized in closed form: a proximal-linear model (minimizer ``y - g/C``,
-the gradient step when the modulus is 1) and a curvature-aware model built
-from the positive part of the dense Hessian. That model's minimizer is found
-factor first: a tridiagonal Hessian with a nonzero subdiagonal (chained
-Rosenbrock's) that a banded Cholesky factorization shows positive definite is
-its own positive part, so the step is one banded solve; an indefinite,
-singular or diagonal one (the quartic's) goes through the tridiagonal
-eigensolver, and any other Hessian through dense ``np.linalg.eigh``. A
-``custom`` builder supplies all of these fields itself.
+both minimized in closed form: a proximal-linear model (minimizer ``y - g/C``;
+at modulus 1 that is the gradient step, and GD and PGD are this model) and a
+curvature-aware model built from the positive part of the dense Hessian. That
+model's minimizer is found factor first: a tridiagonal Hessian with a nonzero
+subdiagonal (chained Rosenbrock's) that a banded Cholesky factorization shows
+positive definite is its own positive part, so the step is one banded solve;
+an indefinite, singular or diagonal one (the quartic's) goes through the
+tridiagonal eigensolver, and any other Hessian through dense
+``np.linalg.eigh``. A ``custom`` builder supplies all of these fields itself.
+:func:`build_surrogate` checks its anchor first; the outer loop, which checks
+each anchor where it is made, calls the unchecked ``_build`` instead.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "InnerReport",
     "UnsupportedSurrogateError",
     "checked_gradient",
+    "checked_anchor",
     "build_surrogate",
     "minimize_surrogate",
 ]
@@ -95,11 +98,21 @@ def checked_gradient(obj: Objective, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
-    """Construct the configured surrogate anchored at ``y``."""
+def checked_anchor(obj: Objective, y, name: str = "anchor") -> np.ndarray:
+    """``y`` as a finite float64 vector of the objective's dimension inside its valid region."""
     y = as_vector(y, obj.dim)
     if not obj.in_region(y):
-        raise ValueError("anchor lies outside the objective's valid region")
+        raise ValueError(f"{name} lies outside the objective's valid region")
+    return y
+
+
+def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
+    """Construct the configured surrogate anchored at ``y``, checked by :func:`checked_anchor`."""
+    return _build(obj, checked_anchor(obj, y), spec)
+
+
+def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
+    """:func:`build_surrogate` on an anchor that has passed :func:`checked_anchor` or its checks."""
     if spec.kind == "custom":
         if spec.builder is None:
             raise UnsupportedSurrogateError("custom surrogate requires a builder")
@@ -117,7 +130,8 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
 
     if spec.kind == "proximal_linear":
         # f(y) + g'(x - y) + (C/2)||x - y||^2
-        return SurrogateAt(f_y, g_y, gn, y - g_y / modulus, gn / modulus)
+        x_hat = y - g_y if modulus == 1.0 else y - g_y / modulus  # g/1.0 is g, bit for bit
+        return SurrogateAt(f_y, g_y, gn, x_hat, gn / modulus)
 
     # quadratic_split: keep the PSD part of the local Hessian, add modulus * I.
     if obj.dense_hessian is None:

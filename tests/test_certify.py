@@ -108,6 +108,20 @@ class TestMinEigenvalue:
         assert first[0] == second[0]
         assert np.array_equal(first[1], second[1])
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_tol_is_refused_before_any_hvp(self, tol):
+        obj = make_saddle_quartic(4).objective
+        calls = []
+
+        def hvp(x, v):
+            calls.append(1)
+            return obj.hvp(x, v)
+
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            min_eigenvalue(dataclasses.replace(obj, hvp=hvp), np.zeros(4), tol=tol,
+                           method="matrix_free")
+        assert calls == []
+
     def test_dense_requested_without_hessian(self):
         obj = make_quadratic(np.eye(2)).objective
         stripped = dataclasses.replace(obj, dense_hessian=None)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scaopt.drivers as drv
+from scaopt import numerics, surrogates
 from scaopt.numerics import RngStream, sample_uniform_ball
 from scaopt.problems import get_problem, make_quadratic, make_saddle_quartic
 from scaopt.surrogates import SurrogateSpec
@@ -563,3 +564,70 @@ class TestSharedLoop:
         assert res.records[-1].t % every == 0
         assert res.iterates[-1][0] == res.records[-1].t
         assert [t for t, _ in res.iterates] == [0, every]
+
+
+class TestOneStepRule:
+    """GD and PGD build the unit-modulus proximal model, and each anchor is checked once."""
+
+    @staticmethod
+    def count_as_vector(monkeypatch):
+        calls = []
+
+        def as_vector(*args, **kwargs):
+            calls.append(1)
+            return numerics.as_vector(*args, **kwargs)
+
+        for module in (drv, surrogates):
+            if hasattr(module, "as_vector"):
+                monkeypatch.setattr(module, "as_vector", as_vector)
+        return calls
+
+    def test_a_perturbed_run_coerces_only_x0(self, quartic10, monkeypatch):
+        obj = quartic10.objective
+        params = drv.derive_params(0.01, 0.1, 1.0, 0.5, 1.0, obj, 200)
+        runs = {
+            "psca": lambda: drv.run_psca(obj, SurrogateSpec(), params, np.zeros(10), RngStream(0)),
+            "pgd": lambda: drv.run_pgd(obj, params, np.zeros(10), RngStream(0)),
+        }
+        for algo, run in runs.items():
+            calls = self.count_as_vector(monkeypatch)
+            res = run()
+            assert res.iterations == 200 and res.perturbation_count == 1, algo
+            assert len(calls) == 1, algo
+
+    def test_sca_step_coerces_its_input_once(self, monkeypatch):
+        calls = self.count_as_vector(monkeypatch)
+        drv.sca_step(make_quadratic(np.eye(2)).objective, SurrogateSpec(), [1.0, 0.0], 0.5)
+        assert len(calls) == 1
+
+    def test_gradient_baselines_build_one_model_per_anchor(self, quartic10, monkeypatch):
+        obj = quartic10.objective
+        specs = []
+
+        def build(o, y, spec):
+            specs.append(spec)
+            return surrogates._build(o, y, spec)
+
+        monkeypatch.setattr(drv, "build_surrogate", build)
+        gd = drv.run_gd(obj, 1.0 / obj.constants.grad_lipschitz, 1e-300, 50,
+                        _jittered_start(quartic10))
+        # anchors t = 0..49; the terminal row at t = 50 is evaluated without a model
+        assert gd.termination == "max_iters" and len(specs) == 50
+        params = drv.derive_params(0.01, 0.1, 1.0, 0.5, 1.0, obj, 200)
+        pgd = drv.run_pgd(obj, params, np.zeros(10), RngStream(0))
+        # the perturbed iteration builds at the saddle and again at the injected point
+        assert pgd.perturbation_count == 1 and len(specs) == 50 + 200 + 1
+        assert all(spec == SurrogateSpec() for spec in specs)
+
+    def test_non_finite_step_leaves_an_unbounded_region(self):
+        obj = make_quadratic(np.eye(2), hessian_lipschitz=1.0).objective
+        assert math.isinf(obj.region_radius)
+
+        def nan_minimizer(o, y, spec):
+            surr = surrogates.build_surrogate(o, y, SurrogateSpec())
+            return dataclasses.replace(surr, minimizer=np.full(2, np.nan))
+
+        spec = SurrogateSpec(kind="custom", builder=nan_minimizer)
+        res = drv.run_sca(obj, spec, 0.5, 1e-12, 10, np.array([1.0, 0.0]))
+        assert res.termination == "left_valid_region"
+        assert res.iterations == 0

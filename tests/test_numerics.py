@@ -42,6 +42,14 @@ class TestUniformBall:
         with pytest.raises(ValueError):
             sample_uniform_ball(3, -0.1, RngStream(0))
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_refused_before_any_draw(self, radius):
+        rng = RngStream(0)
+        with pytest.raises(ValueError, match="radius must be finite and nonnegative"):
+            sample_uniform_ball(3, radius, rng)
+        assert np.array_equal(sample_uniform_ball(3, 1.0, rng),
+                              sample_uniform_ball(3, 1.0, RngStream(0)))
+
     def test_zero_radius_gives_zero_vector(self):
         assert np.array_equal(sample_uniform_ball(5, 0.0, RngStream(0)), np.zeros(5))
 

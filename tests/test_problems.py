@@ -249,6 +249,14 @@ class TestRegion:
     def test_orders_2_and_inf_are_accepted(self, order):
         assert self.objective(order).in_region(np.array([0.8, 0.8])) == (order == np.inf)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_unbounded_region_holds_only_finite_points(self, bad):
+        obj = make_quadratic(np.eye(2), hessian_lipschitz=1.0).objective
+        assert math.isinf(obj.region_radius)
+        assert obj.in_region(np.array([3.0, -1e300]))
+        assert not obj.in_region(np.array([bad, 0.0]))
+        assert not obj.in_region(np.array([0.0, bad]))
+
 
 class TestDeclaredConstants:
     @pytest.mark.parametrize("constants", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),

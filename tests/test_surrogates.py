@@ -11,7 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from scaopt import surrogates
 from scaopt.drivers import monitor_slack
-from scaopt.numerics import RngStream
+from scaopt.numerics import NonFiniteError, RngStream
 from scaopt.problems import (
     Objective,
     Smoothness,
@@ -117,6 +117,17 @@ class TestProximalLinear:
             lhs = float((gradient(a) - gradient(b)) @ (a - b))
             gap = float(np.linalg.norm(a - b) ** 2)
             assert lhs >= modulus * gap * (1.0 - 1e-9)
+
+    @given(coords=st.lists(st.floats(-1.9, 1.9), min_size=2, max_size=2),
+           modulus=st.sampled_from([1.0, 1, 0.3, 2.5]))
+    def test_minimizer_has_the_bits_of_the_formula(self, coords, modulus):
+        """At unit modulus the division is skipped; ``y - g / 1.0`` has the same bits."""
+        obj = make_saddle_quartic(2).objective
+        y = np.array(coords)
+        surr = build_surrogate(obj, y, SurrogateSpec(strong_convexity=modulus))
+        g = obj.gradient(y)
+        assert surr.minimizer.tobytes() == (y - g / modulus).tobytes()
+        assert surr.step_norm == surr.grad_norm / modulus
 
     def test_minimize_closed_form(self):
         obj = half_norm_sq()
@@ -388,6 +399,12 @@ def test_anchor_outside_region_rejected():
     obj = make_saddle_quartic(2).objective
     with pytest.raises(ValueError):
         build_surrogate(obj, np.array([5.0, 0.0]), SurrogateSpec())
+
+
+def test_nan_anchor_rejected():
+    obj = make_saddle_quartic(2).objective
+    with pytest.raises(NonFiniteError):
+        build_surrogate(obj, np.array([np.nan, 0.0]), SurrogateSpec())
 
 
 @pytest.mark.parametrize("kind", ["proximal_linear", "quadratic_split"])
