@@ -14,12 +14,14 @@ from scaopt.drivers import (
     PerturbationState,
     PscaParams,
     RunResult,
+    Trajectory,
     check_termination,
     derive_params,
     derive_scales,
     descent_check,
     gradient_error,
     maybe_perturb,
+    run_batch,
     run_gd,
     run_pgd,
     run_psca,
@@ -60,6 +62,7 @@ __all__ = [
     "Smoothness",
     "SurrogateAt",
     "SurrogateSpec",
+    "Trajectory",
     "build_surrogate",
     "certify_run",
     "check_termination",
@@ -78,6 +81,7 @@ __all__ = [
     "maybe_perturb",
     "min_eigenvalue",
     "minimize_surrogate",
+    "run_batch",
     "run_gd",
     "run_pgd",
     "run_psca",

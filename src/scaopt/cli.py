@@ -234,11 +234,7 @@ def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
     events = result.events
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(
-            _CSV_ROW % (rec.t, rec.f, rec.grad_norm, rec.step_norm, rec.err_norm,
-                        rec.perturbed, events.get(rec.t, ""))
-            for rec in result.records
-        )
+        fh.writelines(_CSV_ROW % (*row, events.get(row[0], "")) for row in result.records.rows())
 
 
 def _slug(text: str) -> str:
@@ -290,6 +286,13 @@ def _perturbed_params(cfg: ExperimentConfig, obj: problems.Objective,
         raise ConfigError([str(exc)]) from None
 
 
+def _spec_and_eta(cfg: ExperimentConfig, obj: problems.Objective):
+    """The surrogate of ``cfg`` and its sca/gd step (``cfg.eta``, or ``min(1, c/L1)``)."""
+    spec = SurrogateSpec(kind=cfg.surrogate, strong_convexity=cfg.strong_convexity)
+    eta = cfg.eta if cfg.eta is not None else min(1.0, cfg.c / obj.constants.grad_lipschitz)
+    return spec, eta
+
+
 def _execute(cfg: ExperimentConfig, obj: problems.Objective, x0: np.ndarray,
              params: drivers.PscaParams | None, stop_grad_norm: float | None = None):
     """Run ``cfg.algo`` from ``x0``; returns the driver's result.
@@ -298,48 +301,64 @@ def _execute(cfg: ExperimentConfig, obj: problems.Objective, x0: np.ndarray,
     :func:`_perturbed_params`) and stop at ``stop_grad_norm`` when it is given.
     gd and pgd run as sca and psca on the unit-modulus proximal model.
     """
-    spec = SurrogateSpec(kind=cfg.surrogate, strong_convexity=cfg.strong_convexity)
+    spec, eta = _spec_and_eta(cfg, obj)
     keep = cfg.record_eigen_every
     if params is None:
-        eta = cfg.eta if cfg.eta is not None else min(1.0, cfg.c / obj.constants.grad_lipschitz)
         return drivers.run_sca(obj, spec, eta, cfg.eps, cfg.max_iters, x0,
                                keep_iterates_every=keep)
     return drivers.run_psca(obj, spec, params, x0, RngStream(cfg.seed), keep_iterates_every=keep,
                             stop_grad_norm=stop_grad_norm)
 
 
-def run_experiment(cfg: ExperimentConfig):
-    """Run one configured experiment and write its trajectory CSV and JSON report.
+def _execute_batch(cfgs: Sequence[ExperimentConfig], obj: problems.Objective, x0s, params,
+                   stop_grad_norm: float | None = None) -> list:
+    """:func:`_execute` of every config (one per seed, alike but for the seed) in lockstep.
 
-    Returns ``(csv_path, report_path)``. Identical config and seed reproduce a
-    byte-identical CSV. A driver error still writes a partial report (config
-    plus the error) before propagating, so the failure is on disk.
+    Returns one entry per config: its run's result, or the exception it raised.
     """
+    spec, eta = _spec_and_eta(cfgs[0], obj)
+    keep = cfgs[0].record_eigen_every
+    if params[0] is None:
+        return drivers.run_batch(obj, spec, x0s, eta=eta, g_th=cfgs[0].eps,
+                                 max_iters=cfgs[0].max_iters, keep_iterates_every=keep)
+    return drivers.run_batch(obj, spec, x0s, params=params,
+                             rngs=[RngStream(cfg.seed) for cfg in cfgs],
+                             stop_grad_norm=stop_grad_norm, keep_iterates_every=keep)
+
+
+def _prepare(cfg: ExperimentConfig):
+    """``(prob, x0, params)`` of a run of ``cfg``; raises ConfigError with every violation."""
     errs = validate_config(cfg)
     if errs:
         raise ConfigError(errs)
     prob = problems.get_problem(cfg.problem)
-    obj = prob.objective
     x0 = _resolve_start(cfg, prob)
-    params = _perturbed_params(cfg, obj, x0)
+    return prob, x0, _perturbed_params(cfg, prob.objective, x0)
 
+
+def _base(cfg: ExperimentConfig) -> str:
+    return cfg.label or _slug(f"{cfg.problem}_{cfg.algo}_seed{cfg.seed}")
+
+
+def _write_failure(cfg: ExperimentConfig, prob: problems.ProblemInstance, exc: Exception) -> None:
+    """The partial report of a run whose driver raised ``exc``: config plus the error."""
+    partial = {
+        "config": _as_jsonable(dataclasses.asdict(cfg)),
+        "problem": prob.name,
+        "error": f"{type(exc).__name__}: {exc}",
+    }
+    _write_json(Path(cfg.out_dir) / f"{_base(cfg)}.json", partial)
+
+
+def _write_run(cfg: ExperimentConfig, prob: problems.ProblemInstance,
+               params: drivers.PscaParams | None, result: drivers.RunResult, wall_ms: float):
+    """Certify a finished run and write its trajectory CSV, eigen sidecar and JSON report.
+
+    Returns ``(csv_path, report_path, certificate)``.
+    """
+    obj = prob.objective
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = cfg.label or _slug(f"{cfg.problem}_{cfg.algo}_seed{cfg.seed}")
-
-    started = time.perf_counter()
-    try:
-        result = _execute(cfg, obj, x0, params)
-    except Exception as exc:
-        partial = {
-            "config": _as_jsonable(dataclasses.asdict(cfg)),
-            "problem": prob.name,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        _write_json(out_dir / f"{base}.json", partial)
-        raise
-    wall_ms = 1000.0 * (time.perf_counter() - started)
-
+    base = _base(cfg)
     certificate = None
     if result.termination != "left_valid_region":
         certificate = certify.certify_run(obj, result, cfg.eps)
@@ -379,6 +398,26 @@ def run_experiment(cfg: ExperimentConfig):
     }
     report_path = out_dir / f"{base}.json"
     _write_json(report_path, report)
+    return csv_path, report_path, certificate
+
+
+def run_experiment(cfg: ExperimentConfig):
+    """Run one configured experiment and write its trajectory CSV and JSON report.
+
+    Returns ``(csv_path, report_path)``. Identical config and seed reproduce a
+    byte-identical CSV. A driver error still writes a partial report (config
+    plus the error) before propagating, so the failure is on disk.
+    """
+    prob, x0, params = _prepare(cfg)
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
+    try:
+        result = _execute(cfg, prob.objective, x0, params)
+    except Exception as exc:
+        _write_failure(cfg, prob, exc)
+        raise
+    wall_ms = 1000.0 * (time.perf_counter() - started)
+    csv_path, report_path, _ = _write_run(cfg, prob, params, result, wall_ms)
     return csv_path, report_path
 
 
@@ -395,41 +434,79 @@ def binomial_ci(successes: int, trials: int):
     return lo, hi
 
 
+def _prepare_seeds(cfgs: Sequence[ExperimentConfig], prepare):
+    """``prepare`` of each config in turn, up to the first that raises ConfigError.
+
+    Returns the prepared configs' results and that error (None if every one
+    prepared): the runs before it still run, as they would one after another.
+    """
+    prepared = []
+    for cfg in cfgs:
+        try:
+            prepared.append(prepare(cfg))
+        except ConfigError as exc:
+            return prepared, exc
+    return prepared, None
+
+
 def sweep_experiment(cfg: ExperimentConfig):
     """Run ``cfg.seeds`` experiments at seeds ``seed, seed+1, ...`` and aggregate.
 
     A run counts as an escape success when its certificate classification is
     ``eps_sosp``. Writes the per-seed files plus one aggregate JSON containing
     the success rate with an exact binomial confidence interval and the number
-    of runs per termination. Each seed's run validates its config before it
-    writes a file, so an invalid config stops the sweep at its first seed with
-    nothing written.
+    of runs per termination.
+
+    The seeds run in lockstep, as one batch of the drivers' loop, and then
+    write their files in seed order, as :func:`run_experiment` would one after
+    another; a report's ``wall_time_ms`` is that seed's share of the batch's
+    time, in proportion to its trajectory rows. Each seed's config is
+    validated (and its start and parameters derived) before the batch runs; an
+    invalid one stops the sweep there: the seeds before it run and write their
+    files, and it raises ConfigError with nothing written for it. A seed whose
+    run raises writes its partial report and re-raises; later seeds write
+    nothing.
     """
     if not cfg.seeds or cfg.seeds < 1:
         raise ConfigError(["sweep requires --seeds >= 1"])
-    per_seed = []
-    successes = 0
+    subs = []
     for k in range(cfg.seeds):
         sub = dataclasses.replace(cfg, seed=cfg.seed + k, seeds=None, label=None)
         sub.label = _slug(f"{cfg.problem}_{cfg.algo}_seed{sub.seed}")
-        csv_path, report_path = run_experiment(sub)
-        with open(report_path) as fh:
-            report = json.load(fh)
-        cert = report["certificate"]
-        success = bool(cert and cert["classification"] == "eps_sosp")
-        successes += success
-        per_seed.append(
-            {
-                "seed": sub.seed,
-                "success": success,
-                "classification": cert["classification"] if cert else None,
-                "termination": report["result"]["termination"],
-                "f_out": report["result"]["f_out"],
-                "iterations": report["result"]["iterations"],
-                "csv": str(csv_path),
-                "report": str(report_path),
-            }
-        )
+        subs.append(sub)
+    prepared, error = _prepare_seeds(subs, _prepare)
+    per_seed = []
+    successes = 0
+    if prepared:
+        prob = prepared[0][0]
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        started = time.perf_counter()
+        results = _execute_batch(subs[:len(prepared)], prob.objective,
+                                 [x0 for _, x0, _ in prepared], [p for _, _, p in prepared])
+        batch_ms = 1000.0 * (time.perf_counter() - started)
+        rows = sum(len(r.records) for r in results if not isinstance(r, Exception))
+        for sub, (_, _, params), result in zip(subs, prepared, results):
+            if isinstance(result, Exception):
+                _write_failure(sub, prob, result)
+                raise result
+            share_ms = batch_ms * len(result.records) / rows
+            csv_path, report_path, cert = _write_run(sub, prob, params, result, share_ms)
+            success = bool(cert and cert.classification == "eps_sosp")
+            successes += success
+            per_seed.append(
+                {
+                    "seed": sub.seed,
+                    "success": success,
+                    "classification": cert.classification if cert else None,
+                    "termination": result.termination,
+                    "f_out": result.f_out,
+                    "iterations": result.iterations,
+                    "csv": str(csv_path),
+                    "report": str(report_path),
+                }
+            )
+    if error is not None:
+        raise error
     lo, hi = binomial_ci(successes, cfg.seeds)
     aggregate = {
         "config": _as_jsonable(dataclasses.asdict(cfg)),
@@ -518,14 +595,24 @@ def _scaling(cfg: ExperimentConfig, prob: problems.ProblemInstance,
     if errs:
         raise ConfigError(errs)
 
-    passages: list[list[Optional[int]]] = [[] for _ in eps_arr]
-    for k in range(cfg.seeds):
-        run = dataclasses.replace(cfg, seed=cfg.seed + k)
+    def prepare(run):
         x0 = _resolve_start(run, prob)
-        result = _execute(run, obj, x0, _perturbed_params(run, obj, x0), stop_grad_norm=cfg.eps)
+        return x0, _perturbed_params(run, obj, x0)
+
+    runs = [dataclasses.replace(cfg, seed=cfg.seed + k) for k in range(cfg.seeds)]
+    prepared, error = _prepare_seeds(runs, prepare)
+    results = _execute_batch(runs[:len(prepared)], obj, [x0 for x0, _ in prepared],
+                             [p for _, p in prepared], stop_grad_norm=cfg.eps) if prepared else []
+    passages: list[list[Optional[int]]] = [[] for _ in eps_arr]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        grad_norms = result.records.columns[:, 1]  # row t is iteration t
         for j, eps in enumerate(eps_arr):
-            hit = next((rec.t for rec in result.records if rec.grad_norm <= eps), None)
-            passages[j].append(hit)
+            hits = np.flatnonzero(grad_norms <= eps)
+            passages[j].append(int(hits[0]) if hits.size else None)
+    if error is not None:
+        raise error
 
     medians: list[float] = []
     excluded: list[float] = []

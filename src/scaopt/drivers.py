@@ -21,20 +21,29 @@ and error-bound monitors.
 
 Each anchor is checked once, where it is made (``x0`` on entry, every later
 point by :meth:`Objective.in_region`), so the loop builds its models unchecked.
+
+The loop steps a ``(B, d)`` stack of runs in lockstep (:func:`run_batch`; the
+four drivers are its one-row callers). Each row keeps its own perturbation
+state, stream, tests and events, leaves the stack when its run ends, and gets
+the result its run makes alone, bit for bit: every per-row reduction is one
+that keeps the bits of its 1-D form, and the monitors are checked from the
+trajectory columns when the run ends.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from scaopt.numerics import NonFiniteError, RngStream, sample_uniform_ball
+from scaopt.numerics import NonFiniteError, RngStream, row_dots, sample_uniform_ball, scalar_power
 from scaopt.problems import Objective
-from scaopt.surrogates import SurrogateSpec, checked_anchor, checked_gradient, minimize_surrogate
+from scaopt.surrogates import (SurrogateAt, SurrogateSpec, checked_anchor, checked_gradient,
+                               minimize_surrogate)
 # Unchecked, under the name the tracer patches; renamed after ROADMAP item 1's benchmark stage.
 from scaopt.surrogates import _build as build_surrogate
 
@@ -44,6 +53,7 @@ __all__ = [
     "PscaParams",
     "PerturbationState",
     "IterateRecord",
+    "Trajectory",
     "MonitorCounts",
     "RunResult",
     "DiagnosticScales",
@@ -60,6 +70,7 @@ __all__ = [
     "run_psca",
     "run_gd",
     "run_pgd",
+    "run_batch",
 ]
 
 class HypothesisViolationError(ValueError):
@@ -119,13 +130,16 @@ class PerturbationState:
     f_tilde: Optional[float] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IterateRecord:
     """One trajectory row.
 
     ``f``/``grad_norm`` describe the iterate the step starts from (after any
     perturbation injected this iteration); ``step_norm``/``err_norm`` describe
-    the step taken from it. Terminal rows carry zero step fields.
+    the step taken from it. Terminal rows carry zero step fields. A
+    :class:`Trajectory` makes a new record each time a row is read, so a
+    record is not frozen (a frozen dataclass costs four times as much to
+    construct) and changing one leaves the trajectory as it was.
     """
 
     t: int
@@ -134,6 +148,56 @@ class IterateRecord:
     step_norm: float
     err_norm: float
     perturbed: bool
+
+
+class Trajectory(Sequence):
+    """The rows of a run as float64 columns; each :class:`IterateRecord` is made when read.
+
+    ``columns[t]`` is ``(f, grad_norm, step_norm, err_norm)`` of row ``t``,
+    the row of iteration ``t``, and ``perturbed_at`` holds the iterations that
+    injected a perturbation. Equal to any sequence of the same records.
+    """
+
+    __slots__ = ("columns", "perturbed_at")
+
+    def __init__(self, columns: np.ndarray, perturbed_at=()):
+        self.columns = columns
+        self.perturbed_at = frozenset(perturbed_at)
+
+    @classmethod
+    def from_records(cls, records) -> "Trajectory":
+        """The trajectory of a sequence of records whose row ``t`` has ``rec.t == t``."""
+        records = list(records)
+        if any(rec.t != t for t, rec in enumerate(records)):
+            raise ValueError("record t must equal its row index")
+        columns = np.array([(rec.f, rec.grad_norm, rec.step_norm, rec.err_norm) for rec in records],
+                           dtype=np.float64).reshape(-1, 4)
+        return cls(columns, (rec.t for rec in records if rec.perturbed))
+
+    def rows(self):
+        """The rows as plain tuples ``(t, f, grad_norm, step_norm, err_norm, perturbed)``."""
+        perturbed = self.perturbed_at
+        for t, (f, gn, step_norm, err_norm) in enumerate(self.columns.tolist()):
+            yield t, f, gn, step_norm, err_norm, t in perturbed
+
+    def __len__(self):
+        return len(self.columns)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[t] for t in range(len(self))[i]]
+        t = range(len(self))[i]
+        return IterateRecord(t, *self.columns[t].tolist(), t in self.perturbed_at)
+
+    def __iter__(self):
+        return (IterateRecord(*row) for row in self.rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 @dataclass
@@ -162,7 +226,9 @@ class MonitorCounts:
 class RunResult:
     """Full trajectory of a run plus its termination and returned point.
 
-    ``records`` has one row per visited iterate (steps + 1 rows). ``x_out`` is
+    ``records`` has one row per visited iterate (steps + 1 rows), held as a
+    :class:`Trajectory` (a sequence of records given here is converted to
+    one). ``x_out`` is
     the last row's iterate and ``f_out`` its ``f``, except when the perturbed
     driver returns the pre-perturbation anchor: then they are that anchor and
     its value, which generally differ from the last trajectory row.
@@ -171,7 +237,7 @@ class RunResult:
     auditable from the trajectory alone).
     """
 
-    records: list[IterateRecord]
+    records: Trajectory
     termination: str
     x_out: np.ndarray
     f_out: float
@@ -181,6 +247,10 @@ class RunResult:
     perturbation_state: PerturbationState = PerturbationState(t_noise=0)
     monitors: MonitorCounts = field(default_factory=MonitorCounts)
     iterates: Optional[list[tuple[int, np.ndarray]]] = None
+
+    def __post_init__(self):
+        if not isinstance(self.records, Trajectory):
+            self.records = Trajectory.from_records(self.records)
 
     @property
     def iterations(self) -> int:
@@ -366,9 +436,12 @@ def descent_check(
     return f_next <= f_t - eta_prime * step_norm**2 + slack
 
 
-def monitor_slack(grad_norm: float) -> float:
-    """Slack ``1e-10 max(1, ||grad||)`` of every monitor at an iterate with this gradient norm."""
-    return 1e-10 * max(1.0, grad_norm)
+def monitor_slack(grad_norm):
+    """Slack ``1e-10 max(1, ||grad||)`` of every monitor at an iterate with this gradient norm.
+
+    Takes one norm or an array of them.
+    """
+    return 1e-10 * np.maximum(1.0, grad_norm)
 
 
 def descent_slack(rec: IterateRecord, eta: float) -> float:
@@ -377,18 +450,72 @@ def descent_slack(rec: IterateRecord, eta: float) -> float:
 
 
 def _region_exit_message(obj: Objective, x) -> str:
+    if not np.isfinite(x).all():
+        return "iterate left the valid region (the step is not finite)"
     return (
         f"iterate left the valid region (norm {np.linalg.norm(x, obj.region_norm):.6g}"
         f" > radius {obj.region_radius:.6g})"
     )
 
 
-def _evaluate(obj, spec, x, t):
-    """The surrogate at the checked anchor ``x``; raises on a non-finite value or gradient."""
-    surr = build_surrogate(obj, x, spec)
-    if not (math.isfinite(surr.anchor_value) and math.isfinite(surr.grad_norm)):
-        raise NonFiniteError(f"non-finite objective or gradient at iteration {t}")
-    return surr
+def _stack(models, xs) -> SurrogateAt:
+    """One model of stacked fields from one-row models (None for a row whose build failed)."""
+    if len(models) == 1 and models[0] is not None:  # a run alone: views of its model's arrays
+        (m,) = models
+        scalars = np.array((m.anchor_value, m.grad_norm, m.step_norm), dtype=np.float64)
+        return SurrogateAt(scalars[0:1], np.asarray(m.anchor_grad, dtype=np.float64)[None],
+                           scalars[1:2], np.asarray(m.minimizer, dtype=np.float64)[None],
+                           scalars[2:3])
+    if any(m is None for m in models):
+        blank = SurrogateAt(math.nan, np.zeros(xs.shape[1]), math.nan, np.zeros(xs.shape[1]),
+                            math.nan)
+        models = [blank if m is None else m for m in models]
+    return SurrogateAt(*(np.array([getattr(m, name) for m in models], dtype=np.float64)
+                         for name in SurrogateAt.__slots__))
+
+
+def _take(surr: SurrogateAt, keep) -> SurrogateAt:
+    """The rows ``keep`` (a mask or positions) of a stacked model."""
+    return SurrogateAt(*(getattr(surr, name)[keep] for name in SurrogateAt.__slots__))
+
+
+def _evaluate(obj, spec, xs, t):
+    """The models at the checked anchors ``xs`` (a ``(B, d)`` stack) and the rows that failed.
+
+    Returns ``(surr, failures)``: ``surr`` holds every row's model, stacked,
+    and ``failures`` maps the position of each row whose build raised to its
+    exception, or to a :class:`NonFiniteError` when its value or gradient is
+    not finite. The proximal model of a batched objective is built on the
+    whole stack of two or more rows; any other model is built one row at a
+    time (a lone row's build is the cheaper one), and so is a stack whose build
+    raised, to find the rows that raise.
+    """
+    failures = {}
+    if spec.kind == "proximal_linear" and obj.batched and len(xs) > 1:
+        try:
+            surr = build_surrogate(obj, xs, spec)
+        except Exception:
+            pass
+        else:
+            # a finite f'gn rules out NaN and inf in both; only then is the per-row test skipped
+            if not math.isfinite(surr.anchor_value @ surr.grad_norm):
+                finite = np.isfinite(surr.anchor_value) & np.isfinite(surr.grad_norm)
+                for pos in np.flatnonzero(~finite).tolist():
+                    failures[pos] = NonFiniteError(
+                        f"non-finite objective or gradient at iteration {t}")
+            return surr, failures
+    models = []
+    for pos, x in enumerate(xs):
+        try:
+            model = build_surrogate(obj, x, spec)
+        except Exception as exc:
+            failures[pos] = exc
+            model = None
+        else:
+            if not (math.isfinite(model.anchor_value) and math.isfinite(model.grad_norm)):
+                failures[pos] = NonFiniteError(f"non-finite objective or gradient at iteration {t}")
+        models.append(model)
+    return _stack(models, xs), failures
 
 
 def _value_and_grad_norm(obj, x):
@@ -398,33 +525,29 @@ def _value_and_grad_norm(obj, x):
     return f, math.sqrt(g @ g)
 
 
-def _step(obj, spec, surr, x, eta, t, perturbed=False, counts=None):
-    """The update ``x + eta (x_hat - x)`` and the trajectory row of the step.
+def _step(obj, spec, surr, x, eta):
+    """The updates ``x + eta (x_hat - x)`` of a ``(B, d)`` stack ``x`` and what they tell.
 
-    ``x_hat`` is the minimizer of ``surr``, the model built at ``x`` (``x - g``
-    for GD and PGD), and the row takes the model's value and norms. Raises
-    :class:`RegionExitError` when the update leaves the valid region, so every
-    point returned is a checked anchor. With ``counts``, tallies the step's
-    optimality, direction and error-bound monitors.
+    ``x_hat`` is the minimizer of each row's model in ``surr`` (``x - g`` for
+    GD and PGD). Returns ``(x_next, inside, err_norm, gap)``: the updated
+    stack, whether each updated row lies in the valid region and, for the rows
+    that do, the norm of the error vector of :func:`gradient_error` and the
+    optimality gap ``(x - x_hat)'g`` that :func:`_step_monitors` checks.
 
     The difference ``d = x - x_hat`` is formed once: the update is computed as
-    ``x - eta d``, the error vector of :func:`gradient_error` as ``d - g`` and
-    the optimality gap as ``d'g``. ``x - eta d`` has the same bits as
-    ``x + eta (x_hat - x)`` except that a ``-0.0`` coordinate of ``x`` with a
-    zero step there stays ``-0.0``.
+    ``x - eta d``, the error vector as ``d - g`` and the optimality gap as
+    ``d'g``. ``x - eta d`` has the same bits as ``x + eta (x_hat - x)`` except
+    that a ``-0.0`` coordinate of ``x`` with a zero step there stays ``-0.0``.
     """
     x_hat, _ = minimize_surrogate(surr)
-    g, gn, step_norm = surr.anchor_grad, surr.grad_norm, surr.step_norm
+    g = surr.anchor_grad
     d = x - x_hat
     x_next = x - eta * d
-    if not obj.in_region(x_next):
-        raise RegionExitError(_region_exit_message(obj, x_next))
+    inside = obj.rows_in_region(x_next)
+    if not all(inside.tolist()):
+        d, g = d[inside], g[inside]
     err = d - g
-    err_norm = math.sqrt(err @ err)
-    if counts is not None:
-        _step_monitors(counts, monitor_slack(gn), float(d @ g), gn, step_norm, err_norm, obj,
-                       spec.strong_convexity)
-    return x_next, IterateRecord(t, surr.anchor_value, gn, step_norm, err_norm, perturbed)
+    return x_next, inside, np.sqrt(row_dots(err, err)), row_dots(d, g)
 
 
 def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
@@ -435,8 +558,15 @@ def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
     """
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    x_t = checked_anchor(obj, x_t)
-    return _step(obj, spec, build_surrogate(obj, x_t, spec), x_t, eta, t)
+    xs = checked_anchor(obj, x_t)[None]
+    surr, failures = _evaluate(obj, spec, xs, t)
+    if failures:
+        raise failures[0]
+    x_next, inside, err_norm, _ = _step(obj, spec, surr, xs, eta)
+    if not inside[0]:
+        raise RegionExitError(_region_exit_message(obj, x_next[0]))
+    return x_next[0], IterateRecord(t, float(surr.anchor_value[0]), float(surr.grad_norm[0]),
+                                    float(surr.step_norm[0]), float(err_norm[0]), False)
 
 
 def maybe_perturb(
@@ -479,47 +609,53 @@ def check_termination(
     return None
 
 
-def _finalize_monitors(records, counts, spec, eta, grad_lipschitz):
-    """Descent checks between consecutive rows (skipping perturbation jumps).
+def _monitors(columns, perturbed_at, obj, modulus, eta) -> MonitorCounts:
+    """The monitor tallies of a run from its trajectory columns and optimality gaps.
 
-    Each check is :func:`descent_check` with :func:`descent_slack`, with the
-    factor ``eta'`` computed once for the run.
+    ``columns`` are the run's :class:`Trajectory` columns with each step's
+    optimality gap ``(x - x_hat)'g`` appended (0 on the terminal row). Every
+    step is checked by :func:`_step_monitors`; consecutive rows are checked by
+    :func:`descent_check` with :func:`descent_slack` (``eta'`` computed once
+    for the run), skipping a row reached by a perturbation's jump.
     """
-    modulus = spec.strong_convexity
-    if eta >= 2.0 * modulus / grad_lipschitz:
-        return
-    eta_prime = eta * modulus - eta**2 * grad_lipschitz / 2.0
-    checked = passed = 0
-    for prev, nxt in zip(records, records[1:]):
-        if nxt.perturbed:
-            continue  # nxt.f includes the injected jump, not a pure step
-        checked += 1
-        passed += nxt.f <= prev.f - eta_prime * prev.step_norm**2 + descent_slack(prev, eta)
-    counts.descent_checked += checked
-    counts.descent_passed += passed
+    f, gn, step_norm, err_norm, gap = columns[:-1].T
+    steps = len(f)
+    step_sq = scalar_power(step_norm, 2)
+    optimality, direction, error_bound = _step_monitors(gap, gn, step_norm, step_sq, err_norm,
+                                                        obj, modulus)
+    counts = MonitorCounts(optimality_checked=steps, optimality_passed=int(optimality.sum()),
+                           direction_checked=steps, direction_passed=int(direction.sum()))
+    if error_bound is not None:
+        counts.error_bound_checked, counts.error_bound_passed = steps, int(error_bound.sum())
+    lip_grad = obj.constants.grad_lipschitz
+    if eta < 2.0 * modulus / lip_grad:
+        eta_prime = eta * modulus - eta**2 * lip_grad / 2.0
+        slack = 1e-9 * (1.0 + np.abs(f)) + eta * monitor_slack(gn) * step_norm
+        passed = columns[1:, 0] <= f - eta_prime * step_sq + slack
+        checked = np.ones(steps, dtype=bool)
+        checked[[t - 1 for t in perturbed_at if t >= 1]] = False
+        counts.descent_checked = int(checked.sum())
+        counts.descent_passed = int((passed & checked).sum())
+    return counts
 
 
-def _step_monitors(counts, tol, gap, gn, step_norm, err_norm, obj, modulus):
-    """Optimality, direction-bound, and error-bound monitors for one step.
+def _step_monitors(gap, gn, step_norm, step_sq, err_norm, obj, modulus):
+    """Optimality, direction-bound and error-bound monitors of steps, one array entry per step.
 
-    ``gap`` is the optimality gap ``(x - x_hat)'g``.
+    ``gap`` is each step's optimality gap ``(x - x_hat)'g`` and ``step_sq``
+    its ``step_norm**2`` (the scalar ``pow``'s bits, see
+    :func:`~scaopt.numerics.scalar_power`). Returns the three boolean arrays of
+    passed checks; the error bound is None when the objective declares no
+    ``value_lipschitz``.
     """
-    counts.optimality_checked += 1
-    counts.optimality_passed += gap >= modulus * step_norm**2 - (tol * step_norm + 1e-9)
-    counts.direction_checked += 1
-    counts.direction_passed += step_norm <= gn / modulus + tol / modulus
+    tol = monitor_slack(gn)
+    optimality = gap >= modulus * step_sq - (tol * step_norm + 1e-9)
+    direction = step_norm <= gn / modulus + tol / modulus
     lip_value = obj.constants.value_lipschitz
+    error_bound = None
     if lip_value is not None:
-        counts.error_bound_checked += 1
-        bound = lip_value * (1.0 + 1.0 / modulus) + tol / modulus
-        counts.error_bound_passed += err_norm <= bound
-
-
-def _stop(records, events, t, f, gn, perturbed, tag):
-    """Append the terminal row at ``t``, add ``tag`` to its event, return the termination."""
-    events[t] = f"{events[t]};{tag}" if t in events else tag
-    records.append(IterateRecord(t, f, gn, 0.0, 0.0, perturbed))
-    return tag.partition(";")[0]
+        error_bound = err_norm <= lip_value * (1.0 + 1.0 / modulus) + tol / modulus
+    return optimality, direction, error_bound
 
 
 # GD's and PGD's model: the proximal model at unit modulus, whose exact
@@ -527,97 +663,269 @@ def _stop(records, events, t, f, gn, perturbed, tag):
 _GRADIENT_MODEL = SurrogateSpec()
 
 
+@dataclass(slots=True, eq=False)
+class _Row:
+    """One run of a batch: its settings, and what the loop has found out about it so far."""
+
+    params: Optional[PscaParams]
+    rng: Optional[RngStream]
+    state: PerturbationState
+    iterates: Optional[list]
+    events: dict = field(default_factory=dict)
+    perturbed_at: list = field(default_factory=list)
+    end: Optional[tuple] = None  # (f, grad_norm) of the terminal row
+    termination: str = "max_iters"
+    x_out: Optional[np.ndarray] = None
+    f_out: Optional[float] = None
+    error: Optional[Exception] = None
+
+    def stop(self, t, f, gn, tag, x_out, f_out=None):
+        """End the run at ``t`` with a terminal row ``(f, gn)``; ``tag`` joins the row's event."""
+        if tag is not None:
+            self.events[t] = f"{self.events[t]};{tag}" if t in self.events else tag
+            self.termination = tag.partition(";")[0]
+        self.end = (f, gn)
+        self.x_out = x_out
+        self.f_out = f if f_out is None else f_out
+
+
+class _Rows:
+    """The trajectory rows of a batch's running rows, kept as float64 arrays until it ends.
+
+    Each iteration adds its ``f, grad_norm, step_norm, err_norm, gap`` arrays
+    over the running rows, in the order of ``ids``; every ``FLUSH``
+    iterations, and whenever the running rows change, those arrays become one
+    block of shape ``(iterations, 5, rows)``. A run's columns are its slices
+    of the blocks.
+    """
+
+    FLUSH = 1024
+
+    def __init__(self, ids):
+        self.ids = ids
+        self.blocks: list[tuple[tuple, np.ndarray]] = []
+        self.pending: list[tuple] = []
+
+    def add(self, *cols):
+        self.pending.append(cols)
+        if len(self.pending) == self.FLUSH:
+            self.regroup(self.ids)
+
+    def regroup(self, ids):
+        if self.pending:
+            steps = len(self.pending)
+            columns = [np.concatenate(col).reshape(steps, -1) for col in zip(*self.pending)]
+            self.blocks.append((self.ids, np.stack(columns, axis=1)))
+            self.pending = []
+        self.ids = ids
+
+    def columns(self, row, end) -> np.ndarray:
+        """The ``(steps + 1, 5)`` columns of ``row``, closed by its terminal row ``end``."""
+        self.regroup(self.ids)
+        parts = [block[:, :, ids.index(row)] for ids, block in self.blocks if row in ids]
+        return np.concatenate(parts + [np.array([[*end, 0.0, 0.0, 0.0]])])
+
+
 def _run(
     obj: Objective,
     spec: SurrogateSpec,
+    x0s,
     eta: float,
     max_iters: int,
-    x0,
     *,
-    params: PscaParams | None = None,
-    rng: RngStream | None = None,
+    params=None,
+    rngs=None,
     stop_grad_norm: float | None = None,
     keep_iterates_every: int | None = None,
-) -> RunResult:
-    """The outer loop shared by every driver.
+) -> list:
+    """The outer loop shared by every driver, over a batch of runs in lockstep.
 
-    Each iteration evaluates the iterate, applies the perturbation policy
-    (``params`` and ``rng``; none when ``params`` is None), keeps the iterate
-    every ``keep_iterates_every`` steps, runs the termination tests (window
-    test, then ``grad_norm <= stop_grad_norm``) and takes one step of the
-    step rule (see :func:`_step`).
+    Row ``i`` starts from ``x0s[i]`` and perturbs by ``params[i]`` and
+    ``rngs[i]`` (not at all when ``params`` is None); every row steps by
+    ``eta`` for at most ``max_iters`` iterations. Each iteration evaluates the
+    iterates, applies the perturbation policy, keeps the iterates every
+    ``keep_iterates_every`` steps, runs the termination tests (window test,
+    then ``grad_norm <= stop_grad_norm``) and takes one step of the step rule
+    (see :func:`_step`), all on the stack of the rows still running. A row
+    leaves the stack when its run ends; only the rows that perturb draw from
+    their streams. Returns, per row, the :class:`RunResult` its run makes
+    alone, bit for bit, or the exception that run raises.
     """
     modulus = spec.strong_convexity
     lip_grad = obj.constants.grad_lipschitz
     if eta >= 2.0 * modulus / lip_grad:
         warnings.warn("eta >= 2C/L1: the descent factor is nonpositive and the descent "
                       "monitor is disabled", stacklevel=3)
-    x = checked_anchor(obj, x0, "x0")
-    state = PerturbationState(t_noise=0 if params is None else -params.t_th - 1)
-    records: list[IterateRecord] = []
-    events: dict[int, str] = {}
-    counts = MonitorCounts()
-    iterates: list[tuple[int, np.ndarray]] | None = [] if keep_iterates_every else None
-    perturbation_count = 0
-    termination = "max_iters"
-    x_out: np.ndarray | None = None
+    params = params or [None] * len(x0s)
+    rngs = rngs or [None] * len(x0s)
+    rows = [
+        _Row(p, rng, PerturbationState(t_noise=0 if p is None else -p.t_th - 1),
+             [] if keep_iterates_every else None)
+        for p, rng in zip(params, rngs)
+    ]
+    ids, xs = [], []
+    for i, (row, x0) in enumerate(zip(rows, x0s)):
+        try:
+            xs.append(checked_anchor(obj, x0, "x0"))
+            ids.append(i)
+        except Exception as exc:
+            row.error = exc
+    store = _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm,
+                      keep_iterates_every)
+
+    results = []
+    for i, row in enumerate(rows):
+        if row.error is not None:
+            results.append(row.error)
+            continue
+        columns = store.columns(i, row.end)
+        counts = _monitors(columns, row.perturbed_at, obj, modulus, eta)
+        results.append(RunResult(
+            records=Trajectory(columns[:, :4].copy(), row.perturbed_at),
+            termination=row.termination,
+            x_out=row.x_out,
+            f_out=row.f_out,
+            perturbation_count=len(row.perturbed_at),
+            seed=0 if row.rng is None else row.rng.seed,
+            events=row.events,
+            perturbation_state=row.state,
+            monitors=counts,
+            iterates=row.iterates,
+        ))
+    return results
+
+
+def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_every) -> _Rows:
+    """Run the rows ``ids`` of :func:`_run` from the checked starts ``xs`` until each one ends.
+
+    The running rows are stacked by position: ``x`` holds their iterates, and
+    the lists ``g_th``, ``next_perturb`` and ``window_at`` hold each row's
+    perturbation threshold, the first iteration at which it may perturb again
+    and the iteration of its window test (never, for a row without
+    perturbation or before its first one). A row that ends or raises is taken
+    out of the stack; its trajectory rows stay in the returned store.
+    """
+    store = _Rows(tuple(ids))
+    if not ids:
+        return store
+    x = np.array(xs)
+    g_th = [-math.inf if rows[i].params is None else rows[i].params.g_th for i in ids]
+    next_perturb = [math.inf if rows[i].params is None else 0 for i in ids]
+    window_at = [math.inf] * len(ids)
+
+    def drop(gone):
+        """Take the rows at the positions ``gone`` out of the stack."""
+        nonlocal ids, x, g_th, next_perturb, window_at, surr
+        keep = np.ones(len(ids), dtype=bool)
+        keep[list(gone)] = False
+        kept = keep.tolist()
+        ids, g_th, next_perturb, window_at = ([v for v, k in zip(col, kept) if k]
+                                              for col in (ids, g_th, next_perturb, window_at))
+        x = x[keep]
+        surr = _take(surr, keep)
+        store.regroup(tuple(ids))
 
     for t in range(max_iters):
-        surr = _evaluate(obj, spec, x, t)
-        perturbed = False
-        if params is not None:
-            x, state, perturbed = maybe_perturb(params, state, x, surr.anchor_value,
-                                                surr.grad_norm, t, rng)
-        if perturbed:
-            perturbation_count += 1
-            events[t] = f"perturbed;f_before={state.f_tilde:.17g}"
-            if not obj.in_region(x):
+        surr, failures = _evaluate(obj, spec, x, t)
+        gone = list(failures)
+        for pos, exc in failures.items():
+            rows[ids[pos]].error = exc
+
+        if t >= min(next_perturb):
+            grad_norms = surr.grad_norm.tolist()
+            fire = [pos for pos, (gn, th, due) in enumerate(zip(grad_norms, g_th, next_perturb))
+                    if due <= t and gn <= th and pos not in failures]
+            moved = []
+            for pos in fire:
+                row = rows[ids[pos]]
+                x_p, row.state, _ = maybe_perturb(row.params, row.state, x[pos],
+                                                  float(surr.anchor_value[pos]), grad_norms[pos],
+                                                  t, row.rng)
+                row.perturbed_at.append(t)
+                row.events[t] = f"perturbed;f_before={row.state.f_tilde:.17g}"
+                window_at[pos] = t + row.params.t_th
+                next_perturb[pos] = t + row.params.t_th + 1
+                x[pos] = x_p
+                if obj.in_region(x_p):
+                    moved.append(pos)
+                    continue
                 # the terminal row describes the injected point, like any other row
-                f, gn = _value_and_grad_norm(obj, x)
-                tag = f"left_valid_region;{_region_exit_message(obj, x)}"
-                termination = _stop(records, events, t, f, gn, True, tag)
+                gone.append(pos)
+                try:
+                    f, gn = _value_and_grad_norm(obj, x_p)
+                except Exception as exc:
+                    row.error = exc
+                    continue
+                row.stop(t, f, gn, f"left_valid_region;{_region_exit_message(obj, x_p)}", x_p)
+            if moved:
+                again, failures = _evaluate(obj, spec, x[moved], t)
+                for name in SurrogateAt.__slots__:
+                    getattr(surr, name)[moved] = getattr(again, name)
+                for k, exc in failures.items():
+                    rows[ids[moved[k]]].error = exc
+                    gone.append(moved[k])
+        if gone:
+            drop(gone)
+            if not ids:
                 break
-            surr = _evaluate(obj, spec, x, t)
-        f, gn = surr.anchor_value, surr.grad_norm
-        if iterates is not None and t % keep_iterates_every == 0:
-            iterates.append((t, x.copy()))
 
-        tag = None
-        if params is not None and (x_out := check_termination(params, state, x, f, t)) is not None:
-            tag = "returned_xtilde"
-        elif stop_grad_norm is not None and gn <= stop_grad_norm:
-            tag = "gradient_below_threshold"
-        else:
-            try:
-                x_next, rec = _step(obj, spec, surr, x, eta, t, perturbed, counts)
-            except RegionExitError as exc:
-                tag = f"left_valid_region;{exc}"
-        if tag is not None:
-            termination = _stop(records, events, t, f, gn, perturbed, tag)
-            break
-        records.append(rec)
+        gone = []
+        if keep_every and t % keep_every == 0:
+            for pos, i in enumerate(ids):
+                rows[i].iterates.append((t, x[pos].copy()))
+
+        if t in window_at:
+            for pos, at in enumerate(window_at):
+                if at != t:
+                    continue
+                row = rows[ids[pos]]
+                f = float(surr.anchor_value[pos])
+                x_tilde = check_termination(row.params, row.state, x[pos], f, t)
+                if x_tilde is not None:
+                    row.stop(t, f, float(surr.grad_norm[pos]), "returned_xtilde", x_tilde,
+                             float(row.state.f_tilde))
+                    gone.append(pos)
+        if stop_grad_norm is not None:
+            for pos, gn in enumerate(surr.grad_norm.tolist()):
+                if gn <= stop_grad_norm and pos not in gone:
+                    rows[ids[pos]].stop(t, float(surr.anchor_value[pos]), gn,
+                                        "gradient_below_threshold", x[pos].copy())
+                    gone.append(pos)
+        if gone:
+            drop(gone)
+            if not ids:
+                break
+
+        x_next, inside, err_norm, gap = _step(obj, spec, surr, x, eta)
+        if not all(inside.tolist()):
+            gone = np.flatnonzero(~inside).tolist()
+            for pos in gone:
+                tag = f"left_valid_region;{_region_exit_message(obj, x_next[pos])}"
+                rows[ids[pos]].stop(t, float(surr.anchor_value[pos]), float(surr.grad_norm[pos]),
+                                    tag, x[pos].copy())
+            x_next = x_next[inside]
+            drop(gone)
+            if not ids:
+                break
+        store.add(surr.anchor_value, surr.grad_norm, surr.step_norm, err_norm, gap)
         x = x_next
-    else:
-        f, gn = _value_and_grad_norm(obj, x)
-        records.append(IterateRecord(max_iters, f, gn, 0.0, 0.0, False))
 
-    if x_out is None:
-        x_out, f_out = x, records[-1].f
-    else:
-        f_out = float(state.f_tilde)
-    _finalize_monitors(records, counts, spec, eta, lip_grad)
-    return RunResult(
-        records=records,
-        termination=termination,
-        x_out=x_out,
-        f_out=f_out,
-        perturbation_count=perturbation_count,
-        seed=0 if rng is None else rng.seed,
-        events=events,
-        perturbation_state=state,
-        monitors=counts,
-        iterates=iterates,
-    )
+    for pos, i in enumerate(ids):  # the rows that ran out of iterations
+        try:
+            f, gn = _value_and_grad_norm(obj, x[pos])
+        except Exception as exc:
+            rows[i].error = exc
+        else:
+            rows[i].stop(max_iters, f, gn, None, x[pos].copy())
+    return store
+
+
+def _one(results):
+    """The result of a batch of one run, or the exception that run raised."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_sca(
@@ -638,8 +946,8 @@ def run_sca(
     """
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return _run(obj, spec, eta, max_iters, x0, stop_grad_norm=g_th,
-                keep_iterates_every=keep_iterates_every)
+    return _one(_run(obj, spec, [x0], eta, max_iters, stop_grad_norm=g_th,
+                     keep_iterates_every=keep_iterates_every))
 
 
 def run_psca(
@@ -661,8 +969,9 @@ def run_psca(
     instrumentation cutoff (first-passage studies); it is off by default and
     does not alter the protocol otherwise.
     """
-    return _run(obj, spec, params.eta, params.max_iters, x0, params=params, rng=rng,
-                stop_grad_norm=stop_grad_norm, keep_iterates_every=keep_iterates_every)
+    return _one(_run(obj, spec, [x0], params.eta, params.max_iters, params=[params],
+                     rngs=[rng], stop_grad_norm=stop_grad_norm,
+                     keep_iterates_every=keep_iterates_every))
 
 
 def run_gd(
@@ -677,8 +986,8 @@ def run_gd(
     """Plain gradient descent baseline with the same stopping rule as :func:`run_sca`."""
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return _run(obj, _GRADIENT_MODEL, eta, max_iters, x0, stop_grad_norm=g_th,
-                keep_iterates_every=keep_iterates_every)
+    return _one(_run(obj, _GRADIENT_MODEL, [x0], eta, max_iters, stop_grad_norm=g_th,
+                     keep_iterates_every=keep_iterates_every))
 
 
 def run_pgd(
@@ -697,5 +1006,47 @@ def run_pgd(
     window-termination logic and the same loop, so the two coincide step for
     step in that configuration.
     """
-    return _run(obj, _GRADIENT_MODEL, params.eta, params.max_iters, x0, params=params, rng=rng,
+    return _one(_run(obj, _GRADIENT_MODEL, [x0], params.eta, params.max_iters,
+                     params=[params], rngs=[rng], stop_grad_norm=stop_grad_norm,
+                     keep_iterates_every=keep_iterates_every))
+
+
+def run_batch(
+    obj: Objective,
+    spec: SurrogateSpec,
+    x0s,
+    *,
+    params=None,
+    rngs=None,
+    eta: float | None = None,
+    g_th: float | None = None,
+    max_iters: int | None = None,
+    stop_grad_norm: float | None = None,
+    keep_iterates_every: int | None = None,
+) -> list:
+    """One run per start in ``x0s``, all through the one loop in lockstep.
+
+    Without ``params``, row ``i`` is ``run_sca(obj, spec, eta, g_th, max_iters,
+    x0s[i])``; with ``params`` and ``rngs`` (one :class:`PscaParams` and one
+    stream per row, the params alike in ``eta`` and ``max_iters``) it is
+    ``run_psca(obj, spec, params[i], x0s[i], rngs[i],
+    stop_grad_norm=stop_grad_norm)``. GD and PGD are these with the default
+    ``SurrogateSpec()``. Returns one entry per row, in order: the
+    :class:`RunResult` of its run, equal to the serial run's bit for bit, or
+    the exception that run raised (a failing row drops out; the rest run on).
+    """
+    n = len(x0s)
+    if n == 0:
+        return []
+    if params is None:
+        if not 0 < eta <= 1:
+            raise ValueError(f"eta must lie in (0, 1], got {eta}")
+        return _run(obj, spec, x0s, eta, max_iters, stop_grad_norm=g_th,
+                    keep_iterates_every=keep_iterates_every)
+    if not len(params) == len(rngs) == n:
+        raise ValueError(f"need one params and one rng per start, got {len(params)}, "
+                         f"{len(rngs)} for {n} starts")
+    if len({(p.eta, p.max_iters) for p in params}) > 1:
+        raise ValueError("the params of a batch must share eta and max_iters")
+    return _run(obj, spec, x0s, params[0].eta, params[0].max_iters, params=params, rngs=rngs,
                 stop_grad_norm=stop_grad_norm, keep_iterates_every=keep_iterates_every)

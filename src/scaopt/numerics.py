@@ -9,6 +9,8 @@ __all__ = [
     "NonFiniteError",
     "RngStream",
     "as_vector",
+    "row_dots",
+    "scalar_power",
     "sample_uniform_ball",
     "finite_diff_gradient",
     "finite_diff_hvp",
@@ -39,6 +41,31 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(v).all():
         raise NonFiniteError("vector contains NaN/Inf entries")
     return v
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row of two ``(B, d)`` stacks, each with the bits of the 1-D dot.
+
+    ``np.vecdot`` runs the same dot product per row as ``a[i] @ b[i]``;
+    ``np.einsum("ij,ij->i")`` does not keep those bits.
+    """
+    return np.vecdot(a, b)
+
+
+def scalar_power(v: np.ndarray, p: int) -> np.ndarray:
+    """``v ** p`` per entry of an array, with the bits of the numpy scalar ``pow``.
+
+    An array's ``**`` is not the scalar ``pow`` (``np.square`` for ``p = 2``,
+    a vectorized ``pow`` otherwise) and differs from it in the last bit for
+    some entries. A Python float's ``**`` is the scalar ``pow`` but raises
+    OverflowError where the numpy scalar's gives inf, so only then are the
+    entries raised as numpy scalars.
+    """
+    try:
+        return np.array([e**p for e in v.tolist()])
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return np.array([e**p for e in v])
 
 
 class RngStream:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from scaopt.numerics import RngStream, as_vector, sample_uniform_ball
+from scaopt.numerics import RngStream, as_vector, row_dots, sample_uniform_ball, scalar_power
 
 __all__ = [
     "Smoothness",
@@ -63,7 +63,10 @@ class Objective:
     ``region_radius`` and ``region_norm`` (the ``np.linalg.norm`` order 2 or
     inf; no other order is accepted) delimit the ball on which the declared
     constants hold. ``dense_hessian`` is optional; certification falls back to
-    matrix-free estimation without it.
+    matrix-free estimation without it. ``batched`` declares that ``value`` and
+    ``gradient`` also take a ``(B, dim)`` stack of points and return the ``B``
+    values and the ``(B, dim)`` gradients, row ``i`` bit for bit the call on
+    row ``i``; the drivers call every other objective one row at a time.
     """
 
     dim: int
@@ -75,6 +78,7 @@ class Objective:
     region_norm: float = 2
     dense_hessian: Callable[[np.ndarray], np.ndarray] | None = None
     f_star: float | None = None
+    batched: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -85,18 +89,22 @@ class Objective:
             raise ValueError(f"region_norm must be 2 or inf, got {self.region_norm}")
 
     def in_region(self, x: np.ndarray) -> bool:
-        """Whether the 1-D float64 vector ``x`` lies in the region (False if it holds NaN or inf).
+        """Whether the 1-D float64 vector ``x`` lies in the region (False if it holds NaN or inf)."""
+        return bool(self.rows_in_region(x[None])[0])
+
+    def rows_in_region(self, xs: np.ndarray) -> np.ndarray:
+        """:meth:`in_region` of every row of a ``(B, dim)`` stack of float64 vectors.
 
         The two orders are written as the expressions ``np.linalg.norm``
-        evaluates for such a vector, ``sqrt(x.x)`` and ``max |x_i|``: the same
-        bits without its dispatch cost.
+        evaluates for a 1-D vector, ``sqrt(x.x)`` and ``max |x_i|``, taken per
+        row with the same bits and without its dispatch cost.
         """
         if math.isinf(self.region_radius):
-            return bool(np.isfinite(x).all())
+            return np.isfinite(xs).all(axis=1)
         if self.region_norm == 2:
-            norm = math.sqrt(x @ x)
+            norm = np.sqrt(row_dots(xs, xs))
         else:
-            norm = float(np.abs(x).max())
+            norm = np.abs(xs).max(axis=1)
         return norm <= self.region_radius
 
 
@@ -219,17 +227,22 @@ def make_saddle_quartic(dim: int) -> ProblemInstance:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
 
+    # value and gradient also take a (B, dim) stack: the same arithmetic per row,
+    # with the powers of x1 and x2 taken per row as scalars (see scalar_power)
     def value(x):
-        return float(
-            0.5 * x[0] ** 2
-            - 0.5 * x[1] ** 2
-            + 0.25 * x[1] ** 4
-            + 0.5 * (x[2:] ** 2).sum()
-        )
+        if x.ndim == 1:
+            return float(0.5 * x[0] ** 2 - 0.5 * x[1] ** 2 + 0.25 * x[1] ** 4
+                         + 0.5 * (x[2:] ** 2).sum())
+        x0, x1 = x[:, 0], x[:, 1]
+        return (0.5 * scalar_power(x0, 2) - 0.5 * scalar_power(x1, 2)
+                + 0.25 * scalar_power(x1, 4) + 0.5 * (x[:, 2:] ** 2).sum(axis=1))
 
     def gradient(x):
         g = x.copy()
-        g[1] = x[1] ** 3 - x[1]
+        if x.ndim == 1:
+            g[1] = x[1] ** 3 - x[1]
+        else:
+            g[:, 1] = scalar_power(x[:, 1], 3) - x[:, 1]
         return g
 
     def _hess_diag(x):
@@ -253,6 +266,7 @@ def make_saddle_quartic(dim: int) -> ProblemInstance:
         region_norm=np.inf,
         dense_hessian=dense_hessian,
         f_star=-0.25,
+        batched=True,
     )
     e2 = np.zeros(dim)
     e2[1] = 1.0
@@ -366,13 +380,17 @@ def make_rosenbrock(dim: int) -> ProblemInstance:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
 
+    # value and gradient take one point or a (B, dim) stack
     def value(x):
-        return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
+        head, tail = x[..., :-1], x[..., 1:]
+        total = (100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
+        return float(total) if x.ndim == 1 else total
 
     def gradient(x):
+        head, tail = x[..., :-1], x[..., 1:]
         g = np.zeros_like(x)
-        g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
-        g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+        g[..., :-1] = -400.0 * head * (tail - head**2) - 2.0 * (1.0 - head)
+        g[..., 1:] += 200.0 * (tail - head**2)
         return g
 
     def _diag_offdiag(x):
@@ -412,6 +430,7 @@ def make_rosenbrock(dim: int) -> ProblemInstance:
         region_norm=np.inf,
         dense_hessian=dense_hessian,
         f_star=0.0,
+        batched=True,
     )
     ones = np.ones(dim)
     minima = ((ones, 0.0),)

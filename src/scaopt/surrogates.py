@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, eigh_tridiagonal, solveh_banded
 
-from scaopt.numerics import as_vector
+from scaopt.numerics import as_vector, row_dots
 from scaopt.problems import Objective
 
 __all__ = [
@@ -67,7 +67,7 @@ class SurrogateSpec:
             raise ValueError("strong_convexity must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SurrogateAt:
     """A strongly convex model anchored at a point, as the outer loop uses it.
 
@@ -75,7 +75,11 @@ class SurrogateAt:
     the anchor (the model's gradient equals ``anchor_grad`` there, exactly) and
     ``grad_norm`` is ``||anchor_grad||``. ``minimizer`` is the model's exact
     minimizer and ``step_norm`` its distance ``||minimizer - anchor||``. The
-    anchor itself is not kept: the caller built the model there.
+    anchor itself is not kept: the caller built the model there. Models built
+    on a ``(B, d)`` stack of anchors hold each field for every row: ``B``
+    values and norms, ``(B, d)`` gradients and minimizers. (Not frozen: a
+    frozen dataclass costs three times as much to construct, once per
+    iteration of a run.)
     """
 
     anchor_value: float
@@ -112,7 +116,12 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
 
 
 def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
-    """:func:`build_surrogate` on an anchor that has passed :func:`checked_anchor` or its checks."""
+    """:func:`build_surrogate` on an anchor that has passed :func:`checked_anchor` or its checks.
+
+    ``y`` may also be a ``(B, d)`` stack of such anchors when the model is
+    ``proximal_linear`` and ``obj.batched``: the model of every row is built at
+    once, each with the bits of its one-row build.
+    """
     if spec.kind == "custom":
         if spec.builder is None:
             raise UnsupportedSurrogateError("custom surrogate requires a builder")
@@ -123,15 +132,19 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
                 raise ValueError(f"custom surrogate {name} has shape {shape}, expected {y.shape}")
         return surr
 
-    f_y = float(obj.value(y))
+    f_y = obj.value(y)
     g_y = checked_gradient(obj, y)
-    gn = math.sqrt(g_y @ g_y)
+    if y.ndim == 1:
+        f_y, gn = float(f_y), math.sqrt(g_y @ g_y)
+    else:
+        f_y, gn = np.asarray(f_y, dtype=np.float64), np.sqrt(row_dots(g_y, g_y))
     modulus = spec.strong_convexity
 
     if spec.kind == "proximal_linear":
         # f(y) + g'(x - y) + (C/2)||x - y||^2
-        x_hat = y - g_y if modulus == 1.0 else y - g_y / modulus  # g/1.0 is g, bit for bit
-        return SurrogateAt(f_y, g_y, gn, x_hat, gn / modulus)
+        if modulus == 1.0:  # g/1.0 is g, bit for bit
+            return SurrogateAt(f_y, g_y, gn, y - g_y, gn)
+        return SurrogateAt(f_y, g_y, gn, y - g_y / modulus, gn / modulus)
 
     # quadratic_split: keep the PSD part of the local Hessian, add modulus * I.
     if obj.dense_hessian is None:

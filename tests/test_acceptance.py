@@ -77,15 +77,13 @@ def benchmark_suite():
 
 @pytest.fixture(scope="module")
 def escape_runs():
-    """100 seeded perturbed runs from the exact saddle of the d=10 quartic."""
+    """100 seeded perturbed runs from the exact saddle of the d=10 quartic, in one lockstep batch."""
     prob = get_problem("saddle_quartic:d=10")
     obj = prob.objective
     params = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 0.25, obj, 20_000)
-    spec = SurrogateSpec()
-    runs = [
-        drv.run_psca(obj, spec, params, prob.canonical_start, RngStream(seed))
-        for seed in range(100)
-    ]
+    runs = drv.run_batch(obj, SurrogateSpec(), [prob.canonical_start] * 100,
+                         params=[params] * 100, rngs=[RngStream(seed) for seed in range(100)])
+    assert all(isinstance(res, drv.RunResult) for res in runs)
     return prob, params, runs
 
 
@@ -334,11 +332,11 @@ def test_criterion_11_matrix_factorization_end_to_end():
         1e-2, 0.1, 1.0, 0.5, float(obj.value(prob.canonical_start)) - obj.f_star,
         obj, 2_500,
     )
-    spec = SurrogateSpec()
+    x0s = [sample_uniform_ball(obj.dim, 0.1, RngStream(seed).substream(99)) for seed in range(100)]
+    runs = drv.run_batch(obj, SurrogateSpec(), x0s, params=[params] * 100,
+                         rngs=[RngStream(seed) for seed in range(100)])
     successes = 0
-    for seed in range(100):
-        x0 = sample_uniform_ball(obj.dim, 0.1, RngStream(seed).substream(99))
-        res = drv.run_psca(obj, spec, params, x0, RngStream(seed))
+    for res in runs:
         successes += any(rec.f <= 1e-4 for rec in res.records)
     assert successes >= 95, f"only {successes}/100 runs reached 1e-4"
     _announce(11, f"matrix factorization end-to-end ({successes}/100)")

@@ -205,6 +205,106 @@ class TestSweep:
             sweep_experiment(cfg)
 
 
+def _files(out_dir: Path) -> dict[str, bytes]:
+    """Every file of a run directory, with the reports' wall_time_ms lines taken out."""
+    return {p.name: b"".join(line for line in p.read_bytes().splitlines(keepends=True)
+                             if b'"wall_time_ms"' not in line)
+            for p in sorted(out_dir.iterdir())}
+
+
+def _one_by_one(cfg: ExperimentConfig, seeds):
+    """Move ``cfg.out_dir`` aside to ``<out_dir>.sweep``, then write into ``cfg.out_dir``
+    what run_experiment writes for each seed in turn, named as a sweep names them
+    (the reports echo the out_dir)."""
+    out_dir = Path(cfg.out_dir)
+    out_dir.rename(out_dir.with_suffix(".sweep"))
+    for seed in seeds:
+        sub = dataclasses.replace(cfg, seed=seed, seeds=None,
+                                  label=cli._slug(f"{cfg.problem}_{cfg.algo}_seed{seed}"))
+        run_experiment(sub)
+
+
+class TestLockstepSweep:
+    """A sweep runs its seeds as one batch and writes what running them one by one writes."""
+
+    @pytest.mark.parametrize("algo, surrogate", [("psca", "proximal_linear"),
+                                                 ("sca", "quadratic_split"), ("pgd", None)])
+    def test_files_are_those_of_one_run_per_seed(self, tmp_path, algo, surrogate):
+        cfg = ExperimentConfig(problem="saddle_quartic:d=4", algo=algo, eps=1e-2, seed=3, seeds=4,
+                               max_iters=3_000, jitter=0.2, record_eigen_every=500,
+                               out_dir=str(tmp_path / "run"),
+                               **({"surrogate": surrogate} if surrogate else {}))
+        path, _ = sweep_experiment(cfg)
+        aggregate = path.read_bytes()
+        _one_by_one(cfg, range(3, 7))
+        swept = _files(tmp_path / "run.sweep")
+        assert swept.pop(path.name) == aggregate
+        assert swept == _files(tmp_path / "run")
+        assert sum(1 for name in swept if name.endswith(".eigen.csv")) == 4
+
+    def test_aggregate_is_the_one_built_from_the_reports(self, tmp_path):
+        cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", eps=1e-2, seed=11,
+                               seeds=5, max_iters=10_000, jitter=0.3, out_dir=str(tmp_path))
+        path, aggregate = sweep_experiment(cfg)
+        runs = []
+        for run in aggregate["runs"]:
+            report = json.loads(Path(run["report"]).read_text())
+            cert = report["certificate"]
+            runs.append({"seed": report["config"]["seed"],
+                         "success": bool(cert and cert["classification"] == "eps_sosp"),
+                         "classification": cert["classification"] if cert else None,
+                         "termination": report["result"]["termination"],
+                         "f_out": report["result"]["f_out"],
+                         "iterations": report["result"]["iterations"],
+                         "csv": run["csv"], "report": run["report"]})
+        assert runs == aggregate["runs"]
+        assert json.loads(path.read_text()) == aggregate
+        assert path.read_text() == json.dumps(aggregate, indent=2, sort_keys=True) + "\n"
+
+    def test_a_failing_seed_stops_the_sweep_where_it_failed(self, tmp_path):
+        # a start at x = (1.95, 0) jittered by 0.1 leaves the box |x|_inf <= 2 for some seeds
+        cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", eps=1e-2, seed=0,
+                               seeds=12, max_iters=500, x0=(1.95, 0.0), jitter=0.1,
+                               out_dir=str(tmp_path / "run"))
+        prob = cli.problems.get_problem(cfg.problem)
+        outside = [k for k in range(cfg.seeds) if not prob.objective.in_region(
+            cli._resolve_start(dataclasses.replace(cfg, seed=k), prob))]
+        bad = outside[0]
+        assert 0 < bad < cfg.seeds - 1
+
+        with pytest.raises(ValueError) as swept:
+            sweep_experiment(cfg)
+        with pytest.raises(ValueError) as alone:
+            _one_by_one(cfg, range(bad + 1))
+        assert str(swept.value) == str(alone.value) == "x0 lies outside the objective's valid region"
+        files = _files(tmp_path / "run.sweep")
+        assert files == _files(tmp_path / "run")
+        partial = json.loads(files[cli._slug(f"{cfg.problem}_psca_seed{bad}") + ".json"])
+        assert partial["error"] == "ValueError: x0 lies outside the objective's valid region"
+        # the seeds before the failing one wrote a CSV and a report each, and no later seed ran
+        assert len(files) == 2 * bad + 1
+
+    def test_an_invalid_seed_stops_the_sweep_before_it_writes(self, tmp_path, monkeypatch):
+        def invalid_from_seed_2(cfg):
+            return ["seed 2 is refused"] if cfg.seed >= 2 else validate_config(cfg)
+
+        monkeypatch.setattr(cli, "validate_config", invalid_from_seed_2)
+        cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", seed=0, seeds=4,
+                               max_iters=50, out_dir=str(tmp_path))
+        with pytest.raises(ConfigError, match="seed 2 is refused"):
+            sweep_experiment(cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"saddle_quartic-d-2_psca_seed{k}.{ext}" for k in (0, 1) for ext in ("csv", "json"))
+
+    def test_report_times_share_the_batch(self, tmp_path):
+        cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", seed=0, seeds=3,
+                               max_iters=200, out_dir=str(tmp_path))
+        _, aggregate = sweep_experiment(cfg)
+        times = [json.loads(Path(run["report"]).read_text())["result"]["wall_time_ms"]
+                 for run in aggregate["runs"]]
+        assert all(t > 0 for t in times)
+
+
 class TestBinomialCI:
     def test_degenerate_ends(self):
         lo, hi = binomial_ci(0, 10)

@@ -619,6 +619,20 @@ class TestOneStepRule:
         assert pgd.perturbation_count == 1 and len(specs) == 50 + 200 + 1
         assert all(spec == SurrogateSpec() for spec in specs)
 
+    @pytest.mark.parametrize("radius", [math.inf, 5.0])
+    def test_a_non_finite_step_is_named_as_such(self, radius):
+        obj = make_quadratic(np.eye(2), hessian_lipschitz=1.0, region_radius=radius).objective
+
+        def nan_minimizer(o, y, spec):
+            surr = surrogates.build_surrogate(o, y, SurrogateSpec())
+            return dataclasses.replace(surr, minimizer=np.array([np.nan, 0.0]))
+
+        spec = SurrogateSpec(kind="custom", builder=nan_minimizer)
+        res = drv.run_sca(obj, spec, 0.5, 1e-12, 10, np.array([1.0, 0.0]))
+        assert res.termination == "left_valid_region"
+        assert res.events == {
+            0: "left_valid_region;iterate left the valid region (the step is not finite)"}
+
     def test_non_finite_step_leaves_an_unbounded_region(self):
         obj = make_quadratic(np.eye(2), hessian_lipschitz=1.0).objective
         assert math.isinf(obj.region_radius)
