@@ -225,16 +225,53 @@ def parse_config(argv: Sequence[str]) -> ExperimentConfig:
 # file emission
 
 
-# One trajectory row; "%.17g" writes the same text as format(float(v), ".17g").
-# The inner_iters column is a constant 0, kept for the file format.
-_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,0,%s\n"
+def _write_text(path, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` at once: a reader sees the old file or the new.
+
+    The text goes to a temporary name in the same directory first (one that
+    ends in neither ``.csv`` nor ``.json``), which is renamed over ``path``; a
+    write that fails removes it and leaves ``path`` as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# The tail of a trajectory row after its t; "%.17g" writes the same text as
+# format(float(v), ".17g"). The inner_iters column is a constant 0, kept for the
+# file format.
+_CSV_TAIL = ",%.17g,%.17g,%.17g,%.17g,%d,0,%s\n"
+_CSV_ROW = "%d" + _CSV_TAIL
 
 
 def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
-    events = result.events
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.writelines(_CSV_ROW % (*row, events.get(row[0], "")) for row in result.records.rows())
+    """Write the run's rows as ``_CSV_ROW`` lines, each run of identical rows formatted once.
+
+    A run of rows ends where the four float columns change in any bit (so
+    ``0.0``/``-0.0`` and NaN payloads count as changes) and around every row
+    that is perturbed or carries an event.
+    """
+    records, events = result.records, result.events
+    columns = records.columns
+    n = len(columns)
+    bits = columns.view(np.uint64)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    marked = [t for t in (*records.perturbed_at, *events) if 0 <= t < n]
+    starts[marked] = True
+    starts[[t + 1 for t in marked if t + 1 < n]] = True
+    bounds = np.flatnonzero(starts).tolist()
+    parts = [CSV_HEADER + "\n"]
+    for s, e, row in zip(bounds, bounds[1:] + [n], columns[starts].tolist()):
+        tail = _CSV_TAIL % (*row, s in records.perturbed_at, events.get(s, ""))
+        parts.append(tail.join(map(str, range(s, e))) + tail)
+    _write_text(path, "".join(parts))
 
 
 def _slug(text: str) -> str:
@@ -242,17 +279,21 @@ def _slug(text: str) -> str:
 
 
 def _write_json(path: Path, data) -> None:
-    """Write ``data`` as indented JSON with sorted keys and one trailing newline."""
-    with open(path, "w", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Write ``data`` as indented JSON with sorted keys and one trailing newline.
+
+    Numpy values become plain ones and every non-finite number ``null``
+    (:func:`_as_jsonable`).
+    """
+    _write_text(path, json.dumps(_as_jsonable(data), indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n")
 
 
 def _as_jsonable(value):
+    """``value`` with numpy arrays and numbers made lists and plain numbers, NaN and inf ``None``."""
     if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
+        return [_as_jsonable(float(v)) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _as_jsonable(value.item())
     if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
@@ -343,7 +384,7 @@ def _base(cfg: ExperimentConfig) -> str:
 def _write_failure(cfg: ExperimentConfig, prob: problems.ProblemInstance, exc: Exception) -> None:
     """The partial report of a run whose driver raised ``exc``: config plus the error."""
     partial = {
-        "config": _as_jsonable(dataclasses.asdict(cfg)),
+        "config": dataclasses.asdict(cfg),
         "problem": prob.name,
         "error": f"{type(exc).__name__}: {exc}",
     }
@@ -371,30 +412,30 @@ def _write_run(cfg: ExperimentConfig, prob: problems.ProblemInstance,
     write_trajectory_csv(csv_path, result)
 
     if cfg.record_eigen_every and result.iterates:
-        with open(out_dir / f"{base}.eigen.csv", "w", newline="\n") as fh:
-            fh.write("t,lambda_min\n")
-            for t, x in result.iterates:
-                lam, _, _ = certify.min_eigenvalue(obj, x)
-                fh.write("%d,%.17g\n" % (t, lam))
+        lines = ["t,lambda_min\n"]
+        for t, x in result.iterates:
+            lam, _, _ = certify.min_eigenvalue(obj, x)
+            lines.append("%d,%.17g\n" % (t, lam))
+        _write_text(out_dir / f"{base}.eigen.csv", "".join(lines))
 
     report = {
-        "config": _as_jsonable(dataclasses.asdict(cfg)),
+        "config": dataclasses.asdict(cfg),
         "problem": prob.name,
-        "params": _as_jsonable(dataclasses.asdict(params)) if params is not None else None,
+        "params": dataclasses.asdict(params) if params is not None else None,
         "result": {
             "termination": result.termination,
             "iterations": result.iterations,
             "perturbation_count": result.perturbation_count,
             "seed": result.seed,
-            "x_out": _as_jsonable(result.x_out),
+            "x_out": result.x_out,
             "f_out": result.f_out,
             "final_f": result.final_f,
             "final_grad_norm": result.final_grad_norm,
             "wall_time_ms": wall_ms,
-            "monitors": _as_jsonable(dataclasses.asdict(result.monitors)),
+            "monitors": dataclasses.asdict(result.monitors),
         },
-        "certificate": _as_jsonable(dataclasses.asdict(certificate)) if certificate else None,
-        "scales": _as_jsonable(dataclasses.asdict(scales)) if scales else None,
+        "certificate": dataclasses.asdict(certificate) if certificate else None,
+        "scales": dataclasses.asdict(scales) if scales else None,
     }
     report_path = out_dir / f"{base}.json"
     _write_json(report_path, report)
@@ -508,15 +549,15 @@ def sweep_experiment(cfg: ExperimentConfig):
     if error is not None:
         raise error
     lo, hi = binomial_ci(successes, cfg.seeds)
-    aggregate = {
-        "config": _as_jsonable(dataclasses.asdict(cfg)),
+    aggregate = _as_jsonable({  # returned as it is written
+        "config": dataclasses.asdict(cfg),
         "seeds": cfg.seeds,
         "successes": successes,
         "success_rate": successes / cfg.seeds,
         "binomial_ci_95": [lo, hi],
         "terminations": dict(Counter(run["termination"] for run in per_seed)),
         "runs": per_seed,
-    }
+    })
     out_dir = Path(cfg.out_dir)
     base = cfg.label or _slug(f"{cfg.problem}_{cfg.algo}")
     path = out_dir / f"{base}_aggregate.json"
@@ -700,7 +741,7 @@ def _cmd_scaling(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.label or _slug(f"scaling_{cfg.problem}_{cfg.algo}")
     path = out_dir / f"{base}.json"
-    _write_json(path, _as_jsonable(dataclasses.asdict(res)))
+    _write_json(path, dataclasses.asdict(res))
     print(path)
     return 0
 

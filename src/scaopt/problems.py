@@ -228,14 +228,21 @@ def make_saddle_quartic(dim: int) -> ProblemInstance:
         raise ValueError(f"dim must be >= 2, got {dim}")
 
     # value and gradient also take a (B, dim) stack: the same arithmetic per row,
-    # with the powers of x1 and x2 taken per row as scalars (see scalar_power)
+    # with the powers of x1 and x2 taken per row as scalars (see scalar_power).
+    # value sums each row's squared tail with numpy and does the rest on Python
+    # floats, one formula for a point and a stack.
+    def _values(heads, tails):
+        return [0.5 * a**2 - 0.5 * b**2 + 0.25 * b**4 + 0.5 * c for (a, b), c in zip(heads, tails)]
+
     def value(x):
-        if x.ndim == 1:
-            return float(0.5 * x[0] ** 2 - 0.5 * x[1] ** 2 + 0.25 * x[1] ** 4
-                         + 0.5 * (x[2:] ** 2).sum())
-        x0, x1 = x[:, 0], x[:, 1]
-        return (0.5 * scalar_power(x0, 2) - 0.5 * scalar_power(x1, 2)
-                + 0.25 * scalar_power(x1, 4) + 0.5 * (x[:, 2:] ** 2).sum(axis=1))
+        rows = x.reshape(-1, x.shape[-1])
+        tails = (rows[:, 2:] ** 2).sum(axis=1).tolist()
+        try:
+            values = _values(rows[:, :2].tolist(), tails)
+        except OverflowError:  # a Python float's ** raises where the numpy scalar's gives inf
+            with np.errstate(over="ignore"):
+                values = _values(rows[:, :2], tails)
+        return float(values[0]) if x.ndim == 1 else np.array(values, dtype=np.float64)
 
     def gradient(x):
         g = x.copy()

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scaopt import certify, cli
 from scaopt.cli import (
@@ -616,3 +618,103 @@ def test_trajectory_row_format_matches_per_field_format(tmp_path):
     assert path.read_bytes() == expected.encode()
     assert "0,inf,-inf,nan,-0,1,0,perturbed" in expected
     assert ",4.9406564584124654e-324,-4.9406564584124654e-324," in expected
+
+
+# values whose rows print alike but differ in their bits, and the edges of "%.17g"
+NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+CSV_VALUES = st.sampled_from([0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf,
+                              5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, -0.25,
+                              1e300]) | st.floats()
+EVENTS = st.sampled_from(["perturbed;f_before=0.5", "returned_xtilde", "left_valid_region"])
+
+
+@st.composite
+def trajectories(draw):
+    """``(columns, perturbed, events)``: runs of repeated rows, flags and events anywhere.
+
+    A run's row is often the row before it with one column negated, so runs of
+    ``0.0`` and ``-0.0`` (or of NaNs of either sign) meet.
+    """
+    rows, lengths = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        if rows and draw(st.booleans()):
+            row = list(rows[-1])
+            j = draw(st.integers(0, 3))
+            row[j] = -row[j]
+        else:
+            row = draw(st.lists(CSV_VALUES, min_size=4, max_size=4))
+        rows.append(row)
+        lengths.append(draw(st.integers(1, 40)))
+    columns = np.repeat(np.array(rows, dtype=np.float64), lengths, axis=0)
+    t = st.integers(0, len(columns) - 1)
+    return columns, draw(st.sets(t, max_size=4)), draw(st.dictionaries(t, EVENTS, max_size=4))
+
+
+@given(trajectories())
+@example((np.array([[0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]]), set(), {}))
+@example((np.array([[-0.25, 1e-3, 0.0, 0.0]]), {0}, {0: "perturbed;f_before=0"}))
+@example((np.zeros((5, 4)), {2}, {3: "returned_xtilde"}))
+def test_trajectory_csv_is_the_row_by_row_file(tmp_path_factory, trajectory):
+    """The run-length writer writes what formatting every row on its own writes."""
+    from scaopt.drivers import RunResult, Trajectory
+
+    columns, perturbed, events = trajectory
+    result = RunResult(records=Trajectory(columns, perturbed), termination="returned_xtilde",
+                       x_out=np.zeros(1), f_out=0.0, perturbation_count=len(perturbed), seed=0,
+                       events=events)
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    cli.write_trajectory_csv(path, result)
+    expected = cli.CSV_HEADER + "\n" + "".join(
+        cli._CSV_ROW % (*row, events.get(row[0], "")) for row in result.records.rows())
+    assert path.read_bytes() == expected.encode()
+    assert [p.name for p in path.parent.iterdir()] == ["traj.csv"]
+
+
+def test_reports_write_non_finite_numpy_numbers_as_null(tmp_path):
+    data = {"a": 1, "b": np.float64("inf"), "c": np.array([1.0, np.nan, -np.inf]),
+            "d": [np.float32("nan"), -math.inf, (np.float64(2.5),)], "e": np.int64(3)}
+    path = tmp_path / "report.json"
+    cli._write_json(path, data)
+    assert json.loads(path.read_text()) == {"a": 1, "b": None, "c": [1.0, None, None],
+                                            "d": [None, None, [2.5]], "e": 3}
+    assert cli._as_jsonable(np.float64("-inf")) is None
+    assert cli._as_jsonable(np.float64(0.5)) == 0.5
+
+
+class TestAtomicWrites:
+    """A write that raises leaves the final path as it was and no temporary file behind."""
+
+    def test_failed_report_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli._write_json(path, {"a": 1})
+        old = path.read_bytes()
+        with pytest.raises(TypeError):
+            cli._write_json(path, {"a": object()})
+        with pytest.raises(UnicodeEncodeError):  # raises once the temporary file is open
+            cli._write_text(path, '{"a": 2, "b": "\ud800"}\n')
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_failed_trajectory_leaves_no_file(self, tmp_path):
+        from scaopt.drivers import RunResult, Trajectory
+
+        result = RunResult(records=Trajectory(np.zeros((3, 4))), termination="max_iters",
+                           x_out=np.zeros(1), f_out=0.0, perturbation_count=0, seed=0,
+                           events={2: "\ud800"})
+        with pytest.raises(UnicodeEncodeError):
+            cli.write_trajectory_csv(tmp_path / "traj.csv", result)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_temporary_name_is_neither_csv_nor_json(self, tmp_path, monkeypatch):
+        seen = []
+        replace = cli.os.replace
+
+        def record(src, dst):
+            seen.append(Path(src))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", record)
+        cli._write_json(tmp_path / "r.json", {})
+        (src,) = seen
+        assert src.parent == tmp_path and src.suffix not in (".json", ".csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]

@@ -22,6 +22,23 @@ from scaopt.problems import (
 from conftest import rel_err, sample_in_region
 
 
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _power_traps():
+    """Values in [-2, 2] whose array ``** 2``, ``** 4`` differs from the scalar ``pow``."""
+    v = np.random.default_rng(4).uniform(-2.0, 2.0, 100_000)
+    traps = set()
+    for p in (2, 4):
+        scalar = np.array([np.float64(e) ** p for e in v])
+        traps.update(v[bits(v**p) != bits(scalar)][:20].tolist())
+    return tuple(sorted(traps)) or (0.5,)
+
+
+QUARTIC_POWER_TRAPS = _power_traps()
+
+
 class TestQuadratic:
     def test_indefinite_diag(self):
         inst = make_quadratic(np.diag([1.0, -1.0]))
@@ -80,6 +97,36 @@ class TestSaddleQuartic:
     def test_dim_too_small(self):
         with pytest.raises(ValueError):
             make_saddle_quartic(1)
+
+    @staticmethod
+    def formula(x):
+        """The quartic's value at a 1-D point, its powers taken on numpy scalars."""
+        return float(0.5 * x[0] ** 2 - 0.5 * x[1] ** 2 + 0.25 * x[1] ** 4
+                     + 0.5 * (x[2:] ** 2).sum())
+
+    @pytest.mark.parametrize("dim", [2, 3, 10])
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
+    def test_value_rows_are_the_formula(self, dim, rows, seed, data):
+        """Each row of a stack's value, and each 1-D call, has the bits of the formula."""
+        obj = make_saddle_quartic(dim).objective
+        xs = np.random.default_rng(seed).uniform(-2.0, 2.0, (rows, dim))
+        for r in range(rows):
+            if data.draw(st.booleans()):
+                xs[r, 1] = data.draw(st.sampled_from(QUARTIC_POWER_TRAPS))
+        expected = [self.formula(x) for x in xs]
+        assert np.array_equal(bits(obj.value(xs)), bits(expected))
+        assert np.array_equal(bits([obj.value(x) for x in xs]), bits(expected))
+        assert all(type(obj.value(x)) is float for x in xs)
+
+    def test_value_overflow_gives_inf_or_nan_without_raising(self):
+        obj = make_saddle_quartic(4).objective
+        xs = np.array([[1e200, 0, 0, 0], [0, 1e200, 0, 0], [1e200, 1e200, 0, 0],
+                       [0, 0, 1e200, 0], [0, -1e100, 0, 0], [1e154, 0, 1e154, 0],
+                       [1.0, 2.0, 3.0, 4.0]])
+        expected = [math.inf, math.nan, math.nan, math.inf, math.inf, 1e308, 15.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(obj.value(xs), expected, equal_nan=True)
+            assert np.array_equal([obj.value(x) for x in xs], expected, equal_nan=True)
 
 
 class TestMatrixFactorization:
