@@ -258,19 +258,22 @@ def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
     that is perturbed or carries an event.
     """
     records, events = result.records, result.events
-    columns = records.columns
+    columns, perturbed = records.columns, records.perturbed_at
     n = len(columns)
     bits = columns.view(np.uint64)
     starts = np.ones(n, dtype=bool)
     starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    marked = [t for t in (*records.perturbed_at, *events) if 0 <= t < n]
+    marked = [t for t in (*perturbed, *events) if 0 <= t < n]
     starts[marked] = True
     starts[[t + 1 for t in marked if t + 1 < n]] = True
     bounds = np.flatnonzero(starts).tolist()
     parts = [CSV_HEADER + "\n"]
     for s, e, row in zip(bounds, bounds[1:] + [n], columns[starts].tolist()):
-        tail = _CSV_TAIL % (*row, s in records.perturbed_at, events.get(s, ""))
-        parts.append(tail.join(map(str, range(s, e))) + tail)
+        if e == s + 1:  # a lone row: one format, as cheap as the per-row writer
+            parts.append(_CSV_ROW % (s, *row, s in perturbed, events.get(s, "")))
+        else:
+            tail = _CSV_TAIL % (*row, s in perturbed, events.get(s, ""))
+            parts.append(tail.join(map(str, range(s, e))) + tail)
     _write_text(path, "".join(parts))
 
 
@@ -291,7 +294,7 @@ def _write_json(path: Path, data) -> None:
 def _as_jsonable(value):
     """``value`` with numpy arrays and numbers made lists and plain numbers, NaN and inf ``None``."""
     if isinstance(value, np.ndarray):
-        return [_as_jsonable(float(v)) for v in value]
+        return [v if math.isfinite(v) else None for v in np.asarray(value, dtype=np.float64).tolist()]
     if isinstance(value, (np.floating, np.integer)):
         return _as_jsonable(value.item())
     if isinstance(value, float) and not math.isfinite(value):

@@ -229,20 +229,22 @@ def make_saddle_quartic(dim: int) -> ProblemInstance:
 
     # value and gradient also take a (B, dim) stack: the same arithmetic per row,
     # with the powers of x1 and x2 taken per row as scalars (see scalar_power).
-    # value sums each row's squared tail with numpy and does the rest on Python
-    # floats, one formula for a point and a stack.
-    def _values(heads, tails):
-        return [0.5 * a**2 - 0.5 * b**2 + 0.25 * b**4 + 0.5 * c for (a, b), c in zip(heads, tails)]
+    # value sums each row's squared tail with numpy (np.add.reduce is .sum()
+    # without its Python wrapper) and evaluates the rest on Python floats, the
+    # one formula _value for a point and for each row of a stack.
+    def _value(a, b, c):
+        return 0.5 * a**2 - 0.5 * b**2 + 0.25 * b**4 + 0.5 * c
 
     def value(x):
-        rows = x.reshape(-1, x.shape[-1])
-        tails = (rows[:, 2:] ** 2).sum(axis=1).tolist()
+        tails = np.add.reduce(x[..., 2:] ** 2, axis=-1)
         try:
-            values = _values(rows[:, :2].tolist(), tails)
+            if x.ndim == 1:
+                return _value(*x[:2].tolist(), float(tails))
+            return np.array([_value(a, b, c) for (a, b), c in zip(x[:, :2].tolist(), tails.tolist())])
         except OverflowError:  # a Python float's ** raises where the numpy scalar's gives inf
             with np.errstate(over="ignore"):
-                values = _values(rows[:, :2], tails)
-        return float(values[0]) if x.ndim == 1 else np.array(values, dtype=np.float64)
+                values = [_value(a, b, c) for (a, b), c in zip(np.atleast_2d(x)[:, :2], np.atleast_1d(tails))]
+            return float(values[0]) if x.ndim == 1 else np.array(values, dtype=np.float64)
 
     def gradient(x):
         g = x.copy()
