@@ -338,20 +338,19 @@ def _spec_and_eta(cfg: ExperimentConfig, obj: problems.Objective):
 
 
 def _execute(cfg: ExperimentConfig, obj: problems.Objective, x0: np.ndarray,
-             params: drivers.PscaParams | None, stop_grad_norm: float | None = None):
+             params: drivers.PscaParams | None):
     """Run ``cfg.algo`` from ``x0``; returns the driver's result.
 
     sca/gd stop at ``grad_norm <= cfg.eps``; psca/pgd run on ``params`` (from
-    :func:`_perturbed_params`) and stop at ``stop_grad_norm`` when it is given.
-    gd and pgd run as sca and psca on the unit-modulus proximal model.
+    :func:`_perturbed_params`). gd and pgd run as sca and psca on the
+    unit-modulus proximal model.
     """
     spec, eta = _spec_and_eta(cfg, obj)
     keep = cfg.record_eigen_every
     if params is None:
         return drivers.run_sca(obj, spec, eta, cfg.eps, cfg.max_iters, x0,
                                keep_iterates_every=keep)
-    return drivers.run_psca(obj, spec, params, x0, RngStream(cfg.seed), keep_iterates_every=keep,
-                            stop_grad_norm=stop_grad_norm)
+    return drivers.run_psca(obj, spec, params, x0, RngStream(cfg.seed), keep_iterates_every=keep)
 
 
 def _execute_batch(cfgs: Sequence[ExperimentConfig], obj: problems.Objective, x0s, params,
@@ -363,7 +362,7 @@ def _execute_batch(cfgs: Sequence[ExperimentConfig], obj: problems.Objective, x0
     spec, eta = _spec_and_eta(cfgs[0], obj)
     keep = cfgs[0].record_eigen_every
     if params[0] is None:
-        return drivers.run_batch(obj, spec, x0s, eta=eta, g_th=cfgs[0].eps,
+        return drivers.run_batch(obj, spec, x0s, eta=eta, stop_grad_norm=cfgs[0].eps,
                                  max_iters=cfgs[0].max_iters, keep_iterates_every=keep)
     return drivers.run_batch(obj, spec, x0s, params=params,
                              rngs=[RngStream(cfg.seed) for cfg in cfgs],

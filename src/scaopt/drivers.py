@@ -13,14 +13,17 @@ a point ``x_hat``:
   pre-perturbation point as the second-order stationary candidate if the
   objective fails to drop by the required threshold within the window.
 
-SCA and GD stop at the first iterate whose gradient norm is at most ``g_th``;
-P-SCA and PGD stop at that threshold only when one is given. Every run records
-an inexact-gradient view of its steps (the error vector that rewrites the
-update as a gradient step) plus per-iteration descent, optimality, direction
-and error-bound monitors.
+SCA and GD stop at the first iterate whose gradient norm is at most
+``stop_grad_norm``; P-SCA and PGD stop at that threshold only when one is
+given. Every run records an inexact-gradient view of its steps (the error
+vector that rewrites the update as a gradient step) plus per-iteration descent,
+optimality, direction and error-bound monitors.
 
 Each anchor is checked once, where it is made (``x0`` on entry, every later
 point by :meth:`Objective.in_region`), so the loop builds its models unchecked.
+Every point the loop reads (the iterate, the perturbed point and the terminal
+point) goes through one evaluation, which builds the model there and checks
+that ``f`` and the gradient are finite; a row whose point fails it raises.
 
 The loop steps a ``(B, d)`` stack of runs in lockstep (:func:`run_batch`; the
 four drivers are its one-row callers). Each row keeps its own perturbation
@@ -42,8 +45,7 @@ import numpy as np
 
 from scaopt.numerics import NonFiniteError, RngStream, row_dots, sample_uniform_ball, scalar_power
 from scaopt.problems import Objective
-from scaopt.surrogates import (SurrogateAt, SurrogateSpec, checked_anchor, checked_gradient,
-                               minimize_surrogate)
+from scaopt.surrogates import SurrogateAt, SurrogateSpec, checked_anchor, minimize_surrogate
 # Unchecked, under the name the tracer patches; renamed after ROADMAP item 1's benchmark stage.
 from scaopt.surrogates import _build as build_surrogate
 
@@ -518,13 +520,6 @@ def _evaluate(obj, spec, xs, t):
     return _stack(models, xs), failures
 
 
-def _value_and_grad_norm(obj, x):
-    """``(f(x), ||grad f(x)||)`` for a terminal row."""
-    f = float(obj.value(x))
-    g = checked_gradient(obj, x)
-    return f, math.sqrt(g @ g)
-
-
 def _step(obj, spec, surr, x, eta):
     """The updates ``x + eta (x_hat - x)`` of a ``(B, d)`` stack ``x`` and what they tell.
 
@@ -751,6 +746,8 @@ def _run(
     their streams. Returns, per row, the :class:`RunResult` its run makes
     alone, bit for bit, or the exception that run raises.
     """
+    if params is None and not 0 < eta <= 1:
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
     modulus = spec.strong_convexity
     lip_grad = obj.constants.grad_lipschitz
     if eta >= 2.0 * modulus / lip_grad:
@@ -798,29 +795,27 @@ def _run(
 def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_every) -> _Rows:
     """Run the rows ``ids`` of :func:`_run` from the checked starts ``xs`` until each one ends.
 
-    The running rows are stacked by position: ``x`` holds their iterates, and
-    the lists ``g_th``, ``next_perturb`` and ``window_at`` hold each row's
-    perturbation threshold, the first iteration at which it may perturb again
-    and the iteration of its window test (never, for a row without
-    perturbation or before its first one). A row that ends or raises is taken
-    out of the stack; its trajectory rows stay in the returned store.
+    The running rows are stacked by position: ``x`` holds their iterates and
+    ``next_perturb``, the one schedule list, the first iteration at which each
+    row may perturb again (never, for a row without perturbation). A row is
+    due to perturb at ``t >= next_perturb``, and runs the window test of its
+    last injection at ``t == next_perturb - 1``. A row that ends or raises is
+    taken out of the stack; its trajectory rows stay in the returned store.
     """
     store = _Rows(tuple(ids))
     if not ids:
         return store
     x = np.array(xs)
-    g_th = [-math.inf if rows[i].params is None else rows[i].params.g_th for i in ids]
     next_perturb = [math.inf if rows[i].params is None else 0 for i in ids]
-    window_at = [math.inf] * len(ids)
 
     def drop(gone):
         """Take the rows at the positions ``gone`` out of the stack."""
-        nonlocal ids, x, g_th, next_perturb, window_at, surr
+        nonlocal ids, x, next_perturb, surr
         keep = np.ones(len(ids), dtype=bool)
         keep[list(gone)] = False
         kept = keep.tolist()
-        ids, g_th, next_perturb, window_at = ([v for v, k in zip(col, kept) if k]
-                                              for col in (ids, g_th, next_perturb, window_at))
+        ids = [i for i, k in zip(ids, kept) if k]
+        next_perturb = [due for due, k in zip(next_perturb, kept) if k]
         x = x[keep]
         surr = _take(surr, keep)
         store.regroup(tuple(ids))
@@ -833,37 +828,33 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
 
         if t >= min(next_perturb):
             grad_norms = surr.grad_norm.tolist()
-            fire = [pos for pos, (gn, th, due) in enumerate(zip(grad_norms, g_th, next_perturb))
-                    if due <= t and gn <= th and pos not in failures]
-            moved = []
+            fire = [pos for pos, due in enumerate(next_perturb)
+                    if due <= t and pos not in failures
+                    and grad_norms[pos] <= rows[ids[pos]].params.g_th]
             for pos in fire:
                 row = rows[ids[pos]]
-                x_p, row.state, _ = maybe_perturb(row.params, row.state, x[pos],
-                                                  float(surr.anchor_value[pos]), grad_norms[pos],
-                                                  t, row.rng)
+                x[pos], row.state, _ = maybe_perturb(row.params, row.state, x[pos],
+                                                     float(surr.anchor_value[pos]),
+                                                     grad_norms[pos], t, row.rng)
                 row.perturbed_at.append(t)
                 row.events[t] = f"perturbed;f_before={row.state.f_tilde:.17g}"
-                window_at[pos] = t + row.params.t_th
                 next_perturb[pos] = t + row.params.t_th + 1
-                x[pos] = x_p
-                if obj.in_region(x_p):
-                    moved.append(pos)
-                    continue
-                # the terminal row describes the injected point, like any other row
-                gone.append(pos)
-                try:
-                    f, gn = _value_and_grad_norm(obj, x_p)
-                except Exception as exc:
-                    row.error = exc
-                    continue
-                row.stop(t, f, gn, f"left_valid_region;{_region_exit_message(obj, x_p)}", x_p)
-            if moved:
-                again, failures = _evaluate(obj, spec, x[moved], t)
+            if fire:
+                again, failures = _evaluate(obj, spec, x[fire], t)
+                inside = obj.rows_in_region(x[fire]).tolist()
+                for k, pos in enumerate(fire):
+                    row = rows[ids[pos]]
+                    if k in failures:
+                        row.error = failures[k]
+                        gone.append(pos)
+                    elif not inside[k]:
+                        # the terminal row describes the injected point, like any other row
+                        tag = f"left_valid_region;{_region_exit_message(obj, x[pos])}"
+                        row.stop(t, float(again.anchor_value[k]), float(again.grad_norm[k]), tag,
+                                 x[pos].copy())
+                        gone.append(pos)
                 for name in SurrogateAt.__slots__:
-                    getattr(surr, name)[moved] = getattr(again, name)
-                for k, exc in failures.items():
-                    rows[ids[moved[k]]].error = exc
-                    gone.append(moved[k])
+                    getattr(surr, name)[fire] = getattr(again, name)
         if gone:
             drop(gone)
             if not ids:
@@ -874,10 +865,8 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
             for pos, i in enumerate(ids):
                 rows[i].iterates.append((t, x[pos].copy()))
 
-        if t in window_at:
-            for pos, at in enumerate(window_at):
-                if at != t:
-                    continue
+        if t + 1 in next_perturb:  # the window tests due now
+            for pos in [pos for pos, due in enumerate(next_perturb) if due == t + 1]:
                 row = rows[ids[pos]]
                 f = float(surr.anchor_value[pos])
                 x_tilde = check_termination(row.params, row.state, x[pos], f, t)
@@ -909,14 +898,14 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 break
         store.add(surr.anchor_value, surr.grad_norm, surr.step_norm, err_norm, gap)
         x = x_next
-
-    for pos, i in enumerate(ids):  # the rows that ran out of iterations
-        try:
-            f, gn = _value_and_grad_norm(obj, x[pos])
-        except Exception as exc:
-            rows[i].error = exc
-        else:
-            rows[i].stop(max_iters, f, gn, None, x[pos].copy())
+    else:  # the rows that ran out of iterations
+        surr, failures = _evaluate(obj, spec, x, max_iters)
+        for pos, i in enumerate(ids):
+            if pos in failures:
+                rows[i].error = failures[pos]
+            else:
+                rows[i].stop(max_iters, float(surr.anchor_value[pos]), float(surr.grad_norm[pos]),
+                             None, x[pos].copy())
     return store
 
 
@@ -932,21 +921,19 @@ def run_sca(
     obj: Objective,
     spec: SurrogateSpec,
     eta: float,
-    g_th: float,
+    stop_grad_norm: float,
     max_iters: int,
     x0,
     *,
     keep_iterates_every: int | None = None,
 ) -> RunResult:
-    """Surrogate descent until the gradient norm falls to ``g_th``.
+    """Surrogate descent until the gradient norm falls to ``stop_grad_norm``.
 
     Stops with ``gradient_below_threshold`` at the first iterate whose gradient
-    norm is at most ``g_th``; a run that exhausts ``max_iters`` or steps out of
-    the valid region terminates with the corresponding tag instead.
+    norm is at most ``stop_grad_norm``; a run that exhausts ``max_iters`` or
+    steps out of the valid region terminates with the corresponding tag instead.
     """
-    if not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return _one(_run(obj, spec, [x0], eta, max_iters, stop_grad_norm=g_th,
+    return _one(_run(obj, spec, [x0], eta, max_iters, stop_grad_norm=stop_grad_norm,
                      keep_iterates_every=keep_iterates_every))
 
 
@@ -977,16 +964,14 @@ def run_psca(
 def run_gd(
     obj: Objective,
     eta: float,
-    g_th: float,
+    stop_grad_norm: float,
     max_iters: int,
     x0,
     *,
     keep_iterates_every: int | None = None,
 ) -> RunResult:
     """Plain gradient descent baseline with the same stopping rule as :func:`run_sca`."""
-    if not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return _one(_run(obj, _GRADIENT_MODEL, [x0], eta, max_iters, stop_grad_norm=g_th,
+    return _one(_run(obj, _GRADIENT_MODEL, [x0], eta, max_iters, stop_grad_norm=stop_grad_norm,
                      keep_iterates_every=keep_iterates_every))
 
 
@@ -1019,29 +1004,40 @@ def run_batch(
     params=None,
     rngs=None,
     eta: float | None = None,
-    g_th: float | None = None,
     max_iters: int | None = None,
     stop_grad_norm: float | None = None,
     keep_iterates_every: int | None = None,
 ) -> list:
     """One run per start in ``x0s``, all through the one loop in lockstep.
 
-    Without ``params``, row ``i`` is ``run_sca(obj, spec, eta, g_th, max_iters,
-    x0s[i])``; with ``params`` and ``rngs`` (one :class:`PscaParams` and one
-    stream per row, the params alike in ``eta`` and ``max_iters``) it is
-    ``run_psca(obj, spec, params[i], x0s[i], rngs[i],
-    stop_grad_norm=stop_grad_norm)``. GD and PGD are these with the default
-    ``SurrogateSpec()``. Returns one entry per row, in order: the
-    :class:`RunResult` of its run, equal to the serial run's bit for bit, or
-    the exception that run raised (a failing row drops out; the rest run on).
+    Without ``params``, a batch needs ``eta``, ``max_iters`` and
+    ``stop_grad_norm``, and row ``i`` is ``run_sca(obj, spec, eta,
+    stop_grad_norm, max_iters, x0s[i])``. With ``params`` it needs ``rngs``
+    (one :class:`PscaParams` and one stream per row, the params alike in
+    ``eta`` and ``max_iters``) and takes an optional ``stop_grad_norm``; row
+    ``i`` is ``run_psca(obj, spec, params[i], x0s[i], rngs[i],
+    stop_grad_norm=stop_grad_norm)``. Any other setting raises ValueError.
+    GD and PGD are these with the default ``SurrogateSpec()``. Returns one
+    entry per row, in order: the :class:`RunResult` of its run, equal to the
+    serial run's bit for bit, or the exception that run raised (a failing row
+    drops out; the rest run on).
     """
+    given = {"eta": eta, "max_iters": max_iters, "stop_grad_norm": stop_grad_norm, "rngs": rngs}
+    if params is None:
+        kind, needed, refused = "without params", ("eta", "max_iters", "stop_grad_norm"), ("rngs",)
+    else:
+        kind, needed, refused = "with params", ("rngs",), ("eta", "max_iters")
+    for name in needed:
+        if given[name] is None:
+            raise ValueError(f"a batch {kind} needs {name}")
+    for name in refused:
+        if given[name] is not None:
+            raise ValueError(f"a batch {kind} takes no {name}")
     n = len(x0s)
     if n == 0:
         return []
     if params is None:
-        if not 0 < eta <= 1:
-            raise ValueError(f"eta must lie in (0, 1], got {eta}")
-        return _run(obj, spec, x0s, eta, max_iters, stop_grad_norm=g_th,
+        return _run(obj, spec, x0s, eta, max_iters, stop_grad_norm=stop_grad_norm,
                     keep_iterates_every=keep_iterates_every)
     if not len(params) == len(rngs) == n:
         raise ValueError(f"need one params and one rng per start, got {len(params)}, "

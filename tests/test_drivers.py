@@ -611,12 +611,13 @@ class TestOneStepRule:
         monkeypatch.setattr(drv, "build_surrogate", build)
         gd = drv.run_gd(obj, 1.0 / obj.constants.grad_lipschitz, 1e-300, 50,
                         _jittered_start(quartic10))
-        # anchors t = 0..49; the terminal row at t = 50 is evaluated without a model
-        assert gd.termination == "max_iters" and len(specs) == 50
+        # anchors t = 0..49, and the terminal row at t = 50 is read through a model too
+        assert gd.termination == "max_iters" and len(specs) == 51
         params = drv.derive_params(0.01, 0.1, 1.0, 0.5, 1.0, obj, 200)
         pgd = drv.run_pgd(obj, params, np.zeros(10), RngStream(0))
-        # the perturbed iteration builds at the saddle and again at the injected point
-        assert pgd.perturbation_count == 1 and len(specs) == 50 + 200 + 1
+        # anchors t = 0..199, the injected point of the perturbed iteration, the terminal row
+        assert pgd.perturbation_count == 1 and pgd.termination == "max_iters"
+        assert len(specs) == 51 + 200 + 1 + 1
         assert all(spec == SurrogateSpec() for spec in specs)
 
     @pytest.mark.parametrize("radius", [math.inf, 5.0])

@@ -225,7 +225,7 @@ def test_each_row_of_a_batch_is_its_serial_run(problem, algo, kind, modulus, see
     stop = data.draw(st.one_of(st.none(), st.floats(1e-4, 1e-2)))
     keep = data.draw(st.sampled_from((None, 7)))
     if algo in ("sca", "gd"):
-        batch = drv.run_batch(obj, spec, x0s, eta=eta, g_th=eps, max_iters=MAX_ITERS,
+        batch = drv.run_batch(obj, spec, x0s, eta=eta, stop_grad_norm=eps, max_iters=MAX_ITERS,
                               keep_iterates_every=keep)
     else:
         batch = drv.run_batch(obj, spec, x0s, params=params,
@@ -265,7 +265,7 @@ def test_a_bad_start_fails_only_its_row():
     prob = get_problem("saddle_quartic:d=2")
     obj = prob.objective
     batch = drv.run_batch(obj, SurrogateSpec(), [np.zeros(2), np.array([3.0, 0.0]), np.zeros(3)],
-                          eta=0.05, g_th=1e-3, max_iters=20)
+                          eta=0.05, stop_grad_norm=1e-3, max_iters=20)
     assert isinstance(batch[0], drv.RunResult)
     assert str(batch[1]) == "x0 lies outside the objective's valid region"
     assert str(batch[2]) == "expected a vector of dimension 2, got 3"
@@ -274,7 +274,7 @@ def test_a_bad_start_fails_only_its_row():
 def test_an_empty_batch_is_empty():
     obj = get_problem("rosenbrock:d=10").objective
     assert drv.run_batch(obj, SurrogateSpec(), [], params=[], rngs=[]) == []
-    assert drv.run_batch(obj, SurrogateSpec(), [], eta=0.1, g_th=1e-3, max_iters=5) == []
+    assert drv.run_batch(obj, SurrogateSpec(), [], eta=0.1, stop_grad_norm=1e-3, max_iters=5) == []
 
 
 def test_a_batch_shares_its_step_and_budget():
@@ -310,7 +310,7 @@ def test_rows_that_fail_mid_run_leave_the_others_unchanged():
     obj = dataclasses.replace(plain, value=value)
     assert math.isinf(obj.region_radius)
     x0s = [np.array([1.0, 10.0 ** -k]) for k in range(1, 7)] + [np.array([1.0, 0.0])]
-    batch = drv.run_batch(obj, SurrogateSpec(), x0s, eta=0.5, g_th=1e-12, max_iters=60)
+    batch = drv.run_batch(obj, SurrogateSpec(), x0s, eta=0.5, stop_grad_norm=1e-12, max_iters=60)
     messages = set()
     for x0, row in zip(x0s, batch):
         try:

@@ -6,6 +6,8 @@ without failing a test; this module makes it fail here. It imports the tracer
 from its file, runs one short ``quadratic_split`` run inside
 ``Tracer().installed()``, and checks that every wrapped attribute exists, is
 restored afterwards, and that the traced run writes the bytes of an untraced one.
+It also checks that ``capture_runs()``, which the benchmark's curvature check
+runs ``cli.run_experiment`` in, collects that experiment's one run.
 """
 
 import importlib.util
@@ -55,3 +57,16 @@ def test_traced_run_writes_the_untraced_bytes(tmp_path):
     assert {"cli.run_experiment", "cli.validate_config", "cli.write_trajectory_csv",
             "problems.get_problem", "problems.dense_hessian", "drivers.run", "surrogates.build",
             "surrogates.minimize", "certify.min_eigenvalue", "certify.certify_run"} <= tracer.fired()
+
+
+def test_capture_runs_collects_the_run_of_an_experiment(tmp_path):
+    # the benchmark's curvature check reads the iterates of the run this captures
+    tracer = load_tracer()
+    originals = {run: getattr(drivers, run) for run in tracer.DRIVER_RUNS}
+    with tracer.capture_runs() as results:
+        cli.run_experiment(cli.ExperimentConfig(out_dir=str(tmp_path), **RUN))
+    (result,) = results
+    assert isinstance(result, drivers.RunResult)
+    assert [t for t, _ in result.iterates] == [0, 2, 4]
+    assert all(x.shape == (12,) for _, x in result.iterates)
+    assert all(getattr(drivers, run) is fn for run, fn in originals.items())
