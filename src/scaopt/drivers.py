@@ -21,9 +21,12 @@ optimality, direction and error-bound monitors.
 
 Each anchor is checked once, where it is made (``x0`` on entry, every later
 point by :meth:`Objective.in_region`), so the loop builds its models unchecked.
-Every point the loop reads (the iterate, the perturbed point and the terminal
-point) goes through one evaluation, which builds the model there and checks
-that ``f`` and the gradient are finite; a row whose point fails it raises.
+Every point the loop reads goes through one evaluation, which builds a model
+there and checks that ``f`` and the gradient are finite; a row whose point
+fails it raises. The iterate and a perturbed point inside the region are read
+through the run's model; a terminal point (a perturbed point outside the
+region, or the iterate at ``max_iters``) through the value and gradient alone,
+the unit-modulus proximal model, since its row holds nothing else.
 
 The loop steps a ``(B, d)`` stack of runs in lockstep (:func:`run_batch`; the
 four drivers are its one-row callers). Each row keeps its own perturbation
@@ -36,6 +39,7 @@ trajectory columns when the run ends.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -166,16 +170,6 @@ class Trajectory(Sequence):
         self.columns = columns
         self.perturbed_at = frozenset(perturbed_at)
 
-    @classmethod
-    def from_records(cls, records) -> "Trajectory":
-        """The trajectory of a sequence of records whose row ``t`` has ``rec.t == t``."""
-        records = list(records)
-        if any(rec.t != t for t, rec in enumerate(records)):
-            raise ValueError("record t must equal its row index")
-        columns = np.array([(rec.f, rec.grad_norm, rec.step_norm, rec.err_norm) for rec in records],
-                           dtype=np.float64).reshape(-1, 4)
-        return cls(columns, (rec.t for rec in records if rec.perturbed))
-
     def rows(self):
         """The rows as plain tuples ``(t, f, grad_norm, step_norm, err_norm, perturbed)``."""
         perturbed = self.perturbed_at
@@ -229,8 +223,7 @@ class RunResult:
     """Full trajectory of a run plus its termination and returned point.
 
     ``records`` has one row per visited iterate (steps + 1 rows), held as a
-    :class:`Trajectory` (a sequence of records given here is converted to
-    one). ``x_out`` is
+    :class:`Trajectory`. ``x_out`` is
     the last row's iterate and ``f_out`` its ``f``, except when the perturbed
     driver returns the pre-perturbation anchor: then they are that anchor and
     its value, which generally differ from the last trajectory row.
@@ -249,10 +242,6 @@ class RunResult:
     perturbation_state: PerturbationState = PerturbationState(t_noise=0)
     monitors: MonitorCounts = field(default_factory=MonitorCounts)
     iterates: Optional[list[tuple[int, np.ndarray]]] = None
-
-    def __post_init__(self):
-        if not isinstance(self.records, Trajectory):
-            self.records = Trajectory.from_records(self.records)
 
     @property
     def iterations(self) -> int:
@@ -488,12 +477,11 @@ def _evaluate(obj, spec, xs, t):
     and ``failures`` maps the position of each row whose build raised to its
     exception, or to a :class:`NonFiniteError` when its value or gradient is
     not finite. The proximal model of a batched objective is built on the
-    whole stack of two or more rows; any other model is built one row at a
-    time (a lone row's build is the cheaper one), and so is a stack whose build
-    raised, to find the rows that raise.
+    whole stack; any other model is built one row at a time, and so is a stack
+    whose build raised, to find the rows that raise.
     """
     failures = {}
-    if spec.kind == "proximal_linear" and obj.batched and len(xs) > 1:
+    if spec.kind == "proximal_linear" and obj.batched:
         try:
             surr = build_surrogate(obj, xs, spec)
         except Exception:
@@ -527,7 +515,7 @@ def _step(obj, spec, surr, x, eta):
     GD and PGD). Returns ``(x_next, inside, err_norm, gap)``: the updated
     stack, whether each updated row lies in the valid region and, for the rows
     that do, the norm of the error vector of :func:`gradient_error` and the
-    optimality gap ``(x - x_hat)'g`` that :func:`_step_monitors` checks.
+    optimality gap ``(x - x_hat)'g`` that :func:`_monitors` checks.
 
     The difference ``d = x - x_hat`` is formed once: the update is computed as
     ``x - eta d``, the error vector as ``d - g`` and the optimality gap as
@@ -609,23 +597,28 @@ def _monitors(columns, perturbed_at, obj, modulus, eta) -> MonitorCounts:
 
     ``columns`` are the run's :class:`Trajectory` columns with each step's
     optimality gap ``(x - x_hat)'g`` appended (0 on the terminal row). Every
-    step is checked by :func:`_step_monitors`; consecutive rows are checked by
-    :func:`descent_check` with :func:`descent_slack` (``eta'`` computed once
-    for the run), skipping a row reached by a perturbation's jump.
+    step is checked for optimality, the direction bound and (given
+    ``value_lipschitz``) the error bound, with :func:`monitor_slack` and
+    :func:`~scaopt.numerics.scalar_power`'s ``step_norm**2``; consecutive rows
+    are checked by :func:`descent_check` with :func:`descent_slack` (``eta'``
+    computed once for the run), skipping a row reached by a perturbation's jump.
     """
     f, gn, step_norm, err_norm, gap = columns[:-1].T
     steps = len(f)
     step_sq = scalar_power(step_norm, 2)
-    optimality, direction, error_bound = _step_monitors(gap, gn, step_norm, step_sq, err_norm,
-                                                        obj, modulus)
+    tol = monitor_slack(gn)
+    optimality = gap >= modulus * step_sq - (tol * step_norm + 1e-9)
+    direction = step_norm <= gn / modulus + tol / modulus
     counts = MonitorCounts(optimality_checked=steps, optimality_passed=int(optimality.sum()),
                            direction_checked=steps, direction_passed=int(direction.sum()))
-    if error_bound is not None:
+    lip_value = obj.constants.value_lipschitz
+    if lip_value is not None:
+        error_bound = err_norm <= lip_value * (1.0 + 1.0 / modulus) + tol / modulus
         counts.error_bound_checked, counts.error_bound_passed = steps, int(error_bound.sum())
     lip_grad = obj.constants.grad_lipschitz
     if eta < 2.0 * modulus / lip_grad:
         eta_prime = eta * modulus - eta**2 * lip_grad / 2.0
-        slack = 1e-9 * (1.0 + np.abs(f)) + eta * monitor_slack(gn) * step_norm
+        slack = 1e-9 * (1.0 + np.abs(f)) + eta * tol * step_norm
         passed = columns[1:, 0] <= f - eta_prime * step_sq + slack
         checked = np.ones(steps, dtype=bool)
         checked[[t - 1 for t in perturbed_at if t >= 1]] = False
@@ -634,27 +627,9 @@ def _monitors(columns, perturbed_at, obj, modulus, eta) -> MonitorCounts:
     return counts
 
 
-def _step_monitors(gap, gn, step_norm, step_sq, err_norm, obj, modulus):
-    """Optimality, direction-bound and error-bound monitors of steps, one array entry per step.
-
-    ``gap`` is each step's optimality gap ``(x - x_hat)'g`` and ``step_sq``
-    its ``step_norm**2`` (the scalar ``pow``'s bits, see
-    :func:`~scaopt.numerics.scalar_power`). Returns the three boolean arrays of
-    passed checks; the error bound is None when the objective declares no
-    ``value_lipschitz``.
-    """
-    tol = monitor_slack(gn)
-    optimality = gap >= modulus * step_sq - (tol * step_norm + 1e-9)
-    direction = step_norm <= gn / modulus + tol / modulus
-    lip_value = obj.constants.value_lipschitz
-    error_bound = None
-    if lip_value is not None:
-        error_bound = err_norm <= lip_value * (1.0 + 1.0 / modulus) + tol / modulus
-    return optimality, direction, error_bound
-
-
 # GD's and PGD's model: the proximal model at unit modulus, whose exact
-# minimizer is the gradient step.
+# minimizer is the gradient step. Every run reads its terminal points through
+# it, since a terminal row holds only f and the gradient norm.
 _GRADIENT_MODEL = SurrogateSpec()
 
 
@@ -721,79 +696,8 @@ class _Rows:
         return np.concatenate(parts + [np.array([[*end, 0.0, 0.0, 0.0]])])
 
 
-def _run(
-    obj: Objective,
-    spec: SurrogateSpec,
-    x0s,
-    eta: float,
-    max_iters: int,
-    *,
-    params=None,
-    rngs=None,
-    stop_grad_norm: float | None = None,
-    keep_iterates_every: int | None = None,
-) -> list:
-    """The outer loop shared by every driver, over a batch of runs in lockstep.
-
-    Row ``i`` starts from ``x0s[i]`` and perturbs by ``params[i]`` and
-    ``rngs[i]`` (not at all when ``params`` is None); every row steps by
-    ``eta`` for at most ``max_iters`` iterations. Each iteration evaluates the
-    iterates, applies the perturbation policy, keeps the iterates every
-    ``keep_iterates_every`` steps, runs the termination tests (window test,
-    then ``grad_norm <= stop_grad_norm``) and takes one step of the step rule
-    (see :func:`_step`), all on the stack of the rows still running. A row
-    leaves the stack when its run ends; only the rows that perturb draw from
-    their streams. Returns, per row, the :class:`RunResult` its run makes
-    alone, bit for bit, or the exception that run raises.
-    """
-    if params is None and not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    modulus = spec.strong_convexity
-    lip_grad = obj.constants.grad_lipschitz
-    if eta >= 2.0 * modulus / lip_grad:
-        warnings.warn("eta >= 2C/L1: the descent factor is nonpositive and the descent "
-                      "monitor is disabled", stacklevel=3)
-    params = params or [None] * len(x0s)
-    rngs = rngs or [None] * len(x0s)
-    rows = [
-        _Row(p, rng, PerturbationState(t_noise=0 if p is None else -p.t_th - 1),
-             [] if keep_iterates_every else None)
-        for p, rng in zip(params, rngs)
-    ]
-    ids, xs = [], []
-    for i, (row, x0) in enumerate(zip(rows, x0s)):
-        try:
-            xs.append(checked_anchor(obj, x0, "x0"))
-            ids.append(i)
-        except Exception as exc:
-            row.error = exc
-    store = _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm,
-                      keep_iterates_every)
-
-    results = []
-    for i, row in enumerate(rows):
-        if row.error is not None:
-            results.append(row.error)
-            continue
-        columns = store.columns(i, row.end)
-        counts = _monitors(columns, row.perturbed_at, obj, modulus, eta)
-        results.append(RunResult(
-            records=Trajectory(columns[:, :4].copy(), row.perturbed_at),
-            termination=row.termination,
-            x_out=row.x_out,
-            f_out=row.f_out,
-            perturbation_count=len(row.perturbed_at),
-            seed=0 if row.rng is None else row.rng.seed,
-            events=row.events,
-            perturbation_state=row.state,
-            monitors=counts,
-            iterates=row.iterates,
-        ))
-    return results
-
-
 def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_every) -> _Rows:
-    """Run the rows ``ids`` of :func:`_run` from the checked starts ``xs`` until each one ends.
+    """Run the rows ``ids`` of :func:`run_batch` from the checked starts ``xs`` until each one ends.
 
     The running rows are stacked by position: ``x`` holds their iterates and
     ``next_perturb``, the one schedule list, the first iteration at which each
@@ -840,21 +744,27 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 row.events[t] = f"perturbed;f_before={row.state.f_tilde:.17g}"
                 next_perturb[pos] = t + row.params.t_th + 1
             if fire:
-                again, failures = _evaluate(obj, spec, x[fire], t)
                 inside = obj.rows_in_region(x[fire]).tolist()
-                for k, pos in enumerate(fire):
-                    row = rows[ids[pos]]
-                    if k in failures:
-                        row.error = failures[k]
+                stay = [pos for pos, ins in zip(fire, inside) if ins]
+                left = [pos for pos, ins in zip(fire, inside) if not ins]
+                if stay:
+                    again, failures = _evaluate(obj, spec, x[stay], t)
+                    for name in SurrogateAt.__slots__:
+                        getattr(surr, name)[stay] = getattr(again, name)
+                    for k, exc in failures.items():
+                        rows[ids[stay[k]]].error = exc
+                        gone.append(stay[k])
+                if left:  # the terminal row describes the injected point, like any other row
+                    end, failures = _evaluate(obj, _GRADIENT_MODEL, x[left], t)
+                    for k, pos in enumerate(left):
+                        row = rows[ids[pos]]
+                        if k in failures:
+                            row.error = failures[k]
+                        else:
+                            tag = f"left_valid_region;{_region_exit_message(obj, x[pos])}"
+                            row.stop(t, float(end.anchor_value[k]), float(end.grad_norm[k]), tag,
+                                     x[pos].copy())
                         gone.append(pos)
-                    elif not inside[k]:
-                        # the terminal row describes the injected point, like any other row
-                        tag = f"left_valid_region;{_region_exit_message(obj, x[pos])}"
-                        row.stop(t, float(again.anchor_value[k]), float(again.grad_norm[k]), tag,
-                                 x[pos].copy())
-                        gone.append(pos)
-                for name in SurrogateAt.__slots__:
-                    getattr(surr, name)[fire] = getattr(again, name)
         if gone:
             drop(gone)
             if not ids:
@@ -899,7 +809,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         store.add(surr.anchor_value, surr.grad_norm, surr.step_norm, err_norm, gap)
         x = x_next
     else:  # the rows that ran out of iterations
-        surr, failures = _evaluate(obj, spec, x, max_iters)
+        surr, failures = _evaluate(obj, _GRADIENT_MODEL, x, max_iters)
         for pos, i in enumerate(ids):
             if pos in failures:
                 rows[i].error = failures[pos]
@@ -933,8 +843,8 @@ def run_sca(
     norm is at most ``stop_grad_norm``; a run that exhausts ``max_iters`` or
     steps out of the valid region terminates with the corresponding tag instead.
     """
-    return _one(_run(obj, spec, [x0], eta, max_iters, stop_grad_norm=stop_grad_norm,
-                     keep_iterates_every=keep_iterates_every))
+    return _one(run_batch(obj, spec, [x0], eta=eta, max_iters=max_iters,
+                          stop_grad_norm=stop_grad_norm, keep_iterates_every=keep_iterates_every))
 
 
 def run_psca(
@@ -956,9 +866,8 @@ def run_psca(
     instrumentation cutoff (first-passage studies); it is off by default and
     does not alter the protocol otherwise.
     """
-    return _one(_run(obj, spec, [x0], params.eta, params.max_iters, params=[params],
-                     rngs=[rng], stop_grad_norm=stop_grad_norm,
-                     keep_iterates_every=keep_iterates_every))
+    return _one(run_batch(obj, spec, [x0], params=[params], rngs=[rng],
+                          stop_grad_norm=stop_grad_norm, keep_iterates_every=keep_iterates_every))
 
 
 def run_gd(
@@ -971,8 +880,8 @@ def run_gd(
     keep_iterates_every: int | None = None,
 ) -> RunResult:
     """Plain gradient descent baseline with the same stopping rule as :func:`run_sca`."""
-    return _one(_run(obj, _GRADIENT_MODEL, [x0], eta, max_iters, stop_grad_norm=stop_grad_norm,
-                     keep_iterates_every=keep_iterates_every))
+    return _one(run_batch(obj, _GRADIENT_MODEL, [x0], eta=eta, max_iters=max_iters,
+                          stop_grad_norm=stop_grad_norm, keep_iterates_every=keep_iterates_every))
 
 
 def run_pgd(
@@ -991,9 +900,8 @@ def run_pgd(
     window-termination logic and the same loop, so the two coincide step for
     step in that configuration.
     """
-    return _one(_run(obj, _GRADIENT_MODEL, [x0], params.eta, params.max_iters,
-                     params=[params], rngs=[rng], stop_grad_norm=stop_grad_norm,
-                     keep_iterates_every=keep_iterates_every))
+    return _one(run_batch(obj, _GRADIENT_MODEL, [x0], params=[params], rngs=[rng],
+                          stop_grad_norm=stop_grad_norm, keep_iterates_every=keep_iterates_every))
 
 
 def run_batch(
@@ -1017,10 +925,17 @@ def run_batch(
     ``eta`` and ``max_iters``) and takes an optional ``stop_grad_norm``; row
     ``i`` is ``run_psca(obj, spec, params[i], x0s[i], rngs[i],
     stop_grad_norm=stop_grad_norm)``. Any other setting raises ValueError.
-    GD and PGD are these with the default ``SurrogateSpec()``. Returns one
-    entry per row, in order: the :class:`RunResult` of its run, equal to the
-    serial run's bit for bit, or the exception that run raised (a failing row
-    drops out; the rest run on).
+    GD and PGD are these with the default ``SurrogateSpec()``.
+
+    Each iteration evaluates the iterates, applies the perturbation policy,
+    keeps the iterates every ``keep_iterates_every`` steps, runs the
+    termination tests (window test, then ``grad_norm <= stop_grad_norm``) and
+    takes one step of the step rule (see :func:`_step`), all on the stack of
+    the rows still running. A row leaves the stack when its run ends; only the
+    rows that perturb draw from their streams. Returns one entry per row, in
+    order: the :class:`RunResult` of its run, equal to the serial run's bit
+    for bit, or the exception that run raised (a failing row drops out; the
+    rest run on).
     """
     given = {"eta": eta, "max_iters": max_iters, "stop_grad_norm": stop_grad_norm, "rngs": rngs}
     if params is None:
@@ -1034,15 +949,57 @@ def run_batch(
         if given[name] is not None:
             raise ValueError(f"a batch {kind} takes no {name}")
     n = len(x0s)
+    if params is not None and not len(params) == len(rngs) == n:
+        raise ValueError(f"need one params and one rng per start, got {len(params)}, "
+                         f"{len(rngs)} for {n} starts")
     if n == 0:
         return []
     if params is None:
-        return _run(obj, spec, x0s, eta, max_iters, stop_grad_norm=stop_grad_norm,
-                    keep_iterates_every=keep_iterates_every)
-    if not len(params) == len(rngs) == n:
-        raise ValueError(f"need one params and one rng per start, got {len(params)}, "
-                         f"{len(rngs)} for {n} starts")
-    if len({(p.eta, p.max_iters) for p in params}) > 1:
-        raise ValueError("the params of a batch must share eta and max_iters")
-    return _run(obj, spec, x0s, params[0].eta, params[0].max_iters, params=params, rngs=rngs,
-                stop_grad_norm=stop_grad_norm, keep_iterates_every=keep_iterates_every)
+        if not 0 < eta <= 1:
+            raise ValueError(f"eta must lie in (0, 1], got {eta}")
+        params = rngs = [None] * n
+    else:
+        if len({(p.eta, p.max_iters) for p in params}) > 1:
+            raise ValueError("the params of a batch must share eta and max_iters")
+        eta, max_iters = params[0].eta, params[0].max_iters
+    modulus = spec.strong_convexity
+    if eta >= 2.0 * modulus / obj.constants.grad_lipschitz:
+        frame, level = sys._getframe(1), 2  # name the first caller outside this module
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn("eta >= 2C/L1: the descent factor is nonpositive and the descent "
+                      "monitor is disabled", stacklevel=level)
+    rows = [
+        _Row(p, rng, PerturbationState(t_noise=0 if p is None else -p.t_th - 1),
+             [] if keep_iterates_every else None)
+        for p, rng in zip(params, rngs)
+    ]
+    ids, xs = [], []
+    for i, (row, x0) in enumerate(zip(rows, x0s)):
+        try:
+            xs.append(checked_anchor(obj, x0, "x0"))
+            ids.append(i)
+        except Exception as exc:
+            row.error = exc
+    store = _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm,
+                      keep_iterates_every)
+
+    results = []
+    for i, row in enumerate(rows):
+        if row.error is not None:
+            results.append(row.error)
+            continue
+        columns = store.columns(i, row.end)
+        results.append(RunResult(
+            records=Trajectory(columns[:, :4].copy(), row.perturbed_at),
+            termination=row.termination,
+            x_out=row.x_out,
+            f_out=row.f_out,
+            perturbation_count=len(row.perturbed_at),
+            seed=0 if row.rng is None else row.rng.seed,
+            events=row.events,
+            perturbation_state=row.state,
+            monitors=_monitors(columns, row.perturbed_at, obj, modulus, eta),
+            iterates=row.iterates,
+        ))
+    return results

@@ -60,9 +60,19 @@ class TestParseConfig:
             (dict(delta_u=math.inf), "delta_u must be finite (got inf)"),
             (dict(x0=(math.nan, 0.0)), "x0 must be finite"),
             (dict(x0=(0.0, 2.5)), "x0 lies outside the objective's valid region"),
+            (dict(x0=(0.0, 0.0, 0.0)), "x0 has length 3, problem dimension is 2"),
+            (dict(s=math.nan), "s must satisfy 0 < s < 1 (got nan)"),
+            (dict(eta=1.5), "eta must satisfy 0 < eta <= 1 (got 1.5)"),
+            (dict(surrogate="nope"), "unknown surrogate 'nope'"),
+            (dict(max_iters=0), "max_iters must be a positive integer"),
+            (dict(seeds=0), "seeds must be a positive integer"),
+            (dict(record_eigen_every=0), "record_eigen_every must be a positive integer"),
+            (dict(window_variant="x"), "window_variant must be 'proof' or 'algorithm' (got 'x')"),
         ],
         ids=["strong-convexity-nan", "jitter-nan", "delta-u-nan", "delta-u-zero",
-             "strong-convexity-inf", "jitter-inf", "delta-u-inf", "x0-nan", "x0-outside"],
+             "strong-convexity-inf", "jitter-inf", "delta-u-inf", "x0-nan", "x0-outside",
+             "x0-length", "s-nan", "eta-above-one", "surrogate-unknown", "max-iters-zero",
+             "seeds-zero", "record-eigen-every-zero", "window-variant-unknown"],
     )
     def test_range_rules_reject_nan_and_bad_starts(self, settings, message):
         cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="sca", **settings)
@@ -593,7 +603,7 @@ def test_readme_commands_parse():
 def test_trajectory_row_format_matches_per_field_format(tmp_path):
     """The one-format row writer writes what formatting each field on its own wrote."""
     from scaopt.cli import CSV_HEADER, write_trajectory_csv
-    from scaopt.drivers import IterateRecord, RunResult
+    from scaopt.drivers import IterateRecord, RunResult, Trajectory
 
     def per_field(rec, events):
         def fmt(v):
@@ -610,7 +620,9 @@ def test_trajectory_row_format_matches_per_field_format(tmp_path):
         IterateRecord(3, float(np.float64(-1.0) / 3.0), 12345678901234567.0, 1e-17, 7.0, True),
     ]
     events = {0: "perturbed;f_before=0.5", 3: "returned_xtilde"}
-    result = RunResult(records=records, termination="returned_xtilde", x_out=np.zeros(1),
+    columns = np.array([(rec.f, rec.grad_norm, rec.step_norm, rec.err_norm) for rec in records])
+    trajectory = Trajectory(columns, (rec.t for rec in records if rec.perturbed))
+    result = RunResult(records=trajectory, termination="returned_xtilde", x_out=np.zeros(1),
                        f_out=0.0, perturbation_count=2, seed=0, events=events)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, result)

@@ -66,6 +66,16 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             drv.derive_params(0.01, 0.1, 1.5, 0.5, 1.0, quartic10.objective)
 
+    @pytest.mark.parametrize("setting, message", [
+        (dict(delta=1.0), r"^delta must lie in \(0, 1\), got 1.0$"),
+        (dict(s=0.0), r"^s must lie in \(0, 1\), got 0.0$"),
+        (dict(window_variant="x"), "^unknown window_variant 'x'$"),
+    ], ids=["delta", "s", "window_variant"])
+    def test_delta_s_and_window_variant_rejected(self, quartic10, setting, message):
+        args = dict(eps=0.01, delta=0.1, c=1.0, s=0.5, delta_u=1.0, obj=quartic10.objective)
+        with pytest.raises(ValueError, match=message):
+            drv.derive_params(**{**args, **setting})
+
     @pytest.mark.parametrize("delta_u", [0.0, -1.0, math.nan, math.inf])
     def test_delta_u_must_be_positive(self, quartic10, delta_u):
         with pytest.raises(ValueError, match="delta_u must be positive and finite"):
@@ -176,6 +186,18 @@ class TestScaStep:
         obj = make_quadratic(np.eye(2)).objective
         with pytest.raises(ValueError):
             drv.sca_step(obj, SurrogateSpec(), np.zeros(2), 1.5)
+
+    def test_the_models_failure_is_raised(self):
+        obj = make_quadratic(np.eye(2)).objective
+
+        def builder(o, y, s):
+            raise ArithmeticError("no model here")
+
+        with pytest.raises(ArithmeticError, match="no model here"):
+            drv.sca_step(obj, SurrogateSpec(kind="custom", builder=builder), np.zeros(2), 0.5)
+        nan_obj = dataclasses.replace(obj, value=lambda x: math.nan)
+        with pytest.raises(numerics.NonFiniteError, match="at iteration 4"):
+            drv.sca_step(nan_obj, SurrogateSpec(), np.zeros(2), 0.5, t=4)
 
 
 class TestGradientError:
@@ -483,6 +505,36 @@ class TestSharedLoop:
             assert res.final_f == res.f_out
         assert pgd.records[-1] == psca.records[-1]
 
+    def test_a_checking_builder_never_sees_a_point_outside_the_region(self):
+        """A perturbation that leaves the ball ends its run on the value and gradient there;
+        the run's own model, which here refuses an anchor outside the ball, is not built."""
+        obj = make_quadratic(np.diag([1.0, -1.0]), [-1.0, 0.0], hessian_lipschitz=0.05,
+                             region_radius=1.0).objective
+        params = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 1.0, obj, 2000)
+        checking = SurrogateSpec(kind="custom", builder=lambda o, y, s: surrogates.build_surrogate(
+            o, y, SurrogateSpec()))
+        saddle = np.array([1.0, 0.0])
+        for seed in range(4):
+            plain = drv.run_psca(obj, SurrogateSpec(), params, saddle, RngStream(seed))
+            res = drv.run_psca(obj, checking, params, saddle, RngStream(seed))
+            assert res.termination == plain.termination == "left_valid_region"
+            assert res.final_f == plain.final_f
+
+    def test_a_terminal_row_builds_no_split_model(self):
+        """A ``quadratic_split`` run that ends at ``max_iters`` reads one Hessian per step."""
+        prob = get_problem("rosenbrock:d=10")
+        calls = []
+
+        def dense_hessian(x):
+            calls.append(1)
+            return prob.objective.dense_hessian(x)
+
+        obj = dataclasses.replace(prob.objective, dense_hessian=dense_hessian)
+        eta = 1.0 / obj.constants.grad_lipschitz
+        res = drv.run_sca(obj, SurrogateSpec(kind="quadratic_split"), eta, 1e-12, 5,
+                          _jittered_start(prob))
+        assert res.termination == "max_iters" and len(calls) == 5
+
     @pytest.mark.parametrize("name", ["saddle_quartic:d=10", "rosenbrock:d=10"])
     def test_gradient_baselines_tally_every_monitor(self, name):
         prob = get_problem(name)
@@ -539,18 +591,23 @@ class TestSharedLoop:
             "left_valid_region;iterate left the valid region (norm "
         )
 
-    @pytest.mark.parametrize("algo", ["sca", "gd", "pgd"])
+    @pytest.mark.parametrize("algo", ["sca", "gd", "pgd", "batch"])
     def test_descent_monitor_disabled_warns(self, algo):
+        """The warning names the line that called the driver, or ``run_batch``."""
         prob = get_problem("saddle_quartic:d=4")  # L1 = 11, so eta = 0.5 >= 2C/L1
         obj, x0 = prob.objective, prob.canonical_start
         params = dataclasses.replace(drv.derive_params(0.01, 0.1, 1.0, 0.5, 0.25, obj, 5), eta=0.5)
-        with pytest.warns(UserWarning, match="descent monitor"):
+        with pytest.warns(UserWarning, match="descent monitor") as record:
             if algo == "sca":
                 drv.run_sca(obj, SurrogateSpec(), 0.5, 1e-12, 5, x0)
             elif algo == "gd":
                 drv.run_gd(obj, 0.5, 1e-12, 5, x0)
-            else:
+            elif algo == "pgd":
                 drv.run_pgd(obj, params, x0, RngStream(0))
+            else:
+                drv.run_batch(obj, SurrogateSpec(), [x0], eta=0.5, max_iters=5,
+                              stop_grad_norm=1e-12)
+        assert record[0].filename == __file__
 
     def test_kept_iterates_include_the_terminal_iterate(self):
         prob = get_problem("quadratic:d=10")

@@ -172,6 +172,8 @@ def _batch_settings(obj):
     ("perturbed", {"rngs": None}, "a batch with params needs rngs"),
     ("perturbed", {"eta": 0.9}, "a batch with params takes no eta"),
     ("perturbed", {"max_iters": 3}, "a batch with params takes no max_iters"),
+    ("perturbed", {"rngs": [RngStream(0), RngStream(1)]},
+     r"need one params and one rng per start, got 1, 2 for [01] starts"),
 ])
 def test_run_batch_refuses_a_setting_it_would_ignore(kind, change, message):
     obj = get_problem("saddle_quartic:d=2").objective

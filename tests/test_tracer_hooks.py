@@ -7,13 +7,20 @@ from its file, runs one short ``quadratic_split`` run inside
 ``Tracer().installed()``, and checks that every wrapped attribute exists, is
 restored afterwards, and that the traced run writes the bytes of an untraced one.
 It also checks that ``capture_runs()``, which the benchmark's curvature check
-runs ``cli.run_experiment`` in, collects that experiment's one run.
+runs ``cli.run_experiment`` in, collects each algorithm's one run, and that the
+tracer counts one ``drivers.run`` span per experiment and per direct driver
+call: a driver that called another would count twice.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from scaopt import certify, cli, drivers, problems
+from scaopt.numerics import RngStream
+from scaopt.surrogates import SurrogateSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -59,14 +66,39 @@ def test_traced_run_writes_the_untraced_bytes(tmp_path):
             "surrogates.minimize", "certify.min_eigenvalue", "certify.certify_run"} <= tracer.fired()
 
 
-def test_capture_runs_collects_the_run_of_an_experiment(tmp_path):
-    # the benchmark's curvature check reads the iterates of the run this captures
+def direct_run(algo):
+    """A five-step run of ``drivers.run_<algo>``, looked up when called (so a traced one)."""
+    obj = problems.get_problem("saddle_quartic:d=2").objective
+    x0 = np.array([0.5, 0.5])
+    params = drivers.derive_params(1e-2, 0.1, 1.0, 0.5, 1.0, obj, 5)
+    return {
+        "sca": lambda: drivers.run_sca(obj, SurrogateSpec(), 0.05, 1e-12, 5, x0),
+        "psca": lambda: drivers.run_psca(obj, SurrogateSpec(), params, x0, RngStream(0)),
+        "gd": lambda: drivers.run_gd(obj, 0.05, 1e-12, 5, x0),
+        "pgd": lambda: drivers.run_pgd(obj, params, x0, RngStream(0)),
+    }[algo]()
+
+
+@pytest.mark.parametrize("algo", ["sca", "psca", "gd", "pgd"])
+def test_capture_runs_collects_the_run_of_an_experiment(tmp_path, algo):
+    # the benchmark's curvature check reads the iterates of the run this captures; a driver
+    # that called another driver would be collected, and traced, twice
     tracer = load_tracer()
+    surrogate = "quadratic_split" if algo in ("sca", "psca") else "proximal_linear"
+    cfg = dict(RUN, algo=algo, surrogate=surrogate)
     originals = {run: getattr(drivers, run) for run in tracer.DRIVER_RUNS}
     with tracer.capture_runs() as results:
-        cli.run_experiment(cli.ExperimentConfig(out_dir=str(tmp_path), **RUN))
-    (result,) = results
+        cli.run_experiment(cli.ExperimentConfig(out_dir=str(tmp_path / "captured"), **cfg))
+        alone = direct_run(algo)
+    result, captured_alone = results
+    assert captured_alone is alone
     assert isinstance(result, drivers.RunResult)
     assert [t for t, _ in result.iterates] == [0, 2, 4]
     assert all(x.shape == (12,) for _, x in result.iterates)
     assert all(getattr(drivers, run) is fn for run, fn in originals.items())
+
+    traced = tracer.Tracer()
+    with traced.installed():
+        cli.run_experiment(cli.ExperimentConfig(out_dir=str(tmp_path / "traced"), **cfg))
+        direct_run(algo)
+    assert traced.calls("drivers.run") == 2
