@@ -3,13 +3,20 @@
 A point is classified against the three-way taxonomy: not first-order
 stationary (gradient above the target), an approximate second-order stationary
 point (small gradient, minimum Hessian eigenvalue above ``-sqrt(L2 eps)``), or
-a strict-saddle candidate (small gradient, eigenvalue below the cut). Small
-problems with a dense Hessian use an exact symmetric eigendecomposition;
-otherwise implicitly restarted Lanczos (ARPACK through
-``scipy.sparse.linalg.eigsh``) works matrix-free on the shifted operator
-``L1 I - H`` through Hessian-vector products. Its ``max_iters`` is a budget of
-Hessian-vector products and its Lanczos start vector is fixed, so a
-certificate replays bit for bit.
+a strict-saddle candidate (small gradient, eigenvalue below the cut). Which
+eigensolver runs depends on the objective:
+
+- up to ``DENSE_DIM_LIMIT`` variables, an objective with a dense Hessian gets
+  an exact symmetric eigendecomposition (``np.linalg.eigh``);
+- above it, an objective declaring ``tridiagonal_hessian`` (chained
+  Rosenbrock) gets the exact lowest eigenpair of the Hessian's band
+  (``scipy.linalg.eigh_tridiagonal``);
+- every other objective, and a declared one whose Hessian is not tridiagonal
+  at the point, gets implicitly restarted Lanczos (ARPACK through
+  ``scipy.sparse.linalg.eigsh``), matrix-free on the shifted operator
+  ``L1 I - H`` through Hessian-vector products. Its ``max_iters`` is a budget
+  of Hessian-vector products and its Lanczos start vector is fixed, so a
+  certificate replays bit for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +26,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from scaopt.numerics import RngStream, as_vector
+from scaopt.numerics import NonFiniteError, RngStream, as_vector
 from scaopt.problems import Objective
+from scaopt.surrogates import _checked_hessian, _tridiagonal_band
 
 __all__ = [
     "Certificate",
@@ -74,19 +83,39 @@ class Certificate:
     eps: float
     gamma: float
     classification: str  # eps_sosp | eps_fosp_strict_saddle | not_fosp
-    method: Optional[str]  # dense | matrix_free
+    method: Optional[str]  # dense | tridiagonal | matrix_free
 
 
 def resolve_method(obj: Objective, method: str = "auto") -> str:
-    """The eigensolver ``min_eigenvalue`` runs for ``method``: ``dense`` or ``matrix_free``."""
+    """The eigensolver ``min_eigenvalue`` runs for ``method``: dense, tridiagonal or matrix_free.
+
+    ``auto`` picks ``dense`` for an objective with a dense Hessian up to
+    ``DENSE_DIM_LIMIT``; above it, ``tridiagonal`` for one that declares
+    ``tridiagonal_hessian`` and ``matrix_free`` otherwise. ``tridiagonal`` is
+    only ever picked, never passed in, and at a point where the declared
+    Hessian is not tridiagonal ``min_eigenvalue`` runs ``matrix_free`` instead.
+    """
     if method not in ("auto", "dense", "matrix_free"):
         raise ValueError(f"unknown method '{method}'")
     if method == "auto":
-        use_dense = obj.dense_hessian is not None and obj.dim <= DENSE_DIM_LIMIT
-        return "dense" if use_dense else "matrix_free"
+        if obj.dense_hessian is None:
+            return "matrix_free"
+        if obj.dim <= DENSE_DIM_LIMIT:
+            return "dense"
+        return "tridiagonal" if obj.tridiagonal_hessian else "matrix_free"
     if method == "dense" and obj.dense_hessian is None:
         raise ValueError("dense method requested but no dense Hessian available")
     return method
+
+
+class _Eigenpair(tuple):
+    """The triple ``(lambda_min, eigenvector, residual)`` that also names, as
+    ``method``, the eigensolver that produced it."""
+
+    def __new__(cls, lam: float, vec: np.ndarray, residual: float, method: str):
+        pair = super().__new__(cls, (lam, vec, residual))
+        pair.method = method
+        return pair
 
 
 class _BudgetExhausted(Exception):
@@ -112,16 +141,29 @@ def min_eigenvalue(
     """Estimate the minimum Hessian eigenvalue at ``x``.
 
     Returns ``(lambda_min, eigenvector, residual)`` with
-    ``residual = ||H v - lambda v||``. The dense path (available Hessian and
-    dim <= 200) diagonalizes exactly. The matrix-free path runs implicitly
-    restarted Lanczos (ARPACK, via ``scipy.sparse.linalg.eigsh``) for the
-    largest-magnitude eigenvalue ``rho`` of the shifted operator ``L1 I - H``.
-    That operator is PSD whenever the declared gradient-Lipschitz constant is
-    honest, so ``rho = L1 - lambda_min``; a negative ``rho`` raises
-    :class:`SpectralShiftError`. The start vector is a fixed draw, so a call
-    replays bit for bit. ``max_iters`` bounds the Hessian-vector products,
-    including the one that measures the residual of the Ritz pair; the
-    estimate must certify with a residual within ``100 tol`` (``tol``
+    ``residual = ||H v - lambda v||``; the triple's ``method`` attribute names
+    the eigensolver that ran. :func:`resolve_method` picks it:
+
+    - ``dense`` (a dense Hessian and dim <= ``DENSE_DIM_LIMIT``, or asked for)
+      diagonalizes the Hessian's lower triangle with ``np.linalg.eigh``;
+    - ``tridiagonal`` (above the limit, for an objective declaring
+      ``tridiagonal_hessian``) takes the lowest eigenpair of the Hessian's
+      band from ``scipy.linalg.eigh_tridiagonal`` and the residual from a
+      banded product. Where the Hessian is not tridiagonal after all, the
+      matrix-free path runs instead;
+    - ``matrix_free`` runs implicitly restarted Lanczos (ARPACK, via
+      ``scipy.sparse.linalg.eigsh``) for the largest-magnitude eigenvalue
+      ``rho`` of the shifted operator ``L1 I - H``.
+
+    Both exact routes refuse a dense Hessian of the wrong shape
+    (``ValueError``) and raise :class:`~scaopt.numerics.NonFiniteError` when
+    its lower triangle or ``lambda_min`` is not finite. The shifted operator
+    of the matrix-free path is PSD whenever the declared gradient-Lipschitz
+    constant is honest, so ``rho = L1 - lambda_min``; a negative ``rho``
+    raises :class:`SpectralShiftError`. The start vector is a fixed draw, so
+    a call replays bit for bit. ``max_iters`` bounds the Hessian-vector
+    products, including the one that measures the residual of the Ritz pair;
+    the estimate must certify with a residual within ``100 tol`` (``tol``
     defaults to ``1e-8 L1``). Running out of budget or missing the bar raises
     :class:`EigenSolveError` carrying the best estimate: on exhaustion, the
     smallest Rayleigh quotient seen.
@@ -133,14 +175,37 @@ def min_eigenvalue(
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
-    if resolve_method(obj, method) == "dense":
-        hess = obj.dense_hessian(x)
+    route = resolve_method(obj, method)
+    if route == "matrix_free":
+        return _Eigenpair(*_lanczos(obj, x, tol, max_iters), route)
+    hess = _checked_hessian(obj, x)
+    band = _tridiagonal_band(hess) if route == "tridiagonal" else None
+    if band is None:
+        if not (np.isfinite(hess).all() or np.isfinite(np.tril(hess)).all()):
+            raise NonFiniteError("dense Hessian holds NaN or inf in its lower triangle")
+        if route == "tridiagonal":  # declared, but not tridiagonal at x
+            return _Eigenpair(*_lanczos(obj, x, tol, max_iters), "matrix_free")
         eigvals, eigvecs = np.linalg.eigh(hess)
         lam = float(eigvals[0])
         vec = eigvecs[:, 0]
-        residual = float(np.linalg.norm(hess @ vec - lam * vec))
-        return lam, vec, residual
+        hv = hess @ vec
+    else:
+        diag, sub = band
+        eigvals, eigvecs = eigh_tridiagonal(diag, sub, select="i", select_range=(0, 0),
+                                            check_finite=False)
+        lam = float(eigvals[0])
+        vec = eigvecs[:, 0]
+        hv = diag * vec
+        hv[:-1] += sub * vec[1:]
+        hv[1:] += sub * vec[:-1]
+    if not math.isfinite(lam):
+        raise NonFiniteError(f"minimum eigenvalue of the dense Hessian is {lam}")
+    return _Eigenpair(lam, vec, float(np.linalg.norm(hv - lam * vec)), route)
 
+
+def _lanczos(obj: Objective, x: np.ndarray, tol: float, max_iters: int):
+    """The matrix-free path of :func:`min_eigenvalue`: ``(lambda_min, eigenvector, residual)``."""
+    lip_grad = obj.constants.grad_lipschitz
     calls = 0
     best = (math.inf, None, math.inf)  # smallest Rayleigh quotient: (lambda, vector, residual)
 
@@ -198,7 +263,7 @@ def classify(obj: Objective, x, eps: float) -> Certificate:
 
     Skips eigenvalue estimation entirely when the gradient norm already exceeds
     ``eps``; otherwise ``method`` names the eigensolver :func:`min_eigenvalue`
-    picks by default. Classification is a pure function of the gradient norm,
+    ran by default. Classification is a pure function of the gradient norm,
     the eigenvalue estimate, ``eps``, and the declared Hessian-Lipschitz
     constant.
     """
@@ -217,7 +282,8 @@ def classify(obj: Objective, x, eps: float) -> Certificate:
             classification="not_fosp",
             method=None,
         )
-    lam, _, residual = min_eigenvalue(obj, x)
+    pair = min_eigenvalue(obj, x)
+    lam, _, residual = pair
     return Certificate(
         grad_norm=grad_norm,
         lambda_min=lam,
@@ -225,7 +291,7 @@ def classify(obj: Objective, x, eps: float) -> Certificate:
         eps=eps,
         gamma=gamma,
         classification="eps_sosp" if lam >= -gamma else "eps_fosp_strict_saddle",
-        method=resolve_method(obj),
+        method=pair.method,
     )
 
 

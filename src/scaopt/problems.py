@@ -67,6 +67,10 @@ class Objective:
     ``gradient`` also take a ``(B, dim)`` stack of points and return the ``B``
     values and the ``(B, dim)`` gradients, row ``i`` bit for bit the call on
     row ``i``; the drivers call every other objective one row at a time.
+    ``tridiagonal_hessian`` declares that ``dense_hessian`` (which it
+    requires) returns a tridiagonal matrix at every point; certification
+    above the dense-eigensolver limit then diagonalizes its band exactly
+    instead of running Lanczos.
     """
 
     dim: int
@@ -79,10 +83,14 @@ class Objective:
     dense_hessian: Callable[[np.ndarray], np.ndarray] | None = None
     f_star: float | None = None
     batched: bool = False
+    tridiagonal_hessian: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
+        if self.tridiagonal_hessian and self.dense_hessian is None:
+            raise ValueError("tridiagonal_hessian declares the dense Hessian's shape; "
+                             "it needs a dense_hessian")
         if not self.region_radius > 0:
             raise ValueError("region_radius must be positive")
         if self.region_norm not in (2, math.inf):
@@ -440,6 +448,7 @@ def make_rosenbrock(dim: int) -> ProblemInstance:
         dense_hessian=dense_hessian,
         f_star=0.0,
         batched=True,
+        tridiagonal_hessian=True,
     )
     ones = np.ones(dim)
     minima = ((ones, 0.0),)

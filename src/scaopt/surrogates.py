@@ -151,12 +151,39 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
         raise UnsupportedSurrogateError(
             "quadratic_split needs an objective with a dense Hessian"
         )
+    x_hat = y - _split_model_solve(_checked_hessian(obj, y), g_y, modulus)
+    step = x_hat - y
+    return SurrogateAt(f_y, g_y, gn, x_hat, math.sqrt(step @ step))
+
+
+def _checked_hessian(obj: Objective, y: np.ndarray) -> np.ndarray:
+    """``obj.dense_hessian(y)`` as float64, checked to be ``d x d`` for the ``d``-vector ``y``."""
     h = np.asarray(obj.dense_hessian(y), dtype=np.float64)
     if h.shape != (y.size, y.size):
         raise ValueError(f"dense Hessian has shape {h.shape}, expected {(y.size, y.size)}")
-    x_hat = y - _split_model_solve(h, g_y, modulus)
-    step = x_hat - y
-    return SurrogateAt(f_y, g_y, gn, x_hat, math.sqrt(step @ step))
+    return h
+
+
+def _tridiagonal_band(h: np.ndarray):
+    """``(diag, sub)`` of ``h``'s lower triangle if it is tridiagonal with a finite band, else None.
+
+    ``h`` is a float64 matrix. The test is exact and, on a tridiagonal ``h``,
+    makes no ``d x d`` temporary: the entries of ``h`` with a nonzero bit
+    pattern, counted in place, equal those of its three central diagonals
+    exactly when every entry off the band is ``+0.0``. Only when the counts
+    differ (an entry above the diagonal, which is ignored as ``eigh`` ignores
+    it, or a ``-0.0``) is the lower triangle below the band read. Counting
+    bits rather than floats halves the time of the count. ``diag`` and
+    ``sub`` are read-only views of ``h``.
+    """
+    diag, sub = h.diagonal(), h.diagonal(-1)
+    if not (np.isfinite(diag).all() and np.isfinite(sub).all()):
+        return None
+    bits = h.view(np.uint64)
+    on_band = sum(np.count_nonzero(bits.diagonal(k)) for k in (-1, 0, 1))
+    if np.count_nonzero(bits) != on_band and np.tril(h, -2).any():
+        return None
+    return diag, sub
 
 
 def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarray:
@@ -165,7 +192,8 @@ def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarr
     ``H_+`` is ``H`` with its negative eigenvalues set to 0. On eigenpairs
     ``(V, lambda)`` of ``H`` the solve is ``V ((V' g) / (max(lambda, 0) + C))``.
     ``np.linalg.eigh`` reads only the lower triangle, so the band is read off
-    it too, and the cheapest exact route is taken:
+    it too (by :func:`_tridiagonal_band`), and the cheapest exact route is
+    taken:
 
     - a tridiagonal ``H`` with a nonzero subdiagonal is first factored by
       ``scipy.linalg.cholesky_banded``; when that succeeds ``H`` is positive
@@ -178,18 +206,19 @@ def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarr
     - anything else, or a band holding NaN or inf, goes through dense
       ``np.linalg.eigh``.
     """
-    diag, sub = h.diagonal(), h.diagonal(-1)
-    if np.tril(h, -2).any() or not (np.isfinite(diag).all() and np.isfinite(sub).all()):
+    band = _tridiagonal_band(h)
+    if band is None:
         eigvals, eigvecs = np.linalg.eigh(h)
     else:
+        diag, sub = band
         if sub.any():
-            band = np.zeros((2, diag.size))
-            band[0] = diag
-            band[1, :-1] = sub
+            ab = np.zeros((2, diag.size))  # lower banded storage
+            ab[0] = diag
+            ab[1, :-1] = sub
             try:
-                cholesky_banded(band, lower=True, check_finite=False)
-                band[0] += modulus
-                return solveh_banded(band, g, lower=True, check_finite=False)
+                cholesky_banded(ab, lower=True, check_finite=False)
+                ab[0] += modulus
+                return solveh_banded(ab, g, lower=True, check_finite=False)
             except LinAlgError:
                 pass
         eigvals, eigvecs = eigh_tridiagonal(diag, sub)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import scaopt.certify as certify
 import scaopt.drivers as drv
 from scaopt.certify import (
+    DENSE_DIM_LIMIT,
     EigenSolveError,
     SpectralShiftError,
     certify_run,
@@ -13,7 +15,7 @@ from scaopt.certify import (
     min_eigenvalue,
     resolve_method,
 )
-from scaopt.numerics import RngStream
+from scaopt.numerics import NonFiniteError, RngStream
 from scaopt.problems import get_problem, make_quadratic, make_saddle_quartic
 from scaopt.surrogates import SurrogateSpec
 
@@ -103,8 +105,8 @@ class TestMinEigenvalue:
 
     def test_matrix_free_replays_bitwise(self):
         prob = get_problem("rosenbrock:d=256")
-        first = min_eigenvalue(prob.objective, prob.canonical_start)
-        second = min_eigenvalue(prob.objective, prob.canonical_start)
+        first = min_eigenvalue(prob.objective, prob.canonical_start, method="matrix_free")
+        second = min_eigenvalue(prob.objective, prob.canonical_start, method="matrix_free")
         assert first[0] == second[0]
         assert np.array_equal(first[1], second[1])
 
@@ -127,6 +129,137 @@ class TestMinEigenvalue:
         stripped = dataclasses.replace(obj, dense_hessian=None)
         with pytest.raises(ValueError):
             min_eigenvalue(stripped, np.zeros(2), method="dense")
+
+
+def counted(obj, *names):
+    """``obj`` with each named oracle wrapped to count its calls in the returned dict."""
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name):
+        fn = getattr(obj, name)
+
+        def oracle(*args):
+            calls[name] += 1
+            return fn(*args)
+        return oracle
+
+    return dataclasses.replace(obj, **{name: wrap(name) for name in names}), calls
+
+
+def with_hessian(dim, h, **fields):
+    """A ``dim``-variable objective, gradient 0 at the origin, whose dense Hessian is ``h``."""
+    obj = make_quadratic(np.eye(dim)).objective
+    return dataclasses.replace(obj, dense_hessian=lambda x: h, **fields)
+
+
+def jittered_points(prob, count):
+    """The canonical start and ``count`` uniform jitters of it inside the region."""
+    obj, start = prob.objective, prob.canonical_start
+    points = [start]
+    for seed in range(count):
+        x = np.clip(start + RngStream(seed).uniform_vector(-0.5, 0.5, obj.dim), -2.0, 2.0)
+        assert obj.in_region(x)
+        points.append(x)
+    return points
+
+
+class TestTridiagonalRoute:
+    """Above ``DENSE_DIM_LIMIT``, a declared tridiagonal Hessian is diagonalized on its band."""
+
+    @pytest.mark.parametrize("dim", [256, 300])
+    def test_rosenbrock_band_matches_dense(self, dim):
+        prob = get_problem(f"rosenbrock:d={dim}")
+        obj, calls = counted(prob.objective, "dense_hessian", "hvp")
+        tol = 1e-8 * obj.constants.grad_lipschitz
+        assert resolve_method(obj) == "tridiagonal"
+        for x in jittered_points(prob, 3):
+            calls.update(dense_hessian=0, hvp=0)
+            pair = min_eigenvalue(obj, x)
+            assert calls == {"dense_hessian": 1, "hvp": 0}
+            assert pair.method == "tridiagonal"
+            lam, vec, residual = pair
+            lam_dense, _, _ = min_eigenvalue(prob.objective, x, method="dense")
+            assert abs(lam - lam_dense) <= 1e-10
+            assert residual <= 100.0 * tol
+            assert abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-12
+            h = prob.objective.dense_hessian(x)
+            assert abs(float(np.linalg.norm(h @ vec - lam * vec)) - residual) <= 1e-12
+            eps = 2.0 * float(np.linalg.norm(obj.gradient(x)))
+            assert classify(obj, x, eps=eps).method == "tridiagonal"
+
+    def test_declared_hessian_off_the_band_falls_back_to_lanczos(self):
+        dim = DENSE_DIM_LIMIT + 1
+        gen = np.random.default_rng(5)
+        sub = gen.uniform(-1.0, 1.0, dim - 1)
+        h = np.diag(gen.uniform(-2.0, 2.0, dim)) + np.diag(sub, -1) + np.diag(sub, 1)
+        h[7, 2] = h[2, 7] = 0.5
+        declared = dataclasses.replace(make_quadratic(h).objective, tridiagonal_hessian=True)
+        obj, calls = counted(declared, "dense_hessian", "hvp")
+        assert resolve_method(obj) == "tridiagonal"
+        pair = min_eigenvalue(obj, np.zeros(dim))
+        assert pair.method == "matrix_free"
+        assert calls["dense_hessian"] == 1 and calls["hvp"] > 0
+        assert abs(pair[0] - float(np.linalg.eigvalsh(h)[0])) <= 1e-6
+        assert classify(obj, np.zeros(dim), eps=1.0).method == "matrix_free"
+
+    def test_dense_method_never_runs_the_band_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh_tridiagonal called")
+
+        monkeypatch.setattr(certify, "eigh_tridiagonal", refuse)
+        prob = get_problem("rosenbrock:d=256")
+        pair = min_eigenvalue(prob.objective, prob.canonical_start, method="dense")
+        assert pair.method == "dense"
+        h = prob.objective.dense_hessian(prob.canonical_start)
+        assert pair[0] == float(np.linalg.eigh(h)[0][0])
+
+    def test_matrix_factorization_reads_no_dense_hessian(self):
+        prob = get_problem("matrix_factorization:d=30,r=8")
+        obj, calls = counted(prob.objective, "dense_hessian")
+        assert min_eigenvalue(obj, prob.canonical_start).method == "matrix_free"
+        assert classify(obj, prob.canonical_start, eps=1e3).method == "matrix_free"
+        assert calls == {"dense_hessian": 0}
+
+
+class TestExactRoutesCheckTheHessian:
+    """The dense and tridiagonal routes refuse a Hessian of the wrong shape or with NaN/inf."""
+
+    DIMS = {"dense": 3, "tridiagonal": DENSE_DIM_LIMIT + 1}
+
+    @pytest.mark.parametrize("route", ["dense", "tridiagonal"])
+    def test_wrong_shape_is_refused(self, route):
+        dim = self.DIMS[route]
+        obj = with_hessian(dim, -np.eye(dim + 1), tridiagonal_hessian=route == "tridiagonal")
+        assert resolve_method(obj) == route
+        shapes = rf"dense Hessian has shape \({dim + 1}, {dim + 1}\), expected \({dim}, {dim}\)"
+        with pytest.raises(ValueError, match=shapes):
+            min_eigenvalue(obj, np.zeros(dim))
+        with pytest.raises(ValueError, match=shapes):
+            classify(obj, np.zeros(dim), eps=0.1)
+
+    @pytest.mark.parametrize("route", ["dense", "tridiagonal"])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (2, 0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lower_triangle_is_refused(self, route, entry, bad):
+        dim = self.DIMS[route]
+        h = np.diag(np.arange(1.0, dim + 1.0))
+        h[entry] = bad
+        obj, calls = counted(with_hessian(dim, h, tridiagonal_hessian=route == "tridiagonal"),
+                             "hvp")
+        with pytest.raises(NonFiniteError):
+            min_eigenvalue(obj, np.zeros(dim))
+        with pytest.raises(NonFiniteError):
+            classify(obj, np.zeros(dim), eps=0.1)
+        assert calls == {"hvp": 0}
+
+    @pytest.mark.parametrize("route", ["dense", "tridiagonal"])
+    def test_non_finite_entries_above_the_diagonal_are_ignored(self, route):
+        dim = self.DIMS[route]
+        h = np.diag(np.arange(1.0, dim + 1.0))
+        h[0, 1] = h[0, 2] = math.nan
+        obj = with_hessian(dim, h, tridiagonal_hessian=route == "tridiagonal")
+        pair = min_eigenvalue(obj, np.zeros(dim))
+        assert (pair[0], pair.method) == (1.0, route)
 
 
 class TestClassify:

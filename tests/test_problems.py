@@ -319,6 +319,21 @@ class TestDeclaredConstants:
                       region_radius=math.nan)
 
 
+class TestTridiagonalDeclaration:
+    def test_declaration_without_a_dense_hessian_is_rejected(self):
+        with pytest.raises(ValueError, match="it needs a dense_hessian"):
+            Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.zeros(2),
+                      hvp=lambda x, v: np.zeros(2), constants=Smoothness(1.0, 1.0),
+                      tridiagonal_hessian=True)
+
+    def test_only_rosenbrock_declares_a_tridiagonal_hessian(self):
+        declared = {spec: get_problem(spec).objective.tridiagonal_hessian
+                    for spec in ("rosenbrock:d=5", "saddle_quartic:d=5",
+                                 "matrix_factorization:d=6,r=2", "quadratic:d=4")}
+        assert declared == {"rosenbrock:d=5": True, "saddle_quartic:d=5": False,
+                            "matrix_factorization:d=6,r=2": False, "quadratic:d=4": False}
+
+
 class TestKnownPoints:
     def test_claimed_minimum_with_negative_curvature_rejected(self):
         obj = make_quadratic(np.diag([1.0, -1.0])).objective

@@ -298,6 +298,24 @@ class TestBandedHessians:
         assert_matches_eigh(obj, gen.standard_normal(dim), modulus, dense_allowed=False,
                             rel_tol=1e-12 if tridiagonal else None)
 
+    @pytest.mark.parametrize("entry, tridiagonal", [
+        (-0.0, True), (5e-324, False), (-1.0, False), (math.nan, False), (math.inf, False),
+    ])
+    @pytest.mark.parametrize("where", [(5, 0), (5, 3), (2, 0)])
+    def test_band_test_is_exact_below_the_band(self, entry, tridiagonal, where):
+        """Any entry below the band but a zero makes ``h`` non-tridiagonal; above it, none does."""
+        off = np.full(5, 0.5)
+        h = np.diag(np.arange(1.0, 7.0)) + np.diag(off, -1) + np.diag(off, 1)
+        lower = h.copy()
+        lower[where] = entry
+        band = surrogates._tridiagonal_band(lower)
+        assert (band is not None) == tridiagonal
+        if tridiagonal:
+            assert np.array_equal(band[0], h.diagonal()) and np.array_equal(band[1], h.diagonal(-1))
+        upper = h.copy()
+        upper[where[::-1]] = entry
+        assert surrogates._tridiagonal_band(upper) is not None
+
     def test_a_non_finite_band_takes_the_dense_path(self):
         h = np.diag([1.0, np.nan, 2.0]) + np.diag([0.5, 0.5], -1)
         obj = fixed_hessian(h, np.ones(3))
