@@ -267,8 +267,8 @@ def classify(obj: Objective, x, eps: float) -> Certificate:
     the eigenvalue estimate, ``eps``, and the declared Hessian-Lipschitz
     constant.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     x = as_vector(x, obj.dim)
     grad_norm = float(np.linalg.norm(obj.gradient(x)))
     gamma = math.sqrt(obj.constants.hessian_lipschitz * eps)

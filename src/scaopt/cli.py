@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from scaopt import certify, drivers, problems
 from scaopt.numerics import RngStream, sample_uniform_ball
@@ -472,8 +472,10 @@ def binomial_ci(successes: int, trials: int):
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError("need 0 <= successes <= trials, trials >= 1")
     alpha = 1.0 - _CONFIDENCE
-    lo = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+    k, n = successes, trials
+    # the ends are quantiles of Beta(k, n - k + 1) and Beta(k + 1, n - k)
+    lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
 
 
@@ -613,9 +615,9 @@ def scaling_study(problem, algo: str, eps_list: Sequence[float], seeds: int, *,
     not depend on the target, and the perturbed drivers' own thresholds sit far
     below the smallest measured target). A target any seed failed to reach is
     excluded from the fit and reported. ``slope_half_width`` is the 95%
-    confidence half-width of the fitted slope. A per-seed configuration that
-    violates a precondition on the studied objective raises
-    :class:`ConfigError` with every violation.
+    confidence half-width of the fitted slope (NaN when every median is the
+    same). A per-seed configuration that violates a precondition on the
+    studied objective raises :class:`ConfigError` with every violation.
     """
     _reject_non_scaling(settings)
     prob = problems.get_problem(problem) if isinstance(problem, str) else problem
@@ -630,6 +632,8 @@ def _scaling(cfg: ExperimentConfig, prob: problems.ProblemInstance,
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 3:
         raise ValueError("eps_list must contain at least 3 values")
+    if not all(0 < e < math.inf for e in eps_arr):
+        raise ValueError(f"eps_list must hold positive finite targets, got {eps_arr}")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     cfg = dataclasses.replace(cfg, eps=eps_arr[-1])
@@ -674,16 +678,22 @@ def _scaling(cfg: ExperimentConfig, prob: problems.ProblemInstance,
         )
     xs = np.log([1.0 / e for e, _ in kept])
     ys = np.log([max(m, 1.0) for _, m in kept])
-    fit = stats.linregress(xs, ys)
-    half_width = float(fit.stderr * stats.t.ppf(0.975, len(kept) - 2)) if len(kept) > 2 else math.inf
+    # least squares with the slope's standard error, as linregress computes them;
+    # constant medians (ssy == 0) leave r and so the half-width NaN
+    ssx, ssxy, _, ssy = np.cov(xs, ys, bias=True).flat
+    slope = ssxy / ssx
+    df = len(kept) - 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.clip(ssxy / np.sqrt(ssx * ssy), -1.0, 1.0)
+    stderr = np.sqrt((1 - r**2) * ssy / ssx / df)
     return ScalingResult(
         eps=tuple(eps_arr),
         median_iters=tuple(medians),
         per_seed=tuple(tuple(h) for h in passages),
         excluded=tuple(excluded),
-        slope=float(fit.slope),
-        slope_half_width=half_width,
-        intercept=float(fit.intercept),
+        slope=float(slope),
+        slope_half_width=float(stderr * special.stdtrit(df, 0.975)),
+        intercept=float(np.mean(ys) - slope * np.mean(xs)),
     )
 
 

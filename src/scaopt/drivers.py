@@ -948,6 +948,11 @@ def run_batch(
     for name in refused:
         if given[name] is not None:
             raise ValueError(f"a batch {kind} takes no {name}")
+    if stop_grad_norm is not None and math.isnan(stop_grad_norm):
+        raise ValueError("stop_grad_norm must not be NaN")
+    if keep_iterates_every is not None and keep_iterates_every < 1:
+        raise ValueError(
+            f"keep_iterates_every must be a positive integer, got {keep_iterates_every}")
     n = len(x0s)
     if params is not None and not len(params) == len(rngs) == n:
         raise ValueError(f"need one params and one rng per start, got {len(params)}, "

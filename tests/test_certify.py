@@ -320,8 +320,9 @@ class TestClassify:
 
     def test_bad_eps(self):
         obj = make_saddle_quartic(3).objective
-        with pytest.raises(ValueError):
-            classify(obj, np.zeros(3), eps=0.0)
+        for eps in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^eps must be positive and finite, got "):
+                classify(obj, np.zeros(3), eps=eps)
 
 
 class TestCertifyRun:

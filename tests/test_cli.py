@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import stats
 
 from scaopt import certify, cli
 from scaopt.cli import (
@@ -328,6 +329,22 @@ class TestBinomialCI:
         with pytest.raises(ValueError):
             binomial_ci(5, 4)
 
+    def test_ends_are_the_scipy_stats_beta_quantiles_bit_for_bit(self):
+        alpha = 1.0 - 0.95
+        for n in range(1, 201):
+            k = np.arange(n + 1)
+            lo = np.where(k == 0, 0.0, stats.beta.ppf(alpha / 2, k, n - k + 1))
+            hi = np.where(k == n, 1.0, stats.beta.ppf(1 - alpha / 2, k + 1, n - k))
+            assert [binomial_ci(int(j), n) for j in k] == list(zip(lo.tolist(), hi.tolist())), n
+
+
+def _reference_fit(res):
+    """Slope, half-width and intercept of a study by scipy.stats, from its eps and medians."""
+    kept = [(e, m) for e, m in zip(res.eps, res.median_iters) if e not in res.excluded]
+    fit = stats.linregress(np.log([1.0 / e for e, _ in kept]),
+                           np.log([max(m, 1.0) for _, m in kept]))
+    return fit.slope, fit.stderr * stats.t.ppf(0.975, len(kept) - 2), fit.intercept
+
 
 class TestScalingStudy:
     def test_gd_on_diagonal_quadratic_matches_closed_form(self):
@@ -349,6 +366,32 @@ class TestScalingStudy:
     def test_eps_list_must_decrease(self):
         with pytest.raises(ValueError):
             scaling_study("rosenbrock:d=2", "gd", [0.1, 0.2, 0.01], seeds=1)
+
+    @pytest.mark.parametrize("eps_list", [[1e-1, math.nan, 1e-2, 3e-3],
+                                          [math.inf, 1e-1, 1e-2, 3e-3]], ids=["nan", "inf"])
+    def test_eps_list_must_be_positive_and_finite(self, eps_list, tmp_path, capsys):
+        message = "eps_list must hold positive finite targets"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            scaling_study("quadratic:d=2", "gd", eps_list, seeds=1)
+        argv = ["scaling", "--problem", "quadratic:d=2", "--algo", "gd", "--seeds", "1",
+                "--eps-list", ",".join(map(str, eps_list)), "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scaling error: {message}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("problem, algo, eps_list, seeds, settings", [
+        ("rosenbrock:d=10", "psca", [1e-1, 3e-2, 1e-2, 3e-3], 6, {}),
+        ("saddle_quartic:d=4", "gd", [1e-1, 3e-2, 1e-2, 3e-3], 3, {}),
+        ("quadratic:d=2", "gd", [1e-1, 1e-2, 1e-3], 2, {"x0": (0.0, 0.0), "jitter": 0.0}),
+    ], ids=["rosenbrock-psca", "quartic-gd", "constant-medians"])
+    def test_fit_is_the_scipy_stats_fit_bit_for_bit(self, problem, algo, eps_list, seeds,
+                                                    settings):
+        res = scaling_study(problem, algo, eps_list, seeds, **settings)
+        assert not res.excluded
+        # assert_array_equal takes NaN for equal to NaN
+        np.testing.assert_array_equal([res.slope, res.slope_half_width, res.intercept],
+                                      _reference_fit(res))
 
     def test_unreached_target_is_excluded(self):
         inst = make_quadratic(np.diag([0.2, 1.0]))

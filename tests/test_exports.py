@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +18,27 @@ def test_every_exported_name_resolves(module):
     """A deletion that leaves a stale ``__all__`` entry fails here, not in a user's import."""
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+# imports scaopt, runs a 2-seed sweep and a 3-target scaling study into argv[1],
+# and prints the scipy.stats modules then loaded
+_STATS_PROBE = """
+import sys
+import scaopt, scaopt.cli
+from scaopt.cli import ExperimentConfig, scaling_study, sweep_experiment
+sweep_experiment(ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", seeds=2,
+                                  max_iters=50, out_dir=sys.argv[1]))
+scaling_study("saddle_quartic:d=2", "gd", [1e-1, 3e-2, 1e-2], 2)
+print(sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")))
+"""
+
+
+def test_the_package_loads_no_scipy_stats(tmp_path):
+    """scipy.stats is the tests' reference only: nothing the package runs imports it."""
+    src = str(Path(scaopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _STATS_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert any(tmp_path.iterdir())

@@ -174,6 +174,11 @@ def _batch_settings(obj):
     ("perturbed", {"max_iters": 3}, "a batch with params takes no max_iters"),
     ("perturbed", {"rngs": [RngStream(0), RngStream(1)]},
      r"need one params and one rng per start, got 1, 2 for [01] starts"),
+    ("plain", {"stop_grad_norm": math.nan}, "stop_grad_norm must not be NaN"),
+    ("perturbed", {"stop_grad_norm": math.nan}, "stop_grad_norm must not be NaN"),
+    ("plain", {"keep_iterates_every": 0}, "keep_iterates_every must be a positive integer, got 0"),
+    ("perturbed", {"keep_iterates_every": -7},
+     "keep_iterates_every must be a positive integer, got -7"),
 ])
 def test_run_batch_refuses_a_setting_it_would_ignore(kind, change, message):
     obj = get_problem("saddle_quartic:d=2").objective
