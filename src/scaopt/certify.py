@@ -31,7 +31,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from scaopt.numerics import NonFiniteError, RngStream, as_vector
 from scaopt.problems import Objective
-from scaopt.surrogates import _checked_hessian, _tridiagonal_band
+from scaopt.surrogates import _checked_hessian, _tridiagonal_band, checked_gradient
 
 __all__ = [
     "Certificate",
@@ -265,12 +265,15 @@ def classify(obj: Objective, x, eps: float) -> Certificate:
     ``eps``; otherwise ``method`` names the eigensolver :func:`min_eigenvalue`
     ran by default. Classification is a pure function of the gradient norm,
     the eigenvalue estimate, ``eps``, and the declared Hessian-Lipschitz
-    constant.
+    constant. A gradient of the wrong shape raises ``ValueError`` and one
+    whose norm is not finite :class:`~scaopt.numerics.NonFiniteError`.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     x = as_vector(x, obj.dim)
-    grad_norm = float(np.linalg.norm(obj.gradient(x)))
+    grad_norm = float(np.linalg.norm(checked_gradient(obj, x)))
+    if not math.isfinite(grad_norm):
+        raise NonFiniteError(f"gradient norm is {grad_norm} at the point to classify")
     gamma = math.sqrt(obj.constants.hessian_lipschitz * eps)
     if grad_norm > eps:
         return Certificate(

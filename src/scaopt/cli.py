@@ -215,9 +215,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def parse_config(argv: Sequence[str]) -> ExperimentConfig:
     """Parse ``scaopt run`` flags into a validated config; raises ConfigError with all violations."""
     cfg = _config_from_args(_parser().parse_args(["run", *argv]))
-    errs = validate_config(cfg)
-    if errs:
-        raise ConfigError(errs)
+    _checked_problem(cfg)
     return cfg
 
 
@@ -353,30 +351,43 @@ def _execute(cfg: ExperimentConfig, obj: problems.Objective, x0: np.ndarray,
     return drivers.run_psca(obj, spec, params, x0, RngStream(cfg.seed), keep_iterates_every=keep)
 
 
-def _execute_batch(cfgs: Sequence[ExperimentConfig], obj: problems.Objective, x0s, params,
-                   stop_grad_norm: float | None = None) -> list:
-    """:func:`_execute` of every config (one per seed, alike but for the seed) in lockstep.
+def _execute_batch(runs, obj: problems.Objective, stop_grad_norm: float | None = None) -> list:
+    """:func:`_execute` of every run of :func:`_seed_runs` in lockstep.
 
-    Returns one entry per config: its run's result, or the exception it raised.
+    Returns one entry per run: its result, or the exception it raised.
     """
-    spec, eta = _spec_and_eta(cfgs[0], obj)
-    keep = cfgs[0].record_eigen_every
-    if params[0] is None:
-        return drivers.run_batch(obj, spec, x0s, eta=eta, stop_grad_norm=cfgs[0].eps,
-                                 max_iters=cfgs[0].max_iters, keep_iterates_every=keep)
-    return drivers.run_batch(obj, spec, x0s, params=params,
-                             rngs=[RngStream(cfg.seed) for cfg in cfgs],
+    cfg = runs[0][0]
+    spec, eta = _spec_and_eta(cfg, obj)
+    x0s = [x0 for _, x0, _ in runs]
+    keep = cfg.record_eigen_every
+    if runs[0][2] is None:
+        return drivers.run_batch(obj, spec, x0s, eta=eta, stop_grad_norm=cfg.eps,
+                                 max_iters=cfg.max_iters, keep_iterates_every=keep)
+    return drivers.run_batch(obj, spec, x0s, params=[params for _, _, params in runs],
+                             rngs=[RngStream(run.seed) for run, _, _ in runs],
                              stop_grad_norm=stop_grad_norm, keep_iterates_every=keep)
 
 
-def _prepare(cfg: ExperimentConfig):
-    """``(prob, x0, params)`` of a run of ``cfg``; raises ConfigError with every violation."""
+def _seed_runs(cfg: ExperimentConfig, prob: problems.ProblemInstance, seeds: int = 1):
+    """``(cfg at seed k, x0, params)`` for each seed ``cfg.seed + k``, ``k < seeds``.
+
+    Every start and every set of psca/pgd parameters is derived before any
+    run starts: a seed whose parameters cannot be derived raises ConfigError.
+    """
+    runs = []
+    for k in range(seeds):
+        run = dataclasses.replace(cfg, seed=cfg.seed + k)
+        x0 = _resolve_start(run, prob)
+        runs.append((run, x0, _perturbed_params(run, prob.objective, x0)))
+    return runs
+
+
+def _checked_problem(cfg: ExperimentConfig) -> problems.ProblemInstance:
+    """The problem of ``cfg``; raises ConfigError with every violation of ``cfg``."""
     errs = validate_config(cfg)
     if errs:
         raise ConfigError(errs)
-    prob = problems.get_problem(cfg.problem)
-    x0 = _resolve_start(cfg, prob)
-    return prob, x0, _perturbed_params(cfg, prob.objective, x0)
+    return problems.get_problem(cfg.problem)
 
 
 def _base(cfg: ExperimentConfig) -> str:
@@ -451,7 +462,8 @@ def run_experiment(cfg: ExperimentConfig):
     byte-identical CSV. A driver error still writes a partial report (config
     plus the error) before propagating, so the failure is on disk.
     """
-    prob, x0, params = _prepare(cfg)
+    prob = _checked_problem(cfg)
+    [(_, x0, params)] = _seed_runs(cfg, prob)
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
@@ -479,21 +491,6 @@ def binomial_ci(successes: int, trials: int):
     return lo, hi
 
 
-def _prepare_seeds(cfgs: Sequence[ExperimentConfig], prepare):
-    """``prepare`` of each config in turn, up to the first that raises ConfigError.
-
-    Returns the prepared configs' results and that error (None if every one
-    prepared): the runs before it still run, as they would one after another.
-    """
-    prepared = []
-    for cfg in cfgs:
-        try:
-            prepared.append(prepare(cfg))
-        except ConfigError as exc:
-            return prepared, exc
-    return prepared, None
-
-
 def sweep_experiment(cfg: ExperimentConfig):
     """Run ``cfg.seeds`` experiments at seeds ``seed, seed+1, ...`` and aggregate.
 
@@ -505,53 +502,44 @@ def sweep_experiment(cfg: ExperimentConfig):
     The seeds run in lockstep, as one batch of the drivers' loop, and then
     write their files in seed order, as :func:`run_experiment` would one after
     another; a report's ``wall_time_ms`` is that seed's share of the batch's
-    time, in proportion to its trajectory rows. Each seed's config is
-    validated (and its start and parameters derived) before the batch runs; an
-    invalid one stops the sweep there: the seeds before it run and write their
-    files, and it raises ConfigError with nothing written for it. A seed whose
-    run raises writes its partial report and re-raises; later seeds write
-    nothing.
+    time, in proportion to its trajectory rows. The config is validated once,
+    and every seed's start and parameters are derived, before the batch runs:
+    an invalid config, or a seed whose parameters cannot be derived, raises
+    ConfigError with nothing written. A seed whose run raises writes its
+    partial report and re-raises; later seeds write nothing.
     """
     if not cfg.seeds or cfg.seeds < 1:
         raise ConfigError(["sweep requires --seeds >= 1"])
-    subs = []
-    for k in range(cfg.seeds):
-        sub = dataclasses.replace(cfg, seed=cfg.seed + k, seeds=None, label=None)
-        sub.label = _slug(f"{cfg.problem}_{cfg.algo}_seed{sub.seed}")
-        subs.append(sub)
-    prepared, error = _prepare_seeds(subs, _prepare)
+    prob = _checked_problem(cfg)
+    runs = _seed_runs(dataclasses.replace(cfg, seeds=None), prob, cfg.seeds)
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
+    results = _execute_batch(runs, prob.objective)
+    batch_ms = 1000.0 * (time.perf_counter() - started)
+    rows = sum(len(r.records) for r in results if not isinstance(r, Exception))
     per_seed = []
     successes = 0
-    if prepared:
-        prob = prepared[0][0]
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-        started = time.perf_counter()
-        results = _execute_batch(subs[:len(prepared)], prob.objective,
-                                 [x0 for _, x0, _ in prepared], [p for _, _, p in prepared])
-        batch_ms = 1000.0 * (time.perf_counter() - started)
-        rows = sum(len(r.records) for r in results if not isinstance(r, Exception))
-        for sub, (_, _, params), result in zip(subs, prepared, results):
-            if isinstance(result, Exception):
-                _write_failure(sub, prob, result)
-                raise result
-            share_ms = batch_ms * len(result.records) / rows
-            csv_path, report_path, cert = _write_run(sub, prob, params, result, share_ms)
-            success = bool(cert and cert.classification == "eps_sosp")
-            successes += success
-            per_seed.append(
-                {
-                    "seed": sub.seed,
-                    "success": success,
-                    "classification": cert.classification if cert else None,
-                    "termination": result.termination,
-                    "f_out": result.f_out,
-                    "iterations": result.iterations,
-                    "csv": str(csv_path),
-                    "report": str(report_path),
-                }
-            )
-    if error is not None:
-        raise error
+    for (sub, _, params), result in zip(runs, results):
+        sub.label = _slug(f"{cfg.problem}_{cfg.algo}_seed{sub.seed}")
+        if isinstance(result, Exception):
+            _write_failure(sub, prob, result)
+            raise result
+        share_ms = batch_ms * len(result.records) / rows
+        csv_path, report_path, cert = _write_run(sub, prob, params, result, share_ms)
+        success = bool(cert and cert.classification == "eps_sosp")
+        successes += success
+        per_seed.append(
+            {
+                "seed": sub.seed,
+                "success": success,
+                "classification": cert.classification if cert else None,
+                "termination": result.termination,
+                "f_out": result.f_out,
+                "iterations": result.iterations,
+                "csv": str(csv_path),
+                "report": str(report_path),
+            }
+        )
     lo, hi = binomial_ci(successes, cfg.seeds)
     aggregate = _as_jsonable({  # returned as it is written
         "config": dataclasses.asdict(cfg),
@@ -616,8 +604,10 @@ def scaling_study(problem, algo: str, eps_list: Sequence[float], seeds: int, *,
     below the smallest measured target). A target any seed failed to reach is
     excluded from the fit and reported. ``slope_half_width`` is the 95%
     confidence half-width of the fitted slope (NaN when every median is the
-    same). A per-seed configuration that violates a precondition on the
-    studied objective raises :class:`ConfigError` with every violation.
+    same). A configuration that violates a precondition on the studied
+    objective raises :class:`ConfigError` with every violation, and so does a
+    seed whose parameters cannot be derived; either raises before any run
+    starts.
     """
     _reject_non_scaling(settings)
     prob = problems.get_problem(problem) if isinstance(problem, str) else problem
@@ -642,14 +632,7 @@ def _scaling(cfg: ExperimentConfig, prob: problems.ProblemInstance,
     if errs:
         raise ConfigError(errs)
 
-    def prepare(run):
-        x0 = _resolve_start(run, prob)
-        return x0, _perturbed_params(run, obj, x0)
-
-    runs = [dataclasses.replace(cfg, seed=cfg.seed + k) for k in range(cfg.seeds)]
-    prepared, error = _prepare_seeds(runs, prepare)
-    results = _execute_batch(runs[:len(prepared)], obj, [x0 for x0, _ in prepared],
-                             [p for _, p in prepared], stop_grad_norm=cfg.eps) if prepared else []
+    results = _execute_batch(_seed_runs(cfg, prob, cfg.seeds), obj, stop_grad_norm=cfg.eps)
     passages: list[list[Optional[int]]] = [[] for _ in eps_arr]
     for result in results:
         if isinstance(result, Exception):
@@ -658,8 +641,6 @@ def _scaling(cfg: ExperimentConfig, prob: problems.ProblemInstance,
         for j, eps in enumerate(eps_arr):
             hits = np.flatnonzero(grad_norms <= eps)
             passages[j].append(int(hits[0]) if hits.size else None)
-    if error is not None:
-        raise error
 
     medians: list[float] = []
     excluded: list[float] = []

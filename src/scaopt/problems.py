@@ -168,6 +168,8 @@ def make_quadratic(
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H must be square, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise ValueError("H must be finite (it holds NaN or inf)")
     if float(np.max(np.abs(H - H.T))) > 1e-12:
         raise ValueError("H must be symmetric (||H - H'||_inf <= 1e-12)")
     dim = H.shape[0]
@@ -311,6 +313,8 @@ def make_matrix_factorization(M, rank: int) -> ProblemInstance:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"M must be square, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("M must be finite (it holds NaN or inf)")
     if float(np.max(np.abs(M - M.T))) > 1e-12:
         raise ValueError("M must be symmetric")
     d = M.shape[0]

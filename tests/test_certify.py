@@ -324,6 +324,18 @@ class TestClassify:
             with pytest.raises(ValueError, match="^eps must be positive and finite, got "):
                 classify(obj, np.zeros(3), eps=eps)
 
+    def test_nan_gradient_is_refused(self):
+        obj = dataclasses.replace(make_quadratic(np.eye(2)).objective,
+                                  gradient=lambda x: np.array([np.nan, 0.0]))
+        with pytest.raises(NonFiniteError, match="gradient norm is nan"):
+            classify(obj, np.zeros(2), eps=0.01)
+
+    def test_gradient_of_the_wrong_shape_is_refused(self):
+        obj = dataclasses.replace(make_quadratic(np.eye(2)).objective,
+                                  gradient=lambda x: np.zeros(3))
+        with pytest.raises(ValueError, match=r"gradient has shape \(3,\), expected \(2,\)"):
+            classify(obj, np.zeros(2), eps=0.01)
+
 
 class TestCertifyRun:
     def test_escape_run_certifies_sosp(self):
@@ -337,7 +349,9 @@ class TestCertifyRun:
 
     def test_stalled_run_certifies_strict_saddle(self):
         prob = get_problem("saddle_quartic:d=4")
-        res = drv.run_sca(prob.objective, SurrogateSpec(), 0.5, 1e-12, 100, prob.canonical_start)
+        with pytest.warns(UserWarning, match="eta >= 2C/L1"):
+            res = drv.run_sca(prob.objective, SurrogateSpec(), 0.5, 1e-12, 100,
+                              prob.canonical_start)
         cert = certify_run(prob.objective, res, 0.01)
         assert cert.classification == "eps_fosp_strict_saddle"
 

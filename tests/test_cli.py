@@ -199,7 +199,7 @@ class TestSweep:
         assert agg["terminations"] == {"returned_xtilde": 3}
         assert json.loads(path.read_text())["terminations"] == agg["terminations"]
 
-    def test_validates_once_per_seed(self, tmp_path, monkeypatch):
+    def test_validates_once(self, tmp_path, monkeypatch):
         configs = []
 
         def counted(cfg):
@@ -210,7 +210,7 @@ class TestSweep:
         cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", seed=4, seeds=3,
                                max_iters=20, out_dir=str(tmp_path))
         sweep_experiment(cfg)
-        assert configs == [4, 5, 6]
+        assert configs == [4]
 
     def test_requires_seeds(self, tmp_path):
         cfg = ExperimentConfig(problem="saddle_quartic:d=2", out_dir=str(tmp_path))
@@ -235,6 +235,27 @@ def _one_by_one(cfg: ExperimentConfig, seeds):
         sub = dataclasses.replace(cfg, seed=seed, seeds=None,
                                   label=cli._slug(f"{cfg.problem}_{cfg.algo}_seed{seed}"))
         run_experiment(sub)
+
+
+def _quartic_at_zero():
+    """The d=2 quartic declaring its optimum value 0, above the value -1/4 it reaches:
+    ``delta_u = f(x0) - 0`` is negative from a start whose value is negative."""
+    prob = cli.problems.get_problem("saddle_quartic:d=2")
+    return dataclasses.replace(prob, name="quartic_at_zero",
+                               objective=dataclasses.replace(prob.objective, f_star=0.0))
+
+
+def _count_batches(monkeypatch) -> list:
+    """The list that gets one entry per call of drivers.run_batch from now on."""
+    calls = []
+    run_batch = cli.drivers.run_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(cli.drivers, "run_batch", counted)
+    return calls
 
 
 class TestLockstepSweep:
@@ -297,17 +318,17 @@ class TestLockstepSweep:
         # the seeds before the failing one wrote a CSV and a report each, and no later seed ran
         assert len(files) == 2 * bad + 1
 
-    def test_an_invalid_seed_stops_the_sweep_before_it_writes(self, tmp_path, monkeypatch):
-        def invalid_from_seed_2(cfg):
-            return ["seed 2 is refused"] if cfg.seed >= 2 else validate_config(cfg)
-
-        monkeypatch.setattr(cli, "validate_config", invalid_from_seed_2)
-        cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", seed=0, seeds=4,
-                               max_iters=50, out_dir=str(tmp_path))
-        with pytest.raises(ConfigError, match="seed 2 is refused"):
+    def test_a_seed_without_parameters_stops_the_sweep_before_it_writes(self, tmp_path,
+                                                                        monkeypatch, request):
+        monkeypatch.setitem(cli.problems.REGISTRY, "quartic_at_zero", _quartic_at_zero)
+        request.addfinalizer(cli.problems.get_problem.cache_clear)  # forget the instance
+        batches = _count_batches(monkeypatch)
+        cfg = ExperimentConfig(problem="quartic_at_zero", algo="psca", seed=3, seeds=3,
+                               jitter=0.3, max_iters=50, out_dir=str(tmp_path / "run"))
+        with pytest.raises(ConfigError, match="delta_u must be positive"):
             sweep_experiment(cfg)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            f"saddle_quartic-d-2_psca_seed{k}.{ext}" for k in (0, 1) for ext in ("csv", "json"))
+        assert batches == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_times_share_the_batch(self, tmp_path):
         cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", seed=0, seeds=3,
@@ -403,6 +424,13 @@ class TestScalingStudy:
         assert 1e-12 in res.excluded
         assert math.isnan(res.median_iters[-1])
 
+    def test_a_seed_without_parameters_stops_the_study_before_it_runs(self, monkeypatch):
+        batches = _count_batches(monkeypatch)
+        with pytest.raises(ConfigError, match="delta_u must be positive"):
+            scaling_study(_quartic_at_zero(), "psca", [1e-1, 3e-2, 1e-2], seeds=3, base_seed=3,
+                          jitter=0.3)
+        assert batches == []
+
 
     def test_config_violations_raise_with_every_violation(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -474,7 +502,7 @@ class TestMainEntry:
         )
         assert code == 0
         path = capsys.readouterr().out.splitlines()[-1]
-        per_seed = json.loads(open(path).read())["per_seed"]
+        per_seed = json.loads(Path(path).read_text())["per_seed"]
         expected = scaling_study("saddle_quartic:d=2", "psca", eps_list, 3).per_seed
         assert per_seed == [list(hits) for hits in expected]
 

@@ -308,9 +308,10 @@ class TestRunSca:
 
     def test_stalls_at_exact_saddle(self):
         prob = get_problem("saddle_quartic:d=3")
-        res = drv.run_sca(
-            prob.objective, SurrogateSpec(), 0.5, 1e-12, 100, prob.canonical_start
-        )
+        with pytest.warns(UserWarning, match="eta >= 2C/L1"):
+            res = drv.run_sca(
+                prob.objective, SurrogateSpec(), 0.5, 1e-12, 100, prob.canonical_start
+            )
         assert res.termination == "gradient_below_threshold"
         assert res.iterations == 0
         assert np.all(res.x_out == 0.0)

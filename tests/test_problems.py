@@ -66,6 +66,11 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             make_quadratic(h)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_h_is_refused(self, bad):
+        with pytest.raises(ValueError, match="^H must be finite"):
+            make_quadratic(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_hvp_ignores_point(self):
         obj = make_quadratic(np.diag([2.0, 3.0])).objective
         v = np.array([1.0, -1.0])
@@ -135,6 +140,11 @@ class TestMatrixFactorization:
         gen = np.random.default_rng(8)
         v_star = gen.standard_normal((6, 2))
         return make_matrix_factorization(v_star @ v_star.T, 2), v_star
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_m_is_refused(self, bad):
+        with pytest.raises(ValueError, match="^M must be finite"):
+            make_matrix_factorization(np.array([[bad, 0.0], [0.0, 1.0]]), 1)
 
     def test_zero_is_strict_saddle_with_top_eigenvalue(self, instance):
         inst, v_star = instance
