@@ -11,12 +11,16 @@ eigensolver runs depends on the objective:
 - above it, an objective declaring ``tridiagonal_hessian`` (chained
   Rosenbrock) gets the exact lowest eigenpair of the Hessian's band
   (``scipy.linalg.eigh_tridiagonal``);
-- every other objective, and a declared one whose Hessian is not tridiagonal
-  at the point, gets implicitly restarted Lanczos (ARPACK through
+- every other objective gets implicitly restarted Lanczos (ARPACK through
   ``scipy.sparse.linalg.eigsh``), matrix-free on the shifted operator
   ``L1 I - H`` through Hessian-vector products. Its ``max_iters`` is a budget
   of Hessian-vector products and its Lanczos start vector is fixed, so a
   certificate replays bit for bit.
+
+:func:`resolve_method` makes this choice from the objective alone, before any
+Hessian is read, so a certificate's ``method`` depends only on the objective.
+A declared tridiagonal Hessian that is not tridiagonal at the point is a
+broken declaration and is refused, as is a dense Hessian of the wrong shape.
 """
 
 from __future__ import annotations
@@ -92,8 +96,8 @@ def resolve_method(obj: Objective, method: str = "auto") -> str:
     ``auto`` picks ``dense`` for an objective with a dense Hessian up to
     ``DENSE_DIM_LIMIT``; above it, ``tridiagonal`` for one that declares
     ``tridiagonal_hessian`` and ``matrix_free`` otherwise. ``tridiagonal`` is
-    only ever picked, never passed in, and at a point where the declared
-    Hessian is not tridiagonal ``min_eigenvalue`` runs ``matrix_free`` instead.
+    only ever picked, never passed in. This is the one place the eigensolver
+    is chosen: ``min_eigenvalue`` runs the route it names, and never another.
     """
     if method not in ("auto", "dense", "matrix_free"):
         raise ValueError(f"unknown method '{method}'")
@@ -106,16 +110,6 @@ def resolve_method(obj: Objective, method: str = "auto") -> str:
     if method == "dense" and obj.dense_hessian is None:
         raise ValueError("dense method requested but no dense Hessian available")
     return method
-
-
-class _Eigenpair(tuple):
-    """The triple ``(lambda_min, eigenvector, residual)`` that also names, as
-    ``method``, the eigensolver that produced it."""
-
-    def __new__(cls, lam: float, vec: np.ndarray, residual: float, method: str):
-        pair = super().__new__(cls, (lam, vec, residual))
-        pair.method = method
-        return pair
 
 
 class _BudgetExhausted(Exception):
@@ -141,26 +135,27 @@ def min_eigenvalue(
     """Estimate the minimum Hessian eigenvalue at ``x``.
 
     Returns ``(lambda_min, eigenvector, residual)`` with
-    ``residual = ||H v - lambda v||``; the triple's ``method`` attribute names
-    the eigensolver that ran. :func:`resolve_method` picks it:
+    ``residual = ||H v - lambda v||``, from the eigensolver
+    :func:`resolve_method` picks:
 
     - ``dense`` (a dense Hessian and dim <= ``DENSE_DIM_LIMIT``, or asked for)
       diagonalizes the Hessian's lower triangle with ``np.linalg.eigh``;
     - ``tridiagonal`` (above the limit, for an objective declaring
       ``tridiagonal_hessian``) takes the lowest eigenpair of the Hessian's
       band from ``scipy.linalg.eigh_tridiagonal`` and the residual from a
-      banded product. Where the Hessian is not tridiagonal after all, the
-      matrix-free path runs instead;
+      banded product;
     - ``matrix_free`` runs implicitly restarted Lanczos (ARPACK, via
       ``scipy.sparse.linalg.eigsh``) for the largest-magnitude eigenvalue
       ``rho`` of the shifted operator ``L1 I - H``.
 
     Both exact routes refuse a dense Hessian of the wrong shape
     (``ValueError``) and raise :class:`~scaopt.numerics.NonFiniteError` when
-    its lower triangle or ``lambda_min`` is not finite. The shifted operator
-    of the matrix-free path is PSD whenever the declared gradient-Lipschitz
-    constant is honest, so ``rho = L1 - lambda_min``; a negative ``rho``
-    raises :class:`SpectralShiftError`. The start vector is a fixed draw, so
+    its lower triangle or ``lambda_min`` is not finite; the tridiagonal route
+    also refuses (``ValueError``) a finite Hessian that is not tridiagonal at
+    ``x``. Neither calls ``hvp``. The shifted operator of the matrix-free path
+    is PSD whenever the declared gradient-Lipschitz constant is honest, so
+    ``rho = L1 - lambda_min``; a negative ``rho`` raises
+    :class:`SpectralShiftError`. The start vector is a fixed draw, so
     a call replays bit for bit. ``max_iters`` bounds the Hessian-vector
     products, including the one that measures the residual of the Ritz pair;
     the estimate must certify with a residual within ``100 tol`` (``tol``
@@ -177,14 +172,15 @@ def min_eigenvalue(
 
     route = resolve_method(obj, method)
     if route == "matrix_free":
-        return _Eigenpair(*_lanczos(obj, x, tol, max_iters), route)
+        return _lanczos(obj, x, tol, max_iters)
     hess = _checked_hessian(obj, x)
     band = _tridiagonal_band(hess) if route == "tridiagonal" else None
     if band is None:
         if not (np.isfinite(hess).all() or np.isfinite(np.tril(hess)).all()):
             raise NonFiniteError("dense Hessian holds NaN or inf in its lower triangle")
-        if route == "tridiagonal":  # declared, but not tridiagonal at x
-            return _Eigenpair(*_lanczos(obj, x, tol, max_iters), "matrix_free")
+        if route == "tridiagonal":
+            raise ValueError("the objective declares tridiagonal_hessian, but its dense "
+                             "Hessian is not tridiagonal at the point")
         eigvals, eigvecs = np.linalg.eigh(hess)
         lam = float(eigvals[0])
         vec = eigvecs[:, 0]
@@ -200,7 +196,7 @@ def min_eigenvalue(
         hv[1:] += sub * vec[:-1]
     if not math.isfinite(lam):
         raise NonFiniteError(f"minimum eigenvalue of the dense Hessian is {lam}")
-    return _Eigenpair(lam, vec, float(np.linalg.norm(hv - lam * vec)), route)
+    return lam, vec, float(np.linalg.norm(hv - lam * vec))
 
 
 def _lanczos(obj: Objective, x: np.ndarray, tol: float, max_iters: int):
@@ -262,10 +258,10 @@ def classify(obj: Objective, x, eps: float) -> Certificate:
     """Classify a point against the stationarity taxonomy at accuracy ``eps``.
 
     Skips eigenvalue estimation entirely when the gradient norm already exceeds
-    ``eps``; otherwise ``method`` names the eigensolver :func:`min_eigenvalue`
-    ran by default. Classification is a pure function of the gradient norm,
-    the eigenvalue estimate, ``eps``, and the declared Hessian-Lipschitz
-    constant. A gradient of the wrong shape raises ``ValueError`` and one
+    ``eps``; otherwise ``method`` is ``resolve_method(obj)``, the eigensolver
+    :func:`min_eigenvalue` ran. Classification is a pure function of the
+    gradient norm, the eigenvalue estimate, ``eps``, and the declared
+    Hessian-Lipschitz constant. A gradient of the wrong shape raises ``ValueError`` and one
     whose norm is not finite :class:`~scaopt.numerics.NonFiniteError`.
     """
     if not 0 < eps < math.inf:
@@ -275,27 +271,14 @@ def classify(obj: Objective, x, eps: float) -> Certificate:
     if not math.isfinite(grad_norm):
         raise NonFiniteError(f"gradient norm is {grad_norm} at the point to classify")
     gamma = math.sqrt(obj.constants.hessian_lipschitz * eps)
-    if grad_norm > eps:
-        return Certificate(
-            grad_norm=grad_norm,
-            lambda_min=None,
-            lambda_min_residual=None,
-            eps=eps,
-            gamma=gamma,
-            classification="not_fosp",
-            method=None,
-        )
-    pair = min_eigenvalue(obj, x)
-    lam, _, residual = pair
-    return Certificate(
-        grad_norm=grad_norm,
-        lambda_min=lam,
-        lambda_min_residual=residual,
-        eps=eps,
-        gamma=gamma,
-        classification="eps_sosp" if lam >= -gamma else "eps_fosp_strict_saddle",
-        method=pair.method,
-    )
+    lam = residual = method = None
+    classification = "not_fosp"
+    if grad_norm <= eps:
+        lam, _, residual = min_eigenvalue(obj, x)
+        method = resolve_method(obj)
+        classification = "eps_sosp" if lam >= -gamma else "eps_fosp_strict_saddle"
+    return Certificate(grad_norm=grad_norm, lambda_min=lam, lambda_min_residual=residual,
+                       eps=eps, gamma=gamma, classification=classification, method=method)
 
 
 def certify_run(obj: Objective, result, eps: float) -> Certificate:

@@ -604,10 +604,13 @@ def scaling_study(problem, algo: str, eps_list: Sequence[float], seeds: int, *,
     below the smallest measured target). A target any seed failed to reach is
     excluded from the fit and reported. ``slope_half_width`` is the 95%
     confidence half-width of the fitted slope (NaN when every median is the
-    same). A configuration that violates a precondition on the studied
-    objective raises :class:`ConfigError` with every violation, and so does a
-    seed whose parameters cannot be derived; either raises before any run
-    starts.
+    same). An eps list that is not at least 3 strictly decreasing positive
+    finite targets, or a configuration that violates a precondition on the
+    studied objective, raises :class:`ConfigError` with every violation, and
+    so does a seed whose parameters cannot be derived; each raises before any
+    run starts. A failed run is not a config error: a seed whose run raises
+    re-raises its error, and fewer than 3 targets reached by every seed
+    raises RuntimeError.
     """
     _reject_non_scaling(settings)
     prob = problems.get_problem(problem) if isinstance(problem, str) else problem
@@ -621,11 +624,11 @@ def _scaling(cfg: ExperimentConfig, prob: problems.ProblemInstance,
     """The study of ``cfg.seeds`` runs of ``cfg`` on ``prob`` from seed ``cfg.seed`` on."""
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 3:
-        raise ValueError("eps_list must contain at least 3 values")
+        raise ConfigError(["eps_list must contain at least 3 values"])
     if not all(0 < e < math.inf for e in eps_arr):
-        raise ValueError(f"eps_list must hold positive finite targets, got {eps_arr}")
+        raise ConfigError([f"eps_list must hold positive finite targets, got {eps_arr}"])
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+        raise ConfigError(["eps_list must be strictly decreasing"])
     cfg = dataclasses.replace(cfg, eps=eps_arr[-1])
     obj = prob.objective
     errs = _violations(cfg, obj)
@@ -722,10 +725,17 @@ def _cmd_scaling(args) -> int:
         _reject_non_scaling(vars(args))
         cfg = _config_from_args(args)
         eps_list = _parse_floats(args.eps_list, "--eps-list")
-        res = _scaling(cfg, problems.get_problem(cfg.problem), eps_list)
-    except (ValueError, RuntimeError) as exc:
+        try:
+            prob = problems.get_problem(cfg.problem)
+        except ValueError as exc:
+            raise ConfigError([str(exc)]) from None
+        res = _scaling(cfg, prob, eps_list)
+    except ConfigError as exc:
         print(f"scaling error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ValueError) as exc:
+        print(f"scaling failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     for eps, med in zip(res.eps, res.median_iters):
         note = " (excluded)" if eps in res.excluded else ""
         print(f"eps={eps:.3g} median_iters={med:.1f}{note}")

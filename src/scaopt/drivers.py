@@ -123,7 +123,7 @@ class PscaParams:
             raise ValueError(f"chi must be >= 12, got {self.chi}")
         if not all(v > 0 for v in (self.eta, self.r, self.g_th, self.f_th)):
             raise ValueError("eta, r, g_th, f_th must be positive")
-        if self.t_th < 1 or self.max_iters < 1:
+        if not (self.t_th >= 1 and self.max_iters >= 1):
             raise ValueError("t_th and max_iters must be positive integers")
 
 
@@ -924,7 +924,9 @@ def run_batch(
     (one :class:`PscaParams` and one stream per row, the params alike in
     ``eta`` and ``max_iters``) and takes an optional ``stop_grad_norm``; row
     ``i`` is ``run_psca(obj, spec, params[i], x0s[i], rngs[i],
-    stop_grad_norm=stop_grad_norm)``. Any other setting raises ValueError.
+    stop_grad_norm=stop_grad_norm)``. Any other setting raises ValueError, and
+    so do a ``max_iters`` below 1 and one stream object passed for two rows
+    (the rows would draw from it in turn, so none would be its serial run).
     GD and PGD are these with the default ``SurrogateSpec()``.
 
     Each iteration evaluates the iterates, applies the perturbation policy,
@@ -953,10 +955,16 @@ def run_batch(
     if keep_iterates_every is not None and keep_iterates_every < 1:
         raise ValueError(
             f"keep_iterates_every must be a positive integer, got {keep_iterates_every}")
+    if params is None and not max_iters >= 1:
+        raise ValueError(f"max_iters must be a positive integer, got {max_iters}")
     n = len(x0s)
-    if params is not None and not len(params) == len(rngs) == n:
-        raise ValueError(f"need one params and one rng per start, got {len(params)}, "
-                         f"{len(rngs)} for {n} starts")
+    if params is not None:
+        if not len(params) == len(rngs) == n:
+            raise ValueError(f"need one params and one rng per start, got {len(params)}, "
+                             f"{len(rngs)} for {n} starts")
+        if len({id(rng) for rng in rngs}) < n:
+            raise ValueError("a stream object is passed for more than one row; "
+                             "each row needs its own RngStream")
     if n == 0:
         return []
     if params is None:

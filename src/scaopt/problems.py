@@ -70,7 +70,8 @@ class Objective:
     ``tridiagonal_hessian`` declares that ``dense_hessian`` (which it
     requires) returns a tridiagonal matrix at every point; certification
     above the dense-eigensolver limit then diagonalizes its band exactly
-    instead of running Lanczos.
+    instead of running Lanczos, and refuses (``ValueError``) a point where the
+    Hessian is not tridiagonal rather than change eigensolvers.
     """
 
     dim: int
@@ -514,10 +515,10 @@ def get_problem(spec: str) -> ProblemInstance:
     """Resolve a problem spec string like ``"saddle_quartic:d=10"``.
 
     Parameters after the colon are comma-separated ``key=value`` pairs with
-    integer values. The last 16 specs resolved are kept: asking for one again
-    returns the same instance, whose ``canonical_start`` and known points are
-    read-only, so no caller can change what the next one gets. A bad spec
-    raises on every call.
+    integer values, each key given once. The last 16 specs resolved are kept:
+    asking for one again returns the same instance, whose ``canonical_start``
+    and known points are read-only, so no caller can change what the next one
+    gets. A bad spec raises on every call.
     """
     name, _, rest = spec.partition(":")
     if name not in REGISTRY:
@@ -526,6 +527,8 @@ def get_problem(spec: str) -> ProblemInstance:
     if rest:
         for item in rest.split(","):
             key, sep, val = item.partition("=")
+            if key in kwargs:
+                raise ValueError(f"repeated problem parameter '{key}' in '{spec}'")
             try:
                 if not sep or not key:
                     raise ValueError

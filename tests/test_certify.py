@@ -130,6 +130,22 @@ class TestMinEigenvalue:
         with pytest.raises(ValueError):
             min_eigenvalue(stripped, np.zeros(2), method="dense")
 
+    def test_auto_without_a_dense_hessian_is_matrix_free(self):
+        obj = make_quadratic(np.diag([-1.0, 2.0])).objective
+        stripped, calls = counted(dataclasses.replace(obj, dense_hessian=None), "hvp")
+        assert resolve_method(stripped) == "matrix_free"
+        lam, _, _ = min_eigenvalue(stripped, np.zeros(2))
+        assert abs(lam + 1.0) <= 1e-8 and calls["hvp"] > 0
+        assert classify(stripped, np.zeros(2), eps=0.1).method == "matrix_free"
+
+    @pytest.mark.parametrize("method", ["bogus", "tridiagonal"])
+    def test_unknown_method_is_refused(self, method):
+        obj = make_quadratic(np.eye(2)).objective
+        with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
+            resolve_method(obj, method)
+        with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
+            min_eigenvalue(obj, np.zeros(2), method=method)
+
 
 def counted(obj, *names):
     """``obj`` with each named oracle wrapped to count its calls in the returned dict."""
@@ -174,10 +190,8 @@ class TestTridiagonalRoute:
         assert resolve_method(obj) == "tridiagonal"
         for x in jittered_points(prob, 3):
             calls.update(dense_hessian=0, hvp=0)
-            pair = min_eigenvalue(obj, x)
+            lam, vec, residual = min_eigenvalue(obj, x)
             assert calls == {"dense_hessian": 1, "hvp": 0}
-            assert pair.method == "tridiagonal"
-            lam, vec, residual = pair
             lam_dense, _, _ = min_eigenvalue(prob.objective, x, method="dense")
             assert abs(lam - lam_dense) <= 1e-10
             assert residual <= 100.0 * tol
@@ -187,7 +201,7 @@ class TestTridiagonalRoute:
             eps = 2.0 * float(np.linalg.norm(obj.gradient(x)))
             assert classify(obj, x, eps=eps).method == "tridiagonal"
 
-    def test_declared_hessian_off_the_band_falls_back_to_lanczos(self):
+    def test_declared_hessian_off_the_band_is_refused(self):
         dim = DENSE_DIM_LIMIT + 1
         gen = np.random.default_rng(5)
         sub = gen.uniform(-1.0, 1.0, dim - 1)
@@ -196,11 +210,13 @@ class TestTridiagonalRoute:
         declared = dataclasses.replace(make_quadratic(h).objective, tridiagonal_hessian=True)
         obj, calls = counted(declared, "dense_hessian", "hvp")
         assert resolve_method(obj) == "tridiagonal"
-        pair = min_eigenvalue(obj, np.zeros(dim))
-        assert pair.method == "matrix_free"
-        assert calls["dense_hessian"] == 1 and calls["hvp"] > 0
-        assert abs(pair[0] - float(np.linalg.eigvalsh(h)[0])) <= 1e-6
-        assert classify(obj, np.zeros(dim), eps=1.0).method == "matrix_free"
+        refused = "declares tridiagonal_hessian, but its dense Hessian is not tridiagonal"
+        for certify_point in (lambda x: min_eigenvalue(obj, x),
+                              lambda x: classify(obj, x, eps=1.0)):
+            calls.update(dense_hessian=0, hvp=0)
+            with pytest.raises(ValueError, match=refused):
+                certify_point(np.zeros(dim))
+            assert calls == {"dense_hessian": 1, "hvp": 0}
 
     def test_dense_method_never_runs_the_band_solver(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -208,15 +224,16 @@ class TestTridiagonalRoute:
 
         monkeypatch.setattr(certify, "eigh_tridiagonal", refuse)
         prob = get_problem("rosenbrock:d=256")
-        pair = min_eigenvalue(prob.objective, prob.canonical_start, method="dense")
-        assert pair.method == "dense"
+        assert resolve_method(prob.objective, "dense") == "dense"
+        lam, _, _ = min_eigenvalue(prob.objective, prob.canonical_start, method="dense")
         h = prob.objective.dense_hessian(prob.canonical_start)
-        assert pair[0] == float(np.linalg.eigh(h)[0][0])
+        assert lam == float(np.linalg.eigh(h)[0][0])
 
     def test_matrix_factorization_reads_no_dense_hessian(self):
         prob = get_problem("matrix_factorization:d=30,r=8")
         obj, calls = counted(prob.objective, "dense_hessian")
-        assert min_eigenvalue(obj, prob.canonical_start).method == "matrix_free"
+        assert resolve_method(obj) == "matrix_free"
+        min_eigenvalue(obj, prob.canonical_start)
         assert classify(obj, prob.canonical_start, eps=1e3).method == "matrix_free"
         assert calls == {"dense_hessian": 0}
 
@@ -258,8 +275,9 @@ class TestExactRoutesCheckTheHessian:
         h = np.diag(np.arange(1.0, dim + 1.0))
         h[0, 1] = h[0, 2] = math.nan
         obj = with_hessian(dim, h, tridiagonal_hessian=route == "tridiagonal")
-        pair = min_eigenvalue(obj, np.zeros(dim))
-        assert (pair[0], pair.method) == (1.0, route)
+        assert min_eigenvalue(obj, np.zeros(dim))[0] == 1.0
+        cert = classify(obj, np.zeros(dim), eps=0.1)
+        assert (cert.lambda_min, cert.method) == (1.0, route)
 
 
 class TestClassify:

@@ -432,6 +432,14 @@ class TestScalingStudy:
         assert batches == []
 
 
+    def test_quadratic_split_needs_a_dense_hessian(self):
+        inst = make_quadratic(np.diag([0.2, 1.0]))
+        inst = dataclasses.replace(inst, objective=dataclasses.replace(inst.objective,
+                                                                       dense_hessian=None))
+        with pytest.raises(ConfigError,
+                           match="^quadratic_split needs a problem with a dense Hessian$"):
+            scaling_study(inst, "sca", [1e-1, 3e-2, 1e-2], seeds=1, surrogate="quadratic_split")
+
     def test_config_violations_raise_with_every_violation(self):
         with pytest.raises(ConfigError) as excinfo:
             scaling_study("quadratic_indefinite:d=3", "psca", [1e-1, 3e-2, 1e-2], seeds=1, c=2.0)
@@ -493,6 +501,31 @@ class TestMainEntry:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "sweep failed: EigenSolveError: budget exhausted\n"
+
+    def test_a_failed_scaling_run_exits_1_as_a_failed_run_does(self, tmp_path, capsys):
+        # a start at x = (1.95, 0) jittered by 0.1 leaves the box |x|_inf <= 2 for some seeds
+        cfg = ExperimentConfig(problem="saddle_quartic:d=2", x0=(1.95, 0.0), jitter=0.1)
+        prob = cli.problems.get_problem(cfg.problem)
+        bad = next(k for k in range(12) if not prob.objective.in_region(
+            cli._resolve_start(dataclasses.replace(cfg, seed=k), prob)))
+        common = ["--problem", cfg.problem, "--algo", "gd", "--x0", "1.95,0", "--jitter", "0.1",
+                  "--max-iters", "500"]
+        failure = "ValueError: x0 lies outside the objective's valid region\n"
+        assert main(["run", *common, "--seed", str(bad), "--out-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "run failed: " + failure
+        assert main(["scaling", *common, "--seeds", str(bad + 1), "--eps-list", "1e-1,3e-2,1e-2",
+                     "--out-dir", str(tmp_path / "scaling")]) == 1
+        assert capsys.readouterr().err == "scaling failed: " + failure
+        assert not (tmp_path / "scaling").exists()
+
+    def test_a_scaling_study_short_of_three_targets_exits_1(self, tmp_path, capsys):
+        code = main(["scaling", "--problem", "rosenbrock:d=10", "--algo", "sca", "--seeds", "2",
+                     "--eps-list", "1e-1,3e-2,1e-2", "--max-iters", "5",
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == ("scaling failed: RuntimeError: only 0 targets were "
+                                           "reached by every seed; cannot fit a slope\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_scaling_defaults_are_the_study_defaults(self, tmp_path, capsys):
         eps_list = [1e-1, 3e-2, 1e-2]
@@ -619,6 +652,10 @@ class TestMainEntry:
               "--delta-u", "1e308"],
              "scaling error: eps=0.01, c=1 and delta_u=1e+308 put the derived thresholds out of "
              "floating-point range"),
+            (["run", "--problem", "rosenbrock:d=10,d=3"],
+             "config error: repeated problem parameter 'd' in 'rosenbrock:d=10,d=3'"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "rosenbrock:d=10,d=3"],
+             "scaling error: repeated problem parameter 'd' in 'rosenbrock:d=10,d=3'"),
         ],
         ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0",
              "scaling-eps", "scaling-record-eigen-every", "run-pgd-surrogate", "sweep-gd-surrogate",
@@ -628,7 +665,8 @@ class TestMainEntry:
              "scaling-delta-u-inf", "run-jitter-inf", "run-strong-convexity-inf", "run-x0-outside",
              "sweep-x0-outside", "scaling-x0-outside", "run-x0-nan", "sweep-x0-nan",
              "scaling-x0-nan", "run-eps-underflow", "run-delta-u-overflow",
-             "sweep-delta-u-overflow", "scaling-delta-u-overflow"],
+             "sweep-delta-u-overflow", "scaling-delta-u-overflow", "run-repeated-parameter",
+             "scaling-repeated-parameter"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))

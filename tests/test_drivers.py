@@ -89,7 +89,8 @@ class TestDeriveParams:
         with pytest.raises(ValueError, match="put the derived thresholds out of floating-point"):
             drv.derive_params(eps, 0.1, c, 0.5, delta_u, quartic10.objective)
 
-    @pytest.mark.parametrize("name", ["eps", "delta_u", "chi", "eta", "r", "g_th", "f_th"])
+    @pytest.mark.parametrize("name", ["eps", "delta", "c", "s", "delta_u", "chi", "eta", "r",
+                                      "g_th", "f_th", "t_th", "max_iters"])
     def test_params_reject_nan(self, quartic10, name):
         params = drv.derive_params(0.01, 0.1, 1.0, 0.5, 1.0, quartic10.objective)
         with pytest.raises(ValueError):

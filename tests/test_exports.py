@@ -42,3 +42,16 @@ def test_the_package_loads_no_scipy_stats(tmp_path):
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
     assert any(tmp_path.iterdir())
+
+
+def test_readme_library_quick_start_runs(tmp_path):
+    """README's library quick start runs as written against the current API."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(scaopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", block], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["returned_xtilde -0.25", "eps_sosp"]

@@ -174,6 +174,8 @@ def _batch_settings(obj):
     ("perturbed", {"max_iters": 3}, "a batch with params takes no max_iters"),
     ("perturbed", {"rngs": [RngStream(0), RngStream(1)]},
      r"need one params and one rng per start, got 1, 2 for [01] starts"),
+    ("plain", {"max_iters": 0}, "max_iters must be a positive integer, got 0"),
+    ("plain", {"max_iters": -3}, "max_iters must be a positive integer, got -3"),
     ("plain", {"stop_grad_norm": math.nan}, "stop_grad_norm must not be NaN"),
     ("perturbed", {"stop_grad_norm": math.nan}, "stop_grad_norm must not be NaN"),
     ("plain", {"keep_iterates_every": 0}, "keep_iterates_every must be a positive integer, got 0"),
@@ -187,6 +189,33 @@ def test_run_batch_refuses_a_setting_it_would_ignore(kind, change, message):
     for x0s in ([np.zeros(2)], []):
         with pytest.raises(ValueError, match=f"^{message}$"):
             drv.run_batch(obj, SurrogateSpec(), x0s, **settings)
+
+
+def test_a_stream_shared_by_two_rows_is_refused():
+    prob = get_problem("saddle_quartic:d=4")
+    obj = prob.objective
+    params = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 1.0, obj, 50)
+    x0s = [prob.canonical_start] * 3  # the saddle: every row perturbs at once
+    with pytest.raises(ValueError, match="^a stream object is passed for more than one row"):
+        drv.run_batch(obj, SurrogateSpec(), x0s, params=[params] * 3, rngs=[RngStream(5)] * 3)
+    rows = drv.run_batch(obj, SurrogateSpec(), x0s, params=[params] * 3,
+                         rngs=[RngStream(5) for _ in x0s])
+    alone = drv.run_psca(obj, SurrogateSpec(), params, x0s[0], RngStream(5))
+    assert alone.perturbation_count >= 1
+    for row in rows:
+        assert_same_run(row, alone)
+
+
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_every_run_checks_its_budget(max_iters):
+    obj = get_problem("saddle_quartic:d=2").objective
+    x0 = np.zeros(2)
+    runs = (lambda: drv.run_sca(obj, SurrogateSpec(), 0.05, 1e-3, max_iters, x0),
+            lambda: drv.run_gd(obj, 0.05, 1e-3, max_iters, x0),
+            lambda: drv.derive_params(1e-2, 0.1, 1.0, 0.5, 1.0, obj, max_iters))
+    for run in runs:
+        with pytest.raises(ValueError, match="max_iters must be (a )?positive integer"):
+            run()
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.5])

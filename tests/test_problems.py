@@ -264,6 +264,11 @@ class TestRegistry:
             get_problem(spec)
         assert str(excinfo.value) == f"bad problem parameter '{item}' in '{spec}'"
 
+    @pytest.mark.parametrize("spec", ["rosenbrock:d=10,d=3", "matrix_factorization:d=6,r=2,d=6"])
+    def test_a_repeated_parameter_is_refused(self, spec):
+        with pytest.raises(ValueError, match=f"^repeated problem parameter 'd' in '{spec}'$"):
+            get_problem(spec)
+
     def test_a_spec_is_built_once(self):
         assert get_problem("matrix_factorization:d=5,r=2") is get_problem(
             "matrix_factorization:d=5,r=2"
