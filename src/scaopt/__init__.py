@@ -15,12 +15,8 @@ from scaopt.drivers import (
     PscaParams,
     RunResult,
     Trajectory,
-    check_termination,
     derive_params,
     derive_scales,
-    descent_check,
-    gradient_error,
-    maybe_perturb,
     run_batch,
     run_gd,
     run_pgd,
@@ -65,20 +61,16 @@ __all__ = [
     "Trajectory",
     "build_surrogate",
     "certify_run",
-    "check_termination",
     "classify",
     "derive_params",
     "derive_scales",
-    "descent_check",
     "finite_diff_gradient",
     "finite_diff_hvp",
     "get_problem",
-    "gradient_error",
     "make_matrix_factorization",
     "make_quadratic",
     "make_rosenbrock",
     "make_saddle_quartic",
-    "maybe_perturb",
     "min_eigenvalue",
     "minimize_surrogate",
     "run_batch",

@@ -7,11 +7,21 @@ a point ``x_hat``:
 * step rule: ``x_hat`` minimizes the surrogate built at ``x``. GD and PGD are
   SCA and P-SCA with the proximal model at unit modulus, whose minimizer is
   the gradient step ``x - grad``;
-* perturbation policy: none (SCA, GD), or the perturbed protocol (P-SCA, PGD),
-  which injects a uniform-ball perturbation whenever the gradient is small and
-  enough iterations have passed since the last injection, and returns the
-  pre-perturbation point as the second-order stationary candidate if the
-  objective fails to drop by the required threshold within the window.
+* perturbation policy: none (SCA, GD), or the perturbed protocol (P-SCA, PGD)
+  of perturbed gradient descent (Jin et al., arXiv:1703.00887). It has two
+  rules, both exact float comparisons with no added tolerance, and
+  :func:`_lockstep` is their one statement:
+
+  - fire rule: at iteration ``t``, if ``grad_norm <= g_th`` and
+    ``t - t_noise > t_th`` (strictly more than ``t_th`` iterations since the
+    last injection at ``t_noise``; the first may come at ``t = 0``), keep the
+    iterate as ``x_tilde`` and its value as ``f_tilde``, set ``t_noise = t``
+    and add a draw from the uniform ball of radius ``r``;
+  - window test: at the iteration with ``t - t_noise == t_th``, if
+    ``f - f_tilde > -(1 - s) f_th``, i.e. the objective has not dropped below
+    ``f_tilde`` by more than ``(1 - s) f_th``, the run ends with
+    ``returned_xtilde`` and returns ``x_tilde`` and ``f_tilde``, the
+    second-order stationary candidate.
 
 SCA and GD stop at the first iterate whose gradient norm is at most
 ``stop_grad_norm``; P-SCA and PGD stop at that threshold only when one is
@@ -65,13 +75,8 @@ __all__ = [
     "DiagnosticScales",
     "derive_params",
     "derive_scales",
-    "gradient_error",
-    "descent_check",
     "monitor_slack",
-    "descent_slack",
     "sca_step",
-    "maybe_perturb",
-    "check_termination",
     "run_sca",
     "run_psca",
     "run_gd",
@@ -387,57 +392,12 @@ def derive_scales(
     )
 
 
-def gradient_error(x_t, x_hat, grad) -> np.ndarray:
-    """Error vector of the inexact-gradient view of a surrogate step.
-
-    Returns ``e = (x_t - x_hat) - grad``, the unique vector for which
-    ``x_{t+1} = x_t - eta (grad + e)`` reproduces the update
-    ``x_{t+1} = x_t + eta (x_hat - x_t)`` identically.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if not x_t.shape == x_hat.shape == grad.shape:
-        raise ValueError(
-            f"dimension mismatch: {x_t.shape}, {x_hat.shape}, {grad.shape}"
-        )
-    return (x_t - x_hat) - grad
-
-
-def descent_check(
-    f_t: float,
-    f_next: float,
-    step_norm: float,
-    eta: float,
-    strong_convexity: float,
-    grad_lipschitz: float,
-    slack: float = 0.0,
-) -> bool:
-    """Single-step descent test ``f_next <= f_t - eta' step_norm^2 + slack``.
-
-    ``eta' = eta C - eta^2 L1 / 2`` is positive only for ``eta < 2C/L1``;
-    outside that range the test is vacuous and this raises instead.
-    """
-    if eta >= 2.0 * strong_convexity / grad_lipschitz:
-        raise HypothesisViolationError(
-            f"descent factor requires eta < 2C/L1 = "
-            f"{2.0 * strong_convexity / grad_lipschitz:.6g}, got {eta}"
-        )
-    eta_prime = eta * strong_convexity - eta**2 * grad_lipschitz / 2.0
-    return f_next <= f_t - eta_prime * step_norm**2 + slack
-
-
 def monitor_slack(grad_norm):
     """Slack ``1e-10 max(1, ||grad||)`` of every monitor at an iterate with this gradient norm.
 
     Takes one norm or an array of them.
     """
     return 1e-10 * np.maximum(1.0, grad_norm)
-
-
-def descent_slack(rec: IterateRecord, eta: float) -> float:
-    """Tolerance for the descent test: float headroom plus the monitor slack."""
-    return 1e-9 * (1.0 + abs(rec.f)) + eta * monitor_slack(rec.grad_norm) * rec.step_norm
 
 
 def _region_exit_message(obj: Objective, x) -> str:
@@ -514,8 +474,10 @@ def _step(obj, spec, surr, x, eta):
     ``x_hat`` is the minimizer of each row's model in ``surr`` (``x - g`` for
     GD and PGD). Returns ``(x_next, inside, err_norm, gap)``: the updated
     stack, whether each updated row lies in the valid region and, for the rows
-    that do, the norm of the error vector of :func:`gradient_error` and the
-    optimality gap ``(x - x_hat)'g`` that :func:`_monitors` checks.
+    that do, the norm of the error vector ``e = (x - x_hat) - g``, the one
+    vector that writes the update as the inexact gradient step
+    ``x - eta (g + e)``, and the optimality gap ``(x - x_hat)'g`` that
+    :func:`_monitors` checks.
 
     The difference ``d = x - x_hat`` is formed once: the update is computed as
     ``x - eta d``, the error vector as ``d - g`` and the optimality gap as
@@ -552,46 +514,6 @@ def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
                                     float(surr.step_norm[0]), float(err_norm[0]), False)
 
 
-def maybe_perturb(
-    params: PscaParams,
-    state: PerturbationState,
-    x_t: np.ndarray,
-    f_t: float,
-    grad_norm: float,
-    t: int,
-    rng: RngStream,
-):
-    """Inject a uniform-ball perturbation when the gradient is small and the window allows.
-
-    Fires only when ``grad_norm <= g_th`` and strictly more than ``t_th``
-    iterations have passed since the last injection. Stores the anchor and its
-    value before moving, so the window test can compare against them. Returns
-    ``(x, state, perturbed)``.
-    """
-    if grad_norm <= params.g_th and t - state.t_noise > params.t_th:
-        new_state = PerturbationState(t_noise=t, x_tilde=x_t.copy(), f_tilde=f_t)
-        xi = sample_uniform_ball(x_t.size, params.r, rng)
-        return x_t + xi, new_state, True
-    return x_t, state, False
-
-
-def check_termination(
-    params: PscaParams, state: PerturbationState, x_t, f_t: float, t: int
-) -> Optional[np.ndarray]:
-    """Window test: return the stored anchor when the decrement was insufficient.
-
-    Exactly ``t_th`` iterations after an injection, if the objective has not
-    dropped below the anchor value by more than ``(1 - s) f_th``, the anchor is
-    the algorithm's output (an escape that was going to happen has happened by
-    now with high probability). Exact floating comparison, no added tolerance.
-    """
-    if state.x_tilde is None:
-        return None
-    if t - state.t_noise == params.t_th and f_t - state.f_tilde > -(1.0 - params.s) * params.f_th:
-        return state.x_tilde
-    return None
-
-
 def _monitors(columns, perturbed_at, obj, modulus, eta) -> MonitorCounts:
     """The monitor tallies of a run from its trajectory columns and optimality gaps.
 
@@ -599,9 +521,13 @@ def _monitors(columns, perturbed_at, obj, modulus, eta) -> MonitorCounts:
     optimality gap ``(x - x_hat)'g`` appended (0 on the terminal row). Every
     step is checked for optimality, the direction bound and (given
     ``value_lipschitz``) the error bound, with :func:`monitor_slack` and
-    :func:`~scaopt.numerics.scalar_power`'s ``step_norm**2``; consecutive rows
-    are checked by :func:`descent_check` with :func:`descent_slack` (``eta'``
-    computed once for the run), skipping a row reached by a perturbation's jump.
+    :func:`~scaopt.numerics.scalar_power`'s ``step_norm**2``. Consecutive rows
+    are checked by the descent test ``f_next <= f - eta' step_norm**2 + slack``
+    with ``eta' = eta C - eta**2 L1 / 2`` and ``slack = 1e-9 (1 + |f|) + eta
+    monitor_slack(grad_norm) step_norm``, skipping a row reached by a
+    perturbation's jump. At ``eta >= 2C/L1`` the factor ``eta'`` is not
+    positive, the test says nothing, and no row is checked (:func:`run_batch`
+    warns).
     """
     f, gn, step_norm, err_norm, gap = columns[:-1].T
     steps = len(f)
@@ -701,9 +627,10 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
 
     The running rows are stacked by position: ``x`` holds their iterates and
     ``next_perturb``, the one schedule list, the first iteration at which each
-    row may perturb again (never, for a row without perturbation). A row is
-    due to perturb at ``t >= next_perturb``, and runs the window test of its
-    last injection at ``t == next_perturb - 1``. A row that ends or raises is
+    row may perturb again: ``t_noise + t_th + 1`` (never, for a row without
+    perturbation). So a row meets the fire rule's ``t - t_noise > t_th`` at
+    ``t >= next_perturb``, and the window test's ``t - t_noise == t_th`` at
+    ``t == next_perturb - 1``. A row that ends or raises is
     taken out of the stack; its trajectory rows stay in the returned store.
     """
     store = _Rows(tuple(ids))
@@ -737,9 +664,8 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                     and grad_norms[pos] <= rows[ids[pos]].params.g_th]
             for pos in fire:
                 row = rows[ids[pos]]
-                x[pos], row.state, _ = maybe_perturb(row.params, row.state, x[pos],
-                                                     float(surr.anchor_value[pos]),
-                                                     grad_norms[pos], t, row.rng)
+                row.state = PerturbationState(t, x[pos].copy(), float(surr.anchor_value[pos]))
+                x[pos] += sample_uniform_ball(obj.dim, row.params.r, row.rng)
                 row.perturbed_at.append(t)
                 row.events[t] = f"perturbed;f_before={row.state.f_tilde:.17g}"
                 next_perturb[pos] = t + row.params.t_th + 1
@@ -778,11 +704,10 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         if t + 1 in next_perturb:  # the window tests due now
             for pos in [pos for pos, due in enumerate(next_perturb) if due == t + 1]:
                 row = rows[ids[pos]]
-                f = float(surr.anchor_value[pos])
-                x_tilde = check_termination(row.params, row.state, x[pos], f, t)
-                if x_tilde is not None:
-                    row.stop(t, f, float(surr.grad_norm[pos]), "returned_xtilde", x_tilde,
-                             float(row.state.f_tilde))
+                f, state = float(surr.anchor_value[pos]), row.state
+                if f - state.f_tilde > -(1.0 - row.params.s) * row.params.f_th:
+                    row.stop(t, f, float(surr.grad_norm[pos]), "returned_xtilde", state.x_tilde,
+                             state.f_tilde)
                     gone.append(pos)
         if stop_grad_norm is not None:
             for pos, gn in enumerate(surr.grad_norm.tolist()):
@@ -859,9 +784,13 @@ def run_psca(
 ) -> RunResult:
     """Perturbed surrogate descent (escapes strict saddles with high probability).
 
-    Each iteration: perturbation check, window termination check, surrogate
-    step. Terminates with ``returned_xtilde`` when the window test fires, else
-    runs to ``max_iters``. The result is a deterministic function of
+    Each iteration: the fire rule, the window test, then the surrogate step.
+    The fire rule perturbs the iterate when ``grad_norm <= g_th`` and
+    ``t - t_noise > t_th``; the window test, at ``t - t_noise == t_th``,
+    returns the pre-perturbation point ``x_tilde`` when
+    ``f - f_tilde > -(1 - s) f_th`` (see the module docstring). Terminates
+    with ``returned_xtilde`` when the window test fires, else runs to
+    ``max_iters``. The result is a deterministic function of
     ``(obj, spec, params, x0, rng.seed)``. ``stop_grad_norm`` is an optional
     instrumentation cutoff (first-passage studies); it is off by default and
     does not alter the protocol otherwise.

@@ -473,6 +473,8 @@ def make_rosenbrock(dim: int) -> ProblemInstance:
 
 
 def _build_quadratic(d: int = 10) -> ProblemInstance:
+    if d < 1:
+        raise ValueError(f"dim must be >= 1, got {d}")
     # identity quadratic; small positive hessian_lipschitz declared so the
     # perturbed-driver parameter formulas stay finite (0 is also valid but
     # makes t_th/f_th degenerate)
@@ -482,6 +484,8 @@ def _build_quadratic(d: int = 10) -> ProblemInstance:
 
 
 def _build_quadratic_indefinite(d: int = 2) -> ProblemInstance:
+    if d < 2:  # at d=1 the one curvature is -1: a maximum, not a saddle
+        raise ValueError(f"dim must be >= 2, got {d}")
     h = np.ones(d)
     h[-1] = -1.0
     return make_quadratic(

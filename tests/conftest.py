@@ -1,3 +1,5 @@
+import warnings
+
 import hypothesis
 import numpy as np
 import pytest
@@ -8,6 +10,20 @@ hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
 )
 hypothesis.settings.load_profile("default")
+
+# Hypothesis reports a failing example through hypothesis.extra._patching, which
+# it imports only then. That module imports libcst, whose mypy_extensions import
+# warns that mypy_extensions.TypedDict is deprecated; under filterwarnings =
+# error the warning ends the session with an INTERNALERROR that hides the
+# example. Importing the module here, with that one warning ignored, keeps every
+# other warning an error.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst Hypothesis writes no patch, and imports nothing
+        pass
 
 
 @pytest.fixture

@@ -489,6 +489,15 @@ class TestMainEntry:
         assert code == 2
         assert "0 < eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_too_small_a_registry_dim_is_a_config_error(self, command, tmp_path, capsys):
+        argv = [command, "--problem", "quadratic_indefinite:d=0"]
+        if command == "run":
+            argv += ["--algo", "sca", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(" error: dim must be >= 2, got 0\n") and err.count("\n") == 1
+
     def test_sweep_failure_is_one_line_nonzero_exit(self, tmp_path, capsys, monkeypatch):
         def failing_eigensolve(*args, **kwargs):
             raise certify.EigenSolveError("budget exhausted", lambda_min=-1.0, residual=1.0)

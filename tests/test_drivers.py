@@ -10,7 +10,9 @@ import scaopt.drivers as drv
 from scaopt import numerics, surrogates
 from scaopt.numerics import RngStream, sample_uniform_ball
 from scaopt.problems import get_problem, make_quadratic, make_saddle_quartic
-from scaopt.surrogates import SurrogateSpec
+from scaopt.surrogates import SurrogateAt, SurrogateSpec
+
+from _monitor_reference import descent_check, gradient_error
 
 # Frozen outputs of an independent 50-digit evaluation of the step-1 formulas
 # for d=10, L1=11, L2=12, delta_U=1, c=1, eps=0.01, delta=0.1.
@@ -205,17 +207,17 @@ class TestGradientError:
     def test_unit_modulus_error_vanishes(self):
         x = np.array([1.0, 0.0])
         g = np.array([1.0, 0.0])
-        assert np.all(drv.gradient_error(x, x - g, g) == 0.0)
+        assert np.all(gradient_error(x, x - g, g) == 0.0)
 
     def test_worked_example(self):
         x = np.array([1.0, 0.0])
         x_hat = np.array([0.5, 0.0])  # prox with modulus 2 on 0.5||x||^2
-        e = drv.gradient_error(x, x_hat, np.array([1.0, 0.0]))
+        e = gradient_error(x, x_hat, np.array([1.0, 0.0]))
         assert np.allclose(e, [-0.5, 0.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            drv.gradient_error(np.zeros(2), np.zeros(3), np.zeros(2))
+            gradient_error(np.zeros(2), np.zeros(3), np.zeros(2))
 
     def test_inexact_gradient_update_round_trips(self):
         obj = make_saddle_quartic(5).objective
@@ -229,7 +231,7 @@ class TestGradientError:
 
             surr = build_surrogate(obj, x, spec)
             x_hat, _ = minimize_surrogate(surr)
-            e = drv.gradient_error(x, x_hat, surr.anchor_grad)
+            e = gradient_error(x, x_hat, surr.anchor_grad)
             reconstructed = x - eta * (surr.anchor_grad + e)
             assert np.linalg.norm(reconstructed - x_next) <= 1e-12
 
@@ -287,15 +289,15 @@ class TestNoNormOnTheHotPath:
 class TestDescentCheck:
     def test_tight_case_eta_half(self):
         # 0.5||x||^2 from (1,0), step to prox point: equality at eta' = 0.375
-        assert drv.descent_check(0.5, 0.125, 1.0, 0.5, 1.0, 1.0)
-        assert not drv.descent_check(0.5, 0.125 + 1e-9, 1.0, 0.5, 1.0, 1.0)
+        assert descent_check(0.5, 0.125, 1.0, 0.5, 1.0, 1.0)
+        assert not descent_check(0.5, 0.125 + 1e-9, 1.0, 0.5, 1.0, 1.0)
 
     def test_tight_case_eta_one(self):
-        assert drv.descent_check(0.5, 0.0, 1.0, 1.0, 1.0, 1.0)
+        assert descent_check(0.5, 0.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_hypothesis_violation(self):
         with pytest.raises(drv.HypothesisViolationError):
-            drv.descent_check(1.0, 0.5, 1.0, 2.0, 1.0, 1.0)
+            descent_check(1.0, 0.5, 1.0, 2.0, 1.0, 1.0)
 
 
 class TestRunSca:
@@ -331,53 +333,97 @@ class TestRunSca:
 
 
 class TestPerturbationProtocol:
+    """The fire rule and the window test, seen through the drivers.
+
+    The still model's minimizer is its anchor, so a run's iterate moves only
+    when a perturbation moves it, and the model sets the value and the gradient
+    norm that the two rules read at each point.
+    """
+
     @pytest.fixture
     def params(self, quartic10):
-        return drv.derive_params(0.01, 0.1, 1.0, 0.5, 0.25, quartic10.objective, 20_000)
+        params = drv.derive_params(0.01, 0.1, 1.0, 0.5, 0.25, quartic10.objective)
+        return dataclasses.replace(params, t_th=3, max_iters=9)
 
-    def test_large_gradient_skips(self, params, rng):
-        state = drv.PerturbationState(t_noise=-params.t_th - 1)
-        x = np.ones(10)
-        x2, state2, perturbed = drv.maybe_perturb(
-            params, state, x, 5.0, 2 * params.g_th, 0, rng
-        )
-        assert not perturbed and x2 is x and state2 is state
+    @staticmethod
+    def still(grad_norm, drop=0.0):
+        """A model that stays at its anchor, with gradient norm ``grad_norm(y)`` there.
 
-    def test_window_boundary_is_strict(self, params, rng):
-        state = drv.PerturbationState(t_noise=0, x_tilde=np.zeros(10), f_tilde=0.0)
-        _, _, perturbed = drv.maybe_perturb(
-            params, state, np.zeros(10), 0.0, 0.0, params.t_th, rng
-        )
-        assert not perturbed
+        The k-th distinct point it is built at (k = 0 for the start) has the
+        value ``0.0 - k drop``, so each perturbation lowers ``f`` by ``drop``.
+        """
+        values = {}
 
-    def test_fires_past_window(self, params, rng):
-        state = drv.PerturbationState(t_noise=0, x_tilde=np.zeros(10), f_tilde=0.0)
+        def builder(obj, y, spec):
+            f = values.setdefault(y.tobytes(), 0.0 - drop * len(values))
+            g = np.zeros_like(y)
+            g[0] = gn = grad_norm(y)
+            return SurrogateAt(f, g, gn, y.copy(), 0.0)
+
+        return SurrogateSpec(kind="custom", builder=builder)
+
+    @staticmethod
+    def run(obj, spec, params, **kwargs):
+        return drv.run_psca(obj, spec, params, np.zeros(obj.dim), RngStream(0), **kwargs)
+
+    def test_large_gradient_skips(self, quartic10, params):
+        spec = self.still(lambda y: 2 * params.g_th)
+        res = self.run(quartic10.objective, spec, params)
+        assert res.termination == "max_iters" and res.iterations == params.max_iters
+        assert res.perturbation_count == 0 and res.events == {}
+
+    def test_fires_at_exactly_g_th(self, quartic10, params):
+        # row 0 reads grad_norm == g_th, row 1 the next float above it
+        above = math.nextafter(params.g_th, math.inf)
+        spec = self.still(lambda y: params.g_th if y[0] < 0.25 else above)
+        at, over = drv.run_batch(quartic10.objective, spec, [np.zeros(10), np.full(10, 0.5)],
+                                 params=[params] * 2, rngs=[RngStream(0), RngStream(1)])
+        assert 0 in at.records.perturbed_at and over.perturbation_count == 0
+
+    def test_window_boundary_is_strict(self, quartic10, params):
+        spec = self.still(lambda y: 0.0, drop=params.f_th)
+        res = self.run(quartic10.objective, spec, params)
+        assert not res.records[params.t_th].perturbed
+        assert not res.records[2 * params.t_th + 1].perturbed
+
+    def test_fires_past_window(self, quartic10, params):
+        spec = self.still(lambda y: 0.0, drop=params.f_th)
+        res = self.run(quartic10.objective, spec, params, keep_iterates_every=1)
         t = params.t_th + 1
-        x2, state2, perturbed = drv.maybe_perturb(
-            params, state, np.zeros(10), 0.0, 0.0, t, rng
-        )
-        assert perturbed
-        assert state2.t_noise == t
-        assert float(np.linalg.norm(x2 - state2.x_tilde)) <= params.r * (1 + 1e-12)
+        assert sorted(res.records.perturbed_at) == [0, t, 2 * t]
+        assert res.termination == "max_iters"
+        assert res.perturbation_state.t_noise == 2 * t
+        (_, x_before), (_, x_after) = res.iterates[t - 1], res.iterates[t]
+        assert float(np.linalg.norm(x_after - x_before)) <= params.r * (1 + 1e-12)
 
-    def test_termination_on_insufficient_decrease(self, params):
-        anchor = np.zeros(10)
-        state = drv.PerturbationState(t_noise=0, x_tilde=anchor, f_tilde=1.0)
-        t = params.t_th
-        out = drv.check_termination(params, state, anchor, 1.0 - 0.4 * params.f_th, t)
-        assert out is anchor
+    def test_termination_on_insufficient_decrease(self, quartic10, params):
+        spec = self.still(lambda y: 0.0, drop=0.4 * params.f_th)
+        res = self.run(quartic10.objective, spec, params)
+        assert res.termination == "returned_xtilde"
+        assert res.iterations == params.t_th and res.perturbation_count == 1
+        assert np.all(res.x_out == 0.0) and res.f_out == 0.0
+        assert res.final_f == 0.0 - 0.4 * params.f_th
 
-    def test_no_termination_on_sufficient_decrease(self, params):
-        state = drv.PerturbationState(t_noise=0, x_tilde=np.zeros(10), f_tilde=1.0)
-        out = drv.check_termination(
-            params, state, np.zeros(10), 1.0 - 0.9 * params.f_th, params.t_th
-        )
-        assert out is None
+    def test_no_termination_on_sufficient_decrease(self, quartic10, params):
+        spec = self.still(lambda y: 0.0, drop=0.9 * params.f_th)
+        res = self.run(quartic10.objective, spec, params)
+        assert res.termination == "max_iters" and res.perturbation_count == 3
 
-    def test_no_termination_before_window_end(self, params):
-        state = drv.PerturbationState(t_noise=0, x_tilde=np.zeros(10), f_tilde=1.0)
-        out = drv.check_termination(params, state, np.zeros(10), -10.0, params.t_th - 1)
-        assert out is None
+    def test_decrease_of_exactly_the_threshold_does_not_return(self, quartic10, params):
+        drop = (1.0 - params.s) * params.f_th
+        assert (0.0 - drop) - 0.0 == -(1.0 - params.s) * params.f_th
+        spec = self.still(lambda y: 0.0, drop=drop)
+        res = self.run(quartic10.objective, spec,
+                       dataclasses.replace(params, max_iters=params.t_th + 2))
+        assert res.events[0] == "perturbed;f_before=0"
+        assert res.records[params.t_th].f == -drop
+        assert res.termination == "max_iters"
+
+    def test_no_termination_before_window_end(self, quartic10, params):
+        spec = self.still(lambda y: 0.0)  # no decrease at all
+        res = self.run(quartic10.objective, spec,
+                       dataclasses.replace(params, max_iters=params.t_th))
+        assert res.termination == "max_iters" and res.perturbation_count == 1
 
 
 class TestRunPsca:

@@ -269,6 +269,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match=f"^repeated problem parameter 'd' in '{spec}'$"):
             get_problem(spec)
 
+    @pytest.mark.parametrize("spec, least", [("quadratic:d=0", 1), ("quadratic:d=-1", 1),
+                                             ("quadratic_indefinite:d=0", 2),
+                                             ("quadratic_indefinite:d=1", 2)])
+    def test_quadratics_refuse_too_small_a_dim(self, spec, least):
+        d = spec.partition("d=")[2]
+        with pytest.raises(ValueError, match=f"^dim must be >= {least}, got {d}$"):
+            get_problem(spec)
+
     def test_a_spec_is_built_once(self):
         assert get_problem("matrix_factorization:d=5,r=2") is get_problem(
             "matrix_factorization:d=5,r=2"

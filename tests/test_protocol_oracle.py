@@ -1,9 +1,9 @@
 """A straight-line transcription of the perturbed protocol, checked against the drivers.
 
-The transcription below is written from the protocol as documented (the
-``drivers`` module docstring, :func:`drivers.maybe_perturb`,
-:func:`drivers.check_termination` and :func:`drivers.derive_params`), not from
-the loop that implements it. It is perturbed gradient descent (Jin et al.,
+The transcription below is written from the protocol as documented (the fire
+rule and the window test in the ``drivers`` module docstring and in
+:func:`drivers.run_psca`, and :func:`drivers.derive_params`), not from the loop
+that implements it. It is perturbed gradient descent (Jin et al.,
 "How to Escape Saddle Points Efficiently", arXiv:1703.00887) whose step is the
 surrogate minimizer: the step comes from the public :func:`drivers.sca_step`
 for sca/psca and is ``x + eta ((x - g) - x)`` for gd/pgd. Every run of the
