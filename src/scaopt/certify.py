@@ -203,7 +203,9 @@ def _lanczos(obj: Objective, x: np.ndarray, tol: float, max_iters: int):
     """The matrix-free path of :func:`min_eigenvalue`: ``(lambda_min, eigenvector, residual)``."""
     lip_grad = obj.constants.grad_lipschitz
     calls = 0
-    best = (math.inf, None, math.inf)  # smallest Rayleigh quotient: (lambda, vector, residual)
+    # smallest Rayleigh quotient so far: (quotient, vector, H vector); normalized only if it is
+    # the estimate an EigenSolveError reports
+    best = (math.inf, None, None)
 
     def hvp(v):
         nonlocal calls, best
@@ -213,9 +215,7 @@ def _lanczos(obj: Objective, x: np.ndarray, tol: float, max_iters: int):
         hv = obj.hvp(x, v)
         quotient = float(v @ hv) / float(v @ v)
         if quotient < best[0]:
-            scale = 1.0 / float(np.linalg.norm(v))
-            residual = scale * float(np.linalg.norm(hv - quotient * v))
-            best = (quotient, scale * v, residual)
+            best = (quotient, v.copy(), hv)
         return hv
 
     try:
@@ -236,7 +236,11 @@ def _lanczos(obj: Objective, x: np.ndarray, tol: float, max_iters: int):
         lam = float(vec @ hv)  # the Ritz value, recomputed on H to keep its relative accuracy
         residual = float(np.linalg.norm(hv - lam * vec))
     except (_BudgetExhausted, ArpackNoConvergence):
-        lam, vec, residual = best
+        lam, v, hv = best
+        vec, residual = None, math.inf
+        if v is not None:
+            scale = 1.0 / float(np.linalg.norm(v))
+            vec, residual = scale * v, scale * float(np.linalg.norm(hv - lam * v))
         raise EigenSolveError(
             f"Lanczos exhausted {calls} of {max_iters} Hessian-vector products; best "
             f"estimate has residual {residual:.3e}",

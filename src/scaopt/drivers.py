@@ -44,6 +44,17 @@ state, stream, tests and events, leaves the stack when its run ends, and gets
 the result its run makes alone, bit for bit: every per-row reduction is one
 that keeps the bits of its 1-D form, and the monitors are checked from the
 trajectory columns when the run ends.
+
+Each iteration computes only what the protocol reads there: the gradients and
+their norms (the fire and stop tests), the step and the region test. The
+proximal model of a batched objective is built on the stack without its
+values; a row reads ``f`` where the protocol does (``f_tilde`` at a
+perturbation, the window test, a terminal row), and every other value is read
+a block of iterations at a time, together with the error norms and
+optimality gaps of the trajectory columns, by the row store (:class:`_Rows`).
+A value found bad there fails its row with the error its evaluation at that
+iterate raises, ahead of anything the row met at a later iterate; the other
+rows run on.
 """
 
 from __future__ import annotations
@@ -59,9 +70,7 @@ import numpy as np
 
 from scaopt.numerics import NonFiniteError, RngStream, row_dots, sample_uniform_ball, scalar_power
 from scaopt.problems import Objective
-from scaopt.surrogates import SurrogateAt, SurrogateSpec, checked_anchor, minimize_surrogate
-# Unchecked, under the name the tracer patches; renamed after ROADMAP item 1's benchmark stage.
-from scaopt.surrogates import _build as build_surrogate
+from scaopt.surrogates import SurrogateAt, SurrogateSpec, _build, checked_anchor, minimize_surrogate
 
 __all__ = [
     "HypothesisViolationError",
@@ -430,29 +439,88 @@ def _take(surr: SurrogateAt, keep) -> SurrogateAt:
     return SurrogateAt(*(getattr(surr, name)[keep] for name in SurrogateAt.__slots__))
 
 
-def _evaluate(obj, spec, xs, t):
+def build_surrogate(obj, y, spec):
+    """The model at the checked anchor ``y``; on a ``(B, d)`` stack, without the values.
+
+    Only the proximal model of a batched objective is built on a stack, and
+    the loop reads the values of a stack's points apart from its gradients
+    (:func:`_values`), so there ``anchor_value`` is None. The loop builds
+    every model through this name, which the benchmark tracer patches.
+    """
+    return _build(obj, y, spec, values=y.ndim == 1)
+
+
+def _values(obj, xs, iteration):
+    """``obj.value`` at each point of the ``(N, d)`` stack ``xs`` of a batched objective.
+
+    One stacked call reads every value; only when it raises is each point
+    read alone. Returns ``(values, failures)``: ``failures`` maps, in index
+    order, each point whose value raised to its exception and each whose value
+    is not finite to a :class:`NonFiniteError` at ``iteration(k)``, the
+    iteration of point ``k``: the error its one-row evaluation raises there.
+    """
+    try:
+        values, raised = np.asarray(obj.value(xs), dtype=np.float64), {}
+    except Exception:
+        values, raised = np.full(len(xs), math.nan), {}
+        for k, x in enumerate(xs):
+            try:
+                values[k] = obj.value(x)
+            except Exception as exc:
+                raised[k] = exc
+    if not raised and math.isfinite(np.add.reduce(values)):
+        return values, {}
+    bad = np.flatnonzero(~np.isfinite(values)).tolist()
+    return values, {k: raised[k] if k in raised else NonFiniteError(
+        f"non-finite objective or gradient at iteration {iteration(k)}") for k in bad}
+
+
+_NAN = np.array([math.nan])
+
+
+def _stacked(obj, spec) -> bool:
+    """Whether the loop builds ``spec``'s models of ``obj`` on a whole stack of anchors."""
+    return spec.kind == "proximal_linear" and obj.batched
+
+
+def _evaluate(obj, spec, xs, t, values=True):
     """The models at the checked anchors ``xs`` (a ``(B, d)`` stack) and the rows that failed.
 
     Returns ``(surr, failures)``: ``surr`` holds every row's model, stacked,
-    and ``failures`` maps the position of each row whose build raised to its
-    exception, or to a :class:`NonFiniteError` when its value or gradient is
-    not finite. The proximal model of a batched objective is built on the
-    whole stack; any other model is built one row at a time, and so is a stack
-    whose build raised, to find the rows that raise.
+    and ``failures`` maps the position of each row whose evaluation failed to
+    the error its one-row evaluation raises: the exception of its model build,
+    or a :class:`NonFiniteError` when its value or gradient is not finite.
+
+    The proximal model of a batched objective is built on the whole stack,
+    gradients first; its values are then read by one stacked call
+    (:func:`_values`) or, with ``values=False``, left NaN for the caller to
+    read later (only a row whose gradient is not finite has its value read, to
+    find its error). A NaN in ``anchor_value`` thus means "not read yet": a
+    value read as NaN fails its row. Any other model is built one row at a
+    time, value first, and so is a stack whose build raised, to find the rows
+    that raise.
     """
     failures = {}
-    if spec.kind == "proximal_linear" and obj.batched:
+    if _stacked(obj, spec):
         try:
             surr = build_surrogate(obj, xs, spec)
         except Exception:
             pass
         else:
-            # a finite f'gn rules out NaN and inf in both; only then is the per-row test skipped
-            if not math.isfinite(surr.anchor_value @ surr.grad_norm):
-                finite = np.isfinite(surr.anchor_value) & np.isfinite(surr.grad_norm)
-                for pos in np.flatnonzero(~finite).tolist():
-                    failures[pos] = NonFiniteError(
-                        f"non-finite objective or gradient at iteration {t}")
+            gn = surr.grad_norm
+            bad = []
+            if not math.isfinite(np.add.reduce(gn)):
+                bad = np.flatnonzero(~np.isfinite(gn)).tolist()
+            if values:
+                surr.anchor_value, failures = _values(obj, xs, lambda k: t)
+            else:
+                surr.anchor_value = _NAN.repeat(len(xs))
+                if bad:
+                    _, found = _values(obj, xs[bad], lambda k: t)
+                    failures = {bad[k]: exc for k, exc in found.items()}
+            for pos in bad:
+                failures.setdefault(
+                    pos, NonFiniteError(f"non-finite objective or gradient at iteration {t}"))
             return surr, failures
     models = []
     for pos, x in enumerate(xs):
@@ -468,31 +536,29 @@ def _evaluate(obj, spec, xs, t):
     return _stack(models, xs), failures
 
 
-def _step(obj, spec, surr, x, eta):
-    """The updates ``x + eta (x_hat - x)`` of a ``(B, d)`` stack ``x`` and what they tell.
+def _step(obj, surr, x, eta):
+    """The updates ``x + eta (x_hat - x)`` of a ``(B, d)`` stack ``x``, and what they tell.
 
     ``x_hat`` is the minimizer of each row's model in ``surr`` (``x - g`` for
-    GD and PGD). Returns ``(x_next, inside, err_norm, gap)``: the updated
-    stack, whether each updated row lies in the valid region and, for the rows
-    that do, the norm of the error vector ``e = (x - x_hat) - g``, the one
-    vector that writes the update as the inexact gradient step
-    ``x - eta (g + e)``, and the optimality gap ``(x - x_hat)'g`` that
-    :func:`_monitors` checks.
-
-    The difference ``d = x - x_hat`` is formed once: the update is computed as
-    ``x - eta d``, the error vector as ``d - g`` and the optimality gap as
-    ``d'g``. ``x - eta d`` has the same bits as ``x + eta (x_hat - x)`` except
-    that a ``-0.0`` coordinate of ``x`` with a zero step there stays ``-0.0``.
+    GD and PGD). Returns ``(x_next, inside, d)``: the updated stack, whether
+    each updated row lies in the valid region, and ``d = x - x_hat``. The
+    update is computed as ``x - eta d``, which has the same bits as
+    ``x + eta (x_hat - x)`` except that a ``-0.0`` coordinate of ``x`` with a
+    zero step there stays ``-0.0``. With the gradient ``g``, ``d`` gives the
+    error vector ``e = d - g``, the one vector that writes the update as the
+    inexact gradient step ``x - eta (g + e)``, and the optimality gap ``d'g``
+    that :func:`_monitors` checks; :func:`_error_norms` forms both.
     """
     x_hat, _ = minimize_surrogate(surr)
-    g = surr.anchor_grad
     d = x - x_hat
     x_next = x - eta * d
-    inside = obj.rows_in_region(x_next)
-    if not all(inside.tolist()):
-        d, g = d[inside], g[inside]
+    return x_next, obj.rows_in_region(x_next), d
+
+
+def _error_norms(d, g):
+    """The error norms ``||d - g||`` and the optimality gaps ``d'g`` of the rows of two stacks."""
     err = d - g
-    return x_next, inside, np.sqrt(row_dots(err, err)), row_dots(d, g)
+    return np.sqrt(row_dots(err, err)), row_dots(d, g)
 
 
 def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
@@ -507,9 +573,10 @@ def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
     surr, failures = _evaluate(obj, spec, xs, t)
     if failures:
         raise failures[0]
-    x_next, inside, err_norm, _ = _step(obj, spec, surr, xs, eta)
+    x_next, inside, d = _step(obj, surr, xs, eta)
     if not inside[0]:
         raise RegionExitError(_region_exit_message(obj, x_next[0]))
+    err_norm, _ = _error_norms(d, surr.anchor_grad)
     return x_next[0], IterateRecord(t, float(surr.anchor_value[0]), float(surr.grad_norm[0]),
                                     float(surr.step_norm[0]), float(err_norm[0]), False)
 
@@ -588,37 +655,77 @@ class _Row:
 class _Rows:
     """The trajectory rows of a batch's running rows, kept as float64 arrays until it ends.
 
-    Each iteration adds its ``f, grad_norm, step_norm, err_norm, gap`` arrays
-    over the running rows, in the order of ``ids``; every ``FLUSH``
-    iterations, and whenever the running rows change, those arrays become one
-    block of shape ``(iterations, 5, rows)``. A run's columns are its slices
+    Each iteration adds what it formed over the running rows, in the order of
+    ``ids``: the iterates, their values as far as read (NaN for a value not
+    read yet, see :func:`_evaluate`), gradient and step norms, and the step's
+    ``d`` and gradient ``g`` (see :func:`_step`). Every ``FLUSH`` iterations,
+    and whenever the running rows change, :meth:`flush` turns the pending
+    iterations into one block of shape ``(iterations, rows, 5)``, the columns
+    ``f, grad_norm, step_norm, err_norm, gap``: the values not read yet by one
+    stacked ``obj.value`` call over the block's iterates, and every error norm
+    and gap by :func:`_error_norms` over the block's stacked ``d`` and ``g``,
+    each row with the bits of its one-row form. A run's columns are its slices
     of the blocks.
+
+    Only the stacked proximal model of a batched objective (``stacked``)
+    leaves values unread. Each iteration of any other model forms its error
+    norms and gaps when it is added and keeps no vector: its per-row builds
+    cost far more than that, and keeping the ``d = 256`` vectors of the
+    ``curvature`` benchmark's Rosenbrock run raised its peak RSS by 0.5-1 MB.
     """
 
-    FLUSH = 1024
+    FLUSH = 256
 
-    def __init__(self, ids):
+    def __init__(self, obj, ids, stacked):
+        self.obj = obj
         self.ids = ids
+        self.stacked = stacked
         self.blocks: list[tuple[tuple, np.ndarray]] = []
         self.pending: list[tuple] = []
+        self.start = 0  # the iteration of the first pending one
 
-    def add(self, *cols):
-        self.pending.append(cols)
-        if len(self.pending) == self.FLUSH:
-            self.regroup(self.ids)
+    def add(self, t, x, f, grad_norm, step_norm, d, g) -> bool:
+        """Keep iteration ``t``'s arrays; whether a flush is due."""
+        if not self.pending:
+            self.start = t
+        if self.stacked:
+            self.pending.append((x, f, grad_norm, step_norm, d, g))
+        else:
+            self.pending.append((None, f, grad_norm, step_norm, *_error_norms(d, g)))
+        return len(self.pending) == self.FLUSH
 
-    def regroup(self, ids):
-        if self.pending:
-            steps = len(self.pending)
-            columns = [np.concatenate(col).reshape(steps, -1) for col in zip(*self.pending)]
-            self.blocks.append((self.ids, np.stack(columns, axis=1)))
-            self.pending = []
-        self.ids = ids
+    def flush(self) -> dict:
+        """Turn the pending iterations into a block; map each row whose value failed to its error.
+
+        A row's error is that of its first iterate whose value raised or is
+        not finite, as :func:`_values` gives it.
+        """
+        if not self.pending:
+            return {}
+        xs, fs, grad_norms, step_norms, *step = zip(*self.pending)
+        self.pending = []
+        rows = len(self.ids)
+        f = np.concatenate(fs)
+        failed = {}
+        unread = np.flatnonzero(np.isnan(f))
+        if len(unread):
+            points = np.concatenate(xs)
+            if len(unread) < len(f):
+                points = points[unread]
+            f[unread], found = _values(self.obj, points,
+                                       lambda k: self.start + int(unread[k]) // rows)
+            for k, exc in found.items():  # in iteration order: a row's first failure comes first
+                failed.setdefault(self.ids[unread[k] % rows], exc)
+        step = [np.concatenate(column) for column in step]
+        err_norm, gap = _error_norms(*step) if self.stacked else step
+        block = np.stack((f, np.concatenate(grad_norms), np.concatenate(step_norms), err_norm, gap),
+                         axis=1)
+        self.blocks.append((self.ids, block.reshape(len(fs), rows, 5)))
+        return failed
 
     def columns(self, row, end) -> np.ndarray:
         """The ``(steps + 1, 5)`` columns of ``row``, closed by its terminal row ``end``."""
-        self.regroup(self.ids)
-        parts = [block[:, :, ids.index(row)] for ids, block in self.blocks if row in ids]
+        parts = [block[:, ids.index(row)] for ids, block in self.blocks if row in ids]
         return np.concatenate(parts + [np.array([[*end, 0.0, 0.0, 0.0]])])
 
 
@@ -632,27 +739,56 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     ``t >= next_perturb``, and the window test's ``t - t_noise == t_th`` at
     ``t == next_perturb - 1``. A row that ends or raises is
     taken out of the stack; its trajectory rows stay in the returned store.
+
+    An iteration reads only what the protocol reads there: the gradients and
+    their norms (fire and stop tests), the step and the region test. A value
+    not read with its model is read when a row reads ``f``: ``f_tilde`` at a
+    perturbation, the window test, a terminal row. Every other value is read
+    when the store flushes, and a failure found there ends its row with that
+    error, which wins over whatever the row met at a later iterate.
     """
-    store = _Rows(tuple(ids))
+    store = _Rows(obj, tuple(ids), _stacked(obj, spec))
     if not ids:
         return store
     x = np.array(xs)
     next_perturb = [math.inf if rows[i].params is None else 0 for i in ids]
 
+    def read(positions):
+        """Read the values at ``x[positions]`` not read yet; the positions whose rows failed."""
+        f = surr.anchor_value
+        unread = [pos for pos in positions if math.isnan(f[pos])]
+        if not unread:
+            return []
+        f[unread], found = _values(obj, x[unread], lambda k: t)
+        for k, exc in found.items():
+            rows[ids[unread[k]]].error = exc
+        return [unread[k] for k in found]
+
     def drop(gone):
-        """Take the rows at the positions ``gone`` out of the stack."""
+        """Take the rows at the positions ``gone`` out of the stack, after a flush; the kept mask.
+
+        A row whose pending values fail at the flush leaves too, with the
+        error of its first bad iterate, which comes before anything it met since.
+        """
         nonlocal ids, x, next_perturb, surr
+        gone = set(gone)
+        for i, exc in store.flush().items():
+            rows[i].error = exc
+            gone.add(ids.index(i))
         keep = np.ones(len(ids), dtype=bool)
+        if not gone:
+            return keep
         keep[list(gone)] = False
         kept = keep.tolist()
         ids = [i for i, k in zip(ids, kept) if k]
         next_perturb = [due for due, k in zip(next_perturb, kept) if k]
         x = x[keep]
         surr = _take(surr, keep)
-        store.regroup(tuple(ids))
+        store.ids = tuple(ids)
+        return keep
 
     for t in range(max_iters):
-        surr, failures = _evaluate(obj, spec, x, t)
+        surr, failures = _evaluate(obj, spec, x, t, values=False)
         gone = list(failures)
         for pos, exc in failures.items():
             rows[ids[pos]].error = exc
@@ -662,6 +798,10 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
             fire = [pos for pos, due in enumerate(next_perturb)
                     if due <= t and pos not in failures
                     and grad_norms[pos] <= rows[ids[pos]].params.g_th]
+            if fire:
+                failed = read(fire)  # f_tilde, the value before the perturbation
+                gone += failed
+                fire = [pos for pos in fire if pos not in failed]
             for pos in fire:
                 row = rows[ids[pos]]
                 row.state = PerturbationState(t, x[pos].copy(), float(surr.anchor_value[pos]))
@@ -674,7 +814,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 stay = [pos for pos, ins in zip(fire, inside) if ins]
                 left = [pos for pos, ins in zip(fire, inside) if not ins]
                 if stay:
-                    again, failures = _evaluate(obj, spec, x[stay], t)
+                    again, failures = _evaluate(obj, spec, x[stay], t, values=False)
                     for name in SurrogateAt.__slots__:
                         getattr(surr, name)[stay] = getattr(again, name)
                     for k, exc in failures.items():
@@ -702,37 +842,51 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 rows[i].iterates.append((t, x[pos].copy()))
 
         if t + 1 in next_perturb:  # the window tests due now
-            for pos in [pos for pos, due in enumerate(next_perturb) if due == t + 1]:
+            window = [pos for pos, due in enumerate(next_perturb) if due == t + 1]
+            gone += read(window)
+            for pos in window:
                 row = rows[ids[pos]]
                 f, state = float(surr.anchor_value[pos]), row.state
-                if f - state.f_tilde > -(1.0 - row.params.s) * row.params.f_th:
+                if pos not in gone and f - state.f_tilde > -(1.0 - row.params.s) * row.params.f_th:
                     row.stop(t, f, float(surr.grad_norm[pos]), "returned_xtilde", state.x_tilde,
                              state.f_tilde)
                     gone.append(pos)
         if stop_grad_norm is not None:
-            for pos, gn in enumerate(surr.grad_norm.tolist()):
-                if gn <= stop_grad_norm and pos not in gone:
-                    rows[ids[pos]].stop(t, float(surr.anchor_value[pos]), gn,
-                                        "gradient_below_threshold", x[pos].copy())
-                    gone.append(pos)
+            below = [pos for pos, gn in enumerate(surr.grad_norm.tolist())
+                     if gn <= stop_grad_norm and pos not in gone]
+            if below:
+                failed = read(below)
+                for pos in below:
+                    if pos not in failed:
+                        rows[ids[pos]].stop(t, float(surr.anchor_value[pos]),
+                                            float(surr.grad_norm[pos]),
+                                            "gradient_below_threshold", x[pos].copy())
+                gone += below
         if gone:
             drop(gone)
             if not ids:
                 break
 
-        x_next, inside, err_norm, gap = _step(obj, spec, surr, x, eta)
+        x_next, inside, d = _step(obj, surr, x, eta)
         if not all(inside.tolist()):
             gone = np.flatnonzero(~inside).tolist()
+            failed = read(gone)
             for pos in gone:
-                tag = f"left_valid_region;{_region_exit_message(obj, x_next[pos])}"
-                rows[ids[pos]].stop(t, float(surr.anchor_value[pos]), float(surr.grad_norm[pos]),
-                                    tag, x[pos].copy())
-            x_next = x_next[inside]
-            drop(gone)
+                if pos not in failed:
+                    tag = f"left_valid_region;{_region_exit_message(obj, x_next[pos])}"
+                    rows[ids[pos]].stop(t, float(surr.anchor_value[pos]),
+                                        float(surr.grad_norm[pos]), tag, x[pos].copy())
+            keep = drop(gone)
+            x_next, d = x_next[keep], d[keep]
             if not ids:
                 break
-        store.add(surr.anchor_value, surr.grad_norm, surr.step_norm, err_norm, gap)
+        full = store.add(t, x, surr.anchor_value, surr.grad_norm, surr.step_norm, d,
+                         surr.anchor_grad)
         x = x_next
+        if full:
+            drop(())
+            if not ids:
+                break
     else:  # the rows that ran out of iterations
         surr, failures = _evaluate(obj, _GRADIENT_MODEL, x, max_iters)
         for pos, i in enumerate(ids):
@@ -741,6 +895,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
             else:
                 rows[i].stop(max_iters, float(surr.anchor_value[pos]), float(surr.grad_norm[pos]),
                              None, x[pos].copy())
+        drop(range(len(ids)))
     return store
 
 

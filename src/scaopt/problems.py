@@ -106,14 +106,15 @@ class Objective:
 
         The two orders are written as the expressions ``np.linalg.norm``
         evaluates for a 1-D vector, ``sqrt(x.x)`` and ``max |x_i|``, taken per
-        row with the same bits and without its dispatch cost.
+        row with the same bits and without its dispatch cost (``np.maximum.reduce`` is
+        ``.max`` without its Python wrapper).
         """
         if math.isinf(self.region_radius):
             return np.isfinite(xs).all(axis=1)
         if self.region_norm == 2:
             norm = np.sqrt(row_dots(xs, xs))
         else:
-            norm = np.abs(xs).max(axis=1)
+            norm = np.maximum.reduce(np.abs(xs), axis=1)
         return norm <= self.region_radius
 
 
@@ -402,17 +403,21 @@ def make_rosenbrock(dim: int) -> ProblemInstance:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
 
-    # value and gradient take one point or a (B, dim) stack
+    # value and gradient take one point or a (B, dim) stack; np.add.reduce is .sum()
+    # without its Python wrapper
     def value(x):
         head, tail = x[..., :-1], x[..., 1:]
-        total = (100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2).sum(axis=-1)
+        total = np.add.reduce(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
         return float(total) if x.ndim == 1 else total
 
     def gradient(x):
         head, tail = x[..., :-1], x[..., 1:]
-        g = np.zeros_like(x)
-        g[..., :-1] = -400.0 * head * (tail - head**2) - 2.0 * (1.0 - head)
-        g[..., 1:] += 200.0 * (tail - head**2)
+        residual = tail - head**2
+        g = np.zeros(x.shape)
+        lead = g[..., :-1]
+        np.multiply(-400.0 * head, residual, out=lead)
+        lead -= 2.0 * (1.0 - head)
+        g[..., 1:] += 200.0 * residual
         return g
 
     def _diag_offdiag(x):

@@ -115,12 +115,13 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
     return _build(obj, checked_anchor(obj, y), spec)
 
 
-def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
+def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec, values: bool = True) -> SurrogateAt:
     """:func:`build_surrogate` on an anchor that has passed :func:`checked_anchor` or its checks.
 
     ``y`` may also be a ``(B, d)`` stack of such anchors when the model is
     ``proximal_linear`` and ``obj.batched``: the model of every row is built at
-    once, each with the bits of its one-row build.
+    once, each with the bits of its one-row build. With ``values=False`` (a
+    stack only) the objective's value is not read and ``anchor_value`` is None.
     """
     if spec.kind == "custom":
         if spec.builder is None:
@@ -132,12 +133,14 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
                 raise ValueError(f"custom surrogate {name} has shape {shape}, expected {y.shape}")
         return surr
 
-    f_y = obj.value(y)
+    f_y = obj.value(y) if values else None
     g_y = checked_gradient(obj, y)
     if y.ndim == 1:
         f_y, gn = float(f_y), math.sqrt(g_y @ g_y)
     else:
-        f_y, gn = np.asarray(f_y, dtype=np.float64), np.sqrt(row_dots(g_y, g_y))
+        gn = np.sqrt(row_dots(g_y, g_y))
+        if values:
+            f_y = np.asarray(f_y, dtype=np.float64)
     modulus = spec.strong_convexity
 
     if spec.kind == "proximal_linear":

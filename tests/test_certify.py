@@ -93,6 +93,21 @@ class TestMinEigenvalue:
         assert abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-12
         assert abs(float(vec @ obj.hvp(None, vec)) - excinfo.value.lambda_min) <= 1e-12
 
+    def test_budget_exhaustion_reports_the_best_estimate_bit_for_bit(self):
+        """Four products, of which several set a new smallest Rayleigh quotient: the error
+        carries the last of them, normalized, and its residual, with these exact bits."""
+        gen = np.random.default_rng(11)
+        a = gen.standard_normal((6, 6))
+        obj = make_quadratic(0.5 * (a + a.T)).objective
+        with pytest.raises(EigenSolveError) as excinfo:
+            min_eigenvalue(obj, np.zeros(6), method="matrix_free", max_iters=4)
+        err = excinfo.value
+        assert err.lambda_min.hex() == "-0x1.a32c19d3e615fp+0"
+        assert err.residual.hex() == "0x1.7fcf0310394a0p+0"
+        assert [v.hex() for v in err.eigenvector.tolist()] == [
+            "-0x1.43a234f1ea038p-3", "0x1.b4999f6ff07efp-2", "0x1.3ad4e423c7b1dp-1",
+            "0x1.f8fe179d90624p-4", "-0x1.c91456c8f3043p-2", "0x1.cabb9362ea8adp-2"]
+
     def test_matrix_factorization_above_dense_limit(self):
         # the Lanczos path certifies where the former power iteration ran out of budget
         prob = get_problem("matrix_factorization:d=30,r=8")

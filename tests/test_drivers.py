@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -600,28 +601,57 @@ class TestSharedLoop:
             assert m.error_bound_checked > 0
             assert m.all_passed()
 
-    @pytest.mark.parametrize("algo", ["sca", "psca", "gd", "pgd"])
-    def test_one_value_call_per_row(self, algo):
-        prob = get_problem("rosenbrock:d=10")
-        calls = []
-
+    @staticmethod
+    def serving(objective, served):
+        """``objective`` with a value oracle that adds each point it serves to ``served``."""
         def value(x):
-            calls.append(1)
-            return prob.objective.value(x)
+            served.update(row.tobytes() for row in np.atleast_2d(x))
+            return objective.value(x)
 
-        obj = dataclasses.replace(prob.objective, value=value)
+        return dataclasses.replace(objective, value=value)
+
+    @pytest.mark.parametrize("algo", ["sca", "psca", "gd", "pgd"])
+    def test_one_value_per_row(self, algo):
+        """The value of each row's point is served exactly once, alone or in a stack."""
+        prob = get_problem("rosenbrock:d=10")
+        served = collections.Counter()
+        obj = self.serving(prob.objective, served)
         x0 = _jittered_start(prob)
         params = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 0.25, obj, 30)
         eta = 1.0 / obj.constants.grad_lipschitz
         res = {
-            "sca": lambda: drv.run_sca(obj, SurrogateSpec(), eta, 1e-12, 30, x0),
-            "psca": lambda: drv.run_psca(obj, SurrogateSpec(), params, x0, RngStream(0)),
-            "gd": lambda: drv.run_gd(obj, eta, 1e-12, 30, x0),
-            "pgd": lambda: drv.run_pgd(obj, params, x0, RngStream(0)),
+            "sca": lambda: drv.run_sca(obj, SurrogateSpec(), eta, 1e-12, 30, x0,
+                                       keep_iterates_every=1),
+            "psca": lambda: drv.run_psca(obj, SurrogateSpec(), params, x0, RngStream(0),
+                                         keep_iterates_every=1),
+            "gd": lambda: drv.run_gd(obj, eta, 1e-12, 30, x0, keep_iterates_every=1),
+            "pgd": lambda: drv.run_pgd(obj, params, x0, RngStream(0), keep_iterates_every=1),
         }[algo]()
         assert res.termination == "max_iters" and res.perturbation_count == 0
-        assert len(calls) == len(res.records) == 31
+        rows = [x for _, x in res.iterates] + [res.x_out]
+        assert len(rows) == len(res.records) == 31
+        assert served == collections.Counter(x.tobytes() for x in rows)
         assert res.f_out == res.final_f
+
+    @pytest.mark.parametrize("algo", ["psca", "pgd"])
+    def test_a_perturbed_run_reads_each_value_once(self, algo):
+        """Two perturbations, a window test passed and one that returns ``x_tilde``, over about
+        ten store blocks: each row's value and each ``f_tilde`` is served exactly once."""
+        served = collections.Counter()
+        obj = self.serving(get_problem("saddle_quartic:d=2").objective, served)
+        x0 = np.zeros(2)
+        params = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 0.25, obj, 3000)
+        if algo == "psca":
+            res = drv.run_psca(obj, SurrogateSpec(), params, x0, RngStream(1),
+                               keep_iterates_every=1)
+        else:
+            res = drv.run_pgd(obj, params, x0, RngStream(1), keep_iterates_every=1)
+        assert res.termination == "returned_xtilde"
+        assert sorted(res.events) == [0, params.t_th + 1, 2 * params.t_th + 1]
+        rows = [x for _, x in res.iterates]  # the last is the window test's terminal row
+        assert len(rows) == len(res.records)
+        points = rows + [x0, res.x_out]  # and the points before the two jumps
+        assert served == collections.Counter(x.tobytes() for x in points)
 
     @pytest.mark.parametrize("algo", ["sca", "psca", "gd", "pgd"])
     def test_region_exit_event_carries_its_message(self, algo):

@@ -15,7 +15,7 @@ import hashlib
 
 import pytest
 
-from scaopt import cli
+from scaopt import cli, drivers
 
 PROBLEMS = {
     "quartic": dict(problem="saddle_quartic:d=10", max_iters=3000),
@@ -134,6 +134,14 @@ def test_trajectory_hash(case, tmp_path):
         assert _sha256(eigen) == GOLDEN[case + ".eigen"]
     else:
         assert not eigen.exists()
+
+
+@pytest.mark.parametrize("flush", [1, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_store_blocks_move_no_byte(case, flush, tmp_path, monkeypatch):
+    """The row store's block height (``FLUSH``, 256 in ``test_trajectory_hash``) moves no byte."""
+    monkeypatch.setattr(drivers._Rows, "FLUSH", flush)
+    test_trajectory_hash(case, tmp_path)
 
 
 def test_surrogate_runs_equal_their_gradient_twins():

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scaopt.drivers as drv
-from scaopt import surrogates
+from scaopt import cli, surrogates
 from scaopt.numerics import NonFiniteError, RngStream, row_dots, sample_uniform_ball, scalar_power
 from scaopt.problems import get_problem, make_quadratic
 from scaopt.surrogates import SurrogateSpec
@@ -41,18 +41,24 @@ def _power_mismatches(p, n=100_000):
 POWER_TRAPS = tuple(sorted(set(_power_mismatches(2) + _power_mismatches(3) + _power_mismatches(4))))
 
 
+# The row store reads values, error norms and gaps over a block of iterations
+# at once, so the per-row identities must hold up to the height of ten blocks.
+BLOCK_ROWS = 10 * drv._Rows.FLUSH
+
+
 @st.composite
 def stacks(draw, dim, scale=2.0):
-    """A ``(B, dim)`` stack inside the box of half-width ``scale``, B from 1 to 8.
+    """A ``(B, dim)`` stack inside the box of half-width ``scale``, B from 1 to ``BLOCK_ROWS``.
 
-    Coordinate 1 is often a value whose array power differs from the scalar one.
+    In a share of the rows (none, half or all), coordinate 1 is a value whose
+    array power differs from the scalar one.
     """
-    rows = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, BLOCK_ROWS))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xs = gen.uniform(-scale, scale, (rows, dim))
-    for r in range(rows):
-        if POWER_TRAPS and draw(st.booleans()):
-            xs[r, 1] = draw(st.sampled_from(POWER_TRAPS))
+    traps = gen.random(rows) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+    if POWER_TRAPS:
+        xs[traps, 1] = gen.choice(POWER_TRAPS, int(traps.sum()))
     return xs
 
 
@@ -82,7 +88,8 @@ def test_other_objectives_are_not_batched(spec):
 
 
 @settings(max_examples=50)
-@given(st.integers(1, 8), st.integers(1, 300), st.integers(-300, 300), st.integers(0, 2**32 - 1))
+@given(st.integers(1, BLOCK_ROWS), st.integers(1, 300), st.integers(-300, 300),
+       st.integers(0, 2**32 - 1))
 def test_row_dots_are_the_one_row_dots(rows, dim, scale, seed):
     gen = np.random.default_rng(seed)
     a = gen.standard_normal((rows, dim)) * 10.0**scale
@@ -321,3 +328,48 @@ def test_rows_that_fail_mid_run_leave_the_others_unchanged():
         assert_same_run(row, alone)
     assert len(messages) >= 3  # the rows fail at different iterations
     assert isinstance(batch[-1], drv.RunResult)
+
+
+def test_the_store_block_height_moves_no_byte(monkeypatch, tmp_path):
+    """Rows that return ``x_tilde``, fail or run out of iterations at different iterations:
+    every row's result and trajectory CSV are the same at every block height of the row
+    store, and each is its serial run."""
+    plain = get_problem("saddle_quartic:d=2").objective
+    params = drv.derive_params(3e-2, 0.1, 1.0, 0.5, 0.25, plain, 1200)
+    x0s = [np.zeros(2), np.array([0.5, 0.5]), np.array([1.5, 0.01]), np.array([-1.9, 1.9]),
+           np.array([0.0, 1.0])]
+    clean = drv.run_psca(plain, SurrogateSpec(), params, x0s[1], RngStream(1),
+                         keep_iterates_every=1)
+    bad = dict(clean.iterates)[300].tobytes()
+
+    def value(x):
+        values = plain.value(x)
+        if np.ndim(x) == 1:
+            return math.nan if x.tobytes() == bad else values
+        return np.where([p.tobytes() == bad for p in x], math.nan, values)
+
+    obj = dataclasses.replace(plain, value=value)
+
+    def run_batch():
+        return drv.run_batch(obj, SurrogateSpec(), x0s, params=[params] * 5,
+                             rngs=[RngStream(s) for s in range(5)])
+
+    def csv_bytes(rows):
+        for k, row in enumerate(rows):
+            if not isinstance(row, Exception):
+                cli.write_trajectory_csv(tmp_path / f"{k}.csv", row)
+        return {k: (tmp_path / f"{k}.csv").read_bytes()
+                for k, row in enumerate(rows) if not isinstance(row, Exception)}
+
+    alone = [serial(obj, "psca", SurrogateSpec(), x0, params, RngStream(s), None, None, None, None)
+             for s, x0 in enumerate(x0s)]
+    assert str(alone[1]) == "non-finite objective or gradient at iteration 300"
+    ends = [(r.termination, r.iterations) for r in alone if not isinstance(r, Exception)]
+    assert len(set(ends)) == 4 and ("max_iters", 1200) in ends
+    expected = csv_bytes(alone)
+    for flush in (1, 3, 256):
+        monkeypatch.setattr(drv._Rows, "FLUSH", flush)
+        batch = run_batch()
+        for row, single in zip(batch, alone):
+            assert_same_run(row, single)
+        assert csv_bytes(batch) == expected

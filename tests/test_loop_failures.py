@@ -240,3 +240,78 @@ def test_a_perturbed_batch_takes_an_optional_stop():
         assert_same_run(row, drv.run_psca(obj, SurrogateSpec(), perturbed["params"][0], x0,
                                           RngStream(0), stop_grad_norm=stop))
     assert row.termination == "gradient_below_threshold" and row.iterations == 0
+
+
+# ---------------------------------------------------------------------------
+# values the loop reads a block at a time
+
+
+def iterate_of(i, c, t):
+    """Whether a point is iterate ``t`` of SCA at ``eta = 0.01`` on ``0.5 ||x||^2`` from ``c e_i``.
+
+    Each step scales the iterate by 0.99, so coordinate ``i`` of iterate ``t``
+    is ``c 0.99^t``, within rounding far inside the half-step window tested here.
+    """
+    return lambda p: c * 0.99 ** (t + 0.5) < p[i] <= c * 0.99 ** (t - 0.5)
+
+
+def test_a_bad_value_fails_its_row_at_its_first_bad_iterate():
+    """Bad values lie in the middle of store blocks, each row meeting something later in
+    the same block: another bad value, its gradient raises, or it stops. The first bad
+    value's error wins."""
+    plain = make_quadratic(np.eye(5)).objective
+    small = 0.99**160  # row 3 starts here and falls below the stop threshold near t = 560
+    nan_value = [iterate_of(0, 1.0, 300), iterate_of(3, small, 520)]
+    raising_value = [iterate_of(0, 1.0, 380), iterate_of(1, 1.0, 450)]
+    raising_gradient = [iterate_of(0, 1.0, 400), iterate_of(1, 1.0, 500), iterate_of(2, 1.0, 600)]
+
+    def value(x):
+        if any(bad(p) for p in np.atleast_2d(x) for bad in raising_value):
+            raise ArithmeticError("no value here")
+        return rowwise(lambda p: math.nan if any(bad(p) for bad in nan_value)
+                       else plain.value(p))(x)
+
+    def gradient(x):
+        if any(bad(p) for p in np.atleast_2d(x) for bad in raising_gradient):
+            raise ArithmeticError("no gradient here")
+        return rowwise(plain.gradient)(x)
+
+    obj = dataclasses.replace(plain, value=value, gradient=gradient, batched=True)
+    x0s = list(np.eye(5))
+    x0s[3] = small * x0s[3]
+    settings = dict(eta=0.01, stop_grad_norm=0.99**720, max_iters=700)
+    batch = drv.run_batch(obj, SurrogateSpec(), x0s, **settings)
+    alone = [serial(lambda x0=x0: drv.run_batch(obj, SurrogateSpec(), [x0], **settings)[0])
+             for x0 in x0s]
+    check_rows(batch, alone, failing={0, 1, 2, 3})
+    assert [(type(row), str(row)) for row in batch[:4]] == [
+        (NonFiniteError, "non-finite objective or gradient at iteration 300"),
+        (ArithmeticError, "no value here"),
+        (ArithmeticError, "no gradient here"),
+        (NonFiniteError, "non-finite objective or gradient at iteration 520"),
+    ]
+    assert batch[4].termination == "max_iters" and batch[4].iterations == 700
+    # without the bad values, rows 0 and 1 fail later and row 3 stops
+    clean = dataclasses.replace(obj, value=rowwise(plain.value))
+    rows = drv.run_batch(clean, SurrogateSpec(), x0s, **settings)
+    assert [str(row) for row in rows[:2]] == ["no gradient here"] * 2
+    assert rows[3].termination == "gradient_below_threshold" and rows[3].iterations > 520
+
+
+def test_a_bad_value_wins_over_a_later_window_exit():
+    """PGD from the quartic's saddle returns ``x_tilde`` at its second window test, t = 2521;
+    a NaN value at iterate 2400, in the same store block, fails the run there instead."""
+    plain = get_problem("saddle_quartic:d=2").objective
+    params = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 0.25, plain, 3000)
+    clean = drv.run_pgd(plain, params, np.zeros(2), RngStream(1), keep_iterates_every=1)
+    assert clean.termination == "returned_xtilde" and clean.iterations == 2521
+    bad = dict(clean.iterates)[2400].tobytes()
+    obj = batched(plain, nan_at=lambda p: p.tobytes() == bad)
+    x0s, seeds = [np.zeros(2)] * 3, [1, 2, 3]
+    batch = drv.run_batch(obj, SurrogateSpec(), x0s, params=[params] * 3,
+                          rngs=[RngStream(s) for s in seeds])
+    alone = [serial(lambda s=s: drv.run_pgd(obj, params, np.zeros(2), RngStream(s)))
+             for s in seeds]
+    check_rows(batch, alone, failing={0})
+    assert type(batch[0]) is NonFiniteError
+    assert str(batch[0]) == "non-finite objective or gradient at iteration 2400"
