@@ -435,8 +435,10 @@ def _stack(models, xs) -> SurrogateAt:
 
 
 def _take(surr: SurrogateAt, keep) -> SurrogateAt:
-    """The rows ``keep`` (a mask or positions) of a stacked model."""
-    return SurrogateAt(*(getattr(surr, name)[keep] for name in SurrogateAt.__slots__))
+    """The rows ``keep`` (a mask or positions) of a stacked model; values not read stay None."""
+    f = surr.anchor_value
+    return SurrogateAt(None if f is None else f[keep], surr.anchor_grad[keep], surr.grad_norm[keep],
+                       surr.minimizer[keep], surr.step_norm[keep])
 
 
 def build_surrogate(obj, y, spec):
@@ -444,8 +446,9 @@ def build_surrogate(obj, y, spec):
 
     Only the proximal model of a batched objective is built on a stack, and
     the loop reads the values of a stack's points apart from its gradients
-    (:func:`_values`), so there ``anchor_value`` is None. The loop builds
-    every model through this name, which the benchmark tracer patches.
+    (:func:`_values`), so there ``anchor_value`` is None: no value is read
+    yet. The loop builds every model through this name, which the benchmark
+    tracer patches.
     """
     return _build(obj, y, spec, values=y.ndim == 1)
 
@@ -475,9 +478,6 @@ def _values(obj, xs, iteration):
         f"non-finite objective or gradient at iteration {iteration(k)}") for k in bad}
 
 
-_NAN = np.array([math.nan])
-
-
 def _stacked(obj, spec) -> bool:
     """Whether the loop builds ``spec``'s models of ``obj`` on a whole stack of anchors."""
     return spec.kind == "proximal_linear" and obj.batched
@@ -493,12 +493,13 @@ def _evaluate(obj, spec, xs, t, values=True):
 
     The proximal model of a batched objective is built on the whole stack,
     gradients first; its values are then read by one stacked call
-    (:func:`_values`) or, with ``values=False``, left NaN for the caller to
-    read later (only a row whose gradient is not finite has its value read, to
-    find its error). A NaN in ``anchor_value`` thus means "not read yet": a
-    value read as NaN fails its row. Any other model is built one row at a
-    time, value first, and so is a stack whose build raised, to find the rows
-    that raise.
+    (:func:`_values`) or, with ``values=False``, left unread for the caller to
+    read later: ``anchor_value`` stays None, and only a row whose gradient is
+    not finite has its value read, to find its error. "Not read yet" is thus
+    ``anchor_value`` None or, once the caller has read some rows into a NaN
+    column, a NaN entry: a value read as NaN fails its row. Any other model is
+    built one row at a time, value first, and so is a stack whose build
+    raised, to find the rows that raise.
     """
     failures = {}
     if _stacked(obj, spec):
@@ -509,15 +510,15 @@ def _evaluate(obj, spec, xs, t, values=True):
         else:
             gn = surr.grad_norm
             bad = []
-            if not math.isfinite(np.add.reduce(gn)):
+            # the norms are >= 0 or NaN, so their sum is finite exactly when each
+            # one is; a sum that overflows only sends the stack to the exact test
+            if not math.isfinite(sum(gn.tolist())):
                 bad = np.flatnonzero(~np.isfinite(gn)).tolist()
             if values:
                 surr.anchor_value, failures = _values(obj, xs, lambda k: t)
-            else:
-                surr.anchor_value = _NAN.repeat(len(xs))
-                if bad:
-                    _, found = _values(obj, xs[bad], lambda k: t)
-                    failures = {bad[k]: exc for k, exc in found.items()}
+            elif bad:
+                _, found = _values(obj, xs[bad], lambda k: t)
+                failures = {bad[k]: exc for k, exc in found.items()}
             for pos in bad:
                 failures.setdefault(
                     pos, NonFiniteError(f"non-finite objective or gradient at iteration {t}"))
@@ -656,8 +657,9 @@ class _Rows:
     """The trajectory rows of a batch's running rows, kept as float64 arrays until it ends.
 
     Each iteration adds what it formed over the running rows, in the order of
-    ``ids``: the iterates, their values as far as read (NaN for a value not
-    read yet, see :func:`_evaluate`), gradient and step norms, and the step's
+    ``ids``: the iterates, their values as far as read (None when the
+    iteration read none, else NaN for a value not read yet, see
+    :func:`_evaluate`), gradient and step norms, and the step's
     ``d`` and gradient ``g`` (see :func:`_step`). Every ``FLUSH`` iterations,
     and whenever the running rows change, :meth:`flush` turns the pending
     iterations into one block of shape ``(iterations, rows, 5)``, the columns
@@ -705,7 +707,11 @@ class _Rows:
         xs, fs, grad_norms, step_norms, *step = zip(*self.pending)
         self.pending = []
         rows = len(self.ids)
-        f = np.concatenate(fs)
+        f = np.full((len(fs), rows), math.nan)
+        for k, values in enumerate(fs):
+            if values is not None:
+                f[k] = values
+        f = f.reshape(-1)
         failed = {}
         unread = np.flatnonzero(np.isnan(f))
         if len(unread):
@@ -752,10 +758,18 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         return store
     x = np.array(xs)
     next_perturb = [math.inf if rows[i].params is None else 0 for i in ids]
+    # the fire test's gate: no row fires while every gradient norm is above this
+    fire_th = max((rows[i].params.g_th for i in ids if rows[i].params is not None),
+                  default=-math.inf)
 
     def read(positions):
-        """Read the values at ``x[positions]`` not read yet; the positions whose rows failed."""
+        """Read the values at ``x[positions]`` not read yet; the positions whose rows failed.
+
+        The first read of an iteration makes its column of values, NaN where not read yet.
+        """
         f = surr.anchor_value
+        if f is None:
+            f = surr.anchor_value = np.full(len(x), math.nan)
         unread = [pos for pos in positions if math.isnan(f[pos])]
         if not unread:
             return []
@@ -789,12 +803,14 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
 
     for t in range(max_iters):
         surr, failures = _evaluate(obj, spec, x, t, values=False)
+        # the fire and stop tests read this one list, re-read whenever surr changes;
+        # each gate is any(), not min(): min() of a list holding NaN may be NaN
+        grad_norms = surr.grad_norm.tolist()
         gone = list(failures)
         for pos, exc in failures.items():
             rows[ids[pos]].error = exc
 
-        if t >= min(next_perturb):
-            grad_norms = surr.grad_norm.tolist()
+        if t >= min(next_perturb) and any(gn <= fire_th for gn in grad_norms):
             fire = [pos for pos, due in enumerate(next_perturb)
                     if due <= t and pos not in failures
                     and grad_norms[pos] <= rows[ids[pos]].params.g_th]
@@ -816,7 +832,9 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 if stay:
                     again, failures = _evaluate(obj, spec, x[stay], t, values=False)
                     for name in SurrogateAt.__slots__:
-                        getattr(surr, name)[stay] = getattr(again, name)
+                        fields = getattr(again, name)
+                        getattr(surr, name)[stay] = math.nan if fields is None else fields
+                    grad_norms = surr.grad_norm.tolist()
                     for k, exc in failures.items():
                         rows[ids[stay[k]]].error = exc
                         gone.append(stay[k])
@@ -835,6 +853,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
             drop(gone)
             if not ids:
                 break
+            grad_norms = surr.grad_norm.tolist()
 
         gone = []
         if keep_every and t % keep_every == 0:
@@ -851,8 +870,8 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                     row.stop(t, f, float(surr.grad_norm[pos]), "returned_xtilde", state.x_tilde,
                              state.f_tilde)
                     gone.append(pos)
-        if stop_grad_norm is not None:
-            below = [pos for pos, gn in enumerate(surr.grad_norm.tolist())
+        if stop_grad_norm is not None and any(gn <= stop_grad_norm for gn in grad_norms):
+            below = [pos for pos, gn in enumerate(grad_norms)
                      if gn <= stop_grad_norm and pos not in gone]
             if below:
                 failed = read(below)

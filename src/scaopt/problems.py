@@ -242,21 +242,24 @@ def make_saddle_quartic(dim: int) -> ProblemInstance:
     # value and gradient also take a (B, dim) stack: the same arithmetic per row,
     # with the powers of x1 and x2 taken per row as scalars (see scalar_power).
     # value sums each row's squared tail with numpy (np.add.reduce is .sum()
-    # without its Python wrapper) and evaluates the rest on Python floats, the
-    # one formula _value for a point and for each row of a stack.
+    # without its Python wrapper). A point's value is _value on Python floats; a
+    # stack's is the same formula, in the same order, on arrays of those powers:
+    # each entry has the bits of its row's Python floats, and like them raises no
+    # warning where it overflows to inf or turns NaN.
     def _value(a, b, c):
         return 0.5 * a**2 - 0.5 * b**2 + 0.25 * b**4 + 0.5 * c
 
     def value(x):
         tails = np.add.reduce(x[..., 2:] ** 2, axis=-1)
-        try:
-            if x.ndim == 1:
+        if x.ndim == 1:
+            try:
                 return _value(*x[:2].tolist(), float(tails))
-            return np.array([_value(a, b, c) for (a, b), c in zip(x[:, :2].tolist(), tails.tolist())])
-        except OverflowError:  # a Python float's ** raises where the numpy scalar's gives inf
-            with np.errstate(over="ignore"):
-                values = [_value(a, b, c) for (a, b), c in zip(np.atleast_2d(x)[:, :2], np.atleast_1d(tails))]
-            return float(values[0]) if x.ndim == 1 else np.array(values, dtype=np.float64)
+            except OverflowError:  # a Python float's ** raises where the numpy scalar's gives inf
+                with np.errstate(over="ignore"):
+                    return float(_value(x[0], x[1], tails))
+        a2, b2, b4 = scalar_power(x[:, 0], 2), scalar_power(x[:, 1], 2), scalar_power(x[:, 1], 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 0.5 * a2 - 0.5 * b2 + 0.25 * b4 + 0.5 * tails
 
     def gradient(x):
         g = x.copy()
@@ -404,21 +407,27 @@ def make_rosenbrock(dim: int) -> ProblemInstance:
         raise ValueError(f"dim must be >= 2, got {dim}")
 
     # value and gradient take one point or a (B, dim) stack; np.add.reduce is .sum()
-    # without its Python wrapper
+    # without its Python wrapper. value keeps the stack's layout: its row sum is a
+    # reduction whose order follows the layout. gradient is elementwise, so it
+    # works coordinates first, on the transposed stack, where the head and the
+    # tail of every row are two contiguous blocks rather than strided (B, dim-1)
+    # views; every entry keeps its bits, and it returns a C-ordered (B, dim)
+    # array. On a point both transposes are no-ops.
     def value(x):
         head, tail = x[..., :-1], x[..., 1:]
         total = np.add.reduce(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
         return float(total) if x.ndim == 1 else total
 
     def gradient(x):
-        head, tail = x[..., :-1], x[..., 1:]
+        xt = np.ascontiguousarray(x.T)
+        head, tail = xt[:-1], xt[1:]
         residual = tail - head**2
-        g = np.zeros(x.shape)
-        lead = g[..., :-1]
+        g = np.zeros(xt.shape)
+        lead = g[:-1]
         np.multiply(-400.0 * head, residual, out=lead)
         lead -= 2.0 * (1.0 - head)
-        g[..., 1:] += 200.0 * residual
-        return g
+        g[1:] += 200.0 * residual
+        return np.ascontiguousarray(g.T)
 
     def _diag_offdiag(x):
         diag = np.full_like(x, 200.0)

@@ -72,14 +72,26 @@ def test_the_platform_has_power_traps():
 @settings(max_examples=30)
 @given(data=st.data())
 def test_batched_oracle_rows_are_the_one_point_calls(spec, data):
+    """Each row of a stack's value and gradient has the bits of the 1-D call; so does each
+    row of the gradient of a Fortran-ordered stack and of a strided view, and every stacked
+    gradient is C-ordered. (The loop reads values only on C-ordered stacks; Rosenbrock's
+    row sum follows the layout.)"""
     obj = get_problem(spec).objective
     assert obj.batched
     xs = data.draw(stacks(obj.dim))
-    values, grads = obj.value(xs), obj.gradient(xs)
-    assert values.shape == (len(xs),) and grads.shape == xs.shape
+    ones = data.draw(st.lists(st.integers(0, len(xs) - 1), min_size=1, max_size=3))
+    xs[ones] = 1.0
+    values = obj.value(xs)
+    assert values.shape == (len(xs),)
     assert np.array_equal(bits(values), bits([obj.value(x) for x in xs]))
-    assert np.array_equal(bits(grads), bits([obj.gradient(x) for x in xs]))
     assert all(type(obj.value(x)) is float for x in xs)
+    grads = np.array([obj.gradient(x) for x in xs])
+    if spec.startswith("rosenbrock"):  # at its minimum, the first entry of the gradient is -0.0
+        assert np.signbit(grads[ones, 0]).all()
+    for layout, expected in ((xs, grads), (np.asfortranarray(xs), grads), (xs[::2], grads[::2])):
+        stacked = obj.gradient(layout)
+        assert stacked.shape == layout.shape and stacked.flags.c_contiguous
+        assert np.array_equal(bits(stacked), bits(expected))
 
 
 @pytest.mark.parametrize("spec", ["quadratic:d=10", "matrix_factorization:d=6,r=2"])
@@ -328,6 +340,39 @@ def test_rows_that_fail_mid_run_leave_the_others_unchanged():
         assert_same_run(row, alone)
     assert len(messages) >= 3  # the rows fail at different iterations
     assert isinstance(batch[-1], drv.RunResult)
+
+
+def test_a_failing_row_hides_no_threshold_test():
+    """At iteration ``T`` of one P-SCA batch, row 0's gradient turns NaN, row 1 meets the
+    stop test and row 2's gradient norm equals its ``g_th`` exactly, so it fires: every
+    row is its serial run. A gate on the smallest norm would skip the tests: Python's
+    ``min`` of a list led by NaN is NaN."""
+    T = 12
+    plain = get_problem("saddle_quartic:d=2").objective
+    base = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 0.25, plain, 60)
+    # from (a, 0) the gradient norm is |x1|, which falls at every step
+    x0s = [np.array([a, 0.0]) for a in (1.0, 0.5, 1.5)]
+    clean = [drv.run_psca(plain, SurrogateSpec(), base, x0, RngStream(s), keep_iterates_every=1)
+             for s, x0 in enumerate(x0s)]
+    bad = dict(clean[0].iterates)[T].tobytes()
+
+    def gradient(x):
+        g = plain.gradient(x)
+        np.atleast_2d(g)[[p.tobytes() == bad for p in np.atleast_2d(x)]] = math.nan
+        return g
+
+    obj = dataclasses.replace(plain, gradient=gradient)
+    stop = clean[1].records[T].grad_norm
+    params = [base, base, dataclasses.replace(base, g_th=clean[2].records[T].grad_norm)]
+    alone = [serial(obj, "psca", SurrogateSpec(), x0, p, RngStream(s), None, None, stop, None)
+             for s, (x0, p) in enumerate(zip(x0s, params))]
+    assert str(alone[0]) == f"non-finite objective or gradient at iteration {T}"
+    assert (alone[1].termination, alone[1].iterations) == ("gradient_below_threshold", T)
+    assert min(alone[2].records.perturbed_at) == T
+    batch = drv.run_batch(obj, SurrogateSpec(), x0s, params=params,
+                          rngs=[RngStream(s) for s in range(3)], stop_grad_norm=stop)
+    for row, single in zip(batch, alone):
+        assert_same_run(row, single)
 
 
 def test_the_store_block_height_moves_no_byte(monkeypatch, tmp_path):
