@@ -48,13 +48,14 @@ trajectory columns when the run ends.
 Each iteration computes only what the protocol reads there: the gradients and
 their norms (the fire and stop tests), the step and the region test. The
 proximal model of a batched objective is built on the stack without its
-values; a row reads ``f`` where the protocol does (``f_tilde`` at a
-perturbation, the window test, a terminal row), and every other value is read
-a block of iterations at a time, together with the error norms and
-optimality gaps of the trajectory columns, by the row store (:class:`_Rows`).
-A value found bad there fails its row with the error its evaluation at that
-iterate raises, ahead of anything the row met at a later iterate; the other
-rows run on.
+values. A row reads ``f`` where the protocol does (``f_tilde`` at a
+perturbation, the window test, a terminal row) through :func:`_read`, the one
+read of a value its model did not read, and every terminal row goes through
+one end path. Every other value is read a block of iterations at a time,
+together with the error norms and optimality gaps of the trajectory columns,
+by the row store (:class:`_Rows`). A value found bad there fails its row with
+the error its evaluation at that iterate raises, ahead of anything the row
+met at a later iterate; the other rows run on.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ import numpy as np
 
 from scaopt.numerics import NonFiniteError, RngStream, row_dots, sample_uniform_ball, scalar_power
 from scaopt.problems import Objective
-from scaopt.surrogates import SurrogateAt, SurrogateSpec, _build, checked_anchor, minimize_surrogate
+from scaopt.surrogates import SurrogateAt, SurrogateSpec, checked_anchor, minimize_surrogate
+# the loop builds every model through this name, which the benchmark tracer patches
+from scaopt.surrogates import _build as build_surrogate
 
 __all__ = [
     "HypothesisViolationError",
@@ -441,16 +444,9 @@ def _take(surr: SurrogateAt, keep) -> SurrogateAt:
                        surr.minimizer[keep], surr.step_norm[keep])
 
 
-def build_surrogate(obj, y, spec):
-    """The model at the checked anchor ``y``; on a ``(B, d)`` stack, without the values.
-
-    Only the proximal model of a batched objective is built on a stack, and
-    the loop reads the values of a stack's points apart from its gradients
-    (:func:`_values`), so there ``anchor_value`` is None: no value is read
-    yet. The loop builds every model through this name, which the benchmark
-    tracer patches.
-    """
-    return _build(obj, y, spec, values=y.ndim == 1)
+def _non_finite(t) -> NonFiniteError:
+    """The error of a row whose value or gradient at iteration ``t`` is not finite."""
+    return NonFiniteError(f"non-finite objective or gradient at iteration {t}")
 
 
 def _values(obj, xs, iteration):
@@ -459,7 +455,7 @@ def _values(obj, xs, iteration):
     One stacked call reads every value; only when it raises is each point
     read alone. Returns ``(values, failures)``: ``failures`` maps, in index
     order, each point whose value raised to its exception and each whose value
-    is not finite to a :class:`NonFiniteError` at ``iteration(k)``, the
+    is not finite to the :func:`_non_finite` error at ``iteration(k)``, the
     iteration of point ``k``: the error its one-row evaluation raises there.
     """
     try:
@@ -474,8 +470,26 @@ def _values(obj, xs, iteration):
     if not raised and math.isfinite(np.add.reduce(values)):
         return values, {}
     bad = np.flatnonzero(~np.isfinite(values)).tolist()
-    return values, {k: raised[k] if k in raised else NonFiniteError(
-        f"non-finite objective or gradient at iteration {iteration(k)}") for k in bad}
+    return values, {k: raised[k] if k in raised else _non_finite(iteration(k)) for k in bad}
+
+
+def _read(obj, surr, xs, positions, t):
+    """Read the values at ``xs[positions]`` that ``surr``, the models at ``xs``, left unread.
+
+    The one read of such a value: only the proximal model of a batched
+    objective, built on a stack, leaves its values unread (``anchor_value``
+    None), and the first read makes its column, NaN where not read yet; a
+    value read as NaN fails its row. Maps each position whose value failed to
+    the error its one-row evaluation at iteration ``t`` raises (:func:`_values`).
+    """
+    f = surr.anchor_value
+    unread = list(positions) if f is None else [pos for pos in positions if math.isnan(f[pos])]
+    if not unread:
+        return {}
+    if f is None:
+        f = surr.anchor_value = np.full(len(xs), math.nan)
+    f[unread], found = _values(obj, xs[unread], lambda k: t)
+    return {unread[k]: exc for k, exc in found.items()}
 
 
 def _stacked(obj, spec) -> bool:
@@ -483,7 +497,7 @@ def _stacked(obj, spec) -> bool:
     return spec.kind == "proximal_linear" and obj.batched
 
 
-def _evaluate(obj, spec, xs, t, values=True):
+def _evaluate(obj, spec, xs, t):
     """The models at the checked anchors ``xs`` (a ``(B, d)`` stack) and the rows that failed.
 
     Returns ``(surr, failures)``: ``surr`` holds every row's model, stacked,
@@ -492,38 +506,27 @@ def _evaluate(obj, spec, xs, t, values=True):
     or a :class:`NonFiniteError` when its value or gradient is not finite.
 
     The proximal model of a batched objective is built on the whole stack,
-    gradients first; its values are then read by one stacked call
-    (:func:`_values`) or, with ``values=False``, left unread for the caller to
-    read later: ``anchor_value`` stays None, and only a row whose gradient is
-    not finite has its value read, to find its error. "Not read yet" is thus
-    ``anchor_value`` None or, once the caller has read some rows into a NaN
-    column, a NaN entry: a value read as NaN fails its row. Any other model is
-    built one row at a time, value first, and so is a stack whose build
-    raised, to find the rows that raise.
+    gradients only: the caller reads its values through :func:`_read`, and
+    only a row whose gradient is not finite has its value read here, to find
+    its error. Any other model is built one row at a time, value first, and so
+    is a stack whose build raised, to find the rows that raise. A terminal
+    point is evaluated like any other, through the gradient model, and the
+    loop's one end path writes its row.
     """
-    failures = {}
     if _stacked(obj, spec):
         try:
             surr = build_surrogate(obj, xs, spec)
         except Exception:
             pass
         else:
-            gn = surr.grad_norm
-            bad = []
             # the norms are >= 0 or NaN, so their sum is finite exactly when each
             # one is; a sum that overflows only sends the stack to the exact test
-            if not math.isfinite(sum(gn.tolist())):
-                bad = np.flatnonzero(~np.isfinite(gn)).tolist()
-            if values:
-                surr.anchor_value, failures = _values(obj, xs, lambda k: t)
-            elif bad:
-                _, found = _values(obj, xs[bad], lambda k: t)
-                failures = {bad[k]: exc for k, exc in found.items()}
-            for pos in bad:
-                failures.setdefault(
-                    pos, NonFiniteError(f"non-finite objective or gradient at iteration {t}"))
-            return surr, failures
-    models = []
+            if math.isfinite(sum(surr.grad_norm.tolist())):
+                return surr, {}
+            bad = np.flatnonzero(~np.isfinite(surr.grad_norm)).tolist()
+            found = _read(obj, surr, xs, bad, t)
+            return surr, {pos: found[pos] if pos in found else _non_finite(t) for pos in bad}
+    models, failures = [], {}
     for pos, x in enumerate(xs):
         try:
             model = build_surrogate(obj, x, spec)
@@ -532,7 +535,7 @@ def _evaluate(obj, spec, xs, t, values=True):
             model = None
         else:
             if not (math.isfinite(model.anchor_value) and math.isfinite(model.grad_norm)):
-                failures[pos] = NonFiniteError(f"non-finite objective or gradient at iteration {t}")
+                failures[pos] = _non_finite(t)
         models.append(model)
     return _stack(models, xs), failures
 
@@ -572,6 +575,7 @@ def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     xs = checked_anchor(obj, x_t)[None]
     surr, failures = _evaluate(obj, spec, xs, t)
+    failures = failures or _read(obj, surr, xs, [0], t)
     if failures:
         raise failures[0]
     x_next, inside, d = _step(obj, surr, xs, eta)
@@ -643,15 +647,6 @@ class _Row:
     f_out: Optional[float] = None
     error: Optional[Exception] = None
 
-    def stop(self, t, f, gn, tag, x_out, f_out=None):
-        """End the run at ``t`` with a terminal row ``(f, gn)``; ``tag`` joins the row's event."""
-        if tag is not None:
-            self.events[t] = f"{self.events[t]};{tag}" if t in self.events else tag
-            self.termination = tag.partition(";")[0]
-        self.end = (f, gn)
-        self.x_out = x_out
-        self.f_out = f if f_out is None else f_out
-
 
 class _Rows:
     """The trajectory rows of a batch's running rows, kept as float64 arrays until it ends.
@@ -659,7 +654,7 @@ class _Rows:
     Each iteration adds what it formed over the running rows, in the order of
     ``ids``: the iterates, their values as far as read (None when the
     iteration read none, else NaN for a value not read yet, see
-    :func:`_evaluate`), gradient and step norms, and the step's
+    :func:`_read`), gradient and step norms, and the step's
     ``d`` and gradient ``g`` (see :func:`_step`). Every ``FLUSH`` iterations,
     and whenever the running rows change, :meth:`flush` turns the pending
     iterations into one block of shape ``(iterations, rows, 5)``, the columns
@@ -667,7 +662,8 @@ class _Rows:
     stacked ``obj.value`` call over the block's iterates, and every error norm
     and gap by :func:`_error_norms` over the block's stacked ``d`` and ``g``,
     each row with the bits of its one-row form. A run's columns are its slices
-    of the blocks.
+    of the blocks, closed by the terminal row that the loop's one end path
+    writes.
 
     Only the stacked proximal model of a batched objective (``stacked``)
     leaves values unread. Each iteration of any other model forms its error
@@ -697,7 +693,7 @@ class _Rows:
         return len(self.pending) == self.FLUSH
 
     def flush(self) -> dict:
-        """Turn the pending iterations into a block; map each row whose value failed to its error.
+        """Turn the pending iterations into a block; map each failed row's position to its error.
 
         A row's error is that of its first iterate whose value raised or is
         not finite, as :func:`_values` gives it.
@@ -721,7 +717,7 @@ class _Rows:
             f[unread], found = _values(self.obj, points,
                                        lambda k: self.start + int(unread[k]) // rows)
             for k, exc in found.items():  # in iteration order: a row's first failure comes first
-                failed.setdefault(self.ids[unread[k] % rows], exc)
+                failed.setdefault(int(unread[k]) % rows, exc)
         step = [np.concatenate(column) for column in step]
         err_norm, gap = _error_norms(*step) if self.stacked else step
         block = np.stack((f, np.concatenate(grad_norms), np.concatenate(step_norms), err_norm, gap),
@@ -748,10 +744,12 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
 
     An iteration reads only what the protocol reads there: the gradients and
     their norms (fire and stop tests), the step and the region test. A value
-    not read with its model is read when a row reads ``f``: ``f_tilde`` at a
-    perturbation, the window test, a terminal row. Every other value is read
-    when the store flushes, and a failure found there ends its row with that
-    error, which wins over whatever the row met at a later iterate.
+    not read with its model is read (:func:`_read`) when a row reads ``f``:
+    ``f_tilde`` at a perturbation, the window test, a terminal row. Every
+    terminal row (the stop test, a step out of the region, a perturbed point
+    out of the region, ``max_iters``) is written by ``end``. Every other value
+    is read when the store flushes, and a failure found there ends its row
+    with that error, which wins over whatever the row met at a later iterate.
     """
     store = _Rows(obj, tuple(ids), _stacked(obj, spec))
     if not ids:
@@ -762,21 +760,45 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     fire_th = max((rows[i].params.g_th for i in ids if rows[i].params is not None),
                   default=-math.inf)
 
-    def read(positions):
-        """Read the values at ``x[positions]`` not read yet; the positions whose rows failed.
+    def fail(found):
+        """Give the row at each position of ``found`` its error; the positions."""
+        for pos, exc in found.items():
+            rows[ids[pos]].error = exc
+        return list(found)
 
-        The first read of an iteration makes its column of values, NaN where not read yet.
+    def rebuild(positions, model):
+        """Evaluate ``model`` at the perturbed ``x[positions]`` into ``surr``; those that failed."""
+        again, found = _evaluate(obj, model, x[positions], t)
+        for name in SurrogateAt.__slots__:
+            fields = getattr(again, name)
+            getattr(surr, name)[positions] = math.nan if fields is None else fields
+        return fail({positions[k]: exc for k, exc in found.items()})
+
+    def end(positions, t, tag=None, outside=None):
+        """End the runs at ``positions`` at ``t`` on their terminal rows in ``surr``; the positions.
+
+        The row's ``f`` is read first, and a row whose value fails fails
+        instead. ``tag`` names the termination (None: ``max_iters``) and joins
+        the row's event; with ``outside``, the points that left the region, it
+        carries the exit's message. A run returns its terminal point and ``f``,
+        or ``x_tilde`` and ``f_tilde`` when it ends ``returned_xtilde``.
         """
-        f = surr.anchor_value
-        if f is None:
-            f = surr.anchor_value = np.full(len(x), math.nan)
-        unread = [pos for pos in positions if math.isnan(f[pos])]
-        if not unread:
-            return []
-        f[unread], found = _values(obj, x[unread], lambda k: t)
-        for k, exc in found.items():
-            rows[ids[unread[k]]].error = exc
-        return [unread[k] for k in found]
+        failed = fail(_read(obj, surr, x, positions, t))
+        for pos in positions:
+            if pos in failed:
+                continue
+            row = rows[ids[pos]]
+            f = float(surr.anchor_value[pos])
+            row.end = (f, float(surr.grad_norm[pos]))
+            row.x_out, row.f_out = x[pos].copy(), f
+            if tag == "returned_xtilde":
+                row.x_out, row.f_out = row.state.x_tilde, row.state.f_tilde
+            if tag is not None:
+                row.termination = event = tag
+                if outside is not None:
+                    event = f"{tag};{_region_exit_message(obj, outside[pos])}"
+                row.events[t] = f"{row.events[t]};{event}" if t in row.events else event
+        return positions
 
     def drop(gone):
         """Take the rows at the positions ``gone`` out of the stack, after a flush; the kept mask.
@@ -785,10 +807,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         error of its first bad iterate, which comes before anything it met since.
         """
         nonlocal ids, x, next_perturb, surr
-        gone = set(gone)
-        for i, exc in store.flush().items():
-            rows[i].error = exc
-            gone.add(ids.index(i))
+        gone = set(gone).union(fail(store.flush()))
         keep = np.ones(len(ids), dtype=bool)
         if not gone:
             return keep
@@ -802,20 +821,18 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         return keep
 
     for t in range(max_iters):
-        surr, failures = _evaluate(obj, spec, x, t, values=False)
+        surr, failures = _evaluate(obj, spec, x, t)
         # the fire and stop tests read this one list, re-read whenever surr changes;
         # each gate is any(), not min(): min() of a list holding NaN may be NaN
         grad_norms = surr.grad_norm.tolist()
-        gone = list(failures)
-        for pos, exc in failures.items():
-            rows[ids[pos]].error = exc
+        gone = fail(failures)
 
         if t >= min(next_perturb) and any(gn <= fire_th for gn in grad_norms):
             fire = [pos for pos, due in enumerate(next_perturb)
                     if due <= t and pos not in failures
                     and grad_norms[pos] <= rows[ids[pos]].params.g_th]
             if fire:
-                failed = read(fire)  # f_tilde, the value before the perturbation
+                failed = fail(_read(obj, surr, x, fire, t))  # f_tilde, the value before perturbing
                 gone += failed
                 fire = [pos for pos in fire if pos not in failed]
             for pos in fire:
@@ -830,25 +847,12 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 stay = [pos for pos, ins in zip(fire, inside) if ins]
                 left = [pos for pos, ins in zip(fire, inside) if not ins]
                 if stay:
-                    again, failures = _evaluate(obj, spec, x[stay], t, values=False)
-                    for name in SurrogateAt.__slots__:
-                        fields = getattr(again, name)
-                        getattr(surr, name)[stay] = math.nan if fields is None else fields
+                    gone += rebuild(stay, spec)
                     grad_norms = surr.grad_norm.tolist()
-                    for k, exc in failures.items():
-                        rows[ids[stay[k]]].error = exc
-                        gone.append(stay[k])
                 if left:  # the terminal row describes the injected point, like any other row
-                    end, failures = _evaluate(obj, _GRADIENT_MODEL, x[left], t)
-                    for k, pos in enumerate(left):
-                        row = rows[ids[pos]]
-                        if k in failures:
-                            row.error = failures[k]
-                        else:
-                            tag = f"left_valid_region;{_region_exit_message(obj, x[pos])}"
-                            row.stop(t, float(end.anchor_value[k]), float(end.grad_norm[k]), tag,
-                                     x[pos].copy())
-                        gone.append(pos)
+                    failed = rebuild(left, _GRADIENT_MODEL)
+                    gone += failed + end([pos for pos in left if pos not in failed], t,
+                                         "left_valid_region", x)
         if gone:
             drop(gone)
             if not ids:
@@ -862,25 +866,17 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
 
         if t + 1 in next_perturb:  # the window tests due now
             window = [pos for pos, due in enumerate(next_perturb) if due == t + 1]
-            gone += read(window)
+            gone += fail(_read(obj, surr, x, window, t))
+            f = surr.anchor_value.tolist()
             for pos in window:
                 row = rows[ids[pos]]
-                f, state = float(surr.anchor_value[pos]), row.state
-                if pos not in gone and f - state.f_tilde > -(1.0 - row.params.s) * row.params.f_th:
-                    row.stop(t, f, float(surr.grad_norm[pos]), "returned_xtilde", state.x_tilde,
-                             state.f_tilde)
-                    gone.append(pos)
+                if pos not in gone and (f[pos] - row.state.f_tilde
+                                        > -(1.0 - row.params.s) * row.params.f_th):
+                    gone += end([pos], t, "returned_xtilde")
         if stop_grad_norm is not None and any(gn <= stop_grad_norm for gn in grad_norms):
             below = [pos for pos, gn in enumerate(grad_norms)
                      if gn <= stop_grad_norm and pos not in gone]
-            if below:
-                failed = read(below)
-                for pos in below:
-                    if pos not in failed:
-                        rows[ids[pos]].stop(t, float(surr.anchor_value[pos]),
-                                            float(surr.grad_norm[pos]),
-                                            "gradient_below_threshold", x[pos].copy())
-                gone += below
+            gone += end(below, t, "gradient_below_threshold")
         if gone:
             drop(gone)
             if not ids:
@@ -888,14 +884,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
 
         x_next, inside, d = _step(obj, surr, x, eta)
         if not all(inside.tolist()):
-            gone = np.flatnonzero(~inside).tolist()
-            failed = read(gone)
-            for pos in gone:
-                if pos not in failed:
-                    tag = f"left_valid_region;{_region_exit_message(obj, x_next[pos])}"
-                    rows[ids[pos]].stop(t, float(surr.anchor_value[pos]),
-                                        float(surr.grad_norm[pos]), tag, x[pos].copy())
-            keep = drop(gone)
+            keep = drop(end(np.flatnonzero(~inside).tolist(), t, "left_valid_region", x_next))
             x_next, d = x_next[keep], d[keep]
             if not ids:
                 break
@@ -908,13 +897,8 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 break
     else:  # the rows that ran out of iterations
         surr, failures = _evaluate(obj, _GRADIENT_MODEL, x, max_iters)
-        for pos, i in enumerate(ids):
-            if pos in failures:
-                rows[i].error = failures[pos]
-            else:
-                rows[i].stop(max_iters, float(surr.anchor_value[pos]), float(surr.grad_norm[pos]),
-                             None, x[pos].copy())
-        drop(range(len(ids)))
+        drop(fail(failures) + end([pos for pos in range(len(ids)) if pos not in failures],
+                                  max_iters))
     return store
 
 

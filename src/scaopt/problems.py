@@ -242,7 +242,9 @@ def make_saddle_quartic(dim: int) -> ProblemInstance:
     # value and gradient also take a (B, dim) stack: the same arithmetic per row,
     # with the powers of x1 and x2 taken per row as scalars (see scalar_power).
     # value sums each row's squared tail with numpy (np.add.reduce is .sum()
-    # without its Python wrapper). A point's value is _value on Python floats; a
+    # without its Python wrapper), on a C-ordered stack (no copy when it is one):
+    # the sum's order follows the layout, and a C-ordered row is summed in the
+    # order of the 1-D call. A point's value is _value on Python floats; a
     # stack's is the same formula, in the same order, on arrays of those powers:
     # each entry has the bits of its row's Python floats, and like them raises no
     # warning where it overflows to inf or turns NaN.
@@ -250,6 +252,7 @@ def make_saddle_quartic(dim: int) -> ProblemInstance:
         return 0.5 * a**2 - 0.5 * b**2 + 0.25 * b**4 + 0.5 * c
 
     def value(x):
+        x = np.ascontiguousarray(x) if x.ndim == 2 else x
         tails = np.add.reduce(x[..., 2:] ** 2, axis=-1)
         if x.ndim == 1:
             try:
@@ -407,13 +410,15 @@ def make_rosenbrock(dim: int) -> ProblemInstance:
         raise ValueError(f"dim must be >= 2, got {dim}")
 
     # value and gradient take one point or a (B, dim) stack; np.add.reduce is .sum()
-    # without its Python wrapper. value keeps the stack's layout: its row sum is a
-    # reduction whose order follows the layout. gradient is elementwise, so it
-    # works coordinates first, on the transposed stack, where the head and the
-    # tail of every row are two contiguous blocks rather than strided (B, dim-1)
-    # views; every entry keeps its bits, and it returns a C-ordered (B, dim)
-    # array. On a point both transposes are no-ops.
+    # without its Python wrapper. value makes a stack C-ordered first (no copy
+    # when it is one): its row sum is a reduction whose order follows the
+    # layout, and a C-ordered row is summed in the order of the 1-D call.
+    # gradient is elementwise, so it works coordinates first, on the transposed
+    # stack, where the head and the tail of every row are two contiguous blocks
+    # rather than strided (B, dim-1) views; every entry keeps its bits, and it
+    # returns a C-ordered (B, dim) array. On a point both transposes are no-ops.
     def value(x):
+        x = np.ascontiguousarray(x) if x.ndim == 2 else x
         head, tail = x[..., :-1], x[..., 1:]
         total = np.add.reduce(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
         return float(total) if x.ndim == 1 else total

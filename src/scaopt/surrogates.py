@@ -115,13 +115,13 @@ def build_surrogate(obj: Objective, y, spec: SurrogateSpec) -> SurrogateAt:
     return _build(obj, checked_anchor(obj, y), spec)
 
 
-def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec, values: bool = True) -> SurrogateAt:
+def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
     """:func:`build_surrogate` on an anchor that has passed :func:`checked_anchor` or its checks.
 
     ``y`` may also be a ``(B, d)`` stack of such anchors when the model is
     ``proximal_linear`` and ``obj.batched``: the model of every row is built at
-    once, each with the bits of its one-row build. With ``values=False`` (a
-    stack only) the objective's value is not read and ``anchor_value`` is None.
+    once, each with the bits of its one-row build, except that the values are
+    not read: ``anchor_value`` is None, and the caller reads them.
     """
     if spec.kind == "custom":
         if spec.builder is None:
@@ -133,14 +133,12 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec, values: bool = Tr
                 raise ValueError(f"custom surrogate {name} has shape {shape}, expected {y.shape}")
         return surr
 
-    f_y = obj.value(y) if values else None
+    f_y = obj.value(y) if y.ndim == 1 else None
     g_y = checked_gradient(obj, y)
     if y.ndim == 1:
         f_y, gn = float(f_y), math.sqrt(g_y @ g_y)
     else:
         gn = np.sqrt(row_dots(g_y, g_y))
-        if values:
-            f_y = np.asarray(f_y, dtype=np.float64)
     modulus = spec.strong_convexity
 
     if spec.kind == "proximal_linear":

@@ -72,19 +72,20 @@ def test_the_platform_has_power_traps():
 @settings(max_examples=30)
 @given(data=st.data())
 def test_batched_oracle_rows_are_the_one_point_calls(spec, data):
-    """Each row of a stack's value and gradient has the bits of the 1-D call; so does each
-    row of the gradient of a Fortran-ordered stack and of a strided view, and every stacked
-    gradient is C-ordered. (The loop reads values only on C-ordered stacks; Rosenbrock's
-    row sum follows the layout.)"""
+    """Each row of a stack's value and gradient has the bits of the 1-D call, on a C-ordered
+    stack, a Fortran-ordered one and a strided view, and every stacked gradient is C-ordered."""
     obj = get_problem(spec).objective
     assert obj.batched
     xs = data.draw(stacks(obj.dim))
     ones = data.draw(st.lists(st.integers(0, len(xs) - 1), min_size=1, max_size=3))
     xs[ones] = 1.0
-    values = obj.value(xs)
-    assert values.shape == (len(xs),)
-    assert np.array_equal(bits(values), bits([obj.value(x) for x in xs]))
+    expected = np.array([obj.value(x) for x in xs])
     assert all(type(obj.value(x)) is float for x in xs)
+    fortran = np.asfortranarray(xs)
+    for layout, rows in ((xs, expected), (fortran, expected), (fortran[::2], expected[::2])):
+        values = obj.value(layout)
+        assert values.shape == (len(layout),)
+        assert np.array_equal(bits(values), bits(rows))
     grads = np.array([obj.gradient(x) for x in xs])
     if spec.startswith("rosenbrock"):  # at its minimum, the first entry of the gradient is -0.0
         assert np.signbit(grads[ones, 0]).all()
@@ -143,6 +144,8 @@ def test_stacked_proximal_model_rows_are_the_one_row_models():
         for modulus in (1.0, 2.5):
             spec = SurrogateSpec(strong_convexity=modulus)
             stacked = surrogates._build(obj, xs, spec)
+            assert stacked.anchor_value is None  # a stack's values are read apart from its models
+            stacked.anchor_value = obj.value(xs)
             rows = [surrogates._build(obj, x, spec) for x in xs]
             for name in surrogates.SurrogateAt.__slots__:
                 assert np.array_equal(bits(getattr(stacked, name)),

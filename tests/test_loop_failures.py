@@ -81,6 +81,38 @@ def test_a_bad_row_of_a_stacked_evaluation_fails_alone(how):
     assert type(batch[0]) is (ArithmeticError if how == "raise" else NonFiniteError)
 
 
+@pytest.mark.parametrize("value", ["raise", "nan", "finite"])
+@pytest.mark.parametrize("max_iters", [2, 3])
+def test_a_stacked_row_with_a_nan_gradient_fails_alone(value, max_iters):
+    """On ``0.5 x^2``, batched, the gradient is NaN at ``x < 0.3`` and the value there raises, is
+    NaN or is finite. SCA at ``eta = 0.5`` halves ``x``: from 1, iterate 2 is a step's anchor at
+    budget 3 and the terminal row at budget 2; from 2, iterate 3 is the terminal row at budget 3.
+    A raising value fails the row with its exception, any other with the NaN gradient's error."""
+    plain = make_quadratic(np.eye(1)).objective
+
+    def bad(p):
+        return p[0] < 0.3
+
+    how = {"raise": {"raise_at": bad}, "nan": {"nan_at": bad}, "finite": {}}[value]
+    obj = batched(plain, **how)
+    obj = dataclasses.replace(obj, gradient=rowwise(
+        lambda p: np.array([math.nan]) if bad(p) else plain.gradient(p)))
+    x0s = [np.array([1.0]), np.array([4.0]), np.array([2.0])]
+    batch = drv.run_batch(obj, SurrogateSpec(), x0s, eta=0.5, stop_grad_norm=1e-9,
+                          max_iters=max_iters)
+    alone = [serial(lambda x0=x0: drv.run_sca(obj, SurrogateSpec(), 0.5, 1e-9, max_iters, x0))
+             for x0 in x0s]
+    failing = {0, 2} if max_iters == 3 else {0}
+    check_rows(batch, alone, failing)
+    for k in failing:  # row 0 meets x < 0.3 at iteration 2, row 2 at iteration 3
+        if value == "raise":
+            assert type(batch[k]) is ArithmeticError and str(batch[k]) == "no value here"
+        else:
+            assert type(batch[k]) is NonFiniteError
+            assert str(batch[k]) == f"non-finite objective or gradient at iteration {2 + k // 2}"
+    assert batch[1].termination == "max_iters" and batch[1].iterations == max_iters
+
+
 # ---------------------------------------------------------------------------
 # a perturbed point whose value is not finite
 
@@ -91,10 +123,16 @@ def saddle_on_rim():
                           region_radius=1.0).objective
 
 
-@pytest.mark.parametrize("where", ["inside", "outside"])
-def test_a_perturbed_point_with_a_nan_value_fails_its_row(where):
+# every model and objective, each part at its first value left out of the case's id
+@pytest.mark.parametrize("kind, objective, where", [
+    pytest.param(kind, objective, where, id="-".join(
+        part for part in (kind, objective, where) if part not in ("proximal_linear", "batched")))
+    for kind in ("proximal_linear", "quadratic_split") for objective in ("batched", "unbatched")
+    for where in ("inside", "outside")])
+def test_a_perturbed_point_with_a_nan_value_fails_its_row(kind, objective, where):
     """Perturbations from the saddle land inside or outside the ball; the value is NaN at the
-    ones ``where`` says, and finite everywhere else."""
+    ones ``where`` says, and finite everywhere else. A point inside is read through the run's
+    model, one outside through the gradient model, on the stack when the objective is batched."""
     plain = saddle_on_rim()
 
     def nan_at(p):
@@ -102,12 +140,16 @@ def test_a_perturbed_point_with_a_nan_value_fails_its_row(where):
             return not plain.in_region(p)
         return plain.in_region(p) and 0.0 < math.dist(p, SADDLE) < 1e-3
 
-    obj = batched(plain, nan_at=nan_at)
+    if objective == "batched":
+        obj = batched(plain, nan_at=nan_at)
+    else:
+        obj = dataclasses.replace(plain, value=lambda p: math.nan if nan_at(p) else plain.value(p))
+    spec = SurrogateSpec(kind=kind)
     params = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 1.0, obj, 30)
     x0s = [SADDLE] * 6 + [np.array([0.5, 0.1])]
-    batch = drv.run_batch(obj, SurrogateSpec(), x0s, params=[params] * 7,
+    batch = drv.run_batch(obj, spec, x0s, params=[params] * 7,
                           rngs=[RngStream(s) for s in range(7)])
-    alone = [serial(lambda x0=x0, s=s: drv.run_pgd(obj, params, x0, RngStream(s)))
+    alone = [serial(lambda x0=x0, s=s: drv.run_psca(obj, spec, params, x0, RngStream(s)))
              for s, x0 in enumerate(x0s)]
     left = [not plain.in_region(SADDLE + drv.sample_uniform_ball(2, params.r, RngStream(s)))
             for s in range(6)]
