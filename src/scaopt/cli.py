@@ -613,15 +613,20 @@ def scaling_study(problem, algo: str, eps_list: Sequence[float], seeds: int, *,
     raises RuntimeError.
     """
     _reject_non_scaling(settings)
-    prob = problems.get_problem(problem) if isinstance(problem, str) else problem
-    cfg = ExperimentConfig(problem=prob.name, algo=algo, seed=base_seed, seeds=seeds,
+    cfg = ExperimentConfig(problem=problem if isinstance(problem, str) else problem.name,
+                           algo=algo, seed=base_seed, seeds=seeds,
                            **{**_SCALING_DEFAULTS, **settings})
-    return _scaling(cfg, prob, eps_list)
+    return _scaling(cfg, problem, eps_list)
 
 
-def _scaling(cfg: ExperimentConfig, prob: problems.ProblemInstance,
-             eps_list: Sequence[float]) -> ScalingResult:
-    """The study of ``cfg.seeds`` runs of ``cfg`` on ``prob`` from seed ``cfg.seed`` on."""
+def _scaling(cfg: ExperimentConfig, prob, eps_list: Sequence[float]) -> ScalingResult:
+    """The study of ``cfg.seeds`` runs of ``cfg`` on ``prob`` (a registry spec or a
+    ProblemInstance) from seed ``cfg.seed`` on; an unknown spec fails as in validate_config."""
+    if isinstance(prob, str):
+        try:
+            prob = problems.get_problem(prob)
+        except ValueError as exc:
+            raise ConfigError([str(exc)] + _violations(cfg, None)) from None
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 3:
         raise ConfigError(["eps_list must contain at least 3 values"])
@@ -724,12 +729,7 @@ def _cmd_scaling(args) -> int:
     try:
         _reject_non_scaling(vars(args))
         cfg = _config_from_args(args)
-        eps_list = _parse_floats(args.eps_list, "--eps-list")
-        try:
-            prob = problems.get_problem(cfg.problem)
-        except ValueError as exc:
-            raise ConfigError([str(exc)]) from None
-        res = _scaling(cfg, prob, eps_list)
+        res = _scaling(cfg, cfg.problem, _parse_floats(args.eps_list, "--eps-list"))
     except ConfigError as exc:
         print(f"scaling error: {exc}", file=sys.stderr)
         return 2

@@ -40,10 +40,12 @@ the unit-modulus proximal model, since its row holds nothing else.
 
 The loop steps a ``(B, d)`` stack of runs in lockstep (:func:`run_batch`; the
 four drivers are its one-row callers). Each row keeps its own perturbation
-state, stream, tests and events, leaves the stack when its run ends, and gets
-the result its run makes alone, bit for bit: every per-row reduction is one
-that keeps the bits of its 1-D form, and the monitors are checked from the
-trajectory columns when the run ends.
+state, stream, tests and events, and gets the result its run makes alone, bit
+for bit: every per-row reduction is one that keeps the bits of its 1-D form,
+and the monitors are checked from the trajectory columns when the run ends. A
+row keeps its position in the stack for the whole iteration; the rows that end
+or fail there leave it together at the iteration's one exit, after the step,
+where the row store also flushes.
 
 Each iteration computes only what the protocol reads there: the gradients and
 their norms (the fire and stop tests), the step and the region test. The
@@ -655,9 +657,10 @@ class _Rows:
     ``ids``: the iterates, their values as far as read (None when the
     iteration read none, else NaN for a value not read yet, see
     :func:`_read`), gradient and step norms, and the step's
-    ``d`` and gradient ``g`` (see :func:`_step`). Every ``FLUSH`` iterations,
-    and whenever the running rows change, :meth:`flush` turns the pending
-    iterations into one block of shape ``(iterations, rows, 5)``, the columns
+    ``d`` and gradient ``g`` (see :func:`_step`). At the loop's one exit of an
+    iteration, when rows leave the stack there or ``FLUSH`` iterations are
+    pending, :meth:`flush` turns the pending iterations into one block of
+    shape ``(iterations, rows, 5)``, the columns
     ``f, grad_norm, step_norm, err_norm, gap``: the values not read yet by one
     stacked ``obj.value`` call over the block's iterates, and every error norm
     and gap by :func:`_error_norms` over the block's stacked ``d`` and ``g``,
@@ -682,15 +685,14 @@ class _Rows:
         self.pending: list[tuple] = []
         self.start = 0  # the iteration of the first pending one
 
-    def add(self, t, x, f, grad_norm, step_norm, d, g) -> bool:
-        """Keep iteration ``t``'s arrays; whether a flush is due."""
+    def add(self, t, x, f, grad_norm, step_norm, d, g):
+        """Keep iteration ``t``'s arrays."""
         if not self.pending:
             self.start = t
         if self.stacked:
             self.pending.append((x, f, grad_norm, step_norm, d, g))
         else:
             self.pending.append((None, f, grad_norm, step_norm, *_error_norms(d, g)))
-        return len(self.pending) == self.FLUSH
 
     def flush(self) -> dict:
         """Turn the pending iterations into a block; map each failed row's position to its error.
@@ -739,8 +741,13 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     row may perturb again: ``t_noise + t_th + 1`` (never, for a row without
     perturbation). So a row meets the fire rule's ``t - t_noise > t_th`` at
     ``t >= next_perturb``, and the window test's ``t - t_noise == t_th`` at
-    ``t == next_perturb - 1``. A row that ends or raises is
-    taken out of the stack; its trajectory rows stay in the returned store.
+    ``t == next_perturb - 1``. A row keeps its position for the whole
+    iteration: one that ends or fails joins ``gone``, which the later tests
+    skip, and steps with the stack, its step discarded. At the one exit, after
+    the step, the store flushes (when a row is gone or ``FLUSH`` iterations are
+    pending: a full block one iteration late, so a row found bad there leaves
+    then) and the rows in ``gone`` leave the stack; their trajectory rows stay
+    in the returned store.
 
     An iteration reads only what the protocol reads there: the gradients and
     their norms (fire and stop tests), the step and the region test. A value
@@ -800,36 +807,16 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 row.events[t] = f"{row.events[t]};{event}" if t in row.events else event
         return positions
 
-    def drop(gone):
-        """Take the rows at the positions ``gone`` out of the stack, after a flush; the kept mask.
-
-        A row whose pending values fail at the flush leaves too, with the
-        error of its first bad iterate, which comes before anything it met since.
-        """
-        nonlocal ids, x, next_perturb, surr
-        gone = set(gone).union(fail(store.flush()))
-        keep = np.ones(len(ids), dtype=bool)
-        if not gone:
-            return keep
-        keep[list(gone)] = False
-        kept = keep.tolist()
-        ids = [i for i, k in zip(ids, kept) if k]
-        next_perturb = [due for due, k in zip(next_perturb, kept) if k]
-        x = x[keep]
-        surr = _take(surr, keep)
-        store.ids = tuple(ids)
-        return keep
-
     for t in range(max_iters):
         surr, failures = _evaluate(obj, spec, x, t)
-        # the fire and stop tests read this one list, re-read whenever surr changes;
+        # the fire and stop tests read this one list, re-read when rebuilt rows change surr;
         # each gate is any(), not min(): min() of a list holding NaN may be NaN
         grad_norms = surr.grad_norm.tolist()
-        gone = fail(failures)
+        gone = fail(failures)  # the rows that end or fail at t; later tests skip them
 
         if t >= min(next_perturb) and any(gn <= fire_th for gn in grad_norms):
             fire = [pos for pos, due in enumerate(next_perturb)
-                    if due <= t and pos not in failures
+                    if due <= t and pos not in gone
                     and grad_norms[pos] <= rows[ids[pos]].params.g_th]
             if fire:
                 failed = fail(_read(obj, surr, x, fire, t))  # f_tilde, the value before perturbing
@@ -853,52 +840,50 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                     failed = rebuild(left, _GRADIENT_MODEL)
                     gone += failed + end([pos for pos in left if pos not in failed], t,
                                          "left_valid_region", x)
-        if gone:
-            drop(gone)
-            if not ids:
-                break
-            grad_norms = surr.grad_norm.tolist()
 
-        gone = []
         if keep_every and t % keep_every == 0:
             for pos, i in enumerate(ids):
-                rows[i].iterates.append((t, x[pos].copy()))
+                if pos not in gone:
+                    rows[i].iterates.append((t, x[pos].copy()))
 
         if t + 1 in next_perturb:  # the window tests due now
-            window = [pos for pos, due in enumerate(next_perturb) if due == t + 1]
+            window = [pos for pos, due in enumerate(next_perturb)
+                      if due == t + 1 and pos not in gone]
             gone += fail(_read(obj, surr, x, window, t))
-            f = surr.anchor_value.tolist()
             for pos in window:
                 row = rows[ids[pos]]
-                if pos not in gone and (f[pos] - row.state.f_tilde
+                if pos not in gone and (surr.anchor_value[pos] - row.state.f_tilde
                                         > -(1.0 - row.params.s) * row.params.f_th):
                     gone += end([pos], t, "returned_xtilde")
         if stop_grad_norm is not None and any(gn <= stop_grad_norm for gn in grad_norms):
             below = [pos for pos, gn in enumerate(grad_norms)
                      if gn <= stop_grad_norm and pos not in gone]
             gone += end(below, t, "gradient_below_threshold")
-        if gone:
-            drop(gone)
-            if not ids:
-                break
 
+        # the whole stack steps; the steps of the rows in gone are discarded
         x_next, inside, d = _step(obj, surr, x, eta)
         if not all(inside.tolist()):
-            keep = drop(end(np.flatnonzero(~inside).tolist(), t, "left_valid_region", x_next))
-            x_next, d = x_next[keep], d[keep]
-            if not ids:
-                break
-        full = store.add(t, x, surr.anchor_value, surr.grad_norm, surr.step_norm, d,
-                         surr.anchor_grad)
+            gone += end([pos for pos in np.flatnonzero(~inside).tolist() if pos not in gone], t,
+                        "left_valid_region", x_next)
+        if gone or len(store.pending) == store.FLUSH:  # the one exit
+            gone = set(gone).union(fail(store.flush()))
+            if gone:
+                keep = np.ones(len(ids), dtype=bool)
+                keep[list(gone)] = False
+                kept = keep.tolist()
+                ids = [i for i, k in zip(ids, kept) if k]
+                if not ids:
+                    break
+                next_perturb = [due for due, k in zip(next_perturb, kept) if k]
+                x, x_next, d, surr = x[keep], x_next[keep], d[keep], _take(surr, keep)
+                store.ids = tuple(ids)
+        store.add(t, x, surr.anchor_value, surr.grad_norm, surr.step_norm, d, surr.anchor_grad)
         x = x_next
-        if full:
-            drop(())
-            if not ids:
-                break
     else:  # the rows that ran out of iterations
         surr, failures = _evaluate(obj, _GRADIENT_MODEL, x, max_iters)
-        drop(fail(failures) + end([pos for pos in range(len(ids)) if pos not in failures],
-                                  max_iters))
+        fail(failures)
+        end([pos for pos in range(len(ids)) if pos not in failures], max_iters)
+        fail(store.flush())
     return store
 
 

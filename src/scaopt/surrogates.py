@@ -75,14 +75,15 @@ class SurrogateAt:
     the anchor (the model's gradient equals ``anchor_grad`` there, exactly) and
     ``grad_norm`` is ``||anchor_grad||``. ``minimizer`` is the model's exact
     minimizer and ``step_norm`` its distance ``||minimizer - anchor||``. The
-    anchor itself is not kept: the caller built the model there. Models built
-    on a ``(B, d)`` stack of anchors hold each field for every row: ``B``
-    values and norms, ``(B, d)`` gradients and minimizers. (Not frozen: a
-    frozen dataclass costs three times as much to construct, once per
-    iteration of a run.)
+    anchor itself is not kept: the caller built the model there. The models of
+    a ``(B, d)`` stack of anchors hold each field for every row: ``B`` values
+    and norms, ``(B, d)`` gradients and minimizers; but the proximal model,
+    when built on the whole stack at once, reads no value and holds
+    ``anchor_value`` None. (Not frozen: a frozen dataclass costs three times
+    as much to construct, once per iteration of a run.)
     """
 
-    anchor_value: float
+    anchor_value: float  # None for a proximal model built on a stack: its values are unread
     anchor_grad: np.ndarray
     grad_norm: float
     minimizer: np.ndarray

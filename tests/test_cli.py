@@ -24,7 +24,7 @@ from scaopt.cli import (
     validate_config,
     _parser,
 )
-from scaopt.problems import make_quadratic
+from scaopt.problems import make_quadratic, registry_names
 
 
 class TestParseConfig:
@@ -384,6 +384,13 @@ class TestScalingStudy:
         with pytest.raises(ValueError):
             scaling_study("rosenbrock:d=2", "gd", [0.1, 0.01], seeds=1)
 
+    def test_an_unknown_problem_is_a_config_error_with_every_violation(self):
+        with pytest.raises(ConfigError) as info:
+            scaling_study("nope", "psca", [1e-1, 3e-2, 1e-2], seeds=1, delta=-1.0)
+        cfg = ExperimentConfig(problem="nope", algo="psca", delta=-1.0)
+        assert list(info.value.violations) == validate_config(cfg)
+        assert len(info.value.violations) == 2
+
     def test_eps_list_must_decrease(self):
         with pytest.raises(ValueError):
             scaling_study("rosenbrock:d=2", "gd", [0.1, 0.2, 0.01], seeds=1)
@@ -665,6 +672,9 @@ class TestMainEntry:
              "config error: repeated problem parameter 'd' in 'rosenbrock:d=10,d=3'"),
             (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "rosenbrock:d=10,d=3"],
              "scaling error: repeated problem parameter 'd' in 'rosenbrock:d=10,d=3'"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "nope", "--delta", "-1"],
+             f"scaling error: unknown problem 'nope'; known: {', '.join(registry_names())}; "
+             "delta must satisfy 0 < delta < 1 (got -1.0)"),
         ],
         ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0",
              "scaling-eps", "scaling-record-eigen-every", "run-pgd-surrogate", "sweep-gd-surrogate",
@@ -675,7 +685,7 @@ class TestMainEntry:
              "sweep-x0-outside", "scaling-x0-outside", "run-x0-nan", "sweep-x0-nan",
              "scaling-x0-nan", "run-eps-underflow", "run-delta-u-overflow",
              "sweep-delta-u-overflow", "scaling-delta-u-overflow", "run-repeated-parameter",
-             "scaling-repeated-parameter"],
+             "scaling-repeated-parameter", "scaling-unknown-problem"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))
