@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+# scipy is imported inside the functions that call it, so `import scaopt` loads numpy only
 
 from scaopt.numerics import NonFiniteError, RngStream, as_vector
 from scaopt.problems import Objective
@@ -186,6 +186,8 @@ def min_eigenvalue(
         vec = eigvecs[:, 0]
         hv = hess @ vec
     else:
+        from scipy.linalg import eigh_tridiagonal
+
         diag, sub = band
         eigvals, eigvecs = eigh_tridiagonal(diag, sub, select="i", select_range=(0, 0),
                                             check_finite=False)
@@ -201,6 +203,8 @@ def min_eigenvalue(
 
 def _lanczos(obj: Objective, x: np.ndarray, tol: float, max_iters: int):
     """The matrix-free path of :func:`min_eigenvalue`: ``(lambda_min, eigenvector, residual)``."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     lip_grad = obj.constants.grad_lipschitz
     calls = 0
     # smallest Rayleigh quotient so far: (quotient, vector, H vector); normalized only if it is

@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
+
+# scipy is imported inside the functions that call it, so `import scaopt` loads numpy only
 
 from scaopt import certify, drivers, problems
 from scaopt.numerics import RngStream, sample_uniform_ball
@@ -483,6 +484,8 @@ def binomial_ci(successes: int, trials: int):
     """Exact (Clopper-Pearson) two-sided 95% confidence interval for a rate."""
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError("need 0 <= successes <= trials, trials >= 1")
+    from scipy import special
+
     alpha = 1.0 - _CONFIDENCE
     k, n = successes, trials
     # the ends are quantiles of Beta(k, n - k + 1) and Beta(k + 1, n - k)
@@ -495,7 +498,8 @@ def sweep_experiment(cfg: ExperimentConfig):
     """Run ``cfg.seeds`` experiments at seeds ``seed, seed+1, ...`` and aggregate.
 
     A run counts as an escape success when its certificate classification is
-    ``eps_sosp``. Writes the per-seed files plus one aggregate JSON containing
+    ``eps_sosp``. Writes the per-seed files, ``<label>_seed<n>.*`` (without a
+    label, ``<problem>_<algo>_seed<n>.*``), plus one aggregate JSON containing
     the success rate with an exact binomial confidence interval and the number
     of runs per termination.
 
@@ -517,10 +521,11 @@ def sweep_experiment(cfg: ExperimentConfig):
     results = _execute_batch(runs, prob.objective)
     batch_ms = 1000.0 * (time.perf_counter() - started)
     rows = sum(len(r.records) for r in results if not isinstance(r, Exception))
+    base = cfg.label or _slug(f"{cfg.problem}_{cfg.algo}")
     per_seed = []
     successes = 0
     for (sub, _, params), result in zip(runs, results):
-        sub.label = _slug(f"{cfg.problem}_{cfg.algo}_seed{sub.seed}")
+        sub.label = f"{base}_seed{sub.seed}"
         if isinstance(result, Exception):
             _write_failure(sub, prob, result)
             raise result
@@ -550,9 +555,7 @@ def sweep_experiment(cfg: ExperimentConfig):
         "terminations": dict(Counter(run["termination"] for run in per_seed)),
         "runs": per_seed,
     })
-    out_dir = Path(cfg.out_dir)
-    base = cfg.label or _slug(f"{cfg.problem}_{cfg.algo}")
-    path = out_dir / f"{base}_aggregate.json"
+    path = Path(cfg.out_dir) / f"{base}_aggregate.json"
     _write_json(path, aggregate)
     return path, aggregate
 
@@ -675,6 +678,8 @@ def _scaling(cfg: ExperimentConfig, prob, eps_list: Sequence[float]) -> ScalingR
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.clip(ssxy / np.sqrt(ssx * ssy), -1.0, 1.0)
     stderr = np.sqrt((1 - r**2) * ssy / ssx / df)
+    from scipy import special
+
     return ScalingResult(
         eps=tuple(eps_arr),
         median_iters=tuple(medians),

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, eigh_tridiagonal, solveh_banded
+
+# scipy is imported inside the functions that call it, so `import scaopt` loads numpy only
 
 from scaopt.numerics import as_vector, row_dots
 from scaopt.problems import Objective
@@ -212,6 +213,8 @@ def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarr
     if band is None:
         eigvals, eigvecs = np.linalg.eigh(h)
     else:
+        from scipy.linalg import cholesky_banded, eigh_tridiagonal, solveh_banded
+
         diag, sub = band
         if sub.any():
             ab = np.zeros((2, diag.size))  # lower banded storage
@@ -221,7 +224,7 @@ def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarr
                 cholesky_banded(ab, lower=True, check_finite=False)
                 ab[0] += modulus
                 return solveh_banded(ab, g, lower=True, check_finite=False)
-            except LinAlgError:
+            except np.linalg.LinAlgError:
                 pass
         eigvals, eigvecs = eigh_tridiagonal(diag, sub)
     return eigvecs @ ((eigvecs.T @ g) / (np.maximum(eigvals, 0.0) + modulus))

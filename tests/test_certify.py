@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import scaopt.certify as certify
 import scaopt.drivers as drv
@@ -237,7 +238,7 @@ class TestTridiagonalRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("eigh_tridiagonal called")
 
-        monkeypatch.setattr(certify, "eigh_tridiagonal", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
         prob = get_problem("rosenbrock:d=256")
         assert resolve_method(prob.objective, "dense") == "dense"
         lam, _, _ = min_eigenvalue(prob.objective, prob.canonical_start, method="dense")

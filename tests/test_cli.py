@@ -217,6 +217,26 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_experiment(cfg)
 
+    def test_labelled_sweeps_in_one_directory_keep_their_own_files(self, tmp_path):
+        for label, max_iters in (("a", 50), ("b", 80)):
+            sweep_experiment(ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", seeds=2,
+                                              max_iters=max_iters, label=label,
+                                              out_dir=str(tmp_path)))
+        for label, max_iters in (("a", 50), ("b", 80)):
+            aggregate = json.loads((tmp_path / f"{label}_aggregate.json").read_text())
+            csvs = [Path(run["csv"]) for run in aggregate["runs"]]
+            assert [p.name for p in csvs] == [f"{label}_seed0.csv", f"{label}_seed1.csv"]
+            # a header, then rows 0..max_iters
+            assert [len(p.read_text().splitlines()) for p in csvs] == [max_iters + 2] * 2
+
+    def test_unlabelled_sweep_keeps_its_file_names(self, tmp_path):
+        sweep_experiment(ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", seeds=2,
+                                          max_iters=50, out_dir=str(tmp_path)))
+        stem = "saddle_quartic-d-2_psca"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{stem}_aggregate.json", f"{stem}_seed0.csv", f"{stem}_seed0.json",
+            f"{stem}_seed1.csv", f"{stem}_seed1.json"]
+
 
 def _files(out_dir: Path) -> dict[str, bytes]:
     """Every file of a run directory, with the reports' wall_time_ms lines taken out."""

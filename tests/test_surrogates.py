@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
@@ -189,7 +190,8 @@ def eigh_formula(obj, y, modulus):
 def split_model(obj, y, modulus, dense_allowed=True, forbidden=()):
     """``build_surrogate``'s ``quadratic_split`` model; fails on a dense ``eigh`` unless allowed.
 
-    It also fails on a call of any solver of ``scaopt.surrogates`` named in ``forbidden``.
+    It also fails on a call of any ``scipy.linalg`` solver named in ``forbidden``, the module
+    that ``scaopt.surrogates`` imports its banded solvers from when it calls them.
     """
     spec = SurrogateSpec(kind="quadratic_split", strong_convexity=modulus)
     with contextlib.ExitStack() as patches:
@@ -198,7 +200,7 @@ def split_model(obj, y, modulus, dense_allowed=True, forbidden=()):
                 np.linalg, "eigh", side_effect=AssertionError("dense eigh called")))
         for name in forbidden:
             patches.enter_context(mock.patch.object(
-                surrogates, name, side_effect=AssertionError(f"{name} called")))
+                scipy.linalg, name, side_effect=AssertionError(f"{name} called")))
         return build_surrogate(obj, y, spec)
 
 
