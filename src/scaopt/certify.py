@@ -33,7 +33,7 @@ import numpy as np
 
 # scipy is imported inside the functions that call it, so `import scaopt` loads numpy only
 
-from scaopt.numerics import NonFiniteError, RngStream, as_vector
+from scaopt.numerics import NonFiniteError, RngStream, as_vector, row_dots
 from scaopt.problems import Objective
 from scaopt.surrogates import _checked_hessian, _tridiagonal_band, checked_gradient
 
@@ -275,7 +275,8 @@ def classify(obj: Objective, x, eps: float) -> Certificate:
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     x = as_vector(x, obj.dim)
-    grad_norm = float(np.linalg.norm(checked_gradient(obj, x)))
+    g = checked_gradient(obj, x)
+    grad_norm = math.sqrt(row_dots(g, g))  # the norm the run's trajectory records
     if not math.isfinite(grad_norm):
         raise NonFiniteError(f"gradient norm is {grad_norm} at the point to classify")
     gamma = math.sqrt(obj.constants.hessian_lipschitz * eps)

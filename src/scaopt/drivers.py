@@ -47,6 +47,12 @@ row keeps its position in the stack for the whole iteration; the rows that end
 or fail there leave it together at the iteration's one exit, after the step,
 where the row store also flushes.
 
+Every dot and 2-norm the loop takes (gradient, step and error norms, gaps,
+the region test) is :func:`~scaopt.numerics.row_dots`, the products summed by
+numpy with no BLAS call, and every power is a product. So a trajectory's bits
+do not depend on the BLAS kernel unless its objective or model calls BLAS or
+LAPACK itself.
+
 Each iteration computes only what the protocol reads there: the gradients and
 their norms (the fire and stop tests), the step and the region test. The
 proximal model of a batched objective is built on the stack without its
@@ -71,7 +77,7 @@ from typing import Optional
 
 import numpy as np
 
-from scaopt.numerics import NonFiniteError, RngStream, row_dots, sample_uniform_ball, scalar_power
+from scaopt.numerics import NonFiniteError, RngStream, row_dots, sample_uniform_ball
 from scaopt.problems import Objective
 from scaopt.surrogates import SurrogateAt, SurrogateSpec, checked_anchor, minimize_surrogate
 # the loop builds every model through this name, which the benchmark tracer patches
@@ -418,7 +424,7 @@ def _region_exit_message(obj: Objective, x) -> str:
     if not np.isfinite(x).all():
         return "iterate left the valid region (the step is not finite)"
     return (
-        f"iterate left the valid region (norm {np.linalg.norm(x, obj.region_norm):.6g}"
+        f"iterate left the valid region (norm {obj.region_norms(x):.6g}"
         f" > radius {obj.region_radius:.6g})"
     )
 
@@ -595,17 +601,17 @@ def _monitors(columns, perturbed_at, obj, modulus, eta) -> MonitorCounts:
     optimality gap ``(x - x_hat)'g`` appended (0 on the terminal row). Every
     step is checked for optimality, the direction bound and (given
     ``value_lipschitz``) the error bound, with :func:`monitor_slack` and
-    :func:`~scaopt.numerics.scalar_power`'s ``step_norm**2``. Consecutive rows
-    are checked by the descent test ``f_next <= f - eta' step_norm**2 + slack``
-    with ``eta' = eta C - eta**2 L1 / 2`` and ``slack = 1e-9 (1 + |f|) + eta
-    monitor_slack(grad_norm) step_norm``, skipping a row reached by a
-    perturbation's jump. At ``eta >= 2C/L1`` the factor ``eta'`` is not
-    positive, the test says nothing, and no row is checked (:func:`run_batch`
-    warns).
+    ``step_norm**2`` written as the product ``step_norm * step_norm``.
+    Consecutive rows are checked by the descent test ``f_next <= f - eta'
+    step_norm**2 + slack`` with ``eta' = eta C - eta**2 L1 / 2`` and ``slack =
+    1e-9 (1 + |f|) + eta monitor_slack(grad_norm) step_norm``, skipping a row
+    reached by a perturbation's jump. At ``eta >= 2C/L1`` the factor ``eta'``
+    is not positive, the test says nothing, and no row is checked
+    (:func:`run_batch` warns).
     """
     f, gn, step_norm, err_norm, gap = columns[:-1].T
     steps = len(f)
-    step_sq = scalar_power(step_norm, 2)
+    step_sq = step_norm * step_norm
     tol = monitor_slack(gn)
     optimality = gap >= modulus * step_sq - (tol * step_norm + 1e-9)
     direction = step_norm <= gn / modulus + tol / modulus

@@ -10,7 +10,6 @@ __all__ = [
     "RngStream",
     "as_vector",
     "row_dots",
-    "scalar_power",
     "sample_uniform_ball",
     "finite_diff_gradient",
     "finite_diff_hvp",
@@ -44,28 +43,18 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[i] @ b[i]`` for every row of two ``(B, d)`` stacks, each with the bits of the 1-D dot.
+    """The dot ``a . b`` of two vectors, or of every row of two ``(B, d)`` stacks.
 
-    ``np.vecdot`` runs the same dot product per row as ``a[i] @ b[i]``;
-    ``np.einsum("ij,ij->i")`` does not keep those bits.
+    Every dot and 2-norm on a run's trajectory is this one expression: the
+    products, then numpy's own pairwise sum over the last axis. No BLAS call
+    is made, so the bits do not depend on the BLAS kernel (``a @ b`` and
+    ``vecdot`` reach OpenBLAS, whose summation order differs between its CPU
+    kernels). The products are written C-ordered whatever the layouts of
+    ``a`` and ``b``: the sum's order follows the layout, and each row of a
+    C-ordered stack is summed in the order of the 1-D call, so every row has
+    the bits of ``row_dots`` on that row alone.
     """
-    return np.vecdot(a, b)
-
-
-def scalar_power(v: np.ndarray, p: int) -> np.ndarray:
-    """``v ** p`` per entry of an array, with the bits of the numpy scalar ``pow``.
-
-    An array's ``**`` is not the scalar ``pow`` (``np.square`` for ``p = 2``,
-    a vectorized ``pow`` otherwise) and differs from it in the last bit for
-    some entries. A Python float's ``**`` is the scalar ``pow`` but raises
-    OverflowError where the numpy scalar's gives inf, so only then are the
-    entries raised as numpy scalars.
-    """
-    try:
-        return np.array([e**p for e in v.tolist()])
-    except OverflowError:
-        with np.errstate(over="ignore"):
-            return np.array([e**p for e in v])
+    return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
 
 
 class RngStream:
@@ -111,13 +100,13 @@ def sample_uniform_ball(dim: int, radius: float, rng: RngStream) -> np.ndarray:
         raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     direction = rng.standard_normal(dim)
     shrink = rng.uniform() ** (1.0 / dim)
-    scale = float(np.linalg.norm(direction))
+    scale = float(np.sqrt(row_dots(direction, direction)))
     if radius == 0.0 or scale == 0.0:
         return np.zeros(dim)
     point = (radius * shrink / scale) * direction
     # Rounding may push the norm a few ulp past the radius; containment is exact.
     for _ in range(3):
-        overshoot = float(np.linalg.norm(point))
+        overshoot = float(np.sqrt(row_dots(point, point)))
         if overshoot <= radius:
             break
         point = point * (radius / overshoot)

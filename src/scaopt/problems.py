@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from scaopt.numerics import RngStream, as_vector, row_dots, sample_uniform_ball, scalar_power
+from scaopt.numerics import RngStream, as_vector, row_dots, sample_uniform_ball
 
 __all__ = [
     "Smoothness",
@@ -60,8 +60,9 @@ class Smoothness:
 class Objective:
     """A smooth function with value/gradient/Hessian-vector access.
 
-    ``region_radius`` and ``region_norm`` (the ``np.linalg.norm`` order 2 or
-    inf; no other order is accepted) delimit the ball on which the declared
+    ``region_radius`` and ``region_norm`` (the order 2 or inf of the vector
+    norm, ``sqrt(x.x)`` by :func:`~scaopt.numerics.row_dots` or ``max |x_i|``;
+    no other order is accepted) delimit the ball on which the declared
     constants hold. ``dense_hessian`` is optional; certification falls back to
     matrix-free estimation without it. ``batched`` declares that ``value`` and
     ``gradient`` also take a ``(B, dim)`` stack of points and return the ``B``
@@ -102,20 +103,20 @@ class Objective:
         return bool(self.rows_in_region(x[None])[0])
 
     def rows_in_region(self, xs: np.ndarray) -> np.ndarray:
-        """:meth:`in_region` of every row of a ``(B, dim)`` stack of float64 vectors.
-
-        The two orders are written as the expressions ``np.linalg.norm``
-        evaluates for a 1-D vector, ``sqrt(x.x)`` and ``max |x_i|``, taken per
-        row with the same bits and without its dispatch cost (``np.maximum.reduce`` is
-        ``.max`` without its Python wrapper).
-        """
+        """:meth:`in_region` of every row of a ``(B, dim)`` stack of float64 vectors."""
         if math.isinf(self.region_radius):
             return np.isfinite(xs).all(axis=1)
+        return self.region_norms(xs) <= self.region_radius
+
+    def region_norms(self, xs: np.ndarray) -> np.ndarray:
+        """The ``region_norm`` of a vector, or of every row of a stack, each row with its 1-D bits.
+
+        Order 2 is ``sqrt(x.x)`` through :func:`~scaopt.numerics.row_dots`, order inf
+        ``max |x_i|`` (``np.maximum.reduce`` is ``.max`` without its Python wrapper).
+        """
         if self.region_norm == 2:
-            norm = np.sqrt(row_dots(xs, xs))
-        else:
-            norm = np.maximum.reduce(np.abs(xs), axis=1)
-        return norm <= self.region_radius
+            return np.sqrt(row_dots(xs, xs))
+        return np.maximum.reduce(np.abs(xs), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def make_quadratic(
 
     value_lip = None
     if math.isfinite(region_radius):
-        value_lip = grad_lip * region_radius + float(np.linalg.norm(b))
+        value_lip = grad_lip * region_radius + math.sqrt(row_dots(b, b))
 
     def value(x):
         return 0.5 * float(x @ (H @ x)) + float(b @ x)
@@ -239,42 +240,30 @@ def make_saddle_quartic(dim: int) -> ProblemInstance:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
 
-    # value and gradient also take a (B, dim) stack: the same arithmetic per row,
-    # with the powers of x1 and x2 taken per row as scalars (see scalar_power).
-    # value sums each row's squared tail with numpy (np.add.reduce is .sum()
-    # without its Python wrapper), on a C-ordered stack (no copy when it is one):
-    # the sum's order follows the layout, and a C-ordered row is summed in the
-    # order of the 1-D call. A point's value is _value on Python floats; a
-    # stack's is the same formula, in the same order, on arrays of those powers:
-    # each entry has the bits of its row's Python floats, and like them raises no
-    # warning where it overflows to inf or turns NaN.
-    def _value(a, b, c):
-        return 0.5 * a**2 - 0.5 * b**2 + 0.25 * b**4 + 0.5 * c
-
+    # value and gradient take one point or a (B, dim) stack, with one product
+    # formula for both (no pow: b2 * b2 is b**4). value sums each row's squared
+    # tail with numpy (np.add.reduce is .sum() without its Python wrapper), on a
+    # C-ordered stack (no copy when it is one): the sum's order follows the
+    # layout, and a C-ordered row is summed in the order of the 1-D call. Where
+    # a value overflows to inf or turns NaN, it does so without a warning.
     def value(x):
         x = np.ascontiguousarray(x) if x.ndim == 2 else x
-        tails = np.add.reduce(x[..., 2:] ** 2, axis=-1)
-        if x.ndim == 1:
-            try:
-                return _value(*x[:2].tolist(), float(tails))
-            except OverflowError:  # a Python float's ** raises where the numpy scalar's gives inf
-                with np.errstate(over="ignore"):
-                    return float(_value(x[0], x[1], tails))
-        a2, b2, b4 = scalar_power(x[:, 0], 2), scalar_power(x[:, 1], 2), scalar_power(x[:, 1], 4)
+        a, b, tail = x[..., 0], x[..., 1], x[..., 2:]
         with np.errstate(over="ignore", invalid="ignore"):
-            return 0.5 * a2 - 0.5 * b2 + 0.25 * b4 + 0.5 * tails
+            b2 = b * b
+            tails = np.add.reduce(tail * tail, axis=-1)
+            total = 0.5 * (a * a) - 0.5 * b2 + 0.25 * (b2 * b2) + 0.5 * tails
+        return float(total) if x.ndim == 1 else total
 
     def gradient(x):
         g = x.copy()
-        if x.ndim == 1:
-            g[1] = x[1] ** 3 - x[1]
-        else:
-            g[:, 1] = scalar_power(x[:, 1], 3) - x[:, 1]
+        b = x[..., 1]
+        g[..., 1] = b * b * b - b
         return g
 
     def _hess_diag(x):
         d = np.ones_like(x)
-        d[1] = 3.0 * x[1] ** 2 - 1.0
+        d[1] = 3.0 * (x[1] * x[1]) - 1.0
         return d
 
     def hvp(x, v):

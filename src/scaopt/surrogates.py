@@ -20,7 +20,6 @@ each anchor where it is made, calls the unchecked ``_build`` instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,12 +134,9 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
                 raise ValueError(f"custom surrogate {name} has shape {shape}, expected {y.shape}")
         return surr
 
-    f_y = obj.value(y) if y.ndim == 1 else None
+    f_y = float(obj.value(y)) if y.ndim == 1 else None
     g_y = checked_gradient(obj, y)
-    if y.ndim == 1:
-        f_y, gn = float(f_y), math.sqrt(g_y @ g_y)
-    else:
-        gn = np.sqrt(row_dots(g_y, g_y))
+    gn = np.sqrt(row_dots(g_y, g_y))
     modulus = spec.strong_convexity
 
     if spec.kind == "proximal_linear":
@@ -156,7 +152,7 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
         )
     x_hat = y - _split_model_solve(_checked_hessian(obj, y), g_y, modulus)
     step = x_hat - y
-    return SurrogateAt(f_y, g_y, gn, x_hat, math.sqrt(step @ step))
+    return SurrogateAt(f_y, g_y, gn, x_hat, np.sqrt(row_dots(step, step)))
 
 
 def _checked_hessian(obj: Objective, y: np.ndarray) -> np.ndarray:
@@ -193,7 +189,9 @@ def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarr
     """``(H_+ + C I)^{-1} g``, with ``H`` the symmetric matrix of ``h``'s lower triangle.
 
     ``H_+`` is ``H`` with its negative eigenvalues set to 0. On eigenpairs
-    ``(V, lambda)`` of ``H`` the solve is ``V ((V' g) / (max(lambda, 0) + C))``.
+    ``(V, lambda)`` of ``H`` the solve is ``V ((V' g) / (max(lambda, 0) + C))``,
+    its two matrix-vector products taken by :func:`~scaopt.numerics.row_dots`
+    rather than BLAS.
     ``np.linalg.eigh`` reads only the lower triangle, so the band is read off
     it too (by :func:`_tridiagonal_band`), and the cheapest exact route is
     taken:
@@ -227,7 +225,7 @@ def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarr
             except np.linalg.LinAlgError:
                 pass
         eigvals, eigvecs = eigh_tridiagonal(diag, sub)
-    return eigvecs @ ((eigvecs.T @ g) / (np.maximum(eigvals, 0.0) + modulus))
+    return row_dots(eigvecs, row_dots(eigvecs.T, g) / (np.maximum(eigvals, 0.0) + modulus))
 
 
 _EXACT = InnerReport(iterations=0)

@@ -136,6 +136,17 @@ class TestRunExperiment:
         assert report["certificate"]["classification"] == "eps_sosp"
         assert report["scales"] is not None
 
+    def test_certificate_reads_the_run_gradient_norm(self, tmp_path):
+        """The certificate and the report take the gradient norm the last CSV row records."""
+        cfg = ExperimentConfig(problem="saddle_quartic:d=10", algo="sca", jitter=0.1, seed=0,
+                               out_dir=str(tmp_path))
+        csv_path, report_path = run_experiment(cfg)
+        report = json.loads(report_path.read_text())
+        assert report["result"]["termination"] == "gradient_below_threshold"
+        last = float(csv_path.read_text().splitlines()[-1].split(",")[2])
+        for grad_norm in (report["certificate"]["grad_norm"], report["result"]["final_grad_norm"]):
+            assert np.float64(grad_norm).tobytes() == np.float64(last).tobytes()
+
     def test_invalid_config_raises_with_violations(self, tmp_path):
         cfg = ExperimentConfig(problem="saddle_quartic:d=10", algo="psca", eps=0.0,
                                out_dir=str(tmp_path))

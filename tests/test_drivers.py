@@ -260,7 +260,7 @@ class TestGradientShape:
 
 
 class TestNoNormOnTheHotPath:
-    """The loop takes its 2-norms as ``sqrt(v @ v)``, never through ``np.linalg.norm``."""
+    """The loop takes its 2-norms through ``row_dots``, never through ``np.linalg.norm``."""
 
     @pytest.mark.parametrize("algo", ["sca", "gd"])
     def test_no_linalg_norm_calls(self, algo, monkeypatch):

@@ -8,7 +8,8 @@ problem without a dense-Hessian shortcut, the curvature-aware surrogate on a
 diagonal Hessian and on tridiagonal ones that are indefinite (eigensolver path)
 and positive definite (Cholesky path) at every anchor, and the eigen sidecar. A hash may change
 only with a deliberate change of the file format or of a trajectory, named in a
-comment next to the new value.
+comment next to the new value. ``test_kernel_portability.py`` reruns these cases
+under other BLAS kernels and names the ones whose bytes depend on the kernel.
 """
 
 import hashlib
@@ -59,64 +60,96 @@ GOLDEN = {
     "indefinite-psca-seed1": "622160ed1ab9dad96363b0c6fddc7a385b1831d825e8bfcb1992d30e836d0db6",
     "indefinite-sca-seed0": "622160ed1ab9dad96363b0c6fddc7a385b1831d825e8bfcb1992d30e836d0db6",
     "indefinite-sca-seed1": "622160ed1ab9dad96363b0c6fddc7a385b1831d825e8bfcb1992d30e836d0db6",
-    "mf-gd-seed0": "45c81b6e51c43e91d45ef3d3663a72d49940c7c60874e8a013319f517c0885e6",
-    "mf-gd-seed1": "45c81b6e51c43e91d45ef3d3663a72d49940c7c60874e8a013319f517c0885e6",
-    "mf-pgd-seed0": "91f7d1b9c1ddabc272eff5b6076f4cd43b9011e7fcb2a43f9f64dae1eb7c5dcb",
-    "mf-pgd-seed1": "5d1d909ca7f3cfde92d289a3c795b8ee28203d625dab4a61bedd61c8b800292a",
+    # dots and norms by row_dots, not BLAS; MF's matmul keeps these bits kernel-dependent
+    "mf-gd-seed0": "10242759dd170691855d5df238c1b99a4eb3ee87bc3615e7e52fe173cd02ccc5",
+    # dots and norms by row_dots, not BLAS; MF's matmul keeps these bits kernel-dependent
+    "mf-gd-seed1": "10242759dd170691855d5df238c1b99a4eb3ee87bc3615e7e52fe173cd02ccc5",
+    # dots and norms by row_dots, not BLAS; MF's matmul keeps these bits kernel-dependent
+    "mf-pgd-seed0": "e278844c5b4cffd44b9aefb990ac55f2c10409b8891631ec0b1be5f3e88518c4",
+    # dots and norms by row_dots, not BLAS; MF's matmul keeps these bits kernel-dependent
+    "mf-pgd-seed1": "eb14291d116a38d0048ddb64e6d3c8336b3b3ab68a04b60040d4baaed0012f02",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "mf-psca-seed0": "91f7d1b9c1ddabc272eff5b6076f4cd43b9011e7fcb2a43f9f64dae1eb7c5dcb",
+    # dots and norms by row_dots, not BLAS; MF's matmul keeps these bits kernel-dependent
+    "mf-psca-seed0": "e278844c5b4cffd44b9aefb990ac55f2c10409b8891631ec0b1be5f3e88518c4",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "mf-psca-seed1": "5d1d909ca7f3cfde92d289a3c795b8ee28203d625dab4a61bedd61c8b800292a",
+    # dots and norms by row_dots, not BLAS; MF's matmul keeps these bits kernel-dependent
+    "mf-psca-seed1": "eb14291d116a38d0048ddb64e6d3c8336b3b3ab68a04b60040d4baaed0012f02",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "mf-sca-seed0": "45c81b6e51c43e91d45ef3d3663a72d49940c7c60874e8a013319f517c0885e6",
+    # dots and norms by row_dots, not BLAS; MF's matmul keeps these bits kernel-dependent
+    "mf-sca-seed0": "10242759dd170691855d5df238c1b99a4eb3ee87bc3615e7e52fe173cd02ccc5",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "mf-sca-seed1": "45c81b6e51c43e91d45ef3d3663a72d49940c7c60874e8a013319f517c0885e6",
+    # dots and norms by row_dots, not BLAS; MF's matmul keeps these bits kernel-dependent
+    "mf-sca-seed1": "10242759dd170691855d5df238c1b99a4eb3ee87bc3615e7e52fe173cd02ccc5",
     "quartic-gd-seed0": "d2074a822a9f1d4e8417c72fcdc8502bbf13acf96e37d85f798059a6054628e8",
     "quartic-gd-seed1": "d2074a822a9f1d4e8417c72fcdc8502bbf13acf96e37d85f798059a6054628e8",
-    "quartic-pgd-seed0": "abca739835c17594e06c86308d02ceef50b31c4b028fcad81ec123721097b581",
-    "quartic-pgd-seed1": "4e08af561d687fe3ef770d11bf890d421e9deed0d0e97e8d07612c6a2e77b7c2",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic-pgd-seed0": "c6faa292195ba5600834368a5898590c803ead3b8d460bf5054a75e78eacd931",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic-pgd-seed1": "a02b07125c0ed93bb9d34c521d384e55769dde05e43d1f4c3399b5603868e194",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "quartic-psca-seed0": "abca739835c17594e06c86308d02ceef50b31c4b028fcad81ec123721097b581",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic-psca-seed0": "c6faa292195ba5600834368a5898590c803ead3b8d460bf5054a75e78eacd931",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "quartic-psca-seed0-eigen100": "abca739835c17594e06c86308d02ceef50b31c4b028fcad81ec123721097b581",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic-psca-seed0-eigen100": "c6faa292195ba5600834368a5898590c803ead3b8d460bf5054a75e78eacd931",
     "quartic-psca-seed0-eigen100.eigen": "567c33a1b16cc76e1ed38c67356374e41d8595b8be0b06ec62d0888ecc755520",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "quartic-psca-seed1": "4e08af561d687fe3ef770d11bf890d421e9deed0d0e97e8d07612c6a2e77b7c2",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic-psca-seed1": "a02b07125c0ed93bb9d34c521d384e55769dde05e43d1f4c3399b5603868e194",
     "quartic-sca-seed0": "d2074a822a9f1d4e8417c72fcdc8502bbf13acf96e37d85f798059a6054628e8",
     "quartic-sca-seed1": "d2074a822a9f1d4e8417c72fcdc8502bbf13acf96e37d85f798059a6054628e8",
-    "quartic_jitter-gd-seed0": "0eaf4b4002f37318a123c3c3ae569d53649b868d712817b856ed77343e9f5f61",
-    "quartic_jitter-gd-seed1": "e73d6312761ce7a0e4cafa232c21bb3b7b036e93a0b5ff429390cabf93fa24aa",
-    "quartic_jitter-pgd-seed0": "345e63ce16e8aa33c9d2553efa587a301a9eab976edbefa03d2af32697295ec1",
-    "quartic_jitter-pgd-seed1": "32e30923ceeee6787d969592dd3134e4b7f6e164b8824a530963c65199d5f4d0",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic_jitter-gd-seed0": "4aa58f49f7c8c49fd0c523c7e87e3506f71bbec85742a37137b2c84ce262764d",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic_jitter-gd-seed1": "5c5637fa3298a68ab5f011728bbbb584f031fed9b76cedeb092b7dafb92183b7",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic_jitter-pgd-seed0": "335cfdf8a948f4114dfcf34b5ae2d05801b81a44d0e5ce40db36ec428b7031b7",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic_jitter-pgd-seed1": "fb8629ccebcec30204c38246c19379b71cff5698cb21cc7fea1c430da9020d2e",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "quartic_jitter-psca-seed0": "345e63ce16e8aa33c9d2553efa587a301a9eab976edbefa03d2af32697295ec1",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic_jitter-psca-seed0": "335cfdf8a948f4114dfcf34b5ae2d05801b81a44d0e5ce40db36ec428b7031b7",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "quartic_jitter-psca-seed1": "32e30923ceeee6787d969592dd3134e4b7f6e164b8824a530963c65199d5f4d0",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic_jitter-psca-seed1": "fb8629ccebcec30204c38246c19379b71cff5698cb21cc7fea1c430da9020d2e",
     # quadratic_split is minimized in closed form (inner_iters 0, exact minimizer);
     # equal to the former dense_solve=True hash of this case
-    "quartic_jitter-quadratic_split-psca-seed0": "e23c2f2ee2b98a4972b2022213f25812d3855b5599076f4005b612940ecdf739",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic_jitter-quadratic_split-psca-seed0": "c771ecf8850e9d459a3e6c9dba192806f0c481aa1e5c5285aee7f21671fa7e66",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "quartic_jitter-sca-seed0": "0eaf4b4002f37318a123c3c3ae569d53649b868d712817b856ed77343e9f5f61",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic_jitter-sca-seed0": "4aa58f49f7c8c49fd0c523c7e87e3506f71bbec85742a37137b2c84ce262764d",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "quartic_jitter-sca-seed1": "e73d6312761ce7a0e4cafa232c21bb3b7b036e93a0b5ff429390cabf93fa24aa",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "quartic_jitter-sca-seed1": "5c5637fa3298a68ab5f011728bbbb584f031fed9b76cedeb092b7dafb92183b7",
     # the Hessian is positive definite at every anchor, so each step is a banded Cholesky
     # solve; the eigensolver path wrote f99ea496...: every coordinate within 2.3e-16 relative
-    "rosenbrock-quadratic_split-psca-seed0": "deea60a8794752e826abaa7034ff8ebf12a0e779a55cbb1fd6acddd33328ca20",
-    "rosenbrock_jitter-gd-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
-    "rosenbrock_jitter-gd-seed1": "16e377eae25de7e78498512a19f542617fce98d0d52cfc73bde334e3a4f36688",
-    "rosenbrock_jitter-pgd-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
-    "rosenbrock_jitter-pgd-seed1": "da30b201d0496975f9f0eaf458da07dbc3f729bacf595279c498c47a25456305",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "rosenbrock-quadratic_split-psca-seed0": "8c023de40386151d3531ea4c0783d193f401cc5dcf35e03b0f5701cf8f70df81",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "rosenbrock_jitter-gd-seed0": "1534269cf3b1fda43cb2d2a489fdb37f1e56c0cf0473de503981967a585915d6",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "rosenbrock_jitter-gd-seed1": "c0aba9261d40ffcedb1e5304164d06d3781510695eaf93dad28ed41e52df4b05",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "rosenbrock_jitter-pgd-seed0": "1534269cf3b1fda43cb2d2a489fdb37f1e56c0cf0473de503981967a585915d6",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "rosenbrock_jitter-pgd-seed1": "e39ff32fe842064a0a839b5bef84cf7c4fa16ca25c78667d384a426ea88bdef5",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "rosenbrock_jitter-psca-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "rosenbrock_jitter-psca-seed0": "1534269cf3b1fda43cb2d2a489fdb37f1e56c0cf0473de503981967a585915d6",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "rosenbrock_jitter-psca-seed1": "da30b201d0496975f9f0eaf458da07dbc3f729bacf595279c498c47a25456305",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "rosenbrock_jitter-psca-seed1": "e39ff32fe842064a0a839b5bef84cf7c4fa16ca25c78667d384a426ea88bdef5",
     # the tridiagonal Hessian's eigenpairs come from scipy's eigh_tridiagonal; dense eigh
     # wrote 78e099bf...: f and grad_norm equal, step_norm within 3.1e-15 relative
-    "rosenbrock_jitter-quadratic_split-psca-seed0": "104041ed2eab8dc3f85df429525743864e53a677486c30d46a091e1dea07560a",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "rosenbrock_jitter-quadratic_split-psca-seed0": "d12f911d8680e9e970a9308ea0f5e0aa905d77f98d3c0789be2eae7396104207",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "rosenbrock_jitter-sca-seed0": "b74ed1611beed627123d03f4d71e23a1a97984911313550fd8f69c0bf45a957f",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "rosenbrock_jitter-sca-seed0": "1534269cf3b1fda43cb2d2a489fdb37f1e56c0cf0473de503981967a585915d6",
     # step_norm is the model's ||g||/C, so this run equals its gd/pgd twin byte for byte
-    "rosenbrock_jitter-sca-seed1": "16e377eae25de7e78498512a19f542617fce98d0d52cfc73bde334e3a4f36688",
+    # dots, norms and powers by row_dots and products, not BLAS or pow: kernel-independent
+    "rosenbrock_jitter-sca-seed1": "c0aba9261d40ffcedb1e5304164d06d3781510695eaf93dad28ed41e52df4b05",
 }
 
 

