@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -28,10 +29,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# scipy is imported inside the functions that call it, so `import scaopt` loads numpy only
-
 from scaopt import certify, drivers, problems
-from scaopt.numerics import RngStream, sample_uniform_ball
+from scaopt.numerics import (
+    RngStream,
+    binomial_tail_root,
+    sample_uniform_ball,
+    student_t_quantile,
+)
 from scaopt.surrogates import SurrogateSpec
 
 __all__ = [
@@ -481,16 +485,23 @@ _CONFIDENCE = 0.95  # of every escape-rate interval (the aggregate's binomial_ci
 
 
 def binomial_ci(successes: int, trials: int):
-    """Exact (Clopper-Pearson) two-sided 95% confidence interval for a rate."""
-    if not 0 <= successes <= trials or trials < 1:
-        raise ValueError("need 0 <= successes <= trials, trials >= 1")
-    from scipy import special
+    """Exact (Clopper-Pearson) two-sided 95% confidence interval for a rate.
 
+    Each end is the correctly rounded root of a binomial tail; the counts must be integers
+    (numpy integers included)."""
+    try:
+        k, n = operator.index(successes), operator.index(trials)
+    except TypeError:
+        raise ValueError(
+            f"counts must be integers, got successes={successes!r}, trials={trials!r}"
+        ) from None
+    if not 0 <= k <= n or n < 1:
+        raise ValueError("need 0 <= successes <= trials, trials >= 1")
     alpha = 1.0 - _CONFIDENCE
-    k, n = successes, trials
-    # the ends are quantiles of Beta(k, n - k + 1) and Beta(k + 1, n - k)
-    lo = 0.0 if k == 0 else float(special.betaincinv(k, n - k + 1, alpha / 2))
-    hi = 1.0 if k == n else float(special.betaincinv(k + 1, n - k, 1 - alpha / 2))
+    # P(Bin(n, lo) >= k) = alpha / 2 and P(Bin(n, hi) >= k + 1) = 1 - alpha / 2: the
+    # quantiles of Beta(k, n - k + 1) and Beta(k + 1, n - k)
+    lo = 0.0 if k == 0 else binomial_tail_root(k, n, alpha / 2)
+    hi = 1.0 if k == n else binomial_tail_root(k + 1, n, 1 - alpha / 2)
     return lo, hi
 
 
@@ -678,15 +689,13 @@ def _scaling(cfg: ExperimentConfig, prob, eps_list: Sequence[float]) -> ScalingR
     with np.errstate(invalid="ignore", divide="ignore"):
         r = np.clip(ssxy / np.sqrt(ssx * ssy), -1.0, 1.0)
     stderr = np.sqrt((1 - r**2) * ssy / ssx / df)
-    from scipy import special
-
     return ScalingResult(
         eps=tuple(eps_arr),
         median_iters=tuple(medians),
         per_seed=tuple(tuple(h) for h in passages),
         excluded=tuple(excluded),
         slope=float(slope),
-        slope_half_width=float(stderr * special.stdtrit(df, 0.975)),
+        slope_half_width=float(stderr * student_t_quantile(df, 0.975)),
         intercept=float(np.mean(ys) - slope * np.mean(xs)),
     )
 

@@ -1,6 +1,10 @@
-"""Seeded portable randomness, uniform ball sampling, and finite-difference oracles."""
+"""Seeded portable randomness, uniform ball sampling, finite-difference oracles, and the
+correctly rounded binomial-tail and Student-t quantiles behind the CLI's statistics."""
 
 from __future__ import annotations
+
+import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -10,6 +14,8 @@ __all__ = [
     "RngStream",
     "as_vector",
     "row_dots",
+    "binomial_tail_root",
+    "student_t_quantile",
     "sample_uniform_ball",
     "finite_diff_gradient",
     "finite_diff_hvp",
@@ -55,6 +61,123 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the bits of ``row_dots`` on that row alone.
     """
     return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
+
+
+# Working precision of the quantiles: a root found to ~60 digits rounds once, with float(),
+# to the float nearest the exact quantile (barring a tie closer than ~1e-40 to a midpoint).
+_DIGITS = 60
+
+
+def _newton(mass, q: Decimal, x: Decimal) -> Decimal:
+    """The root of ``mass(x)[0] = q``, where ``mass`` returns a monotone function and its
+    derivative; ``x`` is the function's inflection point (or an end of a concave or convex
+    range), so every Newton step lands on the root's side it started from and the iterates
+    approach the root monotonically, without a bracket. Stops once a step moves ``x`` by
+    less than half the working digits: the error left is about that step squared."""
+    tol = Decimal(10) ** -(_DIGITS // 2)
+    for _ in range(200):
+        value, slope = mass(x)
+        step = (value - q) / slope
+        x -= step
+        if abs(step) <= abs(x) * tol:
+            return x
+    raise ArithmeticError(f"Newton iteration did not settle near {x}")
+
+
+def _binomial_tail(k: int, n: int, x: Decimal):
+    """P(Bin(n, x) >= k) for 1 <= k <= n, and its derivative in x.
+
+    The tail sums the terms C(n, j) x^j (1 - x)^(n - j), j = k..n, each from the one
+    before; the derivative is n C(n-1, k-1) x^(k-1) (1 - x)^(n-k), a Beta(k, n-k+1) density.
+    """
+    y = 1 - x
+    # written without 0 ** 0, which Decimal refuses, at the starts x = 0 (k = 1) and 1 (k = n)
+    density = k * math.comb(n, k) * (x ** (k - 1) if k > 1 else 1) * (y ** (n - k) if k < n else 1)
+    term = tail = density * x / k
+    for j in range(k, n):
+        term = term * x * (n - j) / ((j + 1) * y)
+        tail += term
+    return tail, density
+
+
+def binomial_tail_root(k: int, n: int, q: float) -> float:
+    """The success probability ``x`` at which ``P(Bin(n, x) >= k) = q``, correctly rounded.
+
+    This is the ``q`` quantile of Beta(k, n - k + 1), an end of the Clopper-Pearson
+    interval. It is solved in ``decimal`` at 60 digits from the exact value of ``q`` and
+    rounded once; the caller's decimal context is left untouched.
+    """
+    if not 1 <= k <= n or not 0.0 < q < 1.0:
+        raise ValueError(f"need 1 <= k <= n and 0 < q < 1, got k={k}, n={n}, q={q}")
+    with localcontext(Context(prec=_DIGITS)):
+        # the tail's inflection point, the mode of its Beta density (any start for n = 1)
+        start = Decimal(k - 1) / max(n - 1, 1)
+        return float(_newton(lambda x: _binomial_tail(k, n, x), Decimal(q), start))
+
+
+def _pi() -> Decimal:
+    """pi at the context's precision: the series of 6 arcsin(1/2), as in the decimal recipes."""
+    total, term, last, num, dnum, den, dden = Decimal(3), Decimal(3), 0, 1, 0, 0, 24
+    while total != last:
+        last = total
+        num, dnum = num + dnum, dnum + 8
+        den, dden = den + dden, dden + 32
+        term = term * num / den
+        total += term
+    return total
+
+
+def _sin_cos(x: Decimal):
+    """sin and cos of ``x`` in [0, pi/2] by their Taylor series at the context's precision."""
+    x2 = x * x
+    sin, cos, s_term, c_term, i = x, Decimal(1), x, Decimal(1), 1
+    while True:
+        i += 2
+        c_term = -c_term * x2 / ((i - 2) * (i - 1))
+        s_term = -s_term * x2 / ((i - 1) * i)
+        if sin + s_term == sin and cos + c_term == cos:
+            return sin, cos
+        sin, cos = sin + s_term, cos + c_term
+
+
+def _student_t_mass(nu: int, theta: Decimal, pi: Decimal):
+    """P(|T| <= sqrt(nu) tan(theta)) for Student's t with ``nu`` degrees of freedom, and its
+    derivative in ``theta``, which is a multiple of cos(theta)^(nu - 1).
+
+    These are the finite sums of Abramowitz & Stegun 26.7.3 (odd nu) and 26.7.4 (even nu),
+    grown two degrees at a time from nu = 1 (2 theta / pi) or nu = 2 (sin theta): the mass at
+    nu + 2 adds sin cos / nu times the derivative at nu, and the derivative gains the factor
+    cos^2 (nu + 1) / nu.
+    """
+    sin, cos = _sin_cos(theta)
+    if nu % 2:
+        mass, slope, first = 2 * theta / pi, 2 / pi, 1
+    else:
+        mass, slope, first = sin, cos, 2
+    sin_cos, cos2 = sin * cos, cos * cos
+    for m in range(first, nu, 2):
+        mass += sin_cos * slope / m
+        slope *= cos2 * (m + 1) / m
+    return mass, slope
+
+
+def student_t_quantile(nu: int, p: float) -> float:
+    """The ``p`` quantile of Student's t with integer ``nu >= 1`` degrees of freedom,
+    correctly rounded.
+
+    It solves the t mass within ``|t|`` for ``theta = atan(t / sqrt(nu))`` in ``decimal`` at
+    60 digits, from the exact value of ``p``, and rounds ``sqrt(nu) tan(theta)`` once; the
+    caller's decimal context is left untouched.
+    """
+    if nu < 1 or not 0.0 < p < 1.0:
+        raise ValueError(f"need nu >= 1 and 0 < p < 1, got nu={nu}, p={p}")
+    with localcontext(Context(prec=_DIGITS)):
+        pi = _pi()
+        mass = 2 * Decimal(p) - 1
+        # the mass is concave in theta on [0, pi/2), so Newton from 0 settles monotonically
+        theta = _newton(lambda th: _student_t_mass(nu, th, pi), abs(mass), Decimal(0))
+        sin, cos = _sin_cos(theta)
+        return float((Decimal(nu).sqrt() * sin / cos).copy_sign(mass))
 
 
 class RngStream:

@@ -5,6 +5,7 @@ import math
 import shlex
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -381,13 +382,40 @@ class TestBinomialCI:
         with pytest.raises(ValueError):
             binomial_ci(5, 4)
 
-    def test_ends_are_the_scipy_stats_beta_quantiles_bit_for_bit(self):
+    @pytest.mark.parametrize("successes", [2.5, 2.0])
+    def test_a_count_that_is_not_an_integer_is_refused(self, successes):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            binomial_ci(successes, 10)
+        with pytest.raises(ValueError, match="counts must be integers"):
+            binomial_ci(2, successes + 8)
+
+    def test_numpy_integer_counts_are_counts(self):
+        assert binomial_ci(np.int64(3), np.int64(10)) == binomial_ci(3, 10)
+
+    def test_ends_are_the_correctly_rounded_beta_quantiles(self):
+        """Each end is the exact Beta quantile at the float level (a 60-digit mpmath root of
+        the regularized incomplete beta), rounded once: every k up to n = 30, a sample of k
+        above."""
         alpha = 1.0 - 0.95
-        for n in range(1, 201):
-            k = np.arange(n + 1)
-            lo = np.where(k == 0, 0.0, stats.beta.ppf(alpha / 2, k, n - k + 1))
-            hi = np.where(k == n, 1.0, stats.beta.ppf(1 - alpha / 2, k + 1, n - k))
-            assert [binomial_ci(int(j), n) for j in k] == list(zip(lo.tolist(), hi.tolist())), n
+        cases = [(k, n) for n in range(1, 31) for k in range(n + 1)]
+        cases += [(k, n) for n in (50, 100, 200, 1000)
+                  for k in sorted({0, 1, 2, n // 10, n // 3, n // 2, n - 1, n})]
+        for k, n in cases:
+            lo, hi = binomial_ci(k, n)
+            assert lo == (0.0 if k == 0 else _beta_quantile(k, n - k + 1, alpha / 2, lo)), (k, n)
+            assert hi == (1.0 if k == n else _beta_quantile(k + 1, n - k, 1 - alpha / 2, hi)), (
+                k, n)
+
+
+def _beta_quantile(a, b, q, near):
+    """The root of the regularized incomplete beta ``I_x(a, b) = q`` at 60 digits by Newton's
+    method from ``near``, rounded once to a float."""
+    with mp.workdps(60):
+        q = mp.mpf(q)
+        scale = mp.beta(a, b)
+        return float(mp.findroot(lambda x: mp.betainc(a, b, 0, x, regularized=True) - q,
+                                 mp.mpf(near), solver="newton",
+                                 df=lambda x: x ** (a - 1) * (1 - x) ** (b - 1) / scale))
 
 
 def _reference_fit(res):

@@ -1,3 +1,6 @@
+import decimal
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,9 +10,11 @@ from scipy import stats
 from scaopt.numerics import (
     NonFiniteError,
     RngStream,
+    binomial_tail_root,
     finite_diff_gradient,
     finite_diff_hvp,
     sample_uniform_ball,
+    student_t_quantile,
 )
 from scaopt.problems import make_saddle_quartic
 
@@ -153,3 +158,59 @@ class TestFiniteDiffHvp:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             finite_diff_hvp(lambda x: x, np.array([1.0, 1.0]), np.zeros(2))
+
+
+def _t_quantile(nu, p, near):
+    """The root of Student's t CDF ``F(t) = p`` at 60 digits by Newton's method from ``near``
+    (mpmath, through the regularized incomplete beta), rounded once to a float."""
+    with mp.workdps(60):
+        p = mp.mpf(p)
+        scale = mp.gamma((nu + 1) / mp.mpf(2)) / (mp.sqrt(nu * mp.pi) * mp.gamma(nu / mp.mpf(2)))
+
+        def cdf(t):
+            tail = mp.betainc(nu / mp.mpf(2), 0.5, 0, nu / (nu + t * t), regularized=True) / 2
+            return 1 - tail if t >= 0 else tail
+
+        return float(mp.findroot(lambda t: cdf(t) - p, mp.mpf(near), solver="newton",
+                                 df=lambda t: scale * (1 + t * t / nu) ** (-(nu + 1) / mp.mpf(2))))
+
+
+class TestQuantiles:
+    @pytest.mark.parametrize("nu", [*range(1, 61), 100, 1000])
+    def test_t_quantile_is_correctly_rounded(self, nu):
+        t = student_t_quantile(nu, 0.975)
+        assert t == _t_quantile(nu, 0.975, t)
+
+    @pytest.mark.parametrize("nu, p", [(1, 0.25), (2, 0.5), (5, 0.001), (6, 0.9999)])
+    def test_t_quantile_on_either_side_of_the_median(self, nu, p):
+        t = student_t_quantile(nu, p)
+        assert t == _t_quantile(nu, p, t)
+
+    def test_binomial_tail_root_solves_the_tail(self):
+        # P(Bin(1, x) >= 1) = x, and P(Bin(n, x) >= n) = x^n
+        assert binomial_tail_root(1, 1, 0.3) == 0.3
+        with mp.workdps(60):
+            assert binomial_tail_root(4, 4, 0.3) == float(mp.root(mp.mpf(0.3), 4))
+
+    @pytest.mark.parametrize("k, n, q", [(0, 3, 0.5), (4, 3, 0.5), (1, 3, 0.0), (1, 3, 1.0),
+                                         (1, 3, float("nan"))])
+    def test_binomial_tail_root_refuses_bad_arguments(self, k, n, q):
+        with pytest.raises(ValueError):
+            binomial_tail_root(k, n, q)
+
+    @pytest.mark.parametrize("nu, p", [(0, 0.5), (3, 0.0), (3, 1.0), (3, float("nan"))])
+    def test_t_quantile_refuses_bad_arguments(self, nu, p):
+        with pytest.raises(ValueError):
+            student_t_quantile(nu, p)
+
+    def test_the_callers_decimal_context_is_left_as_it_was(self):
+        """The quantiles work in their own context, whatever precision and traps the caller's
+        context has, and change neither it nor its flags."""
+        mine = decimal.Context(prec=5, traps=[decimal.Inexact, decimal.Rounded])
+        with decimal.localcontext(mine) as ctx:
+            assert ctx is decimal.getcontext()
+            expected = (binomial_tail_root(3, 10, 0.025), student_t_quantile(7, 0.975))
+            assert decimal.getcontext() is ctx
+        assert expected == (binomial_tail_root(3, 10, 0.025), student_t_quantile(7, 0.975))
+        assert ctx.prec == 5 and ctx.traps[decimal.Inexact] and ctx.traps[decimal.Rounded]
+        assert not any(ctx.flags.values())
