@@ -139,6 +139,9 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
         errs.append(f"jitter must be nonnegative (got {cfg.jitter})")
     elif math.isinf(cfg.jitter):
         errs.append(f"jitter must be finite (got {cfg.jitter})")
+    if cfg.label is not None and ("/" in cfg.label or os.sep in cfg.label
+                                  or cfg.label in (".", "..")):
+        errs.append(f"label must be a file name, not a path, '.' or '..' (got '{cfg.label}')")
     if cfg.delta_u is not None:
         if not cfg.delta_u > 0:
             errs.append(f"delta_u must be positive (got {cfg.delta_u})")

@@ -505,13 +505,15 @@ def _stacked(obj, spec) -> bool:
     return spec.kind == "proximal_linear" and obj.batched
 
 
-def _evaluate(obj, spec, xs, t):
+def _evaluate(obj, spec, xs, t, stacked):
     """The models at the checked anchors ``xs`` (a ``(B, d)`` stack) and the rows that failed.
 
-    Returns ``(surr, failures)``: ``surr`` holds every row's model, stacked,
-    and ``failures`` maps the position of each row whose evaluation failed to
-    the error its one-row evaluation raises: the exception of its model build,
-    or a :class:`NonFiniteError` when its value or gradient is not finite.
+    ``stacked`` is :func:`_stacked` of ``obj`` and ``spec``. Returns ``(surr,
+    grad_norms, failures)``: ``surr`` holds every row's model, stacked,
+    ``grad_norms`` its gradient norms as a list, and ``failures`` maps the
+    position of each row whose evaluation failed to the error its one-row
+    evaluation raises: the exception of its model build, or a
+    :class:`NonFiniteError` when its value or gradient is not finite.
 
     The proximal model of a batched objective is built on the whole stack,
     gradients only: the caller reads its values through :func:`_read`, and
@@ -521,19 +523,21 @@ def _evaluate(obj, spec, xs, t):
     point is evaluated like any other, through the gradient model, and the
     loop's one end path writes its row.
     """
-    if _stacked(obj, spec):
+    if stacked:
         try:
             surr = build_surrogate(obj, xs, spec)
         except Exception:
             pass
         else:
+            grad_norms = surr.grad_norm.tolist()
             # the norms are >= 0 or NaN, so their sum is finite exactly when each
             # one is; a sum that overflows only sends the stack to the exact test
-            if math.isfinite(sum(surr.grad_norm.tolist())):
-                return surr, {}
-            bad = np.flatnonzero(~np.isfinite(surr.grad_norm)).tolist()
+            if math.isfinite(sum(grad_norms)):
+                return surr, grad_norms, {}
+            bad = [pos for pos, gn in enumerate(grad_norms) if not math.isfinite(gn)]
             found = _read(obj, surr, xs, bad, t)
-            return surr, {pos: found[pos] if pos in found else _non_finite(t) for pos in bad}
+            return surr, grad_norms, {pos: found[pos] if pos in found else _non_finite(t)
+                                      for pos in bad}
     models, failures = [], {}
     for pos, x in enumerate(xs):
         try:
@@ -545,7 +549,8 @@ def _evaluate(obj, spec, xs, t):
             if not (math.isfinite(model.anchor_value) and math.isfinite(model.grad_norm)):
                 failures[pos] = _non_finite(t)
         models.append(model)
-    return _stack(models, xs), failures
+    surr = _stack(models, xs)
+    return surr, surr.grad_norm.tolist(), failures
 
 
 def _step(obj, surr, x, eta):
@@ -582,7 +587,7 @@ def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
     if not 0 < eta <= 1:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     xs = checked_anchor(obj, x_t)[None]
-    surr, failures = _evaluate(obj, spec, xs, t)
+    surr, _, failures = _evaluate(obj, spec, xs, t, _stacked(obj, spec))
     failures = failures or _read(obj, surr, xs, [0], t)
     if failures:
         raise failures[0]
@@ -659,14 +664,16 @@ class _Row:
 class _Rows:
     """The trajectory rows of a batch's running rows, kept as float64 arrays until it ends.
 
-    Each iteration adds what it formed over the running rows, in the order of
-    ``ids``: the iterates, their values as far as read (None when the
-    iteration read none, else NaN for a value not read yet, see
-    :func:`_read`), gradient and step norms, and the step's
-    ``d`` and gradient ``g`` (see :func:`_step`). At the loop's one exit of an
-    iteration, when rows leave the stack there or ``FLUSH`` iterations are
-    pending, :meth:`flush` turns the pending iterations into one block of
-    shape ``(iterations, rows, 5)``, the columns
+    Each iteration appends to ``pending`` what it formed over the running rows,
+    in the order of ``ids``: for a stacked model (``stacked``, below) the tuple
+    ``(x, f, grad_norm, step_norm, d, g)`` of the iterates, their values as far
+    as read (None when the iteration read none, else NaN for a value not read
+    yet, see :func:`_read`), gradient and step norms, and the step's ``d`` and
+    gradient ``g`` (see :func:`_step`); for any other model ``(None, f,
+    grad_norm, step_norm, err_norm, gap)``, with :func:`_error_norms` already
+    formed. At the loop's one exit of an iteration, when rows leave the stack
+    there or ``FLUSH`` iterations are pending, :meth:`flush` turns the pending
+    iterations into one block of shape ``(iterations, rows, 5)``, the columns
     ``f, grad_norm, step_norm, err_norm, gap``: the values not read yet by one
     stacked ``obj.value`` call over the block's iterates, and every error norm
     and gap by :func:`_error_norms` over the block's stacked ``d`` and ``g``,
@@ -674,11 +681,11 @@ class _Rows:
     of the blocks, closed by the terminal row that the loop's one end path
     writes.
 
-    Only the stacked proximal model of a batched objective (``stacked``)
-    leaves values unread. Each iteration of any other model forms its error
-    norms and gaps when it is added and keeps no vector: its per-row builds
-    cost far more than that, and keeping the ``d = 256`` vectors of the
-    ``curvature`` benchmark's Rosenbrock run raised its peak RSS by 0.5-1 MB.
+    Only the stacked proximal model of a batched objective leaves values
+    unread. Each iteration of any other model forms its error norms and gaps
+    when it is appended and keeps no vector: its per-row builds cost far more
+    than that, and keeping the ``d = 256`` vectors of the ``curvature``
+    benchmark's Rosenbrock run raised its peak RSS by 0.5-1 MB.
     """
 
     FLUSH = 256
@@ -689,19 +696,10 @@ class _Rows:
         self.stacked = stacked
         self.blocks: list[tuple[tuple, np.ndarray]] = []
         self.pending: list[tuple] = []
-        self.start = 0  # the iteration of the first pending one
 
-    def add(self, t, x, f, grad_norm, step_norm, d, g):
-        """Keep iteration ``t``'s arrays."""
-        if not self.pending:
-            self.start = t
-        if self.stacked:
-            self.pending.append((x, f, grad_norm, step_norm, d, g))
-        else:
-            self.pending.append((None, f, grad_norm, step_norm, *_error_norms(d, g)))
-
-    def flush(self) -> dict:
-        """Turn the pending iterations into a block; map each failed row's position to its error.
+    def flush(self, t) -> dict:
+        """Turn the pending iterations, those before ``t``, into a block; map each failed row's
+        position to its error.
 
         A row's error is that of its first iterate whose value raised or is
         not finite, as :func:`_values` gives it.
@@ -709,28 +707,28 @@ class _Rows:
         if not self.pending:
             return {}
         xs, fs, grad_norms, step_norms, *step = zip(*self.pending)
-        self.pending = []
-        rows = len(self.ids)
-        f = np.full((len(fs), rows), math.nan)
+        self.pending.clear()
+        iterations, rows = len(fs), len(self.ids)
+        start = t - iterations
+        f = np.full((iterations, rows), math.nan)
         for k, values in enumerate(fs):
             if values is not None:
                 f[k] = values
         f = f.reshape(-1)
         failed = {}
         unread = np.flatnonzero(np.isnan(f))
-        if len(unread):
+        if len(unread):  # only a stacked model leaves values unread
             points = np.concatenate(xs)
             if len(unread) < len(f):
                 points = points[unread]
-            f[unread], found = _values(self.obj, points,
-                                       lambda k: self.start + int(unread[k]) // rows)
+            f[unread], found = _values(self.obj, points, lambda k: start + int(unread[k]) // rows)
             for k, exc in found.items():  # in iteration order: a row's first failure comes first
                 failed.setdefault(int(unread[k]) % rows, exc)
         step = [np.concatenate(column) for column in step]
         err_norm, gap = _error_norms(*step) if self.stacked else step
         block = np.stack((f, np.concatenate(grad_norms), np.concatenate(step_norms), err_norm, gap),
                          axis=1)
-        self.blocks.append((self.ids, block.reshape(len(fs), rows, 5)))
+        self.blocks.append((self.ids, block.reshape(iterations, rows, 5)))
         return failed
 
     def columns(self, row, end) -> np.ndarray:
@@ -747,13 +745,13 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     row may perturb again: ``t_noise + t_th + 1`` (never, for a row without
     perturbation). So a row meets the fire rule's ``t - t_noise > t_th`` at
     ``t >= next_perturb``, and the window test's ``t - t_noise == t_th`` at
-    ``t == next_perturb - 1``. A row keeps its position for the whole
-    iteration: one that ends or fails joins ``gone``, which the later tests
-    skip, and steps with the stack, its step discarded. At the one exit, after
-    the step, the store flushes (when a row is gone or ``FLUSH`` iterations are
-    pending: a full block one iteration late, so a row found bad there leaves
-    then) and the rows in ``gone`` leave the stack; their trajectory rows stay
-    in the returned store.
+    ``t == next_perturb - 1``; ``due`` is the earliest of them. A row keeps
+    its position for the whole iteration: one that ends or fails joins
+    ``gone``, which the later tests skip, and steps with the stack, its step
+    discarded. At the one exit, after the step, the store flushes (when a row
+    is gone or ``FLUSH`` iterations are pending: a full block one iteration
+    late, so a row found bad there leaves then) and the rows in ``gone``
+    leave the stack; their trajectory rows stay in the returned store.
 
     An iteration reads only what the protocol reads there: the gradients and
     their norms (fire and stop tests), the step and the region test. A value
@@ -764,14 +762,18 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     is read when the store flushes, and a failure found there ends its row
     with that error, which wins over whatever the row met at a later iterate.
     """
-    store = _Rows(obj, tuple(ids), _stacked(obj, spec))
+    stacked = _stacked(obj, spec)
+    store = _Rows(obj, tuple(ids), stacked)
     if not ids:
         return store
+    pending, flush_at = store.pending, store.FLUSH
     x = np.array(xs)
     next_perturb = [math.inf if rows[i].params is None else 0 for i in ids]
-    # the fire test's gate: no row fires while every gradient norm is above this
-    fire_th = max((rows[i].params.g_th for i in ids if rows[i].params is not None),
-                  default=-math.inf)
+    due = min(next_perturb)
+    stops = stop_grad_norm is not None
+    # no row fires or stops while every gradient norm is above this
+    gate = max([rows[i].params.g_th for i in ids if rows[i].params is not None]
+               + ([stop_grad_norm] if stops else []), default=-math.inf)
 
     def fail(found):
         """Give the row at each position of ``found`` its error; the positions."""
@@ -781,7 +783,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
 
     def rebuild(positions, model):
         """Evaluate ``model`` at the perturbed ``x[positions]`` into ``surr``; those that failed."""
-        again, found = _evaluate(obj, model, x[positions], t)
+        again, _, found = _evaluate(obj, model, x[positions], t, _stacked(obj, model))
         for name in SurrogateAt.__slots__:
             fields = getattr(again, name)
             getattr(surr, name)[positions] = math.nan if fields is None else fields
@@ -814,15 +816,16 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         return positions
 
     for t in range(max_iters):
-        surr, failures = _evaluate(obj, spec, x, t)
-        # the fire and stop tests read this one list, re-read when rebuilt rows change surr;
-        # each gate is any(), not min(): min() of a list holding NaN may be NaN
-        grad_norms = surr.grad_norm.tolist()
-        gone = fail(failures)  # the rows that end or fail at t; later tests skip them
+        surr, grad_norms, failures = _evaluate(obj, spec, x, t, stacked)
+        gone = fail(failures) if failures else []  # the rows that end or fail at t
+        # one gate for the fire and stop tests, read only when a row may fire or stop: any(),
+        # not min(), since min() of a list holding NaN may be NaN. Only a fire changes
+        # grad_norms, and a fire passes the gate
+        low = (stops or t >= due) and any(gn <= gate for gn in grad_norms)
 
-        if t >= min(next_perturb) and any(gn <= fire_th for gn in grad_norms):
-            fire = [pos for pos, due in enumerate(next_perturb)
-                    if due <= t and pos not in gone
+        if low and t >= due:
+            fire = [pos for pos, at in enumerate(next_perturb)
+                    if at <= t and pos not in gone
                     and grad_norms[pos] <= rows[ids[pos]].params.g_th]
             if fire:
                 failed = fail(_read(obj, surr, x, fire, t))  # f_tilde, the value before perturbing
@@ -836,6 +839,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 row.events[t] = f"perturbed;f_before={row.state.f_tilde:.17g}"
                 next_perturb[pos] = t + row.params.t_th + 1
             if fire:
+                due = min(next_perturb)
                 inside = obj.rows_in_region(x[fire]).tolist()
                 stay = [pos for pos, ins in zip(fire, inside) if ins]
                 left = [pos for pos, ins in zip(fire, inside) if not ins]
@@ -853,26 +857,27 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                     rows[i].iterates.append((t, x[pos].copy()))
 
         if t + 1 in next_perturb:  # the window tests due now
-            window = [pos for pos, due in enumerate(next_perturb)
-                      if due == t + 1 and pos not in gone]
+            window = [pos for pos, at in enumerate(next_perturb)
+                      if at == t + 1 and pos not in gone]
             gone += fail(_read(obj, surr, x, window, t))
             for pos in window:
                 row = rows[ids[pos]]
                 if pos not in gone and (surr.anchor_value[pos] - row.state.f_tilde
                                         > -(1.0 - row.params.s) * row.params.f_th):
                     gone += end([pos], t, "returned_xtilde")
-        if stop_grad_norm is not None and any(gn <= stop_grad_norm for gn in grad_norms):
+        if low and stops:
             below = [pos for pos, gn in enumerate(grad_norms)
                      if gn <= stop_grad_norm and pos not in gone]
-            gone += end(below, t, "gradient_below_threshold")
+            if below:
+                gone += end(below, t, "gradient_below_threshold")
 
         # the whole stack steps; the steps of the rows in gone are discarded
         x_next, inside, d = _step(obj, surr, x, eta)
         if not all(inside.tolist()):
             gone += end([pos for pos in np.flatnonzero(~inside).tolist() if pos not in gone], t,
                         "left_valid_region", x_next)
-        if gone or len(store.pending) == store.FLUSH:  # the one exit
-            gone = set(gone).union(fail(store.flush()))
+        if gone or len(pending) == flush_at:  # the one exit
+            gone = set(gone).union(fail(store.flush(t)))
             if gone:
                 keep = np.ones(len(ids), dtype=bool)
                 keep[list(gone)] = False
@@ -880,16 +885,20 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 ids = [i for i, k in zip(ids, kept) if k]
                 if not ids:
                     break
-                next_perturb = [due for due, k in zip(next_perturb, kept) if k]
+                next_perturb = [at for at, k in zip(next_perturb, kept) if k]
+                due = min(next_perturb)
                 x, x_next, d, surr = x[keep], x_next[keep], d[keep], _take(surr, keep)
                 store.ids = tuple(ids)
-        store.add(t, x, surr.anchor_value, surr.grad_norm, surr.step_norm, d, surr.anchor_grad)
+        f, g = surr.anchor_value, surr.anchor_grad
+        pending.append((x, f, surr.grad_norm, surr.step_norm, d, g) if stacked
+                       else (None, f, surr.grad_norm, surr.step_norm, *_error_norms(d, g)))
         x = x_next
     else:  # the rows that ran out of iterations
-        surr, failures = _evaluate(obj, _GRADIENT_MODEL, x, max_iters)
+        surr, _, failures = _evaluate(obj, _GRADIENT_MODEL, x, max_iters,
+                                     _stacked(obj, _GRADIENT_MODEL))
         fail(failures)
         end([pos for pos in range(len(ids)) if pos not in failures], max_iters)
-        fail(store.flush())
+        fail(store.flush(max_iters))
     return store
 
 

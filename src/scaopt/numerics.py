@@ -55,12 +55,20 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     products, then numpy's own pairwise sum over the last axis. No BLAS call
     is made, so the bits do not depend on the BLAS kernel (``a @ b`` and
     ``vecdot`` reach OpenBLAS, whose summation order differs between its CPU
-    kernels). The products are written C-ordered whatever the layouts of
-    ``a`` and ``b``: the sum's order follows the layout, and each row of a
+    kernels). The products are summed C-ordered whatever the layouts of ``a``
+    and ``b``: the sum's order follows the layout, and each row of a
     C-ordered stack is summed in the order of the 1-D call, so every row has
-    the bits of ``row_dots`` on that row alone.
+    the bits of ``row_dots`` on that row alone. The plain product ``a * b``
+    follows the layout of its inputs, and C order where they disagree, so it
+    is C-ordered for vectors, for C-ordered stacks and for a C-ordered stack
+    with a Fortran-ordered one. Only a product that comes out otherwise (two
+    Fortran-ordered stacks, a Fortran-ordered matrix with a vector) is copied
+    C-ordered before the sum; the copy keeps every product's bits.
     """
-    return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
+    p = a * b
+    if not p.flags.c_contiguous:
+        p = np.ascontiguousarray(p)
+    return np.add.reduce(p, axis=-1)
 
 
 # Working precision of the quantiles: a root found to ~60 digits rounds once, with float(),

@@ -95,9 +95,14 @@ class InnerReport:
     iterations: int
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def checked_gradient(obj: Objective, x: np.ndarray) -> np.ndarray:
     """The gradient at ``x`` as float64, checked to have the shape of ``x``."""
-    g = np.asarray(obj.gradient(x), dtype=np.float64)
+    g = obj.gradient(x)
+    if type(g) is not np.ndarray or g.dtype is not _FLOAT64:  # np.asarray is a no-op otherwise
+        g = np.asarray(g, dtype=np.float64)
     if g.shape != x.shape:
         raise ValueError(f"gradient has shape {g.shape}, expected {x.shape}")
     return g

@@ -734,6 +734,13 @@ class TestMainEntry:
             (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "nope", "--delta", "-1"],
              f"scaling error: unknown problem 'nope'; known: {', '.join(registry_names())}; "
              "delta must satisfy 0 < delta < 1 (got -1.0)"),
+            (["run", "--problem", "saddle_quartic:d=2", "--label", "../x"],
+             "config error: label must be a file name, not a path, '.' or '..' (got '../x')"),
+            (["sweep", "--seeds", "2", "--problem", "saddle_quartic:d=2", "--label", "a/b"],
+             "config error: label must be a file name, not a path, '.' or '..' (got 'a/b')"),
+            (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "saddle_quartic:d=2",
+              "--label", ".."],
+             "scaling error: label must be a file name, not a path, '.' or '..' (got '..')"),
         ],
         ids=["validate-unknown-problem", "validate-few-samples", "run-bad-x0", "sweep-bad-x0",
              "scaling-eps", "scaling-record-eigen-every", "run-pgd-surrogate", "sweep-gd-surrogate",
@@ -744,7 +751,8 @@ class TestMainEntry:
              "sweep-x0-outside", "scaling-x0-outside", "run-x0-nan", "sweep-x0-nan",
              "scaling-x0-nan", "run-eps-underflow", "run-delta-u-overflow",
              "sweep-delta-u-overflow", "scaling-delta-u-overflow", "run-repeated-parameter",
-             "scaling-repeated-parameter", "scaling-unknown-problem"],
+             "scaling-repeated-parameter", "scaling-unknown-problem", "run-label-path",
+             "sweep-label-path", "scaling-label-dot-dot"],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SCAOPT_OUT_DIR", str(tmp_path))

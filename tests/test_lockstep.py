@@ -10,6 +10,7 @@ reductions the loop applies per row must equal their 1-D forms.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -95,6 +96,40 @@ def test_row_dots_are_the_one_row_dots(rows, dim, scale, seed):
             for x, y in ((layout(a), layout(b)), (layout(a), layout(a))):
                 one_row = [row_dots(u, v) for u, v in zip(x, y)]
                 assert np.array_equal(bits(row_dots(x, y)), bits(one_row))
+
+
+def _strided(a):
+    """``a`` as a view that strides over every other row of a larger array."""
+    out = np.zeros((2 * len(a), a.shape[1]))
+    out[::2] = a
+    return out[::2]
+
+
+# layouts that keep the shape, so that any two make a pair
+SAME_SHAPE = {"C": lambda a: a, "Fortran": np.asfortranarray, "strided": _strided}
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(-300, 300), st.integers(0, 2**32 - 1))
+def test_row_dots_of_mixed_layouts_are_the_one_row_dots(rows, dim, scale, seed):
+    """Every row of ``row_dots`` on two stacks of different layouts, and on a Fortran-ordered
+    ``(d, d)`` matrix (the eigenvectors of the split model's eigen route) with a ``(d,)``
+    vector on either side, has the bits of that row alone. numpy lays a product out after its
+    operands, so a fast path that tests the layout of one operand alone sums some of these
+    rows out of order."""
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((rows, dim)) * 10.0**scale
+    b = gen.standard_normal((rows, dim))
+    with np.errstate(over="ignore", under="ignore"):
+        for (name_x, lay_x), (name_y, lay_y) in itertools.permutations(SAME_SHAPE.items(), 2):
+            x, y = lay_x(a), lay_y(b)
+            one_row = [row_dots(u, v) for u, v in zip(x, y)]
+            assert np.array_equal(bits(row_dots(x, y)), bits(one_row)), (name_x, name_y)
+        matrix = np.asfortranarray(gen.standard_normal((dim, dim)) * 10.0**scale)
+        vector = gen.standard_normal(dim)
+        one_row = [row_dots(u, vector) for u in matrix]
+        assert np.array_equal(bits(row_dots(matrix, vector)), bits(one_row))
+        assert np.array_equal(bits(row_dots(vector, matrix)), bits(one_row))
 
 
 @pytest.mark.parametrize("spec", ["saddle_quartic:d=10", "matrix_factorization:d=6,r=2",
@@ -351,6 +386,55 @@ def test_a_failing_row_hides_no_threshold_test():
                           rngs=[RngStream(s) for s in range(3)], stop_grad_norm=stop)
     for row, single in zip(batch, alone):
         assert_same_run(row, single)
+
+
+def test_each_iteration_builds_one_model_per_stack(monkeypatch):
+    """The models a stacked P-SCA batch of 3 quartic rows builds and minimizes, iteration by
+    iteration, through the two names the benchmark tracer patches. Row 2 starts at the saddle
+    and fires at ``t = 0``, so its perturbed point is built again, alone; row 0's gradient
+    turns NaN at ``T``, and that stack is built once, like every other, before row 0 leaves.
+    The two rows left run to ``max_iters`` and are read once more, at their terminal rows."""
+    T = 12
+    plain = get_problem("saddle_quartic:d=2").objective
+    params = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 0.25, plain, 60)
+    x0s = [np.array([a, 0.0]) for a in (1.0, 0.5, 0.0)]
+    clean = drv.run_psca(plain, SurrogateSpec(), params, x0s[0], RngStream(0),
+                         keep_iterates_every=1)
+    bad = dict(clean.iterates)[T].tobytes()
+
+    def gradient(x):
+        g = plain.gradient(x)
+        np.atleast_2d(g)[[p.tobytes() == bad for p in np.atleast_2d(x)]] = math.nan
+        return g
+
+    obj = dataclasses.replace(plain, gradient=gradient)
+    calls = []
+    build, minimize = drv.build_surrogate, drv.minimize_surrogate
+
+    def counted_build(o, y, spec):
+        calls.append(("build", len(y)))  # every anchor is a stack: the model is stacked
+        return build(o, y, spec)
+
+    def counted_minimize(surr):
+        calls.append(("minimize", len(surr.minimizer)))
+        return minimize(surr)
+
+    monkeypatch.setattr(drv, "build_surrogate", counted_build)
+    monkeypatch.setattr(drv, "minimize_surrogate", counted_minimize)
+    batch = drv.run_batch(obj, SurrogateSpec(), x0s, params=[params] * 3,
+                          rngs=[RngStream(s) for s in range(3)])
+    assert str(batch[0]) == f"non-finite objective or gradient at iteration {T}"
+    assert [(r.termination, r.iterations, sorted(r.records.perturbed_at)) for r in batch[1:]] == [
+        ("max_iters", 60, []), ("max_iters", 60, [0])]
+    # each iteration's builds (the rows of each stack), closed by its one step
+    iterations, current = [], []
+    for name, rows in calls:
+        current.append(rows)
+        if name == "minimize":
+            iterations.append(tuple(current))
+            current = []
+    assert iterations == [(3, 1, 3)] + [(3, 3)] * T + [(2, 2)] * (60 - T - 1)
+    assert current == [2]
 
 
 def test_the_store_block_height_moves_no_byte(monkeypatch, tmp_path):
