@@ -249,19 +249,17 @@ def _write_text(path, text: str) -> None:
         raise
 
 
-# The tail of a trajectory row after its t; "%.17g" writes the same text as
-# format(float(v), ".17g"). The inner_iters column is a constant 0, kept for the
-# file format.
-_CSV_TAIL = ",%.17g,%.17g,%.17g,%.17g,%d,0,%s\n"
-_CSV_ROW = "%d" + _CSV_TAIL
-
-
 def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
-    """Write the run's rows as ``_CSV_ROW`` lines, each run of identical rows formatted once.
+    """Write the run's rows as lines ``t,f,grad_norm,step_norm,err_norm,perturbed,0,event``.
 
-    A run of rows ends where the four float columns change in any bit (so
-    ``0.0``/``-0.0`` and NaN payloads count as changes) and around every row
-    that is perturbed or carries an event.
+    ``t`` is written as ``"%d"``, each float as ``"%.17g"`` and ``perturbed``
+    as 0 or 1; the ``inner_iters`` column is a constant 0, kept for the file
+    format. A run of identical rows is one line's text repeated with each
+    row's ``t``: a run ends where the four float columns change in any bit and
+    around every row that is perturbed or carries an event. The float cells of
+    those lines are formatted once per distinct bit pattern, not per value, so
+    ``0.0`` and ``-0.0`` keep their own texts (``0``, ``-0``) and NaNs of any
+    payload all read ``nan``; each line is then joined from those texts.
     """
     records, events = result.records, result.events
     columns, perturbed = records.columns, records.perturbed_at
@@ -272,15 +270,22 @@ def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
     marked = [t for t in (*perturbed, *events) if 0 <= t < n]
     starts[marked] = True
     starts[[t + 1 for t in marked if t + 1 < n]] = True
-    bounds = np.flatnonzero(starts).tolist()
-    parts = [CSV_HEADER + "\n"]
-    for s, e, row in zip(bounds, bounds[1:] + [n], columns[starts].tolist()):
-        if e == s + 1:  # a lone row: one format, as cheap as the per-row writer
-            parts.append(_CSV_ROW % (s, *row, s in perturbed, events.get(s, "")))
-        else:
-            tail = _CSV_TAIL % (*row, s in perturbed, events.get(s, ""))
-            parts.append(tail.join(map(str, range(s, e))) + tail)
-    _write_text(path, "".join(parts))
+    patterns, which = np.unique(bits[starts].ravel(), return_inverse=True)
+    texts = ["%.17g" % v for v in patterns.view(np.float64).tolist()]
+    cells = iter([texts[k] for k in which.tolist()])  # zip below takes a line's four in turn
+    first = np.flatnonzero(starts)
+    bounds = first.tolist()
+    flags, ends = ["0,0"] * len(bounds), ["\n"] * len(bounds)  # perturbed, inner_iters
+    for t, k in zip(marked, np.searchsorted(first, marked).tolist()):  # t starts line k
+        flags[k] = "1,0" if t in perturbed else "0,0"
+        ends[k] = f"{events.get(t, '')}\n"
+    lines = [CSV_HEADER + "\n", *map(",".join, zip(map(str, bounds), cells, cells, cells, cells,
+                                                   flags, ends))]
+    for k, (s, e) in enumerate(zip(bounds, bounds[1:] + [n]), start=1):
+        if e > s + 1:  # a run of identical rows: the text after the first line's t, repeated
+            tail = lines[k][lines[k].index(","):]
+            lines[k] = tail.join(map(str, range(s, e))) + tail
+    _write_text(path, "".join(lines))
 
 
 def _slug(text: str) -> str:

@@ -665,21 +665,21 @@ class _Rows:
     """The trajectory rows of a batch's running rows, kept as float64 arrays until it ends.
 
     Each iteration appends to ``pending`` what it formed over the running rows,
-    in the order of ``ids``: for a stacked model (``stacked``, below) the tuple
-    ``(x, f, grad_norm, step_norm, d, g)`` of the iterates, their values as far
+    in the order of ``ids``: for a stacked model (``modulus`` not None, below)
+    the tuple ``(x, f, grad_norm, d, g)`` of the iterates, their values as far
     as read (None when the iteration read none, else NaN for a value not read
-    yet, see :func:`_read`), gradient and step norms, and the step's ``d`` and
-    gradient ``g`` (see :func:`_step`); for any other model ``(None, f,
-    grad_norm, step_norm, err_norm, gap)``, with :func:`_error_norms` already
-    formed. At the loop's one exit of an iteration, when rows leave the stack
-    there or ``FLUSH`` iterations are pending, :meth:`flush` turns the pending
+    yet, see :func:`_read`), gradient norms, and the step's ``d`` and gradient
+    ``g`` (see :func:`_step`); for any other model ``(None, f, grad_norm,
+    step_norm, err_norm, gap)``, with :func:`_error_norms` already formed. At
+    the loop's one exit of an iteration, when rows leave the stack there or
+    ``FLUSH`` iterations are pending, :meth:`flush` turns the pending
     iterations into one block of shape ``(iterations, rows, 5)``, the columns
     ``f, grad_norm, step_norm, err_norm, gap``: the values not read yet by one
-    stacked ``obj.value`` call over the block's iterates, and every error norm
-    and gap by :func:`_error_norms` over the block's stacked ``d`` and ``g``,
-    each row with the bits of its one-row form. A run's columns are its slices
-    of the blocks, closed by the terminal row that the loop's one end path
-    writes.
+    stacked ``obj.value`` call over the block's iterates, every step norm of a
+    stacked model as ``grad_norm / modulus``, and every error norm and gap by
+    :func:`_error_norms` over the block's stacked ``d`` and ``g``, each row
+    with the bits of its one-row form. A run's columns are its slices of the
+    blocks, closed by the terminal row that the loop's one end path writes.
 
     Only the stacked proximal model of a batched objective leaves values
     unread. Each iteration of any other model forms its error norms and gaps
@@ -690,10 +690,10 @@ class _Rows:
 
     FLUSH = 256
 
-    def __init__(self, obj, ids, stacked):
+    def __init__(self, obj, ids, modulus):
         self.obj = obj
         self.ids = ids
-        self.stacked = stacked
+        self.modulus = modulus
         self.blocks: list[tuple[tuple, np.ndarray]] = []
         self.pending: list[tuple] = []
 
@@ -706,7 +706,7 @@ class _Rows:
         """
         if not self.pending:
             return {}
-        xs, fs, grad_norms, step_norms, *step = zip(*self.pending)
+        xs, fs, grad_norms, *step = zip(*self.pending)
         self.pending.clear()
         iterations, rows = len(fs), len(self.ids)
         start = t - iterations
@@ -724,10 +724,14 @@ class _Rows:
             f[unread], found = _values(self.obj, points, lambda k: start + int(unread[k]) // rows)
             for k, exc in found.items():  # in iteration order: a row's first failure comes first
                 failed.setdefault(int(unread[k]) % rows, exc)
+        grad_norm = np.concatenate(grad_norms)
         step = [np.concatenate(column) for column in step]
-        err_norm, gap = _error_norms(*step) if self.stacked else step
-        block = np.stack((f, np.concatenate(grad_norms), np.concatenate(step_norms), err_norm, gap),
-                         axis=1)
+        if self.modulus is None:
+            step_norm, err_norm, gap = step
+        else:  # the stacked proximal model's step norm, with the bits of surrogates._build's
+            step_norm = grad_norm / self.modulus
+            err_norm, gap = _error_norms(*step)
+        block = np.stack((f, grad_norm, step_norm, err_norm, gap), axis=1)
         self.blocks.append((self.ids, block.reshape(iterations, rows, 5)))
         return failed
 
@@ -763,7 +767,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     with that error, which wins over whatever the row met at a later iterate.
     """
     stacked = _stacked(obj, spec)
-    store = _Rows(obj, tuple(ids), stacked)
+    store = _Rows(obj, tuple(ids), spec.strong_convexity if stacked else None)
     if not ids:
         return store
     pending, flush_at = store.pending, store.FLUSH
@@ -890,7 +894,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 x, x_next, d, surr = x[keep], x_next[keep], d[keep], _take(surr, keep)
                 store.ids = tuple(ids)
         f, g = surr.anchor_value, surr.anchor_grad
-        pending.append((x, f, surr.grad_norm, surr.step_norm, d, g) if stacked
+        pending.append((x, f, surr.grad_norm, d, g) if stacked
                        else (None, f, surr.grad_norm, surr.step_norm, *_error_norms(d, g)))
         x = x_next
     else:  # the rows that ran out of iterations

@@ -9,6 +9,10 @@ from scaopt.numerics import RngStream
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
 )
+# --hypothesis-profile=ci: the longer search that CI runs on the trajectory writer's tests
+hypothesis.settings.register_profile(
+    "ci", deadline=None, max_examples=1000, derandomize=True
+)
 hypothesis.settings.load_profile("default")
 
 # Hypothesis reports a failing example through hypothesis.extra._patching, which

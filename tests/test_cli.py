@@ -833,6 +833,16 @@ CSV_VALUES = st.sampled_from([0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.
                               5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, -0.25,
                               1e300]) | st.floats()
 EVENTS = st.sampled_from(["perturbed;f_before=0.5", "returned_xtilde", "left_valid_region"])
+# one trajectory line, formatted on its own: the reference for the writer's run-length,
+# one-text-per-bit-pattern file
+REFERENCE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,0,%s\n"
+
+
+def reference_csv(result) -> bytes:
+    """The trajectory file of ``result`` with every row formatted by ``REFERENCE_ROW``."""
+    return (cli.CSV_HEADER + "\n" + "".join(
+        REFERENCE_ROW % (*row, result.events.get(row[0], "")) for row in result.records.rows())
+    ).encode()
 
 
 @st.composite
@@ -840,7 +850,11 @@ def trajectories(draw):
     """``(columns, perturbed, events)``: runs of repeated rows, flags and events anywhere.
 
     A run's row is often the row before it with one column negated, so runs of
-    ``0.0`` and ``-0.0`` (or of NaNs of either sign) meet.
+    ``0.0`` and ``-0.0`` (or of NaNs of either sign) meet. Up to two cells of a
+    row copy, or negate, a cell of its own row or of any earlier run, so one
+    bit pattern recurs across columns and in rows that are not adjacent, as a
+    run's ``f`` and ``err_norm`` do, and ``step_norm`` equals ``grad_norm``, or
+    is its negation, as it is at unit modulus.
     """
     rows, lengths = [], []
     for _ in range(draw(st.integers(1, 8))):
@@ -850,6 +864,10 @@ def trajectories(draw):
             row[j] = -row[j]
         else:
             row = draw(st.lists(CSV_VALUES, min_size=4, max_size=4))
+        pool = [v for earlier in rows for v in earlier] + row
+        for j in draw(st.sets(st.integers(0, 3), max_size=2)):
+            v = draw(st.sampled_from(pool))
+            row[j] = -v if draw(st.booleans()) else v
         rows.append(row)
         lengths.append(draw(st.integers(1, 40)))
     columns = np.repeat(np.array(rows, dtype=np.float64), lengths, axis=0)
@@ -859,10 +877,17 @@ def trajectories(draw):
 
 @given(trajectories())
 @example((np.array([[0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]]), set(), {}))
+@example((np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0]]),
+          {1}, {}))
+@example((np.array([[NAN_PAYLOAD, math.nan, -NAN_PAYLOAD, -math.nan],
+                    [math.nan, NAN_PAYLOAD, math.nan, NAN_PAYLOAD]]), set(), {1: "returned_xtilde"}))
+@example((np.repeat([[-0.25, 0.5, 0.5, 0.0], [-0.25, 0.25, 0.25, 1.1102230246251565e-16],
+                     [-0.25, 0.5, 0.5, 0.0], [-0.25, 0.5, -0.5, 0.0]], [3, 1, 2, 1], axis=0),
+          {4}, {4: "perturbed;f_before=-0.25"}))
 @example((np.array([[-0.25, 1e-3, 0.0, 0.0]]), {0}, {0: "perturbed;f_before=0"}))
 @example((np.zeros((5, 4)), {2}, {3: "returned_xtilde"}))
 def test_trajectory_csv_is_the_row_by_row_file(tmp_path_factory, trajectory):
-    """The run-length writer writes what formatting every row on its own writes."""
+    """The writer writes what formatting every row on its own writes."""
     from scaopt.drivers import RunResult, Trajectory
 
     columns, perturbed, events = trajectory
@@ -871,10 +896,33 @@ def test_trajectory_csv_is_the_row_by_row_file(tmp_path_factory, trajectory):
                        events=events)
     path = tmp_path_factory.mktemp("csv") / "traj.csv"
     cli.write_trajectory_csv(path, result)
-    expected = cli.CSV_HEADER + "\n" + "".join(
-        cli._CSV_ROW % (*row, events.get(row[0], "")) for row in result.records.rows())
-    assert path.read_bytes() == expected.encode()
+    assert path.read_bytes() == reference_csv(result)
     assert [p.name for p in path.parent.iterdir()] == ["traj.csv"]
+
+
+def test_sweep_trajectory_csv_is_the_row_by_row_file(tmp_path, monkeypatch):
+    """Each per-seed file of a batched P-SCA sweep is its row-by-row file.
+
+    Such a file holds a plateau of hundreds of identical rows at the saddle and
+    hundreds of distinct rows that share their ``f``, ``err_norm`` and step
+    norms with others.
+    """
+    written = []
+    write = cli.write_trajectory_csv
+
+    def record(path, result):
+        write(path, result)
+        written.append((path, result))
+
+    monkeypatch.setattr(cli, "write_trajectory_csv", record)
+    cli.sweep_experiment(cli.ExperimentConfig(problem="saddle_quartic:d=10", algo="psca",
+                                              seed=0, seeds=3, out_dir=str(tmp_path)))
+    assert len(written) == 3
+    for path, result in written:
+        bits = result.records.columns.view(np.uint64)
+        changes = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1))
+        assert len(changes) >= 300 and np.diff(changes).max() >= 100
+        assert path.read_bytes() == reference_csv(result)
 
 
 def test_reports_write_non_finite_numpy_numbers_as_null(tmp_path):
