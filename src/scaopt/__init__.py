@@ -22,7 +22,6 @@ from scaopt.drivers import (
     run_pgd,
     run_psca,
     run_sca,
-    sca_step,
 )
 from scaopt.numerics import (
     RngStream,
@@ -41,7 +40,7 @@ from scaopt.problems import (
     make_saddle_quartic,
     validate_contracts,
 )
-from scaopt.surrogates import SurrogateAt, SurrogateSpec, build_surrogate, minimize_surrogate
+from scaopt.surrogates import SurrogateAt, SurrogateSpec, build_surrogate
 
 __version__ = "0.1.0"
 
@@ -72,13 +71,11 @@ __all__ = [
     "make_rosenbrock",
     "make_saddle_quartic",
     "min_eigenvalue",
-    "minimize_surrogate",
     "run_batch",
     "run_gd",
     "run_pgd",
     "run_psca",
     "run_sca",
     "sample_uniform_ball",
-    "sca_step",
     "validate_contracts",
 ]

@@ -618,7 +618,8 @@ def scaling_study(problem, algo: str, eps_list: Sequence[float], seeds: int, *,
     ``base_seed, base_seed+1, ...``. ``settings`` are ExperimentConfig fields
     (``c``, ``eta``, ``surrogate``, ``x0``, ``window_variant``, ...) with the
     config's defaults, except ``jitter=0.1`` and ``max_iters=400_000``; ``eps``
-    and ``record_eigen_every`` do not apply and raise :class:`ConfigError`.
+    and ``record_eigen_every`` do not apply and raise :class:`ConfigError`, and
+    so does ``seed``, which ``base_seed`` sets.
 
     One run per seed is driven to the strictest target; first-passage times for
     every target are read off its trajectory (valid because the step size does
@@ -634,6 +635,8 @@ def scaling_study(problem, algo: str, eps_list: Sequence[float], seeds: int, *,
     re-raises its error, and fewer than 3 targets reached by every seed
     raises RuntimeError.
     """
+    if "seed" in settings:
+        raise ConfigError(["seed is not a scaling_study setting: the first seed is base_seed"])
     _reject_non_scaling(settings)
     cfg = ExperimentConfig(problem=problem if isinstance(problem, str) else problem.name,
                            algo=algo, seed=base_seed, seeds=seeds,

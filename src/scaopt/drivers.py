@@ -85,7 +85,6 @@ from scaopt.surrogates import _build as build_surrogate
 
 __all__ = [
     "HypothesisViolationError",
-    "RegionExitError",
     "PscaParams",
     "PerturbationState",
     "IterateRecord",
@@ -95,8 +94,6 @@ __all__ = [
     "DiagnosticScales",
     "derive_params",
     "derive_scales",
-    "monitor_slack",
-    "sca_step",
     "run_sca",
     "run_psca",
     "run_gd",
@@ -106,10 +103,6 @@ __all__ = [
 
 class HypothesisViolationError(ValueError):
     """A configuration violates a hypothesis the guarantees depend on."""
-
-
-class RegionExitError(RuntimeError):
-    """An iterate left the region on which the declared constants are valid."""
 
 
 @dataclass(frozen=True)
@@ -412,14 +405,6 @@ def derive_scales(
     )
 
 
-def monitor_slack(grad_norm):
-    """Slack ``1e-10 max(1, ||grad||)`` of every monitor at an iterate with this gradient norm.
-
-    Takes one norm or an array of them.
-    """
-    return 1e-10 * np.maximum(1.0, grad_norm)
-
-
 def _region_exit_message(obj: Objective, x) -> str:
     if not np.isfinite(x).all():
         return "iterate left the valid region (the step is not finite)"
@@ -578,46 +563,25 @@ def _error_norms(d, g):
     return np.sqrt(row_dots(err, err)), row_dots(d, g)
 
 
-def sca_step(obj: Objective, spec: SurrogateSpec, x_t, eta: float, t: int = 0):
-    """One surrogate-descent update ``x_t + eta (x_hat - x_t)``.
-
-    Returns the next iterate and its :class:`IterateRecord` (including the
-    inexact-gradient error norm).
-    """
-    if not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    xs = checked_anchor(obj, x_t)[None]
-    surr, _, failures = _evaluate(obj, spec, xs, t, _stacked(obj, spec))
-    failures = failures or _read(obj, surr, xs, [0], t)
-    if failures:
-        raise failures[0]
-    x_next, inside, d = _step(obj, surr, xs, eta)
-    if not inside[0]:
-        raise RegionExitError(_region_exit_message(obj, x_next[0]))
-    err_norm, _ = _error_norms(d, surr.anchor_grad)
-    return x_next[0], IterateRecord(t, float(surr.anchor_value[0]), float(surr.grad_norm[0]),
-                                    float(surr.step_norm[0]), float(err_norm[0]), False)
-
-
 def _monitors(columns, perturbed_at, obj, modulus, eta) -> MonitorCounts:
     """The monitor tallies of a run from its trajectory columns and optimality gaps.
 
     ``columns`` are the run's :class:`Trajectory` columns with each step's
     optimality gap ``(x - x_hat)'g`` appended (0 on the terminal row). Every
     step is checked for optimality, the direction bound and (given
-    ``value_lipschitz``) the error bound, with :func:`monitor_slack` and
-    ``step_norm**2`` written as the product ``step_norm * step_norm``.
-    Consecutive rows are checked by the descent test ``f_next <= f - eta'
-    step_norm**2 + slack`` with ``eta' = eta C - eta**2 L1 / 2`` and ``slack =
-    1e-9 (1 + |f|) + eta monitor_slack(grad_norm) step_norm``, skipping a row
-    reached by a perturbation's jump. At ``eta >= 2C/L1`` the factor ``eta'``
-    is not positive, the test says nothing, and no row is checked
-    (:func:`run_batch` warns).
+    ``value_lipschitz``) the error bound, each with the slack ``tol = 1e-10
+    max(1, grad_norm)`` (this is its one statement), and ``step_norm**2``
+    written as the product ``step_norm * step_norm``. Consecutive rows are checked by the
+    descent test ``f_next <= f - eta' step_norm**2 + slack`` with ``eta' = eta
+    C - eta**2 L1 / 2`` and ``slack = 1e-9 (1 + |f|) + eta tol step_norm``,
+    skipping a row reached by a perturbation's jump. At ``eta >= 2C/L1`` the
+    factor ``eta'`` is not positive, the test says nothing, and no row is
+    checked (:func:`run_batch` warns).
     """
     f, gn, step_norm, err_norm, gap = columns[:-1].T
     steps = len(f)
     step_sq = step_norm * step_norm
-    tol = monitor_slack(gn)
+    tol = 1e-10 * np.maximum(1.0, gn)
     optimality = gap >= modulus * step_sq - (tol * step_norm + 1e-9)
     direction = step_norm <= gn / modulus + tol / modulus
     counts = MonitorCounts(optimality_checked=steps, optimality_passed=int(optimality.sum()),
@@ -952,8 +916,11 @@ def run_psca(
     returns the pre-perturbation point ``x_tilde`` when
     ``f - f_tilde > -(1 - s) f_th`` (see the module docstring). Terminates
     with ``returned_xtilde`` when the window test fires, else runs to
-    ``max_iters``. The result is a deterministic function of
-    ``(obj, spec, params, x0, rng.seed)``. ``stop_grad_norm`` is an optional
+    ``max_iters``. The result is a deterministic function of ``(obj, spec,
+    params, x0)`` and the state of ``rng`` at the call, not of ``rng.seed``
+    alone: a stream that has already drawn (say, in an earlier run) gives
+    another trajectory under the same ``RunResult.seed``, and a fresh
+    ``RngStream(seed)`` replays the run. ``stop_grad_norm`` is an optional
     instrumentation cutoff (first-passage studies); it is off by default and
     does not alter the protocol otherwise.
     """

@@ -33,12 +33,10 @@ from scaopt.problems import Objective
 __all__ = [
     "SurrogateSpec",
     "SurrogateAt",
-    "InnerReport",
     "UnsupportedSurrogateError",
     "checked_gradient",
     "checked_anchor",
     "build_surrogate",
-    "minimize_surrogate",
 ]
 
 KINDS = ("proximal_linear", "quadratic_split", "custom")

@@ -3,13 +3,13 @@
 The loop checks its monitors on whole trajectory columns at once
 (``drivers._monitors``) and forms the error vector of each step as ``d - g``
 (``drivers._step``). These functions state the same inequalities one step at a
-time, from the textbook form, so a test can recheck a run's records against
-them.
+time, from the textbook form, and the slack ``1e-10 max(1, ||grad||)`` that
+the loop writes inline, so a test can recheck a run's records against them.
 """
 
 import numpy as np
 
-from scaopt.drivers import HypothesisViolationError, IterateRecord, monitor_slack
+from scaopt.drivers import HypothesisViolationError, IterateRecord
 
 
 def gradient_error(x_t, x_hat, grad) -> np.ndarray:
@@ -50,6 +50,11 @@ def descent_check(
         )
     eta_prime = eta * strong_convexity - eta**2 * grad_lipschitz / 2.0
     return f_next <= f_t - eta_prime * step_norm**2 + slack
+
+
+def monitor_slack(grad_norm: float) -> float:
+    """The monitors' slack ``1e-10 max(1, ||grad||)`` at an iterate with this gradient norm."""
+    return 1e-10 * max(1.0, grad_norm)
 
 
 def descent_slack(rec: IterateRecord, eta: float) -> float:

@@ -10,6 +10,7 @@ hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
 )
 # --hypothesis-profile=ci: the longer search that CI runs on the trajectory writer's tests
+# and the protocol oracle
 hypothesis.settings.register_profile(
     "ci", deadline=None, max_examples=1000, derandomize=True
 )

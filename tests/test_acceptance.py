@@ -16,9 +16,9 @@ from scaopt.certify import certify_run, classify, min_eigenvalue
 from scaopt.cli import ExperimentConfig, run_experiment, scaling_study
 from scaopt.numerics import RngStream, finite_diff_gradient, finite_diff_hvp, sample_uniform_ball
 from scaopt.problems import Objective, Smoothness, get_problem
-from scaopt.surrogates import SurrogateSpec, build_surrogate, minimize_surrogate
+from scaopt.surrogates import SurrogateSpec, build_surrogate
 
-from _monitor_reference import descent_check, descent_slack
+from _monitor_reference import descent_check, descent_slack, monitor_slack
 from conftest import rel_err, sample_in_region
 
 
@@ -137,7 +137,7 @@ def test_criterion_2_inexact_gradient_identities():
     lip_value = obj.constants.value_lipschitz
     assert c.monitors.error_bound_checked > 0
     for rec in c.records[:-1]:
-        tol = drv.monitor_slack(rec.grad_norm)
+        tol = monitor_slack(rec.grad_norm)
         assert rec.err_norm <= lip_value * (1 + 1 / modulus) + tol / modulus
     _announce(2, "inexact-gradient identities")
 
@@ -155,9 +155,9 @@ def test_criterion_3_direction_and_optimality_bounds(benchmark_suite):
     x = np.array([1.2, 0.3])
     for _ in range(50):
         surr = build_surrogate(obj, x, spec)
-        x_hat, _ = minimize_surrogate(surr)
+        x_hat = surr.minimizer
         g = surr.anchor_grad
-        tol = drv.monitor_slack(float(np.linalg.norm(g)))
+        tol = monitor_slack(float(np.linalg.norm(g)))
         step = float(np.linalg.norm(x_hat - x))
         gap = float((x - x_hat) @ g)
         assert gap >= 1.5 * step**2 - (tol * step + 1e-9)
@@ -178,11 +178,11 @@ def test_criterion_4_saddle_escape_statistics(escape_runs):
     assert successes >= 90, f"only {successes}/100 certified escapes"
 
     # unperturbed surrogate descent from the exact saddle never moves
-    spec = SurrogateSpec()
-    x = prob.canonical_start.copy()
-    for t in range(10_000):
-        x, _ = drv.sca_step(obj, spec, x, params.eta, t)
-        assert float(np.linalg.norm(x)) <= 1e-12
+    still = drv.run_sca(obj, SurrogateSpec(), params.eta, -1.0, 10_000, prob.canonical_start,
+                        keep_iterates_every=1)
+    assert still.termination == "max_iters" and len(still.iterates) == 10_000
+    visited = [x for _, x in still.iterates] + [still.x_out]
+    assert all(float(np.linalg.norm(x)) <= 1e-12 for x in visited)
     _announce(4, f"saddle escape ({successes}/100 certified)")
 
 

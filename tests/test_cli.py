@@ -490,6 +490,11 @@ class TestScalingStudy:
         assert 1e-12 in res.excluded
         assert math.isnan(res.median_iters[-1])
 
+    def test_seed_is_a_config_error_that_names_base_seed(self):
+        with pytest.raises(ConfigError, match="^seed is not a scaling_study setting: the first "
+                                              "seed is base_seed$"):
+            scaling_study("saddle_quartic:d=2", "gd", [1e-1, 3e-2, 1e-2], 2, seed=3)
+
     def test_a_seed_without_parameters_stops_the_study_before_it_runs(self, monkeypatch):
         batches = _count_batches(monkeypatch)
         with pytest.raises(ConfigError, match="delta_u must be positive"):

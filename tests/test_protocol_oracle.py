@@ -5,9 +5,12 @@ rule and the window test in the ``drivers`` module docstring and in
 :func:`drivers.run_psca`, and :func:`drivers.derive_params`), not from the loop
 that implements it. It is perturbed gradient descent (Jin et al.,
 "How to Escape Saddle Points Efficiently", arXiv:1703.00887) whose step is the
-surrogate minimizer: the step comes from the public :func:`drivers.sca_step`
-for sca/psca and is ``x + eta ((x - g) - x)`` for gd/pgd. Every run of the
-drivers must agree with it bit for bit.
+surrogate minimizer: the step is the documented update ``x + eta (x_hat - x)``
+with ``x_hat`` the minimizer of the public :func:`surrogates.build_surrogate`
+at ``x`` for sca/psca and ``x - g`` for gd/pgd, and a step leaves the region
+when :meth:`Objective.in_region` says so. Nothing here calls the loop's own
+evaluation, value read or step. Every run of the drivers must agree with it
+bit for bit.
 """
 
 import numpy as np
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 import scaopt.drivers as drv
 from scaopt.numerics import RngStream, sample_uniform_ball
 from scaopt.problems import get_problem
-from scaopt.surrogates import SurrogateSpec
+from scaopt.surrogates import SurrogateSpec, build_surrogate
 
 PROBLEMS = ("saddle_quartic:d=10", "quadratic_indefinite:d=3", "matrix_factorization:d=6,r=2")
 MAX_ITERS = 600
@@ -63,14 +66,9 @@ def transcribe(obj, algo, spec, params, eta, stop_grad_norm, x0, seed):
         if stop_grad_norm is not None and gn <= stop_grad_norm:
             rows.append((t, f, gn, perturbed))
             return rows, "gradient_below_threshold", fired, x, f
-        if algo in ("sca", "psca"):
-            try:
-                x_next, _ = drv.sca_step(obj, spec, x, eta, t)
-            except drv.RegionExitError:
-                x_next = None
-        else:
-            x_next = x + eta * ((x - g) - x)
-            x_next = x_next if obj.in_region(x_next) else None
+        x_hat = build_surrogate(obj, x, spec).minimizer if algo in ("sca", "psca") else x - g
+        x_next = x + eta * (x_hat - x)
+        x_next = x_next if obj.in_region(x_next) else None
         rows.append((t, f, gn, perturbed))
         if x_next is None:
             return rows, "left_valid_region", fired, x, f
@@ -80,7 +78,7 @@ def transcribe(obj, algo, spec, params, eta, stop_grad_norm, x0, seed):
     return rows, "max_iters", fired, x, f
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(
     problem=st.sampled_from(PROBLEMS),
     algo=st.sampled_from(("sca", "psca", "gd", "pgd")),

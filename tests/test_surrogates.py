@@ -10,8 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from scaopt import surrogates
-from scaopt.drivers import monitor_slack
+from scaopt import drivers, surrogates
 from scaopt.numerics import NonFiniteError, RngStream
 from scaopt.problems import (
     Objective,
@@ -21,13 +20,9 @@ from scaopt.problems import (
     make_rosenbrock,
     make_saddle_quartic,
 )
-from scaopt.surrogates import (
-    SurrogateSpec,
-    UnsupportedSurrogateError,
-    build_surrogate,
-    minimize_surrogate,
-)
+from scaopt.surrogates import SurrogateSpec, UnsupportedSurrogateError, build_surrogate
 
+from _monitor_reference import monitor_slack
 from conftest import sample_in_region
 
 
@@ -133,7 +128,7 @@ class TestProximalLinear:
     def test_minimize_closed_form(self):
         obj = half_norm_sq()
         surr = build_surrogate(obj, np.array([1.0, 0.0]), SurrogateSpec())
-        x_hat, report = minimize_surrogate(surr)
+        x_hat, report = drivers.minimize_surrogate(surr)
         assert np.allclose(x_hat, [0.0, 0.0])
         assert report.iterations == 0
 
@@ -162,7 +157,7 @@ class TestQuadraticSplit:
         spec = SurrogateSpec(kind="quadratic_split", strong_convexity=modulus)
         y = gen.standard_normal(5)
         surr = build_surrogate(obj, y, spec)
-        x_hat, _ = minimize_surrogate(surr)
+        x_hat = surr.minimizer
         # dense oracle for the exact model minimizer
         hess = obj.dense_hessian(y)
         w, q = np.linalg.eigh(hess)
