@@ -257,9 +257,10 @@ def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
     format. A run of identical rows is one line's text repeated with each
     row's ``t``: a run ends where the four float columns change in any bit and
     around every row that is perturbed or carries an event. The float cells of
-    those lines are formatted once per distinct bit pattern, not per value, so
-    ``0.0`` and ``-0.0`` keep their own texts (``0``, ``-0``) and NaNs of any
-    payload all read ``nan``; each line is then joined from those texts.
+    those lines are formatted once per distinct bit pattern, not per value (all
+    in one ``%`` call, split at its commas), so ``0.0`` and ``-0.0`` keep their
+    own texts (``0``, ``-0``) and NaNs of any payload all read ``nan``; each
+    line is then joined from those texts.
     """
     records, events = result.records, result.events
     columns, perturbed = records.columns, records.perturbed_at
@@ -271,7 +272,8 @@ def write_trajectory_csv(path: Path, result: drivers.RunResult) -> None:
     starts[marked] = True
     starts[[t + 1 for t in marked if t + 1 < n]] = True
     patterns, which = np.unique(bits[starts].ravel(), return_inverse=True)
-    texts = ["%.17g" % v for v in patterns.view(np.float64).tolist()]
+    values = patterns.view(np.float64).tolist()
+    texts = (("%.17g," * len(values)) % tuple(values)).split(",")  # "%.17g" writes no comma
     cells = iter([texts[k] for k in which.tolist()])  # zip below takes a line's four in turn
     first = np.flatnonzero(starts)
     bounds = first.tolist()

@@ -53,13 +53,17 @@ numpy with no BLAS call, and every power is a product. So a trajectory's bits
 do not depend on the BLAS kernel unless its objective or model calls BLAS or
 LAPACK itself.
 
-Each iteration computes only what the protocol reads there: the gradients and
-their norms (the fire and stop tests), the step and the region test. The
-proximal model of a batched objective is built on the stack without its
-values. A row reads ``f`` where the protocol does (``f_tilde`` at a
-perturbation, the window test, a terminal row) through :func:`_read`, the one
-read of a value its model did not read, and every terminal row goes through
-one end path. Every other value is read a block of iterations at a time,
+Each iteration computes only what the protocol reads there: the gradients,
+the step and the region test, and the gradient norms where a row may fire or
+stop. The proximal model of a batched objective is built on the stack
+without its values and norms. A row reads ``f`` where the protocol does
+(``f_tilde`` at a perturbation, the window test, a terminal row) through
+:func:`_read`, the one read of a value its model did not read, and every
+terminal row goes through one end path. An iteration where no row may fire
+or stop forms no norm: a step that stays in the region bounds the gradient
+(:func:`_quiet`), so the region test finds a row whose gradient is NaN, inf
+or too large for its norm, and the end path fails it with its evaluation's
+error. Every other value and norm is formed a block of iterations at a time,
 together with the error norms and optimality gaps of the trajectory columns,
 by the row store (:class:`_Rows`). A value found bad there fails its row with
 the error its evaluation at that iterate raises, ahead of anything the row
@@ -431,10 +435,9 @@ def _stack(models, xs) -> SurrogateAt:
 
 
 def _take(surr: SurrogateAt, keep) -> SurrogateAt:
-    """The rows ``keep`` (a mask or positions) of a stacked model; values not read stay None."""
-    f = surr.anchor_value
-    return SurrogateAt(None if f is None else f[keep], surr.anchor_grad[keep], surr.grad_norm[keep],
-                       surr.minimizer[keep], surr.step_norm[keep])
+    """The rows ``keep`` (a mask or positions) of a stacked model; fields not formed stay None."""
+    columns = (getattr(surr, name) for name in SurrogateAt.__slots__)
+    return SurrogateAt(*(None if column is None else column[keep] for column in columns))
 
 
 def _non_finite(t) -> NonFiniteError:
@@ -490,7 +493,7 @@ def _stacked(obj, spec) -> bool:
     return spec.kind == "proximal_linear" and obj.batched
 
 
-def _evaluate(obj, spec, xs, t, stacked):
+def _evaluate(obj, spec, xs, t, stacked, norms=True):
     """The models at the checked anchors ``xs`` (a ``(B, d)`` stack) and the rows that failed.
 
     ``stacked`` is :func:`_stacked` of ``obj`` and ``spec``. Returns ``(surr,
@@ -502,11 +505,13 @@ def _evaluate(obj, spec, xs, t, stacked):
 
     The proximal model of a batched objective is built on the whole stack,
     gradients only: the caller reads its values through :func:`_read`, and
-    only a row whose gradient is not finite has its value read here, to find
-    its error. Any other model is built one row at a time, value first, and so
-    is a stack whose build raised, to find the rows that raise. A terminal
-    point is evaluated like any other, through the gradient model, and the
-    loop's one end path writes its row.
+    its norms are formed and checked by :func:`_norms`, unless ``norms`` is
+    false: then they stay unformed (``grad_norms`` None, no row checked), and
+    the caller forms them where it reads them. Any other model is built one
+    row at a time, value first, and so is a stack whose build raised, to find
+    the rows that raise (:func:`_one_by_one`). A terminal point is evaluated
+    like any other, through the gradient model, and the loop's one end path
+    writes its row.
     """
     if stacked:
         try:
@@ -514,15 +519,48 @@ def _evaluate(obj, spec, xs, t, stacked):
         except Exception:
             pass
         else:
-            grad_norms = surr.grad_norm.tolist()
-            # the norms are >= 0 or NaN, so their sum is finite exactly when each
-            # one is; a sum that overflows only sends the stack to the exact test
-            if math.isfinite(sum(grad_norms)):
-                return surr, grad_norms, {}
-            bad = [pos for pos, gn in enumerate(grad_norms) if not math.isfinite(gn)]
-            found = _read(obj, surr, xs, bad, t)
-            return surr, grad_norms, {pos: found[pos] if pos in found else _non_finite(t)
-                                      for pos in bad}
+            if not norms:
+                return surr, None, {}
+            return (surr, *_norms(obj, spec, surr, xs, t))
+    return _one_by_one(obj, spec, xs, t)
+
+
+def _norms(obj, spec, surr, xs, t):
+    """Form and check the norms of ``surr``, the stacked proximal models of ``spec`` at ``xs``.
+
+    Returns ``(grad_norms, failures)`` as :func:`_evaluate` does. The norms
+    are ``sqrt(g'g)`` and that over the modulus, with the bits of the one-row
+    builds. A row whose gradient norm is not finite fails with its value's
+    error (:func:`_read`), else the :func:`_non_finite` one. When forming them
+    raises (a floating-point warning made an error), every row is built alone
+    (:func:`_one_by_one`), as its one-row build raises in that order, and
+    ``surr`` takes those models' fields.
+    """
+    g, modulus = surr.anchor_grad, spec.strong_convexity
+    try:
+        gn = np.sqrt(row_dots(g, g))
+        # formed here, as a one-row build forms it: a quotient that overflows then raises
+        # here under an error filter, and fails its row, not later in the store's flush
+        step_norm = gn if modulus == 1.0 else gn / modulus
+    except Exception:
+        alone, grad_norms, failures = _one_by_one(obj, spec, xs, t)
+        for name in SurrogateAt.__slots__:
+            setattr(surr, name, getattr(alone, name))
+        return grad_norms, failures
+    surr.grad_norm, surr.step_norm = gn, step_norm
+    grad_norms = gn.tolist()
+    # the norms are >= 0 or NaN, so their sum is finite exactly when each
+    # one is; a sum that overflows only sends the stack to the exact test
+    if math.isfinite(sum(grad_norms)):
+        return grad_norms, {}
+    bad = [pos for pos, norm in enumerate(grad_norms) if not math.isfinite(norm)]
+    found = _read(obj, surr, xs, bad, t)
+    return grad_norms, {pos: found[pos] if pos in found else _non_finite(t) for pos in bad}
+
+
+def _one_by_one(obj, spec, xs, t):
+    """:func:`_evaluate` of the stack ``xs`` one row at a time: each model built alone, value
+    first."""
     models, failures = [], {}
     for pos, x in enumerate(xs):
         try:
@@ -542,8 +580,9 @@ def _step(obj, surr, x, eta):
     """The updates ``x + eta (x_hat - x)`` of a ``(B, d)`` stack ``x``, and what they tell.
 
     ``x_hat`` is the minimizer of each row's model in ``surr`` (``x - g`` for
-    GD and PGD). Returns ``(x_next, inside, d)``: the updated stack, whether
-    each updated row lies in the valid region, and ``d = x - x_hat``. The
+    GD and PGD). Returns ``(x_next, outside, d)``: the updated stack, the
+    positions of the updated rows outside the valid region (:func:`_outside`),
+    and ``d = x - x_hat``. The
     update is computed as ``x - eta d``, which has the same bits as
     ``x + eta (x_hat - x)`` except that a ``-0.0`` coordinate of ``x`` with a
     zero step there stays ``-0.0``. With the gradient ``g``, ``d`` gives the
@@ -554,7 +593,22 @@ def _step(obj, surr, x, eta):
     x_hat, _ = minimize_surrogate(surr)
     d = x - x_hat
     x_next = x - eta * d
-    return x_next, obj.rows_in_region(x_next), d
+    return x_next, _outside(obj, x_next), d
+
+
+def _outside(obj, xs) -> list:
+    """The positions of the rows of the ``(B, d)`` stack ``xs`` outside the valid region.
+
+    An inf-norm ball of finite radius is tested on the whole stack first: its
+    largest ``|x_i|`` is its rows' largest, and NaN when any entry is, which
+    fails the test as it fails that row's. Only a stack that fails it, and any
+    other region, is tested row by row (:meth:`Objective.rows_in_region`).
+    """
+    radius = obj.region_radius
+    if (obj.region_norm == math.inf and radius < math.inf
+            and np.maximum.reduce(np.abs(xs), axis=None) <= radius):
+        return []
+    return np.flatnonzero(~obj.rows_in_region(xs)).tolist()
 
 
 def _error_norms(d, g):
@@ -630,23 +684,24 @@ class _Rows:
 
     Each iteration appends to ``pending`` what it formed over the running rows,
     in the order of ``ids``: for a stacked model (``modulus`` not None, below)
-    the tuple ``(x, f, grad_norm, d, g)`` of the iterates, their values as far
-    as read (None when the iteration read none, else NaN for a value not read
-    yet, see :func:`_read`), gradient norms, and the step's ``d`` and gradient
-    ``g`` (see :func:`_step`); for any other model ``(None, f, grad_norm,
-    step_norm, err_norm, gap)``, with :func:`_error_norms` already formed. At
-    the loop's one exit of an iteration, when rows leave the stack there or
-    ``FLUSH`` iterations are pending, :meth:`flush` turns the pending
-    iterations into one block of shape ``(iterations, rows, 5)``, the columns
-    ``f, grad_norm, step_norm, err_norm, gap``: the values not read yet by one
-    stacked ``obj.value`` call over the block's iterates, every step norm of a
-    stacked model as ``grad_norm / modulus``, and every error norm and gap by
+    the tuple ``(x, f, d, g)`` of the iterates, their values as far as read
+    (None when the iteration read none, else NaN for a value not read yet, see
+    :func:`_read`), and the step's ``d`` and gradient ``g`` (see
+    :func:`_step`); for any other model ``(None, f, grad_norm, step_norm,
+    err_norm, gap)``, with :func:`_error_norms` already formed. At the loop's
+    one exit of an iteration, when rows leave the stack there or ``FLUSH``
+    iterations are pending, :meth:`flush` turns the pending iterations into
+    one block of shape ``(iterations, rows, 5)``, the columns ``f, grad_norm,
+    step_norm, err_norm, gap``: the values not read yet by one stacked
+    ``obj.value`` call over the block's iterates, and for a stacked model
+    every gradient norm as ``sqrt(g'g)`` over the block's stacked ``g``, every
+    step norm as ``grad_norm / modulus``, and every error norm and gap by
     :func:`_error_norms` over the block's stacked ``d`` and ``g``, each row
     with the bits of its one-row form. A run's columns are its slices of the
     blocks, closed by the terminal row that the loop's one end path writes.
 
-    Only the stacked proximal model of a batched objective leaves values
-    unread. Each iteration of any other model forms its error norms and gaps
+    Only the stacked proximal model of a batched objective leaves values and
+    norms unformed. Each iteration of any other model forms its error norms and gaps
     when it is appended and keeps no vector: its per-row builds cost far more
     than that, and keeping the ``d = 256`` vectors of the ``curvature``
     benchmark's Rosenbrock run raised its peak RSS by 0.5-1 MB.
@@ -670,7 +725,7 @@ class _Rows:
         """
         if not self.pending:
             return {}
-        xs, fs, grad_norms, *step = zip(*self.pending)
+        xs, fs, *formed = zip(*self.pending)
         self.pending.clear()
         iterations, rows = len(fs), len(self.ids)
         start = t - iterations
@@ -688,13 +743,14 @@ class _Rows:
             f[unread], found = _values(self.obj, points, lambda k: start + int(unread[k]) // rows)
             for k, exc in found.items():  # in iteration order: a row's first failure comes first
                 failed.setdefault(int(unread[k]) % rows, exc)
-        grad_norm = np.concatenate(grad_norms)
-        step = [np.concatenate(column) for column in step]
+        formed = [np.concatenate(column) for column in formed]
         if self.modulus is None:
-            step_norm, err_norm, gap = step
-        else:  # the stacked proximal model's step norm, with the bits of surrogates._build's
+            grad_norm, step_norm, err_norm, gap = formed
+        else:  # the stacked proximal model's norms, with the bits of its one-row build's
+            d, g = formed
+            grad_norm = np.sqrt(row_dots(g, g))
             step_norm = grad_norm / self.modulus
-            err_norm, gap = _error_norms(*step)
+            err_norm, gap = _error_norms(d, g)
         block = np.stack((f, grad_norm, step_norm, err_norm, gap), axis=1)
         self.blocks.append((self.ids, block.reshape(iterations, rows, 5)))
         return failed
@@ -703,6 +759,32 @@ class _Rows:
         """The ``(steps + 1, 5)`` columns of ``row``, closed by its terminal row ``end``."""
         parts = [block[:, ids.index(row)] for ids, block in self.blocks if row in ids]
         return np.concatenate(parts + [np.array([[*end, 0.0, 0.0, 0.0]])])
+
+
+def _quiet(obj, spec, eta) -> bool:
+    """Whether a batch of stacked proximal models may leave its norms unformed where no row reads
+    them: whether a row's step that stays in the region bounds its gradient far from overflow.
+
+    Let ``u = 2^-53``, ``R = max(r, 1)`` for the region radius ``r`` and ``K =
+    max(C, 1)``. A row whose anchor ``x`` and update ``x_next`` both pass the
+    region test has ``|x_i|, |x_next_i| <= r (1 + (d + 1) u)`` (exactly ``<=
+    r`` in the inf norm; in the 2-norm the computed ``sqrt(x'x)`` bounds the
+    exact one up to the sum's and the root's rounding). The step computes ``q
+    = fl(g / C)`` (``q = g`` at ``C = 1``), ``x_hat = fl(x - q)``, ``d = fl(x -
+    x_hat)``, ``p = fl(eta d)`` and ``x_next = fl(x - p)``. Each operation is
+    exact up to a factor ``1 +- u``, or an absolute ``2^-1074`` where it
+    underflows, and a NaN or an inf in ``g``, or an overflow on the way, puts a
+    NaN or an inf in ``x_next``, which fails the test. Read backwards:
+    ``|p_i| <~ 2 r``, ``|d_i| <~ (2 r + 2^-1022) / eta <= 2 R / eta``, ``|q_i|
+    <~ 2 r + |d_i|``, and ``|g_i| <~ C |q_i|``. So ``|g_i|``, ``|g_i| / C``
+    and ``|d_i|`` are each at most ``bound = 2 R K (1 + 1/eta)`` times a
+    rounding factor below ``1 + (d + 8) u < 2``. While ``4 d bound^2 <
+    2^1000``, such a row's ``g'g``, ``(d - g)'(d - g)`` and ``d'g`` (at most
+    ``32 d bound^2`` with their rounding) are finite, and so are its gradient,
+    step and error norms: no operation on them overflows or warns.
+    """
+    bound = 2.0 * max(obj.region_radius, 1.0) * max(spec.strong_convexity, 1.0) * (1.0 + 1.0 / eta)
+    return 4.0 * obj.dim * bound * bound < 2.0**1000
 
 
 def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_every) -> _Rows:
@@ -721,14 +803,23 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     late, so a row found bad there leaves then) and the rows in ``gone``
     leave the stack; their trajectory rows stay in the returned store.
 
-    An iteration reads only what the protocol reads there: the gradients and
-    their norms (fire and stop tests), the step and the region test. A value
-    not read with its model is read (:func:`_read`) when a row reads ``f``:
-    ``f_tilde`` at a perturbation, the window test, a terminal row. Every
-    terminal row (the stop test, a step out of the region, a perturbed point
-    out of the region, ``max_iters``) is written by ``end``. Every other value
-    is read when the store flushes, and a failure found there ends its row
-    with that error, which wins over whatever the row met at a later iterate.
+    An iteration reads only what the protocol reads there: the gradients, the
+    step and the region test. The gradient norms are read where a row may
+    fire or stop (``t >= due``, or a ``stop_grad_norm`` is given); a quiet
+    iteration of a stacked model, where none may, leaves them unformed when
+    :func:`_quiet` shows that a step that stays in the region bounds them,
+    and its region test then stands in for their check: a row whose gradient
+    is NaN, inf or too large for its norm steps out, and its end finds its
+    error. A batch that :func:`_quiet` refuses forms them every iteration. A
+    value not read with its model, and norms not formed yet, are read by
+    ``read`` when a row reads ``f``: ``f_tilde`` at a perturbation, the window
+    test, a terminal row; it forms the stack's norms first and fails each row
+    with its one-row error: its value's exception, then its norm's, then the
+    :class:`NonFiniteError` of a value or norm not finite. Every terminal row
+    (the stop test, a step out of the region, a perturbed point out of the
+    region, ``max_iters``) is written by ``end``. Every other value and norm is
+    formed when the store flushes, and a failure found there ends its row with
+    that error, which wins over whatever the row met at a later iterate.
     """
     stacked = _stacked(obj, spec)
     store = _Rows(obj, tuple(ids), spec.strong_convexity if stacked else None)
@@ -739,6 +830,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     next_perturb = [math.inf if rows[i].params is None else 0 for i in ids]
     due = min(next_perturb)
     stops = stop_grad_norm is not None
+    loud = stops or not (stacked and _quiet(obj, spec, eta))  # norms formed every iteration
     # no row fires or stops while every gradient norm is above this
     gate = max([rows[i].params.g_th for i in ids if rows[i].params is not None]
                + ([stop_grad_norm] if stops else []), default=-math.inf)
@@ -749,6 +841,13 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
             rows[ids[pos]].error = exc
         return list(found)
 
+    def read(positions, t):
+        """Read ``f`` at ``positions``, forming the stack's norms first if not formed yet; the
+        positions that failed, those of rows whose norms failed among them."""
+        found = {} if surr.grad_norm is not None else _norms(obj, spec, surr, x, t)[1]
+        found.update(_read(obj, surr, x, [pos for pos in positions if pos not in found], t))
+        return fail(found)
+
     def rebuild(positions, model):
         """Evaluate ``model`` at the perturbed ``x[positions]`` into ``surr``; those that failed."""
         again, _, found = _evaluate(obj, model, x[positions], t, _stacked(obj, model))
@@ -758,15 +857,17 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         return fail({positions[k]: exc for k, exc in found.items()})
 
     def end(positions, t, tag=None, outside=None):
-        """End the runs at ``positions`` at ``t`` on their terminal rows in ``surr``; the positions.
+        """End the runs at ``positions`` at ``t`` on their terminal rows in ``surr``; the positions
+        that ended or failed.
 
-        The row's ``f`` is read first, and a row whose value fails fails
-        instead. ``tag`` names the termination (None: ``max_iters``) and joins
-        the row's event; with ``outside``, the points that left the region, it
-        carries the exit's message. A run returns its terminal point and ``f``,
-        or ``x_tilde`` and ``f_tilde`` when it ends ``returned_xtilde``.
+        The row's ``f`` and norm are read first (``read``), and a row whose
+        read fails fails instead. ``tag`` names the termination (None:
+        ``max_iters``) and joins the row's event; with ``outside``, the points
+        that left the region, it carries the exit's message. A run returns its
+        terminal point and ``f``, or ``x_tilde`` and ``f_tilde`` when it ends
+        ``returned_xtilde``.
         """
-        failed = fail(_read(obj, surr, x, positions, t))
+        failed = read(positions, t)
         for pos in positions:
             if pos in failed:
                 continue
@@ -781,22 +882,22 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 if outside is not None:
                     event = f"{tag};{_region_exit_message(obj, outside[pos])}"
                 row.events[t] = f"{row.events[t]};{event}" if t in row.events else event
-        return positions
+        return positions + [pos for pos in failed if pos not in positions]
 
     for t in range(max_iters):
-        surr, grad_norms, failures = _evaluate(obj, spec, x, t, stacked)
+        reads = stops or t >= due  # whether a row may fire or stop
+        surr, grad_norms, failures = _evaluate(obj, spec, x, t, stacked, reads or loud)
         gone = fail(failures) if failures else []  # the rows that end or fail at t
-        # one gate for the fire and stop tests, read only when a row may fire or stop: any(),
-        # not min(), since min() of a list holding NaN may be NaN. Only a fire changes
-        # grad_norms, and a fire passes the gate
-        low = (stops or t >= due) and any(gn <= gate for gn in grad_norms)
+        # one gate for the fire and stop tests: any(), not min(), since min() of a list
+        # holding NaN may be NaN. Only a fire changes grad_norms, and a fire passes the gate
+        low = reads and any(gn <= gate for gn in grad_norms)
 
         if low and t >= due:
             fire = [pos for pos, at in enumerate(next_perturb)
                     if at <= t and pos not in gone
                     and grad_norms[pos] <= rows[ids[pos]].params.g_th]
             if fire:
-                failed = fail(_read(obj, surr, x, fire, t))  # f_tilde, the value before perturbing
+                failed = read(fire, t)  # f_tilde, the value before perturbing
                 gone += failed
                 fire = [pos for pos in fire if pos not in failed]
             for pos in fire:
@@ -827,7 +928,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         if t + 1 in next_perturb:  # the window tests due now
             window = [pos for pos, at in enumerate(next_perturb)
                       if at == t + 1 and pos not in gone]
-            gone += fail(_read(obj, surr, x, window, t))
+            gone += read(window, t)
             for pos in window:
                 row = rows[ids[pos]]
                 if pos not in gone and (surr.anchor_value[pos] - row.state.f_tilde
@@ -840,10 +941,10 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 gone += end(below, t, "gradient_below_threshold")
 
         # the whole stack steps; the steps of the rows in gone are discarded
-        x_next, inside, d = _step(obj, surr, x, eta)
-        if not all(inside.tolist()):
-            gone += end([pos for pos in np.flatnonzero(~inside).tolist() if pos not in gone], t,
-                        "left_valid_region", x_next)
+        x_next, outside, d = _step(obj, surr, x, eta)
+        left = [pos for pos in outside if pos not in gone]
+        if left:
+            gone += end(left, t, "left_valid_region", x_next)
         if gone or len(pending) == flush_at:  # the one exit
             gone = set(gone).union(fail(store.flush(t)))
             if gone:
@@ -858,7 +959,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 x, x_next, d, surr = x[keep], x_next[keep], d[keep], _take(surr, keep)
                 store.ids = tuple(ids)
         f, g = surr.anchor_value, surr.anchor_grad
-        pending.append((x, f, surr.grad_norm, d, g) if stacked
+        pending.append((x, f, d, g) if stacked
                        else (None, f, surr.grad_norm, surr.step_norm, *_error_norms(d, g)))
         x = x_next
     else:  # the rows that ran out of iterations
@@ -917,10 +1018,8 @@ def run_psca(
     ``f - f_tilde > -(1 - s) f_th`` (see the module docstring). Terminates
     with ``returned_xtilde`` when the window test fires, else runs to
     ``max_iters``. The result is a deterministic function of ``(obj, spec,
-    params, x0)`` and the state of ``rng`` at the call, not of ``rng.seed``
-    alone: a stream that has already drawn (say, in an earlier run) gives
-    another trajectory under the same ``RunResult.seed``, and a fresh
-    ``RngStream(seed)`` replays the run. ``stop_grad_norm`` is an optional
+    params, x0)`` and ``rng.seed``: a stream that has already drawn is
+    refused (:func:`run_batch`). ``stop_grad_norm`` is an optional
     instrumentation cutoff (first-passage studies); it is off by default and
     does not alter the protocol otherwise.
     """
@@ -983,8 +1082,10 @@ def run_batch(
     ``eta`` and ``max_iters``) and takes an optional ``stop_grad_norm``; row
     ``i`` is ``run_psca(obj, spec, params[i], x0s[i], rngs[i],
     stop_grad_norm=stop_grad_norm)``. Any other setting raises ValueError, and
-    so do a ``max_iters`` below 1 and one stream object passed for two rows
-    (the rows would draw from it in turn, so none would be its serial run).
+    so do a ``max_iters`` below 1, one stream object passed for two rows (the
+    rows would draw from it in turn, so none would be its serial run) and a
+    stream that has already drawn (its run's ``RunResult.seed`` would not
+    replay it).
     GD and PGD are these with the default ``SurrogateSpec()``.
 
     Each iteration evaluates the iterates, applies the perturbation policy,
@@ -1023,6 +1124,10 @@ def run_batch(
         if len({id(rng) for rng in rngs}) < n:
             raise ValueError("a stream object is passed for more than one row; "
                              "each row needs its own RngStream")
+        for i, rng in enumerate(rngs):
+            if rng.drawn():
+                raise ValueError(f"the stream of row {i} has already drawn, so its seed would not "
+                                 "replay the run; each row needs a fresh RngStream(seed)")
     if n == 0:
         return []
     if params is None:

@@ -203,6 +203,12 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed})"
 
+    def drawn(self) -> bool:
+        """Whether the stream has drawn since it was made: Philox's counter or buffer has moved."""
+        state = self._gen.bit_generator.state
+        return (bool(state["state"]["counter"].any()) or state["buffer_pos"] != 4
+                or bool(state["has_uint32"]))
+
     def substream(self, offset: int) -> "RngStream":
         """Independent stream keyed by ``seed + offset`` (mod 2**64)."""
         return RngStream((self.seed + int(offset)) % (1 << 64))

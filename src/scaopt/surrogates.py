@@ -76,16 +76,17 @@ class SurrogateAt:
     anchor itself is not kept: the caller built the model there. The models of
     a ``(B, d)`` stack of anchors hold each field for every row: ``B`` values
     and norms, ``(B, d)`` gradients and minimizers; but the proximal model,
-    when built on the whole stack at once, reads no value and holds
-    ``anchor_value`` None. (Not frozen: a frozen dataclass costs three times
-    as much to construct, once per iteration of a run.)
+    when built on the whole stack at once, forms only its gradients and
+    minimizers, and holds ``anchor_value``, ``grad_norm`` and ``step_norm``
+    None until the caller forms them. (Not frozen: a frozen dataclass costs
+    three times as much to construct, once per iteration of a run.)
     """
 
-    anchor_value: float  # None for a proximal model built on a stack: its values are unread
+    anchor_value: float  # None on a proximal model built on a stack, until its caller forms it
     anchor_grad: np.ndarray
-    grad_norm: float
+    grad_norm: float  # likewise
     minimizer: np.ndarray
-    step_norm: float
+    step_norm: float  # likewise
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,11 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
 
     ``y`` may also be a ``(B, d)`` stack of such anchors when the model is
     ``proximal_linear`` and ``obj.batched``: the model of every row is built at
-    once, each with the bits of its one-row build, except that the values are
-    not read: ``anchor_value`` is None, and the caller reads them.
+    once, its gradient and minimizer with the bits of its one-row build, but
+    neither the values nor the norms are formed: ``anchor_value``,
+    ``grad_norm`` and ``step_norm`` are None, and the caller forms what it
+    reads (the norms as ``sqrt(g'g)`` by :func:`~scaopt.numerics.row_dots`,
+    and that over ``C``).
     """
     if spec.kind == "custom":
         if spec.builder is None:
@@ -139,14 +143,14 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
 
     f_y = float(obj.value(y)) if y.ndim == 1 else None
     g_y = checked_gradient(obj, y)
-    gn = np.sqrt(row_dots(g_y, g_y))
+    gn = np.sqrt(row_dots(g_y, g_y)) if y.ndim == 1 else None
     modulus = spec.strong_convexity
 
     if spec.kind == "proximal_linear":
         # f(y) + g'(x - y) + (C/2)||x - y||^2
         if modulus == 1.0:  # g/1.0 is g, bit for bit
             return SurrogateAt(f_y, g_y, gn, y - g_y, gn)
-        return SurrogateAt(f_y, g_y, gn, y - g_y / modulus, gn / modulus)
+        return SurrogateAt(f_y, g_y, gn, y - g_y / modulus, None if gn is None else gn / modulus)
 
     # quadratic_split: keep the PSD part of the local Hessian, add modulus * I.
     if obj.dense_hessian is None:

@@ -154,8 +154,12 @@ def test_stacked_proximal_model_rows_are_the_one_row_models():
         for modulus in (1.0, 2.5):
             spec = SurrogateSpec(strong_convexity=modulus)
             stacked = surrogates._build(obj, xs, spec)
-            assert stacked.anchor_value is None  # a stack's values are read apart from its models
+            # a stack's values and norms are formed apart from its models, where they are read
+            assert (stacked.anchor_value, stacked.grad_norm, stacked.step_norm) == (None,) * 3
             stacked.anchor_value = obj.value(xs)
+            g = stacked.anchor_grad
+            stacked.grad_norm = np.sqrt(row_dots(g, g))
+            stacked.step_norm = stacked.grad_norm / modulus
             rows = [surrogates._build(obj, x, spec) for x in xs]
             for name in surrogates.SurrogateAt.__slots__:
                 assert np.array_equal(bits(getattr(stacked, name)),

@@ -11,13 +11,16 @@ row equals its serial run. They also check the two argument sets of
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import scaopt.drivers as drv
 from scaopt.numerics import NonFiniteError, RngStream
-from scaopt.problems import get_problem, make_quadratic
+from scaopt.problems import get_problem, make_quadratic, make_saddle_quartic
 from scaopt.surrogates import SurrogateSpec
 from test_lockstep import assert_same_run
 
@@ -248,6 +251,25 @@ def test_a_stream_shared_by_two_rows_is_refused():
         assert_same_run(row, alone)
 
 
+def test_a_stream_that_has_drawn_is_refused():
+    """A run's ``seed`` replays it only from a fresh stream, so a stream that has drawn, here in
+    an earlier run from the quartic's saddle, is refused; the row it was passed for is named."""
+    prob = get_problem("saddle_quartic:d=4")
+    obj = prob.objective
+    params = drv.derive_params(1e-2, 0.1, 1.0, 0.5, 1.0, obj, 50)
+    rng = RngStream(7)
+    first = drv.run_psca(obj, SurrogateSpec(), params, prob.canonical_start, rng)
+    assert first.perturbation_count >= 1 and first.seed == 7
+    message = "^the stream of row 0 has already drawn, so its seed would not replay the run"
+    with pytest.raises(ValueError, match=message):
+        drv.run_psca(obj, SurrogateSpec(), params, prob.canonical_start, rng)
+    with pytest.raises(ValueError, match=message.replace("row 0", "row 1")):
+        drv.run_batch(obj, SurrogateSpec(), [prob.canonical_start] * 2, params=[params] * 2,
+                      rngs=[RngStream(7), rng])
+    assert_same_run(drv.run_psca(obj, SurrogateSpec(), params, prob.canonical_start,
+                                 RngStream(7)), first)
+
+
 @pytest.mark.parametrize("max_iters", [0, -3])
 def test_every_run_checks_its_budget(max_iters):
     obj = get_problem("saddle_quartic:d=2").objective
@@ -357,3 +379,99 @@ def test_a_bad_value_wins_over_a_later_window_exit():
     check_rows(batch, alone, failing={0})
     assert type(batch[0]) is NonFiniteError
     assert str(batch[0]) == "non-finite objective or gradient at iteration 2400"
+
+
+# ---------------------------------------------------------------------------
+# a gradient that turns bad between the fire at t = 0 and the next possible one
+
+
+QUIET_T_TH = 12  # the window test runs at t = 12, and no row may fire again before t = 13
+BAD_GRADIENTS = {"nan": math.nan, "inf": math.inf, "1e200": 1e200, "2^513": 2.0**513}
+# 2^513 squared overflows, as 1e200 squared does, but the step it makes on the quartic scaled
+# by 2^510 (eta = 0.1 / 2^510) is 0.8 / C: it stays inside the ball of radius 2
+LOUD_SCALE = 2.0**510
+
+
+def quartic_turning_bad(scale, radius, bad):
+    """The d=4 quartic times ``scale`` on the inf-norm ball of ``radius``, batched.
+
+    ``bad`` maps a point's bytes to ``(entry, nan_value)``: at that point
+    gradient entry 1 is ``entry``, and the value is NaN when ``nan_value``.
+    """
+    plain = make_saddle_quartic(4).objective
+
+    def marks(x):
+        return [bad.get(p.tobytes()) for p in np.atleast_2d(x)]
+
+    def value(x):
+        v = plain.value(x) * scale
+        nan = [k for k, mark in enumerate(marks(x)) if mark is not None and mark[1]]
+        if x.ndim == 1:
+            return math.nan if nan else v
+        v[nan] = math.nan
+        return v
+
+    def gradient(x):
+        g = plain.gradient(x) * scale
+        rows = np.atleast_2d(g)  # a view of g
+        for k, mark in enumerate(marks(x)):
+            if mark is not None:
+                rows[k, 1] = mark[0]
+        return g
+
+    return dataclasses.replace(plain, value=value, gradient=gradient, region_radius=radius)
+
+
+@given(
+    rows=st.lists(st.one_of(st.none(), st.tuples(
+        st.integers(1, QUIET_T_TH), st.sampled_from(sorted(BAD_GRADIENTS)), st.booleans())),
+        min_size=1, max_size=4),
+    window_row=st.tuples(st.sampled_from(sorted(BAD_GRADIENTS)), st.booleans()),
+    radius=st.sampled_from([2.0, math.inf]),
+    loud=st.booleans(),
+    modulus=st.sampled_from([1.0, 2.0]),
+    escape=st.booleans(),
+    stop=st.booleans(),
+    mode=st.sampled_from(["error", "ignore"]),
+)
+def test_a_gradient_turning_bad_in_the_quiet_stretch_fails_its_row(
+        rows, window_row, radius, loud, modulus, escape, stop, mode):
+    """P-SCA rows fire at t = 0 from the quartic's saddle; each bad row's gradient turns NaN, inf
+    or too large for its norm at its iteration ``k`` of the stretch up to the window test, the
+    last row's at the window test itself. Each row equals its serial run and fails at ``k``, with
+    its norm's overflow warning when warnings are errors, else the non-finite error at ``k``.
+    ``loud`` scales the objective by 2^510 and ``eta`` by 2^-510, a step so small that no bound
+    on the gradient follows from a step that stays in the region."""
+    rows = rows + [(QUIET_T_TH, *window_row)]
+    scale = LOUD_SCALE if loud else 1.0
+    params = drv.PscaParams(
+        eps=1e-2, delta=0.1, c=1.0, s=0.5, delta_u=1.0, chi=12.0, eta=0.1 / scale, r=0.1,
+        g_th=1e-3 * scale, f_th=(1e-12 if escape else 1.0) * scale, t_th=QUIET_T_TH,
+        max_iters=QUIET_T_TH + 6)
+    spec = SurrogateSpec(strong_convexity=modulus)
+    x0s = [np.zeros(4)] * len(rows)
+    settings = dict(params=[params] * len(rows), stop_grad_norm=1e-300 * scale if stop else None)
+
+    def run(obj, **extra):
+        return drv.run_batch(obj, spec, x0s, rngs=[RngStream(s) for s in range(len(rows))],
+                             **settings, **extra)
+
+    clean = run(quartic_turning_bad(scale, radius, {}), keep_iterates_every=1)
+    bad = {dict(clean[s].iterates)[row[0]].tobytes(): (BAD_GRADIENTS[row[1]], row[2])
+           for s, row in enumerate(rows) if row is not None}
+    obj = quartic_turning_bad(scale, radius, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter(mode)
+        batch = run(obj)
+        alone = [serial(lambda s=s: drv.run_psca(obj, spec, params, x0s[s], RngStream(s),
+                                                 stop_grad_norm=settings["stop_grad_norm"]))
+                 for s in range(len(rows))]
+    failing = {s for s, row in enumerate(rows) if row is not None}
+    check_rows(batch, alone, failing)
+    for s in failing:
+        k, kind, _ = rows[s]
+        if kind in ("1e200", "2^513") and mode == "error":
+            expected = (RuntimeWarning, "overflow encountered in multiply")
+        else:
+            expected = (NonFiniteError, f"non-finite objective or gradient at iteration {k}")
+        assert (type(batch[s]), str(batch[s])) == expected

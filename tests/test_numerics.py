@@ -37,6 +37,18 @@ class TestRngStream:
     def test_seed_wraps_to_uint64(self):
         assert RngStream(-1).seed == (1 << 64) - 1
 
+    def test_drawn_tells_a_stream_that_has_drawn(self):
+        draws = {"one normal": (lambda s: s.standard_normal(1), True),
+                 "one uniform": (lambda s: s.uniform(), True),
+                 "a uniform vector": (lambda s: s.uniform_vector(0.0, 1.0, 4), True),
+                 "no normal": (lambda s: s.standard_normal(0), False)}
+        for name, (draw, moves) in draws.items():
+            stream = RngStream(3)
+            assert stream.drawn() is False
+            draw(stream)
+            assert stream.drawn() is moves, name
+            assert stream.substream(1).drawn() is False
+
 
 class TestUniformBall:
     def test_bad_dim(self):
