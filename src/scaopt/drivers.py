@@ -61,8 +61,9 @@ without its values and norms. A row reads ``f`` where the protocol does
 :func:`_read`, the one read of a value its model did not read, and every
 terminal row goes through one end path. An iteration where no row may fire
 or stop forms no norm: a step that stays in the region bounds the gradient
-(:func:`_quiet`), so the region test finds a row whose gradient is NaN, inf
-or too large for its norm, and the end path fails it with its evaluation's
+(:func:`_quiet`), so the region test, which raises nothing, finds a row whose
+gradient is NaN, inf or too large for its norm, and the end path fails it
+alone with its evaluation's
 error. Every other value and norm is formed a block of iterations at a time,
 together with the error norms and optimality gaps of the trajectory columns,
 by the row store (:class:`_Rows`). A value found bad there fails its row with
@@ -581,8 +582,8 @@ def _step(obj, surr, x, eta):
 
     ``x_hat`` is the minimizer of each row's model in ``surr`` (``x - g`` for
     GD and PGD). Returns ``(x_next, outside, d)``: the updated stack, the
-    positions of the updated rows outside the valid region (:func:`_outside`),
-    and ``d = x - x_hat``. The
+    positions of the updated rows outside the valid region
+    (:meth:`Objective.rows_outside`, which raises nothing), and ``d = x - x_hat``. The
     update is computed as ``x - eta d``, which has the same bits as
     ``x + eta (x_hat - x)`` except that a ``-0.0`` coordinate of ``x`` with a
     zero step there stays ``-0.0``. With the gradient ``g``, ``d`` gives the
@@ -593,22 +594,7 @@ def _step(obj, surr, x, eta):
     x_hat, _ = minimize_surrogate(surr)
     d = x - x_hat
     x_next = x - eta * d
-    return x_next, _outside(obj, x_next), d
-
-
-def _outside(obj, xs) -> list:
-    """The positions of the rows of the ``(B, d)`` stack ``xs`` outside the valid region.
-
-    An inf-norm ball of finite radius is tested on the whole stack first: its
-    largest ``|x_i|`` is its rows' largest, and NaN when any entry is, which
-    fails the test as it fails that row's. Only a stack that fails it, and any
-    other region, is tested row by row (:meth:`Objective.rows_in_region`).
-    """
-    radius = obj.region_radius
-    if (obj.region_norm == math.inf and radius < math.inf
-            and np.maximum.reduce(np.abs(xs), axis=None) <= radius):
-        return []
-    return np.flatnonzero(~obj.rows_in_region(xs)).tolist()
+    return x_next, obj.rows_outside(x_next), d
 
 
 def _error_norms(d, g):
@@ -768,8 +754,8 @@ def _quiet(obj, spec, eta) -> bool:
     Let ``u = 2^-53``, ``R = max(r, 1)`` for the region radius ``r`` and ``K =
     max(C, 1)``. A row whose anchor ``x`` and update ``x_next`` both pass the
     region test has ``|x_i|, |x_next_i| <= r (1 + (d + 1) u)`` (exactly ``<=
-    r`` in the inf norm; in the 2-norm the computed ``sqrt(x'x)`` bounds the
-    exact one up to the sum's and the root's rounding). The step computes ``q
+    r`` in the inf norm; in the 2-norm the computed ``sqrt(x'x)``, inf without a
+    warning if too large, bounds the exact one up to rounding). The step computes ``q
     = fl(g / C)`` (``q = g`` at ``C = 1``), ``x_hat = fl(x - q)``, ``d = fl(x -
     x_hat)``, ``p = fl(eta d)`` and ``x_next = fl(x - p)``. Each operation is
     exact up to a factor ``1 +- u``, or an absolute ``2^-1074`` where it
@@ -909,9 +895,8 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 next_perturb[pos] = t + row.params.t_th + 1
             if fire:
                 due = min(next_perturb)
-                inside = obj.rows_in_region(x[fire]).tolist()
-                stay = [pos for pos, ins in zip(fire, inside) if ins]
-                left = [pos for pos, ins in zip(fire, inside) if not ins]
+                left = [fire[k] for k in obj.rows_outside(x[fire])]
+                stay = [pos for pos in fire if pos not in left]
                 if stay:
                     gone += rebuild(stay, spec)
                     grad_norms = surr.grad_norm.tolist()

@@ -63,7 +63,9 @@ class Objective:
     ``region_radius`` and ``region_norm`` (the order 2 or inf of the vector
     norm, ``sqrt(x.x)`` by :func:`~scaopt.numerics.row_dots` or ``max |x_i|``;
     no other order is accepted) delimit the ball on which the declared
-    constants hold. ``dense_hessian`` is optional; certification falls back to
+    constants hold; a point holding NaN or inf, or on a finite ball one whose
+    norm is too large to form, is outside it (:meth:`rows_outside`).
+    ``dense_hessian`` is optional; certification falls back to
     matrix-free estimation without it. ``batched`` declares that ``value`` and
     ``gradient`` also take a ``(B, dim)`` stack of points and return the ``B``
     values and the ``(B, dim)`` gradients, row ``i`` bit for bit the call on
@@ -99,23 +101,35 @@ class Objective:
             raise ValueError(f"region_norm must be 2 or inf, got {self.region_norm}")
 
     def in_region(self, x: np.ndarray) -> bool:
-        """Whether the 1-D float64 vector ``x`` lies in the region (False if it holds NaN or inf)."""
-        return bool(self.rows_in_region(x[None])[0])
+        """Whether 1-D ``x`` is in the region: not with NaN or inf, or a norm too large to form."""
+        return not self.rows_outside(x[None])
 
-    def rows_in_region(self, xs: np.ndarray) -> np.ndarray:
-        """:meth:`in_region` of every row of a ``(B, dim)`` stack of float64 vectors."""
-        if math.isinf(self.region_radius):
-            return np.isfinite(xs).all(axis=1)
-        return self.region_norms(xs) <= self.region_radius
+    def rows_outside(self, xs: np.ndarray) -> list[int]:
+        """The positions of the rows of a ``(B, dim)`` float64 stack outside the region.
+
+        A finite inf-norm ball is tested on the whole stack first (its largest
+        ``|x_i|``, NaN when any entry is), and row by row only when that fails.
+        """
+        radius = self.region_radius
+        if math.isinf(radius):
+            return np.flatnonzero(~np.isfinite(xs).all(axis=1)).tolist()
+        if self.region_norm == math.inf and np.maximum.reduce(np.abs(xs), axis=None) <= radius:
+            return []
+        return np.flatnonzero(~(self.region_norms(xs) <= radius)).tolist()
 
     def region_norms(self, xs: np.ndarray) -> np.ndarray:
         """The ``region_norm`` of a vector, or of every row of a stack, each row with its 1-D bits.
 
         Order 2 is ``sqrt(x.x)`` through :func:`~scaopt.numerics.row_dots`, order inf
         ``max |x_i|`` (``np.maximum.reduce`` is ``.max`` without its Python wrapper).
+        A 2-norm too large to form is inf, even when warnings are errors.
         """
         if self.region_norm == 2:
-            return np.sqrt(row_dots(xs, xs))
+            try:
+                return np.sqrt(row_dots(xs, xs))
+            except (FloatingPointError, RuntimeWarning):
+                with np.errstate(over="ignore"):
+                    return np.sqrt(row_dots(xs, xs))
         return np.maximum.reduce(np.abs(xs), axis=-1)
 
 

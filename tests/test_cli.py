@@ -707,6 +707,9 @@ class TestMainEntry:
              "config error: strong_convexity must be finite (got inf)"),
             (["run", "--problem", "saddle_quartic:d=2", "--x0", "5,5"],
              "config error: x0 lies outside the objective's valid region"),
+            (["run", "--problem", "matrix_factorization:d=6,r=2", "--x0",
+              "1e200,0,0,0,0,0,0,0,0,0,0,0"],
+             "config error: x0 lies outside the objective's valid region"),
             (["sweep", "--seeds", "2", "--problem", "saddle_quartic:d=2", "--x0", "5,5"],
              "config error: x0 lies outside the objective's valid region"),
             (["scaling", "--eps-list", "1e-1,3e-2,1e-2", "--problem", "saddle_quartic:d=2",
@@ -753,8 +756,8 @@ class TestMainEntry:
              "run-delta-u", "sweep-delta-u", "scaling-delta-u", "run-strong-convexity-nan",
              "run-jitter-nan", "run-delta-u-nan", "run-delta-u-inf", "sweep-delta-u-inf",
              "scaling-delta-u-inf", "run-jitter-inf", "run-strong-convexity-inf", "run-x0-outside",
-             "sweep-x0-outside", "scaling-x0-outside", "run-x0-nan", "sweep-x0-nan",
-             "scaling-x0-nan", "run-eps-underflow", "run-delta-u-overflow",
+             "run-x0-norm-overflows", "sweep-x0-outside", "scaling-x0-outside", "run-x0-nan",
+             "sweep-x0-nan", "scaling-x0-nan", "run-eps-underflow", "run-delta-u-overflow",
              "sweep-delta-u-overflow", "scaling-delta-u-overflow", "run-repeated-parameter",
              "scaling-repeated-parameter", "scaling-unknown-problem", "run-label-path",
              "sweep-label-path", "scaling-label-dot-dot"],

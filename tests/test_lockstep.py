@@ -136,7 +136,11 @@ def test_row_dots_of_mixed_layouts_are_the_one_row_dots(rows, dim, scale, seed):
                                   "quadratic:d=10"])
 @settings(max_examples=30)
 @given(data=st.data())
-def test_rows_in_region_is_in_region_per_row(spec, data):
+def test_rows_outside_is_in_region_per_row(spec, data):
+    """``rows_outside`` names exactly the rows ``in_region`` refuses, on the problem's ball and on
+    the unbounded region. A row holding +-1e200, whose 2-norm is too large to form, is outside
+    every finite ball and inside the unbounded region, and no test warns (the suite runs with
+    warnings as errors)."""
     obj = get_problem(spec).objective
     for inf in (False, True):
         o = dataclasses.replace(obj, region_radius=math.inf) if inf else obj
@@ -144,7 +148,14 @@ def test_rows_in_region_is_in_region_per_row(spec, data):
         if data.draw(st.booleans()):
             xs[data.draw(st.integers(0, len(xs) - 1)), 0] = data.draw(
                 st.sampled_from([math.nan, math.inf, -math.inf]))
-        assert o.rows_in_region(xs).tolist() == [o.in_region(x) for x in xs]
+        huge = data.draw(st.none() | st.integers(0, len(xs) - 1))
+        if huge is not None:
+            xs[huge, data.draw(st.integers(0, o.dim - 1))] = data.draw(
+                st.sampled_from([1e200, -1e200]))
+        outside = o.rows_outside(xs)
+        assert outside == [k for k, x in enumerate(xs) if not o.in_region(x)]
+        if huge is not None and np.isfinite(xs[huge]).all():
+            assert (huge in outside) == (not inf)
 
 
 def test_stacked_proximal_model_rows_are_the_one_row_models():

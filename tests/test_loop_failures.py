@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import scaopt.drivers as drv
@@ -392,8 +392,8 @@ BAD_GRADIENTS = {"nan": math.nan, "inf": math.inf, "1e200": 1e200, "2^513": 2.0*
 LOUD_SCALE = 2.0**510
 
 
-def quartic_turning_bad(scale, radius, bad):
-    """The d=4 quartic times ``scale`` on the inf-norm ball of ``radius``, batched.
+def quartic_turning_bad(scale, radius, region_norm, bad):
+    """The d=4 quartic times ``scale`` on the ball of ``radius`` in ``region_norm``, batched.
 
     ``bad`` maps a point's bytes to ``(entry, nan_value)``: at that point
     gradient entry 1 is ``entry``, and the value is NaN when ``nan_value``.
@@ -419,7 +419,8 @@ def quartic_turning_bad(scale, radius, bad):
                 rows[k, 1] = mark[0]
         return g
 
-    return dataclasses.replace(plain, value=value, gradient=gradient, region_radius=radius)
+    return dataclasses.replace(plain, value=value, gradient=gradient, region_radius=radius,
+                               region_norm=region_norm)
 
 
 @given(
@@ -428,14 +429,17 @@ def quartic_turning_bad(scale, radius, bad):
         min_size=1, max_size=4),
     window_row=st.tuples(st.sampled_from(sorted(BAD_GRADIENTS)), st.booleans()),
     radius=st.sampled_from([2.0, math.inf]),
+    norm=st.sampled_from([2, math.inf]),
     loud=st.booleans(),
     modulus=st.sampled_from([1.0, 2.0]),
     escape=st.booleans(),
     stop=st.booleans(),
     mode=st.sampled_from(["error", "ignore"]),
 )
+@example(rows=[(1, "1e200", False)], window_row=("1e200", False), radius=2.0, norm=2, loud=False,
+         modulus=1.0, escape=False, stop=False, mode="error")
 def test_a_gradient_turning_bad_in_the_quiet_stretch_fails_its_row(
-        rows, window_row, radius, loud, modulus, escape, stop, mode):
+        rows, window_row, radius, norm, loud, modulus, escape, stop, mode):
     """P-SCA rows fire at t = 0 from the quartic's saddle; each bad row's gradient turns NaN, inf
     or too large for its norm at its iteration ``k`` of the stretch up to the window test, the
     last row's at the window test itself. Each row equals its serial run and fails at ``k``, with
@@ -456,10 +460,10 @@ def test_a_gradient_turning_bad_in_the_quiet_stretch_fails_its_row(
         return drv.run_batch(obj, spec, x0s, rngs=[RngStream(s) for s in range(len(rows))],
                              **settings, **extra)
 
-    clean = run(quartic_turning_bad(scale, radius, {}), keep_iterates_every=1)
+    clean = run(quartic_turning_bad(scale, radius, norm, {}), keep_iterates_every=1)
     bad = {dict(clean[s].iterates)[row[0]].tobytes(): (BAD_GRADIENTS[row[1]], row[2])
            for s, row in enumerate(rows) if row is not None}
-    obj = quartic_turning_bad(scale, radius, bad)
+    obj = quartic_turning_bad(scale, radius, norm, bad)
     with warnings.catch_warnings():
         warnings.simplefilter(mode)
         batch = run(obj)
