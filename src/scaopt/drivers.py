@@ -63,17 +63,18 @@ terminal row goes through one end path. An iteration where no row may fire
 or stop forms no norm: a step that stays in the region bounds the gradient
 (:func:`_quiet`), so the region test, which raises nothing, finds a row whose
 gradient is NaN, inf or too large for its norm, and the end path fails it
-alone with its evaluation's
-error. Every other value and norm is formed a block of iterations at a time,
-together with the error norms and optimality gaps of the trajectory columns,
-by the row store (:class:`_Rows`). A value found bad there fails its row with
-the error its evaluation at that iterate raises, ahead of anything the row
-met at a later iterate; the other rows run on.
+alone with its evaluation's error. For every model, the row store
+(:class:`_Rows`) forms every other value and norm, and every error norm and
+optimality gap of the trajectory columns, a block of iterations at a time. A
+value found bad there, or a column whose arithmetic raises, fails its row with
+the error of that iterate, ahead of anything the row met at a later iterate;
+the other rows run on.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from collections.abc import Sequence
@@ -146,8 +147,13 @@ class PscaParams:
             raise ValueError(f"chi must be >= 12, got {self.chi}")
         if not all(v > 0 for v in (self.eta, self.r, self.g_th, self.f_th)):
             raise ValueError("eta, r, g_th, f_th must be positive")
-        if not (self.t_th >= 1 and self.max_iters >= 1):
+        if not (_counts(self.t_th) and _counts(self.max_iters)):
             raise ValueError("t_th and max_iters must be positive integers")
+
+
+def _counts(n) -> bool:
+    """Whether ``n`` is an integer (of any type ``operator.index`` takes) of at least 1."""
+    return hasattr(type(n), "__index__") and operator.index(n) >= 1
 
 
 @dataclass(frozen=True)
@@ -589,18 +595,12 @@ def _step(obj, surr, x, eta):
     zero step there stays ``-0.0``. With the gradient ``g``, ``d`` gives the
     error vector ``e = d - g``, the one vector that writes the update as the
     inexact gradient step ``x - eta (g + e)``, and the optimality gap ``d'g``
-    that :func:`_monitors` checks; :func:`_error_norms` forms both.
+    that :func:`_monitors` checks; the row store (:class:`_Rows`) forms both.
     """
     x_hat, _ = minimize_surrogate(surr)
     d = x - x_hat
     x_next = x - eta * d
     return x_next, obj.rows_outside(x_next), d
-
-
-def _error_norms(d, g):
-    """The error norms ``||d - g||`` and the optimality gaps ``d'g`` of the rows of two stacks."""
-    err = d - g
-    return np.sqrt(row_dots(err, err)), row_dots(d, g)
 
 
 def _monitors(columns, perturbed_at, obj, modulus, eta) -> MonitorCounts:
@@ -668,29 +668,24 @@ class _Row:
 class _Rows:
     """The trajectory rows of a batch's running rows, kept as float64 arrays until it ends.
 
-    Each iteration appends to ``pending`` what it formed over the running rows,
-    in the order of ``ids``: for a stacked model (``modulus`` not None, below)
-    the tuple ``(x, f, d, g)`` of the iterates, their values as far as read
-    (None when the iteration read none, else NaN for a value not read yet, see
-    :func:`_read`), and the step's ``d`` and gradient ``g`` (see
-    :func:`_step`); for any other model ``(None, f, grad_norm, step_norm,
-    err_norm, gap)``, with :func:`_error_norms` already formed. At the loop's
-    one exit of an iteration, when rows leave the stack there or ``FLUSH``
-    iterations are pending, :meth:`flush` turns the pending iterations into
-    one block of shape ``(iterations, rows, 5)``, the columns ``f, grad_norm,
-    step_norm, err_norm, gap``: the values not read yet by one stacked
-    ``obj.value`` call over the block's iterates, and for a stacked model
-    every gradient norm as ``sqrt(g'g)`` over the block's stacked ``g``, every
-    step norm as ``grad_norm / modulus``, and every error norm and gap by
-    :func:`_error_norms` over the block's stacked ``d`` and ``g``, each row
-    with the bits of its one-row form. A run's columns are its slices of the
-    blocks, closed by the terminal row that the loop's one end path writes.
-
-    Only the stacked proximal model of a batched objective leaves values and
-    norms unformed. Each iteration of any other model forms its error norms and gaps
-    when it is appended and keeps no vector: its per-row builds cost far more
-    than that, and keeping the ``d = 256`` vectors of the ``curvature``
-    benchmark's Rosenbrock run raised its peak RSS by 0.5-1 MB.
+    Each iteration appends to ``pending`` one entry for every model, over the
+    running rows in the order of ``ids``: ``(x, f, grad_norm, step_norm, d,
+    g)``, the iterates where a value may be unread (the stacked proximal
+    model; None for a model built row by row, which reads every value), their
+    values as far as read (None when none was, NaN where one was not yet, see
+    :func:`_read`), the norms as the iteration formed them (None where it
+    formed none), and the step's ``d`` and gradient ``g`` (see :func:`_step`).
+    At the loop's one exit of an iteration, when rows leave the stack there or
+    ``FLUSH`` iterations are pending, :meth:`flush` turns them into one block
+    of shape ``(iterations, rows, 5)``, the columns ``f, grad_norm, step_norm,
+    err_norm, gap``: the unread values by one stacked ``obj.value`` call, each
+    norm column joined from the iterations or, where one formed none, as
+    ``sqrt(g'g)`` and that over ``modulus``, and every error norm ``||d - g||``
+    and gap ``d'g``, all over the block's stacked arrays, each row with the
+    bits of its one-row form. A run's columns are its slices of the blocks,
+    closed by the terminal row that the loop's one end path writes. So a run
+    keeps its ``d`` and ``g`` until its block flushes: about 0.4 MB of peak RSS
+    on the ``d = 256`` Rosenbrock run of the ``curvature`` benchmark.
     """
 
     FLUSH = 256
@@ -707,11 +702,13 @@ class _Rows:
         position to its error.
 
         A row's error is that of its first iterate whose value raised or is
-        not finite, as :func:`_values` gives it.
+        not finite (:func:`_values`), or whose columns raised (a floating-point
+        warning made an error): when forming the block's columns raises, each
+        iterate's are formed alone, in iteration order, after its value.
         """
         if not self.pending:
             return {}
-        xs, fs, *formed = zip(*self.pending)
+        xs, fs, grad_norms, step_norms, ds, gs = zip(*self.pending)
         self.pending.clear()
         iterations, rows = len(fs), len(self.ids)
         start = t - iterations
@@ -720,7 +717,7 @@ class _Rows:
             if values is not None:
                 f[k] = values
         f = f.reshape(-1)
-        failed = {}
+        failed = {}  # position: (the block index of its first failing iterate, the error)
         unread = np.flatnonzero(np.isnan(f))
         if len(unread):  # only a stacked model leaves values unread
             points = np.concatenate(xs)
@@ -728,18 +725,33 @@ class _Rows:
                 points = points[unread]
             f[unread], found = _values(self.obj, points, lambda k: start + int(unread[k]) // rows)
             for k, exc in found.items():  # in iteration order: a row's first failure comes first
-                failed.setdefault(int(unread[k]) % rows, exc)
-        formed = [np.concatenate(column) for column in formed]
-        if self.modulus is None:
-            grad_norm, step_norm, err_norm, gap = formed
-        else:  # the stacked proximal model's norms, with the bits of its one-row build's
-            d, g = formed
-            grad_norm = np.sqrt(row_dots(g, g))
-            step_norm = grad_norm / self.modulus
-            err_norm, gap = _error_norms(d, g)
-        block = np.stack((f, grad_norm, step_norm, err_norm, gap), axis=1)
+                failed.setdefault(int(unread[k]) % rows, (int(unread[k]), exc))
+        d, g = np.concatenate(ds), np.concatenate(gs)
+        joined = all(norms is not None for norms in grad_norms)
+        if joined:
+            grad_norms, step_norms = np.concatenate(grad_norms), np.concatenate(step_norms)
+
+        def form(k):
+            """The columns but ``f`` of the iterates ``k`` (a slice, or one block index)."""
+            gn = grad_norms[k] if joined else np.sqrt(row_dots(g[k], g[k]))
+            err = d[k] - g[k]
+            return (gn, step_norms[k] if joined else gn / self.modulus,
+                    np.sqrt(row_dots(err, err)), row_dots(d[k], g[k]))
+
+        try:
+            columns = form(slice(None))
+        except Exception:
+            columns = np.full((4, len(f)), math.nan)
+            for k in range(len(f)):
+                pos = k % rows
+                if pos not in failed or failed[pos][0] > k:  # no failure at or before k
+                    try:
+                        columns[:, k] = form(k)
+                    except Exception as exc:
+                        failed[pos] = (k, exc)
+        block = np.stack((f, *columns), axis=1)
         self.blocks.append((self.ids, block.reshape(iterations, rows, 5)))
-        return failed
+        return {pos: exc for pos, (_, exc) in failed.items()}
 
     def columns(self, row, end) -> np.ndarray:
         """The ``(steps + 1, 5)`` columns of ``row``, closed by its terminal row ``end``."""
@@ -803,12 +815,14 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     with its one-row error: its value's exception, then its norm's, then the
     :class:`NonFiniteError` of a value or norm not finite. Every terminal row
     (the stop test, a step out of the region, a perturbed point out of the
-    region, ``max_iters``) is written by ``end``. Every other value and norm is
-    formed when the store flushes, and a failure found there ends its row with
-    that error, which wins over whatever the row met at a later iterate.
+    region, ``max_iters``) is written by ``end``. Every iteration appends one
+    entry to the store, whatever the model; every other value and norm, and
+    every error norm and gap, is formed when the store flushes, and a failure
+    found there ends its row with that error, which wins over whatever the row
+    met at a later iterate.
     """
     stacked = _stacked(obj, spec)
-    store = _Rows(obj, tuple(ids), spec.strong_convexity if stacked else None)
+    store = _Rows(obj, tuple(ids), spec.strong_convexity)
     if not ids:
         return store
     pending, flush_at = store.pending, store.FLUSH
@@ -943,9 +957,8 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                 due = min(next_perturb)
                 x, x_next, d, surr = x[keep], x_next[keep], d[keep], _take(surr, keep)
                 store.ids = tuple(ids)
-        f, g = surr.anchor_value, surr.anchor_grad
-        pending.append((x, f, d, g) if stacked
-                       else (None, f, surr.grad_norm, surr.step_norm, *_error_norms(d, g)))
+        pending.append((x if stacked else None, surr.anchor_value, surr.grad_norm,
+                        surr.step_norm, d, surr.anchor_grad))
         x = x_next
     else:  # the rows that ran out of iterations
         surr, _, failures = _evaluate(obj, _GRADIENT_MODEL, x, max_iters,
@@ -1067,10 +1080,11 @@ def run_batch(
     ``eta`` and ``max_iters``) and takes an optional ``stop_grad_norm``; row
     ``i`` is ``run_psca(obj, spec, params[i], x0s[i], rngs[i],
     stop_grad_norm=stop_grad_norm)``. Any other setting raises ValueError, and
-    so do a ``max_iters`` below 1, one stream object passed for two rows (the
-    rows would draw from it in turn, so none would be its serial run) and a
-    stream that has already drawn (its run's ``RunResult.seed`` would not
-    replay it).
+    so do a ``max_iters`` or ``keep_iterates_every`` that is not a positive
+    integer (of a type ``operator.index`` takes), one stream object passed for
+    two rows (the rows would draw from it in turn, so none would be its serial
+    run) and a stream that has already drawn (its run's ``RunResult.seed``
+    would not replay it).
     GD and PGD are these with the default ``SurrogateSpec()``.
 
     Each iteration evaluates the iterates, applies the perturbation policy,
@@ -1096,11 +1110,9 @@ def run_batch(
             raise ValueError(f"a batch {kind} takes no {name}")
     if stop_grad_norm is not None and math.isnan(stop_grad_norm):
         raise ValueError("stop_grad_norm must not be NaN")
-    if keep_iterates_every is not None and keep_iterates_every < 1:
-        raise ValueError(
-            f"keep_iterates_every must be a positive integer, got {keep_iterates_every}")
-    if params is None and not max_iters >= 1:
-        raise ValueError(f"max_iters must be a positive integer, got {max_iters}")
+    for name, n in (("keep_iterates_every", keep_iterates_every), ("max_iters", max_iters)):
+        if n is not None and not _counts(n):
+            raise ValueError(f"{name} must be a positive integer, got {n}")
     n = len(x0s)
     if params is not None:
         if not len(params) == len(rngs) == n:
@@ -1151,6 +1163,11 @@ def run_batch(
             results.append(row.error)
             continue
         columns = store.columns(i, row.end)
+        try:  # a row whose monitor arithmetic raises fails alone
+            monitors = _monitors(columns, row.perturbed_at, obj, modulus, eta)
+        except Exception as exc:
+            results.append(exc)
+            continue
         results.append(RunResult(
             records=Trajectory(columns[:, :4].copy(), row.perturbed_at),
             termination=row.termination,
@@ -1160,7 +1177,7 @@ def run_batch(
             seed=0 if row.rng is None else row.rng.seed,
             events=row.events,
             perturbation_state=row.state,
-            monitors=_monitors(columns, row.perturbed_at, obj, modulus, eta),
+            monitors=monitors,
             iterates=row.iterates,
         ))
     return results

@@ -69,7 +69,9 @@ class Objective:
     matrix-free estimation without it. ``batched`` declares that ``value`` and
     ``gradient`` also take a ``(B, dim)`` stack of points and return the ``B``
     values and the ``(B, dim)`` gradients, row ``i`` bit for bit the call on
-    row ``i``; the drivers call every other objective one row at a time.
+    row ``i``; the drivers call every other objective one row at a time. The
+    drivers keep the arrays ``gradient`` returns until a block of iterations
+    is flushed, so it must return a new array on each call.
     ``tridiagonal_hessian`` declares that ``dense_hessian`` (which it
     requires) returns a tridiagonal matrix at every point; certification
     above the dense-eigensolver limit then diagonalizes its band exactly

@@ -61,8 +61,9 @@ class SurrogateSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown surrogate kind '{self.kind}'; known: {KINDS}")
-        if not self.strong_convexity > 0:
-            raise ValueError("strong_convexity must be positive")
+        if not 0 < self.strong_convexity < np.inf:
+            raise ValueError(
+                f"strong_convexity must be positive and finite, got {self.strong_convexity}")
 
 
 @dataclass(slots=True)

@@ -452,16 +452,26 @@ def test_each_iteration_builds_one_model_per_stack(monkeypatch):
     assert current == [2]
 
 
-def test_the_store_block_height_moves_no_byte(monkeypatch, tmp_path):
+# (spec, whether the quartic is batched): the stacked proximal model, a model built row by row
+# on the batched quartic, and the proximal model built row by row (the path MF takes)
+STORE_MODELS = {
+    "stacked": (SurrogateSpec(), True),
+    "quadratic_split": (SurrogateSpec(kind="quadratic_split"), True),
+    "unbatched": (SurrogateSpec(), False),
+}
+
+
+@pytest.mark.parametrize("model", sorted(STORE_MODELS))
+def test_the_store_block_height_moves_no_byte(monkeypatch, tmp_path, model):
     """Rows that return ``x_tilde``, fail or run out of iterations at different iterations:
     every row's result and trajectory CSV are the same at every block height of the row
-    store, and each is its serial run."""
-    plain = get_problem("saddle_quartic:d=2").objective
+    store, and each is its serial run, whatever the model."""
+    spec, batched = STORE_MODELS[model]
+    plain = dataclasses.replace(get_problem("saddle_quartic:d=2").objective, batched=batched)
     params = drv.derive_params(3e-2, 0.1, 1.0, 0.5, 0.25, plain, 1200)
     x0s = [np.zeros(2), np.array([0.5, 0.5]), np.array([1.5, 0.01]), np.array([-1.9, 1.9]),
            np.array([0.0, 1.0])]
-    clean = drv.run_psca(plain, SurrogateSpec(), params, x0s[1], RngStream(1),
-                         keep_iterates_every=1)
+    clean = drv.run_psca(plain, spec, params, x0s[1], RngStream(1), keep_iterates_every=1)
     bad = dict(clean.iterates)[300].tobytes()
 
     def value(x):
@@ -473,7 +483,7 @@ def test_the_store_block_height_moves_no_byte(monkeypatch, tmp_path):
     obj = dataclasses.replace(plain, value=value)
 
     def run_batch():
-        return drv.run_batch(obj, SurrogateSpec(), x0s, params=[params] * 5,
+        return drv.run_batch(obj, spec, x0s, params=[params] * 5,
                              rngs=[RngStream(s) for s in range(5)])
 
     def csv_bytes(rows):
@@ -483,7 +493,7 @@ def test_the_store_block_height_moves_no_byte(monkeypatch, tmp_path):
         return {k: (tmp_path / f"{k}.csv").read_bytes()
                 for k, row in enumerate(rows) if not isinstance(row, Exception)}
 
-    alone = [serial(obj, "psca", SurrogateSpec(), x0, params, RngStream(s), None, None, None, None)
+    alone = [serial(obj, "psca", spec, x0, params, RngStream(s), None, None, None, None)
              for s, x0 in enumerate(x0s)]
     assert str(alone[1]) == "non-finite objective or gradient at iteration 300"
     ends = [(r.termination, r.iterations) for r in alone if not isinstance(r, Exception)]

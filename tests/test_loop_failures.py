@@ -117,6 +117,72 @@ def test_a_stacked_row_with_a_nan_gradient_fails_alone(value, max_iters):
 
 
 # ---------------------------------------------------------------------------
+# a row whose error norm, gap or monitor arithmetic overflows
+
+
+# (modulus, gradient norm at the bad start): at modulus 0.5 the step's gap d'g = 2 * 1.2e154^2
+# overflows; at 0.6 the gap (1.67e308) is finite, but the monitors' step_norm^2 overflows
+DIAGNOSTICS_OVERFLOW = {"gap": (0.5, 1.2e154), "monitor": (0.6, 1e154)}
+
+
+@given(
+    batched_objective=st.booleans(),
+    case=st.sampled_from(sorted(DIAGNOSTICS_OVERFLOW)),
+    # the number of rows, 2 to 4, and the bad row's position
+    layout=st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+    max_iters=st.integers(1, 8),
+    nan_at=st.sampled_from([None, 0, 1]),
+)
+@example(batched_objective=False, case="gap", layout=(2, 0), max_iters=5, nan_at=None)
+@example(batched_objective=True, case="gap", layout=(2, 0), max_iters=5, nan_at=None)
+@example(batched_objective=True, case="monitor", layout=(2, 0), max_iters=5, nan_at=None)
+def test_a_row_whose_diagnostics_overflow_fails_alone(batched_objective, case, layout, max_iters,
+                                                      nan_at):
+    """SCA on ``0.5 ||x||^2`` over the whole plane, warnings made errors: the gradient at the bad
+    row's start ``(0.3, 0)`` is scaled to a norm whose first step makes the gap or the monitors
+    overflow, and its value is NaN at its iterate ``nan_at``. That row fails as its serial run
+    fails, with the error of its first failing iterate (at iterate 0, the value's); the rows from
+    ``(0.5, 0.1 k)`` run on and equal their serial runs."""
+    rows, bad = layout
+    modulus, norm = DIAGNOSTICS_OVERFLOW[case]
+    plain = make_quadratic(np.eye(2)).objective
+    start = np.array([0.3, 0.0])
+    spec = SurrogateSpec(strong_convexity=modulus)
+
+    def gradient(p):
+        g = plain.gradient(p)
+        return g * (norm / 0.3) if np.array_equal(p, start) else g
+
+    clean = dataclasses.replace(plain, gradient=gradient)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        iterates = dict(drv.run_sca(clean, spec, 0.1, -1.0, 2, start,
+                                    keep_iterates_every=1).iterates)
+    nan_point = None if nan_at is None else iterates[nan_at]
+
+    def value(p):
+        return math.nan if nan_point is not None and np.array_equal(p, nan_point) else plain.value(p)
+
+    obj = dataclasses.replace(clean, value=value)
+    if batched_objective:
+        obj = dataclasses.replace(obj, value=rowwise(value), gradient=rowwise(gradient),
+                                  batched=True)
+    x0s = [start if k == bad else np.array([0.5, 0.1 * k]) for k in range(rows)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = drv.run_batch(obj, spec, x0s, eta=0.1, max_iters=max_iters, stop_grad_norm=-1.0)
+        alone = [serial(lambda x0=x0: drv.run_sca(obj, spec, 0.1, -1.0, max_iters, x0))
+                 for x0 in x0s]
+    check_rows(batch, alone, failing={bad})
+    if nan_at == 0 or (nan_at == 1 and case == "monitor"):
+        expected = (NonFiniteError, f"non-finite objective or gradient at iteration {nan_at}")
+    else:
+        expected = (RuntimeWarning, "overflow encountered in multiply")
+    assert (type(batch[bad]), str(batch[bad])) == expected
+    assert all(row.termination == "max_iters" for k, row in enumerate(batch) if k != bad)
+
+
+# ---------------------------------------------------------------------------
 # a perturbed point whose value is not finite
 
 
@@ -226,6 +292,11 @@ def _batch_settings(obj):
     ("plain", {"keep_iterates_every": 0}, "keep_iterates_every must be a positive integer, got 0"),
     ("perturbed", {"keep_iterates_every": -7},
      "keep_iterates_every must be a positive integer, got -7"),
+    ("plain", {"keep_iterates_every": 2.5},
+     "keep_iterates_every must be a positive integer, got 2.5"),
+    ("perturbed", {"keep_iterates_every": 2.5},
+     "keep_iterates_every must be a positive integer, got 2.5"),
+    ("plain", {"max_iters": 2.5}, "max_iters must be a positive integer, got 2.5"),
 ])
 def test_run_batch_refuses_a_setting_it_would_ignore(kind, change, message):
     obj = get_problem("saddle_quartic:d=2").objective
@@ -270,7 +341,7 @@ def test_a_stream_that_has_drawn_is_refused():
                                  RngStream(7)), first)
 
 
-@pytest.mark.parametrize("max_iters", [0, -3])
+@pytest.mark.parametrize("max_iters", [0, -3, 2.5])
 def test_every_run_checks_its_budget(max_iters):
     obj = get_problem("saddle_quartic:d=2").objective
     x0 = np.zeros(2)
@@ -280,6 +351,17 @@ def test_every_run_checks_its_budget(max_iters):
     for run in runs:
         with pytest.raises(ValueError, match="max_iters must be (a )?positive integer"):
             run()
+
+
+def test_a_numpy_integer_is_a_budget():
+    obj = get_problem("saddle_quartic:d=2").objective
+    x0 = np.array([0.5, 0.5])
+    run = drv.run_sca(obj, SurrogateSpec(), 0.05, 1e-3, np.int64(5), x0,
+                      keep_iterates_every=np.int64(2))
+    assert_same_run(run, drv.run_sca(obj, SurrogateSpec(), 0.05, 1e-3, 5, x0,
+                                     keep_iterates_every=2))
+    assert run.iterations == 5 and [t for t, _ in run.iterates] == [0, 2, 4]
+    assert drv.derive_params(1e-2, 0.1, 1.0, 0.5, 1.0, obj, np.int64(5)).max_iters == 5
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.5])

@@ -60,7 +60,7 @@ class TestSpecValidation:
             SurrogateSpec(kind="cubic")
 
     def test_bad_modulus(self):
-        for modulus in (0.0, -1.0, float("nan")):
+        for modulus in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="strong_convexity must be positive"):
                 SurrogateSpec(strong_convexity=modulus)
 
