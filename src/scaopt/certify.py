@@ -163,7 +163,7 @@ def min_eigenvalue(
     :class:`EigenSolveError` carrying the best estimate: on exhaustion, the
     smallest Rayleigh quotient seen.
     """
-    x = as_vector(x, obj.dim)
+    x = as_vector(x, obj.dim, "x")
     lip_grad = obj.constants.grad_lipschitz
     if tol is None:
         tol = 1e-8 * lip_grad
@@ -274,7 +274,7 @@ def classify(obj: Objective, x, eps: float) -> Certificate:
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    x = as_vector(x, obj.dim)
+    x = as_vector(x, obj.dim, "x")
     g = checked_gradient(obj, x)
     grad_norm = math.sqrt(row_dots(g, g))  # the norm the run's trajectory records
     if not math.isfinite(grad_norm):

@@ -35,8 +35,9 @@ from scaopt.numerics import (
     binomial_tail_root,
     sample_uniform_ball,
     student_t_quantile,
+    violations,
 )
-from scaopt.surrogates import SurrogateSpec
+from scaopt.surrogates import SurrogateSpec, checked_anchor, unsupported
 
 __all__ = [
     "ExperimentConfig",
@@ -57,7 +58,7 @@ _JITTER_OFFSET = 1 << 32  # keeps start jitter off the run's own stream
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; carries every violation, not just the first."""
+    """Invalid experiment configuration; carries every violation (:func:`validate_config`'s)."""
 
     def __init__(self, violations: Sequence[str]):
         super().__init__("; ".join(violations))
@@ -94,7 +95,9 @@ class ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
-    """Collect every violated precondition, naming the failing inequality."""
+    """Collect every violated precondition, naming the failing inequality. The rules of a run
+    are the library's (``numerics.violations``, ``drivers.hypothesis_violations``,
+    ``surrogates.unsupported``, ``checked_anchor``); the rest are the harness's own."""
     try:
         obj = problems.get_problem(cfg.problem).objective
     except ValueError as exc:
@@ -107,76 +110,38 @@ def _violations(cfg: ExperimentConfig, obj: problems.Objective | None) -> list[s
     errs: list[str] = []
     if cfg.algo not in ALGOS:
         errs.append(f"unknown algo '{cfg.algo}'; known: {', '.join(ALGOS)}")
-    if not 0 < cfg.delta < 1:
-        errs.append(f"delta must satisfy 0 < delta < 1 (got {cfg.delta})")
-    if not 0 < cfg.c <= 1:
-        errs.append(f"c must satisfy 0 < c <= 1 (got {cfg.c})")
-    if not 0 < cfg.s < 1:
-        errs.append(f"s must satisfy 0 < s < 1 (got {cfg.s})")
-    if cfg.eta is not None and not 0 < cfg.eta <= 1:
-        errs.append(f"eta must satisfy 0 < eta <= 1 (got {cfg.eta})")
-    if cfg.algo in ("psca", "pgd") and cfg.eta is not None:
+    errs += violations(delta=cfg.delta, c=cfg.c, s=cfg.s, eta=cfg.eta,
+                       strong_convexity=cfg.strong_convexity, max_iters=cfg.max_iters,
+                       seeds=cfg.seeds, record_eigen_every=cfg.record_eigen_every,
+                       window_variant=cfg.window_variant, jitter=cfg.jitter,
+                       delta_u=cfg.delta_u, seed=cfg.seed)
+    perturbed = cfg.algo in ("psca", "pgd")
+    if perturbed and cfg.eta is not None:
         errs.append("eta does not apply to psca/pgd: their step c/L1 is derived from c")
     if cfg.surrogate not in ("proximal_linear", "quadratic_split"):
         errs.append(f"unknown surrogate '{cfg.surrogate}'")
-    if not cfg.strong_convexity > 0:
-        errs.append(f"strong_convexity must be positive (got {cfg.strong_convexity})")
-    elif math.isinf(cfg.strong_convexity):
-        errs.append(f"strong_convexity must be finite (got {cfg.strong_convexity})")
     gradient_model = (cfg.surrogate, cfg.strong_convexity) == ("proximal_linear", 1.0)
     if cfg.algo in ("gd", "pgd") and not gradient_model:
         errs.append(f"surrogate '{cfg.surrogate}' with strong_convexity {cfg.strong_convexity} "
                     "does not apply to gd/pgd: their step is the unit-modulus proximal model")
-    if cfg.max_iters < 1:
-        errs.append("max_iters must be a positive integer")
-    if cfg.seeds is not None and cfg.seeds < 1:
-        errs.append("seeds must be a positive integer")
-    if cfg.record_eigen_every is not None and cfg.record_eigen_every < 1:
-        errs.append("record_eigen_every must be a positive integer")
-    if cfg.window_variant not in ("proof", "algorithm"):
-        errs.append(f"window_variant must be 'proof' or 'algorithm' (got '{cfg.window_variant}')")
-    if not cfg.jitter >= 0:
-        errs.append(f"jitter must be nonnegative (got {cfg.jitter})")
-    elif math.isinf(cfg.jitter):
-        errs.append(f"jitter must be finite (got {cfg.jitter})")
     if cfg.label is not None and ("/" in cfg.label or os.sep in cfg.label
                                   or cfg.label in (".", "..")):
         errs.append(f"label must be a file name, not a path, '.' or '..' (got '{cfg.label}')")
-    if cfg.delta_u is not None:
-        if not cfg.delta_u > 0:
-            errs.append(f"delta_u must be positive (got {cfg.delta_u})")
-        elif math.isinf(cfg.delta_u):
-            errs.append(f"delta_u must be finite (got {cfg.delta_u})")
+    errs += drivers.hypothesis_violations(cfg.eps, obj, perturbed)
     if obj is None:
-        if not cfg.eps > 0:
-            errs.append(f"eps must satisfy 0 < eps <= L1^2/L2 (got {cfg.eps})")
         return errs
-    lip_grad = obj.constants.grad_lipschitz
-    lip_hess = obj.constants.hessian_lipschitz
-    eps_max = math.inf if lip_hess == 0 else lip_grad**2 / lip_hess
-    if not 0 < cfg.eps <= eps_max:
-        errs.append(f"eps must satisfy 0 < eps <= L1^2/L2 = {eps_max:.6g} (got {cfg.eps})")
-    if cfg.algo in ("psca", "pgd"):
-        if lip_hess <= 0:
-            errs.append(
-                "perturbed algorithms need a positive Hessian-Lipschitz "
-                "declaration (this problem declares 0)"
-            )
-        if cfg.delta_u is None and obj.f_star is None:
-            errs.append(
-                "delta_u is required: the problem declares no optimum value "
-                "and the harness refuses to guess it (pass --delta-u)"
-            )
+    if perturbed and cfg.delta_u is None and obj.f_star is None:
+        errs.append(
+            "delta_u is required: the problem declares no optimum value "
+            "and the harness refuses to guess it (pass --delta-u)"
+        )
     if cfg.x0 is not None:
-        x0 = np.array(cfg.x0, dtype=float)
-        if x0.size != obj.dim:
-            errs.append(f"x0 has length {x0.size}, problem dimension is {obj.dim}")
-        elif not np.isfinite(x0).all():
-            errs.append("x0 must be finite")
-        elif not obj.in_region(x0):
-            errs.append("x0 lies outside the objective's valid region")
-    if cfg.surrogate == "quadratic_split" and obj.dense_hessian is None:
-        errs.append("quadratic_split needs a problem with a dense Hessian")
+        try:
+            checked_anchor(obj, cfg.x0, "x0")
+        except (TypeError, ValueError) as exc:
+            errs.append(str(exc))
+    if (why := unsupported(cfg.surrogate, obj)) is not None:
+        errs.append(why)
     return errs
 
 
@@ -533,7 +498,7 @@ def sweep_experiment(cfg: ExperimentConfig):
     ConfigError with nothing written. A seed whose run raises writes its
     partial report and re-raises; later seeds write nothing.
     """
-    if not cfg.seeds or cfg.seeds < 1:
+    if cfg.seeds is None:
         raise ConfigError(["sweep requires --seeds >= 1"])
     prob = _checked_problem(cfg)
     runs = _seed_runs(dataclasses.replace(cfg, seeds=None), prob, cfg.seeds)

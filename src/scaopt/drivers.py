@@ -74,7 +74,6 @@ the other rows run on.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 import warnings
 from collections.abc import Sequence
@@ -83,7 +82,7 @@ from typing import Optional
 
 import numpy as np
 
-from scaopt.numerics import NonFiniteError, RngStream, row_dots, sample_uniform_ball
+from scaopt.numerics import NonFiniteError, RngStream, require, row_dots, sample_uniform_ball
 from scaopt.problems import Objective
 from scaopt.surrogates import SurrogateAt, SurrogateSpec, checked_anchor, minimize_surrogate
 # the loop builds every model through this name, which the benchmark tracer patches
@@ -98,6 +97,7 @@ __all__ = [
     "MonitorCounts",
     "RunResult",
     "DiagnosticScales",
+    "hypothesis_violations",
     "derive_params",
     "derive_scales",
     "run_sca",
@@ -118,7 +118,8 @@ class PscaParams:
     ``chi`` is the log factor ``3 max(log(d L1 dU / (c eps^2 delta)), 4)``;
     the step, perturbation radius, thresholds, and window length all follow
     from it (see :func:`derive_params`). Construct through
-    :func:`derive_params`, which validates the hypotheses instead of clamping.
+    :func:`derive_params`, which validates the hypotheses instead of clamping;
+    the settings' rules are :func:`~scaopt.numerics.require`'s.
     """
 
     eps: float
@@ -135,25 +136,12 @@ class PscaParams:
     max_iters: int
 
     def __post_init__(self):
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0 < self.c <= 1:
-            raise ValueError("c must lie in (0, 1]")
-        if not 0 < self.s < 1:
-            raise ValueError("s must lie in (0, 1)")
-        if not (self.eps > 0 and self.delta_u > 0):
-            raise ValueError("eps and delta_u must be positive")
+        require(delta=self.delta, c=self.c, s=self.s, delta_u=self.delta_u, t_th=self.t_th,
+                max_iters=self.max_iters)
         if not self.chi >= 12.0 - 1e-9:
             raise ValueError(f"chi must be >= 12, got {self.chi}")
-        if not all(v > 0 for v in (self.eta, self.r, self.g_th, self.f_th)):
-            raise ValueError("eta, r, g_th, f_th must be positive")
-        if not (_counts(self.t_th) and _counts(self.max_iters)):
-            raise ValueError("t_th and max_iters must be positive integers")
-
-
-def _counts(n) -> bool:
-    """Whether ``n`` is an integer (of any type ``operator.index`` takes) of at least 1."""
-    return hasattr(type(n), "__index__") and operator.index(n) >= 1
+        if not all(v > 0 for v in (self.eps, self.eta, self.r, self.g_th, self.f_th)):
+            raise ValueError("eps, eta, r, g_th, f_th must be positive")
 
 
 @dataclass(frozen=True)
@@ -307,6 +295,22 @@ class DiagnosticScales:
     step_rule_residual: Optional[float] = None
 
 
+def hypothesis_violations(eps: float, obj: Objective | None, perturbed: bool = True) -> list[str]:
+    """The message of each failing hypothesis: ``L2 > 0`` for a ``perturbed`` run, and
+    ``0 < eps <= L1^2/L2`` (no upper end when ``L2 = 0`` or ``obj`` is None, not resolved)."""
+    errs, eps_max, bound = [], math.inf, ""
+    if obj is not None:
+        lip_grad, lip_hess = obj.constants.grad_lipschitz, obj.constants.hessian_lipschitz
+        if perturbed and not lip_hess > 0:
+            errs.append("perturbed algorithms need a positive Hessian-Lipschitz declaration "
+                        f"(this problem declares {lip_hess:g})")
+        eps_max = math.inf if lip_hess == 0 else lip_grad**2 / lip_hess
+        bound = f" = {eps_max:.6g}"
+    if not 0 < eps <= eps_max:
+        errs.append(f"eps must satisfy 0 < eps <= L1^2/L2{bound} (got {eps})")
+    return errs
+
+
 def derive_params(
     eps: float,
     delta: float,
@@ -319,34 +323,20 @@ def derive_params(
 ) -> PscaParams:
     """Derive the perturbed driver's configuration from the user inputs.
 
-    All quantities follow the step-1 formulas exactly; violated preconditions
-    raise instead of clamping, and so do inputs so extreme that ``chi``,
-    ``f_th`` or the window is not a finite positive float.
+    All quantities follow the step-1 formulas exactly. A violated precondition
+    (:func:`~scaopt.numerics.require`'s or :func:`hypothesis_violations`')
+    raises instead of clamping, the eps bound as :class:`HypothesisViolationError`,
+    and so do inputs so extreme that ``chi``, ``f_th`` or the window is not a
+    finite positive float.
     ``window_variant="proof"`` (default) sets the window length to
     ``ceil((chi/c^2) L1 / sqrt(L2 eps))``; ``"algorithm"`` multiplies in the
     extra ``(1 - s)`` factor of the alternative statement.
     """
-    lip_grad = obj.constants.grad_lipschitz
-    lip_hess = obj.constants.hessian_lipschitz
-    if lip_hess <= 0:
-        raise ValueError(
-            "parameter derivation needs a positive Hessian-Lipschitz declaration"
-        )
-    if not 0 < c <= 1:
-        raise ValueError(f"c must lie in (0, 1], got {c}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not 0 < s < 1:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    if not 0 < delta_u < math.inf:
-        raise ValueError(f"delta_u must be positive and finite, got {delta_u}")
-    if window_variant not in ("proof", "algorithm"):
-        raise ValueError(f"unknown window_variant '{window_variant}'")
-    eps_max = lip_grad**2 / lip_hess
-    if not 0 < eps <= eps_max:
-        raise HypothesisViolationError(
-            f"eps must satisfy 0 < eps <= L1^2/L2 = {eps_max:.6g}, got {eps}"
-        )
+    require(c=c, delta=delta, s=s, delta_u=delta_u, window_variant=window_variant)
+    errs = hypothesis_violations(eps, obj)
+    lip_grad, lip_hess = obj.constants.grad_lipschitz, obj.constants.hessian_lipschitz
+    if errs:  # the first is the missing L2 where there is one, else the eps bound
+        raise (HypothesisViolationError if lip_hess > 0 else ValueError)(errs[0])
 
     try:
         chi = 3.0 * max(math.log(obj.dim * lip_grad * delta_u / (c * eps**2 * delta)), 4.0)
@@ -1080,11 +1070,10 @@ def run_batch(
     ``eta`` and ``max_iters``) and takes an optional ``stop_grad_norm``; row
     ``i`` is ``run_psca(obj, spec, params[i], x0s[i], rngs[i],
     stop_grad_norm=stop_grad_norm)``. Any other setting raises ValueError, and
-    so do a ``max_iters`` or ``keep_iterates_every`` that is not a positive
-    integer (of a type ``operator.index`` takes), one stream object passed for
-    two rows (the rows would draw from it in turn, so none would be its serial
-    run) and a stream that has already drawn (its run's ``RunResult.seed``
-    would not replay it).
+    so do a setting that breaks its rule (:func:`~scaopt.numerics.require`),
+    one stream object passed for two rows (the rows would draw from it in turn,
+    so none would be its serial run) and a stream that has already drawn (its
+    run's ``RunResult.seed`` would not replay it).
     GD and PGD are these with the default ``SurrogateSpec()``.
 
     Each iteration evaluates the iterates, applies the perturbation policy,
@@ -1108,11 +1097,8 @@ def run_batch(
     for name in refused:
         if given[name] is not None:
             raise ValueError(f"a batch {kind} takes no {name}")
-    if stop_grad_norm is not None and math.isnan(stop_grad_norm):
-        raise ValueError("stop_grad_norm must not be NaN")
-    for name, n in (("keep_iterates_every", keep_iterates_every), ("max_iters", max_iters)):
-        if n is not None and not _counts(n):
-            raise ValueError(f"{name} must be a positive integer, got {n}")
+    require(stop_grad_norm=stop_grad_norm, keep_iterates_every=keep_iterates_every,
+            max_iters=max_iters, eta=eta)
     n = len(x0s)
     if params is not None:
         if not len(params) == len(rngs) == n:
@@ -1128,8 +1114,6 @@ def run_batch(
     if n == 0:
         return []
     if params is None:
-        if not 0 < eta <= 1:
-            raise ValueError(f"eta must lie in (0, 1], got {eta}")
         params = rngs = [None] * n
     else:
         if len({(p.eta, p.max_iters) for p in params}) > 1:

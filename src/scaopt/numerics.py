@@ -4,6 +4,7 @@ correctly rounded binomial-tail and Student-t quantiles behind the CLI's statist
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -13,6 +14,8 @@ __all__ = [
     "NonFiniteError",
     "RngStream",
     "as_vector",
+    "violations",
+    "require",
     "row_dots",
     "binomial_tail_root",
     "student_t_quantile",
@@ -36,16 +39,59 @@ class NonFiniteError(ValueError):
         self.coordinate = coordinate
 
 
-def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float64 array, optionally checking its length."""
+def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
+    """Coerce ``x`` (named ``name``) to a finite 1-D float64 array, optionally of length ``dim``."""
     v = np.ascontiguousarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+        raise ValueError(f"{name} must be a nonempty 1-D vector, got shape {v.shape}")
     if dim is not None and v.size != dim:
-        raise ValueError(f"expected a vector of dimension {dim}, got {v.size}")
+        raise ValueError(f"{name} has length {v.size}, problem dimension is {dim}")
     if not np.isfinite(v).all():
-        raise NonFiniteError("vector contains NaN/Inf entries")
+        raise NonFiniteError(f"{name} must be finite")
     return v
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive (got {})")
+_FINITE = (lambda v: v < math.inf, "must be finite (got {})")
+_INTEGER = (lambda v: hasattr(type(v), "__index__"), "must be an integer (got {})")  # np.int64 too
+_COUNT = (lambda v: hasattr(type(v), "__index__") and operator.index(v) >= 1,
+          "must be a positive integer")
+
+# Each run setting's rule, stated once: its tests in turn, and the text of the first that fails.
+# delta, c and s are the hypotheses of perturbed gradient descent (Jin et al., arXiv:1703.00887).
+_RULES = {
+    "delta": ((lambda v: 0 < v < 1, "must satisfy 0 < delta < 1 (got {})"),),
+    "s": ((lambda v: 0 < v < 1, "must satisfy 0 < s < 1 (got {})"),),
+    "c": ((lambda v: 0 < v <= 1, "must satisfy 0 < c <= 1 (got {})"),),
+    "eta": ((lambda v: 0 < v <= 1, "must satisfy 0 < eta <= 1 (got {})"),),
+    "delta_u": (_POSITIVE, _FINITE),
+    "strong_convexity": (_POSITIVE, _FINITE),
+    "jitter": ((lambda v: v >= 0, "must be nonnegative (got {})"), _FINITE),
+    **dict.fromkeys(("max_iters", "t_th", "seeds", "record_eigen_every", "keep_iterates_every"),
+                    (_COUNT,)),
+    "seed": (_INTEGER,),
+    "stop_grad_norm": ((lambda v: not math.isnan(v), "must not be NaN"),),
+    "window_variant": ((lambda v: v in ("proof", "algorithm"),
+                        "must be 'proof' or 'algorithm' (got '{}')"),),
+}
+
+
+def violations(**settings) -> list[str]:
+    """The message of every setting that breaks its rule, in turn; a None setting is not given."""
+    errs = []
+    for name, v in settings.items():
+        for holds, text in () if v is None else _RULES[name]:
+            if not holds(v):
+                errs.append(f"{name} {text.format(v)}")
+                break
+    return errs
+
+
+def require(**settings) -> None:
+    """Raise ValueError with the first of :func:`violations`, if there is one."""
+    errs = violations(**settings)
+    if errs:
+        raise ValueError(errs[0])
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,7 +243,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) % (1 << 64)
+        self.seed = operator.index(seed) % (1 << 64)  # refuses a float, which int() would truncate
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def __repr__(self) -> str:

@@ -169,6 +169,18 @@ def _verify_known_points(obj: Objective, saddles, minima) -> None:
             raise ValueError(f"claimed minimum has lambda_min {lam:.3e} < 0")
 
 
+def _symmetric(a, name: str) -> np.ndarray:
+    """``a`` as a float64 matrix, checked square, finite and symmetric within 1e-12."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite (it holds NaN or inf)")
+    if float(np.max(np.abs(a - a.T))) > 1e-12:
+        raise ValueError(f"{name} must be symmetric (||{name} - {name}'||_inf <= 1e-12)")
+    return a
+
+
 def make_quadratic(
     H,
     b=None,
@@ -184,15 +196,9 @@ def make_quadratic(
     declare a conservative positive value instead, which the perturbed-driver
     parameter formulas require.
     """
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
-    if not np.isfinite(H).all():
-        raise ValueError("H must be finite (it holds NaN or inf)")
-    if float(np.max(np.abs(H - H.T))) > 1e-12:
-        raise ValueError("H must be symmetric (||H - H'||_inf <= 1e-12)")
+    H = _symmetric(H, "H")
     dim = H.shape[0]
-    b = np.zeros(dim) if b is None else as_vector(b, dim)
+    b = np.zeros(dim) if b is None else as_vector(b, dim, "b")
 
     eigvals = np.linalg.eigvalsh(H)
     lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
@@ -323,13 +329,7 @@ def make_matrix_factorization(M, rank: int) -> ProblemInstance:
     ``rank(M) <= rank``). Constants are declared on the Frobenius ball
     ``||V||_F <= 2 sqrt(||M||)``.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("M must be finite (it holds NaN or inf)")
-    if float(np.max(np.abs(M - M.T))) > 1e-12:
-        raise ValueError("M must be symmetric")
+    M = _symmetric(M, "M")
     d = M.shape[0]
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in [1, {d}], got {rank}")

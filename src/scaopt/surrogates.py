@@ -27,13 +27,14 @@ import numpy as np
 
 # scipy is imported inside the functions that call it, so `import scaopt` loads numpy only
 
-from scaopt.numerics import as_vector, row_dots
+from scaopt.numerics import as_vector, require, row_dots
 from scaopt.problems import Objective
 
 __all__ = [
     "SurrogateSpec",
     "SurrogateAt",
     "UnsupportedSurrogateError",
+    "unsupported",
     "checked_gradient",
     "checked_anchor",
     "build_surrogate",
@@ -50,8 +51,8 @@ class UnsupportedSurrogateError(ValueError):
 class SurrogateSpec:
     """Configuration of the surrogate family.
 
-    ``strong_convexity`` is the model's modulus ``C``; ``builder(obj, y, spec)``
-    builds a ``custom`` model.
+    ``strong_convexity`` is the model's modulus ``C`` (its rule is
+    :func:`~scaopt.numerics.require`'s); ``builder(obj, y, spec)`` builds a ``custom`` model.
     """
 
     kind: str = "proximal_linear"
@@ -61,9 +62,7 @@ class SurrogateSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown surrogate kind '{self.kind}'; known: {KINDS}")
-        if not 0 < self.strong_convexity < np.inf:
-            raise ValueError(
-                f"strong_convexity must be positive and finite, got {self.strong_convexity}")
+        require(strong_convexity=self.strong_convexity)
 
 
 @dataclass(slots=True)
@@ -98,6 +97,13 @@ class InnerReport:
 _FLOAT64 = np.dtype(np.float64)
 
 
+def unsupported(kind: str, obj: Objective) -> str | None:
+    """Why a ``kind`` model cannot be built for ``obj``, or None if it can."""
+    if kind == "quadratic_split" and obj.dense_hessian is None:
+        return "quadratic_split needs a problem with a dense Hessian"
+    return None
+
+
 def checked_gradient(obj: Objective, x: np.ndarray) -> np.ndarray:
     """The gradient at ``x`` as float64, checked to have the shape of ``x``."""
     g = obj.gradient(x)
@@ -109,8 +115,8 @@ def checked_gradient(obj: Objective, x: np.ndarray) -> np.ndarray:
 
 
 def checked_anchor(obj: Objective, y, name: str = "anchor") -> np.ndarray:
-    """``y`` as a finite float64 vector of the objective's dimension inside its valid region."""
-    y = as_vector(y, obj.dim)
+    """``y`` (named ``name``) as a finite float64 vector of ``obj``'s dimension in its region."""
+    y = as_vector(y, obj.dim, name)
     if not obj.in_region(y):
         raise ValueError(f"{name} lies outside the objective's valid region")
     return y
@@ -154,10 +160,8 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
         return SurrogateAt(f_y, g_y, gn, y - g_y / modulus, None if gn is None else gn / modulus)
 
     # quadratic_split: keep the PSD part of the local Hessian, add modulus * I.
-    if obj.dense_hessian is None:
-        raise UnsupportedSurrogateError(
-            "quadratic_split needs an objective with a dense Hessian"
-        )
+    if (why := unsupported(spec.kind, obj)) is not None:
+        raise UnsupportedSurrogateError(why)
     x_hat = y - _split_model_solve(_checked_hessian(obj, y), g_y, modulus)
     step = x_hat - y
     return SurrogateAt(f_y, g_y, gn, x_hat, np.sqrt(row_dots(step, step)))

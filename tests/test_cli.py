@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import shlex
+import tempfile
 from pathlib import Path
 
 import mpmath as mp
@@ -70,11 +71,17 @@ class TestParseConfig:
             (dict(seeds=0), "seeds must be a positive integer"),
             (dict(record_eigen_every=0), "record_eigen_every must be a positive integer"),
             (dict(window_variant="x"), "window_variant must be 'proof' or 'algorithm' (got 'x')"),
+            (dict(seed=1.5), "seed must be an integer (got 1.5)"),
+            (dict(seeds=2.5), "seeds must be a positive integer"),
+            (dict(max_iters=2.5), "max_iters must be a positive integer"),
+            (dict(record_eigen_every=2.5), "record_eigen_every must be a positive integer"),
+            (dict(x0=((0.0, 0.0),)), "x0 must be a nonempty 1-D vector, got shape (1, 2)"),
         ],
         ids=["strong-convexity-nan", "jitter-nan", "delta-u-nan", "delta-u-zero",
              "strong-convexity-inf", "jitter-inf", "delta-u-inf", "x0-nan", "x0-outside",
              "x0-length", "s-nan", "eta-above-one", "surrogate-unknown", "max-iters-zero",
-             "seeds-zero", "record-eigen-every-zero", "window-variant-unknown"],
+             "seeds-zero", "record-eigen-every-zero", "window-variant-unknown", "seed-fraction",
+             "seeds-fraction", "max-iters-fraction", "record-eigen-every-fraction", "x0-nested"],
     )
     def test_range_rules_reject_nan_and_bad_starts(self, settings, message):
         cfg = ExperimentConfig(problem="saddle_quartic:d=2", algo="sca", **settings)
@@ -82,8 +89,78 @@ class TestParseConfig:
 
     def test_all_violations_reported(self):
         cfg = ExperimentConfig(problem="nope", algo="wat", eps=-1.0, delta=3.0, c=2.0)
-        violations = validate_config(cfg)
-        assert len(violations) >= 5
+        assert validate_config(cfg) == [
+            f"unknown problem 'nope'; known: {', '.join(registry_names())}",
+            "unknown algo 'wat'; known: sca, psca, gd, pgd",
+            "delta must satisfy 0 < delta < 1 (got 3.0)",
+            "c must satisfy 0 < c <= 1 (got 2.0)",
+            "eps must satisfy 0 < eps <= L1^2/L2 (got -1.0)",
+        ]
+
+
+# Each setting's good values (which a run must accept) and bad ones, on saddle_quartic:d=2 with
+# budgets of at most 5 iterations; gd/pgd refuse a modulus other than 1 and psca/pgd any eta.
+_SETTINGS = {
+    "algo": (("sca", "psca", "gd", "pgd"), ()),
+    "eps": ((1e-2, 0.5), (0.0, -1.0, math.nan, math.inf, 11.0)),
+    "delta": ((0.1, 0.9), (0.0, 1.0, math.nan)),
+    "c": ((1.0, 0.5), (0.0, 2.0, math.nan, math.inf)),
+    "s": ((0.5, 0.1), (0.0, 1.0, math.nan)),
+    "delta_u": ((None, 1.0), (0.0, -1.0, math.nan, math.inf)),
+    "eta": ((None, 0.05), (0.0, 1.5, math.nan)),
+    "surrogate": (("proximal_linear", "quadratic_split"), ("nope",)),
+    "strong_convexity": ((1.0, 2.0), (0.0, -1.0, math.nan, math.inf)),
+    "seed": ((0, 3, -1, np.int64(2)), (1.5, 2.0)),
+    "seeds": ((None, 1, 2), (0, -1, 2.5)),
+    "max_iters": ((1, 5, np.int64(3)), (0, 2.5, 5.0)),
+    "record_eigen_every": ((None, 1, 2), (0, 2.5)),
+    "window_variant": (("proof", "algorithm"), ("x",)),
+    "x0": ((None, (0.5, -0.5), [1.0, 0.25]),
+           (((0.0, 0.0),), ((0.0,), (0.0,)), (), (math.nan, 0.0), (0.0, 0.0, 0.0), (0.0, 2.5))),
+    "jitter": ((0.0, 0.1), (-1.0, math.nan, math.inf)),
+}
+
+
+@st.composite
+def _config_settings(draw):
+    """Good values for every setting but at most two, which get bad ones."""
+    bad = draw(st.sets(st.sampled_from(sorted(_SETTINGS)), max_size=2))
+    return {name: draw(st.sampled_from(pools[name in bad] or pools[0]))
+            for name, pools in _SETTINGS.items()}
+
+
+@given(settings=_config_settings())
+@example(settings=dict(algo="sca", max_iters=2.5))
+@example(settings=dict(algo="psca", max_iters=2.5))
+@example(settings=dict(record_eigen_every=2.5, max_iters=5))
+@example(settings=dict(seeds=2.5, max_iters=5))
+@example(settings=dict(seed=1.5, max_iters=5))
+@example(settings=dict(x0=((0.0, 0.0),), max_iters=5))
+def test_validate_config_refuses_what_a_run_refuses(settings):
+    """A config that validate_config accepts runs (or sweeps) without an error, and the report
+    of each psca/pgd run names the seed its run drew from; one it refuses raises ConfigError
+    with the same violations and writes nothing. The examples are configs that validate_config
+    once accepted and the run then refused or misread."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        cfg = ExperimentConfig(problem="saddle_quartic:d=2", out_dir=str(out_dir), **settings)
+        run = run_experiment if cfg.seeds is None else sweep_experiment
+        errs = validate_config(cfg)
+        if errs:
+            with pytest.raises(ConfigError) as refused:
+                run(cfg)
+            assert refused.value.violations == tuple(errs)
+            assert not out_dir.exists()
+            return
+        if cfg.seeds is None:
+            reports = [run(cfg)[1]]
+        else:
+            reports = [Path(r["report"]) for r in run(cfg)[1]["runs"]]
+        assert len(reports) == (cfg.seeds or 1)
+        for path in reports:
+            report = json.loads(path.read_text())
+            if cfg.algo in ("psca", "pgd"):  # the runs that draw, from RngStream(seed mod 2^64)
+                assert report["result"]["seed"] == report["config"]["seed"] % (1 << 64)
 
 
 class TestRunExperiment:

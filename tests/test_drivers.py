@@ -71,18 +71,20 @@ class TestDeriveParams:
             drv.derive_params(0.01, 0.1, 1.5, 0.5, 1.0, quartic10.objective)
 
     @pytest.mark.parametrize("setting, message", [
-        (dict(delta=1.0), r"^delta must lie in \(0, 1\), got 1.0$"),
-        (dict(s=0.0), r"^s must lie in \(0, 1\), got 0.0$"),
-        (dict(window_variant="x"), "^unknown window_variant 'x'$"),
+        (dict(delta=1.0), r"^delta must satisfy 0 < delta < 1 \(got 1.0\)$"),
+        (dict(s=0.0), r"^s must satisfy 0 < s < 1 \(got 0.0\)$"),
+        (dict(window_variant="x"), r"^window_variant must be 'proof' or 'algorithm' \(got 'x'\)$"),
     ], ids=["delta", "s", "window_variant"])
     def test_delta_s_and_window_variant_rejected(self, quartic10, setting, message):
         args = dict(eps=0.01, delta=0.1, c=1.0, s=0.5, delta_u=1.0, obj=quartic10.objective)
         with pytest.raises(ValueError, match=message):
             drv.derive_params(**{**args, **setting})
 
-    @pytest.mark.parametrize("delta_u", [0.0, -1.0, math.nan, math.inf])
-    def test_delta_u_must_be_positive(self, quartic10, delta_u):
-        with pytest.raises(ValueError, match="delta_u must be positive and finite"):
+    @pytest.mark.parametrize("delta_u, rule", [
+        (0.0, "positive"), (-1.0, "positive"), (math.nan, "positive"), (math.inf, "finite"),
+    ], ids=["0.0", "-1.0", "nan", "inf"])
+    def test_delta_u_must_be_positive(self, quartic10, delta_u, rule):
+        with pytest.raises(ValueError, match=rf"^delta_u must be {rule} \(got {delta_u}\)$"):
             drv.derive_params(0.01, 0.1, 1.0, 0.5, delta_u, quartic10.objective)
 
     @pytest.mark.parametrize("eps, c, delta_u", [(1e-170, 1.0, 1.0), (1e-120, 1.0, 1.0),
@@ -99,6 +101,11 @@ class TestDeriveParams:
         params = drv.derive_params(0.01, 0.1, 1.0, 0.5, 1.0, quartic10.objective)
         with pytest.raises(ValueError):
             dataclasses.replace(params, **{name: math.nan})
+
+    def test_params_refuse_the_delta_u_derive_params_refuses(self, quartic10):
+        params = drv.derive_params(0.01, 0.1, 1.0, 0.5, 1.0, quartic10.objective)
+        with pytest.raises(ValueError, match=r"^delta_u must be finite \(got inf\)$"):
+            dataclasses.replace(params, delta_u=math.inf)
 
     def test_zero_hessian_lipschitz_rejected(self):
         obj = make_quadratic(np.eye(2)).objective

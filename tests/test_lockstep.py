@@ -315,7 +315,7 @@ def test_a_bad_start_fails_only_its_row():
                           eta=0.05, stop_grad_norm=1e-3, max_iters=20)
     assert isinstance(batch[0], drv.RunResult)
     assert str(batch[1]) == "x0 lies outside the objective's valid region"
-    assert str(batch[2]) == "expected a vector of dimension 2, got 3"
+    assert str(batch[2]) == "x0 has length 3, problem dimension is 2"
 
 
 def test_an_empty_batch_is_empty():

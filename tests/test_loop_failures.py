@@ -285,18 +285,18 @@ def _batch_settings(obj):
     ("perturbed", {"max_iters": 3}, "a batch with params takes no max_iters"),
     ("perturbed", {"rngs": [RngStream(0), RngStream(1)]},
      r"need one params and one rng per start, got 1, 2 for [01] starts"),
-    ("plain", {"max_iters": 0}, "max_iters must be a positive integer, got 0"),
-    ("plain", {"max_iters": -3}, "max_iters must be a positive integer, got -3"),
+    ("plain", {"max_iters": 0}, "max_iters must be a positive integer"),
+    ("plain", {"max_iters": -3}, "max_iters must be a positive integer"),
     ("plain", {"stop_grad_norm": math.nan}, "stop_grad_norm must not be NaN"),
     ("perturbed", {"stop_grad_norm": math.nan}, "stop_grad_norm must not be NaN"),
-    ("plain", {"keep_iterates_every": 0}, "keep_iterates_every must be a positive integer, got 0"),
+    ("plain", {"keep_iterates_every": 0}, "keep_iterates_every must be a positive integer"),
     ("perturbed", {"keep_iterates_every": -7},
-     "keep_iterates_every must be a positive integer, got -7"),
+     "keep_iterates_every must be a positive integer"),
     ("plain", {"keep_iterates_every": 2.5},
-     "keep_iterates_every must be a positive integer, got 2.5"),
+     "keep_iterates_every must be a positive integer"),
     ("perturbed", {"keep_iterates_every": 2.5},
-     "keep_iterates_every must be a positive integer, got 2.5"),
-    ("plain", {"max_iters": 2.5}, "max_iters must be a positive integer, got 2.5"),
+     "keep_iterates_every must be a positive integer"),
+    ("plain", {"max_iters": 2.5}, "max_iters must be a positive integer"),
 ])
 def test_run_batch_refuses_a_setting_it_would_ignore(kind, change, message):
     obj = get_problem("saddle_quartic:d=2").objective
@@ -373,7 +373,7 @@ def test_every_run_without_params_checks_its_step(eta):
             lambda: drv.run_batch(obj, SurrogateSpec(), [x0], eta=eta, max_iters=5,
                                   stop_grad_norm=1e-3))
     for run in runs:
-        with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\], got "):
+        with pytest.raises(ValueError, match=rf"^eta must satisfy 0 < eta <= 1 \(got {eta}\)$"):
             run()
 
 

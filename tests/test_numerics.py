@@ -37,6 +37,13 @@ class TestRngStream:
     def test_seed_wraps_to_uint64(self):
         assert RngStream(-1).seed == (1 << 64) - 1
 
+    def test_a_seed_is_an_integer(self):
+        assert RngStream(np.int64(7)).seed == 7
+        assert RngStream(np.int64(-1)).seed == (1 << 64) - 1
+        for seed in (1.5, 2.0, np.float64(1.0)):
+            with pytest.raises(TypeError):
+                RngStream(seed)
+
     def test_drawn_tells_a_stream_that_has_drawn(self):
         draws = {"one normal": (lambda s: s.standard_normal(1), True),
                  "one uniform": (lambda s: s.uniform(), True),

@@ -131,6 +131,13 @@ class TestMatrixFactorization:
         with pytest.raises(ValueError, match="^M must be finite"):
             make_matrix_factorization(np.array([[bad, 0.0], [0.0, 1.0]]), 1)
 
+    def test_asymmetric_m_is_refused_naming_the_tolerance(self):
+        m = np.array([[1.0, 1e-11], [0.0, 1.0]])
+        with pytest.raises(ValueError,
+                           match=r"^M must be symmetric \(\|\|M - M'\|\|_inf <= 1e-12\)$"):
+            make_matrix_factorization(m, 1)
+        make_matrix_factorization(np.array([[1.0, 5e-13], [0.0, 1.0]]), 1)  # within the tolerance
+
     def test_zero_is_strict_saddle_with_top_eigenvalue(self, instance):
         inst, v_star = instance
         obj = inst.objective

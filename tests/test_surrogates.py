@@ -60,8 +60,10 @@ class TestSpecValidation:
             SurrogateSpec(kind="cubic")
 
     def test_bad_modulus(self):
-        for modulus in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="strong_convexity must be positive"):
+        for modulus, rule in ((0.0, "positive"), (-1.0, "positive"), (float("nan"), "positive"),
+                              (float("inf"), "finite")):
+            with pytest.raises(ValueError,
+                               match=rf"^strong_convexity must be {rule} \(got {modulus}\)$"):
                 SurrogateSpec(strong_convexity=modulus)
 
     def test_tol_resolution(self):
