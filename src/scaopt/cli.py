@@ -362,6 +362,12 @@ def _seed_runs(cfg: ExperimentConfig, prob: problems.ProblemInstance, seeds: int
     return runs
 
 
+def _require_seeds(cfg: ExperimentConfig) -> None:
+    """Refuse, as ConfigError, a sweep or scaling study of ``cfg`` without a seed count."""
+    if cfg.seeds is None:
+        raise ConfigError(["a sweep or scaling study requires --seeds >= 1"])
+
+
 def _checked_problem(cfg: ExperimentConfig) -> problems.ProblemInstance:
     """The problem of ``cfg``; raises ConfigError with every violation of ``cfg``."""
     errs = validate_config(cfg)
@@ -498,8 +504,7 @@ def sweep_experiment(cfg: ExperimentConfig):
     ConfigError with nothing written. A seed whose run raises writes its
     partial report and re-raises; later seeds write nothing.
     """
-    if cfg.seeds is None:
-        raise ConfigError(["sweep requires --seeds >= 1"])
+    _require_seeds(cfg)
     prob = _checked_problem(cfg)
     runs = _seed_runs(dataclasses.replace(cfg, seeds=None), prob, cfg.seeds)
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
@@ -614,6 +619,7 @@ def scaling_study(problem, algo: str, eps_list: Sequence[float], seeds: int, *,
 def _scaling(cfg: ExperimentConfig, prob, eps_list: Sequence[float]) -> ScalingResult:
     """The study of ``cfg.seeds`` runs of ``cfg`` on ``prob`` (a registry spec or a
     ProblemInstance) from seed ``cfg.seed`` on; an unknown spec fails as in validate_config."""
+    _require_seeds(cfg)
     if isinstance(prob, str):
         try:
             prob = problems.get_problem(prob)

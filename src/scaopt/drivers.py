@@ -246,7 +246,8 @@ class RunResult:
     its value, which generally differ from the last trajectory row.
     ``events`` maps row index to a semicolon-separated tag string (perturbation
     rows carry the pre-perturbation objective value so the window decrement is
-    auditable from the trajectory alone).
+    auditable from the trajectory alone). ``seed`` is the seed of the
+    perturbed run's stream, which replays it, and None for a run without one.
     """
 
     records: Trajectory
@@ -254,7 +255,7 @@ class RunResult:
     x_out: np.ndarray
     f_out: float
     perturbation_count: int
-    seed: int
+    seed: int | None
     events: dict[int, str] = field(default_factory=dict)
     perturbation_state: PerturbationState = PerturbationState(t_noise=0)
     monitors: MonitorCounts = field(default_factory=MonitorCounts)
@@ -638,6 +639,11 @@ def _monitors(columns, perturbed_at, obj, modulus, eta) -> MonitorCounts:
 _GRADIENT_MODEL = SurrogateSpec()
 
 
+# the bytes of the arrays that the row store of a batch keeps pending (see _Rows): blocks of
+# 256 iterations up to 128 coordinates over the batch (12 rows at d = 10), shorter ones above
+BUDGET = 768 * 1024
+
+
 @dataclass(slots=True, eq=False)
 class _Row:
     """One run of a batch: its settings, and what the loop has found out about it so far."""
@@ -666,7 +672,7 @@ class _Rows:
     :func:`_read`), the norms as the iteration formed them (None where it
     formed none), and the step's ``d`` and gradient ``g`` (see :func:`_step`).
     At the loop's one exit of an iteration, when rows leave the stack there or
-    ``FLUSH`` iterations are pending, :meth:`flush` turns them into one block
+    a block's height of iterations are pending, :meth:`flush` turns them into one block
     of shape ``(iterations, rows, 5)``, the columns ``f, grad_norm, step_norm,
     err_norm, gap``: the unread values by one stacked ``obj.value`` call, each
     norm column joined from the iterations or, where one formed none, as
@@ -674,8 +680,13 @@ class _Rows:
     and gap ``d'g``, all over the block's stacked arrays, each row with the
     bits of its one-row form. A run's columns are its slices of the blocks,
     closed by the terminal row that the loop's one end path writes. So a run
-    keeps its ``d`` and ``g`` until its block flushes: about 0.4 MB of peak RSS
-    on the ``d = 256`` Rosenbrock run of the ``curvature`` benchmark.
+    keeps its ``x``, ``d`` and ``g`` until its block flushes, and the block's
+    height bounds the pending arrays in bytes: :func:`_lockstep` takes
+    ``FLUSH`` iterations, or fewer, at least one, when the pending arrays of
+    that many iterations of the batch's first stack would pass ``BUDGET``
+    bytes. A batch then holds O(B d) bytes of them, not ``3 FLUSH B d`` floats,
+    and a block's columns are formed while its arrays are still in cache. The
+    height moves no byte of any result.
     """
 
     FLUSH = 256
@@ -787,7 +798,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     its position for the whole iteration: one that ends or fails joins
     ``gone``, which the later tests skip, and steps with the stack, its step
     discarded. At the one exit, after the step, the store flushes (when a row
-    is gone or ``FLUSH`` iterations are pending: a full block one iteration
+    is gone or a block's height of iterations is pending: a full block one iteration
     late, so a row found bad there leaves then) and the rows in ``gone``
     leave the stack; their trajectory rows stay in the returned store.
 
@@ -815,8 +826,9 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     store = _Rows(obj, tuple(ids), spec.strong_convexity)
     if not ids:
         return store
-    pending, flush_at = store.pending, store.FLUSH
     x = np.array(xs)
+    # each iteration pends at most three arrays the size of x: x, d and g (see _Rows)
+    pending, flush_at = store.pending, max(1, min(store.FLUSH, BUDGET // (3 * x.nbytes)))
     next_perturb = [math.inf if rows[i].params is None else 0 for i in ids]
     due = min(next_perturb)
     stops = stop_grad_norm is not None
@@ -1158,7 +1170,7 @@ def run_batch(
             x_out=row.x_out,
             f_out=row.f_out,
             perturbation_count=len(row.perturbed_at),
-            seed=0 if row.rng is None else row.rng.seed,
+            seed=None if row.rng is None else row.rng.seed,
             events=row.events,
             perturbation_state=row.state,
             monitors=monitors,

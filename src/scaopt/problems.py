@@ -3,8 +3,8 @@
 Smoothness constants are declared per problem over an explicit validity region
 (a norm ball), since globally Lipschitz gradients do not exist for quartics.
 Drivers check the region at every step and abort a run that leaves it. Known
-critical points are verified against the dense Hessian oracle before an
-instance is handed out.
+critical points are verified against the Hessian oracle (its declared band
+where it has one) before an instance is handed out.
 """
 
 from __future__ import annotations
@@ -77,6 +77,13 @@ class Objective:
     above the dense-eigensolver limit then diagonalizes its band exactly
     instead of running Lanczos, and refuses (``ValueError``) a point where the
     Hessian is not tridiagonal rather than change eigensolvers.
+    ``hessian_band`` (which also requires ``dense_hessian``) declares that
+    Hessian's band: ``hessian_band(x)`` returns ``(diag, sub)``, the ``dim``
+    diagonal and ``dim - 1`` subdiagonal entries of a tridiagonal
+    ``dense_hessian(x)``, with its bits, in O(dim) and with no ``dim x dim``
+    matrix; a zero ``sub`` declares a diagonal Hessian. The ``quadratic_split``
+    model and the check of the known critical points read the band instead of
+    the matrix (certification still reads the matrix).
     """
 
     dim: int
@@ -90,12 +97,16 @@ class Objective:
     f_star: float | None = None
     batched: bool = False
     tridiagonal_hessian: bool = False
+    hessian_band: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if self.tridiagonal_hessian and self.dense_hessian is None:
             raise ValueError("tridiagonal_hessian declares the dense Hessian's shape; "
+                             "it needs a dense_hessian")
+        if self.hessian_band is not None and self.dense_hessian is None:
+            raise ValueError("hessian_band declares the dense Hessian's band; "
                              "it needs a dense_hessian")
         if not self.region_radius > 0:
             raise ValueError("region_radius must be positive")
@@ -144,15 +155,29 @@ class ProblemInstance:
     known_minima: tuple = ()  # pairs (point, value)
 
 
+def _spectrum(obj: Objective, p: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the Hessian at ``p``, ascending.
+
+    A declared diagonal band (``Objective.hessian_band`` with a zero ``sub``)
+    is its own spectrum, sorted in O(d log d); any other Hessian goes through
+    ``np.linalg.eigvalsh`` of ``dense_hessian``, so building a problem loads no scipy.
+    """
+    if obj.hessian_band is not None:
+        diag, sub = obj.hessian_band(p)
+        if not sub.any():
+            return np.sort(diag)
+    return np.linalg.eigvalsh(obj.dense_hessian(p))
+
+
 def _verify_known_points(obj: Objective, saddles, minima) -> None:
-    """Check registered critical points against the dense Hessian oracle."""
+    """Check registered critical points against the Hessian oracle (:func:`_spectrum`)."""
     if obj.dense_hessian is None:
         raise ValueError("known critical points require a dense Hessian oracle")
     for p in saddles:
         g = float(np.linalg.norm(obj.gradient(p)))
         if g > 1e-10:
             raise ValueError(f"claimed saddle has gradient norm {g:.3e}")
-        lam = float(np.linalg.eigvalsh(obj.dense_hessian(p))[0])
+        lam = float(_spectrum(obj, p)[0])
         if lam >= 0:
             raise ValueError(f"claimed saddle has lambda_min {lam:.3e} >= 0")
     for p, f in minima:
@@ -161,7 +186,7 @@ def _verify_known_points(obj: Objective, saddles, minima) -> None:
             raise ValueError(f"claimed minimum has gradient norm {g:.3e}")
         if abs(float(obj.value(p)) - f) > 1e-12:
             raise ValueError("claimed minimum value disagrees with the objective")
-        lams = np.linalg.eigvalsh(obj.dense_hessian(p))
+        lams = _spectrum(obj, p)
         lam = float(lams[0])
         scale = max(1.0, -lam, float(lams[-1]))  # the spectral norm of a symmetric matrix
         # exact zero curvature directions come out as float noise
@@ -294,6 +319,9 @@ def make_saddle_quartic(dim: int) -> ProblemInstance:
     def dense_hessian(x):
         return np.diag(_hess_diag(x))
 
+    def hessian_band(x):
+        return _hess_diag(x), np.zeros(dim - 1)
+
     obj = Objective(
         dim=dim,
         value=value,
@@ -305,6 +333,7 @@ def make_saddle_quartic(dim: int) -> ProblemInstance:
         dense_hessian=dense_hessian,
         f_star=-0.25,
         batched=True,
+        hessian_band=hessian_band,
     )
     e2 = np.zeros(dim)
     e2[1] = 1.0
@@ -453,12 +482,16 @@ def make_rosenbrock(dim: int) -> ProblemInstance:
         out[1:] += off * v[:-1]
         return out
 
-    def dense_hessian(x):
-        # the bits of np.diag(diag) + np.diag(off, 1) + np.diag(off, -1); that sum
+    def hessian_band(x):
+        # the band of np.diag(diag) + np.diag(off, 1) + np.diag(off, -1); that sum
         # adds +0.0 to every entry, which turns a -0.0 in off into +0.0 (diag
         # holds no -0.0: each entry is a sum ending in a nonzero term)
         diag, off = _diag_offdiag(x)
-        off = off + 0.0
+        return diag, off + 0.0
+
+    def dense_hessian(x):
+        # the bits of that sum, filled in place
+        diag, off = hessian_band(x)
         h = np.zeros((dim, dim))
         flat = h.reshape(-1)
         flat[:: dim + 1] = diag
@@ -478,6 +511,7 @@ def make_rosenbrock(dim: int) -> ProblemInstance:
         f_star=0.0,
         batched=True,
         tridiagonal_hessian=True,
+        hessian_band=hessian_band,
     )
     ones = np.ones(dim)
     minima = ((ones, 0.0),)

@@ -7,13 +7,18 @@ and the norm of the step to it, so that is what a :class:`SurrogateAt`
 carries; the anchor itself stays with the caller. Two families are built in,
 both minimized in closed form: a proximal-linear model (minimizer ``y - g/C``;
 at modulus 1 that is the gradient step, and GD and PGD are this model) and a
-curvature-aware model built from the positive part of the dense Hessian. That
-model's minimizer is found factor first: a tridiagonal Hessian with a nonzero
-subdiagonal (chained Rosenbrock's) that a banded Cholesky factorization shows
-positive definite is its own positive part, so the step is one banded solve;
-an indefinite, singular or diagonal one (the quartic's) goes through the
-tridiagonal eigensolver, and any other Hessian through dense
-``np.linalg.eigh``. A ``custom`` builder supplies all of these fields itself.
+curvature-aware model built from the positive part of the local Hessian. That
+model reads the Hessian's band where the objective declares one
+(``Objective.hessian_band``), with no ``d x d`` matrix: a zero band (the
+quartic's diagonal Hessian) is its own eigenbasis, and the step is
+elementwise, ``g / (max(diag, 0) + C)``, O(d); a tridiagonal band with a
+nonzero subdiagonal (chained Rosenbrock's) that a banded Cholesky
+factorization shows positive definite is its own positive part, so the step is
+one banded solve, and an indefinite or singular one goes through the
+tridiagonal eigensolver. Without a declared band the model reads the dense
+Hessian, takes those two banded routes when its bits show it tridiagonal, and
+otherwise calls dense ``np.linalg.eigh``. Every route gives the bits of the
+dense one. A ``custom`` builder supplies all of these fields itself.
 :func:`build_surrogate` checks its anchor first; the outer loop, which checks
 each anchor where it is made, calls the unchecked ``_build`` instead.
 """
@@ -162,7 +167,12 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
     # quadratic_split: keep the PSD part of the local Hessian, add modulus * I.
     if (why := unsupported(spec.kind, obj)) is not None:
         raise UnsupportedSurrogateError(why)
-    x_hat = y - _split_model_solve(_checked_hessian(obj, y), g_y, modulus)
+    if obj.hessian_band is None:
+        x_hat = y - _split_model_solve(_checked_hessian(obj, y), g_y, modulus)
+    else:
+        diag, sub = _checked_band(obj, y)
+        x_hat = y - (_band_solve(diag, sub, g_y, modulus) if sub.any()
+                     else _diagonal_solve(diag, g_y, modulus))
     step = x_hat - y
     return SurrogateAt(f_y, g_y, gn, x_hat, np.sqrt(row_dots(step, step)))
 
@@ -173,6 +183,16 @@ def _checked_hessian(obj: Objective, y: np.ndarray) -> np.ndarray:
     if h.shape != (y.size, y.size):
         raise ValueError(f"dense Hessian has shape {h.shape}, expected {(y.size, y.size)}")
     return h
+
+
+def _checked_band(obj: Objective, y: np.ndarray):
+    """``obj.hessian_band(y)`` as float64, checked to be the ``d`` and ``d - 1`` entries of a
+    band for the ``d``-vector ``y``."""
+    diag, sub = (np.asarray(b, dtype=np.float64) for b in obj.hessian_band(y))
+    if diag.shape != y.shape or sub.shape != (y.size - 1,):
+        raise ValueError(f"Hessian band has shapes {diag.shape} and {sub.shape}, "
+                         f"expected {y.shape} and {(y.size - 1,)}")
+    return diag, sub
 
 
 def _tridiagonal_band(h: np.ndarray):
@@ -205,38 +225,54 @@ def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarr
     its two matrix-vector products taken by :func:`~scaopt.numerics.row_dots`
     rather than BLAS.
     ``np.linalg.eigh`` reads only the lower triangle, so the band is read off
-    it too (by :func:`_tridiagonal_band`), and the cheapest exact route is
-    taken:
-
-    - a tridiagonal ``H`` with a nonzero subdiagonal is first factored by
-      ``scipy.linalg.cholesky_banded``; when that succeeds ``H`` is positive
-      definite, ``H_+ = H``, and the solve is ``solveh_banded(H + C I, g)``
-      on the two bands, O(d);
-    - when the factorization fails (``H`` is indefinite or singular), or the
-      subdiagonal is zero (a diagonal ``H``, whose eigenvectors are exact
-      signed unit vectors, so the minimizer keeps the bits of dense ``eigh``),
-      the eigenpairs come from ``scipy.linalg.eigh_tridiagonal``;
-    - anything else, or a band holding NaN or inf, goes through dense
-      ``np.linalg.eigh``.
+    it too (by :func:`_tridiagonal_band`): a tridiagonal ``H`` with a finite
+    band takes :func:`_band_solve`'s routes, and anything else, or a band
+    holding NaN or inf, goes through dense ``np.linalg.eigh``.
     """
     band = _tridiagonal_band(h)
     if band is None:
-        eigvals, eigvecs = np.linalg.eigh(h)
-    else:
-        from scipy.linalg import cholesky_banded, eigh_tridiagonal, solveh_banded
+        return _eigen_solve(*np.linalg.eigh(h), g, modulus)
+    return _band_solve(*band, g, modulus)
 
-        diag, sub = band
-        if sub.any():
-            ab = np.zeros((2, diag.size))  # lower banded storage
-            ab[0] = diag
-            ab[1, :-1] = sub
-            try:
-                cholesky_banded(ab, lower=True, check_finite=False)
-                ab[0] += modulus
-                return solveh_banded(ab, g, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                pass
-        eigvals, eigvecs = eigh_tridiagonal(diag, sub)
+
+def _band_solve(diag, sub, g, modulus):
+    """``(H_+ + C I)^{-1} g`` for the symmetric tridiagonal ``H`` of the bands ``diag`` and ``sub``.
+
+    A nonzero ``sub`` is first factored by ``scipy.linalg.cholesky_banded``;
+    when that succeeds ``H`` is positive definite, ``H_+ = H``, and the solve
+    is ``solveh_banded(H + C I, g)`` on the two bands, O(d). When the
+    factorization fails (``H`` is indefinite or singular), or ``sub`` is zero
+    (a diagonal ``H``, whose eigenvectors are exact signed unit vectors, so the
+    minimizer keeps the bits of dense ``eigh``), the eigenpairs come from
+    ``scipy.linalg.eigh_tridiagonal``.
+    """
+    from scipy.linalg import cholesky_banded, eigh_tridiagonal, solveh_banded
+
+    if sub.any():
+        ab = np.zeros((2, diag.size))  # lower banded storage
+        ab[0] = diag
+        ab[1, :-1] = sub
+        try:
+            cholesky_banded(ab, lower=True, check_finite=False)
+            ab[0] += modulus
+            return solveh_banded(ab, g, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            pass
+    return _eigen_solve(*eigh_tridiagonal(diag, sub), g, modulus)
+
+
+def _diagonal_solve(diag, g, modulus):
+    """:func:`_band_solve` of a zero subdiagonal, bit for bit, by division, O(d).
+
+    A diagonal ``H`` is its own eigenbasis, so the solve is ``g / (max(diag, 0)
+    + C)``; the ``+ 0.0`` turns a ``-0.0`` into the ``+0.0`` that the
+    eigensolver's route returns there.
+    """
+    return g / (np.maximum(diag, 0.0) + modulus) + 0.0
+
+
+def _eigen_solve(eigvals, eigvecs, g, modulus):
+    """``V ((V' g) / (max(lambda, 0) + C))`` on the eigenpairs ``(lambda, V)``."""
     return row_dots(eigvecs, row_dots(eigvecs.T, g) / (np.maximum(eigvals, 0.0) + modulus))
 
 

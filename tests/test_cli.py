@@ -527,6 +527,15 @@ class TestScalingStudy:
         assert list(info.value.violations) == validate_config(cfg)
         assert len(info.value.violations) == 2
 
+    def test_a_study_without_a_seed_count_is_the_sweep_config_error(self, tmp_path):
+        with pytest.raises(ConfigError) as scaling:
+            scaling_study("saddle_quartic:d=2", "gd", [1e-1, 3e-2, 1e-2], None)
+        with pytest.raises(ConfigError) as sweep:
+            sweep_experiment(ExperimentConfig(problem="saddle_quartic:d=2", algo="gd",
+                                              out_dir=str(tmp_path)))
+        assert scaling.value.violations == sweep.value.violations == (
+            "a sweep or scaling study requires --seeds >= 1",)
+
     def test_eps_list_must_decrease(self):
         with pytest.raises(ValueError):
             scaling_study("rosenbrock:d=2", "gd", [0.1, 0.2, 0.01], seeds=1)
@@ -628,6 +637,14 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "smoke.csv" in out
         assert main(["validate", "--problem", "quadratic:d=4", "--samples", "200"]) == 0
+
+    def test_a_run_without_a_stream_reports_no_seed(self, tmp_path, capsys):
+        """``config.seed`` keys an sca run's start; the run draws nothing, so its result has
+        no seed."""
+        assert main(["run", "--problem", "saddle_quartic:d=2", "--algo", "sca", "--seed", "3",
+                     "--max-iters", "20", "--out-dir", str(tmp_path), "--label", "sca"]) == 0
+        report = json.loads((tmp_path / "sca.json").read_text())
+        assert report["config"]["seed"] == 3 and report["result"]["seed"] is None
 
     def test_run_rejects_bad_config(self, tmp_path, capsys):
         code = main(

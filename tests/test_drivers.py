@@ -568,19 +568,26 @@ class TestSharedLoop:
             assert res.final_f == plain.final_f
 
     def test_a_terminal_row_builds_no_split_model(self):
-        """A ``quadratic_split`` run that ends at ``max_iters`` reads one Hessian per step."""
+        """A ``quadratic_split`` run that ends at ``max_iters`` reads one Hessian per step: its
+        declared band, or, on an objective that declares none, its dense Hessian."""
         prob = get_problem("rosenbrock:d=10")
-        calls = []
 
-        def dense_hessian(x):
-            calls.append(1)
-            return prob.objective.dense_hessian(x)
+        def counted(name):
+            def read(x):
+                calls[name] += 1
+                return getattr(prob.objective, name)(x)
+            return read
 
-        obj = dataclasses.replace(prob.objective, dense_hessian=dense_hessian)
-        eta = 1.0 / obj.constants.grad_lipschitz
-        res = drv.run_sca(obj, SurrogateSpec(kind="quadratic_split"), eta, 1e-12, 5,
-                          _jittered_start(prob))
-        assert res.termination == "max_iters" and len(calls) == 5
+        declared = dataclasses.replace(prob.objective, dense_hessian=counted("dense_hessian"),
+                                       hessian_band=counted("hessian_band"))
+        eta = 1.0 / declared.constants.grad_lipschitz
+        for obj, oracle in ((declared, "hessian_band"),
+                            (dataclasses.replace(declared, hessian_band=None), "dense_hessian")):
+            calls = {"hessian_band": 0, "dense_hessian": 0}
+            res = drv.run_sca(obj, SurrogateSpec(kind="quadratic_split"), eta, 1e-12, 5,
+                              _jittered_start(prob))
+            assert res.termination == "max_iters"
+            assert calls == {"hessian_band": 0, "dense_hessian": 0, oracle: 5}
 
     @pytest.mark.parametrize("name", ["saddle_quartic:d=10", "rosenbrock:d=10"])
     def test_gradient_baselines_tally_every_monitor(self, name):

@@ -465,7 +465,8 @@ STORE_MODELS = {
 def test_the_store_block_height_moves_no_byte(monkeypatch, tmp_path, model):
     """Rows that return ``x_tilde``, fail or run out of iterations at different iterations:
     every row's result and trajectory CSV are the same at every block height of the row
-    store, and each is its serial run, whatever the model."""
+    store, whether ``FLUSH`` or the byte budget sets it, and each is its serial run, whatever
+    the model."""
     spec, batched = STORE_MODELS[model]
     plain = dataclasses.replace(get_problem("saddle_quartic:d=2").objective, batched=batched)
     params = drv.derive_params(3e-2, 0.1, 1.0, 0.5, 0.25, plain, 1200)
@@ -499,9 +500,24 @@ def test_the_store_block_height_moves_no_byte(monkeypatch, tmp_path, model):
     ends = [(r.termination, r.iterations) for r in alone if not isinstance(r, Exception)]
     assert len(set(ends)) == 4 and ("max_iters", 1200) in ends
     expected = csv_bytes(alone)
-    for flush in (1, 3, 256):
-        monkeypatch.setattr(drv._Rows, "FLUSH", flush)
+    heights = []
+    flush = drv._Rows.flush
+
+    def counted(store, t):
+        heights.append(len(store.pending))
+        return flush(store, t)
+
+    monkeypatch.setattr(drv._Rows, "flush", counted)
+    # (FLUSH, BUDGET, the block height they set): each iteration of the 5 rows at d = 2 pends
+    # 3 * 80 bytes, so the default budget leaves the height to FLUSH, and a small one sets it
+    default = drv.BUDGET
+    for most, budget, height in ((1, default, 1), (3, default, 3), (256, default, 256),
+                                 (256, 2 * 240 + 239, 2), (256, 0, 1)):
+        monkeypatch.setattr(drv._Rows, "FLUSH", most)
+        monkeypatch.setattr(drv, "BUDGET", budget)
+        heights.clear()
         batch = run_batch()
+        assert max(heights) == height
         for row, single in zip(batch, alone):
             assert_same_run(row, single)
         assert csv_bytes(batch) == expected

@@ -1,8 +1,10 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scaopt import problems
@@ -347,6 +349,57 @@ class TestTridiagonalDeclaration:
                                  "matrix_factorization:d=6,r=2", "quadratic:d=4")}
         assert declared == {"rosenbrock:d=5": True, "saddle_quartic:d=5": False,
                             "matrix_factorization:d=6,r=2": False, "quadratic:d=4": False}
+
+
+class TestHessianBand:
+    """``hessian_band`` declares the band of ``dense_hessian`` bit for bit, with no d x d matrix."""
+
+    BAND_PROBLEMS = {"saddle_quartic": make_saddle_quartic, "rosenbrock": make_rosenbrock}
+
+    def test_declaration_without_a_dense_hessian_is_rejected(self):
+        with pytest.raises(ValueError, match="hessian_band declares the dense Hessian's band"):
+            Objective(dim=2, value=lambda x: 0.0, gradient=lambda x: np.zeros(2),
+                      hvp=lambda x, v: np.zeros(2), constants=Smoothness(1.0, 1.0),
+                      hessian_band=lambda x: (np.ones(2), np.zeros(1)))
+
+    @pytest.mark.parametrize("name", sorted(BAND_PROBLEMS))
+    @given(coords=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+                           max_size=40),
+           zeros=st.lists(st.sampled_from([0.0, -0.0]), max_size=40))
+    @example(coords=[0.0, 0.0, 0.0, 1.0], zeros=[])
+    def test_the_band_has_the_bits_of_the_dense_band(self, name, coords, zeros):
+        """``zeros`` overwrites the leading coordinates with signed zeros: where ``x_i`` is
+        ``+0.0``, Rosenbrock's ``-400 x_i`` is ``-0.0`` and its dense Hessian holds ``+0.0``."""
+        x = np.array(coords)
+        x[: len(zeros)] = zeros[: x.size]
+        obj = self.BAND_PROBLEMS[name](x.size).objective
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag, sub = obj.hessian_band(x)
+            h = obj.dense_hessian(x)
+        assert diag.tobytes() == h.diagonal().tobytes()
+        assert sub.tobytes() == h.diagonal(-1).tobytes()
+
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_a_diagonal_band_spectrum_is_the_eigvalsh_spectrum(self, dim, seed):
+        obj = make_saddle_quartic(dim).objective
+        x = sample_in_region(obj, RngStream(seed))
+        np.testing.assert_array_equal(problems._spectrum(obj, x),
+                                      np.linalg.eigvalsh(obj.dense_hessian(x)))
+
+    def test_a_large_quartic_is_built_from_its_band(self):
+        """The build checks its known points on the band: no d x d matrix, well under a second."""
+        dim = 10_000
+        build = get_problem.__wrapped__  # past the cache, so the instance is built here
+        start = time.perf_counter()
+        build(f"saddle_quartic:d={dim}")
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            build(f"saddle_quartic:d={dim}")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * dim * 8 / 100
 
 
 class TestKnownPoints:

@@ -259,6 +259,18 @@ class TestBandedHessians:
         y = np.array(coords)
         assert_matches_eigh(make_saddle_quartic(y.size).objective, y, modulus, dense_allowed=False)
 
+    @given(st.lists(st.tuples(signed_zeros_or(st.floats(-1.0, 1.0)),
+                              signed_zeros_or(st.floats(-1.0, 1.0))), min_size=2, max_size=39),
+           st.floats(-300.0, 3.0), st.floats(-300.0, 3.0), st.sampled_from([0.1, 1.0, 3.0]))
+    def test_the_zero_band_division_has_the_eigensolver_bits(self, pairs, g_exp, h_exp,
+                                                             modulus):
+        """A declared zero band is solved by division: the bits of ``_split_model_solve`` on the
+        dense diagonal matrix (its ``eigh_tridiagonal`` route), with signed zeros in ``g`` and
+        ``h`` and each scaled by a power of ten from 1e-300 to 1e3."""
+        g, h = (np.array(v) * 10.0**e for v, e in zip(zip(*pairs), (g_exp, h_exp)))
+        expected = surrogates._split_model_solve(np.diag(h), g, modulus)
+        assert bits(surrogates._diagonal_solve(h, g, modulus)) == bits(expected)
+
     @given(st.lists(st.tuples(signed_zeros_or(st.floats(-10.0, 10.0)),
                               signed_zeros_or(st.floats(-1e3, 1e3))), min_size=2, max_size=50),
            MODULI)
@@ -326,6 +338,15 @@ class TestBandedHessians:
         obj = fixed_hessian(h, np.ones(3))
         with pytest.raises(AssertionError, match="dense eigh called"):
             split_model(obj, np.zeros(3), 1.0, dense_allowed=False)
+
+    @pytest.mark.parametrize("band", [(np.ones(3), np.zeros(2)), (np.ones(2), np.zeros(2)),
+                                      (np.ones((2, 1)), np.zeros(1))])
+    def test_a_band_of_the_wrong_shape_is_refused(self, band):
+        obj = dataclasses.replace(fixed_hessian(np.eye(2), np.ones(2)),
+                                  hessian_band=lambda x: band)
+        with pytest.raises(ValueError, match=r"Hessian band has shapes .*, expected \(2,\) and "
+                                             r"\(1,\)"):
+            split_model(obj, np.zeros(2), 1.0)
 
     def test_hessian_of_the_wrong_shape_is_refused(self):
         obj = fixed_hessian(np.eye(3), np.ones(2))
