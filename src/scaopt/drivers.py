@@ -42,10 +42,10 @@ The loop steps a ``(B, d)`` stack of runs in lockstep (:func:`run_batch`; the
 four drivers are its one-row callers). Each row keeps its own perturbation
 state, stream, tests and events, and gets the result its run makes alone, bit
 for bit: every per-row reduction is one that keeps the bits of its 1-D form,
-and the monitors are checked from the trajectory columns when the run ends. A
-row keeps its position in the stack for the whole iteration; the rows that end
-or fail there leave it together at the iteration's one exit, after the step,
-where the row store also flushes.
+and the monitors are tallied per row, a failing one failing its run only when
+the run ends. A row keeps its position in the stack for the whole iteration;
+the rows that end or fail there leave it together at the iteration's one exit,
+after the step, where the row store also flushes.
 
 Every dot and 2-norm the loop takes (gradient, step and error norms, gaps,
 the region test) is :func:`~scaopt.numerics.row_dots`, the products summed by
@@ -65,7 +65,8 @@ or stop forms no norm: a step that stays in the region bounds the gradient
 gradient is NaN, inf or too large for its norm, and the end path fails it
 alone with its evaluation's error. For every model, the row store
 (:class:`_Rows`) forms every other value and norm, and every error norm and
-optimality gap of the trajectory columns, a block of iterations at a time. A
+optimality gap of the trajectory columns, a block of iterations at a time,
+and tallies the optimality monitor from those gaps, which it then drops. A
 value found bad there, or a column whose arithmetic raises, fails its row with
 the error of that iterate, ahead of anything the row met at a later iterate;
 the other rows run on.
@@ -176,9 +177,11 @@ class IterateRecord:
 class Trajectory(Sequence):
     """The rows of a run as float64 columns; each :class:`IterateRecord` is made when read.
 
-    ``columns[t]`` is ``(f, grad_norm, step_norm, err_norm)`` of row ``t``,
-    the row of iteration ``t``, and ``perturbed_at`` holds the iterations that
-    injected a perturbation. Equal to any sequence of the same records.
+    ``columns`` is a C-ordered ``(steps + 1, 4)`` array, and ``columns[t]`` is
+    ``(f, grad_norm, step_norm, err_norm)`` of row ``t``, the row of iteration
+    ``t``; a run's trajectory holds the array that the row store joined for it
+    (:meth:`_Rows.columns`), no copy. ``perturbed_at`` holds the iterations
+    that injected a perturbation. Equal to any sequence of the same records.
     """
 
     __slots__ = ("columns", "perturbed_at")
@@ -594,28 +597,48 @@ def _step(obj, surr, x, eta):
     return x_next, obj.rows_outside(x_next), d
 
 
-def _monitors(columns, perturbed_at, obj, modulus, eta) -> MonitorCounts:
-    """The monitor tallies of a run from its trajectory columns and optimality gaps.
+def _scales(gn, step_norm):
+    """``(step_norm * step_norm, tol)`` of each step, ``tol = 1e-10 max(1, grad_norm)`` the
+    monitors' slack: the one statement of each."""
+    return step_norm * step_norm, 1e-10 * np.maximum(1.0, gn)
 
-    ``columns`` are the run's :class:`Trajectory` columns with each step's
-    optimality gap ``(x - x_hat)'g`` appended (0 on the terminal row). Every
-    step is checked for optimality, the direction bound and (given
+
+def _optimal(gap, step_norm, step_sq, tol, modulus):
+    """The optimality test of each step: ``gap >= C step_norm**2 - (tol step_norm + 1e-9)``."""
+    return gap >= modulus * step_sq - (tol * step_norm + 1e-9)
+
+
+def _monitors(columns, perturbed_at, obj, modulus, eta, optimality) -> MonitorCounts:
+    """The monitor tallies of a run from its trajectory columns and its optimality tally.
+
+    ``columns`` are the run's :class:`Trajectory` columns, and ``optimality``
+    is ``(passed, tail)`` from the row store (:meth:`_Rows.optimality`): the
+    steps that passed the optimality test ``(x - x_hat)'g >= C step_norm**2 -
+    (tol step_norm + 1e-9)`` (:func:`_optimal`), which the store checks as it
+    forms each gap, and None, or, when that test raised on a block of the run,
+    the run's first step there and its gaps from there on. Those steps are
+    tested here again, in the test's place in the order below, so the run
+    fails with the error that the test raises on the run's whole columns.
+    Every step is checked for optimality, the direction bound and (given
     ``value_lipschitz``) the error bound, each with the slack ``tol = 1e-10
-    max(1, grad_norm)`` (this is its one statement), and ``step_norm**2``
-    written as the product ``step_norm * step_norm``. Consecutive rows are checked by the
+    max(1, grad_norm)``, and ``step_norm**2`` written as the product
+    ``step_norm * step_norm`` (:func:`_scales`). Consecutive rows are checked by the
     descent test ``f_next <= f - eta' step_norm**2 + slack`` with ``eta' = eta
     C - eta**2 L1 / 2`` and ``slack = 1e-9 (1 + |f|) + eta tol step_norm``,
     skipping a row reached by a perturbation's jump. At ``eta >= 2C/L1`` the
     factor ``eta'`` is not positive, the test says nothing, and no row is
     checked (:func:`run_batch` warns).
     """
-    f, gn, step_norm, err_norm, gap = columns[:-1].T
+    f, gn, step_norm, err_norm = columns[:-1].T
     steps = len(f)
-    step_sq = step_norm * step_norm
-    tol = 1e-10 * np.maximum(1.0, gn)
-    optimality = gap >= modulus * step_sq - (tol * step_norm + 1e-9)
+    step_sq, tol = _scales(gn, step_norm)
+    optimal, tail = optimality
+    if tail is not None:
+        start, gap = tail
+        optimal += int(_optimal(gap, step_norm[start:], step_sq[start:], tol[start:],
+                                modulus).sum())
     direction = step_norm <= gn / modulus + tol / modulus
-    counts = MonitorCounts(optimality_checked=steps, optimality_passed=int(optimality.sum()),
+    counts = MonitorCounts(optimality_checked=steps, optimality_passed=optimal,
                            direction_checked=steps, direction_passed=int(direction.sum()))
     lip_value = obj.constants.value_lipschitz
     if lip_value is not None:
@@ -672,16 +695,24 @@ class _Rows:
     :func:`_read`), the norms as the iteration formed them (None where it
     formed none), and the step's ``d`` and gradient ``g`` (see :func:`_step`).
     At the loop's one exit of an iteration, when rows leave the stack there or
-    a block's height of iterations are pending, :meth:`flush` turns them into one block
-    of shape ``(iterations, rows, 5)``, the columns ``f, grad_norm, step_norm,
-    err_norm, gap``: the unread values by one stacked ``obj.value`` call, each
-    norm column joined from the iterations or, where one formed none, as
-    ``sqrt(g'g)`` and that over ``modulus``, and every error norm ``||d - g||``
-    and gap ``d'g``, all over the block's stacked arrays, each row with the
-    bits of its one-row form. A run's columns are its slices of the blocks,
-    closed by the terminal row that the loop's one end path writes. So a run
-    keeps its ``x``, ``d`` and ``g`` until its block flushes, and the block's
-    height bounds the pending arrays in bytes: :func:`_lockstep` takes
+    a block's height of iterations are pending, :meth:`flush` forms from them
+    the columns ``f, grad_norm, step_norm, err_norm`` and each step's gap: the
+    unread values by one stacked ``obj.value`` call, each norm column joined
+    from the iterations or, where one formed none, as ``sqrt(g'g)`` and that
+    over ``modulus``, and every error norm ``||d - g||`` and gap ``d'g``, all
+    over the block's stacked arrays, each row with the bits of its one-row
+    form. The gap's one reader is the optimality monitor, so the flush tallies
+    it there, per row, and keeps no gap: ``passed`` counts each row's steps
+    that passed, and a row whose test raised on a block keeps, in ``gaps``,
+    its first step there and its gaps from there on (:meth:`_tally`), for
+    :func:`_monitors` to test again when the run ends, since a monitor fails
+    only a run that completes. Each row keeps, in ``parts``, one owned
+    ``(iterations, 4)`` array of the four columns per block (a view would keep
+    the whole block alive), which :meth:`columns` joins once with the terminal
+    row that the loop's one end path writes. A trajectory row then costs its
+    32 bytes, and 32 more while its run is joined. A run keeps its ``x``,
+    ``d`` and ``g`` until its block flushes, so the block's height bounds the
+    pending arrays in bytes: :func:`_lockstep` takes
     ``FLUSH`` iterations, or fewer, at least one, when the pending arrays of
     that many iterations of the batch's first stack would pass ``BUDGET``
     bytes. A batch then holds O(B d) bytes of them, not ``3 FLUSH B d`` floats,
@@ -695,17 +726,20 @@ class _Rows:
         self.obj = obj
         self.ids = ids
         self.modulus = modulus
-        self.blocks: list[tuple[tuple, np.ndarray]] = []
+        self.parts: dict[int, list[np.ndarray]] = {i: [] for i in ids}
+        self.passed = dict.fromkeys(ids, 0)
+        self.gaps: dict[int, tuple[int, list[np.ndarray]]] = {}
         self.pending: list[tuple] = []
 
     def flush(self, t) -> dict:
-        """Turn the pending iterations, those before ``t``, into a block; map each failed row's
-        position to its error.
+        """Turn the pending iterations, those before ``t``, into each row's part and optimality
+        tally; map each failed row's position to its error.
 
         A row's error is that of its first iterate whose value raised or is
         not finite (:func:`_values`), or whose columns raised (a floating-point
         warning made an error): when forming the block's columns raises, each
-        iterate's are formed alone, in iteration order, after its value.
+        iterate's are formed alone, in iteration order, after its value. An
+        optimality test that raises fails no row here (:meth:`_tally`).
         """
         if not self.pending:
             return {}
@@ -733,7 +767,8 @@ class _Rows:
             grad_norms, step_norms = np.concatenate(grad_norms), np.concatenate(step_norms)
 
         def form(k):
-            """The columns but ``f`` of the iterates ``k`` (a slice, or one block index)."""
+            """The columns but ``f``, and the gap, of the iterates ``k`` (a slice, or one block
+            index)."""
             gn = grad_norms[k] if joined else np.sqrt(row_dots(g[k], g[k]))
             err = d[k] - g[k]
             return (gn, step_norms[k] if joined else gn / self.modulus,
@@ -750,14 +785,56 @@ class _Rows:
                         columns[:, k] = form(k)
                     except Exception as exc:
                         failed[pos] = (k, exc)
-        block = np.stack((f, *columns), axis=1)
-        self.blocks.append((self.ids, block.reshape(iterations, rows, 5)))
+        gn, step_norm, err_norm, gap = columns
+        self._tally(gn, step_norm, gap, start)
+        block = np.stack((f, gn, step_norm, err_norm), axis=1).reshape(iterations, rows, 4)
+        for pos, row in enumerate(self.ids):
+            self.parts[row].append(block[:, pos].copy())
         return {pos: exc for pos, (_, exc) in failed.items()}
 
+    def _tally(self, gn, step_norm, gap, start):
+        """Add each row's steps of the block that pass the optimality test to ``passed``.
+
+        ``gn``, ``step_norm`` and ``gap`` are the block's columns, iteration by
+        iteration over the rows of ``ids``, from iteration ``start``. When the
+        test raises on the block, each row's is taken alone, and a row whose
+        test raises keeps its gaps in ``gaps`` from this block on, untallied:
+        the blocks before raised nothing, so the test raises on those gaps the
+        error it raises on the run's whole columns.
+        """
+        rows = len(self.ids)
+
+        def passed(k):
+            return _optimal(gap[k], step_norm[k], *_scales(gn[k], step_norm[k]), self.modulus)
+
+        try:
+            counts = passed(slice(None)).reshape(-1, rows).sum(axis=0).tolist()
+        except Exception:
+            counts = []
+            for pos in range(rows):
+                try:
+                    counts.append(int(passed(slice(pos, None, rows)).sum()))
+                except Exception:
+                    counts.append(None)
+        for pos, row in enumerate(self.ids):
+            if row not in self.gaps and counts[pos] is not None:
+                self.passed[row] += counts[pos]
+            else:
+                self.gaps.setdefault(row, (start, []))[1].append(gap[pos::rows].copy())
+
     def columns(self, row, end) -> np.ndarray:
-        """The ``(steps + 1, 5)`` columns of ``row``, closed by its terminal row ``end``."""
-        parts = [block[:, ids.index(row)] for ids, block in self.blocks if row in ids]
-        return np.concatenate(parts + [np.array([[*end, 0.0, 0.0, 0.0]])])
+        """The ``(steps + 1, 4)`` columns of ``row``, closed by its terminal row ``end``; its parts
+        are dropped."""
+        parts = self.parts.pop(row)
+        parts.append(np.array([[*end, 0.0, 0.0]]))
+        return np.concatenate(parts)
+
+    def optimality(self, row) -> tuple:
+        """``(passed, tail)`` of ``row``, which :func:`_monitors` reads: the steps that passed the
+        optimality test, and None, or the first step of the block where its test raised and
+        its gaps from there on."""
+        start, gaps = self.gaps.pop(row, (None, None))
+        return self.passed.pop(row), None if gaps is None else (start, np.concatenate(gaps))
 
 
 def _quiet(obj, spec, eta) -> bool:
@@ -1096,7 +1173,9 @@ def run_batch(
     rows that perturb draw from their streams. Returns one entry per row, in
     order: the :class:`RunResult` of its run, equal to the serial run's bit
     for bit, or the exception that run raised (a failing row drops out; the
-    rest run on).
+    rest run on). A run that completes fails there when its monitors'
+    arithmetic raises (:func:`_monitors`). Its :class:`Trajectory` holds the
+    columns that the row store joined for it, which no other array keeps.
     """
     given = {"eta": eta, "max_iters": max_iters, "stop_grad_norm": stop_grad_norm, "rngs": rngs}
     if params is None:
@@ -1160,12 +1239,13 @@ def run_batch(
             continue
         columns = store.columns(i, row.end)
         try:  # a row whose monitor arithmetic raises fails alone
-            monitors = _monitors(columns, row.perturbed_at, obj, modulus, eta)
+            monitors = _monitors(columns, row.perturbed_at, obj, modulus, eta,
+                                 store.optimality(i))
         except Exception as exc:
             results.append(exc)
             continue
         results.append(RunResult(
-            records=Trajectory(columns[:, :4].copy(), row.perturbed_at),
+            records=Trajectory(columns, row.perturbed_at),
             termination=row.termination,
             x_out=row.x_out,
             f_out=row.f_out,

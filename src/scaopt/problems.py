@@ -389,13 +389,23 @@ def make_matrix_factorization(M, rank: int) -> ProblemInstance:
         return out.reshape(dim, order="F")
 
     def dense_hessian(x):
-        h = np.empty((dim, dim))
-        basis = np.zeros(dim)
-        for i in range(dim):
-            basis[:] = 0.0
-            basis[i] = 1.0
-            h[:, i] = hvp(x, basis)
-        return 0.5 * (h + h.T)
+        # hvp's three products at the basis matrix W with one 1 at (j, l): entry (i + d m,
+        # j + d l) is (V'V)[l, m] where i == j, plus V[i, l] V[j, m], plus E[i, j] where m == l,
+        # E = VV' - M, summed in hvp's order. Each matmul sums its one product onto a zero,
+        # so each term is 0 + P, which reads a -0.0 product as +0.0
+        v = _mat(x)
+        vtv, e = v.T @ v + 0.0, v @ v.T - M + 0.0
+        # h[m, i, l, j] is entry (i + d m, j + d l)
+        h = v[None, :, :, None] * v.T[:, None, None, :]
+        h += 0.0
+        for i in range(d):
+            h[:, i, :, i] = vtv.T + h[:, i, :, i]
+        for m in range(rank):
+            h[m, :, m, :] += e
+        h = h.reshape(dim, dim)
+        out = h + h.T
+        out *= 0.5
+        return out
 
     # conservative closed-form bounds over the declared Frobenius ball
     grad_lip = 3.0 * radius**2 + norm_m

@@ -4,7 +4,8 @@ The loop checks its monitors on whole trajectory columns at once
 (``drivers._monitors``) and forms the error vector of each step as ``d - g``
 (``drivers._step``). These functions state the same inequalities one step at a
 time, from the textbook form, and the slack ``1e-10 max(1, ||grad||)`` that
-the loop writes inline, so a test can recheck a run's records against them.
+the loop states once (``drivers._scales``), so a test can recheck a run's
+records against them.
 """
 
 import numpy as np

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -704,6 +705,37 @@ class TestSharedLoop:
         assert res.records[-1].t % every == 0
         assert res.iterates[-1][0] == res.records[-1].t
         assert [t for t, _ in res.iterates] == [0, every]
+
+    @pytest.mark.parametrize("rows, max_iters", [(1, 30_000), (6, 5_000)])
+    def test_a_runs_trajectory_is_kept_once(self, rows, max_iters):
+        """A trajectory row costs its 32 bytes in the result, and 32 more while its run's parts
+        are joined: the traced peak of a lone ``run_sca``, and of a batch, stays at or below 90
+        bytes per row (the row store once kept 124, holding each row in its block, its run's
+        joined columns and the trajectory's copy of them). The columns are one owned, C-ordered
+        ``(n, 4)`` array."""
+        obj = get_problem("rosenbrock:d=2").objective
+        eta = 1.0 / obj.constants.grad_lipschitz
+        x0s = [np.array([-1.2 + 0.01 * k, 1.0]) for k in range(rows)]
+
+        def run(iterations):
+            if rows == 1:
+                return [drv.run_sca(obj, SurrogateSpec(), eta, 0.0, iterations, x0s[0])]
+            return drv.run_batch(obj, SurrogateSpec(), x0s, eta=eta, stop_grad_norm=0.0,
+                                 max_iters=iterations)
+
+        run(300)  # warm up
+        tracemalloc.start()
+        try:
+            results = run(max_iters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [res.iterations for res in results] == [max_iters] * rows
+        assert peak <= 90 * rows * (max_iters + 1)
+        for res in results:
+            columns = res.records.columns
+            assert columns.shape == (max_iters + 1, 4) and columns.dtype == np.float64
+            assert columns.flags.c_contiguous and columns.flags.owndata
 
 
 class TestOneStepRule:

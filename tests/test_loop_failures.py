@@ -12,6 +12,7 @@ row equals its serial run. They also check the two argument sets of
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import scaopt.drivers as drv
+from scaopt import surrogates
 from scaopt.numerics import NonFiniteError, RngStream
 from scaopt.problems import get_problem, make_quadratic, make_saddle_quartic
 from scaopt.surrogates import SurrogateSpec
@@ -178,6 +180,91 @@ def test_a_row_whose_diagnostics_overflow_fails_alone(batched_objective, case, l
         expected = (NonFiniteError, f"non-finite objective or gradient at iteration {nan_at}")
     else:
         expected = (RuntimeWarning, "overflow encountered in multiply")
+    assert (type(batch[bad]), str(batch[bad])) == expected
+    assert all(row.termination == "max_iters" for k, row in enumerate(batch) if k != bad)
+
+
+@given(
+    batched_objective=st.booleans(),
+    case=st.sampled_from(["square", "product"]),
+    height=st.sampled_from([1, 3, 256]),
+    layout=st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+    # the bad row's iterate whose value is NaN, counted from the height: in a later block
+    nan_after=st.one_of(st.none(), st.integers(0, 39)),
+)
+@example(batched_objective=False, case="square", height=256, layout=(2, 0), nan_after=None)
+@example(batched_objective=True, case="square", height=3, layout=(3, 1), nan_after=5)
+@example(batched_objective=False, case="product", height=1, layout=(2, 1), nan_after=None)
+@example(batched_objective=True, case="product", height=256, layout=(3, 0), nan_after=7)
+def test_a_row_whose_optimality_overflows_fails_at_its_end(batched_objective, case, height,
+                                                           layout, nan_after):
+    """SCA on ``0.5 ||x||^2`` for ``height + 40`` iterations at a store block height of 1, 3 or
+    256, set through ``BUDGET``, warnings made errors: the bad row's optimality arithmetic
+    overflows at iteration 0, in its first block. In the "square" case (the "monitor" case
+    above) its ``step_norm * step_norm`` overflows; in the "product" case a custom model reports
+    a step norm of 1e154 there, whose finite square ``C = 2`` times overflows. A monitor fails a
+    run only when the run ends, so a NaN value at the bad row's iterate ``height + nan_after``,
+    in a later block, fails it with that iterate's error, and a run that reaches ``max_iters``
+    fails with the overflow. Every row equals its serial run."""
+    rows, bad = layout
+    max_iters = height + 40
+    plain = make_quadratic(np.eye(2)).objective
+    start = np.array([0.3, 0.0])
+    clean = plain
+    if case == "square":
+        modulus, norm = DIAGNOSTICS_OVERFLOW["monitor"]
+        spec = SurrogateSpec(strong_convexity=modulus)
+
+        def gradient(p):
+            g = plain.gradient(p)
+            return g * (norm / 0.3) if np.array_equal(p, start) else g
+
+        clean = dataclasses.replace(plain, gradient=gradient)
+    else:
+        def builder(o, y, _, model=SurrogateSpec(strong_convexity=2.0)):
+            surr = surrogates._build(o, y, model)
+            if np.array_equal(y, start):
+                surr.step_norm = 1e154
+            return surr
+
+        spec = SurrogateSpec(kind="custom", strong_convexity=2.0, builder=builder)
+    nan_point = None
+    if nan_after is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            nan_point = drv.run_sca(clean, spec, 0.1, -1.0, max_iters, start,
+                                    keep_iterates_every=1).iterates[height + nan_after][1]
+
+    def value(p):
+        return math.nan if nan_point is not None and np.array_equal(p, nan_point) else plain.value(p)
+
+    obj = dataclasses.replace(clean, value=value)
+    if batched_objective:
+        obj = dataclasses.replace(obj, value=rowwise(value), gradient=rowwise(clean.gradient),
+                                  batched=True)
+    x0s = [start if k == bad else np.array([0.5, 0.1 * k]) for k in range(rows)]
+    # the store's block height is BUDGET // (3 x.nbytes), at most FLUSH (see drivers._lockstep)
+    budget = {1: 0, 3: 3 * 3 * start.nbytes * rows, 256: drv.BUDGET}[height]
+    flushed, flush = [], drv._Rows.flush
+
+    def counted(store, t):
+        flushed.append(len(store.pending))
+        return flush(store, t)
+
+    with warnings.catch_warnings(), mock.patch.object(drv, "BUDGET", budget):
+        warnings.simplefilter("error")
+        with mock.patch.object(drv._Rows, "flush", counted):
+            batch = drv.run_batch(obj, spec, x0s, eta=0.1, max_iters=max_iters,
+                                  stop_grad_norm=-1.0)
+        alone = [serial(lambda x0=x0: drv.run_sca(obj, spec, 0.1, -1.0, max_iters, x0))
+                 for x0 in x0s]
+    assert max(flushed) == height
+    check_rows(batch, alone, failing={bad})
+    if nan_after is None:
+        expected = (RuntimeWarning, "overflow encountered in multiply")
+    else:
+        expected = (NonFiniteError,
+                    f"non-finite objective or gradient at iteration {height + nan_after}")
     assert (type(batch[bad]), str(batch[bad])) == expected
     assert all(row.termination == "max_iters" for k, row in enumerate(batch) if k != bad)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -179,6 +180,48 @@ class TestMatrixFactorization:
         x = sample_in_region(obj, stream, scale=1.0)
         v = stream.standard_normal(obj.dim)
         assert np.allclose(obj.hvp(x, v), obj.dense_hessian(x) @ v, atol=1e-10)
+
+
+def hvp_hessian(obj, x):
+    """The Hessian built a column at a time from ``hvp`` at each basis vector, then symmetrized:
+    the reference that matrix factorization's closed-form ``dense_hessian`` must equal."""
+    h = np.empty((obj.dim, obj.dim))
+    basis = np.zeros(obj.dim)
+    for i in range(obj.dim):
+        basis[:] = 0.0
+        basis[i] = 1.0
+        h[:, i] = obj.hvp(x, basis)
+    return 0.5 * (h + h.T)
+
+
+@functools.cache
+def factorization(d, rank):
+    """A factorization problem whose ``M`` has rank ``rank``, so it has a known minimum."""
+    v = np.random.default_rng(10 * d + rank).standard_normal((d, rank))
+    return make_matrix_factorization(v @ v.T, rank)
+
+
+class TestMatrixFactorizationHessian:
+    @given(shape=st.sampled_from([(6, 2), (30, 8), (3, 1), (5, 5), (10, 3), (1, 1)]),
+           kind=st.sampled_from(["random", "zero", "minimum"]),
+           seed=st.integers(0, 2**32 - 1), scale=st.integers(-3, 3),
+           zeros=st.sampled_from([0.0, 0.2, 0.5]))
+    @example(shape=(6, 2), kind="zero", seed=0, scale=0, zeros=0.5)
+    @example(shape=(30, 8), kind="minimum", seed=0, scale=0, zeros=0.0)
+    def test_the_closed_form_mf_hessian_has_the_hvp_bits(self, shape, kind, seed, scale, zeros):
+        """The closed form of ``dense_hessian`` equals the per-column ``hvp`` build bit for bit:
+        at random points, coordinates of 10^scale, at ``V = 0`` and at the known minimum, each
+        with a share ``zeros`` of its coordinates set to ``+0.0`` or ``-0.0``, so that products
+        of the three terms come out as ``-0.0``."""
+        inst = factorization(*shape)
+        obj = inst.objective
+        gen = np.random.default_rng(seed)
+        x = {"random": gen.standard_normal(obj.dim) * 10.0**scale,
+             "zero": np.zeros(obj.dim),
+             "minimum": inst.known_minima[0][0].copy()}[kind]
+        hit = gen.random(obj.dim) < zeros
+        x[hit] = np.where(gen.random(obj.dim) < 0.5, 0.0, -0.0)[hit]
+        assert bits(obj.dense_hessian(x)).tobytes() == bits(hvp_hessian(obj, x)).tobytes()
 
 
 class TestRosenbrock:
