@@ -35,7 +35,7 @@ import numpy as np
 
 from scaopt.numerics import NonFiniteError, RngStream, as_vector, row_dots
 from scaopt.problems import Objective
-from scaopt.surrogates import _checked_hessian, _tridiagonal_band, checked_gradient
+from scaopt.surrogates import _checked_hessian, checked_gradient
 
 __all__ = [
     "Certificate",
@@ -110,6 +110,28 @@ def resolve_method(obj: Objective, method: str = "auto") -> str:
     if method == "dense" and obj.dense_hessian is None:
         raise ValueError("dense method requested but no dense Hessian available")
     return method
+
+
+def _tridiagonal_band(h: np.ndarray):
+    """``(diag, sub)`` of ``h``'s lower triangle if it is tridiagonal with a finite band, else None.
+
+    ``h`` is a float64 matrix. The test is exact and, on a tridiagonal ``h``,
+    makes no ``d x d`` temporary: the entries of ``h`` with a nonzero bit
+    pattern, counted in place, equal those of its three central diagonals
+    exactly when every entry off the band is ``+0.0``. Only when the counts
+    differ (an entry above the diagonal, which is ignored as ``eigh`` ignores
+    it, or a ``-0.0``) is the lower triangle below the band read. Counting
+    bits rather than floats halves the time of the count. ``diag`` and
+    ``sub`` are read-only views of ``h``.
+    """
+    diag, sub = h.diagonal(), h.diagonal(-1)
+    if not (np.isfinite(diag).all() and np.isfinite(sub).all()):
+        return None
+    bits = h.view(np.uint64)
+    on_band = sum(np.count_nonzero(bits.diagonal(k)) for k in (-1, 0, 1))
+    if np.count_nonzero(bits) != on_band and np.tril(h, -2).any():
+        return None
+    return diag, sub
 
 
 class _BudgetExhausted(Exception):

@@ -81,9 +81,10 @@ class Objective:
     Hessian's band: ``hessian_band(x)`` returns ``(diag, sub)``, the ``dim``
     diagonal and ``dim - 1`` subdiagonal entries of a tridiagonal
     ``dense_hessian(x)``, with its bits, in O(dim) and with no ``dim x dim``
-    matrix; a zero ``sub`` declares a diagonal Hessian. The ``quadratic_split``
-    model and the check of the known critical points read the band instead of
-    the matrix (certification still reads the matrix).
+    matrix; a zero ``sub`` declares a diagonal Hessian. :func:`make_quadratic`
+    declares the band of a tridiagonal ``H``. The ``quadratic_split`` model,
+    the check of the known critical points and :func:`validate_contracts` read
+    the band instead of the matrix (certification still reads the matrix).
     """
 
     dim: int
@@ -219,7 +220,8 @@ def make_quadratic(
     The gradient-Lipschitz constant is the spectral norm of H and the true
     Hessian-Lipschitz constant is zero. ``hessian_lipschitz`` lets a caller
     declare a conservative positive value instead, which the perturbed-driver
-    parameter formulas require.
+    parameter formulas require. An ``H`` whose lower triangle (all ``eigh``
+    reads) is tridiagonal has its band declared as ``Objective.hessian_band``.
     """
     H = _symmetric(H, "H")
     dim = H.shape[0]
@@ -254,6 +256,9 @@ def make_quadratic(
         region_norm=2,
         dense_hessian=lambda x: H.copy(),
     )
+    if not np.tril(H, -2).any():
+        band = H.diagonal(), H.diagonal(-1)  # read-only views: get_problem shares the instance
+        obj_kwargs["hessian_band"] = lambda x: band
 
     saddles: list[np.ndarray] = []
     minima: list[tuple[np.ndarray, float]] = []
@@ -647,6 +652,22 @@ def _sample_region(obj: Objective, rng: RngStream) -> np.ndarray:
     return sample_uniform_ball(obj.dim, radius, rng)
 
 
+def _hessian_gap(obj: Objective, x: np.ndarray, y: np.ndarray) -> float:
+    """The spectral norm of ``H(x) - H(y)``: of the band between two declared bands (its
+    largest ``|Δdiag|``, or the larger magnitude of its two end eigenvalues, found by
+    bisection), O(d); else the SVD of the two dense Hessians' difference."""
+    if obj.hessian_band is None:
+        return float(np.linalg.norm(obj.dense_hessian(x) - obj.dense_hessian(y), 2))
+    diag, sub = (a - b for a, b in zip(obj.hessian_band(x), obj.hessian_band(y)))
+    if not sub.any():
+        return float(np.max(np.abs(diag)))
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    lowest, highest = (eigvalsh_tridiagonal(diag, sub, select="i", select_range=(i, i))[0]
+                       for i in (0, diag.size - 1))
+    return float(max(-lowest, highest))
+
+
 def validate_contracts(
     problem: ProblemInstance, rng: RngStream, samples: int = 1000
 ) -> ContractReport:
@@ -676,8 +697,7 @@ def validate_contracts(
             grad_ratio, float(np.linalg.norm(gx - obj.gradient(y))) / gap
         )
         if check_hessian:
-            diff = obj.dense_hessian(x) - obj.dense_hessian(y)
-            hess_ratio = max(hess_ratio, float(np.linalg.norm(diff, 2)) / gap)
+            hess_ratio = max(hess_ratio, _hessian_gap(obj, x, y) / gap)
 
     violations = []
     if grad_ratio > 1.01 * declared.grad_lipschitz:

@@ -10,17 +10,16 @@ at modulus 1 that is the gradient step, and GD and PGD are this model) and a
 curvature-aware model built from the positive part of the local Hessian. That
 model reads the Hessian's band where the objective declares one
 (``Objective.hessian_band``), with no ``d x d`` matrix: a zero band (the
-quartic's diagonal Hessian) is its own eigenbasis, and the step is
-elementwise, ``g / (max(diag, 0) + C)``, O(d); a tridiagonal band with a
-nonzero subdiagonal (chained Rosenbrock's) that a banded Cholesky
+quartic's diagonal Hessian, or a diagonal quadratic's) is its own eigenbasis,
+and the step is elementwise, ``g / (max(diag, 0) + C)``, O(d); a tridiagonal
+band with a nonzero subdiagonal (chained Rosenbrock's) that a banded Cholesky
 factorization shows positive definite is its own positive part, so the step is
 one banded solve, and an indefinite or singular one goes through the
 tridiagonal eigensolver. Without a declared band the model reads the dense
-Hessian, takes those two banded routes when its bits show it tridiagonal, and
-otherwise calls dense ``np.linalg.eigh``. Every route gives the bits of the
-dense one. A ``custom`` builder supplies all of these fields itself.
-:func:`build_surrogate` checks its anchor first; the outer loop, which checks
-each anchor where it is made, calls the unchecked ``_build`` instead.
+Hessian and calls dense ``np.linalg.eigh``, whatever its shape. Every banded
+route gives the bits of the dense one. A ``custom`` builder supplies all of
+these fields itself. :func:`build_surrogate` checks its anchor first; the outer
+loop, which checks each anchor where it is made, calls the unchecked ``_build``.
 """
 
 from __future__ import annotations
@@ -168,11 +167,9 @@ def _build(obj: Objective, y: np.ndarray, spec: SurrogateSpec) -> SurrogateAt:
     if (why := unsupported(spec.kind, obj)) is not None:
         raise UnsupportedSurrogateError(why)
     if obj.hessian_band is None:
-        x_hat = y - _split_model_solve(_checked_hessian(obj, y), g_y, modulus)
+        x_hat = y - _eigen_solve(*np.linalg.eigh(_checked_hessian(obj, y)), g_y, modulus)
     else:
-        diag, sub = _checked_band(obj, y)
-        x_hat = y - (_band_solve(diag, sub, g_y, modulus) if sub.any()
-                     else _diagonal_solve(diag, g_y, modulus))
+        x_hat = y - _band_solve(*_checked_band(obj, y), g_y, modulus)
     step = x_hat - y
     return SurrogateAt(f_y, g_y, gn, x_hat, np.sqrt(row_dots(step, step)))
 
@@ -195,84 +192,35 @@ def _checked_band(obj: Objective, y: np.ndarray):
     return diag, sub
 
 
-def _tridiagonal_band(h: np.ndarray):
-    """``(diag, sub)`` of ``h``'s lower triangle if it is tridiagonal with a finite band, else None.
-
-    ``h`` is a float64 matrix. The test is exact and, on a tridiagonal ``h``,
-    makes no ``d x d`` temporary: the entries of ``h`` with a nonzero bit
-    pattern, counted in place, equal those of its three central diagonals
-    exactly when every entry off the band is ``+0.0``. Only when the counts
-    differ (an entry above the diagonal, which is ignored as ``eigh`` ignores
-    it, or a ``-0.0``) is the lower triangle below the band read. Counting
-    bits rather than floats halves the time of the count. ``diag`` and
-    ``sub`` are read-only views of ``h``.
-    """
-    diag, sub = h.diagonal(), h.diagonal(-1)
-    if not (np.isfinite(diag).all() and np.isfinite(sub).all()):
-        return None
-    bits = h.view(np.uint64)
-    on_band = sum(np.count_nonzero(bits.diagonal(k)) for k in (-1, 0, 1))
-    if np.count_nonzero(bits) != on_band and np.tril(h, -2).any():
-        return None
-    return diag, sub
-
-
-def _split_model_solve(h: np.ndarray, g: np.ndarray, modulus: float) -> np.ndarray:
-    """``(H_+ + C I)^{-1} g``, with ``H`` the symmetric matrix of ``h``'s lower triangle.
-
-    ``H_+`` is ``H`` with its negative eigenvalues set to 0. On eigenpairs
-    ``(V, lambda)`` of ``H`` the solve is ``V ((V' g) / (max(lambda, 0) + C))``,
-    its two matrix-vector products taken by :func:`~scaopt.numerics.row_dots`
-    rather than BLAS.
-    ``np.linalg.eigh`` reads only the lower triangle, so the band is read off
-    it too (by :func:`_tridiagonal_band`): a tridiagonal ``H`` with a finite
-    band takes :func:`_band_solve`'s routes, and anything else, or a band
-    holding NaN or inf, goes through dense ``np.linalg.eigh``.
-    """
-    band = _tridiagonal_band(h)
-    if band is None:
-        return _eigen_solve(*np.linalg.eigh(h), g, modulus)
-    return _band_solve(*band, g, modulus)
-
-
 def _band_solve(diag, sub, g, modulus):
     """``(H_+ + C I)^{-1} g`` for the symmetric tridiagonal ``H`` of the bands ``diag`` and ``sub``.
 
-    A nonzero ``sub`` is first factored by ``scipy.linalg.cholesky_banded``;
-    when that succeeds ``H`` is positive definite, ``H_+ = H``, and the solve
-    is ``solveh_banded(H + C I, g)`` on the two bands, O(d). When the
-    factorization fails (``H`` is indefinite or singular), or ``sub`` is zero
-    (a diagonal ``H``, whose eigenvectors are exact signed unit vectors, so the
-    minimizer keeps the bits of dense ``eigh``), the eigenpairs come from
-    ``scipy.linalg.eigh_tridiagonal``.
+    A zero ``sub`` (a diagonal ``H``, its own eigenbasis) is a division, O(d)
+    and with no scipy import; its ``+ 0.0`` turns a ``-0.0`` into the ``+0.0``
+    of the eigensolver's route, so the step keeps dense ``eigh``'s bits. A
+    nonzero ``sub`` is first factored by ``scipy.linalg.cholesky_banded``; when
+    that succeeds ``H`` is positive definite, ``H_+ = H``, and the solve is
+    ``solveh_banded(H + C I, g)``, O(d). When it fails (``H`` is indefinite or
+    singular), the eigenpairs come from ``scipy.linalg.eigh_tridiagonal``.
     """
+    if not sub.any():
+        return g / (np.maximum(diag, 0.0) + modulus) + 0.0
     from scipy.linalg import cholesky_banded, eigh_tridiagonal, solveh_banded
 
-    if sub.any():
-        ab = np.zeros((2, diag.size))  # lower banded storage
-        ab[0] = diag
-        ab[1, :-1] = sub
-        try:
-            cholesky_banded(ab, lower=True, check_finite=False)
-            ab[0] += modulus
-            return solveh_banded(ab, g, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            pass
+    ab = np.zeros((2, diag.size))  # lower banded storage
+    ab[0] = diag
+    ab[1, :-1] = sub
+    try:
+        cholesky_banded(ab, lower=True, check_finite=False)
+        ab[0] += modulus
+        return solveh_banded(ab, g, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        pass
     return _eigen_solve(*eigh_tridiagonal(diag, sub), g, modulus)
 
 
-def _diagonal_solve(diag, g, modulus):
-    """:func:`_band_solve` of a zero subdiagonal, bit for bit, by division, O(d).
-
-    A diagonal ``H`` is its own eigenbasis, so the solve is ``g / (max(diag, 0)
-    + C)``; the ``+ 0.0`` turns a ``-0.0`` into the ``+0.0`` that the
-    eigensolver's route returns there.
-    """
-    return g / (np.maximum(diag, 0.0) + modulus) + 0.0
-
-
 def _eigen_solve(eigvals, eigvecs, g, modulus):
-    """``V ((V' g) / (max(lambda, 0) + C))`` on the eigenpairs ``(lambda, V)``."""
+    """``V ((V' g) / (max(lambda, 0) + C))`` on the eigenpairs ``(lambda, V)``, without BLAS."""
     return row_dots(eigvecs, row_dots(eigvecs.T, g) / (np.maximum(eigvals, 0.0) + modulus))
 
 

@@ -160,13 +160,14 @@ class TestMinEigenvalue:
 
     def test_dense_requested_without_hessian(self):
         obj = make_quadratic(np.eye(2)).objective
-        stripped = dataclasses.replace(obj, dense_hessian=None)
+        stripped = dataclasses.replace(obj, dense_hessian=None, hessian_band=None)
         with pytest.raises(ValueError):
             min_eigenvalue(stripped, np.zeros(2), method="dense")
 
     def test_auto_without_a_dense_hessian_is_matrix_free(self):
         obj = make_quadratic(np.diag([-1.0, 2.0])).objective
-        stripped, calls = counted(dataclasses.replace(obj, dense_hessian=None), "hvp")
+        stripped, calls = counted(dataclasses.replace(obj, dense_hessian=None,
+                                                           hessian_band=None), "hvp")
         assert resolve_method(stripped) == "matrix_free"
         lam, _, _ = min_eigenvalue(stripped, np.zeros(2))
         assert abs(lam + 1.0) <= 1e-8 and calls["hvp"] > 0
@@ -199,7 +200,7 @@ def counted(obj, *names):
 def with_hessian(dim, h, **fields):
     """A ``dim``-variable objective, gradient 0 at the origin, whose dense Hessian is ``h``."""
     obj = make_quadratic(np.eye(dim)).objective
-    return dataclasses.replace(obj, dense_hessian=lambda x: h, **fields)
+    return dataclasses.replace(obj, dense_hessian=lambda x: h, hessian_band=None, **fields)
 
 
 def jittered_points(prob, count):

@@ -592,7 +592,8 @@ class TestScalingStudy:
     def test_quadratic_split_needs_a_dense_hessian(self):
         inst = make_quadratic(np.diag([0.2, 1.0]))
         inst = dataclasses.replace(inst, objective=dataclasses.replace(inst.objective,
-                                                                       dense_hessian=None))
+                                                                       dense_hessian=None,
+                                                                       hessian_band=None))
         with pytest.raises(ConfigError,
                            match="^quadratic_split needs a problem with a dense Hessian$"):
             scaling_study(inst, "sca", [1e-1, 3e-2, 1e-2], seeds=1, surrogate="quadratic_split")

@@ -21,9 +21,9 @@ def test_every_exported_name_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-# imports scaopt, then runs a quartic P-SCA run, a 2-seed sweep and a 3-target scaling study
-# into argv[1] and, last, a Rosenbrock quadratic_split run; prints, as JSON, the scipy modules
-# loaded after each of these steps
+# imports scaopt, then runs a quartic P-SCA run, a 2-seed sweep, a 3-target scaling study and a
+# diagonal quadratic's quadratic_split run into argv[1] and, last, a Rosenbrock quadratic_split
+# run; prints, as JSON, the scipy modules loaded after each of these steps
 _IMPORT_PROBE = """
 import json
 import sys
@@ -43,6 +43,10 @@ sweep_experiment(ExperimentConfig(problem="saddle_quartic:d=2", algo="psca", see
 loaded_after("sweep")
 scaling_study("saddle_quartic:d=2", "gd", [1e-1, 3e-2, 1e-2], 2)
 loaded_after("scaling")
+run_experiment(ExperimentConfig(problem="quadratic_indefinite:d=3", algo="sca",
+                                surrogate="quadratic_split", max_iters=20, label="quadratic",
+                                out_dir=sys.argv[1]))
+loaded_after("diagonal_split_run")
 run_experiment(ExperimentConfig(problem="rosenbrock:d=12", algo="sca",
                                 surrogate="quadratic_split", max_iters=20, label="rosenbrock",
                                 out_dir=sys.argv[1]))
@@ -62,7 +66,8 @@ def loaded(tmp_path_factory):
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(out_dir)], env=env,
                          capture_output=True, text=True, check=True)
-    assert {"quartic.csv", "rosenbrock.csv"} <= {p.name for p in out_dir.iterdir()}
+    written = {p.name for p in out_dir.iterdir()}
+    assert {"quartic.csv", "quadratic.csv", "rosenbrock.csv"} <= written
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -84,6 +89,11 @@ def test_import_and_a_proximal_model_run_load_no_scipy(loaded):
 def test_sweep_and_scaling_load_no_scipy(loaded, step):
     """The escape-rate interval and the scaling fit come from the standard library."""
     assert loaded[step] == []
+
+
+def test_a_diagonal_split_model_run_loads_no_scipy(loaded):
+    """A diagonal quadratic declares a zero band, which the split model solves by division."""
+    assert loaded["diagonal_split_run"] == []
 
 
 def test_a_banded_split_model_solve_loads_scipy_linalg(loaded):

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from scaopt import drivers, surrogates
+from scaopt import certify, drivers, surrogates
 from scaopt.numerics import NonFiniteError, RngStream
 from scaopt.problems import (
     Objective,
@@ -170,7 +170,7 @@ class TestQuadraticSplit:
     def test_requires_dense_hessian(self):
         import dataclasses
 
-        obj = dataclasses.replace(half_norm_sq(), dense_hessian=None)
+        obj = dataclasses.replace(half_norm_sq(), dense_hessian=None, hessian_band=None)
         with pytest.raises(UnsupportedSurrogateError):
             build_surrogate(obj, np.zeros(2), SurrogateSpec(kind="quadratic_split"))
 
@@ -226,11 +226,15 @@ def assert_matches_eigh(obj, y, modulus, *, dense_allowed=True, rel_tol=None, fo
         assert abs(surr.step_norm - step_norm) <= rel_tol * step_norm
 
 
-def fixed_hessian(h, g):
-    """An objective whose gradient is ``g`` and whose dense Hessian oracle returns ``h`` as is."""
+def fixed_hessian(h, g, banded=False):
+    """An objective whose gradient is ``g`` and whose dense Hessian oracle returns ``h`` as is.
+
+    ``banded`` also declares the band of ``h``'s lower triangle as its ``hessian_band``.
+    """
     return Objective(dim=g.size, value=lambda x: 0.0, gradient=lambda x: g.copy(),
                      hvp=lambda x, v: h @ v, constants=Smoothness(1.0, 1.0),
-                     dense_hessian=lambda x: h.copy())
+                     dense_hessian=lambda x: h.copy(),
+                     hessian_band=(lambda x: (h.diagonal(), h.diagonal(-1))) if banded else None)
 
 
 MODULI = st.floats(0.01, 100.0)
@@ -243,15 +247,14 @@ def signed_zeros_or(floats):
 
 
 class TestBandedHessians:
-    """``quadratic_split`` takes the tridiagonal path when its Hessian's band allows, else dense.
+    """``quadratic_split`` takes the banded routes on a declared band, else dense ``eigh``.
 
     A run that must not be dense runs with ``np.linalg.eigh`` patched to fail. A
-    diagonal Hessian is tridiagonal with a zero subdiagonal; there the
-    tridiagonal solver returns exact signed unit eigenvectors, so the minimizer
-    keeps the bits of dense ``eigh`` (and the quartic golden hashes hold). A
-    tridiagonal Hessian with a nonzero subdiagonal is factored first: when the
-    banded Cholesky factorization succeeds, the step is one banded solve and
-    no eigensolver runs; when it fails, the tridiagonal eigensolver runs instead.
+    declared zero band (a diagonal Hessian) is solved by division, which keeps
+    the bits of dense ``eigh`` (and the quartic golden hashes hold). A band
+    with a nonzero subdiagonal is factored first: when the banded Cholesky
+    factorization succeeds, the step is one banded solve and no eigensolver
+    runs; when it fails, the tridiagonal eigensolver runs instead.
     """
 
     @given(st.lists(signed_zeros_or(st.floats(-2.0, 2.0)), min_size=2, max_size=100), MODULI)
@@ -264,12 +267,13 @@ class TestBandedHessians:
            st.floats(-300.0, 3.0), st.floats(-300.0, 3.0), st.sampled_from([0.1, 1.0, 3.0]))
     def test_the_zero_band_division_has_the_eigensolver_bits(self, pairs, g_exp, h_exp,
                                                              modulus):
-        """A declared zero band is solved by division: the bits of ``_split_model_solve`` on the
-        dense diagonal matrix (its ``eigh_tridiagonal`` route), with signed zeros in ``g`` and
-        ``h`` and each scaled by a power of ten from 1e-300 to 1e3."""
+        """A declared zero band is solved by division: the bits of the eigen formula on the
+        eigenpairs of ``eigh_tridiagonal``, with signed zeros in ``g`` and ``h`` and each scaled
+        by a power of ten from 1e-300 to 1e3."""
         g, h = (np.array(v) * 10.0**e for v, e in zip(zip(*pairs), (g_exp, h_exp)))
-        expected = surrogates._split_model_solve(np.diag(h), g, modulus)
-        assert bits(surrogates._diagonal_solve(h, g, modulus)) == bits(expected)
+        zeros = np.zeros(h.size - 1)
+        expected = surrogates._eigen_solve(*eigh_tridiagonal(h, zeros), g, modulus)
+        assert bits(surrogates._band_solve(h, zeros, g, modulus)) == bits(expected)
 
     @given(st.lists(st.tuples(signed_zeros_or(st.floats(-10.0, 10.0)),
                               signed_zeros_or(st.floats(-1e3, 1e3))), min_size=2, max_size=50),
@@ -278,6 +282,42 @@ class TestBandedHessians:
         h, y = (np.array(v) for v in zip(*pairs))
         assume(h.any())
         assert_matches_eigh(make_quadratic(np.diag(h)).objective, y, modulus, dense_allowed=False)
+
+    @given(st.integers(1, 30), st.data(), MODULI)
+    def test_make_quadratic_declares_its_band_exactly_when_tridiagonal(self, dim, data, modulus):
+        """``make_quadratic`` declares a band exactly when ``np.tril(H, -2)`` is zero, with the
+        bits of ``H``'s lower band; like ``eigh``, it ignores what lies above the diagonal.
+
+        Signed zeros are drawn on and below the band, and the upper triangle is ``H``'s
+        transpose moved by up to 1e-13 per entry. The split step keeps dense ``eigh``'s bits
+        on a diagonal lower triangle, is within 1e-12 of the step norm on a tridiagonal one,
+        and an undeclared ``H`` takes dense ``eigh`` itself.
+        """
+        def draw(entries, size):
+            return data.draw(st.lists(entries, min_size=size, max_size=size))
+
+        zeros = st.sampled_from([0.0, -0.0])
+        h = np.zeros((dim, dim))
+        rows = np.arange(dim)
+        h[rows, rows] = draw(signed_zeros_or(st.floats(-10.0, 10.0)), dim)
+        h[rows[1:], rows[:-1]] = draw(data.draw(st.sampled_from(
+            [zeros, signed_zeros_or(st.floats(-3.0, 3.0))])), dim - 1)
+        below = [(i, j) for i in range(dim) for j in range(i - 1)]
+        if below:
+            for i, j in data.draw(st.lists(st.sampled_from(below), max_size=3)):
+                h[i, j] = data.draw(signed_zeros_or(st.floats(-3.0, 3.0)))
+        upper = np.triu_indices(dim, 1)
+        h[upper] = h.T[upper] + np.array(draw(st.floats(-1e-13, 1e-13), len(upper[0])))
+        assume(np.tril(h).any())
+        obj = make_quadratic(h).objective
+        declared = not np.tril(h, -2).any()
+        assert (obj.hessian_band is not None) == declared
+        y = np.array(draw(signed_zeros_or(st.floats(-10.0, 10.0)), dim))
+        if declared:
+            diag, sub = obj.hessian_band(y)
+            assert bits(diag) == bits(h.diagonal()) and bits(sub) == bits(h.diagonal(-1))
+        rel_tol = 1e-12 if declared and sub.any() else None
+        assert_matches_eigh(obj, y, modulus, dense_allowed=not declared, rel_tol=rel_tol)
 
     @given(st.integers(2, 300), SEEDS, MODULI)
     def test_tridiagonal_rosenbrock_agrees_with_eigh(self, dim, seed, modulus):
@@ -304,40 +344,40 @@ class TestBandedHessians:
         assert_matches_eigh(make_quadratic(h).objective, gen.standard_normal(dim), modulus)
 
     @given(st.integers(2, 40), SEEDS, MODULI, st.booleans())
-    def test_entries_above_the_diagonal_are_ignored(self, dim, seed, modulus, tridiagonal):
-        """Like ``eigh``, the band is read from the lower triangle; the upper one is ignored."""
+    def test_an_undeclared_band_takes_dense_eigh(self, dim, seed, modulus, diagonal):
+        """A diagonal or tridiagonal dense Hessian with no declared band is solved by dense
+        ``np.linalg.eigh``, once per build, and by no banded solver."""
         gen = np.random.default_rng(seed)
-        h = np.triu(gen.standard_normal((dim, dim)), 1)
-        h += np.diag(gen.standard_normal(dim))
-        if tridiagonal:
-            h += np.diag(gen.standard_normal(dim - 1), -1)
-        obj = fixed_hessian(h, gen.standard_normal(dim))
-        assert_matches_eigh(obj, gen.standard_normal(dim), modulus, dense_allowed=False,
-                            rel_tol=1e-12 if tridiagonal else None)
+        h = np.diag(gen.standard_normal(dim))
+        if not diagonal:
+            sub = gen.standard_normal(dim - 1)
+            h += np.diag(sub, -1) + np.diag(sub, 1)
+        obj, y = fixed_hessian(h, gen.standard_normal(dim)), gen.standard_normal(dim)
+        x_hat, step_norm = eigh_formula(obj, y, modulus)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            surr = split_model(obj, y, modulus, forbidden=("cholesky_banded", "eigh_tridiagonal"))
+        assert eigh.call_count == 1
+        assert bits(surr.minimizer) == bits(x_hat)
+        assert bits(surr.step_norm) == bits(step_norm)
 
     @pytest.mark.parametrize("entry, tridiagonal", [
         (-0.0, True), (5e-324, False), (-1.0, False), (math.nan, False), (math.inf, False),
     ])
     @pytest.mark.parametrize("where", [(5, 0), (5, 3), (2, 0)])
     def test_band_test_is_exact_below_the_band(self, entry, tridiagonal, where):
-        """Any entry below the band but a zero makes ``h`` non-tridiagonal; above it, none does."""
+        """``certify``'s band detector: any entry below the band but a zero makes ``h``
+        non-tridiagonal; above it, none does."""
         off = np.full(5, 0.5)
         h = np.diag(np.arange(1.0, 7.0)) + np.diag(off, -1) + np.diag(off, 1)
         lower = h.copy()
         lower[where] = entry
-        band = surrogates._tridiagonal_band(lower)
+        band = certify._tridiagonal_band(lower)
         assert (band is not None) == tridiagonal
         if tridiagonal:
             assert np.array_equal(band[0], h.diagonal()) and np.array_equal(band[1], h.diagonal(-1))
         upper = h.copy()
         upper[where[::-1]] = entry
-        assert surrogates._tridiagonal_band(upper) is not None
-
-    def test_a_non_finite_band_takes_the_dense_path(self):
-        h = np.diag([1.0, np.nan, 2.0]) + np.diag([0.5, 0.5], -1)
-        obj = fixed_hessian(h, np.ones(3))
-        with pytest.raises(AssertionError, match="dense eigh called"):
-            split_model(obj, np.zeros(3), 1.0, dense_allowed=False)
+        assert certify._tridiagonal_band(upper) is not None
 
     @pytest.mark.parametrize("band", [(np.ones(3), np.zeros(2)), (np.ones(2), np.zeros(2)),
                                       (np.ones((2, 1)), np.zeros(1))])
@@ -362,8 +402,8 @@ class TestBandedHessians:
         assume(sub.any())
         reach = np.abs(np.concatenate(([0.0], sub))) + np.abs(np.concatenate((sub, [0.0])))
         h = np.diag(reach + gen.uniform(0.01, 10.0, dim)) + np.diag(sub, -1) + np.diag(sub, 1)
-        assert_matches_eigh(fixed_hessian(h, gen.standard_normal(dim)), gen.standard_normal(dim),
-                            modulus, dense_allowed=False, rel_tol=1e-12,
+        assert_matches_eigh(fixed_hessian(h, gen.standard_normal(dim), banded=True),
+                            gen.standard_normal(dim), modulus, dense_allowed=False, rel_tol=1e-12,
                             forbidden=("eigh_tridiagonal",))
 
     @given(st.integers(2, 300), MODULI)
@@ -387,7 +427,7 @@ class TestBandedHessians:
         g, y = gen.standard_normal(dim), gen.standard_normal(dim)
         w, v = eigh_tridiagonal(diag, sub)
         x_hat = y - eigen_solve(v, w, g, modulus)
-        surr = split_model(fixed_hessian(h, g), y, modulus, dense_allowed=False,
+        surr = split_model(fixed_hessian(h, g, banded=True), y, modulus, dense_allowed=False,
                            forbidden=("solveh_banded",))
         assert bits(surr.minimizer) == bits(x_hat)
         step = x_hat - y
@@ -407,7 +447,7 @@ class TestBandedHessians:
         diag = np.concatenate((weight, [0.0])) + np.concatenate(([0.0], weight))
         h = np.diag(diag) + np.diag(sign * weight, -1) + np.diag(sign * weight, 1)
         gen = np.random.default_rng(seed)
-        assert_matches_eigh(fixed_hessian(h, gen.standard_normal(diag.size)),
+        assert_matches_eigh(fixed_hessian(h, gen.standard_normal(diag.size), banded=True),
                             gen.standard_normal(diag.size), modulus, dense_allowed=False,
                             rel_tol=1e-12)
 
