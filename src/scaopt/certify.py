@@ -178,12 +178,14 @@ def min_eigenvalue(
     is PSD whenever the declared gradient-Lipschitz constant is honest, so
     ``rho = L1 - lambda_min``; a negative ``rho`` raises
     :class:`SpectralShiftError`. The start vector is a fixed draw, so
-    a call replays bit for bit. ``max_iters`` bounds the Hessian-vector
+    a call replays bit for bit. A shifted operator that is zero on it (``H =
+    L1 I``, with probability one) stops ARPACK at its first product; the start
+    vector is then the eigenvector. ``max_iters`` bounds the Hessian-vector
     products, including the one that measures the residual of the Ritz pair;
     the estimate must certify with a residual within ``100 tol`` (``tol``
-    defaults to ``1e-8 L1``). Running out of budget or missing the bar raises
-    :class:`EigenSolveError` carrying the best estimate: on exhaustion, the
-    smallest Rayleigh quotient seen.
+    defaults to ``1e-8 L1``). Running out of budget, any other ARPACK error or
+    missing the bar raises :class:`EigenSolveError` carrying the best
+    estimate: on exhaustion, the smallest Rayleigh quotient seen.
     """
     x = as_vector(x, obj.dim, "x")
     lip_grad = obj.constants.grad_lipschitz
@@ -225,7 +227,7 @@ def min_eigenvalue(
 
 def _lanczos(obj: Objective, x: np.ndarray, tol: float, max_iters: int):
     """The matrix-free path of :func:`min_eigenvalue`: ``(lambda_min, eigenvector, residual)``."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     lip_grad = obj.constants.grad_lipschitz
     calls = 0
@@ -254,22 +256,30 @@ def _lanczos(obj: Objective, x: np.ndarray, tol: float, max_iters: int):
                 (obj.dim, obj.dim), matvec=lambda v: lip_grad * v - hvp(v), dtype=np.float64
             )
             v0 = RngStream(_START_SEED).standard_normal(obj.dim)
-            rhos, vecs = eigsh(shifted, k=1, which="LM", v0=v0, tol=tol / (2.0 * lip_grad),
-                               maxiter=max(max_iters, 1))
+            try:
+                rhos, vecs = eigsh(shifted, k=1, which="LM", v0=v0, tol=tol / (2.0 * lip_grad),
+                                   maxiter=max(max_iters, 1))
+            except ArpackError:
+                # ARPACK stops at its first product when it is zero: L1 v0 = H v0 for the
+                # Gaussian start, so H = L1 I with probability one and v0 is an eigenvector
+                v, hv = best[1:]
+                if calls != 1 or v is None or (lip_grad * v - hv).any():
+                    raise
+                rhos, vecs = [0.0], v[:, None] / np.linalg.norm(v)
             _check_shift(float(rhos[0]), lip_grad)
             vec = vecs[:, 0]
             hv = hvp(vec)
         lam = float(vec @ hv)  # the Ritz value, recomputed on H to keep its relative accuracy
         residual = float(np.linalg.norm(hv - lam * vec))
-    except (_BudgetExhausted, ArpackNoConvergence):
+    except (_BudgetExhausted, ArpackError) as exc:  # ArpackNoConvergence among them
         lam, v, hv = best
         vec, residual = None, math.inf
         if v is not None:
             scale = 1.0 / float(np.linalg.norm(v))
             vec, residual = scale * v, scale * float(np.linalg.norm(hv - lam * v))
         raise EigenSolveError(
-            f"Lanczos exhausted {calls} of {max_iters} Hessian-vector products; best "
-            f"estimate has residual {residual:.3e}",
+            f"Lanczos stopped after {calls} of {max_iters} Hessian-vector products "
+            f"({exc or 'budget exhausted'}); best estimate has residual {residual:.3e}",
             lambda_min=lam,
             residual=residual,
             eigenvector=vec,

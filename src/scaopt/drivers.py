@@ -39,8 +39,9 @@ region, or the iterate at ``max_iters``) through the value and gradient alone,
 the unit-modulus proximal model, since its row holds nothing else.
 
 The loop steps a ``(B, d)`` stack of runs in lockstep (:func:`run_batch`; the
-four drivers are its one-row callers). Each row keeps its own perturbation
-state, stream, tests and events, and gets the result its run makes alone, bit
+four drivers are its one-row callers). Each run is one object, its
+:class:`_Row`, which holds its perturbation state, stream, events, trajectory
+parts and optimality tally, and gets the result its run makes alone, bit
 for bit: every per-row reduction is one that keeps the bits of its 1-D form,
 and the monitors are tallied per row, a failing one failing its run only when
 the run ends. A row keeps its position in the stack for the whole iteration;
@@ -66,10 +67,11 @@ gradient is NaN, inf or too large for its norm, and the end path fails it
 alone with its evaluation's error. For every model, the row store
 (:class:`_Rows`) forms every other value and norm, and every error norm and
 optimality gap of the trajectory columns, a block of iterations at a time,
-and tallies the optimality monitor from those gaps, which it then drops. A
-value found bad there, or a column whose arithmetic raises, fails its row with
-the error of that iterate, ahead of anything the row met at a later iterate;
-the other rows run on.
+and tallies the optimality monitor from those gaps, which it then drops; it
+writes each block's columns and tally onto the runs' rows and keeps only the
+pending block. A value found bad there, or a column whose arithmetic raises,
+fails its row with the error of that iterate, ahead of anything the row met
+at a later iterate; the other rows run on.
 """
 
 from __future__ import annotations
@@ -179,8 +181,8 @@ class Trajectory(Sequence):
 
     ``columns`` is a C-ordered ``(steps + 1, 4)`` array, and ``columns[t]`` is
     ``(f, grad_norm, step_norm, err_norm)`` of row ``t``, the row of iteration
-    ``t``; a run's trajectory holds the array that the row store joined for it
-    (:meth:`_Rows.columns`), no copy. ``perturbed_at`` holds the iterations
+    ``t``; a run's trajectory holds the array that :func:`run_batch` joined
+    from its row store parts, no copy. ``perturbed_at`` holds the iterations
     that injected a perturbation. Equal to any sequence of the same records.
     """
 
@@ -612,9 +614,9 @@ def _monitors(columns, perturbed_at, obj, modulus, eta, optimality) -> MonitorCo
     """The monitor tallies of a run from its trajectory columns and its optimality tally.
 
     ``columns`` are the run's :class:`Trajectory` columns, and ``optimality``
-    is ``(passed, tail)`` from the row store (:meth:`_Rows.optimality`): the
-    steps that passed the optimality test ``(x - x_hat)'g >= C step_norm**2 -
-    (tol step_norm + 1e-9)`` (:func:`_optimal`), which the store checks as it
+    is ``(passed, tail)``, the tally the row store wrote on the run's :class:`_Row`:
+    the steps that passed the optimality test ``(x - x_hat)'g >= C step_norm**2
+    - (tol step_norm + 1e-9)`` (:func:`_optimal`), which the store checks as it
     forms each gap, and None, or, when that test raised on a block of the run,
     the run's first step there and its gaps from there on. Those steps are
     tested here again, in the test's place in the order below, so the run
@@ -669,7 +671,8 @@ BUDGET = 768 * 1024
 
 @dataclass(slots=True, eq=False)
 class _Row:
-    """One run of a batch: its settings, and what the loop has found out about it so far."""
+    """One run of a batch: its settings, and what the loop has found out about it so far, its
+    trajectory parts and optimality tally included (written by :meth:`_Rows.flush`)."""
 
     params: Optional[PscaParams]
     rng: Optional[RngStream]
@@ -682,53 +685,53 @@ class _Row:
     x_out: Optional[np.ndarray] = None
     f_out: Optional[float] = None
     error: Optional[Exception] = None
+    parts: Optional[list] = field(default_factory=list)  # an (iterations, 4) array a block
+    passed: int = 0  # the steps that passed the optimality test
+    gaps: Optional[tuple] = None  # (start, [gaps]) from the block where that test raised
 
 
 class _Rows:
-    """The trajectory rows of a batch's running rows, kept as float64 arrays until it ends.
+    """The pending block of a batch's running :class:`_Row` s ``rows``, in stack order.
 
-    Each iteration appends to ``pending`` one entry for every model, over the
-    running rows in the order of ``ids``: ``(x, f, grad_norm, step_norm, d,
-    g)``, the iterates where a value may be unread (the stacked proximal
-    model; None for a model built row by row, which reads every value), their
-    values as far as read (None when none was, NaN where one was not yet, see
-    :func:`_read`), the norms as the iteration formed them (None where it
-    formed none), and the step's ``d`` and gradient ``g`` (see :func:`_step`).
-    At the loop's one exit of an iteration, when rows leave the stack there or
-    a block's height of iterations are pending, :meth:`flush` forms from them
-    the columns ``f, grad_norm, step_norm, err_norm`` and each step's gap: the
-    unread values by one stacked ``obj.value`` call, each norm column joined
-    from the iterations or, where one formed none, as ``sqrt(g'g)`` and that
-    over ``modulus``, and every error norm ``||d - g||`` and gap ``d'g``, all
-    over the block's stacked arrays, each row with the bits of its one-row
-    form. The gap's one reader is the optimality monitor, so the flush tallies
-    it there, per row, and keeps no gap: ``passed`` counts each row's steps
-    that passed, and a row whose test raised on a block keeps, in ``gaps``,
-    its first step there and its gaps from there on (:meth:`_tally`), for
-    :func:`_monitors` to test again when the run ends, since a monitor fails
-    only a run that completes. Each row keeps, in ``parts``, one owned
-    ``(iterations, 4)`` array of the four columns per block (a view would keep
-    the whole block alive), which :meth:`columns` joins once with the terminal
-    row that the loop's one end path writes. A trajectory row then costs its
-    32 bytes, and 32 more while its run is joined. A run keeps its ``x``,
-    ``d`` and ``g`` until its block flushes, so the block's height bounds the
-    pending arrays in bytes: :func:`_lockstep` takes
+    Each iteration appends to ``pending`` one entry for every model, over
+    ``rows`` by position: ``(x, f, grad_norm, step_norm, d, g)``, the
+    iterates where a value may be unread (the stacked proximal model; None for
+    a model built row by row, which reads every value), their values as far as
+    read (None when none was, NaN where one was not yet, see :func:`_read`),
+    the norms as the iteration formed them (None where it formed none), and
+    the step's ``d`` and gradient ``g`` (see :func:`_step`). At the loop's one
+    exit of an iteration, when rows leave the stack there or a block's height
+    of iterations are pending, :meth:`flush` forms from them the columns ``f,
+    grad_norm, step_norm, err_norm`` and each step's gap: the unread values by
+    one stacked ``obj.value`` call, each norm column joined from the
+    iterations or, where one formed none, as ``sqrt(g'g)`` and that over
+    ``modulus``, and every error norm ``||d - g||`` and gap ``d'g``, all over
+    the block's stacked arrays, each row with the bits of its one-row form.
+    The gap's one reader is the optimality monitor, so the flush tallies it
+    there, onto each row, and keeps no gap: a row's ``passed`` counts its
+    steps that passed, and a row whose test raised on a block keeps, in its
+    ``gaps``, its first step there and its gaps from there on (:meth:`_tally`),
+    for :func:`_monitors` to test again when the run ends, since a monitor
+    fails only a run that completes. The flush appends to each row's ``parts``
+    one owned ``(iterations, 4)`` array of the four columns (a view would keep
+    the whole block alive), which :func:`run_batch` joins once with the
+    terminal row that the loop's one end path writes, and drops. A trajectory
+    row then costs its 32 bytes, and 32 more while its run is joined. A run
+    keeps its ``x``, ``d`` and ``g`` until its block flushes, so the block's
+    height bounds the pending arrays in bytes: :func:`_lockstep` takes
     ``FLUSH`` iterations, or fewer, at least one, when the pending arrays of
     that many iterations of the batch's first stack would pass ``BUDGET``
-    bytes. A batch then holds O(B d) bytes of them, not ``3 FLUSH B d`` floats,
-    and a block's columns are formed while its arrays are still in cache. The
-    height moves no byte of any result.
+    bytes. A batch then holds O(B d) bytes of them, not ``3 FLUSH B d``
+    floats, and a block's columns are formed while its arrays are still in
+    cache. The height moves no byte of any result.
     """
 
     FLUSH = 256
 
-    def __init__(self, obj, ids, modulus):
+    def __init__(self, obj, rows, modulus):
         self.obj = obj
-        self.ids = ids
         self.modulus = modulus
-        self.parts: dict[int, list[np.ndarray]] = {i: [] for i in ids}
-        self.passed = dict.fromkeys(ids, 0)
-        self.gaps: dict[int, tuple[int, list[np.ndarray]]] = {}
+        self.rows = rows
         self.pending: list[tuple] = []
 
     def flush(self, t) -> dict:
@@ -745,7 +748,7 @@ class _Rows:
             return {}
         xs, fs, grad_norms, step_norms, ds, gs = zip(*self.pending)
         self.pending.clear()
-        iterations, rows = len(fs), len(self.ids)
+        iterations, rows = len(fs), len(self.rows)
         start = t - iterations
         f = np.full((iterations, rows), math.nan)
         for k, values in enumerate(fs):
@@ -788,21 +791,21 @@ class _Rows:
         gn, step_norm, err_norm, gap = columns
         self._tally(gn, step_norm, gap, start)
         block = np.stack((f, gn, step_norm, err_norm), axis=1).reshape(iterations, rows, 4)
-        for pos, row in enumerate(self.ids):
-            self.parts[row].append(block[:, pos].copy())
+        for pos, row in enumerate(self.rows):
+            row.parts.append(block[:, pos].copy())
         return {pos: exc for pos, (_, exc) in failed.items()}
 
     def _tally(self, gn, step_norm, gap, start):
-        """Add each row's steps of the block that pass the optimality test to ``passed``.
+        """Add each row's steps of the block that pass the optimality test to its ``passed``.
 
         ``gn``, ``step_norm`` and ``gap`` are the block's columns, iteration by
-        iteration over the rows of ``ids``, from iteration ``start``. When the
-        test raises on the block, each row's is taken alone, and a row whose
-        test raises keeps its gaps in ``gaps`` from this block on, untallied:
-        the blocks before raised nothing, so the test raises on those gaps the
+        iteration over ``rows``, from iteration ``start``. When the test raises
+        on the block, each row's is taken alone, and a row whose test raises
+        keeps its gaps in its ``gaps`` from this block on, untallied: the
+        blocks before raised nothing, so the test raises on those gaps the
         error it raises on the run's whole columns.
         """
-        rows = len(self.ids)
+        rows = len(self.rows)
 
         def passed(k):
             return _optimal(gap[k], step_norm[k], *_scales(gn[k], step_norm[k]), self.modulus)
@@ -816,25 +819,12 @@ class _Rows:
                     counts.append(int(passed(slice(pos, None, rows)).sum()))
                 except Exception:
                     counts.append(None)
-        for pos, row in enumerate(self.ids):
-            if row not in self.gaps and counts[pos] is not None:
-                self.passed[row] += counts[pos]
+        for pos, (row, count) in enumerate(zip(self.rows, counts)):
+            if row.gaps is None and count is not None:
+                row.passed += count
             else:
-                self.gaps.setdefault(row, (start, []))[1].append(gap[pos::rows].copy())
-
-    def columns(self, row, end) -> np.ndarray:
-        """The ``(steps + 1, 4)`` columns of ``row``, closed by its terminal row ``end``; its parts
-        are dropped."""
-        parts = self.parts.pop(row)
-        parts.append(np.array([[*end, 0.0, 0.0]]))
-        return np.concatenate(parts)
-
-    def optimality(self, row) -> tuple:
-        """``(passed, tail)`` of ``row``, which :func:`_monitors` reads: the steps that passed the
-        optimality test, and None, or the first step of the block where its test raised and
-        its gaps from there on."""
-        start, gaps = self.gaps.pop(row, (None, None))
-        return self.passed.pop(row), None if gaps is None else (start, np.concatenate(gaps))
+                row.gaps = row.gaps or (start, [])
+                row.gaps[1].append(gap[pos::rows].copy())
 
 
 def _quiet(obj, spec, eta) -> bool:
@@ -863,13 +853,15 @@ def _quiet(obj, spec, eta) -> bool:
     return 4.0 * obj.dim * bound * bound < 2.0**1000
 
 
-def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_every) -> _Rows:
-    """Run the rows ``ids`` of :func:`run_batch` from the checked starts ``xs`` until each one ends.
+def _lockstep(obj, spec, rows, xs, eta, max_iters, stop_grad_norm, keep_every) -> None:
+    """Run the :class:`_Row` s ``rows`` of :func:`run_batch` from the checked starts ``xs`` until
+    each one ends.
 
-    The running rows are stacked by position: ``x`` holds their iterates and
-    ``next_perturb``, the one schedule list, the first iteration at which each
-    row may perturb again: ``t_noise + t_th + 1`` (never, for a row without
-    perturbation). So a row meets the fire rule's ``t - t_noise > t_th`` at
+    The running rows are stacked by position: ``rows[pos]`` is the run at
+    position ``pos``, ``x[pos]`` its iterate, and ``next_perturb[pos]``, in
+    the one schedule list, the first iteration at which it may perturb
+    again: ``t_noise + t_th + 1`` (never, for a row without perturbation).
+    So a row meets the fire rule's ``t - t_noise > t_th`` at
     ``t >= next_perturb``, and the window test's ``t - t_noise == t_th`` at
     ``t == next_perturb - 1``; ``due`` is the earliest of them. A row keeps
     its position for the whole iteration: one that ends or fails joins
@@ -877,7 +869,9 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     discarded. At the one exit, after the step, the store flushes (when a row
     is gone or a block's height of iterations is pending: a full block one iteration
     late, so a row found bad there leaves then) and the rows in ``gone``
-    leave the stack; their trajectory rows stay in the returned store.
+    leave the stack. Everything found about a run goes onto its
+    :class:`_Row`: ``end`` writes its terminal row and result, and each flush
+    of the store its trajectory parts and optimality tally.
 
     An iteration reads only what the protocol reads there: the gradients, the
     step and the region test. The gradient norms are read where a row may
@@ -899,25 +893,25 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
     found there ends its row with that error, which wins over whatever the row
     met at a later iterate.
     """
+    if not rows:
+        return
     stacked = _stacked(obj, spec)
-    store = _Rows(obj, tuple(ids), spec.strong_convexity)
-    if not ids:
-        return store
+    store = _Rows(obj, rows, spec.strong_convexity)
     x = np.array(xs)
     # each iteration pends at most three arrays the size of x: x, d and g (see _Rows)
     pending, flush_at = store.pending, max(1, min(store.FLUSH, BUDGET // (3 * x.nbytes)))
-    next_perturb = [math.inf if rows[i].params is None else 0 for i in ids]
+    next_perturb = [math.inf if row.params is None else 0 for row in rows]
     due = min(next_perturb)
     stops = stop_grad_norm is not None
     loud = stops or not (stacked and _quiet(obj, spec, eta))  # norms formed every iteration
     # no row fires or stops while every gradient norm is above this
-    gate = max([rows[i].params.g_th for i in ids if rows[i].params is not None]
+    gate = max([row.params.g_th for row in rows if row.params is not None]
                + ([stop_grad_norm] if stops else []), default=-math.inf)
 
     def fail(found):
         """Give the row at each position of ``found`` its error; the positions."""
         for pos, exc in found.items():
-            rows[ids[pos]].error = exc
+            rows[pos].error = exc
         return list(found)
 
     def read(positions, t):
@@ -950,7 +944,7 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         for pos in positions:
             if pos in failed:
                 continue
-            row = rows[ids[pos]]
+            row = rows[pos]
             f = float(surr.anchor_value[pos])
             row.end = (f, float(surr.grad_norm[pos]))
             row.x_out, row.f_out = x[pos].copy(), f
@@ -974,13 +968,13 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         if low and t >= due:
             fire = [pos for pos, at in enumerate(next_perturb)
                     if at <= t and pos not in gone
-                    and grad_norms[pos] <= rows[ids[pos]].params.g_th]
+                    and grad_norms[pos] <= rows[pos].params.g_th]
             if fire:
                 failed = read(fire, t)  # f_tilde, the value before perturbing
                 gone += failed
                 fire = [pos for pos in fire if pos not in failed]
             for pos in fire:
-                row = rows[ids[pos]]
+                row = rows[pos]
                 row.state = PerturbationState(t, x[pos].copy(), float(surr.anchor_value[pos]))
                 x[pos] += sample_uniform_ball(obj.dim, row.params.r, row.rng)
                 row.perturbed_at.append(t)
@@ -999,16 +993,16 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
                                          "left_valid_region", x)
 
         if keep_every and t % keep_every == 0:
-            for pos, i in enumerate(ids):
+            for pos, row in enumerate(rows):
                 if pos not in gone:
-                    rows[i].iterates.append((t, x[pos].copy()))
+                    row.iterates.append((t, x[pos].copy()))
 
         if t + 1 in next_perturb:  # the window tests due now
             window = [pos for pos, at in enumerate(next_perturb)
                       if at == t + 1 and pos not in gone]
             gone += read(window, t)
             for pos in window:
-                row = rows[ids[pos]]
+                row = rows[pos]
                 if pos not in gone and (surr.anchor_value[pos] - row.state.f_tilde
                                         > -(1.0 - row.params.s) * row.params.f_th):
                     gone += end([pos], t, "returned_xtilde")
@@ -1026,16 +1020,15 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         if gone or len(pending) == flush_at:  # the one exit
             gone = set(gone).union(fail(store.flush(t)))
             if gone:
-                keep = np.ones(len(ids), dtype=bool)
+                keep = np.ones(len(rows), dtype=bool)
                 keep[list(gone)] = False
                 kept = keep.tolist()
-                ids = [i for i, k in zip(ids, kept) if k]
-                if not ids:
+                rows = store.rows = [row for row, k in zip(rows, kept) if k]
+                if not rows:
                     break
                 next_perturb = [at for at, k in zip(next_perturb, kept) if k]
                 due = min(next_perturb)
                 x, x_next, d, surr = x[keep], x_next[keep], d[keep], _take(surr, keep)
-                store.ids = tuple(ids)
         pending.append((x if stacked else None, surr.anchor_value, surr.grad_norm,
                         surr.step_norm, d, surr.anchor_grad))
         x = x_next
@@ -1043,9 +1036,8 @@ def _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm, keep_eve
         surr, _, failures = _evaluate(obj, _GRADIENT_MODEL, x, max_iters,
                                      _stacked(obj, _GRADIENT_MODEL))
         fail(failures)
-        end([pos for pos in range(len(ids)) if pos not in failures], max_iters)
+        end([pos for pos in range(len(rows)) if pos not in failures], max_iters)
         fail(store.flush(max_iters))
-    return store
 
 
 def _one(results):
@@ -1175,7 +1167,8 @@ def run_batch(
     for bit, or the exception that run raised (a failing row drops out; the
     rest run on). A run that completes fails there when its monitors'
     arithmetic raises (:func:`_monitors`). Its :class:`Trajectory` holds the
-    columns that the row store joined for it, which no other array keeps.
+    columns joined from the parts on its :class:`_Row`, which are dropped at
+    once, so no other array keeps them.
     """
     given = {"eta": eta, "max_iters": max_iters, "stop_grad_norm": stop_grad_norm, "rngs": rngs}
     if params is None:
@@ -1222,38 +1215,31 @@ def run_batch(
              [] if keep_iterates_every else None)
         for p, rng in zip(params, rngs)
     ]
-    ids, xs = [], []
-    for i, (row, x0) in enumerate(zip(rows, x0s)):
+    running, xs = [], []
+    for row, x0 in zip(rows, x0s):
         try:
             xs.append(checked_anchor(obj, x0, "x0"))
-            ids.append(i)
+            running.append(row)
         except Exception as exc:
             row.error = exc
-    store = _lockstep(obj, spec, rows, ids, xs, eta, max_iters, stop_grad_norm,
-                      keep_iterates_every)
+    _lockstep(obj, spec, running, xs, eta, max_iters, stop_grad_norm, keep_iterates_every)
 
     results = []
-    for i, row in enumerate(rows):
+    for row in rows:
         if row.error is not None:
             results.append(row.error)
             continue
-        columns = store.columns(i, row.end)
+        columns = np.concatenate(row.parts + [np.array([[*row.end, 0.0, 0.0]])])
+        row.parts = None  # the run's rows are now held once, in its columns
         try:  # a row whose monitor arithmetic raises fails alone
-            monitors = _monitors(columns, row.perturbed_at, obj, modulus, eta,
-                                 store.optimality(i))
+            tail = None if row.gaps is None else (row.gaps[0], np.concatenate(row.gaps[1]))
+            monitors = _monitors(columns, row.perturbed_at, obj, modulus, eta, (row.passed, tail))
         except Exception as exc:
             results.append(exc)
             continue
         results.append(RunResult(
-            records=Trajectory(columns, row.perturbed_at),
-            termination=row.termination,
-            x_out=row.x_out,
-            f_out=row.f_out,
-            perturbation_count=len(row.perturbed_at),
-            seed=None if row.rng is None else row.rng.seed,
-            events=row.events,
-            perturbation_state=row.state,
-            monitors=monitors,
-            iterates=row.iterates,
-        ))
+            records=Trajectory(columns, row.perturbed_at), termination=row.termination,
+            x_out=row.x_out, f_out=row.f_out, perturbation_count=len(row.perturbed_at),
+            seed=None if row.rng is None else row.rng.seed, events=row.events,
+            perturbation_state=row.state, monitors=monitors, iterates=row.iterates))
     return results

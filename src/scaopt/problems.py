@@ -4,7 +4,8 @@ Smoothness constants are declared per problem over an explicit validity region
 (a norm ball), since globally Lipschitz gradients do not exist for quartics.
 Drivers check the region at every step and abort a run that leaves it. Known
 critical points are verified against the Hessian oracle (its declared band
-where it has one) before an instance is handed out.
+where that band is diagonal, else its dense matrix) before an instance is
+handed out.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class Objective:
     diagonal and ``dim - 1`` subdiagonal entries of a tridiagonal
     ``dense_hessian(x)``, with its bits, in O(dim) and with no ``dim x dim``
     matrix; a zero ``sub`` declares a diagonal Hessian. :func:`make_quadratic`
-    declares the band of a tridiagonal ``H``. The ``quadratic_split`` model,
-    the check of the known critical points and :func:`validate_contracts` read
-    the band instead of the matrix (certification still reads the matrix).
+    declares the band of a tridiagonal ``H``. The ``quadratic_split`` model
+    and :func:`validate_contracts` read the band instead of the matrix; the
+    check of the known critical points reads a zero ``sub``'s band, and
+    otherwise (Rosenbrock) the ``dim x dim`` matrix, as certification does.
     """
 
     dim: int

@@ -14,6 +14,12 @@ hypothesis.settings.register_profile(
 hypothesis.settings.register_profile(
     "ci", deadline=None, max_examples=1000, derandomize=True
 )
+# --hypothesis-profile=mutants (tests/mutants.py): the default search, ended by the first
+# failing example, unshrunk, so a killed mutant costs no shrinking
+hypothesis.settings.register_profile(
+    "mutants", deadline=None, max_examples=50, derandomize=True, database=None,
+    phases=[hypothesis.Phase.explicit, hypothesis.Phase.reuse, hypothesis.Phase.generate],
+)
 hypothesis.settings.load_profile("default")
 
 # Hypothesis reports a failing example through hypothesis.extra._patching, which

@@ -173,6 +173,38 @@ class TestMinEigenvalue:
         assert abs(lam + 1.0) <= 1e-8 and calls["hvp"] > 0
         assert classify(stripped, np.zeros(2), eps=0.1).method == "matrix_free"
 
+    @pytest.mark.parametrize("make", [lambda: get_problem("quadratic:d=250"),
+                                      lambda: make_quadratic(3.0 * np.eye(250))],
+                             ids=["registry", "3I"])
+    def test_a_hessian_equal_to_l1_times_the_identity_certifies_matrix_free(self, make):
+        """``L1 I - H`` is zero, so ARPACK stops at its first product: the start vector is the
+        eigenvector, and the pair passes the residual bar."""
+        obj = make().objective
+        lip_grad = obj.constants.grad_lipschitz
+        assert resolve_method(obj) == "matrix_free"
+        lam, vec, residual = min_eigenvalue(obj, np.zeros(250))
+        assert abs(lam - lip_grad) <= 1e-15 * lip_grad
+        assert abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-15
+        assert residual <= 100.0 * 1e-8 * lip_grad
+
+    @pytest.mark.parametrize("products", [1, 3])
+    def test_an_arpack_error_is_an_eigen_solve_error(self, products, monkeypatch):
+        """Any ARPACK error but the zero first product of ``L1 I`` carries the best estimate."""
+        import scipy.sparse.linalg as linalg
+
+        def eigsh(op, v0, **kwargs):
+            for _ in range(products):
+                op.matvec(v0)
+            raise linalg.ArpackError(-9)
+
+        monkeypatch.setattr(linalg, "eigsh", eigsh)
+        obj = make_quadratic(np.diag(np.arange(1.0, 251.0))).objective
+        with pytest.raises(EigenSolveError, match="ARPACK error -9") as excinfo:
+            min_eigenvalue(obj, np.zeros(250))
+        err = excinfo.value
+        assert math.isfinite(err.lambda_min) and math.isfinite(err.residual) and err.residual > 0
+        assert abs(float(np.linalg.norm(err.eigenvector)) - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("method", ["bogus", "tridiagonal"])
     def test_unknown_method_is_refused(self, method):
         obj = make_quadratic(np.eye(2)).objective

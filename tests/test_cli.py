@@ -677,6 +677,18 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err == "sweep failed: EigenSolveError: budget exhausted\n"
 
+    def test_a_sweep_certifies_a_hessian_equal_to_l1_times_the_identity(self, tmp_path):
+        """Above the dense limit ``quadratic:d=250`` certifies matrix-free on the zero operator
+        ``L1 I - H``, and its sweep writes its aggregate."""
+        assert main(["sweep", "--problem", "quadratic:d=250", "--algo", "gd", "--seeds", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+        aggregate = json.loads((tmp_path / "quadratic-d-250_gd_aggregate.json").read_text())
+        assert len(aggregate["runs"]) == 2
+        for run in aggregate["runs"]:
+            report = json.loads(Path(run["report"]).read_text())
+            assert report["certificate"]["method"] == "matrix_free"
+            assert abs(report["certificate"]["lambda_min"] - 1.0) <= 1e-15
+
     def test_a_failed_scaling_run_exits_1_as_a_failed_run_does(self, tmp_path, capsys):
         # a start at x = (1.95, 0) jittered by 0.1 leaves the box |x|_inf <= 2 for some seeds
         cfg = ExperimentConfig(problem="saddle_quartic:d=2", x0=(1.95, 0.0), jitter=0.1)

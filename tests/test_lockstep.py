@@ -318,6 +318,35 @@ def test_a_bad_start_fails_only_its_row():
     assert str(batch[2]) == "x0 has length 3, problem dimension is 2"
 
 
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_a_batch_whose_every_start_is_refused_calls_no_oracle(perturbed):
+    """Each refused start's error comes back in its place, and no oracle is read."""
+    clean = get_problem("saddle_quartic:d=2").objective
+    calls = []
+
+    def counted(name):
+        def oracle(*args):
+            calls.append(name)
+            return getattr(clean, name)(*args)
+        return oracle
+
+    obj = dataclasses.replace(clean, **{name: counted(name) for name in (
+        "value", "gradient", "hvp", "dense_hessian", "hessian_band")})
+    x0s = [np.array([3.0, 0.0]), np.zeros(3), np.array([math.nan, 0.0])]
+    if perturbed:
+        rngs = [RngStream(s) for s in range(3)]
+        params = [drv.derive_params(1e-2, 0.1, 1.0, 0.5, 0.25, clean, 50)] * 3
+        batch = drv.run_batch(obj, SurrogateSpec(), x0s, params=params, rngs=rngs)
+        assert not any(rng.drawn() for rng in rngs)
+    else:
+        batch = drv.run_batch(obj, SurrogateSpec(), x0s, eta=0.05, stop_grad_norm=1e-3,
+                              max_iters=20)
+    assert [type(r) for r in batch] == [ValueError, ValueError, NonFiniteError]
+    assert str(batch[0]) == "x0 lies outside the objective's valid region"
+    assert str(batch[1]) == "x0 has length 3, problem dimension is 2"
+    assert calls == []
+
+
 def test_an_empty_batch_is_empty():
     obj = get_problem("rosenbrock:d=10").objective
     assert drv.run_batch(obj, SurrogateSpec(), [], params=[], rngs=[]) == []
