@@ -33,7 +33,7 @@ import numpy as np
 
 # scipy is imported inside the functions that call it, so `import scaopt` loads numpy only
 
-from scaopt.numerics import NonFiniteError, RngStream, as_vector, row_dots
+from scaopt.numerics import NonFiniteError, RngStream, as_vector, require, row_dots
 from scaopt.problems import Objective
 from scaopt.surrogates import _checked_hessian, checked_gradient
 
@@ -180,7 +180,8 @@ def min_eigenvalue(
     :class:`SpectralShiftError`. The start vector is a fixed draw, so
     a call replays bit for bit. A shifted operator that is zero on it (``H =
     L1 I``, with probability one) stops ARPACK at its first product; the start
-    vector is then the eigenvector. ``max_iters`` bounds the Hessian-vector
+    vector is then the eigenvector. ``max_iters``, a positive integer by the
+    rule of :func:`~scaopt.numerics.require`, bounds the Hessian-vector
     products, including the one that measures the residual of the Ritz pair;
     the estimate must certify with a residual within ``100 tol`` (``tol``
     defaults to ``1e-8 L1``). Running out of budget, any other ARPACK error or
@@ -188,6 +189,7 @@ def min_eigenvalue(
     estimate: on exhaustion, the smallest Rayleigh quotient seen.
     """
     x = as_vector(x, obj.dim, "x")
+    require(max_iters=max_iters)
     lip_grad = obj.constants.grad_lipschitz
     if tol is None:
         tol = 1e-8 * lip_grad
@@ -279,7 +281,7 @@ def _lanczos(obj: Objective, x: np.ndarray, tol: float, max_iters: int):
             vec, residual = scale * v, scale * float(np.linalg.norm(hv - lam * v))
         raise EigenSolveError(
             f"Lanczos stopped after {calls} of {max_iters} Hessian-vector products "
-            f"({exc or 'budget exhausted'}); best estimate has residual {residual:.3e}",
+            f"({str(exc) or 'budget exhausted'}); best estimate has residual {residual:.3e}",
             lambda_min=lam,
             residual=residual,
             eigenvector=vec,

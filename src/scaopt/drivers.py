@@ -43,10 +43,9 @@ four drivers are its one-row callers). Each run is one object, its
 :class:`_Row`, which holds its perturbation state, stream, events, trajectory
 parts and optimality tally, and gets the result its run makes alone, bit
 for bit: every per-row reduction is one that keeps the bits of its 1-D form,
-and the monitors are tallied per row, a failing one failing its run only when
-the run ends. A row keeps its position in the stack for the whole iteration;
-the rows that end or fail there leave it together at the iteration's one exit,
-after the step, where the row store also flushes.
+and the monitors are tallied per row. A row keeps its position in the stack
+for the whole iteration; the rows that end or fail there leave it together at
+the iteration's one exit, after the step, where the row store also flushes.
 
 Every dot and 2-norm the loop takes (gradient, step and error norms, gaps,
 the region test) is :func:`~scaopt.numerics.row_dots`, the products summed by
@@ -69,9 +68,16 @@ alone with its evaluation's error. For every model, the row store
 optimality gap of the trajectory columns, a block of iterations at a time,
 and tallies the optimality monitor from those gaps, which it then drops; it
 writes each block's columns and tally onto the runs' rows and keeps only the
-pending block. A value found bad there, or a column whose arithmetic raises,
-fails its row with the error of that iterate, ahead of anything the row met
-at a later iterate; the other rows run on.
+pending block. A value found bad there fails its row with the error of that
+iterate, ahead of anything the row met at a later iterate; the other rows run
+on.
+
+A run's diagnostics never raise. Its error norms, gaps and monitors are formed
+under ``np.errstate(all="ignore")``, so one whose arithmetic overflows reads
+inf or NaN, a failed check of its monitor, under any warnings filter, and the
+run ends as it does under the default filter. The loop's own reads (the
+models, the gradient norms that the fire and stop tests read, the step, the
+values) raise as the filter says.
 """
 
 from __future__ import annotations
@@ -542,8 +548,8 @@ def _norms(obj, spec, surr, xs, t):
     g, modulus = surr.anchor_grad, spec.strong_convexity
     try:
         gn = np.sqrt(row_dots(g, g))
-        # formed here, as a one-row build forms it: a quotient that overflows then raises
-        # here under an error filter, and fails its row, not later in the store's flush
+        # formed here, as a one-row build forms it: a quotient that overflows raises here
+        # under an error filter, as in that build (the store's flush forms it raising nothing)
         step_norm = gn if modulus == 1.0 else gn / modulus
     except Exception:
         alone, grad_norms, failures = _one_by_one(obj, spec, xs, t)
@@ -610,18 +616,14 @@ def _optimal(gap, step_norm, step_sq, tol, modulus):
     return gap >= modulus * step_sq - (tol * step_norm + 1e-9)
 
 
-def _monitors(columns, perturbed_at, obj, modulus, eta, optimality) -> MonitorCounts:
+def _monitors(columns, perturbed_at, obj, modulus, eta, optimal) -> MonitorCounts:
     """The monitor tallies of a run from its trajectory columns and its optimality tally.
 
-    ``columns`` are the run's :class:`Trajectory` columns, and ``optimality``
-    is ``(passed, tail)``, the tally the row store wrote on the run's :class:`_Row`:
-    the steps that passed the optimality test ``(x - x_hat)'g >= C step_norm**2
-    - (tol step_norm + 1e-9)`` (:func:`_optimal`), which the store checks as it
-    forms each gap, and None, or, when that test raised on a block of the run,
-    the run's first step there and its gaps from there on. Those steps are
-    tested here again, in the test's place in the order below, so the run
-    fails with the error that the test raises on the run's whole columns.
-    Every step is checked for optimality, the direction bound and (given
+    ``columns`` are the run's :class:`Trajectory` columns, and ``optimal`` is
+    the tally the row store wrote on the run's :class:`_Row`: its steps that
+    passed the optimality test ``(x - x_hat)'g >= C step_norm**2 - (tol
+    step_norm + 1e-9)`` (:func:`_optimal`), which the store checks as it forms
+    each gap. Every step is checked for optimality, the direction bound and (given
     ``value_lipschitz``) the error bound, each with the slack ``tol = 1e-10
     max(1, grad_norm)``, and ``step_norm**2`` written as the product
     ``step_norm * step_norm`` (:func:`_scales`). Consecutive rows are checked by the
@@ -629,16 +631,13 @@ def _monitors(columns, perturbed_at, obj, modulus, eta, optimality) -> MonitorCo
     C - eta**2 L1 / 2`` and ``slack = 1e-9 (1 + |f|) + eta tol step_norm``,
     skipping a row reached by a perturbation's jump. At ``eta >= 2C/L1`` the
     factor ``eta'`` is not positive, the test says nothing, and no row is
-    checked (:func:`run_batch` warns).
+    checked (:func:`run_batch` warns). :func:`run_batch` calls it under
+    ``np.errstate(all="ignore")``, as the store forms the gaps: arithmetic
+    that overflows here reads inf or NaN and fails its check.
     """
     f, gn, step_norm, err_norm = columns[:-1].T
     steps = len(f)
     step_sq, tol = _scales(gn, step_norm)
-    optimal, tail = optimality
-    if tail is not None:
-        start, gap = tail
-        optimal += int(_optimal(gap, step_norm[start:], step_sq[start:], tol[start:],
-                                modulus).sum())
     direction = step_norm <= gn / modulus + tol / modulus
     counts = MonitorCounts(optimality_checked=steps, optimality_passed=optimal,
                            direction_checked=steps, direction_passed=int(direction.sum()))
@@ -687,7 +686,6 @@ class _Row:
     error: Optional[Exception] = None
     parts: Optional[list] = field(default_factory=list)  # an (iterations, 4) array a block
     passed: int = 0  # the steps that passed the optimality test
-    gaps: Optional[tuple] = None  # (start, [gaps]) from the block where that test raised
 
 
 class _Rows:
@@ -707,15 +705,14 @@ class _Rows:
     iterations or, where one formed none, as ``sqrt(g'g)`` and that over
     ``modulus``, and every error norm ``||d - g||`` and gap ``d'g``, all over
     the block's stacked arrays, each row with the bits of its one-row form.
-    The gap's one reader is the optimality monitor, so the flush tallies it
-    there, onto each row, and keeps no gap: a row's ``passed`` counts its
-    steps that passed, and a row whose test raised on a block keeps, in its
-    ``gaps``, its first step there and its gaps from there on (:meth:`_tally`),
-    for :func:`_monitors` to test again when the run ends, since a monitor
-    fails only a run that completes. The flush appends to each row's ``parts``
-    one owned ``(iterations, 4)`` array of the four columns (a view would keep
-    the whole block alive), which :func:`run_batch` joins once with the
-    terminal row that the loop's one end path writes, and drops. A trajectory
+    It forms them, and the optimality test, under ``np.errstate(all="ignore")``:
+    a column or gap whose arithmetic overflows reads inf or NaN, and a test on
+    it fails, under any warnings filter. The gap's one reader is the
+    optimality monitor, so the flush tallies it there, adding each row's steps
+    that passed to its ``passed``, and keeps no gap. It appends to each row's
+    ``parts`` one owned ``(iterations, 4)`` array of the four columns (a view
+    would keep the whole block alive), which :func:`run_batch` joins once with
+    the terminal row that the loop's one end path writes, and drops. A trajectory
     row then costs its 32 bytes, and 32 more while its run is joined. A run
     keeps its ``x``, ``d`` and ``g`` until its block flushes, so the block's
     height bounds the pending arrays in bytes: :func:`_lockstep` takes
@@ -739,10 +736,7 @@ class _Rows:
         tally; map each failed row's position to its error.
 
         A row's error is that of its first iterate whose value raised or is
-        not finite (:func:`_values`), or whose columns raised (a floating-point
-        warning made an error): when forming the block's columns raises, each
-        iterate's are formed alone, in iteration order, after its value. An
-        optimality test that raises fails no row here (:meth:`_tally`).
+        not finite (:func:`_values`); the columns and the test raise nothing.
         """
         if not self.pending:
             return {}
@@ -755,7 +749,7 @@ class _Rows:
             if values is not None:
                 f[k] = values
         f = f.reshape(-1)
-        failed = {}  # position: (the block index of its first failing iterate, the error)
+        failed = {}  # position: the error of its first iterate whose value failed
         unread = np.flatnonzero(np.isnan(f))
         if len(unread):  # only a stacked model leaves values unread
             points = np.concatenate(xs)
@@ -763,68 +757,27 @@ class _Rows:
                 points = points[unread]
             f[unread], found = _values(self.obj, points, lambda k: start + int(unread[k]) // rows)
             for k, exc in found.items():  # in iteration order: a row's first failure comes first
-                failed.setdefault(int(unread[k]) % rows, (int(unread[k]), exc))
+                failed.setdefault(int(unread[k]) % rows, exc)
         d, g = np.concatenate(ds), np.concatenate(gs)
-        joined = all(norms is not None for norms in grad_norms)
-        if joined:
-            grad_norms, step_norms = np.concatenate(grad_norms), np.concatenate(step_norms)
-
-        def form(k):
-            """The columns but ``f``, and the gap, of the iterates ``k`` (a slice, or one block
-            index)."""
-            gn = grad_norms[k] if joined else np.sqrt(row_dots(g[k], g[k]))
-            err = d[k] - g[k]
-            return (gn, step_norms[k] if joined else gn / self.modulus,
-                    np.sqrt(row_dots(err, err)), row_dots(d[k], g[k]))
-
-        try:
-            columns = form(slice(None))
-        except Exception:
-            columns = np.full((4, len(f)), math.nan)
-            for k in range(len(f)):
-                pos = k % rows
-                if pos not in failed or failed[pos][0] > k:  # no failure at or before k
-                    try:
-                        columns[:, k] = form(k)
-                    except Exception as exc:
-                        failed[pos] = (k, exc)
-        gn, step_norm, err_norm, gap = columns
-        self._tally(gn, step_norm, gap, start)
+        with np.errstate(all="ignore"):  # an overflow reads inf or NaN, a failed check
+            if all(norms is not None for norms in grad_norms):
+                gn, step_norm = np.concatenate(grad_norms), np.concatenate(step_norms)
+            else:
+                gn = np.sqrt(row_dots(g, g))
+                step_norm = gn / self.modulus
+            err = d - g
+            err_norm, gap = np.sqrt(row_dots(err, err)), row_dots(d, g)
+            # err is as large as d: it goes once the gap is formed, before the block is copied
+            # out. Kept to the end of the flush, it left the heap laid out so that the Rosenbrock
+            # d=10 scaling study peaked about 1.2 MB higher in RSS, at the same traced peak
+            del err
+            optimal = _optimal(gap, step_norm, *_scales(gn, step_norm), self.modulus)
+        passed = optimal.reshape(iterations, rows).sum(axis=0).tolist()
         block = np.stack((f, gn, step_norm, err_norm), axis=1).reshape(iterations, rows, 4)
         for pos, row in enumerate(self.rows):
             row.parts.append(block[:, pos].copy())
-        return {pos: exc for pos, (_, exc) in failed.items()}
-
-    def _tally(self, gn, step_norm, gap, start):
-        """Add each row's steps of the block that pass the optimality test to its ``passed``.
-
-        ``gn``, ``step_norm`` and ``gap`` are the block's columns, iteration by
-        iteration over ``rows``, from iteration ``start``. When the test raises
-        on the block, each row's is taken alone, and a row whose test raises
-        keeps its gaps in its ``gaps`` from this block on, untallied: the
-        blocks before raised nothing, so the test raises on those gaps the
-        error it raises on the run's whole columns.
-        """
-        rows = len(self.rows)
-
-        def passed(k):
-            return _optimal(gap[k], step_norm[k], *_scales(gn[k], step_norm[k]), self.modulus)
-
-        try:
-            counts = passed(slice(None)).reshape(-1, rows).sum(axis=0).tolist()
-        except Exception:
-            counts = []
-            for pos in range(rows):
-                try:
-                    counts.append(int(passed(slice(pos, None, rows)).sum()))
-                except Exception:
-                    counts.append(None)
-        for pos, (row, count) in enumerate(zip(self.rows, counts)):
-            if row.gaps is None and count is not None:
-                row.passed += count
-            else:
-                row.gaps = row.gaps or (start, [])
-                row.gaps[1].append(gap[pos::rows].copy())
+            row.passed += passed[pos]
+        return failed
 
 
 def _quiet(obj, spec, eta) -> bool:
@@ -889,9 +842,10 @@ def _lockstep(obj, spec, rows, xs, eta, max_iters, stop_grad_norm, keep_every) -
     (the stop test, a step out of the region, a perturbed point out of the
     region, ``max_iters``) is written by ``end``. Every iteration appends one
     entry to the store, whatever the model; every other value and norm, and
-    every error norm and gap, is formed when the store flushes, and a failure
-    found there ends its row with that error, which wins over whatever the row
-    met at a later iterate.
+    every error norm and gap, is formed when the store flushes, and a value
+    found bad there ends its row with its error, which wins over whatever the
+    row met at a later iterate. What the store forms beyond the values raises
+    nothing (:class:`_Rows`).
     """
     if not rows:
         return
@@ -1165,10 +1119,11 @@ def run_batch(
     rows that perturb draw from their streams. Returns one entry per row, in
     order: the :class:`RunResult` of its run, equal to the serial run's bit
     for bit, or the exception that run raised (a failing row drops out; the
-    rest run on). A run that completes fails there when its monitors'
-    arithmetic raises (:func:`_monitors`). Its :class:`Trajectory` holds the
-    columns joined from the parts on its :class:`_Row`, which are dropped at
-    once, so no other array keeps them.
+    rest run on). A run's monitors are tallied under
+    ``np.errstate(all="ignore")``, so their arithmetic fails no run
+    (:func:`_monitors`). Its :class:`Trajectory` holds the columns joined from
+    the parts on its :class:`_Row`, which are dropped at once, so no other
+    array keeps them.
     """
     given = {"eta": eta, "max_iters": max_iters, "stop_grad_norm": stop_grad_norm, "rngs": rngs}
     if params is None:
@@ -1231,12 +1186,8 @@ def run_batch(
             continue
         columns = np.concatenate(row.parts + [np.array([[*row.end, 0.0, 0.0]])])
         row.parts = None  # the run's rows are now held once, in its columns
-        try:  # a row whose monitor arithmetic raises fails alone
-            tail = None if row.gaps is None else (row.gaps[0], np.concatenate(row.gaps[1]))
-            monitors = _monitors(columns, row.perturbed_at, obj, modulus, eta, (row.passed, tail))
-        except Exception as exc:
-            results.append(exc)
-            continue
+        with np.errstate(all="ignore"):
+            monitors = _monitors(columns, row.perturbed_at, obj, modulus, eta, row.passed)
         results.append(RunResult(
             records=Trajectory(columns, row.perturbed_at), termination=row.termination,
             x_out=row.x_out, f_out=row.f_out, perturbation_count=len(row.perturbed_at),

@@ -33,9 +33,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL = "tests/test_drivers.py::TestPerturbationProtocol::"
 THRESHOLDS = "tests/test_lockstep.py::test_a_failing_row_hides_no_threshold_test"
 FAILURES = "tests/test_loop_failures.py::"
+DERIVED = (
+    "tests/test_drivers.py::TestDeriveParams::test_worked_example_matches_high_precision_oracle")
 
 MUTANTS = [
-    # the protocol's boundaries and derived threshold, which the byte and oracle tests miss
+    # the protocol's boundaries and derived thresholds, which the byte and oracle tests miss
     ("drivers.py",  # the window test's strict comparison
      "> -(1.0 - row.params.s) * row.params.f_th",
      ">= -(1.0 - row.params.s) * row.params.f_th",
@@ -51,8 +53,27 @@ MUTANTS = [
     ("drivers.py",  # the derived f_th
      "f_th = (c / chi**3) * math.sqrt(eps**3 / lip_hess)",
      "f_th = 1.01 * (c / chi**3) * math.sqrt(eps**3 / lip_hess)",
-     ["tests/test_drivers.py::TestDeriveParams::"
-      "test_worked_example_matches_high_precision_oracle"]),
+     [DERIVED]),
+    ("drivers.py",  # the derived g_th
+     "g_th = eps * math.sqrt(c) / chi**2",
+     "g_th = 1.01 * eps * math.sqrt(c) / chi**2",
+     [DERIVED]),
+    ("drivers.py",  # the derived perturbation radius
+     "r = eps * math.sqrt(c) / (lip_grad * chi**2)",
+     "r = 1.01 * eps * math.sqrt(c) / (lip_grad * chi**2)",
+     [DERIVED]),
+    ("drivers.py",  # the derived window length
+     "t_th = max(1, math.ceil(window))",
+     "t_th = max(1, math.ceil(window)) + 1",
+     [DERIVED]),
+    ("drivers.py",  # the first fire may come at t = 0
+     "next_perturb = [math.inf if row.params is None else 0 for row in rows]",
+     "next_perturb = [math.inf if row.params is None else 1 for row in rows]",
+     [PROTOCOL + "test_fires_at_exactly_g_th"]),
+    ("drivers.py",  # the next fire after t_th more iterations, and the window test before it
+     "next_perturb[pos] = t + row.params.t_th + 1",
+     "next_perturb[pos] = t + row.params.t_th + 2",
+     [PROTOCOL + "test_fires_past_window"]),
     # one-off mutations that showed new tests had teeth
     ("drivers.py",  # the step's d off by a relative 2**-40
      "    d = x - x_hat\n",
@@ -74,14 +95,20 @@ MUTANTS = [
      "np.maximum.reduce(np.abs(xs), axis=None) <= radius",
      "np.fmax.reduce(np.abs(xs), axis=None) <= radius",
      ["tests/test_bit_identities.py::test_in_region_is_false_with_nan"]),
-    ("drivers.py",  # a column's error wins a tie with its value's at the same iterate
-     "if pos not in failed or failed[pos][0] > k:",
-     "if pos not in failed or failed[pos][0] >= k:",
-     [FAILURES + "test_a_row_whose_diagnostics_overflow_fails_alone"]),
+    # a run's diagnostics never raise
+    ("drivers.py",  # the store forms its columns and gaps under the warnings filter
+     'with np.errstate(all="ignore"):  # an overflow reads inf or NaN, a failed check',
+     'with np.errstate(all="warn"):  # an overflow reads inf or NaN, a failed check',
+     [FAILURES + "test_a_row_whose_diagnostics_overflow_runs_as_with_warnings_ignored",
+      FAILURES + "test_a_row_whose_optimality_overflows_runs_as_with_warnings_ignored"]),
+    ("drivers.py",  # the monitors are tallied under the warnings filter
+     '        with np.errstate(all="ignore"):\n            monitors = _monitors(',
+     '        with np.errstate(all="warn"):\n            monitors = _monitors(',
+     [FAILURES + "test_a_row_whose_diagnostics_overflow_runs_as_with_warnings_ignored"]),
     # the optimality tally
     ("drivers.py",  # each block's count replaces the run's tally instead of adding to it
-     "row.passed += count",
-     "row.passed = count",
+     "row.passed += passed[pos]",
+     "row.passed = passed[pos]",
      ["tests/test_drivers.py::TestSharedLoop::test_gradient_baselines_tally_every_monitor"]),
 ]
 

@@ -158,6 +158,24 @@ class TestMinEigenvalue:
                            method="matrix_free")
         assert calls == []
 
+    @pytest.mark.parametrize("method", ["dense", "matrix_free"])
+    @pytest.mark.parametrize("max_iters", [0, -3, 2.5])
+    def test_a_budget_that_is_not_a_positive_integer_is_refused(self, max_iters, method):
+        obj, calls = counted(make_saddle_quartic(4).objective, "hvp")
+        with pytest.raises(ValueError, match="^max_iters must be a positive integer$"):
+            min_eigenvalue(obj, np.zeros(4), max_iters=max_iters, method=method)
+        assert calls["hvp"] == 0
+
+    def test_an_exhausted_budget_is_named(self):
+        gen = np.random.default_rng(3)
+        a = gen.standard_normal((40, 40))
+        obj = make_quadratic(0.5 * (a + a.T)).objective
+        with pytest.raises(EigenSolveError) as excinfo:
+            min_eigenvalue(obj, np.zeros(40), method="matrix_free", max_iters=np.int64(2))
+        assert str(excinfo.value).startswith(
+            "Lanczos stopped after 2 of 2 Hessian-vector products (budget exhausted); "
+            "best estimate has residual ")
+
     def test_dense_requested_without_hessian(self):
         obj = make_quadratic(np.eye(2)).objective
         stripped = dataclasses.replace(obj, dense_hessian=None, hessian_band=None)

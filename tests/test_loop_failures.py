@@ -119,7 +119,7 @@ def test_a_stacked_row_with_a_nan_gradient_fails_alone(value, max_iters):
 
 
 # ---------------------------------------------------------------------------
-# a row whose error norm, gap or monitor arithmetic overflows
+# a row whose error norm, gap or monitor arithmetic overflows: it reads inf or NaN, a failed check
 
 
 # (modulus, gradient norm at the bad start): at modulus 0.5 the step's gap d'g = 2 * 1.2e154^2
@@ -138,13 +138,14 @@ DIAGNOSTICS_OVERFLOW = {"gap": (0.5, 1.2e154), "monitor": (0.6, 1e154)}
 @example(batched_objective=False, case="gap", layout=(2, 0), max_iters=5, nan_at=None)
 @example(batched_objective=True, case="gap", layout=(2, 0), max_iters=5, nan_at=None)
 @example(batched_objective=True, case="monitor", layout=(2, 0), max_iters=5, nan_at=None)
-def test_a_row_whose_diagnostics_overflow_fails_alone(batched_objective, case, layout, max_iters,
-                                                      nan_at):
+def test_a_row_whose_diagnostics_overflow_runs_as_with_warnings_ignored(
+        batched_objective, case, layout, max_iters, nan_at):
     """SCA on ``0.5 ||x||^2`` over the whole plane, warnings made errors: the gradient at the bad
     row's start ``(0.3, 0)`` is scaled to a norm whose first step makes the gap or the monitors
-    overflow, and its value is NaN at its iterate ``nan_at``. That row fails as its serial run
-    fails, with the error of its first failing iterate (at iterate 0, the value's); the rows from
-    ``(0.5, 0.1 k)`` run on and equal their serial runs."""
+    overflow, and its value is NaN at its iterate ``nan_at``. The overflow reads inf or NaN, a
+    failed check, so that row equals its serial run with warnings ignored: it runs to
+    ``max_iters`` with a failed check in its tallies, or fails with its NaN iterate's error. The
+    rows from ``(0.5, 0.1 k)`` run on and equal their serial runs."""
     rows, bad = layout
     modulus, norm = DIAGNOSTICS_OVERFLOW[case]
     plain = make_quadratic(np.eye(2)).objective
@@ -175,12 +176,17 @@ def test_a_row_whose_diagnostics_overflow_fails_alone(batched_objective, case, l
         batch = drv.run_batch(obj, spec, x0s, eta=0.1, max_iters=max_iters, stop_grad_norm=-1.0)
         alone = [serial(lambda x0=x0: drv.run_sca(obj, spec, 0.1, -1.0, max_iters, x0))
                  for x0 in x0s]
-    check_rows(batch, alone, failing={bad})
-    if nan_at == 0 or (nan_at == 1 and case == "monitor"):
-        expected = (NonFiniteError, f"non-finite objective or gradient at iteration {nan_at}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ignored = serial(lambda: drv.run_sca(obj, spec, 0.1, -1.0, max_iters, start))
+    check_rows(batch, alone, failing=set() if nan_at is None else {bad})
+    assert_same_run(batch[bad], ignored)
+    if nan_at is None:
+        assert batch[bad].termination == "max_iters" and batch[bad].iterations == max_iters
+        assert not batch[bad].monitors.all_passed()
     else:
-        expected = (RuntimeWarning, "overflow encountered in multiply")
-    assert (type(batch[bad]), str(batch[bad])) == expected
+        assert (type(batch[bad]), str(batch[bad])) == (
+            NonFiniteError, f"non-finite objective or gradient at iteration {nan_at}")
     assert all(row.termination == "max_iters" for k, row in enumerate(batch) if k != bad)
 
 
@@ -196,16 +202,16 @@ def test_a_row_whose_diagnostics_overflow_fails_alone(batched_objective, case, l
 @example(batched_objective=True, case="square", height=3, layout=(3, 1), nan_after=5)
 @example(batched_objective=False, case="product", height=1, layout=(2, 1), nan_after=None)
 @example(batched_objective=True, case="product", height=256, layout=(3, 0), nan_after=7)
-def test_a_row_whose_optimality_overflows_fails_at_its_end(batched_objective, case, height,
-                                                           layout, nan_after):
+def test_a_row_whose_optimality_overflows_runs_as_with_warnings_ignored(
+        batched_objective, case, height, layout, nan_after):
     """SCA on ``0.5 ||x||^2`` for ``height + 40`` iterations at a store block height of 1, 3 or
     256, set through ``BUDGET``, warnings made errors: the bad row's optimality arithmetic
     overflows at iteration 0, in its first block. In the "square" case (the "monitor" case
     above) its ``step_norm * step_norm`` overflows; in the "product" case a custom model reports
-    a step norm of 1e154 there, whose finite square ``C = 2`` times overflows. A monitor fails a
-    run only when the run ends, so a NaN value at the bad row's iterate ``height + nan_after``,
-    in a later block, fails it with that iterate's error, and a run that reaches ``max_iters``
-    fails with the overflow. Every row equals its serial run."""
+    a step norm of 1e154 there, whose finite square ``C = 2`` times overflows. The overflow fails
+    that step's optimality check, and the bad row equals its serial run with warnings ignored:
+    it runs to ``max_iters``, or a NaN value at its iterate ``height + nan_after``, in a later
+    block, fails it with that iterate's error. Every row equals its serial run."""
     rows, bad = layout
     max_iters = height + 40
     plain = make_quadratic(np.eye(2)).objective
@@ -258,14 +264,18 @@ def test_a_row_whose_optimality_overflows_fails_at_its_end(batched_objective, ca
                                   stop_grad_norm=-1.0)
         alone = [serial(lambda x0=x0: drv.run_sca(obj, spec, 0.1, -1.0, max_iters, x0))
                  for x0 in x0s]
+        warnings.simplefilter("ignore")
+        ignored = serial(lambda: drv.run_sca(obj, spec, 0.1, -1.0, max_iters, start))
     assert max(flushed) == height
-    check_rows(batch, alone, failing={bad})
+    check_rows(batch, alone, failing=set() if nan_after is None else {bad})
+    assert_same_run(batch[bad], ignored)
     if nan_after is None:
-        expected = (RuntimeWarning, "overflow encountered in multiply")
+        monitors = batch[bad].monitors
+        assert batch[bad].termination == "max_iters" and batch[bad].iterations == max_iters
+        assert monitors.optimality_passed == monitors.optimality_checked - 1
     else:
-        expected = (NonFiniteError,
-                    f"non-finite objective or gradient at iteration {height + nan_after}")
-    assert (type(batch[bad]), str(batch[bad])) == expected
+        assert (type(batch[bad]), str(batch[bad])) == (
+            NonFiniteError, f"non-finite objective or gradient at iteration {height + nan_after}")
     assert all(row.termination == "max_iters" for k, row in enumerate(batch) if k != bad)
 
 
