@@ -53,24 +53,30 @@ numpy with no BLAS call, and every power is a product. So a trajectory's bits
 do not depend on the BLAS kernel unless its objective or model calls BLAS or
 LAPACK itself.
 
-Each iteration computes only what the protocol reads there: the gradients,
-the step and the region test, and the gradient norms where a row may fire or
-stop. The proximal model of a batched objective is built on the stack
-without its values and norms. A row reads ``f`` where the protocol does
-(``f_tilde`` at a perturbation, the window test, a terminal row) through
-:func:`_read`, the one read of a value its model did not read, and every
-terminal row goes through one end path. An iteration where no row may fire
-or stop forms no norm: a step that stays in the region bounds the gradient
-(:func:`_quiet`), so the region test, which raises nothing, finds a row whose
-gradient is NaN, inf or too large for its norm, and the end path fails it
-alone with its evaluation's error. For every model, the row store
-(:class:`_Rows`) forms every other value and norm, and every error norm and
-optimality gap of the trajectory columns, a block of iterations at a time,
-and tallies the optimality monitor from those gaps, which it then drops; it
-writes each block's columns and tally onto the runs' rows and keeps only the
-pending block. A value found bad there fails its row with the error of that
-iterate, ahead of anything the row met at a later iterate; the other rows run
-on.
+Each iteration computes only what the protocol reads there: the gradients, the
+step and the region test, and the gradient norms where a row may fire or stop
+and no later test can stand in for them. The proximal model of a batched
+objective is built on the stack without its values and norms. A row reads
+``f`` where the protocol does (``f_tilde`` at a perturbation, the window test,
+a terminal row) through :func:`_read`, the one read of a value its model did
+not read, and every terminal row goes through one end path. An iteration where
+no row may fire or stop forms no norm: a step that stays in the region bounds
+the gradient (:func:`_quiet`), so the region test, which raises nothing, finds
+a row whose gradient is NaN, inf or too large for its norm, and the end path
+fails it alone with its evaluation's error. A batch with a stop threshold at
+or above every ``g_th`` forms none where a row may fire or stop either, except
+where a row first may fire or meets its window test: a fire there is a stop
+crossing too, so its row store runs both tests on the norms it forms when it
+flushes. A row that stops there ends as the stop test would have ended it, its
+later iterations leaving no trace, and a row that fires takes the whole batch
+back to that iteration, which runs again with its norms formed
+(:func:`_lockstep`). For every model, the row store (:class:`_Rows`) forms
+every other value and norm, and every error norm and optimality gap of the
+trajectory columns, a block of iterations at a time, and tallies the
+optimality monitor from those gaps, which it then drops; it writes each
+block's columns and tally onto the runs' rows and keeps only the pending
+block. A value found bad there fails its row with the error of that iterate,
+ahead of anything the row met at a later iterate; the other rows run on.
 
 A run's diagnostics never raise. Its error norms, gaps and monitors are formed
 under ``np.errstate(all="ignore")``, so one whose arithmetic overflows reads
@@ -458,7 +464,9 @@ def _values(obj, xs, iteration):
     """``obj.value`` at each point of the ``(N, d)`` stack ``xs`` of a batched objective.
 
     One stacked call reads every value; only when it raises is each point
-    read alone. Returns ``(values, failures)``: ``failures`` maps, in index
+    read alone. The values are tested by their sum, and each alone only when
+    the sum is not finite, as it is when it overflows, which warns under no
+    filter. Returns ``(values, failures)``: ``failures`` maps, in index
     order, each point whose value raised to its exception and each whose value
     is not finite to the :func:`_non_finite` error at ``iteration(k)``, the
     iteration of point ``k``: the error its one-row evaluation raises there.
@@ -472,7 +480,9 @@ def _values(obj, xs, iteration):
                 values[k] = obj.value(x)
             except Exception as exc:
                 raised[k] = exc
-    if not raised and math.isfinite(np.add.reduce(values)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(values)
+    if not raised and math.isfinite(total):
         return values, {}
     bad = np.flatnonzero(~np.isfinite(values)).tolist()
     return values, {k: raised[k] if k in raised else _non_finite(iteration(k)) for k in bad}
@@ -638,22 +648,38 @@ def _monitors(columns, perturbed_at, obj, modulus, eta, optimal) -> MonitorCount
     f, gn, step_norm, err_norm = columns[:-1].T
     steps = len(f)
     step_sq, tol = _scales(gn, step_norm)
-    direction = step_norm <= gn / modulus + tol / modulus
+    # each test is formed in place, in its expression's order of operations, so every tally
+    # keeps its value and a lone run holds at most four full-length temporaries here
+    tol_over = tol / modulus
+    bound = gn / modulus
+    bound += tol_over
     counts = MonitorCounts(optimality_checked=steps, optimality_passed=optimal,
-                           direction_checked=steps, direction_passed=int(direction.sum()))
+                           direction_checked=steps,
+                           direction_passed=int(np.count_nonzero(step_norm <= bound)))
     lip_value = obj.constants.value_lipschitz
     if lip_value is not None:
-        error_bound = err_norm <= lip_value * (1.0 + 1.0 / modulus) + tol / modulus
-        counts.error_bound_checked, counts.error_bound_passed = steps, int(error_bound.sum())
+        np.add(lip_value * (1.0 + 1.0 / modulus), tol_over, out=bound)
+        counts.error_bound_checked = steps
+        counts.error_bound_passed = int(np.count_nonzero(err_norm <= bound))
+    del bound
     lip_grad = obj.constants.grad_lipschitz
     if eta < 2.0 * modulus / lip_grad:
         eta_prime = eta * modulus - eta**2 * lip_grad / 2.0
-        slack = 1e-9 * (1.0 + np.abs(f)) + eta * tol * step_norm
-        passed = columns[1:, 0] <= f - eta_prime * step_sq + slack
+        slack = np.abs(f, out=tol_over)  # 1e-9 (1 + |f|) + eta tol step_norm
+        slack += 1.0
+        slack *= 1e-9
+        tol *= eta
+        tol *= step_norm
+        slack += tol
+        limit = step_sq  # f - eta' step_sq + slack
+        limit *= eta_prime
+        np.subtract(f, limit, out=limit)
+        limit += slack
         checked = np.ones(steps, dtype=bool)
         checked[[t - 1 for t in perturbed_at if t >= 1]] = False
-        counts.descent_checked = int(checked.sum())
-        counts.descent_passed = int((passed & checked).sum())
+        counts.descent_checked = int(np.count_nonzero(checked))
+        checked &= columns[1:, 0] <= limit
+        counts.descent_passed = int(np.count_nonzero(checked))
     return counts
 
 
@@ -687,6 +713,23 @@ class _Row:
     parts: Optional[list] = field(default_factory=list)  # an (iterations, 4) array a block
     passed: int = 0  # the steps that passed the optimality test
 
+    def finish(self, t, f, grad_norm, x, tag=None, why=None):
+        """End the run at ``t`` on its terminal row, ``f`` and ``grad_norm`` at the iterate ``x``.
+
+        ``tag`` names the termination (None: ``max_iters``) and joins the
+        row's event, followed by ``why`` when given. The run returns ``x`` and
+        ``f``, or ``x_tilde`` and ``f_tilde`` when it ends ``returned_xtilde``.
+        """
+        self.end = (f, grad_norm)
+        self.x_out, self.f_out = x.copy(), f
+        if tag == "returned_xtilde":
+            self.x_out, self.f_out = self.state.x_tilde, self.state.f_tilde
+        if tag is not None:
+            self.termination = event = tag
+            if why is not None:
+                event = f"{tag};{why}"
+            self.events[t] = f"{self.events[t]};{event}" if t in self.events else event
+
 
 class _Rows:
     """The pending block of a batch's running :class:`_Row` s ``rows``, in stack order.
@@ -699,9 +742,10 @@ class _Rows:
     the norms as the iteration formed them (None where it formed none), and
     the step's ``d`` and gradient ``g`` (see :func:`_step`). At the loop's one
     exit of an iteration, when rows leave the stack there or a block's height
-    of iterations are pending, :meth:`flush` forms from them the columns ``f,
-    grad_norm, step_norm, err_norm`` and each step's gap: the unread values by
-    one stacked ``obj.value`` call, each norm column joined from the
+    of iterations are pending, and where a batch whose fire and stop tests wait
+    for the store runs them (:func:`_lockstep`), :meth:`flush` forms from them
+    the columns ``f, grad_norm, step_norm, err_norm`` and each step's gap: the
+    unread values by one stacked ``obj.value`` call, each norm column joined from the
     iterations or, where one formed none, as ``sqrt(g'g)`` and that over
     ``modulus``, and every error norm ``||d - g||`` and gap ``d'g``, all over
     the block's stacked arrays, each row with the bits of its one-row form.
@@ -712,7 +756,7 @@ class _Rows:
     that passed to its ``passed``, and keeps no gap. It appends to each row's
     ``parts`` one owned ``(iterations, 4)`` array of the four columns (a view
     would keep the whole block alive), which :func:`run_batch` joins once with
-    the terminal row that the loop's one end path writes, and drops. A trajectory
+    the terminal row that the loop's end path writes, and drops. A trajectory
     row then costs its 32 bytes, and 32 more while its run is joined. A run
     keeps its ``x``, ``d`` and ``g`` until its block flushes, so the block's
     height bounds the pending arrays in bytes: :func:`_lockstep` takes
@@ -731,33 +775,29 @@ class _Rows:
         self.rows = rows
         self.pending: list[tuple] = []
 
-    def flush(self, t) -> dict:
+    def flush(self, t, stop=None, next_perturb=()) -> tuple:
         """Turn the pending iterations, those before ``t``, into each row's part and optimality
-        tally; map each failed row's position to its error.
+        tally. Returns ``(failed, stopped, back)``.
 
-        A row's error is that of its first iterate whose value raised or is
-        not finite (:func:`_values`); the columns and the test raise nothing.
+        ``failed`` maps each failed row's position to the error of its first
+        iterate whose value raised or is not finite (:func:`_values`); the
+        columns and the test raise nothing. With ``stop``, the flush first runs
+        the fire and stop tests of the iterations that formed no norm, on the
+        norms it forms, in their order: a row's first such iteration whose
+        gradient norm is at most ``stop`` fires when it is at or past the row's
+        ``next_perturb`` with a norm at most its ``g_th``, else stops there.
+        The batch steps ``back`` to the earliest fire, ``(t', x)`` with ``x``
+        the stack there, or None: every row keeps its part up to ``t'`` and runs
+        it again. A row that stops before that, at ``t'``, keeps its part up to
+        ``t'`` and maps in ``stopped`` to ``(t', f, grad_norm, x)`` of its
+        terminal row there. No value past a row's part and terminal row is read.
         """
         if not self.pending:
-            return {}
+            return {}, {}, None
         xs, fs, grad_norms, step_norms, ds, gs = zip(*self.pending)
         self.pending.clear()
         iterations, rows = len(fs), len(self.rows)
         start = t - iterations
-        f = np.full((iterations, rows), math.nan)
-        for k, values in enumerate(fs):
-            if values is not None:
-                f[k] = values
-        f = f.reshape(-1)
-        failed = {}  # position: the error of its first iterate whose value failed
-        unread = np.flatnonzero(np.isnan(f))
-        if len(unread):  # only a stacked model leaves values unread
-            points = np.concatenate(xs)
-            if len(unread) < len(f):
-                points = points[unread]
-            f[unread], found = _values(self.obj, points, lambda k: start + int(unread[k]) // rows)
-            for k, exc in found.items():  # in iteration order: a row's first failure comes first
-                failed.setdefault(int(unread[k]) % rows, exc)
         d, g = np.concatenate(ds), np.concatenate(gs)
         with np.errstate(all="ignore"):  # an overflow reads inf or NaN, a failed check
             if all(norms is not None for norms in grad_norms):
@@ -767,17 +807,57 @@ class _Rows:
                 step_norm = gn / self.modulus
             err = d - g
             err_norm, gap = np.sqrt(row_dots(err, err)), row_dots(d, g)
-            # err is as large as d: it goes once the gap is formed, before the block is copied
-            # out. Kept to the end of the flush, it left the heap laid out so that the Rosenbrock
-            # d=10 scaling study peaked about 1.2 MB higher in RSS, at the same traced peak
-            del err
+            # err, d and g are each as large as the block's x: they go once the gap is formed,
+            # before the values are read and the block is copied out. Kept to the end of the
+            # flush, err left the heap laid out so that the Rosenbrock d=10 scaling study peaked
+            # about 1.2 MB higher in RSS, at the same traced peak
+            del err, d, g
             optimal = _optimal(gap, step_norm, *_scales(gn, step_norm), self.modulus)
-        passed = optimal.reshape(iterations, rows).sum(axis=0).tolist()
+        norms = gn.reshape(iterations, rows)
+        kept = [iterations] * rows  # the iterations of each row's part
+        stopped, back = {}, None
+        if stop is not None:
+            span = [k for k, formed in enumerate(grad_norms) if formed is None]
+            low = norms[span] <= stop
+            for pos in np.flatnonzero(low.any(axis=0)).tolist():
+                k = span[int(low[:, pos].argmax())]
+                if start + k >= next_perturb[pos] and norms[k, pos] <= self.rows[pos].params.g_th:
+                    back = k if back is None else min(back, k)
+                else:
+                    stopped[pos] = k
+            if back is not None:
+                stopped = {pos: k for pos, k in stopped.items() if k < back}
+                kept = [back] * rows
+            for pos, k in stopped.items():
+                kept[pos] = k
+        f = np.full((iterations, rows), math.nan)
+        for k, values in enumerate(fs):
+            if values is not None:
+                f[k] = values
+        unread = np.isnan(f)
+        if stopped or back is not None:  # no value past a row's terminal row is read
+            unread &= np.arange(iterations)[:, None] < [k + (pos in stopped)
+                                                         for pos, k in enumerate(kept)]
+        f, unread = f.reshape(-1), np.flatnonzero(unread)
+        failed = {}  # position: the error of its first iterate whose value failed
+        if len(unread):  # only a stacked model leaves values unread
+            points = np.concatenate(xs)
+            if len(unread) < len(f):
+                points = points[unread]
+            f[unread], found = _values(self.obj, points, lambda k: start + int(unread[k]) // rows)
+            for k, exc in found.items():  # in iteration order: a row's first failure comes first
+                failed.setdefault(int(unread[k]) % rows, exc)
+        optimal = optimal.reshape(iterations, rows)
+        if stopped or back is not None:
+            optimal &= np.arange(iterations)[:, None] < kept
+        passed = optimal.sum(axis=0).tolist()
         block = np.stack((f, gn, step_norm, err_norm), axis=1).reshape(iterations, rows, 4)
         for pos, row in enumerate(self.rows):
-            row.parts.append(block[:, pos].copy())
+            row.parts.append(block[:kept[pos], pos].copy())
             row.passed += passed[pos]
-        return failed
+        stopped = {pos: (start + k, float(block[k, pos, 0]), float(norms[k, pos]), xs[k][pos])
+                   for pos, k in stopped.items() if pos not in failed}
+        return failed, stopped, None if back is None else (start + back, xs[back])
 
 
 def _quiet(obj, spec, eta) -> bool:
@@ -828,7 +908,8 @@ def _lockstep(obj, spec, rows, xs, eta, max_iters, stop_grad_norm, keep_every) -
 
     An iteration reads only what the protocol reads there: the gradients, the
     step and the region test. The gradient norms are read where a row may
-    fire or stop (``t >= due``, or a ``stop_grad_norm`` is given); a quiet
+    fire or stop (``t >= due``, or a ``stop_grad_norm`` is given), unless the
+    batch is ``deferred`` (below); a quiet
     iteration of a stacked model, where none may, leaves them unformed when
     :func:`_quiet` shows that a step that stays in the region bounds them,
     and its region test then stands in for their check: a row whose gradient
@@ -846,6 +927,24 @@ def _lockstep(obj, spec, rows, xs, eta, max_iters, stop_grad_norm, keep_every) -
     found bad there ends its row with its error, which wins over whatever the
     row met at a later iterate. What the store forms beyond the values raises
     nothing (:class:`_Rows`).
+
+    A ``deferred`` batch leaves its fire and stop tests to the store: one
+    with a ``stop_grad_norm`` whose model is stacked, which :func:`_quiet`
+    admits, and whose every ``g_th`` is at most ``stop_grad_norm``, so that a
+    fire is a crossing of the stop threshold too. Its iterations are quiet,
+    except where a row first may fire (``t == next_perturb``) or meets its
+    window test, or where ``again`` runs an iteration anew: those form their
+    norms and run every test as above. Before the store flushes, and before
+    such an iteration, a step out of the region, a failed build or the end
+    of the budget, the pending span is verified, by a flush that runs its
+    tests (:meth:`_Rows.flush`), which a quiet iteration skipped: a row that
+    stops there ends on that iteration's terminal row, and a row that fires
+    there takes the batch back to that iteration, which runs again with its
+    norms formed, as does an iteration that a step out of the region or a
+    failed build interrupts. The span draws from no stream and passes no
+    event, and rows never interact, so every row is its serial run: the span
+    past a row's end leaves no record, event, kept iterate, tally or read
+    value.
     """
     if not rows:
         return
@@ -857,7 +956,10 @@ def _lockstep(obj, spec, rows, xs, eta, max_iters, stop_grad_norm, keep_every) -
     next_perturb = [math.inf if row.params is None else 0 for row in rows]
     due = min(next_perturb)
     stops = stop_grad_norm is not None
-    loud = stops or not (stacked and _quiet(obj, spec, eta))  # norms formed every iteration
+    quiet = stacked and _quiet(obj, spec, eta)
+    deferred = stops and quiet and all(row.params is None or row.params.g_th <= stop_grad_norm
+                                       for row in rows)
+    loud = not deferred and (stops or not quiet)  # norms formed every iteration
     # no row fires or stops while every gradient norm is above this
     gate = max([row.params.g_th for row in rows if row.params is not None]
                + ([stop_grad_norm] if stops else []), default=-math.inf)
@@ -877,9 +979,9 @@ def _lockstep(obj, spec, rows, xs, eta, max_iters, stop_grad_norm, keep_every) -
 
     def rebuild(positions, model):
         """Evaluate ``model`` at the perturbed ``x[positions]`` into ``surr``; those that failed."""
-        again, _, found = _evaluate(obj, model, x[positions], t, _stacked(obj, model))
+        built, _, found = _evaluate(obj, model, x[positions], t, _stacked(obj, model))
         for name in SurrogateAt.__slots__:
-            fields = getattr(again, name)
+            fields = getattr(built, name)
             getattr(surr, name)[positions] = math.nan if fields is None else fields
         return fail({positions[k]: exc for k, exc in found.items()})
 
@@ -888,32 +990,61 @@ def _lockstep(obj, spec, rows, xs, eta, max_iters, stop_grad_norm, keep_every) -
         that ended or failed.
 
         The row's ``f`` and norm are read first (``read``), and a row whose
-        read fails fails instead. ``tag`` names the termination (None:
-        ``max_iters``) and joins the row's event; with ``outside``, the points
-        that left the region, it carries the exit's message. A run returns its
-        terminal point and ``f``, or ``x_tilde`` and ``f_tilde`` when it ends
-        ``returned_xtilde``.
+        read fails fails instead; the others end by :meth:`_Row.finish`, with
+        ``tag`` and, given ``outside``, the points that left the region, the
+        exit's message.
         """
         failed = read(positions, t)
         for pos in positions:
-            if pos in failed:
-                continue
-            row = rows[pos]
-            f = float(surr.anchor_value[pos])
-            row.end = (f, float(surr.grad_norm[pos]))
-            row.x_out, row.f_out = x[pos].copy(), f
-            if tag == "returned_xtilde":
-                row.x_out, row.f_out = row.state.x_tilde, row.state.f_tilde
-            if tag is not None:
-                row.termination = event = tag
-                if outside is not None:
-                    event = f"{tag};{_region_exit_message(obj, outside[pos])}"
-                row.events[t] = f"{row.events[t]};{event}" if t in row.events else event
+            if pos not in failed:
+                why = None if outside is None else _region_exit_message(obj, outside[pos])
+                rows[pos].finish(t, float(surr.anchor_value[pos]), float(surr.grad_norm[pos]),
+                                 x[pos], tag, why)
         return positions + [pos for pos in failed if pos not in positions]
 
-    for t in range(max_iters):
-        reads = stops or t >= due  # whether a row may fire or stop
+    def leave(gone):
+        """Take the rows at the positions ``gone`` off the stack; the mask of the rows that stay."""
+        nonlocal rows, next_perturb, due
+        keep = np.ones(len(rows), dtype=bool)
+        keep[list(gone)] = False
+        kept = keep.tolist()
+        rows = store.rows = [row for row, k in zip(rows, kept) if k]
+        next_perturb = [at for at, k in zip(next_perturb, kept) if k]
+        due = min(next_perturb, default=math.inf)
+        return keep
+
+    t, again = 0, False
+    while True:
+        if deferred:
+            reads = again or t in next_perturb or t + 1 in next_perturb
+            if pending and pending[-1][2] is None and (
+                    reads or t == max_iters or len(pending) == flush_at):
+                # the tests of the pending span, which formed no norm
+                failed, stopped, back = store.flush(t, stop_grad_norm, next_perturb)
+                for pos, (at, f, gn, x_at) in stopped.items():
+                    rows[pos].finish(at, f, gn, x_at, "gradient_below_threshold")
+                if back is not None:  # a row fires there: the batch runs again from it
+                    (t, x), reads = back, True
+                if keep_every:  # no iterate kept past a row's end or where it runs again
+                    for pos, row in enumerate(rows):
+                        last = stopped[pos][0] if pos in stopped else t - 1
+                        while row.iterates and row.iterates[-1][0] > last:
+                            row.iterates.pop()
+                gone = set(fail(failed)).union(stopped)
+                if gone:
+                    keep = leave(gone)
+                    if not rows:
+                        return
+                    x = x[keep]
+        else:
+            reads = stops or t >= due  # whether a row may fire or stop
+        again = False
+        if t == max_iters:
+            break
         surr, grad_norms, failures = _evaluate(obj, spec, x, t, stacked, reads or loud)
+        if deferred and not reads and grad_norms is not None:  # the stack's build raised
+            again = True
+            continue
         gone = fail(failures) if failures else []  # the rows that end or fail at t
         # one gate for the fire and stop tests: any(), not min(), since min() of a list
         # holding NaN may be NaN. Only a fire changes grad_norms, and a fire passes the gate
@@ -969,29 +1100,31 @@ def _lockstep(obj, spec, rows, xs, eta, max_iters, stop_grad_norm, keep_every) -
         # the whole stack steps; the steps of the rows in gone are discarded
         x_next, outside, d = _step(obj, surr, x, eta)
         left = [pos for pos in outside if pos not in gone]
+        if left and deferred and not reads:  # the span's tests first, then t again
+            if keep_every and t % keep_every == 0:
+                for row in rows:
+                    row.iterates.pop()
+            again = True
+            continue
         if left:
             gone += end(left, t, "left_valid_region", x_next)
         if gone or len(pending) == flush_at:  # the one exit
-            gone = set(gone).union(fail(store.flush(t)))
+            gone = set(gone).union(fail(store.flush(t)[0]))
             if gone:
-                keep = np.ones(len(rows), dtype=bool)
-                keep[list(gone)] = False
-                kept = keep.tolist()
-                rows = store.rows = [row for row, k in zip(rows, kept) if k]
+                keep = leave(gone)
                 if not rows:
-                    break
-                next_perturb = [at for at, k in zip(next_perturb, kept) if k]
-                due = min(next_perturb)
+                    return
                 x, x_next, d, surr = x[keep], x_next[keep], d[keep], _take(surr, keep)
         pending.append((x if stacked else None, surr.anchor_value, surr.grad_norm,
                         surr.step_norm, d, surr.anchor_grad))
         x = x_next
-    else:  # the rows that ran out of iterations
-        surr, _, failures = _evaluate(obj, _GRADIENT_MODEL, x, max_iters,
-                                     _stacked(obj, _GRADIENT_MODEL))
-        fail(failures)
-        end([pos for pos in range(len(rows)) if pos not in failures], max_iters)
-        fail(store.flush(max_iters))
+        t += 1
+    # the rows that ran out of iterations
+    surr, _, failures = _evaluate(obj, _GRADIENT_MODEL, x, max_iters,
+                                 _stacked(obj, _GRADIENT_MODEL))
+    fail(failures)
+    end([pos for pos in range(len(rows)) if pos not in failures], max_iters)
+    fail(store.flush(max_iters)[0])
 
 
 def _one(results):

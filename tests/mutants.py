@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROTOCOL = "tests/test_drivers.py::TestPerturbationProtocol::"
 THRESHOLDS = "tests/test_lockstep.py::test_a_failing_row_hides_no_threshold_test"
 FAILURES = "tests/test_loop_failures.py::"
+DEFERRED = "tests/test_deferred.py::test_deferred_threshold_"
 DERIVED = (
     "tests/test_drivers.py::TestDeriveParams::test_worked_example_matches_high_precision_oracle")
 
@@ -66,6 +67,39 @@ MUTANTS = [
      "t_th = max(1, math.ceil(window))",
      "t_th = max(1, math.ceil(window)) + 1",
      [DERIVED]),
+    ("drivers.py",  # the window test's own equality: an eligible row meets it too
+     "if at == t + 1 and pos not in gone]",
+     "if at <= t + 1 and pos not in gone]",
+     [PROTOCOL + "test_fires_at_exactly_g_th"]),
+    # the fire and stop tests that the row store runs for a batch that formed no norm
+    ("drivers.py",  # the deferred fire test
+     "and norms[k, pos] <= self.rows[pos].params.g_th:",
+     "and norms[k, pos] < self.rows[pos].params.g_th:",
+     [DEFERRED + "tests_are_exact"]),
+    ("drivers.py",  # the deferred stop test
+     "low = norms[span] <= stop",
+     "low = norms[span] < stop",
+     [DEFERRED + "tests_are_exact"]),
+    ("drivers.py",  # a deferred stop ends one iteration late
+     "                    stopped[pos] = k\n",
+     "                    stopped[pos] = k + 1\n",
+     [DEFERRED + "stop_is_met_inside_a_block"]),
+    ("drivers.py",  # the batch steps back to the iteration after a deferred fire
+     "back = k if back is None else min(back, k)",
+     "back = k + 1 if back is None else min(back, k + 1)",
+     [DEFERRED + "fire_steps_the_batch_back"]),
+    ("drivers.py",  # a row leaves the region before the pending span is verified
+     "if left and deferred and not reads:",
+     "if False:",
+     [DEFERRED + "row_bad_after_its_stop_stops"]),
+    ("drivers.py",  # a row fails at a build before the pending span is verified
+     "if deferred and not reads and grad_norms is not None:",
+     "if False:",
+     [DEFERRED + "row_bad_after_its_stop_stops"]),
+    ("drivers.py",  # the rows that run out of iterations end before the span is verified
+     "reads or t == max_iters or len(pending) == flush_at",
+     "reads or len(pending) == flush_at",
+     [DEFERRED + "stop_is_met_inside_a_block"]),
     ("drivers.py",  # the first fire may come at t = 0
      "next_perturb = [math.inf if row.params is None else 0 for row in rows]",
      "next_perturb = [math.inf if row.params is None else 1 for row in rows]",

@@ -279,6 +279,27 @@ def test_a_row_whose_optimality_overflows_runs_as_with_warnings_ignored(
     assert all(row.termination == "max_iters" for k, row in enumerate(batch) if k != bad)
 
 
+def test_values_whose_sum_overflows_run_as_with_the_default_filter():
+    """Finite values near the float maximum, read a store block at a time: their sum overflows,
+    which only sends the block to the test of each value, under any warnings filter."""
+    plain = get_problem("saddle_quartic:d=2").objective
+
+    def value(x):
+        return plain.value(x) + 1e308
+
+    obj = dataclasses.replace(plain, value=value)
+    x0s = [np.array([0.5, 0.1]), np.array([1.0, -0.2])]
+    runs = {}
+    for mode in ("default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(mode)
+            runs[mode] = drv.run_batch(obj, SurrogateSpec(), x0s, eta=0.1, stop_grad_norm=1e-9,
+                                       max_iters=30)
+    for row, default in zip(runs["error"], runs["default"]):
+        assert_same_run(row, default)
+        assert row.termination == "max_iters" and row.final_f > 1e307
+
+
 # ---------------------------------------------------------------------------
 # a perturbed point whose value is not finite
 
